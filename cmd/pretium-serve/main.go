@@ -16,11 +16,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"pretium/internal/exp"
 	"pretium/internal/obs"
@@ -52,10 +57,41 @@ func main() {
 	}
 	log.Printf("pretium-serve: %d nodes, %d edges, horizon %d, %d shards; listening on %s",
 		setup.Net.NumNodes(), setup.Net.NumEdges(), sc.Steps, svc.NumShards(), *addr)
-	if err := http.ListenAndServe(*addr, serve.Handler(svc, m)); err != nil {
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           serve.Handler(svc, m),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	// SIGINT/SIGTERM stop accepting and let in-flight requests finish: an
+	// admission that has committed room always gets its reply out.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	done := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		done <- srv.Shutdown(shutCtx)
+	}()
+	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	if err := <-done; err != nil {
+		log.Fatalf("pretium-serve: shutdown: %v", err)
+	}
+	log.Printf("pretium-serve: shut down at epoch %d", svc.Epoch())
 }
+
+// Slow or stalled clients must not hold connections open forever. The
+// bodies are small (serve caps them), so seconds are generous.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
 
 func scaleByName(name string) (exp.Scale, error) {
 	switch name {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // NodeID identifies a node (datacenter or site) within a Network.
@@ -51,6 +52,7 @@ type Network struct {
 	out    [][]EdgeID // adjacency: outgoing edge IDs per node
 	in     [][]EdgeID
 	byName map[string]NodeID
+	routes atomic.Pointer[routeMemo] // lazily built by KShortestPaths
 }
 
 // New returns an empty network.
@@ -69,6 +71,7 @@ func (n *Network) AddNode(name, region string) NodeID {
 	n.out = append(n.out, nil)
 	n.in = append(n.in, nil)
 	n.byName[name] = id
+	n.routes.Store(nil)
 	return id
 }
 
@@ -81,6 +84,7 @@ func (n *Network) AddEdge(from, to NodeID, capacity float64) EdgeID {
 	n.edges = append(n.edges, Edge{ID: id, From: from, To: to, Capacity: capacity})
 	n.out[from] = append(n.out[from], id)
 	n.in[to] = append(n.in[to], id)
+	n.routes.Store(nil)
 	return id
 }
 

@@ -1,175 +1,219 @@
 package graph
 
 import (
-	"container/heap"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // ShortestPath returns a minimum-hop path from src to dst, or nil when dst
 // is unreachable. Ties break deterministically by edge ID so route sets
-// are reproducible across runs.
+// are reproducible across runs. The path is the first of KShortestPaths
+// and shared like it: callers must not mutate it.
 func (n *Network) ShortestPath(src, dst NodeID) Path {
-	return n.shortestPathFiltered(src, dst, nil, nil)
-}
-
-// shortestPathFiltered is Dijkstra over unit edge weights with optional
-// banned edges and banned nodes (used by Yen's algorithm). Ties break by
-// lexicographically smallest edge sequence via the deterministic heap
-// ordering.
-func (n *Network) shortestPathFiltered(src, dst NodeID, bannedEdges map[EdgeID]bool, bannedNodes map[NodeID]bool) Path {
-	if src == dst {
-		return nil
+	if ps := n.KShortestPaths(src, dst, 1); len(ps) > 0 {
+		return ps[0]
 	}
-	if bannedNodes[src] || bannedNodes[dst] {
-		return nil
-	}
-	dist := make([]int, len(n.nodes))
-	prev := make([]EdgeID, len(n.nodes))
-	for i := range dist {
-		dist[i] = -1
-		prev[i] = -1
-	}
-	pq := &pathHeap{}
-	seq := 0
-	heap.Push(pq, pathHeapItem{node: src, dist: 0, seq: seq})
-	dist[src] = 0
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pathHeapItem)
-		if it.dist > dist[it.node] && dist[it.node] >= 0 {
-			continue
-		}
-		if it.node == dst {
-			break
-		}
-		for _, eid := range n.out[it.node] {
-			if bannedEdges[eid] {
-				continue
-			}
-			e := n.edges[eid]
-			if bannedNodes[e.To] {
-				continue
-			}
-			nd := it.dist + 1
-			if dist[e.To] < 0 || nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = eid
-				seq++
-				heap.Push(pq, pathHeapItem{node: e.To, dist: nd, seq: seq})
-			}
-		}
-	}
-	if dist[dst] < 0 {
-		return nil
-	}
-	var rev Path
-	for cur := dst; cur != src; {
-		eid := prev[cur]
-		rev = append(rev, eid)
-		cur = n.edges[eid].From
-	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-type pathHeapItem = struct {
-	node NodeID
-	dist int
-	seq  int
-}
-
-type pathHeap []pathHeapItem
-
-func (h pathHeap) Len() int { return len(h) }
-func (h pathHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].seq < h[j].seq
-}
-func (h pathHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x any)   { *h = append(*h, x.(pathHeapItem)) }
-func (h *pathHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return nil
 }
 
 // KShortestPaths returns up to k loopless minimum-hop paths from src to
-// dst using Yen's algorithm. The result is sorted by (length, discovery
-// order) and is deterministic. These form a request's admissible route set
-// R_i (§3.1).
+// dst using Yen's algorithm. The result is sorted by (length, edge
+// sequence) and is deterministic. These form a request's admissible route
+// set R_i (§3.1).
+//
+// R_i is a fixed function of (src, dst), so the answer is memoized per
+// ordered pair: the first call for a pair runs Yen, later calls are two
+// atomic loads. The returned slice and its paths are shared (callers must
+// not mutate, as with Edges and Out) and safe for concurrent use. Yen's
+// list for k is a prefix of its list for any larger k — nothing in the
+// loop depends on k but termination — so one entry holding the longest
+// list asked for so far serves every smaller k.
+//
+// Only AddNode and AddEdge reset the memo. Link cuts, drains and SRLG
+// failures never invalidate it: they are capacity overlays on
+// pricing.State (SetOutage), the topology object does not change after
+// construction, and the controller's repair re-routes over a request's
+// own Routes rather than searching afresh.
 func (n *Network) KShortestPaths(src, dst NodeID, k int) []Path {
-	if k <= 0 {
+	nn := len(n.nodes)
+	if k <= 0 || src == dst || src < 0 || dst < 0 || int(src) >= nn || int(dst) >= nn {
 		return nil
 	}
-	first := n.ShortestPath(src, dst)
+	m := n.routes.Load()
+	if m == nil {
+		// Lazily sized: N² pointers (89 KB on the 106-node WAN), filled
+		// only for the pairs that are asked about.
+		m = &routeMemo{entries: make([]atomic.Pointer[routeEntry], nn*nn)}
+		if !n.routes.CompareAndSwap(nil, m) {
+			m = n.routes.Load()
+		}
+	}
+	slot := &m.entries[int(src)*nn+int(dst)]
+	e := slot.Load()
+	if !e.answers(k) {
+		m.mu.Lock()
+		if e = slot.Load(); !e.answers(k) {
+			e = m.search.yen(n, src, dst, k)
+			slot.Store(e)
+		}
+		m.mu.Unlock()
+	}
+	if len(e.paths) > k {
+		return e.paths[:k:k]
+	}
+	return e.paths
+}
+
+// routeMemo is a Network's route table: one entry per ordered node pair,
+// indexed src*N+dst. Hits are lock-free; misses serialize on mu, which
+// also guards the search scratch.
+type routeMemo struct {
+	entries []atomic.Pointer[routeEntry]
+	mu      sync.Mutex
+	search  pathSearch
+}
+
+// routeEntry is immutable once stored. exhausted records that Yen ran out
+// of candidates, so paths answers every k (an unreachable pair is the
+// exhausted entry with no paths).
+type routeEntry struct {
+	paths     []Path
+	exhausted bool
+}
+
+// answers reports whether the entry exists and holds Yen's full list for k.
+func (e *routeEntry) answers(k int) bool {
+	return e != nil && (e.exhausted || len(e.paths) >= k)
+}
+
+// pathSearch is the scratch one Yen run reuses across its spur searches:
+// BFS state and the two ban sets, indexed by node or edge ID.
+type pathSearch struct {
+	prev       []EdgeID // edge each node was first reached by; unseen when < 0
+	queue      []NodeID
+	bannedNode []bool
+	bannedEdge []bool
+	banned     []EdgeID // edges set in bannedEdge for the current spur
+	buf        Path     // root + spur under construction
+}
+
+const (
+	unseen   EdgeID = -1
+	bfsStart EdgeID = -2
+)
+
+// shortest runs a breadth-first search from the end of root to dst that
+// avoids the banned nodes and edges, and returns root followed by the
+// spur it found (in s.buf, valid until the next call), or nil. Edges
+// have unit weight, so FIFO order is Dijkstra's order: a node is queued
+// once, at its final distance, by the first edge to reach it — ties
+// break toward the earliest-queued parent and then its lowest edge ID.
+func (s *pathSearch) shortest(n *Network, root Path, from, dst NodeID) Path {
+	for i := range s.prev {
+		s.prev[i] = unseen
+	}
+	s.prev[from] = bfsStart
+	s.queue = append(s.queue[:0], from)
+	for head := 0; head < len(s.queue) && s.prev[dst] == unseen; head++ {
+		for _, eid := range n.out[s.queue[head]] {
+			to := n.edges[eid].To
+			if s.prev[to] != unseen || s.bannedEdge[eid] || s.bannedNode[to] {
+				continue
+			}
+			s.prev[to] = eid
+			s.queue = append(s.queue, to)
+		}
+	}
+	if s.prev[dst] == unseen {
+		return nil
+	}
+	hops := 0
+	for cur := dst; cur != from; cur = n.edges[s.prev[cur]].From {
+		hops++
+	}
+	s.buf = append(append(s.buf[:0], root...), make(Path, hops)...)
+	for cur, i := dst, len(s.buf)-1; cur != from; cur, i = n.edges[s.prev[cur]].From, i-1 {
+		s.buf[i] = s.prev[cur]
+	}
+	return s.buf
+}
+
+// yen computes the first k loopless shortest paths from src to dst.
+func (s *pathSearch) yen(n *Network, src, dst NodeID, k int) *routeEntry {
+	if len(s.prev) != len(n.nodes) || len(s.bannedEdge) != len(n.edges) {
+		s.prev = make([]EdgeID, len(n.nodes))
+		s.bannedNode = make([]bool, len(n.nodes))
+		s.bannedEdge = make([]bool, len(n.edges))
+	}
+	first := s.shortest(n, nil, src, dst)
 	if first == nil {
-		return nil
+		return &routeEntry{exhausted: true}
 	}
-	paths := []Path{first}
+	paths := []Path{slices.Clone(first)}
 	var candidates []Path
 	for len(paths) < k {
 		last := paths[len(paths)-1]
 		// Spur from every prefix of the last accepted path.
-		for i := 0; i < len(last); i++ {
+		for i := range last {
 			spurNode := src
 			if i > 0 {
+				// The root's nodes before the spur node stay banned for
+				// the rest of this path's spurs.
+				s.bannedNode[n.edges[last[i-1]].From] = true
 				spurNode = n.edges[last[i-1]].To
 			}
-			rootPath := last[:i]
-
-			bannedEdges := make(map[EdgeID]bool)
+			root := last[:i]
 			for _, p := range paths {
-				if len(p) > i && equalPaths(p[:i], rootPath) {
-					bannedEdges[p[i]] = true
+				if len(p) > i && equalPaths(p[:i], root) {
+					s.bannedEdge[p[i]] = true
+					s.banned = append(s.banned, p[i])
 				}
 			}
-			bannedNodes := make(map[NodeID]bool)
-			cur := src
-			for _, eid := range rootPath {
-				bannedNodes[cur] = true
-				cur = n.edges[eid].To
+			total := s.shortest(n, root, spurNode, dst)
+			for _, eid := range s.banned {
+				s.bannedEdge[eid] = false
 			}
-			spur := n.shortestPathFiltered(spurNode, dst, bannedEdges, bannedNodes)
-			if spur == nil {
-				continue
+			s.banned = s.banned[:0]
+			if total != nil && !containsPath(paths, total) && !containsPath(candidates, total) {
+				candidates = append(candidates, slices.Clone(total))
 			}
-			total := make(Path, 0, len(rootPath)+len(spur))
-			total = append(total, rootPath...)
-			total = append(total, spur...)
-			dup := false
-			for _, p := range append(paths, candidates...) {
-				if equalPaths(p, total) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				candidates = append(candidates, total)
-			}
+		}
+		for _, eid := range last[:len(last)-1] {
+			s.bannedNode[n.edges[eid].From] = false
 		}
 		if len(candidates) == 0 {
-			break
+			return &routeEntry{paths: slices.Clip(paths), exhausted: true}
 		}
-		sort.SliceStable(candidates, func(a, b int) bool {
-			if len(candidates[a]) != len(candidates[b]) {
-				return len(candidates[a]) < len(candidates[b])
+		// Candidates are distinct and pathLess is a total order on
+		// distinct paths, so the next path is the unique minimum and the
+		// order of the rest does not matter.
+		best := 0
+		for c := 1; c < len(candidates); c++ {
+			if pathLess(candidates[c], candidates[best]) {
+				best = c
 			}
-			// Deterministic tie-break by edge sequence.
-			for x := range candidates[a] {
-				if candidates[a][x] != candidates[b][x] {
-					return candidates[a][x] < candidates[b][x]
-				}
-			}
-			return false
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
+		}
+		paths = append(paths, candidates[best])
+		candidates[best] = candidates[len(candidates)-1]
+		candidates = candidates[:len(candidates)-1]
 	}
-	return paths
+	return &routeEntry{paths: slices.Clip(paths)}
+}
+
+// pathLess orders paths by length, then by edge sequence.
+func pathLess(a, b Path) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	return slices.Compare(a, b) < 0
+}
+
+func containsPath(ps []Path, p Path) bool {
+	for _, q := range ps {
+		if equalPaths(q, p) {
+			return true
+		}
+	}
+	return false
 }

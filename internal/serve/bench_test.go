@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"testing"
 
 	"pretium/internal/graph"
@@ -144,3 +146,38 @@ func BenchmarkServicePublish(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServiceHTTPQuote and ...Admit are the wire path with no
+// socket under it: serve.Handler on PaperWAN behind an httptest recorder,
+// every pair's routes already in the network's memo (the steady state —
+// 99% of a replayed stream). allocs/op includes the recorder and the
+// request httptest builds per call, so its gate is a ceiling on the
+// handler plus a constant.
+func benchmarkServiceHTTP(b *testing.B, path string, demand float64) {
+	const horizon = 48
+	svc := paperService(b, horizon)
+	h := Handler(svc, nil)
+	wires := paperWire(svc.Net(), horizon, 512, 9)
+	bodies := make([][]byte, len(wires))
+	for i, wr := range wires {
+		wr.Demand, wr.Value, wr.MaxRoutes = demand, 100, 0
+		bodies[i], _ = json.Marshal(wr)
+		if rec := post(h, "/v1/quote", bodies[i]); rec.Code != http.StatusOK {
+			b.Fatalf("warm-up quote %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := post(h, path, bodies[i%len(bodies)]); rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	reportOps(b)
+}
+
+func BenchmarkServiceHTTPQuote(b *testing.B) { benchmarkServiceHTTP(b, "/v1/quote", 40) }
+
+// The admit demand is tiny so that a long run never fills a link and
+// every iteration takes the accept path.
+func BenchmarkServiceHTTPAdmit(b *testing.B) { benchmarkServiceHTTP(b, "/v1/admit", 1e-4) }

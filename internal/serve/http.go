@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 
 	"pretium/internal/obs"
 	"pretium/internal/pricing"
@@ -31,8 +35,15 @@ type wireRequest struct {
 }
 
 // DefaultMaxRoutes is the route-set size used when a wire request does
-// not name one.
-const DefaultMaxRoutes = 3
+// not name one; MaxRoutesLimit is the largest a client may ask for, which
+// bounds both a Yen run and the network's per-pair route memo.
+const (
+	DefaultMaxRoutes = 3
+	MaxRoutesLimit   = 8
+)
+
+// maxRequestBytes caps a quote/admit body: a wire request is ~150 bytes.
+const maxRequestBytes = 4 << 10
 
 type wireSegment struct {
 	Bytes float64 `json:"bytes"`
@@ -72,6 +83,14 @@ type wirePublishRequest struct {
 	Reserved [][]float64 `json:"reserved,omitempty"`
 }
 
+type wireEpochResponse struct {
+	Epoch uint64 `json:"epoch"`
+}
+
+type wireErrorResponse struct {
+	Error string `json:"error"`
+}
+
 type wireStateResponse struct {
 	Epoch   uint64 `json:"epoch"`
 	Shards  int    `json:"shards"`
@@ -103,98 +122,155 @@ type httpServer struct {
 	m   *obs.Metrics
 }
 
-// decodeRequest resolves a wire request into a traffic.Request with its
-// admissible route set.
-func (h *httpServer) decodeRequest(r *http.Request) (*traffic.Request, error) {
-	var in wireRequest
-	dec := json.NewDecoder(r.Body)
+// wireScratch is one quote/admit's working memory, pooled across
+// requests: decode target, resolved request, reply and output buffer.
+// Nothing in it outlives the handler call — menus and admissions are
+// copied into the reply, and the reply is written before the scratch
+// returns to the pool.
+type wireScratch struct {
+	in     wireRequest
+	req    traffic.Request
+	quote  wireQuoteResponse
+	admit  wireAdmitResponse
+	segs   []wireSegment
+	allocs []wireAlloc
+	out    bytes.Buffer
+	enc    *json.Encoder // writes to out
+}
+
+var wirePool = sync.Pool{New: func() any {
+	s := new(wireScratch)
+	s.enc = json.NewEncoder(&s.out)
+	return s
+}}
+
+var jsonContentType = []string{"application/json"}
+
+// decodeBody decodes exactly one JSON object of at most limit bytes from
+// the request body into v, rejecting unknown fields and trailing data.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: trailing data after JSON object")
+	}
+	return nil
+}
+
+// decodeRequest resolves a wire request into s.req with its admissible
+// route set — a lookup in the network's route memo, not a search, for
+// every pair seen before.
+func (h *httpServer) decodeRequest(w http.ResponseWriter, r *http.Request, s *wireScratch) error {
+	s.in = wireRequest{}
+	if err := decodeBody(w, r, maxRequestBytes, &s.in); err != nil {
+		return err
+	}
+	in := &s.in
 	net := h.svc.Net()
 	src, ok := net.NodeByName(in.Src)
 	if !ok {
-		return nil, fmt.Errorf("unknown src node %q", in.Src)
+		return fmt.Errorf("unknown src node %q", in.Src)
 	}
 	dst, ok := net.NodeByName(in.Dst)
 	if !ok {
-		return nil, fmt.Errorf("unknown dst node %q", in.Dst)
+		return fmt.Errorf("unknown dst node %q", in.Dst)
 	}
 	if src == dst {
-		return nil, fmt.Errorf("src and dst are the same node")
+		return fmt.Errorf("src and dst are the same node")
 	}
 	if in.Start < 0 || in.End < in.Start || in.Start >= h.svc.Horizon() {
-		return nil, fmt.Errorf("window [%d,%d] outside horizon %d", in.Start, in.End, h.svc.Horizon())
+		return fmt.Errorf("window [%d,%d] outside horizon %d", in.Start, in.End, h.svc.Horizon())
 	}
 	if in.Demand <= 0 {
-		return nil, fmt.Errorf("demand must be positive")
+		return fmt.Errorf("demand must be positive")
 	}
 	k := in.MaxRoutes
+	if k > MaxRoutesLimit {
+		return fmt.Errorf("max_routes %d exceeds the limit of %d", k, MaxRoutesLimit)
+	}
 	if k <= 0 {
 		k = DefaultMaxRoutes
 	}
-	routes := net.KShortestPaths(src, dst, k)
-	return &traffic.Request{
-		ID: in.ID, Src: src, Dst: dst, Routes: routes,
+	s.req = traffic.Request{
+		ID: in.ID, Src: src, Dst: dst, Routes: net.KShortestPaths(src, dst, k),
 		Arrival: in.Start, Start: in.Start, End: in.End,
 		Demand: in.Demand, Value: in.Value, Kind: traffic.ByteRequest,
-	}, nil
+	}
+	return nil
+}
+
+// reply encodes v through the scratch's buffer and writes it as a 200.
+func (s *wireScratch) reply(w http.ResponseWriter, v any) {
+	s.out.Reset()
+	_ = s.enc.Encode(v) // a bytes.Buffer write cannot fail
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(s.out.Bytes()) // a failed write is a gone client
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	writeJSON(w, code, wireErrorResponse{Error: err.Error()})
 }
 
 func (h *httpServer) quote(w http.ResponseWriter, r *http.Request) {
-	req, err := h.decodeRequest(r)
-	if err != nil {
+	s := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(s)
+	if err := h.decodeRequest(w, r, s); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	menu := h.svc.Quote(req, req.Demand)
-	out := wireQuoteResponse{Epoch: h.svc.Epoch(), Cap: menu.Cap()}
-	for _, s := range menu.Segments {
-		out.Segments = append(out.Segments, wireSegment{
-			Bytes: s.Bytes, Price: s.Price, Route: s.RouteIdx, Time: s.Time,
-		})
+	menu, epoch := h.svc.quoteEpoch(&s.req, s.req.Demand)
+	s.quote = wireQuoteResponse{Epoch: epoch, Cap: menu.Cap()}
+	s.segs = s.segs[:0]
+	for _, sg := range menu.Segments {
+		s.segs = append(s.segs, wireSegment{Bytes: sg.Bytes, Price: sg.Price, Route: sg.RouteIdx, Time: sg.Time})
 	}
-	writeJSON(w, http.StatusOK, out)
+	if len(s.segs) > 0 { // an empty menu stays "segments":null on the wire
+		s.quote.Segments = s.segs
+	}
+	s.reply(w, &s.quote)
 }
 
 func (h *httpServer) admit(w http.ResponseWriter, r *http.Request) {
-	req, err := h.decodeRequest(r)
-	if err != nil {
+	s := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(s)
+	if err := h.decodeRequest(w, r, s); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	adm := h.svc.Admit(req)
-	out := wireAdmitResponse{Epoch: h.svc.Epoch()}
+	adm, epoch := h.svc.admitEpoch(&s.req)
+	out := &s.admit
+	*out = wireAdmitResponse{Epoch: epoch}
 	if adm != nil {
 		out.Admitted = true
 		out.Bought = adm.Bought
 		out.Guaranteed = adm.Guaranteed
 		out.Payment = adm.Payment
 		out.Lambda = adm.Lambda
+		s.allocs = s.allocs[:0]
 		for _, a := range adm.Allocs {
-			out.Allocs = append(out.Allocs, wireAlloc{Route: a.RouteIdx, Time: a.Time, Bytes: a.Bytes})
+			s.allocs = append(s.allocs, wireAlloc{Route: a.RouteIdx, Time: a.Time, Bytes: a.Bytes})
 		}
+		out.Allocs = s.allocs
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.reply(w, out)
 }
 
 func (h *httpServer) publish(w http.ResponseWriter, r *http.Request) {
+	// Two [edge][step] matrices of float64s at up to ~25 bytes a number.
+	limit := maxRequestBytes + 64*int64(h.svc.Net().NumEdges())*int64(h.svc.Horizon())
 	var in wirePublishRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r, limit, &in); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var plan *pricing.State
@@ -221,7 +297,7 @@ func (h *httpServer) publish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": h.svc.Epoch()})
+	writeJSON(w, http.StatusOK, wireEpochResponse{Epoch: h.svc.Epoch()})
 }
 
 func (h *httpServer) state(w http.ResponseWriter, r *http.Request) {
@@ -239,6 +315,6 @@ func (h *httpServer) metrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("metrics not configured"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_ = h.m.WriteJSON(w)
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"testing"
 
@@ -307,5 +309,84 @@ func TestRaceMixedEverything(t *testing.T) {
 	wg.Wait()
 	if got := svc.Epoch(); got != epochs {
 		t.Fatalf("final epoch %d, want %d", got, epochs)
+	}
+}
+
+// TestRaceHTTPEpochLabelsTheOperation is the torn-label check over the
+// wire: every quote and admit reply carries an epoch number, and with
+// each epoch priced distinctly that number must be the epoch the prices
+// in the same reply came from — not whatever epoch was current when the
+// reply was assembled, which a publish in between makes one too high.
+func TestRaceHTTPEpochLabelsTheOperation(t *testing.T) {
+	const clients, callsEach = 4, 400
+	horizon := 8
+	net, reqs := raceWorld(t, horizon)
+	svc := raceService(t, net, horizon, 4)
+	h := Handler(svc, nil)
+	bodies := make([][]byte, len(reqs))
+	for i, r := range reqs {
+		bodies[i], _ = json.Marshal(wireRequest{
+			ID: r.ID, Src: net.Node(r.Src).Name, Dst: net.Node(r.Dst).Name,
+			Start: r.Start, End: r.End, Demand: r.Demand, Value: r.Value, MaxRoutes: 1,
+		})
+	}
+
+	var wg, calling sync.WaitGroup
+	errs := make(chan error, clients+1)
+	for g := 0; g < clients; g++ {
+		calling.Add(1)
+		go func(g int) {
+			defer calling.Done()
+			for i := 0; i < callsEach; i++ {
+				body := bodies[(g*131+i)%len(bodies)]
+				var label uint64
+				var price float64
+				if i%4 == 3 {
+					rec := post(h, "/v1/admit", body)
+					var adm wireAdmitResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &adm); err != nil || rec.Code != http.StatusOK || !adm.Admitted {
+						errs <- fmt.Errorf("client %d: admit answered %d %s", g, rec.Code, rec.Body)
+						return
+					}
+					label, price = adm.Epoch, adm.Lambda
+				} else {
+					rec := post(h, "/v1/quote", body)
+					var q wireQuoteResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil || rec.Code != http.StatusOK || len(q.Segments) == 0 {
+						errs <- fmt.Errorf("client %d: quote answered %d %s", g, rec.Code, rec.Body)
+						return
+					}
+					label, price = q.Epoch, q.Segments[0].Price
+				}
+				if k, ok := priceEpoch(price); !ok || uint64(k) != label {
+					errs <- fmt.Errorf("client %d: reply labelled epoch %d carries epoch %d's price %v", g, label, k, price)
+					return
+				}
+			}
+		}(g)
+	}
+	// The publisher keeps swapping epochs for as long as anyone is calling.
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := svc.Publish(racePlan(net, horizon, k), false); err != nil {
+				errs <- fmt.Errorf("publish %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	calling.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -179,10 +179,18 @@ func routeEdges(req *traffic.Request, buf []graph.EdgeID) []graph.EdgeID {
 // scratch. maxBytes <= 0 means req.Demand. The menu reflects room as of
 // the epoch's start; Admit re-quotes authoritatively.
 func (s *Service) Quote(req *traffic.Request, maxBytes float64) *pricing.Menu {
+	menu, _ := s.quoteEpoch(req, maxBytes)
+	return menu
+}
+
+// quoteEpoch is Quote plus the number of the epoch the menu was priced
+// under — the one load both come from, so a concurrent publish cannot
+// label a menu with its successor's number.
+func (s *Service) quoteEpoch(req *traffic.Request, maxBytes float64) (*pricing.Menu, uint64) {
 	ep := s.cur.Load()
 	menu := pricing.QuoteMenu(ep.view, req, maxBytes)
 	s.mQuotes.Inc()
-	return menu
+	return menu, ep.n
 }
 
 // Admit runs the full admission for req: sequenced turn on every edge
@@ -192,6 +200,12 @@ func (s *Service) Quote(req *traffic.Request, maxBytes float64) *pricing.Menu {
 // (edge, step) cell happen in ticket order, which is this method's call
 // order.
 func (s *Service) Admit(req *traffic.Request) *pricing.Admission {
+	adm, _ := s.admitEpoch(req)
+	return adm
+}
+
+// admitEpoch is Admit plus the number of the epoch it committed into.
+func (s *Service) admitEpoch(req *traffic.Request) (*pricing.Admission, uint64) {
 	bufp := s.edgePool.Get().(*[]graph.EdgeID)
 	edges := routeEdges(req, *bufp)
 	*bufp = edges
@@ -200,17 +214,17 @@ func (s *Service) Admit(req *traffic.Request) *pricing.Admission {
 	if !ready {
 		s.seq.wait(tk, edges)
 	}
-	adm := s.admitSequenced(req)
+	adm, epoch := s.admitSequenced(req)
 	s.seq.settle(edges)
 	s.edgePool.Put(bufp)
-	return adm
+	return adm, epoch
 }
 
 // admitSequenced executes the quote+commit at the caller's sequenced
 // turn. The epoch is loaded *after* the turn is held: any earlier
 // publish barrier has already swapped the pointer before settling, so
 // the loaded live state is never stale.
-func (s *Service) admitSequenced(req *traffic.Request) *pricing.Admission {
+func (s *Service) admitSequenced(req *traffic.Request) (*pricing.Admission, uint64) {
 	ep := s.cur.Load()
 	sh := &s.shards[s.shardIndex(req)]
 	sh.mu.Lock()
@@ -222,7 +236,7 @@ func (s *Service) admitSequenced(req *traffic.Request) *pricing.Admission {
 	} else {
 		s.mDeclines.Inc()
 	}
-	return adm
+	return adm, ep.n
 }
 
 // AdmitAll replays a whole arrival stream through the service: tickets
@@ -255,7 +269,7 @@ func (s *Service) AdmitAll(reqs []*traffic.Request) []*pricing.Admission {
 			defer wg.Done()
 			for _, it := range items {
 				s.seq.wait(it.tk, it.edges)
-				out[it.idx] = s.admitSequenced(it.req)
+				out[it.idx], _ = s.admitSequenced(it.req)
 				s.seq.settle(it.edges)
 			}
 		}(buckets[si])

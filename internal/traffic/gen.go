@@ -182,8 +182,6 @@ func DefaultRequestConfig() RequestConfig {
 // disconnected are dropped (none are, on the built-in topologies).
 func Synthesize(n *graph.Network, s Series, cfg RequestConfig) []*Request {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	type pairKey struct{ a, b graph.NodeID }
-	routeCache := make(map[pairKey][]graph.Path)
 	var reqs []*Request
 	id := 0
 	horizon := len(s)
@@ -205,12 +203,8 @@ func Synthesize(n *graph.Network, s Series, cfg RequestConfig) []*Request {
 				if vol <= 0 {
 					continue
 				}
-				key := pairKey{graph.NodeID(src), graph.NodeID(dst)}
-				routes, ok := routeCache[key]
-				if !ok {
-					routes = n.KShortestPaths(key.a, key.b, cfg.RoutesPerRequest)
-					routeCache[key] = routes
-				}
+				// One shared route set per pair: the network memoizes it.
+				routes := n.KShortestPaths(graph.NodeID(src), graph.NodeID(dst), cfg.RoutesPerRequest)
 				if len(routes) == 0 {
 					continue
 				}
@@ -246,8 +240,8 @@ func Synthesize(n *graph.Network, s Series, cfg RequestConfig) []*Request {
 					}
 					req := &Request{
 						ID:      id,
-						Src:     key.a,
-						Dst:     key.b,
+						Src:     graph.NodeID(src),
+						Dst:     graph.NodeID(dst),
 						Routes:  routes,
 						Arrival: arrival,
 						Start:   t,

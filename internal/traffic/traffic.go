@@ -155,22 +155,13 @@ func LinkUtilization(n *graph.Network, s Series) [][]float64 {
 	for e := range usage {
 		usage[e] = make([]float64, len(s))
 	}
-	// Cache shortest paths per pair.
-	type pair struct{ a, b graph.NodeID }
-	cache := make(map[pair]graph.Path)
 	for t, m := range s {
 		for src, row := range m.Demand {
 			for dst, v := range row {
 				if v == 0 || src == dst {
 					continue
 				}
-				p := pair{graph.NodeID(src), graph.NodeID(dst)}
-				path, ok := cache[p]
-				if !ok {
-					path = n.ShortestPath(p.a, p.b)
-					cache[p] = path
-				}
-				for _, eid := range path {
+				for _, eid := range n.ShortestPath(graph.NodeID(src), graph.NodeID(dst)) {
 					usage[eid][t] += v
 				}
 			}
