@@ -7,7 +7,7 @@
 // `go test -bench`-shaped line so the Makefile can pipe the run through
 // cmd/benchjson and gate the throughput floor:
 //
-//	loadgen -duration 5s -workers 4 -shards 8 | \
+//	loadgen -duration 5s -workers 4 | \
 //	    go run ./cmd/benchjson -gate 'BenchmarkLoadgen/closed_loop:ops/sec>=1000000'
 package main
 
@@ -32,7 +32,6 @@ func main() {
 	var (
 		scale        = flag.String("scale", "small", "experiment scale: small, default, medium, or paper")
 		seed         = flag.Int64("seed", 1, "topology and request-stream seed")
-		shards       = flag.Int("shards", 8, "admission shards")
 		workers      = flag.Int("workers", 4, "concurrent closed-loop workers")
 		duration     = flag.Duration("duration", 3*time.Second, "run length")
 		admitFrac    = flag.Float64("admit-frac", 0.1, "fraction of ops that are binding admits (rest are quotes)")
@@ -62,7 +61,7 @@ func main() {
 	}
 
 	m := obs.NewMetrics()
-	svc, err := serve.New(pricing.NewState(setup.Net, sc.Steps, *price), serve.Config{Shards: *shards, Obs: m})
+	svc, err := serve.New(pricing.NewState(setup.Net, sc.Steps, *price), serve.Config{Obs: m})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			var n int64
-			// Stagger workers across the stream so shards see a mix.
+			// Stagger workers across the stream so the service sees a mix.
 			i := w * len(reqs) / max(*workers, 1)
 			for !stop.Load() {
 				req := reqs[i]
@@ -146,7 +145,7 @@ func main() {
 	opsPerSec := float64(total) / elapsed.Seconds()
 	m.Gauge("loadgen.ops_per_sec").Set(opsPerSec)
 
-	fmt.Fprintf(os.Stderr, "loadgen: %s scale, %d workers, %d shards, %v\n", sc.Name, *workers, svc.NumShards(), elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "loadgen: %s scale, %d workers, %v\n", sc.Name, *workers, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "  ops        %d (%.0f ops/sec)\n", total, opsPerSec)
 	fmt.Fprintf(os.Stderr, "  quotes     %d\n", m.Counter("serve.quotes").Value())
 	fmt.Fprintf(os.Stderr, "  admits     %d accepted, %d declined\n", m.Counter("serve.admits").Value(), m.Counter("serve.declines").Value())

@@ -1,7 +1,7 @@
 // Command pretium-serve runs the concurrent admission service as a
 // long-lived HTTP front-end: the RA module of the paper turned into a
 // server (ROADMAP item 1). It builds a synthetic WAN at the chosen
-// experiment scale, wraps it in the sharded internal/serve service, and
+// experiment scale, wraps it in the internal/serve service, and
 // exposes the thin JSON API:
 //
 //	POST /v1/quote   — price a transfer without admitting it
@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	pretium-serve -addr :8080 -scale small -shards 8
+//	pretium-serve -addr :8080 -scale small
 package main
 
 import (
@@ -35,11 +35,10 @@ import (
 
 func main() {
 	var (
-		addr   = flag.String("addr", ":8080", "listen address")
-		scale  = flag.String("scale", "small", "experiment scale: small, default, medium, or paper")
-		shards = flag.Int("shards", 8, "admission shards over (src-region, dst-region) classes")
-		price  = flag.Float64("price", 1.0, "initial uniform base price")
-		seed   = flag.Int64("seed", 1, "topology seed")
+		addr  = flag.String("addr", ":8080", "listen address")
+		scale = flag.String("scale", "small", "experiment scale: small, default, medium, or paper")
+		price = flag.Float64("price", 1.0, "initial uniform base price")
+		seed  = flag.Int64("seed", 1, "topology seed")
 	)
 	flag.Parse()
 
@@ -50,13 +49,13 @@ func main() {
 	}
 	setup := exp.NewSetup(sc, exp.WithSeed(*seed))
 	m := obs.NewMetrics()
-	svc, err := serve.New(pricing.NewState(setup.Net, sc.Steps, *price), serve.Config{Shards: *shards, Obs: m})
+	svc, err := serve.New(pricing.NewState(setup.Net, sc.Steps, *price), serve.Config{Obs: m})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	log.Printf("pretium-serve: %d nodes, %d edges, horizon %d, %d shards; listening on %s",
-		setup.Net.NumNodes(), setup.Net.NumEdges(), sc.Steps, svc.NumShards(), *addr)
+	log.Printf("pretium-serve: %d nodes, %d edges, horizon %d; listening on %s",
+		setup.Net.NumNodes(), setup.Net.NumEdges(), sc.Steps, *addr)
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           serve.Handler(svc, m),

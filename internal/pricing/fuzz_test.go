@@ -13,15 +13,21 @@ import (
 // check is part of the tier-1 suite; `go test -fuzz=FuzzQuoteMenu`
 // explores further.
 func FuzzQuoteMenu(f *testing.F) {
-	f.Add(int64(1), uint8(0), false)
-	f.Add(int64(2), uint8(3), false)
-	f.Add(int64(3), uint8(1), true)
-	f.Add(int64(41), uint8(7), false)
-	f.Add(int64(42), uint8(2), true)
-	f.Add(int64(1234), uint8(9), false)
-	f.Add(int64(99991), uint8(4), true)
-	f.Add(int64(-7), uint8(255), false)
-	f.Fuzz(func(t *testing.T, seed int64, demandScale uint8, saturate bool) {
+	f.Add(int64(1), uint8(0), false, uint8(0))
+	f.Add(int64(2), uint8(3), false, uint8(0))
+	f.Add(int64(3), uint8(1), true, uint8(0))
+	f.Add(int64(41), uint8(7), false, uint8(0))
+	f.Add(int64(42), uint8(2), true, uint8(0))
+	f.Add(int64(1234), uint8(9), false, uint8(0))
+	f.Add(int64(99991), uint8(4), true, uint8(0))
+	f.Add(int64(-7), uint8(255), false, uint8(0))
+	// Every boundary shape of the one-segment fast path (applyQuoteShape),
+	// on an open and on a part-saturated world.
+	for shape := uint8(1); shape < numQuoteShapes; shape++ {
+		f.Add(int64(100+int(shape)), uint8(0), false, shape)
+		f.Add(int64(200+int(shape)), uint8(1), true, shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, demandScale uint8, saturate bool, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
 		st, req := randomQuoteWorld(r)
 		req.Demand *= 1 + float64(demandScale)
@@ -38,9 +44,12 @@ func FuzzQuoteMenu(f *testing.F) {
 			}
 			st.Invalidate()
 		}
-		want := quoteMenuReference(st, req, req.Demand)
-		got := QuoteMenu(st, req, req.Demand)
-		requireMenusIdentical(t, "fuzz", got, want)
-		requireExactlyMonotone(t, "fuzz", got)
+		maxBytes := applyQuoteShape(shape, st, req)
+		want := quoteMenuReference(st, req, maxBytes)
+		got := QuoteMenu(st, req, maxBytes)
+		requireMenusBitIdentical(t, "fuzz", got, want)
+		if st.Adjust.Factor >= 1 { // a sub-unit premium lowers prices as cells fill
+			requireExactlyMonotone(t, "fuzz", got)
+		}
 	})
 }

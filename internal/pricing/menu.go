@@ -23,6 +23,18 @@ type Segment struct {
 type Menu struct {
 	Segments []Segment
 	capBytes float64
+	// first backs Segments while the menu has one segment, as nearly
+	// every menu does: quoting allocates the Menu and nothing else.
+	first [1]Segment
+}
+
+// push appends a segment, starting in the inline storage. An empty menu
+// keeps Segments nil.
+func (m *Menu) push(s Segment) {
+	if m.Segments == nil {
+		m.Segments = m.first[:0]
+	}
+	m.Segments = append(m.Segments, s)
 }
 
 // Cap returns x̄_i, the guaranteed-routable volume quoted in this menu.
@@ -111,8 +123,9 @@ func (m *Menu) Purchase(v, d float64) float64 {
 //
 // Segments come out in nondecreasing price order by construction
 // (marginal prices only rise as segments fill). The work is done by the
-// incremental heap engine (see Quoter); quoteMenuReference retains the
-// original scan as the executable spec. Callers on the admission hot
+// incremental heap engine (see Quoter); the original scan survives as
+// the test suite's executable spec (quoteMenuReference in
+// reference_test.go). Callers on the admission hot
 // path should hold an Admitter (or Quoter) for scratch reuse; this free
 // function draws from a shared pool.
 func QuoteMenu(st *State, req *traffic.Request, maxBytes float64) *Menu {

@@ -39,10 +39,26 @@ func TestQuoterObsCountsAndNeutrality(t *testing.T) {
 		t.Fatalf("quoter.rekeys = %d, want > 0", rk)
 	}
 
+	// A quote the cheapest candidate covers never builds the heap, and
+	// still reports its candidate count, its one segment and no re-keys.
+	rekeys := m.Counter("quoter.rekeys").Value()
+	if one := q.Quote(st, req, 1e-3); len(one.Segments) != 1 {
+		t.Fatalf("tiny quote has %d segments, want 1", len(one.Segments))
+	}
+	if hs := m.Histogram("quoter.heap_size", nil); hs.Count() != 2 || hs.Sum() != 96 {
+		t.Fatalf("heap_size after a one-segment quote: count=%d sum=%v, want 2/96", hs.Count(), hs.Sum())
+	}
+	if seg := m.Histogram("quoter.menu_segments", nil); seg.Sum() != float64(len(want.Segments)+1) {
+		t.Fatalf("menu_segments sum=%v, want %d", seg.Sum(), len(want.Segments)+1)
+	}
+	if rk := m.Counter("quoter.rekeys").Value(); rk != rekeys {
+		t.Fatalf("one-segment quote re-keyed %d candidates", rk-rekeys)
+	}
+
 	// SetObs(nil) turns telemetry back off.
 	q.SetObs(nil)
 	q.Quote(st, req, req.Demand)
-	if n := m.Counter("quoter.quotes").Value(); n != 1 {
+	if n := m.Counter("quoter.quotes").Value(); n != 2 {
 		t.Fatalf("quoter.quotes advanced after SetObs(nil): %d", n)
 	}
 }

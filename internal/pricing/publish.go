@@ -5,11 +5,11 @@ import "fmt"
 // Publication lifecycle for shared states.
 //
 // The admission service (internal/serve) hands each pricing epoch two
-// copies of a State: a *published* copy that serialized commits mutate
-// via Reserve, and a *sealed* copy that concurrent quoters read with no
-// lock at all. The comment on State warns that direct matrix writers
-// must call Invalidate; under concurrency even that contract is too
-// weak — a matrix write plus a cache rebuild cannot be made atomic
+// States (see Successor): a *published* one that serialized commits
+// mutate via Reserve, and a *sealed* one that concurrent quoters read
+// with no lock at all. The comment on State warns that direct matrix
+// writers must call Invalidate; under concurrency even that contract is
+// too weak — a matrix write plus a cache rebuild cannot be made atomic
 // against a lock-free reader. So states carry an explicit stage and
 // every mutator poisons itself past the stage where it stops being
 // safe:
@@ -20,7 +20,7 @@ import "fmt"
 //	            may change.
 //	published — shared with the admission service. Planning mutators
 //	            panic; Reserve stays legal because the service
-//	            serializes room commits per edge.
+//	            serializes room commits.
 //	sealed    — shared with lock-free readers. Every mutator panics.
 //
 // The check is always on, not debug-only: it is a single byte compare
@@ -79,9 +79,9 @@ func (s *State) Sealed() bool { return s.mut == stateSealed }
 
 // Clone deep-copies the state into a fresh *mutable* one: matrices,
 // segment caches, the outage overlay, and the adjustment config are all
-// independent of the receiver; only the immutable Network is shared.
-// This is how the service plans epoch N+1 from epoch N without touching
-// the copy concurrent readers still hold.
+// independent of the receiver (also of one that shares planning arrays
+// with its sealed view, see Successor); only the immutable Network is
+// shared.
 func (s *State) Clone() *State {
 	c := &State{
 		Net:     s.Net,
@@ -95,14 +95,7 @@ func (s *State) Clone() *State {
 	c.segPrice = append([]float64(nil), s.segPrice...)
 	c.segRoom = append([]float64(nil), s.segRoom...)
 	c.outTotal = append([]float64(nil), s.outTotal...)
-	c.outBySrc = make(map[string]map[int]float64, len(s.outBySrc))
-	for src, cells := range s.outBySrc {
-		cc := make(map[int]float64, len(cells))
-		for i, v := range cells {
-			cc[i] = v
-		}
-		c.outBySrc[src] = cc
-	}
+	c.outBySrc = cloneOutages(s.outBySrc)
 	return c
 }
 
@@ -114,40 +107,71 @@ func cloneMatrix(m [][]float64) [][]float64 {
 	return out
 }
 
-// CopyPricingFrom adopts src's planning inputs — prices, high-pri
-// set-aside, outage overlay, and adjustment config — into s, then
-// rebuilds the segment cache. When room is true the reservation plan is
-// adopted too (SAM re-planned the schedule); when false s keeps its own
-// Reserved matrix, so admissions committed since src was built carry
-// forward (the price-only PC refresh). s must still be mutable; src may
-// be in any stage (reading it is safe because the caller owns both
-// sides of a publish).
-func (s *State) CopyPricingFrom(src *State, room bool) error {
-	if src.Net.NumEdges() != s.Net.NumEdges() {
-		return fmt.Errorf("pricing: copy from state with %d edges, want %d", src.Net.NumEdges(), s.Net.NumEdges())
-	}
-	if src.Horizon != s.Horizon {
-		return fmt.Errorf("pricing: copy from state with horizon %d, want %d", src.Horizon, s.Horizon)
-	}
-	s.guardPlan("CopyPricingFrom")
-	for e := range src.BasePrice {
-		copy(s.BasePrice[e], src.BasePrice[e])
-		copy(s.HighPri[e], src.HighPri[e])
-		if room {
-			copy(s.Reserved[e], src.Reserved[e])
-		}
-	}
-	copy(s.outTotal, src.outTotal)
-	s.outBySrc = make(map[string]map[int]float64, len(src.outBySrc))
-	for k, cells := range src.outBySrc {
+func cloneOutages(m map[string]map[int]float64) map[string]map[int]float64 {
+	out := make(map[string]map[int]float64, len(m))
+	for src, cells := range m {
 		cc := make(map[int]float64, len(cells))
 		for i, v := range cells {
 			cc[i] = v
 		}
-		s.outBySrc[k] = cc
+		out[src] = cc
 	}
-	s.outVer = src.outVer
-	s.Adjust = src.Adjust
+	return out
+}
+
+// Successor prepares the pricing generation that follows s: live, the
+// copy room commits will land in, and view, the sealed snapshot
+// lock-free quoters read. Both take plan's planning inputs — prices,
+// high-pri set-aside, outage overlay, adjustment config — deep-copied
+// once and *shared* between the two: planning mutators are poisoned on a
+// published and on a sealed state alike, so nothing writes those arrays
+// again. Each owns what a room commit moves (Reserved, the segment
+// cache); that storage is allocated here and filled by CarryRoom, and
+// until then neither state is usable. Nothing here reads room, so a
+// publisher runs it while admissions still commit into s. plan may be s
+// itself, and in any stage: the caller owns both sides of a publish.
+func (s *State) Successor(plan *State) (live, view *State, err error) {
+	ne, h := s.Net.NumEdges(), s.Horizon
+	if plan.Net.NumEdges() != ne {
+		return nil, nil, fmt.Errorf("pricing: plan has %d edges, want %d", plan.Net.NumEdges(), ne)
+	}
+	if plan.Horizon != h {
+		return nil, nil, fmt.Errorf("pricing: plan has horizon %d, want %d", plan.Horizon, h)
+	}
+	live = &State{
+		Net:       s.Net,
+		Horizon:   h,
+		Adjust:    plan.Adjust,
+		BasePrice: cloneMatrix(plan.BasePrice),
+		HighPri:   cloneMatrix(plan.HighPri),
+		outTotal:  append([]float64(nil), plan.outTotal...),
+		outBySrc:  cloneOutages(plan.outBySrc),
+		outVer:    plan.outVer,
+	}
+	view = new(State)
+	*view = *live
+	for _, st := range []*State{live, view} {
+		st.Reserved = newMatrix(ne, h)
+		st.segPrice = make([]float64, ne*h)
+		st.segRoom = make([]float64, ne*h)
+	}
+	return live, view, nil
+}
+
+// CarryRoom completes a Successor pair: live adopts from's reservation
+// plan and rebuilds its segment cache, view receives a copy of both,
+// live becomes published and view sealed. It allocates nothing — when
+// from is the state admissions are committing into, this is the one
+// step of a publish that has to exclude them.
+func (s *State) CarryRoom(view, from *State) {
+	for e := range s.Reserved {
+		copy(s.Reserved[e], from.Reserved[e])
+	}
 	s.Invalidate()
-	return nil
+	for e := range s.Reserved {
+		copy(view.Reserved[e], s.Reserved[e])
+	}
+	copy(view.segPrice, s.segPrice)
+	copy(view.segRoom, s.segRoom)
+	s.mut, view.mut = statePublished, stateSealed
 }

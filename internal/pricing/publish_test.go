@@ -62,7 +62,6 @@ func TestPublishPoisonsPlanningMutators(t *testing.T) {
 	mustPanic(t, "SetOutage", func() { st.SetOutage("x", 0, 0, 1) })
 	mustPanic(t, "SetReserved", func() { _ = st.SetReserved(st.Reserved) })
 	mustPanic(t, "SetPricesWindow", func() { _ = st.SetPricesWindow(0, st.BasePrice) })
-	mustPanic(t, "CopyPricingFrom", func() { _ = st.CopyPricingFrom(st, false) })
 
 	// Room commits stay legal on a published state: the service
 	// serializes them per edge.
@@ -144,61 +143,98 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// CopyPricingFrom with room=false adopts prices/set-asides/outages but
-// keeps the destination's own reservation plan; with room=true it
-// adopts everything. Either way the result matches a from-scratch
-// Invalidate.
-func TestCopyPricingFrom(t *testing.T) {
-	src := publishTestState(t)
-	src.SetBasePrice(1, 3, 4.25)
-	src.MarkPublished()
+// A Successor pair takes its planning inputs from the plan and its room
+// from whichever state CarryRoom names — the plan (SAM re-planned) or
+// the predecessor (a price refresh; its committed room carries forward).
+// Either way live matches a from-scratch Invalidate, view equals live
+// cell for cell, and the stages are set.
+func TestSuccessorCarriesPlanAndRoom(t *testing.T) {
+	plan := publishTestState(t)
+	plan.SetBasePrice(1, 3, 4.25)
+	plan.Adjust = AdjustConfig{Threshold: 0.5, Factor: 3}
+	plan.Invalidate()
 
-	for _, room := range []bool{false, true} {
-		dst := publishTestState(t)
-		dst.Reserve(graph.Path{1}, 3, 11) // divergent room in dst
-		dstRes := cloneMatrix(dst.Reserved)
+	for _, adopt := range []bool{false, true} {
+		cur := NewState(plan.Net, plan.Horizon, 1.0)
+		cur.Reserve(graph.Path{1}, 3, 11) // room the plan knows nothing of
+		cur.MarkPublished()
 
-		if err := dst.CopyPricingFrom(src, room); err != nil {
-			t.Fatalf("CopyPricingFrom(room=%v): %v", room, err)
+		live, view, err := cur.Successor(plan)
+		if err != nil {
+			t.Fatalf("Successor: %v", err)
 		}
-		if got := dst.BasePrice[1][3]; got != 4.25 {
-			t.Fatalf("room=%v: price not adopted: %v", room, got)
+		room := cur
+		if adopt {
+			room = plan
 		}
-		if got := dst.OutageAt(0, 1); got != src.OutageAt(0, 1) {
-			t.Fatalf("room=%v: outage not adopted: %v vs %v", room, got, src.OutageAt(0, 1))
+		live.CarryRoom(view, room)
+
+		if !live.Published() || live.Sealed() || !view.Sealed() {
+			t.Fatalf("adopt=%v: stages live published=%v sealed=%v, view sealed=%v",
+				adopt, live.Published(), live.Sealed(), view.Sealed())
 		}
-		for e := range dst.Reserved {
-			for ts := range dst.Reserved[e] {
-				want := dstRes[e][ts]
-				if room {
-					want = src.Reserved[e][ts]
-				}
-				if got := dst.Reserved[e][ts]; got != want {
-					t.Fatalf("room=%v: Reserved[%d][%d]=%v want %v", room, e, ts, got, want)
-				}
-			}
+		if live.BasePrice[1][3] != 4.25 || live.Adjust != plan.Adjust || live.OutageAt(0, 1) != plan.OutageAt(0, 1) ||
+			live.HighPri[1][0] != plan.HighPri[1][0] || live.OutageVersion() != plan.OutageVersion() {
+			t.Fatalf("adopt=%v: planning inputs not adopted", adopt)
 		}
-		// Cache coherence: the copy must equal a rebuilt reference.
-		ref := dst.Clone()
+		ref := live.Clone()
 		ref.Invalidate()
-		for e := 0; e < dst.Net.NumEdges(); e++ {
-			for ts := 0; ts < dst.Horizon; ts++ {
-				if a, b := dst.MarginalPrice(graph.EdgeID(e), ts, 0), ref.MarginalPrice(graph.EdgeID(e), ts, 0); a != b {
-					t.Fatalf("room=%v: cache incoherent at (%d,%d): %v vs %v", room, e, ts, a, b)
+		for e := range live.Reserved {
+			for ts := range live.Reserved[e] {
+				id := graph.EdgeID(e)
+				if got, want := live.Reserved[e][ts], room.Reserved[e][ts]; got != want {
+					t.Fatalf("adopt=%v: Reserved[%d][%d]=%v want %v", adopt, e, ts, got, want)
+				}
+				if a, b := live.MarginalPrice(id, ts, 0), ref.MarginalPrice(id, ts, 0); a != b {
+					t.Fatalf("adopt=%v: price cache incoherent at (%d,%d): %v vs %v", adopt, e, ts, a, b)
+				}
+				if a, b := live.segmentRoom(id, ts, 0), ref.segmentRoom(id, ts, 0); a != b {
+					t.Fatalf("adopt=%v: room cache incoherent at (%d,%d): %v vs %v", adopt, e, ts, a, b)
+				}
+				if view.Reserved[e][ts] != live.Reserved[e][ts] ||
+					view.MarginalPrice(id, ts, 0) != live.MarginalPrice(id, ts, 0) ||
+					view.segmentRoom(id, ts, 0) != live.segmentRoom(id, ts, 0) {
+					t.Fatalf("adopt=%v: view differs from live at (%d,%d)", adopt, e, ts)
 				}
 			}
+		}
+
+		// A commit moves live alone: the pair owns its room separately.
+		before := view.segmentRoom(0, 0, 0)
+		live.Reserve(graph.Path{0}, 0, 5)
+		if view.Reserved[0][0] == live.Reserved[0][0] || view.segmentRoom(0, 0, 0) != before {
+			t.Fatalf("adopt=%v: a commit into live moved the view", adopt)
+		}
+		// The plan stays the caller's: nothing in the pair aliases it.
+		plan.SetBasePrice(0, 0, 77)
+		plan.SetOutage("later", 1, 2, 1)
+		if live.BasePrice[0][0] == 77 || view.BasePrice[0][0] == 77 || live.OutageAt(1, 2) != 0 {
+			t.Fatalf("adopt=%v: the pair aliases the plan's arrays", adopt)
+		}
+		plan.SetBasePrice(0, 0, 1)
+		plan.SetOutage("later", 1, 2, 0)
+
+		// What the pair shares is poisoned on both and deep-copied by Clone.
+		mustPanic(t, "SetBasePrice", func() { live.SetBasePrice(0, 0, 2) })
+		mustPanic(t, "SetOutage", func() { view.SetOutage("x", 0, 0, 1) })
+		c := live.Clone()
+		c.SetBasePrice(0, 0, 9)
+		c.SetHighPri(1, 1, 50)
+		c.SetOutage("churn", 0, 1, 0)
+		if live.BasePrice[0][0] == 9 || view.HighPri[1][1] == 50 || view.OutageAt(0, 1) != plan.OutageAt(0, 1) {
+			t.Fatalf("adopt=%v: mutating a clone reached the published pair", adopt)
 		}
 	}
 }
 
-func TestCopyPricingFromShapeMismatch(t *testing.T) {
+func TestSuccessorShapeMismatch(t *testing.T) {
 	a := NewState(lineNetwork(t, 3), 4, 1)
 	b := NewState(lineNetwork(t, 3), 5, 1)
-	if err := a.CopyPricingFrom(b, true); err == nil {
+	if _, _, err := a.Successor(b); err == nil {
 		t.Fatal("horizon mismatch not rejected")
 	}
 	c := NewState(lineNetwork(t, 2), 4, 1)
-	if err := a.CopyPricingFrom(c, true); err == nil {
+	if _, _, err := a.Successor(c); err == nil {
 		t.Fatal("edge-count mismatch not rejected")
 	}
 }

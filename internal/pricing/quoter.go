@@ -15,18 +15,21 @@ import (
 // re-keys only candidates that share a touched (edge, time) with the
 // segment just filled — found through a per-edge route index — so
 // assembling a menu costs O(init + segments · pathLen · log(R·W))
-// instead of O(segments · R · W · pathLen).
+// instead of O(segments · R · W · pathLen). A menu whose cheapest
+// candidate holds the whole quote — nearly every menu — is emitted from
+// the pricing pass alone and never builds the heap.
 //
 // All scratch lives in the Quoter and is reused across quotes: the
-// steady state allocates only the returned Menu and its segments. A
-// Quoter is not safe for concurrent use; shard one per goroutine (or go
-// through the pooled QuoteMenu free function).
+// steady state allocates only the returned Menu (and a segment array
+// past its first segment). A Quoter is not safe for concurrent use; hold
+// one per goroutine (or go through the pooled QuoteMenu free function).
 //
 // Determinism: candidate prices and rooms are recomputed with exactly
 // the reference scan's float operations in the same order, and the heap
 // order (price, then candidate index) equals the scan's exact
-// first-minimum rule, so menus are byte-identical to quoteMenuReference
-// — enforced by the differential tests.
+// first-minimum rule, so menus are byte-identical to the test suite's
+// quoteMenuReference (reference_test.go) — enforced by the differential
+// tests.
 type Quoter struct {
 	// Per-quote geometry: W window steps starting at start, R routes.
 	start, window int
@@ -109,6 +112,49 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 	H := st.Horizon
 	q.ensureSize(R*W, st.Net.NumEdges()*W, st.Net.NumEdges())
 
+	// Price every candidate once (the cost of a single reference-scan
+	// iteration), reading the state's cached segment arrays since the
+	// overlay is all-zero, and keep the strict first minimum: in index
+	// order, p < min is the heap's (price, index) rule.
+	nc := R * W
+	first, firstPrice := 0, math.Inf(1)
+	for ri, route := range req.Routes {
+		base := ri * W
+		for wt := 0; wt < W; wt++ {
+			t := start + wt
+			p := 0.0
+			for _, e := range route {
+				p += st.segPrice[int(e)*H+t]
+			}
+			q.price[base+wt] = p
+			if p < firstPrice {
+				first, firstPrice = base+wt, p
+			}
+		}
+	}
+
+	// One-segment menu: the minimum's room at zero overlay covers the
+	// whole quote (so it is alive: room >= maxBytes > 1e-12), and the
+	// loop below would pop it, take maxBytes and stop. Emit that segment
+	// with the same float operations and skip the heap, the route index
+	// and the overlay (whose re-pricing after the final take no later
+	// segment would read).
+	if maxBytes > 1e-12 {
+		t := start + first%W
+		room := math.Inf(1)
+		for _, e := range req.Routes[first/W] {
+			if r := st.segRoom[int(e)*H+t]; r < room {
+				room = r
+			}
+		}
+		if room >= maxBytes {
+			menu := &Menu{capBytes: maxBytes}
+			menu.push(Segment{Bytes: maxBytes, Price: firstPrice, RouteIdx: first / W, Time: t})
+			q.observe(nc, 0, menu)
+			return menu
+		}
+	}
+
 	// Index the request's routes by edge so a filled segment can find
 	// exactly the candidates sharing a touched (edge, time).
 	for ri, route := range req.Routes {
@@ -119,25 +165,10 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 			q.edgeRoutes[e] = append(q.edgeRoutes[e], int32(ri))
 		}
 	}
-
-	// Initial keys: one fresh pass over the candidates (the cost of a
-	// single reference-scan iteration), reading the state's cached
-	// segment arrays since the overlay is all-zero.
-	nc := R * W
 	q.heap = q.heap[:0]
-	for ri, route := range req.Routes {
-		base := ri * W
-		for wt := 0; wt < W; wt++ {
-			t := start + wt
-			p := 0.0
-			for _, e := range route {
-				p += st.segPrice[int(e)*H+t]
-			}
-			ci := base + wt
-			q.price[ci] = p
-			q.pos[ci] = int32(ci)
-			q.heap = append(q.heap, int32(ci))
-		}
+	for ci := 0; ci < nc; ci++ {
+		q.pos[ci] = int32(ci)
+		q.heap = append(q.heap, int32(ci))
 	}
 	for i := nc/2 - 1; i >= 0; i-- {
 		q.siftDown(i)
@@ -182,9 +213,7 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 			menu.Segments[k].Time == t {
 			menu.Segments[k].Bytes += take
 		} else {
-			menu.Segments = append(menu.Segments, Segment{
-				Bytes: take, Price: bestPrice, RouteIdx: ri, Time: t,
-			})
+			menu.push(Segment{Bytes: take, Price: bestPrice, RouteIdx: ri, Time: t})
 		}
 		quoted += take
 
@@ -233,14 +262,19 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 		}
 	}
 	menu.capBytes = quoted
+	q.observe(nc, rekeys, menu)
+	q.reset()
+	return menu
+}
+
+// observe publishes one quote's telemetry behind the single nil check.
+func (q *Quoter) observe(candidates, rekeys int, menu *Menu) {
 	if q.mQuotes != nil {
 		q.mQuotes.Inc()
 		q.mRekeys.Add(int64(rekeys))
-		q.mHeapSize.Observe(float64(nc))
+		q.mHeapSize.Observe(float64(candidates))
 		q.mSegments.Observe(float64(len(menu.Segments)))
 	}
-	q.reset()
-	return menu
 }
 
 // ensureSize (re)sizes the per-candidate and per-(edge,window) scratch.

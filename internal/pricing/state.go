@@ -95,13 +95,10 @@ func NewState(net *graph.Network, horizon int, basePrice float64) *State {
 		Adjust:  DefaultAdjust(),
 	}
 	ne := net.NumEdges()
-	s.BasePrice = make([][]float64, ne)
-	s.Reserved = make([][]float64, ne)
-	s.HighPri = make([][]float64, ne)
+	s.BasePrice = newMatrix(ne, horizon)
+	s.Reserved = newMatrix(ne, horizon)
+	s.HighPri = newMatrix(ne, horizon)
 	for _, e := range net.Edges() {
-		s.BasePrice[e.ID] = make([]float64, horizon)
-		s.Reserved[e.ID] = make([]float64, horizon)
-		s.HighPri[e.ID] = make([]float64, horizon)
 		p := basePrice
 		if e.UsagePriced {
 			p += e.CostPerUnit
@@ -116,6 +113,16 @@ func NewState(net *graph.Network, horizon int, basePrice float64) *State {
 	s.outBySrc = make(map[string]map[int]float64)
 	s.Invalidate()
 	return s
+}
+
+// newMatrix returns a zeroed [rows][cols] matrix on one backing array.
+func newMatrix(rows, cols int) [][]float64 {
+	m := make([][]float64, rows)
+	buf := make([]float64, rows*cols)
+	for i := range m {
+		m[i] = buf[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return m
 }
 
 // SetOutage sets source src's churn contribution on (e, t): down units of
@@ -210,18 +217,20 @@ func (s *State) OutageActive(from, to int) bool {
 // the mutator methods keep the cache coherent on their own.
 func (s *State) Invalidate() {
 	s.guardPlan("Invalidate")
-	for e := 0; e < s.Net.NumEdges(); e++ {
-		for t := 0; t < s.Horizon; t++ {
+	for e := range s.Reserved {
+		for t := range s.Reserved[e] {
 			s.refreshSeg(graph.EdgeID(e), t)
 		}
 	}
 }
 
-// refreshSeg recomputes the cached segment entry for (e, t).
+// refreshSeg recomputes the cached segment entry for (e, t): both rules
+// at zero overlay, off one capacity read.
 func (s *State) refreshSeg(e graph.EdgeID, t int) {
 	i := int(e)*s.Horizon + t
-	s.segPrice[i] = s.marginalAt(e, t, 0)
-	s.segRoom[i] = s.roomAt(e, t, 0)
+	cap, used := s.Capacity(e, t), s.Reserved[e][t]
+	s.segPrice[i] = s.Adjust.marginal(s.BasePrice[e][t], cap, used)
+	s.segRoom[i] = s.Adjust.room(cap, used)
 }
 
 // SetHighPriFraction reserves a uniform fraction of every link for
@@ -316,16 +325,16 @@ func (s *State) MarginalPrice(e graph.EdgeID, t int, extra float64) float64 {
 	return s.marginalAt(e, t, extra)
 }
 
-// marginalAt is the premium rule itself (the cache's source of truth).
+// marginalAt is the premium rule on (e, t) with extra pending bytes.
 func (s *State) marginalAt(e graph.EdgeID, t int, extra float64) float64 {
-	base := s.BasePrice[e][t]
-	cap := s.Capacity(e, t)
-	if cap <= 0 {
-		return base * s.Adjust.Factor
-	}
-	used := s.Reserved[e][t] + extra
-	if used >= s.Adjust.Threshold*cap {
-		return base * s.Adjust.Factor
+	return s.Adjust.marginal(s.BasePrice[e][t], s.Capacity(e, t), s.Reserved[e][t]+extra)
+}
+
+// marginal is the premium rule itself (the cache's source of truth): the
+// price of the next byte on a cell of capacity cap with used bytes taken.
+func (a AdjustConfig) marginal(base, cap, used float64) float64 {
+	if cap <= 0 || used >= a.Threshold*cap {
+		return base * a.Factor
 	}
 	return base
 }
@@ -340,15 +349,20 @@ func (s *State) segmentRoom(e graph.EdgeID, t int, extra float64) float64 {
 	return s.roomAt(e, t, extra)
 }
 
-// roomAt is the segment-room rule itself (the cache's source of truth).
+// roomAt is the segment-room rule on (e, t) with extra pending bytes.
 func (s *State) roomAt(e graph.EdgeID, t int, extra float64) float64 {
-	cap := s.Capacity(e, t)
-	used := s.Reserved[e][t] + extra
+	return s.Adjust.room(s.Capacity(e, t), s.Reserved[e][t]+extra)
+}
+
+// room is the segment-room rule itself (the cache's source of truth):
+// the bytes that fit at the current marginal price before the premium
+// threshold or capacity is hit.
+func (a AdjustConfig) room(cap, used float64) float64 {
 	room := cap - used
 	if room <= 0 {
 		return 0
 	}
-	thresh := s.Adjust.Threshold * cap
+	thresh := a.Threshold * cap
 	if used < thresh && thresh-used < room {
 		return thresh - used
 	}
@@ -357,7 +371,7 @@ func (s *State) roomAt(e graph.EdgeID, t int, extra float64) float64 {
 
 // Reserve commits amount bytes on every edge of route at time t. It is
 // the one mutation still legal on a *published* state — the admission
-// service serializes room commits per edge — but panics on a sealed one.
+// service serializes room commits — but panics on a sealed one.
 func (s *State) Reserve(route graph.Path, t int, amount float64) {
 	s.guardRoom("Reserve")
 	for _, e := range route {

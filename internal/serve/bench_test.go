@@ -13,13 +13,11 @@ import (
 
 // benchServiceWorld builds a 4-region ring where each ordered region
 // pair (i, i+1) owns a disjoint pair of 2-hop routes (src_i -> m ->
-// src_{i+1}): requests on different pairs are edge-disjoint and land in
-// different (src-region, dst-region) shard classes, so the cross-shard
-// mix exercises the sequencer's parallel path while the per-shard mix
-// hammers one quoter. Capacity is fat enough that a benchmark run never
-// saturates a cell (no mid-run room resets needed — the state stays
-// published the whole time, as in production).
-func benchServiceWorld(b *testing.B, shards int) (*Service, [][]*traffic.Request) {
+// src_{i+1}): requests on different pairs are edge-disjoint. Capacity
+// is fat enough that a benchmark run never saturates a cell (no mid-run
+// room resets needed — the state stays published the whole time, as in
+// production).
+func benchServiceWorld(b *testing.B) (*Service, [][]*traffic.Request) {
 	b.Helper()
 	const pairs, horizon = 4, 16
 	net := graph.New()
@@ -43,7 +41,7 @@ func benchServiceWorld(b *testing.B, shards int) (*Service, [][]*traffic.Request
 			st.SetBasePrice(graph.EdgeID(e), t, 1+0.001*float64(e*horizon+t))
 		}
 	}
-	svc, err := New(st, Config{Shards: shards})
+	svc, err := New(st, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +70,7 @@ func reportOps(b *testing.B) {
 // BenchmarkServiceQuote is the lock-free read path: atomic epoch load
 // plus a pooled quote against the sealed view.
 func BenchmarkServiceQuote(b *testing.B) {
-	svc, reqs := benchServiceWorld(b, 4)
+	svc, reqs := benchServiceWorld(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,13 +82,13 @@ func BenchmarkServiceQuote(b *testing.B) {
 	reportOps(b)
 }
 
-// BenchmarkServiceAdmit measures the full sequenced admission: ticket,
-// authoritative quote, purchase, commit, settle. per_shard keeps every
-// request in one (src-region, dst-region) class; cross_shard cycles
-// over four edge-disjoint classes.
+// BenchmarkServiceAdmit measures the full admission: commit lock,
+// authoritative quote, purchase, commit. one_pair keeps every request on
+// one region pair's routes; four_pairs cycles over four edge-disjoint
+// pairs.
 func BenchmarkServiceAdmit(b *testing.B) {
-	b.Run("per_shard", func(b *testing.B) {
-		svc, reqs := benchServiceWorld(b, 4)
+	b.Run("one_pair", func(b *testing.B) {
+		svc, reqs := benchServiceWorld(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -100,8 +98,8 @@ func BenchmarkServiceAdmit(b *testing.B) {
 		}
 		reportOps(b)
 	})
-	b.Run("cross_shard", func(b *testing.B) {
-		svc, reqs := benchServiceWorld(b, 4)
+	b.Run("four_pairs", func(b *testing.B) {
+		svc, reqs := benchServiceWorld(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -117,7 +115,7 @@ func BenchmarkServiceAdmit(b *testing.B) {
 // quotes, 10% admissions — the closed-loop workload the ops/sec target
 // is stated against.
 func BenchmarkServiceMixed(b *testing.B) {
-	svc, reqs := benchServiceWorld(b, 4)
+	svc, reqs := benchServiceWorld(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,12 +129,13 @@ func BenchmarkServiceMixed(b *testing.B) {
 	reportOps(b)
 }
 
-// BenchmarkServicePublish is the epoch swap itself: drain barrier, two
-// clones, cache rebuild. It runs once per timestep in production, so
+// BenchmarkServicePublish is the epoch swap itself: the successor pair,
+// the room carried over, the cache rebuild. It runs once per timestep in
+// production, so
 // milliseconds are fine; the bench guards against accidental
 // quadratic-in-state regressions.
 func BenchmarkServicePublish(b *testing.B) {
-	svc, _ := benchServiceWorld(b, 4)
+	svc, _ := benchServiceWorld(b)
 	plan := pricing.NewState(svc.Net(), svc.Horizon(), 2.0)
 	b.ReportAllocs()
 	b.ResetTimer()

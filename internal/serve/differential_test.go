@@ -12,13 +12,13 @@ import (
 	"pretium/internal/traffic"
 )
 
-// The differential suite is the tentpole's correctness proof: the
-// sharded concurrent service must be *exactly* equivalent to the serial
-// pricing.Admitter on the same arrival stream — identical admit/decline
-// decisions, bit-identical prices and payments, bit-identical final
-// room. Equivalence holds because the per-edge ticket sequencer makes
-// commits on every (edge, step) cell happen in stream order, so even
-// floating-point sums agree to the last bit.
+// The differential suite is the service's correctness proof: it must be
+// *exactly* equivalent to the serial pricing.Admitter on the same
+// arrival stream — identical admit/decline decisions, bit-identical
+// prices and payments, bit-identical final room. Equivalence holds
+// because an admission is the serial admitter's quote and commit run
+// under one lock, so commits on every (edge, step) cell happen in call
+// order and even floating-point sums agree to the last bit.
 
 // pubPoint is a mid-stream price publication: before serving request
 // index `after`, set a uniform base price (via NewState semantics, so
@@ -56,11 +56,11 @@ func serialReplay(net *graph.Network, steps int, p0 float64, reqs []*traffic.Req
 }
 
 // serviceReplay runs the same stream through the concurrent service:
-// AdmitAll chunks between publish points (each chunk exercises the
-// sequenced parallel path), Publish installing the same price planes.
-func serviceReplay(t *testing.T, net *graph.Network, steps int, p0 float64, reqs []*traffic.Request, pubs []pubPoint, shards int, oneByOne bool) ([]*pricing.Admission, *pricing.State) {
+// AdmitAll chunks (or single Admits) between publish points, Publish
+// installing the same price planes.
+func serviceReplay(t *testing.T, net *graph.Network, steps int, p0 float64, reqs []*traffic.Request, pubs []pubPoint, oneByOne bool) ([]*pricing.Admission, *pricing.State) {
 	t.Helper()
-	svc, err := New(pricing.NewState(net, steps, p0), Config{Shards: shards})
+	svc, err := New(pricing.NewState(net, steps, p0), Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -159,43 +159,37 @@ func TestServiceEquivalentToSerial(t *testing.T) {
 			{after: 2 * len(reqs) / 3, price: 0.6, resetRoom: true},
 		}
 		serialAdms, serialSt := serialReplay(setup.Net, setup.Scale.Steps, 1.0, reqs, pubs)
-		for _, shards := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs, shards, false)
-				diffAdmissions(t, serialAdms, adms)
-				diffRoom(t, serialSt, st)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs, false)
+			diffAdmissions(t, serialAdms, adms)
+			diffRoom(t, serialSt, st)
 
-				// Replayed outcomes must match byte for byte too.
-				wantOut, err := sim.ReplayAdmissions(setup.Net, reqs, serialAdms, setup.Scale.Steps)
-				if err != nil {
-					t.Fatalf("replay serial: %v", err)
-				}
-				gotOut, err := sim.ReplayAdmissions(setup.Net, reqs, adms, setup.Scale.Steps)
-				if err != nil {
-					t.Fatalf("replay service: %v", err)
-				}
-				if !reflect.DeepEqual(wantOut, gotOut) {
-					t.Fatal("ReplayAdmissions outcomes diverged between serial and service")
-				}
-			})
-		}
+			// Replayed outcomes must match byte for byte too.
+			wantOut, err := sim.ReplayAdmissions(setup.Net, reqs, serialAdms, setup.Scale.Steps)
+			if err != nil {
+				t.Fatalf("replay serial: %v", err)
+			}
+			gotOut, err := sim.ReplayAdmissions(setup.Net, reqs, adms, setup.Scale.Steps)
+			if err != nil {
+				t.Fatalf("replay service: %v", err)
+			}
+			if !reflect.DeepEqual(wantOut, gotOut) {
+				t.Fatal("ReplayAdmissions outcomes diverged between serial and service")
+			}
+		})
 	}
 }
 
 // The one-by-one Admit path (what the HTTP front-end drives) must be
-// serial-equivalent as well, not just the pre-ticketed AdmitAll batch.
+// serial-equivalent as well, not just the AdmitAll batch.
 func TestServiceAdmitOneByOneEquivalent(t *testing.T) {
 	setup := exp.NewSetup(exp.Small(), exp.WithSeed(3))
 	reqs := byteRequests(setup.Requests)
 	pubs := []pubPoint{{after: len(reqs) / 2, price: 2.2}}
 	serialAdms, serialSt := serialReplay(setup.Net, setup.Scale.Steps, 1.0, reqs, pubs)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs, shards, true)
-			diffAdmissions(t, serialAdms, adms)
-			diffRoom(t, serialSt, st)
-		})
-	}
+	adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs, true)
+	diffAdmissions(t, serialAdms, adms)
+	diffRoom(t, serialSt, st)
 }
 
 // Quotes against the sealed view must match quotes against a serial
@@ -209,7 +203,7 @@ func TestServiceQuoteMatchesFrozenSerial(t *testing.T) {
 	serialAdms, serialSt := serialReplay(setup.Net, setup.Scale.Steps, 1.0, half, nil)
 	_ = serialAdms
 
-	svc, err := New(pricing.NewState(setup.Net, setup.Scale.Steps, 1.0), Config{Shards: 4})
+	svc, err := New(pricing.NewState(setup.Net, setup.Scale.Steps, 1.0), Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

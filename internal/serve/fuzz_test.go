@@ -38,11 +38,7 @@ func FuzzEpochSwap(f *testing.F) {
 		const horizon = 6
 		net, templates := fuzzWorld(t, horizon)
 		st := pricing.NewState(net, horizon, 1.0)
-		shards := 1
-		if len(data) > 0 {
-			shards = 1 + int(data[0])%8
-		}
-		svc, err := New(st, Config{Shards: shards})
+		svc, err := New(st, Config{})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -68,6 +64,7 @@ func FuzzEpochSwap(f *testing.F) {
 			}
 		}
 
+		// Ops start at byte 1: byte 0 is a header the corpus still carries.
 		for i := 1; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			switch op % 4 {
@@ -82,6 +79,7 @@ func FuzzEpochSwap(f *testing.F) {
 				if adopt {
 					committed = 0
 				}
+				requireViewMatchesLive(t, svc)
 			case 1: // quote
 				r := fuzzRequest(templates, arg, horizon)
 				menu := svc.Quote(r, r.Demand)
@@ -98,7 +96,7 @@ func FuzzEpochSwap(f *testing.F) {
 				if sold > r.Demand+1e-9 || math.Abs(sold-menu.Cap()) > 1e-9 {
 					t.Fatalf("quote oversold: %v of demand %v (cap %v)", sold, r.Demand, menu.Cap())
 				}
-			case 2: // admit a small batch through the sequenced path
+			case 2: // admit a small batch
 				n := 1 + int(arg)%3
 				batch := make([]*traffic.Request, n)
 				for j := range batch {

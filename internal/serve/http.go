@@ -93,7 +93,6 @@ type wireErrorResponse struct {
 
 type wireStateResponse struct {
 	Epoch   uint64 `json:"epoch"`
-	Shards  int    `json:"shards"`
 	Horizon int    `json:"horizon"`
 	Edges   int    `json:"edges"`
 	Nodes   int    `json:"nodes"`
@@ -102,7 +101,7 @@ type wireStateResponse struct {
 // Handler serves the admission API over HTTP:
 //
 //	POST /v1/quote   — price a transfer (lock-free, non-binding)
-//	POST /v1/admit   — admit a transfer (sequenced, binding)
+//	POST /v1/admit   — admit a transfer (serialized, binding)
 //	POST /v1/publish — install the next pricing epoch
 //	GET  /v1/state   — epoch / topology summary
 //	GET  /metrics    — obs registry snapshot (when configured)
@@ -293,17 +292,20 @@ func (h *httpServer) publish(w http.ResponseWriter, r *http.Request) {
 			adopt = true
 		}
 	}
-	if err := h.svc.Publish(plan, adopt); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	// The number comes from the publish itself: a second Epoch() read
+	// would report a concurrent publish's epoch as this one's.
+	epoch, err := h.svc.publish(plan, adopt)
+	if err != nil {
+		// Publish fails only on a plan of the wrong shape — the client's.
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireEpochResponse{Epoch: h.svc.Epoch()})
+	writeJSON(w, http.StatusOK, wireEpochResponse{Epoch: epoch})
 }
 
 func (h *httpServer) state(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wireStateResponse{
 		Epoch:   h.svc.Epoch(),
-		Shards:  h.svc.NumShards(),
 		Horizon: h.svc.Horizon(),
 		Edges:   h.svc.Net().NumEdges(),
 		Nodes:   h.svc.Net().NumNodes(),

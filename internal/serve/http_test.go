@@ -26,7 +26,7 @@ func httpWorld(t *testing.T) (*graph.Network, http.Handler, *Service, *obs.Metri
 	net.AddEdge(b, c, 100)
 	net.AddEdge(a, c, 100)
 	m := obs.NewMetrics()
-	svc, err := New(pricing.NewState(net, 6, 1.0), Config{Shards: 2, Obs: m})
+	svc, err := New(pricing.NewState(net, 6, 1.0), Config{Obs: m})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -145,9 +145,12 @@ func TestHTTPPublish(t *testing.T) {
 	for e := range zero {
 		zero[e] = make([]float64, svc.Horizon())
 	}
-	w, _ = doJSON(t, h, "POST", "/v1/publish", wirePublishRequest{Reserved: zero})
+	w, out = doJSON(t, h, "POST", "/v1/publish", wirePublishRequest{Reserved: zero})
 	if w.Code != http.StatusOK {
 		t.Fatalf("re-plan publish: status %d body %s", w.Code, w.Body)
+	}
+	if string(out["epoch"]) != "2" || svc.Epoch() != 2 {
+		t.Fatalf("re-plan publish reported epoch %s, service is at %d, want 2", out["epoch"], svc.Epoch())
 	}
 	st := svc.DrainState()
 	for e := range st.Reserved {
@@ -171,7 +174,7 @@ func TestHTTPStateAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatalf("state: %v", err)
 	}
-	if st.Shards != 2 || st.Horizon != 6 || st.Edges != 3 || st.Nodes != 3 {
+	if st.Horizon != 6 || st.Edges != 3 || st.Nodes != 3 {
 		t.Fatalf("state response: %+v", st)
 	}
 
@@ -254,7 +257,7 @@ func paperService(t testing.TB, horizon int) *Service {
 			st.SetBasePrice(graph.EdgeID(e), ts, 1+0.01*float64((e*7+ts*3)%17))
 		}
 	}
-	svc, err := New(st, Config{Shards: 4})
+	svc, err := New(st, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -34,8 +35,7 @@ func priceEpoch(p float64) (int, bool) {
 }
 
 // raceWorld is a 4-region clique: one node per region, directed edges
-// between every ordered pair, so every request is single-edge and every
-// (src, dst) pair is its own shard class.
+// between every ordered pair, so every request is single-edge.
 func raceWorld(t testing.TB, horizon int) (*graph.Network, []*traffic.Request) {
 	t.Helper()
 	net := graph.New()
@@ -78,11 +78,11 @@ func raceWorld(t testing.TB, horizon int) (*graph.Network, []*traffic.Request) {
 	return net, reqs
 }
 
-func raceService(t testing.TB, net *graph.Network, horizon, shards int) *Service {
+func raceService(t testing.TB, net *graph.Network, horizon int) *Service {
 	t.Helper()
 	st := pricing.NewState(net, horizon, epochPrice(0))
 	st.Adjust = pricing.AdjustConfig{Threshold: 1, Factor: 1}
-	svc, err := New(st, Config{Shards: shards})
+	svc, err := New(st, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestRaceQuotesSeeNoTornSnapshot(t *testing.T) {
 	const epochs, quoters, quotesEach = 40, 4, 300
 	horizon := 8
 	net, reqs := raceWorld(t, horizon)
-	svc := raceService(t, net, horizon, 4)
+	svc := raceService(t, net, horizon)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, quoters+1)
@@ -165,8 +165,8 @@ func TestRaceQuotesSeeNoTornSnapshot(t *testing.T) {
 //
 //   - No stale-epoch commit: an admission's Lambda names the epoch it
 //     committed in; that epoch must be at least the one already
-//     published when the Admit call began (the drain barrier swapped
-//     the pointer before letting later tickets run).
+//     published when the Admit call began (the pointer only moves
+//     under the commit lock the admission then takes).
 //   - Conservation across swaps: every admitted byte is in the final
 //     drained room and nothing else is — room committed into epoch N
 //     carries into N+1, never lost to a clone race.
@@ -175,7 +175,7 @@ func TestRaceNoStaleEpochCommitAndConservation(t *testing.T) {
 	const epochs, admitters, admitsEach = 30, 4, 200
 	horizon := 8
 	net, reqs := raceWorld(t, horizon)
-	svc := raceService(t, net, horizon, 4)
+	svc := raceService(t, net, horizon)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, admitters+1)
@@ -254,7 +254,7 @@ func TestRaceMixedEverything(t *testing.T) {
 	const epochs = 15
 	horizon := 8
 	net, reqs := raceWorld(t, horizon)
-	svc := raceService(t, net, horizon, 8)
+	svc := raceService(t, net, horizon)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -321,7 +321,7 @@ func TestRaceHTTPEpochLabelsTheOperation(t *testing.T) {
 	const clients, callsEach = 4, 400
 	horizon := 8
 	net, reqs := raceWorld(t, horizon)
-	svc := raceService(t, net, horizon, 4)
+	svc := raceService(t, net, horizon)
 	h := Handler(svc, nil)
 	bodies := make([][]byte, len(reqs))
 	for i, r := range reqs {
@@ -388,5 +388,233 @@ func TestRaceHTTPEpochLabelsTheOperation(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestRaceHTTPPublishEpochsDistinct overlaps publishes over the wire:
+// each reply must name the epoch that publish installed, so the numbers
+// returned are 1..N with no repeat and no gap. A reply assembled from a
+// fresh Epoch() read would repeat the later number of two that overlap.
+func TestRaceHTTPPublishEpochsDistinct(t *testing.T) {
+	const publishers, each = 4, 25
+	horizon := 8
+	net, _ := raceWorld(t, horizon)
+	h := Handler(raceService(t, net, horizon), nil)
+	prices := make([][]float64, net.NumEdges())
+	for e := range prices {
+		prices[e] = []float64{2}
+	}
+	bodies := [][]byte{[]byte(`{}`), nil}
+	bodies[1], _ = json.Marshal(wirePublishRequest{BasePrice: prices})
+
+	var wg sync.WaitGroup
+	got := make([][]uint64, publishers)
+	errs := make(chan error, publishers)
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rec := post(h, "/v1/publish", bodies[(g+i)%2])
+				var reply wireEpochResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("publisher %d: answered %d %s", g, rec.Code, rec.Body)
+					return
+				}
+				if n := len(got[g]); n > 0 && reply.Epoch <= got[g][n-1] {
+					errs <- fmt.Errorf("publisher %d: epoch %d after %d", g, reply.Epoch, got[g][n-1])
+					return
+				}
+				got[g] = append(got[g], reply.Epoch)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	seen := make([]bool, publishers*each+1)
+	for g := range got {
+		for _, n := range got[g] {
+			if n < 1 || n > publishers*each || seen[n] {
+				t.Fatalf("epoch %d reported twice or out of range 1..%d", n, publishers*each)
+			}
+			seen[n] = true
+		}
+	}
+}
+
+// TestRacePriceOnlyPlanCarriesRoomForward builds every plan the way the
+// HTTP front-end does — a DrainState copy with new prices on it — and
+// publishes it without adopting its room, while admitters keep
+// committing. The plan's own room is stale the moment it is copied;
+// what must carry into the next epoch is the live room at the swap,
+// admissions landed between the copy and the publish included. Every
+// request buys its whole 64-byte demand at any epoch's price, so room is
+// a sum of 64s, exact in any order: the drained room must equal a serial
+// admitter's over the same requests bit for bit.
+func TestRacePriceOnlyPlanCarriesRoomForward(t *testing.T) {
+	const epochs, admitters, admitsEach = 30, 4, 200
+	horizon := 8
+	net, reqs := raceWorld(t, horizon)
+	svc := raceService(t, net, horizon)
+
+	var wg sync.WaitGroup
+	for g := 0; g < admitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < admitsEach; i++ {
+				if svc.Admit(reqs[(g*197+i)%len(reqs)]) == nil {
+					t.Errorf("admitter %d: declined with effectively infinite value", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 1; k <= epochs; k++ {
+			plan := svc.DrainState()
+			if err := plan.SetPricesWindow(0, racePlan(net, horizon, k).BasePrice); err != nil {
+				t.Errorf("plan %d: %v", k, err)
+				return
+			}
+			if err := svc.Publish(plan, false); err != nil {
+				t.Errorf("publish %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	serial := pricing.NewState(net, horizon, epochPrice(0))
+	serial.Adjust = pricing.AdjustConfig{Threshold: 1, Factor: 1}
+	ad := pricing.NewAdmitter(serial)
+	for g := 0; g < admitters; g++ {
+		for i := 0; i < admitsEach; i++ {
+			ad.Admit(reqs[(g*197+i)%len(reqs)])
+		}
+	}
+	got := svc.DrainState()
+	for e := range serial.Reserved {
+		for ts, want := range serial.Reserved[e] {
+			if math.Float64bits(got.Reserved[e][ts]) != math.Float64bits(want) {
+				t.Fatalf("edge %d step %d holds %v after the publishes, serial replay %v", e, ts, got.Reserved[e][ts], want)
+			}
+		}
+	}
+	// The view froze at the last publish, possibly before the last
+	// admission; one more epoch, callers stopped, brings it level.
+	if err := svc.Publish(nil, false); err != nil {
+		t.Fatalf("final publish: %v", err)
+	}
+	requireViewMatchesLive(t, svc)
+}
+
+// requireViewMatchesLive checks, with every caller stopped, that the
+// sealed view is the live state cell for cell: same room, same cached
+// price, and — read through a one-cell quote to exhaustion, the only
+// way to the cached room from outside pricing — the same menu.
+func requireViewMatchesLive(t testing.TB, svc *Service) {
+	t.Helper()
+	ep := svc.cur.Load()
+	if !ep.view.Sealed() || ep.live.Sealed() || !ep.live.Published() {
+		t.Fatalf("epoch %d: stages live published=%v sealed=%v, view sealed=%v",
+			ep.n, ep.live.Published(), ep.live.Sealed(), ep.view.Sealed())
+	}
+	for e := range ep.live.Reserved {
+		id := graph.EdgeID(e)
+		for ts, r := range ep.live.Reserved[e] {
+			if math.Float64bits(ep.view.Reserved[e][ts]) != math.Float64bits(r) {
+				t.Fatalf("epoch %d: view room at edge %d step %d is %v, live %v", ep.n, e, ts, ep.view.Reserved[e][ts], r)
+			}
+			if a, b := ep.view.MarginalPrice(id, ts, 0), ep.live.MarginalPrice(id, ts, 0); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("epoch %d: view prices edge %d step %d at %v, live %v", ep.n, e, ts, a, b)
+			}
+			cell := &traffic.Request{Routes: []graph.Path{{id}}, Start: ts, End: ts, Demand: 1e18}
+			a, b := pricing.QuoteMenu(ep.view, cell, cell.Demand), pricing.QuoteMenu(ep.live, cell, cell.Demand)
+			if !reflect.DeepEqual(a.Segments, b.Segments) || math.Float64bits(a.Cap()) != math.Float64bits(b.Cap()) {
+				t.Fatalf("epoch %d: view quotes edge %d step %d as %+v, live %+v", ep.n, e, ts, a.Segments, b.Segments)
+			}
+		}
+	}
+}
+
+// TestPublishedPairSharesNothingMutable walks one service through every
+// kind of publish on the tight-capacity fuzz world, with admissions in
+// between so that cells sit on both sides of the premium threshold.
+// After each publish the view must equal the live state, and a
+// DrainState copy must be its own: live and view share their planning
+// arrays, and a clone that aliased them would let a planner's edit reach
+// the states admissions and quotes are reading.
+func TestPublishedPairSharesNothingMutable(t *testing.T) {
+	const horizon = 6
+	net, templates := fuzzWorld(t, horizon)
+	svc, err := New(pricing.NewState(net, horizon, 1.0), Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	requireViewMatchesLive(t, svc)
+
+	admitSome := func(from byte) {
+		for j := byte(0); j < 40; j++ {
+			r := fuzzRequest(templates, from+j*29, horizon)
+			r.Value = 10
+			svc.Admit(r)
+		}
+	}
+	dearer := pricing.NewState(net, horizon, 1.5)
+	dearer.SetHighPriFraction(0.25)
+	dearer.SetOutage("cut", 0, 2, 100)
+	publishes := []struct {
+		name  string
+		plan  *pricing.State
+		adopt bool
+	}{
+		{"epoch bump", nil, false},
+		{"price only", dearer, false},
+		{"re-plan", pricing.NewState(net, horizon, 0.5), true},
+		{"epoch bump after a re-plan", nil, false},
+	}
+	for i, p := range publishes {
+		admitSome(byte(i * 7))
+		if err := svc.Publish(p.plan, p.adopt); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		requireViewMatchesLive(t, svc)
+
+		ep := svc.cur.Load()
+		before := ep.live.Clone()
+		dr := svc.DrainState()
+		if dr.Published() {
+			t.Fatalf("%s: DrainState returned a poisoned state", p.name)
+		}
+		for e := 0; e < net.NumEdges(); e++ {
+			for ts := 0; ts < horizon; ts++ {
+				id := graph.EdgeID(e)
+				dr.SetBasePrice(id, ts, 99)
+				dr.SetHighPri(id, ts, 7)
+				dr.SetOutage("drained", id, ts, 5)
+				dr.Reserve(graph.Path{id}, ts, 1)
+			}
+		}
+		dr.Adjust = pricing.AdjustConfig{Threshold: 0.1, Factor: 9}
+		for _, st := range []*pricing.State{ep.live, ep.view} {
+			if !reflect.DeepEqual(st.BasePrice, before.BasePrice) || !reflect.DeepEqual(st.HighPri, before.HighPri) ||
+				!reflect.DeepEqual(st.Reserved, before.Reserved) || st.Adjust != before.Adjust {
+				t.Fatalf("%s: mutating a DrainState copy reached the published pair", p.name)
+			}
+			for e := 0; e < net.NumEdges(); e++ {
+				for ts := 0; ts < horizon; ts++ {
+					if st.OutageAt(graph.EdgeID(e), ts) != before.OutageAt(graph.EdgeID(e), ts) {
+						t.Fatalf("%s: a DrainState copy's outage reached the published pair", p.name)
+					}
+				}
+			}
+		}
+		requireViewMatchesLive(t, svc)
 	}
 }

@@ -1,3 +1,10 @@
+// Package serve turns Pretium's request admission into a long-running
+// concurrent service. Quoters read an epoch-swapped immutable snapshot
+// lock-free; admissions quote and commit under one lock, in lock order,
+// so the service is *exactly* equivalent — bit-identical decisions,
+// prices, and room — to the serial pricing.Admitter replaying the
+// arrivals in that order (see DESIGN.md §16 and the differential
+// tests).
 package serve
 
 import (
@@ -12,32 +19,22 @@ import (
 )
 
 // epoch is one immutable pricing generation. live is the published copy
-// that sequenced admissions commit room into (pricing poisons every
-// planning mutator on it); view is a sealed clone frozen at epoch start
-// that quoters read with no lock at all (pricing poisons *every*
-// mutator on it). Quotes against view are indicative — room moves as
-// admissions land — but admissions re-quote against live at their
-// sequenced turn, so decisions and payments are authoritative and
-// exactly serial-equivalent.
+// that admissions commit room into under the commit lock (pricing
+// poisons every planning mutator on it); view is the sealed snapshot
+// frozen at epoch start that quoters read with no lock at all (pricing
+// poisons *every* mutator on it). The two share their planning arrays
+// and own their room (pricing.State.Successor). Quotes against view are
+// indicative — room moves as admissions land — but admissions re-quote
+// against live under the lock, so decisions and payments are
+// authoritative and exactly serial-equivalent.
 type epoch struct {
 	n    uint64
 	live *pricing.State
 	view *pricing.State
 }
 
-// shard owns the quote scratch for one (src-region, dst-region) class
-// of requests. The mutex serializes use of the scratch; cross-shard
-// commit ordering is the sequencer's job, not the shard's.
-type shard struct {
-	mu sync.Mutex
-	q  pricing.Quoter
-}
-
 // Config parameterizes a Service.
 type Config struct {
-	// Shards is the number of admission shards the (src-region,
-	// dst-region) classes hash onto. Values < 1 mean 1.
-	Shards int
 	// Obs receives service counters (serve.quotes, serve.admits,
 	// serve.declines, serve.publishes, serve.epoch). Nil disables.
 	Obs *obs.Metrics
@@ -48,27 +45,24 @@ type Config struct {
 //
 //   - Quote is lock-free: one atomic epoch load plus a pooled quoter
 //     pass over the sealed view.
-//   - Admit takes a per-edge ticket (see sequencer), re-quotes against
-//     the live state at its turn, and commits — bit-identical to the
-//     serial pricing.Admitter fed the same stream.
-//   - Publish installs the next epoch behind a drain barrier: a ticket
-//     on every edge, so in-flight admissions against epoch N settle
-//     before N+1's room exists, and no admission ever commits into a
-//     stale epoch.
+//   - Admit takes the commit lock, quotes against the live state and
+//     commits — the serial pricing.Admitter's own steps, so the result
+//     is bit-identical to it fed the stream in lock order. One admission
+//     costs about a microsecond, less than handing it to a second core
+//     would.
+//   - Publish builds the next epoch outside the commit lock and takes
+//     it for the pointer swap — plus, when live room carries forward,
+//     for the copy of that room. The epoch pointer moves only under the
+//     lock, so no admission ever commits into a stale epoch.
 type Service struct {
 	net     *graph.Network
 	horizon int
 
-	shards     []shard
-	nodeRegion []int32 // NodeID -> region index
-	nRegions   int
+	mu  sync.Mutex     // the commit lock: admissions, and every epoch swap
+	q   pricing.Quoter // admission quote scratch, owned by mu
+	cur atomic.Pointer[epoch]
 
-	seq      *sequencer
-	allEdges []graph.EdgeID
-	cur      atomic.Pointer[epoch]
-	pubMu    sync.Mutex // serializes Publish/DrainState
-
-	edgePool sync.Pool // *[]graph.EdgeID route-union scratch
+	pubMu sync.Mutex // serializes Publish: one successor in the making at a time
 
 	mQuotes    *obs.Counter
 	mAdmits    *obs.Counter
@@ -85,36 +79,7 @@ func New(st *pricing.State, cfg Config) (*Service, error) {
 	if st.Published() {
 		return nil, fmt.Errorf("serve: state already published; New needs a fresh state")
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	net := st.Net
-	s := &Service{
-		net:     net,
-		horizon: st.Horizon,
-		shards:  make([]shard, cfg.Shards),
-		seq:     newSequencer(net.NumEdges()),
-	}
-	s.nodeRegion = make([]int32, net.NumNodes())
-	regions := make(map[string]int32)
-	for i := 0; i < net.NumNodes(); i++ {
-		r := net.Node(graph.NodeID(i)).Region
-		ri, ok := regions[r]
-		if !ok {
-			ri = int32(len(regions))
-			regions[r] = ri
-		}
-		s.nodeRegion[i] = ri
-	}
-	s.nRegions = len(regions)
-	s.allEdges = make([]graph.EdgeID, net.NumEdges())
-	for e := range s.allEdges {
-		s.allEdges[e] = graph.EdgeID(e)
-	}
-	s.edgePool.New = func() any {
-		b := make([]graph.EdgeID, 0, 16)
-		return &b
-	}
+	s := &Service{net: st.Net, horizon: st.Horizon}
 	if cfg.Obs != nil {
 		s.mQuotes = cfg.Obs.Counter("serve.quotes")
 		s.mAdmits = cfg.Obs.Counter("serve.admits")
@@ -122,16 +87,15 @@ func New(st *pricing.State, cfg Config) (*Service, error) {
 		s.mPublishes = cfg.Obs.Counter("serve.publishes")
 		s.mEpoch = cfg.Obs.Gauge("serve.epoch")
 	}
-
-	view := st.Clone()
-	st.MarkPublished()
-	view.Seal()
-	s.cur.Store(&epoch{n: 0, live: st, view: view})
+	live, view, err := st.Successor(st)
+	if err != nil {
+		return nil, err
+	}
+	live.CarryRoom(view, st)
+	st.MarkPublished() // the service's copy is the one that lives on
+	s.cur.Store(&epoch{n: 0, live: live, view: view})
 	return s, nil
 }
-
-// NumShards reports the shard count.
-func (s *Service) NumShards() int { return len(s.shards) }
 
 // Horizon reports the pricing horizon in timesteps.
 func (s *Service) Horizon() int { return s.horizon }
@@ -145,34 +109,6 @@ func (s *Service) Epoch() uint64 { return s.cur.Load().n }
 // View returns the current epoch's sealed snapshot: safe for concurrent
 // reads, poisoned against every mutation.
 func (s *Service) View() *pricing.State { return s.cur.Load().view }
-
-// shardIndex maps a request to its (src-region, dst-region) shard.
-func (s *Service) shardIndex(req *traffic.Request) int {
-	key := int(s.nodeRegion[req.Src])*s.nRegions + int(s.nodeRegion[req.Dst])
-	return key % len(s.shards)
-}
-
-// routeEdges appends the deduplicated union of req's route edges to buf.
-// Route sets are small (k routes of a few hops), so the quadratic dedup
-// beats sorting and allocates nothing.
-func routeEdges(req *traffic.Request, buf []graph.EdgeID) []graph.EdgeID {
-	buf = buf[:0]
-	for _, route := range req.Routes {
-		for _, e := range route {
-			seen := false
-			for _, x := range buf {
-				if x == e {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				buf = append(buf, e)
-			}
-		}
-	}
-	return buf
-}
 
 // Quote prices req against the current epoch's sealed view without
 // admitting it. Lock-free: an atomic epoch load plus pooled quoter
@@ -193,44 +129,24 @@ func (s *Service) quoteEpoch(req *traffic.Request, maxBytes float64) (*pricing.M
 	return menu, ep.n
 }
 
-// Admit runs the full admission for req: sequenced turn on every edge
-// of its route union, authoritative quote against the live state,
-// Theorem 5.2 purchase, room commit. Returns nil when the customer
-// declines. Safe for arbitrary concurrent callers; commits on any one
-// (edge, step) cell happen in ticket order, which is this method's call
-// order.
+// Admit runs the full admission for req: authoritative quote against
+// the live state, Theorem 5.2 purchase, room commit, all under the
+// commit lock. Returns nil when the customer declines. Safe for
+// arbitrary concurrent callers; admissions take effect in lock order.
 func (s *Service) Admit(req *traffic.Request) *pricing.Admission {
 	adm, _ := s.admitEpoch(req)
 	return adm
 }
 
 // admitEpoch is Admit plus the number of the epoch it committed into.
+// The epoch is loaded under the lock, which every swap also holds: the
+// live state it names stays current until the commit is done.
 func (s *Service) admitEpoch(req *traffic.Request) (*pricing.Admission, uint64) {
-	bufp := s.edgePool.Get().(*[]graph.EdgeID)
-	edges := routeEdges(req, *bufp)
-	*bufp = edges
-
-	tk, ready := s.seq.acquire(edges)
-	if !ready {
-		s.seq.wait(tk, edges)
-	}
-	adm, epoch := s.admitSequenced(req)
-	s.seq.settle(edges)
-	s.edgePool.Put(bufp)
-	return adm, epoch
-}
-
-// admitSequenced executes the quote+commit at the caller's sequenced
-// turn. The epoch is loaded *after* the turn is held: any earlier
-// publish barrier has already swapped the pointer before settling, so
-// the loaded live state is never stale.
-func (s *Service) admitSequenced(req *traffic.Request) (*pricing.Admission, uint64) {
+	s.mu.Lock()
 	ep := s.cur.Load()
-	sh := &s.shards[s.shardIndex(req)]
-	sh.mu.Lock()
-	menu := sh.q.Quote(ep.live, req, req.Demand)
+	menu := s.q.Quote(ep.live, req, req.Demand)
 	adm := pricing.Commit(ep.live, req, menu, menu.Purchase(req.Value, req.Demand))
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if adm != nil {
 		s.mAdmits.Inc()
 	} else {
@@ -239,90 +155,65 @@ func (s *Service) admitSequenced(req *traffic.Request) (*pricing.Admission, uint
 	return adm, ep.n
 }
 
-// AdmitAll replays a whole arrival stream through the service: tickets
-// are assigned in stream order, then each shard's requests run on their
-// own goroutine — edge-disjoint admissions proceed in parallel while
-// every (edge, step) cell still sees commits in stream order. The
-// result is positionally identical to pricing.Admitter.AdmitAll on the
-// same stream.
+// AdmitAll replays a whole arrival stream through the service, in
+// order: positionally identical to pricing.Admitter.AdmitAll on the
+// same stream when nothing else admits meanwhile.
 func (s *Service) AdmitAll(reqs []*traffic.Request) []*pricing.Admission {
 	out := make([]*pricing.Admission, len(reqs))
-	type item struct {
-		idx   int
-		req   *traffic.Request
-		tk    uint64
-		edges []graph.EdgeID
-	}
-	buckets := make([][]item, len(s.shards))
 	for i, r := range reqs {
-		edges := routeEdges(r, nil)
-		tk, _ := s.seq.acquire(edges)
-		buckets[s.shardIndex(r)] = append(buckets[s.shardIndex(r)], item{i, r, tk, edges})
+		out[i] = s.Admit(r)
 	}
-	var wg sync.WaitGroup
-	for si := range buckets {
-		if len(buckets[si]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(items []item) {
-			defer wg.Done()
-			for _, it := range items {
-				s.seq.wait(it.tk, it.edges)
-				out[it.idx], _ = s.admitSequenced(it.req)
-				s.seq.settle(it.edges)
-			}
-		}(buckets[si])
-	}
-	wg.Wait()
 	return out
 }
 
-// Publish installs the next pricing epoch. The new live state starts
-// from the current one (room carries forward); when plan is non-nil its
-// prices, set-asides, outage overlay, and adjustment config are adopted,
-// and with adoptRoom also its reservation plan (SAM re-planned the
-// schedule — the price-only PC refresh passes false). The whole build
-// happens inside a drain barrier over every edge: in-flight admissions
-// against the old epoch settle first, queued ones run against the new
-// state, and nothing ever commits into a stale epoch.
+// Publish installs the next pricing epoch. With a nil plan the current
+// planning inputs and room carry forward (an epoch bump that refreshes
+// the view). A non-nil plan's prices, set-asides, outage overlay, and
+// adjustment config are adopted, and with adoptRoom also its
+// reservation plan (SAM re-planned the schedule — the price-only PC
+// refresh passes false, and admissions committed since the plan was
+// built carry forward). Admissions stall only for the part that reads
+// live room: nothing when the plan's room is adopted, one room copy and
+// segment-cache rebuild when live room carries forward.
 func (s *Service) Publish(plan *pricing.State, adoptRoom bool) error {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-
-	tk, ready := s.seq.acquire(s.allEdges)
-	if !ready {
-		s.seq.wait(tk, s.allEdges)
-	}
-	defer s.seq.settle(s.allEdges)
-
-	old := s.cur.Load()
-	next := old.live.Clone()
-	if plan != nil {
-		if err := next.CopyPricingFrom(plan, adoptRoom); err != nil {
-			return err
-		}
-	}
-	view := next.Clone()
-	next.MarkPublished()
-	view.Seal()
-	s.cur.Store(&epoch{n: old.n + 1, live: next, view: view})
-	s.mPublishes.Inc()
-	s.mEpoch.Set(float64(old.n + 1))
-	return nil
+	_, err := s.publish(plan, adoptRoom)
+	return err
 }
 
-// DrainState waits for all in-flight admissions to settle and returns a
-// mutable deep copy of the live state — the authoritative room/price
-// picture at a quiescent point, for inspection and differential tests.
-func (s *Service) DrainState() *pricing.State {
+// publish is Publish plus the number of the epoch it installed.
+func (s *Service) publish(plan *pricing.State, adoptRoom bool) (uint64, error) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	tk, ready := s.seq.acquire(s.allEdges)
-	if !ready {
-		s.seq.wait(tk, s.allEdges)
+
+	// pubMu keeps the epoch still; the planning inputs of its live state
+	// are immutable, so reading them needs no commit lock.
+	old := s.cur.Load()
+	if plan == nil {
+		plan, adoptRoom = old.live, false
 	}
-	st := s.cur.Load().live.Clone()
-	s.seq.settle(s.allEdges)
-	return st
+	live, view, err := old.live.Successor(plan)
+	if err != nil {
+		return 0, err
+	}
+	if adoptRoom {
+		live.CarryRoom(view, plan)
+		s.mu.Lock()
+	} else {
+		s.mu.Lock()
+		live.CarryRoom(view, old.live)
+	}
+	s.cur.Store(&epoch{n: old.n + 1, live: live, view: view})
+	s.mu.Unlock()
+	s.mPublishes.Inc()
+	s.mEpoch.Set(float64(old.n + 1))
+	return old.n + 1, nil
+}
+
+// DrainState returns a mutable deep copy of the live state taken
+// between two admissions — the authoritative room/price picture at a
+// quiescent point, for inspection, plan building and differential tests.
+func (s *Service) DrainState() *pricing.State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur.Load().live.Clone()
 }

@@ -168,7 +168,7 @@ type (
 )
 
 // NewAdmitter creates an admission front-end serving quotes against st.
-// Not safe for concurrent use; shard one Admitter + state per goroutine.
+// Not safe for concurrent use; hold one Admitter + state per goroutine.
 func NewAdmitter(st *PriceState) *Admitter { return pricing.NewAdmitter(st) }
 
 // NewPriceState creates a standalone price state (for quoting outside a
@@ -177,11 +177,11 @@ func NewPriceState(n *Network, horizon int, basePrice float64) *PriceState {
 	return pricing.NewState(n, horizon, basePrice)
 }
 
-// Service is the concurrent sharded admission front-end: RA as a
-// long-running server. Quotes are lock-free against an epoch-swapped
-// immutable snapshot; admissions are sequenced per edge so the result
-// stream is bit-identical to a serial Admitter fed the same arrivals.
-// ServiceConfig sets the shard count and metrics registry.
+// Service is the concurrent admission front-end: RA as a long-running
+// server. Quotes are lock-free against an epoch-swapped immutable
+// snapshot; admissions quote and commit under one lock, so the result
+// stream is bit-identical to a serial Admitter fed the arrivals in lock
+// order. ServiceConfig sets the metrics registry.
 type (
 	Service       = serve.Service
 	ServiceConfig = serve.Config

@@ -82,7 +82,7 @@ func TestPublicQuoting(t *testing.T) {
 func TestPublicService(t *testing.T) {
 	net, ids := pretium.FourNodeExample()
 	m := pretium.NewMetrics()
-	svc, err := pretium.NewService(pretium.NewPriceState(net, 2, 1), pretium.ServiceConfig{Shards: 2, Obs: m})
+	svc, err := pretium.NewService(pretium.NewPriceState(net, 2, 1), pretium.ServiceConfig{Obs: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestPublicService(t *testing.T) {
 		t.Fatalf("GET /v1/state = %d, want 200", resp.StatusCode)
 	}
 	var state struct {
-		Shards int `json:"shards"`
+		Edges int `json:"edges"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&state); err != nil {
 		t.Fatal(err)
 	}
-	if state.Shards != 2 {
-		t.Errorf("shards = %d, want 2", state.Shards)
+	if state.Edges != net.NumEdges() {
+		t.Errorf("edges = %d, want %d", state.Edges, net.NumEdges())
 	}
 }
