@@ -43,10 +43,10 @@ func newCoreObs(rec *obs.Recorder) *coreObs {
 		return nil
 	}
 	return &coreObs{
-		raRequests:   m.Counter("ra.requests"),
-		raAdmitted:   m.Counter("ra.admitted"),
-		raDeclined:   m.Counter("ra.declined"),
-		raPriceBumps: m.Counter("ra.price_bumps"),
+		raRequests:    m.Counter("ra.requests"),
+		raAdmitted:    m.Counter("ra.admitted"),
+		raDeclined:    m.Counter("ra.declined"),
+		raPriceBumps:  m.Counter("ra.price_bumps"),
 		raStranded:    m.Counter("ra.stranded"),
 		raRefunds:     m.Counter("ra.refunds"),
 		raRefundTotal: m.Gauge("ra.refund_total"),
@@ -55,10 +55,10 @@ func newCoreObs(rec *obs.Recorder) *coreObs {
 		samDegraded:     m.Counter("sam.degraded"),
 		samScheduled:    m.Histogram("sam.scheduled_bytes", bytesEdges),
 		samRepairSolves: m.Counter("sam.repair_solves"),
-		pcSolves:     m.Counter("pc.solves"),
-		pcRetained:   m.Counter("pc.retained_prices"),
-		pcPriceMax:   m.Gauge("pc.price.max"),
-		pcPrice:      m.Histogram("pc.price", priceEdges),
+		pcSolves:        m.Counter("pc.solves"),
+		pcRetained:      m.Counter("pc.retained_prices"),
+		pcPriceMax:      m.Gauge("pc.price.max"),
+		pcPrice:         m.Histogram("pc.price", priceEdges),
 	}
 }
 
@@ -170,6 +170,10 @@ func (o *coreObs) publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
 	m.Counter(prefix + ".warm_starts").Add(int64(s.WarmStarts))
 	m.Counter(prefix + ".devex_solves").Add(int64(s.DevexSolves))
 	m.Counter(prefix + ".dual_cold_starts").Add(int64(s.DualColdStarts))
+	// A nonzero recoveries counter is a solver leaning on its safety net:
+	// it shows here before it shows as a slow step.
+	m.Counter(prefix + ".artificials").Add(int64(s.Artificials))
+	m.Counter(prefix + ".recoveries").Add(int64(s.Recoveries))
 	// Per-phase wall-clock breakdown (see lp.PhaseTimings): localizes a
 	// solver wall-clock regression to pricing, FTRAN, BTRAN, or
 	// refactorization without a profiler attached.

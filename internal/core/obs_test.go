@@ -123,6 +123,15 @@ func TestWarmStartCounted(t *testing.T) {
 	if got := rec.Metrics().Counter("sam.lp.warm_starts").Value(); got < 1 {
 		t.Errorf("sam.lp.warm_starts = %d, want >= 1 via the relax rung", got)
 	}
+	// The guarantee rows are ≥ rows with a positive right-hand side: every
+	// cold solve starts them on artificials, and nothing here needed the
+	// singular-refactorization safety net.
+	if got := rec.Metrics().Counter("sam.lp.artificials").Value(); got < 1 {
+		t.Errorf("sam.lp.artificials = %d, want >= 1 from the cold solves' guarantee rows", got)
+	}
+	if got := rec.Metrics().Counter("sam.lp.recoveries").Value(); got != 0 {
+		t.Errorf("sam.lp.recoveries = %d on a healthy run", got)
+	}
 }
 
 // TestColdStartDisablesWarmStarts pins down the Config.ColdStart knob:

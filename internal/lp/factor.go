@@ -81,8 +81,9 @@ type factor interface {
 	denseKernel() bool
 }
 
-// newFactor picks the kernel for a solve.
-func newFactor(denseKernel bool) factor {
+// newFactor picks the kernel for a solve. A var so tests can wrap the
+// kernel (fault injection into refactorize).
+var newFactor = func(denseKernel bool) factor {
 	if denseKernel {
 		return &denseFactor{}
 	}

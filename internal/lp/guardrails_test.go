@@ -64,11 +64,15 @@ func TestStatusErrTaxonomy(t *testing.T) {
 		{TimeLimit, ErrTimeBudget},
 		{Infeasible, ErrInfeasible},
 		{Unbounded, ErrUnbounded},
+		{Singular, ErrSingular},
 	}
 	for _, c := range cases {
 		if got := c.status.Err(); !errors.Is(got, c.want) {
 			t.Errorf("%v.Err() = %v, want %v", c.status, got, c.want)
 		}
+	}
+	if got := Singular.String(); got != "singular-basis" {
+		t.Errorf("Singular.String() = %q", got)
 	}
 	// Suspect overrides an Optimal status at the Solution level.
 	s := &Solution{Status: Optimal, Suspect: true}

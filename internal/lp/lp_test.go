@@ -299,6 +299,14 @@ func TestVarAccessors(t *testing.T) {
 	if m.NumVars() != 1 || m.NumRows() != 0 {
 		t.Errorf("counts wrong")
 	}
+	if m.Obj(v) != 3 {
+		t.Errorf("Obj = %v", m.Obj(v))
+	}
+	r := m.AddConstraint(GE, 4, Term{v, 2}, Term{v, 3})
+	sense, rhs, terms := m.Constraint(r)
+	if sense != GE || rhs != 4 || len(terms) != 1 || terms[0] != (Term{v, 5}) {
+		t.Errorf("Constraint = %v %v %v", sense, rhs, terms)
+	}
 }
 
 func TestAddVarPanicsOnBadBounds(t *testing.T) {
@@ -405,7 +413,7 @@ func TestRandomLPDualityCertificate(t *testing.T) {
 			}
 		}
 		for _, v := range vars {
-			cj := objCoef(m, v)
+			cj := m.Obj(v)
 			w := cj - aty[v]
 			if w > 0 {
 				_, up := m.Bounds(v)
@@ -417,9 +425,6 @@ func TestRandomLPDualityCertificate(t *testing.T) {
 		}
 	}
 }
-
-// objCoef reads back the objective coefficient (test helper).
-func objCoef(m *Model, v Var) float64 { return m.obj[v] }
 
 // TestTransportationProblem solves a classic balanced transportation LP
 // with equality constraints and verifies the known optimum.

@@ -138,6 +138,15 @@ func (m *Model) VarName(v Var) string { return m.names[v] }
 // Bounds returns the bounds of v.
 func (m *Model) Bounds(v Var) (lo, up float64) { return m.lo[v], m.up[v] }
 
+// Obj returns the objective coefficient of v.
+func (m *Model) Obj(v Var) float64 { return m.obj[v] }
+
+// Constraint returns row r as it was added (duplicate variables merged).
+// The terms are the model's own slice: read, do not modify.
+func (m *Model) Constraint(r Row) (Sense, float64, []Term) {
+	return m.senses[r], m.rhs[r], m.rows[r]
+}
+
 // AddConstraint adds the row terms (sense) rhs and returns its Row id.
 // Duplicate variables within terms are summed. Zero-coefficient terms are
 // dropped.
@@ -190,6 +199,11 @@ const (
 	// TimeLimit means Options.TimeBudget expired before optimality was
 	// proven. Like IterLimit it carries no usable solution or basis.
 	TimeLimit
+	// Singular means the basis matrix could not be refactorized mid-solve
+	// and neither rung behind that event helped: reinstalling the basis of
+	// the last good refactorization, then (after a warm start) one cold
+	// retry. A numerical outcome, not a budget: no solution, no basis.
+	Singular
 )
 
 func (s Status) String() string {
@@ -204,6 +218,8 @@ func (s Status) String() string {
 		return "iteration-limit"
 	case TimeLimit:
 		return "time-budget"
+	case Singular:
+		return "singular-basis"
 	}
 	return "unknown"
 }
@@ -225,6 +241,9 @@ var (
 	// residual health check — floating-point drift has produced a vertex
 	// that violates the model's own constraints beyond tolerance.
 	ErrSuspect = errors.New("lp: solution numerically suspect")
+	// ErrSingular: a mid-solve refactorization found the basis singular and
+	// the recovery ladder (snapshot, cold retry) could not get past it.
+	ErrSingular = errors.New("lp: singular basis")
 )
 
 // Err maps a status to its sentinel error (nil for Optimal). Combined
@@ -241,6 +260,8 @@ func (s Status) Err() error {
 		return ErrIterLimit
 	case TimeLimit:
 		return ErrTimeBudget
+	case Singular:
+		return ErrSingular
 	}
 	return errors.New("lp: unknown status")
 }
@@ -268,6 +289,10 @@ type Solution struct {
 	Iterations int
 	// Refactors counts basis refactorizations performed by the solve.
 	Refactors int
+	// Artificials counts the artificial columns basic at the cold start (0
+	// when the solve started warm); Recoveries counts singular
+	// refactorizations repaired from the last good basis mid-solve.
+	Artificials, Recoveries int
 	// Timings is the per-phase wall-clock breakdown of the solve.
 	Timings PhaseTimings
 	// PricingUsed is the entering-variable rule the solve actually ran
@@ -371,6 +396,13 @@ type SolveStats struct {
 	// through the dual simplex (attempts that fell back primal are not
 	// counted).
 	DualColdStarts int
+	// Artificials totals the artificial columns basic at cold starts: the
+	// phase-1 work the standard form left for the simplex to do.
+	Artificials int
+	// Recoveries counts refactorizations that found the basis singular and
+	// were repaired by reinstalling the last good basis — a solver leaning
+	// on its safety net.
+	Recoveries int
 	// Timings accumulates the per-phase wall-clock breakdown across the
 	// recorded solves.
 	Timings PhaseTimings
@@ -386,6 +418,8 @@ func (s *SolveStats) Merge(other SolveStats) {
 	s.WarmStarts += other.WarmStarts
 	s.DevexSolves += other.DevexSolves
 	s.DualColdStarts += other.DualColdStarts
+	s.Artificials += other.Artificials
+	s.Recoveries += other.Recoveries
 	s.Timings.add(other.Timings)
 }
 
@@ -409,6 +443,8 @@ func (s *SolveStats) record(res result) {
 	if res.dualCold {
 		s.DualColdStarts++
 	}
+	s.Artificials += res.artificials
+	s.Recoveries += res.recoveries
 	s.Timings.add(res.phase)
 }
 
@@ -585,6 +621,8 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		Status:      res.status,
 		Iterations:  res.iters,
 		Refactors:   res.refactors,
+		Artificials: res.artificials,
+		Recoveries:  res.recoveries,
 		Timings:     res.phase,
 		PricingUsed: res.pricing,
 		DualCold:    res.dualCold,

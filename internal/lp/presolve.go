@@ -502,6 +502,8 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 		Status:      redSol.Status,
 		Iterations:  redSol.Iterations,
 		Refactors:   redSol.Refactors,
+		Artificials: redSol.Artificials,
+		Recoveries:  redSol.Recoveries,
 		Timings:     redSol.Timings,
 		PricingUsed: redSol.PricingUsed,
 		DualCold:    redSol.DualCold,

@@ -25,6 +25,7 @@ type standard struct {
 	up   []float64 // upper bounds (lower bounds are all 0)
 	b    []float64
 	art  []bool // artificial columns (excluded from phase 2 pricing)
+	nArt int    // number of artificial columns, all basic in basisInit
 
 	basisInit []int // initial basic column per row (slack or artificial)
 
@@ -99,7 +100,7 @@ func (m *Model) refreshStandard(s *standard) bool {
 			rhs -= t.Coef * s.shift[t.Var]
 		}
 		want := 1.0
-		if rhs < 0 {
+		if rhs < 0 || crashRow(len(m.rows), m.senses[i], rhs) {
 			want = -1
 		}
 		if want != s.rowSign[i] {
@@ -108,6 +109,19 @@ func (m *Model) refreshStandard(s *standard) bool {
 		s.b[i] = want * rhs
 	}
 	return true
+}
+
+// crashRow is the logical crash of the paper-scale path: a ≥ row whose
+// shifted right-hand side is exactly zero is satisfied by the all-at-lower
+// start, so it is standardized as the ≤ row its negation is (rowSign -1,
+// exactly like a negative right-hand side) and starts on its own slack —
+// no surplus/artificial pair, no degenerate pivot to swap the artificial
+// out. Gated like the staged start so small models keep their pinned
+// standard form; refreshStandard applies the same rule, so an edit that
+// moves such a right-hand side between zero and positive is a structure
+// change (the artificial pattern differs) and rebuilds.
+func crashRow(rows int, sense Sense, rhs float64) bool {
+	return rows >= stagedStartMinRows && sense == GE && rhs == 0
 }
 
 // standardize converts the model into computational form.
@@ -178,7 +192,7 @@ func (m *Model) standardize() (*standard, error) {
 			}
 		}
 		s.rowSign[i] = 1
-		if rd.rhs < 0 {
+		if rd.rhs < 0 || crashRow(nr, rd.sense, rd.rhs) {
 			s.rowSign[i] = -1
 			rd.rhs = -rd.rhs
 			for k := range rd.terms {
@@ -223,11 +237,13 @@ func (m *Model) standardize() (*standard, error) {
 			a := addCol(Inf, 0)
 			s.cols[a] = []entry{{row: i, val: 1}}
 			s.art[a] = true
+			s.nArt++
 			s.basisInit[i] = a
 		case EQ:
 			a := addCol(Inf, 0)
 			s.cols[a] = []entry{{row: i, val: 1}}
 			s.art[a] = true
+			s.nArt++
 			s.basisInit[i] = a
 		default:
 			return nil, errors.New("lp: unknown constraint sense")
@@ -271,9 +287,13 @@ type result struct {
 	refactors int          // basis refactorizations performed
 	phase     PhaseTimings // per-phase wall-clock breakdown
 	warm      bool         // a supplied warm basis was actually used
-	pricing   PricingRule // entering rule the final phase ran with
-	dualCold  bool        // primal feasibility came from the dual cold start
-	basis     *Basis      // terminal basis (Optimal and Infeasible outcomes)
+	pricing   PricingRule  // entering rule the final phase ran with
+	dualCold  bool         // primal feasibility came from the dual cold start
+	basis     *Basis       // terminal basis (Optimal and Infeasible outcomes)
+	// artificials counts the artificial columns basic at the cold start (0
+	// on a warm solve); recoveries counts singular refactorizations repaired
+	// from the snapshot (see state.recover).
+	artificials, recoveries int
 }
 
 // state is the revised-simplex working state. The basis representation
@@ -284,7 +304,7 @@ type state struct {
 	std           *standard
 	fac           factor    // basis representation: B⁻¹ as FTRAN/BTRAN/update
 	basis         []int     // basic column per row
-	basePos       []int     // column -> basis row + 1, or 0 if nonbasic
+	basePos       []int     // column -> basis row + 1, 0 if nonbasic, -1 if nonbasic and barred (see recover)
 	atUpper       []bool    // nonbasic-at-upper flag per column
 	xB            []float64 // basic variable values
 	wBuf          []float64 // scratch: B⁻¹·A_q, reused every pivot
@@ -301,6 +321,17 @@ type state struct {
 	refactors     int // refactorizations performed (telemetry for SolveStats)
 	maxIter       int
 	refactorEvery int
+	// Singular-refactorization recovery (see recover): the basis and bound
+	// flags as of the last point known to factorize — a pivot loop's entry
+	// or a successful refactorization — the column that entered last since
+	// then and the one barred from entering after a recovery (both column+1,
+	// 0 = none), whether this snapshot has been fallen back on already, and
+	// the tally for SolveStats.
+	snapBasis         []int
+	snapUpper         []bool
+	lastEnter, barred int
+	retried           bool
+	recoveries        int
 	// deadline is the wall-clock cutoff from Options.TimeBudget (zero
 	// value = unlimited), checked between pivots and inside
 	// refactorizations.
@@ -419,6 +450,15 @@ func (st *state) timedOut() bool {
 	return expired(st.deadline)
 }
 
+// limitStatus names the budget a stage ran out of: the pivot budget when
+// it is spent, the wall clock otherwise.
+func (st *state) limitStatus() Status {
+	if st.iters >= st.maxIter {
+		return IterLimit
+	}
+	return TimeLimit
+}
+
 const defaultRefactorEvery = 512
 
 // nzRefactorEvery replaces the default cadence on hyper-sparse models that
@@ -493,6 +533,52 @@ func (std *standard) solve(opts Options) result {
 		}
 	}
 
+	res := st.phases(opts, warm)
+	if res.status == Singular && warm {
+		// The recovery rung could not repair a basis the warm start led to:
+		// retry cold, once, inside the same iteration and time budgets.
+		res = st.phases(opts, false)
+	}
+	if res.status != Optimal {
+		return res
+	}
+	res.basis = st.capture()
+	res.x = make([]float64, std.n)
+	for j := range res.x {
+		if st.atUpper[j] {
+			res.x[j] = std.up[j]
+		}
+	}
+	for i, j := range st.basis {
+		res.x[j] = st.xB[i]
+	}
+	res.y = append([]float64(nil), st.duals(std.c)...)
+	res.d = make([]float64, std.n)
+	for j := 0; j < std.n; j++ {
+		dj := std.c[j]
+		for _, e := range std.cols[j] {
+			dj -= res.y[e.row] * e.val
+		}
+		res.d[j] = dj
+	}
+	return res
+}
+
+// phases runs the solve proper from the state solve prepared — a warm-
+// installed basis, or nothing (cold) — through phase 1 (skipped when warm)
+// and phase 2, and reports the outcome without the solution vectors.
+func (st *state) phases(opts Options, warm bool) result {
+	std := st.std
+	m := std.m
+	outcome := func(status Status) result {
+		r := result{status: status, iters: st.iters, refactors: st.refactors,
+			phase: st.phase, warm: warm, pricing: st.pricing, recoveries: st.recoveries}
+		if !warm {
+			r.artificials = std.nArt
+		}
+		return r
+	}
+
 	// Resolve the entering rule. Explicit choices always win; auto keeps the
 	// classic Dantzig/partial hybrid except on large cold solves, where devex
 	// pays for its maintained state many times over. The m gate doubles as
@@ -538,7 +624,7 @@ func (std *standard) solve(opts Options) result {
 				dualCold = true
 				st.restoreC()
 			case stagedTimeout:
-				return result{status: TimeLimit, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
+				return outcome(st.limitStatus())
 			case stagedFallback:
 				st.restoreC()
 				st.coldInit()
@@ -556,7 +642,7 @@ func (std *standard) solve(opts Options) result {
 			case stagedDone:
 				staged = true
 			case stagedTimeout:
-				return result{status: TimeLimit, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
+				return outcome(st.limitStatus())
 			case stagedFallback:
 				st.restoreB()
 				st.coldInit()
@@ -574,8 +660,8 @@ func (std *standard) solve(opts Options) result {
 			}
 			if needPhase1 {
 				status := st.optimize(c1, false)
-				if status == IterLimit || status == TimeLimit {
-					return result{status: status, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
+				if status == IterLimit || status == TimeLimit || status == Singular {
+					return outcome(status)
 				}
 				infeas := 0.0
 				for i, j := range st.basis {
@@ -584,7 +670,9 @@ func (std *standard) solve(opts Options) result {
 					}
 				}
 				if infeas > 1e-7 {
-					return result{status: Infeasible, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing, basis: st.capture()}
+					res := outcome(Infeasible)
+					res.basis = st.capture()
+					return res
 				}
 				st.expelArtificials()
 			}
@@ -595,31 +683,8 @@ func (std *standard) solve(opts Options) result {
 	// a dual cold start this re-optimizes the pristine costs from the
 	// perturbed optimum — dual feasibility is already within the
 	// perturbation's width, so only a handful of pivots remain.
-	status := st.optimize(std.c, true)
-	res := result{status: status, iters: st.iters, refactors: st.refactors,
-		phase: st.phase, warm: warm, pricing: st.pricing, dualCold: dualCold}
-	if status != Optimal {
-		return res
-	}
-	res.basis = st.capture()
-	res.x = make([]float64, std.n)
-	for j := range res.x {
-		if st.atUpper[j] {
-			res.x[j] = std.up[j]
-		}
-	}
-	for i, j := range st.basis {
-		res.x[j] = st.xB[i]
-	}
-	res.y = append([]float64(nil), st.duals(std.c)...)
-	res.d = make([]float64, std.n)
-	for j := 0; j < std.n; j++ {
-		dj := std.c[j]
-		for _, e := range std.cols[j] {
-			dj -= res.y[e.row] * e.val
-		}
-		res.d[j] = dj
-	}
+	res := outcome(st.optimize(std.c, true))
+	res.dualCold = dualCold
 	return res
 }
 
@@ -629,14 +694,19 @@ func (std *standard) solve(opts Options) result {
 func (st *state) coldInit() {
 	std := st.std
 	copy(st.basis, std.basisInit)
-	for j := range st.basePos {
-		st.basePos[j] = 0
-	}
+	st.indexBasis()
 	for j := range st.atUpper {
 		st.atUpper[j] = false
 	}
 	st.fac.reset(std.m)
 	copy(st.xB, std.b)
+}
+
+// indexBasis rebuilds basePos from basis.
+func (st *state) indexBasis() {
+	for j := range st.basePos {
+		st.basePos[j] = 0
+	}
 	for i, j := range st.basis {
 		st.basePos[j] = i + 1
 	}
@@ -882,20 +952,72 @@ func (st *state) applyPivot(q, r int, w []float64) {
 	st.basis[r] = q
 	st.basePos[q] = r + 1
 	st.atUpper[q] = false
+	st.lastEnter = q + 1
 }
 
 // refactor rebuilds the basis representation from the basis columns, then
-// recomputes xB. Refactorization outcomes other than refactorOK leave xB
-// stale; callers must abort the pivot loop.
+// recomputes xB and snapshots the basis. A basis that turns out singular is
+// a numerical event, not a budget event: recover gets one try at it before
+// the outcome is reported. Outcomes other than refactorOK leave xB stale;
+// callers must abort the pivot loop. After refactorOK the basis may be the
+// recovered one, so callers re-derive whatever they hold from it (duals,
+// reduced costs), as they must after any refactorization.
 func (st *state) refactor() refactorOutcome {
 	st.refactors++
 	t0 := time.Now()
 	out := st.fac.refactorize(st.std, st.basis, st.deadline)
 	if out == refactorOK {
 		st.recomputeXB()
+		st.snapshot()
 	}
 	st.phase.RefactorNs += int64(time.Since(t0))
+	if out == refactorSingular && st.lastEnter != 0 && !st.retried {
+		out = st.recover()
+	}
 	return out
+}
+
+// snapshot records the basis and bound flags as a point recover can return
+// to: taken at every pivot loop's entry (whose contract is a factorized,
+// stage-consistent basis) and after every successful refactorization,
+// O(m+n) each. A fresh snapshot lifts the bar a recovery left behind.
+func (st *state) snapshot() {
+	st.snapBasis = append(st.snapBasis[:0], st.basis...)
+	st.snapUpper = append(st.snapUpper[:0], st.atUpper...)
+	st.unbar()
+	st.lastEnter, st.retried = 0, false
+}
+
+// recover answers a singular refactorization: the pivots since the snapshot
+// are dropped, the snapshot's basis is reinstalled and refactorized (it
+// factorized when it was taken), and the column that entered last — the
+// pivot the update scheme choked on — is barred from entering again until
+// the next snapshot or until nothing else prices out: its basePos reads -1,
+// which every pricing loop and dual ratio test takes for "not a candidate".
+// One try per snapshot; a second singular outcome is reported.
+func (st *state) recover() refactorOutcome {
+	culprit := st.lastEnter - 1
+	copy(st.basis, st.snapBasis)
+	copy(st.atUpper, st.snapUpper)
+	st.indexBasis()
+	st.lastEnter = 0
+	out := st.refactor()
+	if out == refactorOK {
+		st.recoveries++
+		st.retried = true
+		if st.basePos[culprit] == 0 {
+			st.barred, st.basePos[culprit] = culprit+1, -1
+		}
+	}
+	return out
+}
+
+// unbar makes the column recover barred an entering candidate again.
+func (st *state) unbar() {
+	if st.barred != 0 && st.basePos[st.barred-1] < 0 {
+		st.basePos[st.barred-1] = 0
+	}
+	st.barred = 0
 }
 
 // recomputeXB sets xB = B⁻¹·(b - sum of nonbasic-at-upper columns).
@@ -904,7 +1026,7 @@ func (st *state) recomputeXB() {
 	rhs := st.cbBuf
 	copy(rhs, std.b)
 	for j := 0; j < std.n; j++ {
-		if !st.atUpper[j] || st.basePos[j] != 0 {
+		if !st.atUpper[j] || st.basePos[j] > 0 { // a barred column (-1) is nonbasic
 			continue
 		}
 		u := std.up[j]
@@ -1199,12 +1321,14 @@ func (st *state) devexReset(costs []float64) {
 	}
 }
 
-// devexPartialMinCols gates partial devex pricing: below this column count
-// the full scan is cheap next to the basis update and its strictly better
-// entering choices win (and the small-model pivot sequences are pinned by
-// the golden-trace suite); above it the O(n) scan dominates the pivot and
-// the rotating candidate subset pays. A var so tests can force either mode.
-var devexPartialMinCols = 1 << 15
+// devexPartialMinCols gates partial devex pricing on the columns a phase-2
+// scan actually prices (structurals and logicals; artificials are locked
+// out): below this count the full scan is cheap next to the basis update
+// and its strictly better entering choices win (and the small-model pivot
+// sequences are pinned by the golden-trace suite); above it the O(n) scan
+// dominates the pivot and the rotating candidate subset pays. A var so
+// tests can force either mode.
+var devexPartialMinCols = 1 << 14
 
 const (
 	// dvxSweepEvery is the number of partial picks served off one
@@ -1223,7 +1347,7 @@ const (
 // ones scan a candidate subset refreshed by periodic full sweeps.
 func (st *state) priceDevex(skipArt bool) (q int, fromUpper bool, qD float64) {
 	t0 := time.Now()
-	if len(st.dRed) >= devexPartialMinCols {
+	if st.std.n-st.std.nArt >= devexPartialMinCols {
 		q, fromUpper, qD = st.priceDevexPartial(skipArt)
 	} else {
 		q, fromUpper, qD, _ = st.priceDevexFull(skipArt)
@@ -1488,6 +1612,7 @@ func (st *state) dualCleanup() bool {
 		}
 	}
 
+	st.snapshot()
 	limit := 4*m + 100
 	for iter := 0; ; iter++ {
 		if iter >= limit || st.iters >= st.maxIter || st.timedOut() {
@@ -1557,7 +1682,14 @@ func (st *state) dualCleanup() bool {
 		}
 
 		w := st.ftranCol(q)
-		if math.Abs(w[r]) < pivTol {
+		wTol := pivTol
+		if st.useNz {
+			// The row test above is absolute; the pivot element itself is
+			// held to the column-relative tolerance optimize uses, now that
+			// the column is in hand.
+			wTol = relPivotTol(w, st.wNz)
+		}
+		if math.Abs(w[r]) < wTol {
 			return false // numerically unusable pivot
 		}
 		sigma := 1.0
@@ -1638,6 +1770,7 @@ func (st *state) dualColdStart() stagedOutcome {
 		st.dualW[i] = 1
 	}
 
+	st.snapshot()
 	for {
 		if st.iters >= st.maxIter || st.timedOut() {
 			return stagedTimeout
@@ -1909,6 +2042,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		y = st.duals(costs)
 	}
 	st.cand = st.cand[:0]
+	st.snapshot()
 	for {
 		if st.iters >= st.maxIter {
 			return IterLimit
@@ -1927,7 +2061,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			case refactorTimeout:
 				return TimeLimit
 			default:
-				return IterLimit // singular mid-solve: give up cleanly
+				return Singular
 			}
 		}
 
@@ -1966,6 +2100,15 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			st.dRedRefresh(costs)
 			q, qFromUpper, qD = st.priceDevex(skipArt)
 		}
+		if q < 0 && st.barred != 0 {
+			// Nothing else prices out: the barred column gets its turn
+			// before optimality is claimed.
+			st.unbar()
+			if devex {
+				st.dRedRefresh(costs)
+			}
+			continue
+		}
 		if q < 0 {
 			if st.useNz {
 				// The per-pivot clamp only visits touched rows; sweep the
@@ -1993,6 +2136,9 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		leave := -1
 		leaveToUpper := false
 		pivTol := 1e-9
+		if st.useNz {
+			pivTol = relPivotTol(w, st.wNz)
+		}
 		ratioStep := func(i int) {
 			r := sigma * w[i]
 			jb := st.basis[i]
@@ -2144,6 +2290,22 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			st.devexReset(costs)
 		}
 	}
+}
+
+// relPivotTol is the hyper-sparse path's ratio-test pivot tolerance:
+// relative to the tableau column's largest entry, floored at the absolute
+// 1e-9 the small-model path keeps. The absolute test alone once accepted a
+// 3e-8 pivot in a column whose largest entry was 4.7e2 (PaperWAN seed 46,
+// pivot 21,190): Forrest–Tomlin flagged the update as drift and the forced
+// refactorization found the basis singular one step from the end.
+func relPivotTol(w []float64, nz []int32) float64 {
+	wMax := 0.0
+	for _, i := range nz {
+		if a := math.Abs(w[i]); a > wMax {
+			wMax = a
+		}
+	}
+	return math.Max(1e-9, 1e-7*wMax)
 }
 
 // stepXB moves the basic values one ratio-test step: xB -= t·σ·w, over w's

@@ -162,7 +162,7 @@ func BenchmarkSAMSolve(b *testing.B) {
 				continue
 			}
 			b.Run(fmt.Sprintf("%s/%s", sc.name, kernel.name), func(b *testing.B) {
-				iters, refactors := 0, 0
+				iters, refactors, artificials, recoveries := 0, 0, 0, 0
 				var phase lp.PhaseTimings
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -175,10 +175,13 @@ func BenchmarkSAMSolve(b *testing.B) {
 					}
 					iters = res.Iterations
 					refactors = res.Refactors
+					artificials, recoveries = res.Artificials, res.Recoveries
 					phase = res.Timings
 				}
 				b.ReportMetric(float64(iters), "pivots")
 				b.ReportMetric(float64(refactors), "refactors")
+				b.ReportMetric(float64(artificials), "artificials")
+				b.ReportMetric(float64(recoveries), "recoveries")
 				reportPhases(b, phase)
 			})
 			if kernel.dense || sc.paper {

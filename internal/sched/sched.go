@@ -148,6 +148,10 @@ type Result struct {
 	Iterations int
 	// Refactors counts basis refactorizations performed by the solve.
 	Refactors int
+	// Artificials counts the artificial columns basic at a cold start and
+	// Recoveries the singular refactorizations repaired mid-solve (see
+	// lp.SolveStats).
+	Artificials, Recoveries int
 	// Timings is the solver's per-phase wall-clock breakdown (pricing/
 	// FTRAN/BTRAN/refactorization nanoseconds).
 	Timings lp.PhaseTimings
@@ -689,6 +693,8 @@ func (b *Built) Solve(opts lp.Options) (*Result, error) {
 		Status:      sol.Status,
 		Iterations:  sol.Iterations,
 		Refactors:   sol.Refactors,
+		Artificials: sol.Artificials,
+		Recoveries:  sol.Recoveries,
 		Timings:     sol.Timings,
 		PricingUsed: sol.PricingUsed,
 		DualCold:    sol.DualCold,
