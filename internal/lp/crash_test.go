@@ -265,7 +265,7 @@ func (f *faultyFactor) refactorize(std *standard, basis []int, deadline time.Tim
 func withFaults(fail func(call int) bool, fn func()) []*faultyFactor {
 	var made []*faultyFactor
 	old := newFactor
-	newFactor = func(bool) factor {
+	newFactor = func() factor {
 		f := &faultyFactor{luFactor: &luFactor{}, fail: fail}
 		made = append(made, f)
 		return f
@@ -337,15 +337,20 @@ func TestSingularLadder(t *testing.T) {
 		t.Fatalf("objective %v after the cold retry, want %v", sol.Objective, wantWarm)
 	}
 
-	// Nothing factorizes: Singular, by name.
+	// Nothing factorizes: Singular, by name and on the books.
+	stats = SolveStats{}
 	withFaults(func(int) bool { return true }, func() {
 		var err error
-		if sol, err = crashStaircase(35, 2400, 0, false).m.Solve(Options{}); err != nil {
+		if sol, err = crashStaircase(35, 2400, 0, false).m.Solve(Options{Stats: &stats}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if sol.Status != Singular || !errors.Is(sol.Err(), ErrSingular) || sol.Basis() != nil {
 		t.Fatalf("status %v, err %v, basis %v; want Singular with no basis", sol.Status, sol.Err(), sol.Basis())
+	}
+	if stats.SingularHits != 1 || stats.TimeBudgetHits != 0 || stats.IterLimitHits != 0 {
+		t.Fatalf("singular hits %d, time %d, iter %d; want the one Singular solve counted as itself",
+			stats.SingularHits, stats.TimeBudgetHits, stats.IterLimitHits)
 	}
 }
 
@@ -359,8 +364,10 @@ func TestBarredColumnGetsItsTurn(t *testing.T) {
 	want := mustOptimal(t, m, Options{}, "reference")
 	for _, rule := range []PricingRule{PricingDantzig, PricingDevex} {
 		var sol *Solution
-		withFaults(func(call int) bool { return call == 1 }, func() {
-			sol = mustOptimal(t, m, Options{RefactorEvery: 1, Pricing: rule}, "fault after the first pivot")
+		withPricing(rule, func() {
+			withFaults(func(call int) bool { return call == 1 }, func() {
+				sol = mustOptimal(t, m, Options{RefactorEvery: 1}, "fault after the first pivot")
+			})
 		})
 		if sol.Recoveries != 1 || sol.Objective != want.Objective {
 			t.Fatalf("%s: recoveries %d, objective %v; want 1 and %v", rule, sol.Recoveries, sol.Objective, want.Objective)

@@ -12,15 +12,11 @@ import (
 // kernels with otherwise identical options.
 func solveBoth(t *testing.T, m *Model, opts Options) (sparse, dense *Solution) {
 	t.Helper()
-	so := opts
-	so.DenseKernel = false
-	sp, err := m.Solve(so)
+	sp, err := m.Solve(opts)
 	if err != nil && sp == nil {
 		t.Fatalf("sparse solve: %v", err)
 	}
-	do := opts
-	do.DenseKernel = true
-	dn, err := m.Solve(do)
+	dn, err := solveDense(m, opts)
 	if err != nil && dn == nil {
 		t.Fatalf("dense solve: %v", err)
 	}
@@ -82,7 +78,7 @@ func TestKernelDifferentialSAMShaped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sparse warm: %v", trial, err)
 		}
-		wdn, err := perturbed.Solve(Options{WarmBasis: dn.Basis(), DenseKernel: true})
+		wdn, err := solveDense(perturbed, Options{WarmBasis: dn.Basis()})
 		if err != nil {
 			t.Fatalf("trial %d: dense warm: %v", trial, err)
 		}
@@ -115,7 +111,8 @@ func TestKernelDifferentialSAMShaped(t *testing.T) {
 
 // TestKernelDifferentialDegenerate: highly degenerate instances — identical
 // replicated capacity rows force massive ratio-test ties and zero-length
-// pivots — must terminate at the same optimum on both kernels.
+// pivots — must terminate at the same optimum on both kernels and under
+// either pricing rule.
 func TestKernelDifferentialDegenerate(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		r := rand.New(rand.NewSource(int64(7000 + trial)))
@@ -143,6 +140,13 @@ func TestKernelDifferentialDegenerate(t *testing.T) {
 		if sp.Status != Optimal {
 			t.Fatalf("trial %d: degenerate instance not optimal: %v", trial, sp.Status)
 		}
+		// Devex on the same degenerate shape: the ties must not move its
+		// optimum off the default rule's.
+		dv, err := solveWith(PricingDevex, m, Options{})
+		if err != nil && dv == nil {
+			t.Fatalf("trial %d: devex: %v", trial, err)
+		}
+		requireCrossOptimal(t, m, dv, sp, "degenerate-devex")
 	}
 }
 
@@ -177,7 +181,7 @@ func TestKernelDifferentialTaxonomy(t *testing.T) {
 func TestSparseSolveWithGrowthOnlyRefactor(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		model := samShapedLP(rand.New(rand.NewSource(int64(8100+trial))), 1.0)
-		want, err := model.Solve(Options{DenseKernel: true})
+		want, err := solveDense(model, Options{})
 		if err != nil || want.Status != Optimal {
 			continue
 		}
@@ -201,9 +205,13 @@ func TestSparseSolveWithGrowthOnlyRefactor(t *testing.T) {
 // cold solve each time.
 func TestCaptureSurvivesLaterMutation(t *testing.T) {
 	for _, dense := range []bool{false, true} {
+		solve := (*Model).Solve
+		if dense {
+			solve = solveDense
+		}
 		seed := int64(4242)
 		base := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		first, err := base.Solve(Options{DenseKernel: dense})
+		first, err := solve(base, Options{})
 		if err != nil || first.Status != Optimal {
 			t.Fatalf("dense=%v: base solve %v %v", dense, first.Status, err)
 		}
@@ -215,18 +223,18 @@ func TestCaptureSurvivesLaterMutation(t *testing.T) {
 		// Warm solve #1 against a strongly perturbed sibling: plenty of
 		// dual-cleanup and phase-2 pivots mutate the installed factorization.
 		p1 := samShapedLP(rand.New(rand.NewSource(seed)), 1.9)
-		if _, err := p1.Solve(Options{WarmBasis: b, DenseKernel: dense}); err != nil {
+		if _, err := solve(p1, Options{WarmBasis: b}); err != nil {
 			t.Fatalf("dense=%v: warm solve 1: %v", dense, err)
 		}
 
 		// Warm solve #2 from the SAME captured basis must be unaffected by
 		// solve #1's pivots and match a cold solve of the same model.
 		p2 := samShapedLP(rand.New(rand.NewSource(seed)), 1.4)
-		cold, err := p2.Solve(Options{DenseKernel: dense})
+		cold, err := solve(p2, Options{})
 		if err != nil || cold.Status != Optimal {
 			t.Fatalf("dense=%v: cold reference %v %v", dense, cold.Status, err)
 		}
-		warm, err := p2.Solve(Options{WarmBasis: b, DenseKernel: dense})
+		warm, err := solve(p2, Options{WarmBasis: b})
 		if err != nil || warm.Status != Optimal {
 			t.Fatalf("dense=%v: warm solve 2 %v %v", dense, warm.Status, err)
 		}
@@ -256,48 +264,6 @@ func TestTimeBudgetStillBindsOnSparseKernel(t *testing.T) {
 	if sol.Basis() != nil {
 		t.Fatal("a timed-out solve must not capture a basis")
 	}
-}
-
-// samShapedBoundedLP is samShapedLP with finite per-variable caps, matching
-// the implicit-bound builds the sched layer produces at scale. This is the
-// shape the dual cold start targets: a negative-cost column with an
-// infinite upper bound can never be flipped dual feasible from the slack
-// basis, so the dual route declines unbounded-variable corpora.
-func samShapedBoundedLP(r *rand.Rand, rhsScale float64) *Model {
-	m := NewModel()
-	m.SetMaximize(true)
-	nDemands := 3 + r.Intn(4)
-	nEdges := 3 + r.Intn(3)
-	steps := 2 + r.Intn(3)
-	edgeTerms := make([][]Term, nEdges*steps)
-	for d := 0; d < nDemands; d++ {
-		value := 0.2 + r.Float64()*2
-		var dTerms []Term
-		routes := 1 + r.Intn(2)
-		for ri := 0; ri < routes; ri++ {
-			e1, e2 := r.Intn(nEdges), r.Intn(nEdges)
-			for t := 0; t < steps; t++ {
-				v := m.AddVar(0, 2+8*r.Float64(), value, "x")
-				dTerms = append(dTerms, Term{Var: v, Coef: 1})
-				edgeTerms[e1*steps+t] = append(edgeTerms[e1*steps+t], Term{Var: v, Coef: 1})
-				if e2 != e1 {
-					edgeTerms[e2*steps+t] = append(edgeTerms[e2*steps+t], Term{Var: v, Coef: 1})
-				}
-			}
-		}
-		maxB := (5 + r.Float64()*20) * rhsScale
-		m.AddConstraint(LE, maxB, dTerms...)
-		if r.Float64() < 0.5 {
-			m.AddConstraint(GE, maxB*0.1, dTerms...)
-		}
-	}
-	for _, terms := range edgeTerms {
-		if len(terms) == 0 {
-			continue
-		}
-		m.AddConstraint(LE, (8+r.Float64()*15)*rhsScale, terms...)
-	}
-	return m
 }
 
 // requireCrossOptimal asserts two solves of the SAME model agree as optima:
@@ -377,11 +343,11 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		seed := int64(5000 + trial)
 		model := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		dz, err := model.Solve(Options{Pricing: PricingDantzig})
+		dz, err := solveWith(PricingDantzig, model, Options{})
 		if err != nil && dz == nil {
 			t.Fatalf("trial %d: dantzig: %v", trial, err)
 		}
-		dv, err := model.Solve(Options{Pricing: PricingDevex})
+		dv, err := solveWith(PricingDevex, model, Options{})
 		if err != nil && dv == nil {
 			t.Fatalf("trial %d: devex: %v", trial, err)
 		}
@@ -394,110 +360,26 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 		}
 
 		pre := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		pz, err := pre.Solve(Options{Presolve: true, Pricing: PricingDantzig})
+		pz, err := solveWith(PricingDantzig, pre, Options{Presolve: true})
 		if err != nil && pz == nil {
 			t.Fatalf("trial %d: presolve dantzig: %v", trial, err)
 		}
-		pv, err := pre.Solve(Options{Presolve: true, Pricing: PricingDevex})
+		pv, err := solveWith(PricingDevex, pre, Options{Presolve: true})
 		if err != nil && pv == nil {
 			t.Fatalf("trial %d: presolve devex: %v", trial, err)
 		}
 		requireCrossOptimal(t, pre, pv, pz, "presolve")
 
 		perturbed := samShapedLP(rand.New(rand.NewSource(seed)), 1.07)
-		wz, err := perturbed.Solve(Options{WarmBasis: dz.Basis(), Pricing: PricingDantzig})
+		wz, err := solveWith(PricingDantzig, perturbed, Options{WarmBasis: dz.Basis()})
 		if err != nil && wz == nil {
 			t.Fatalf("trial %d: warm dantzig: %v", trial, err)
 		}
-		wv, err := perturbed.Solve(Options{WarmBasis: dz.Basis(), Pricing: PricingDevex})
+		wv, err := solveWith(PricingDevex, perturbed, Options{WarmBasis: dz.Basis()})
 		if err != nil && wv == nil {
 			t.Fatalf("trial %d: warm devex: %v", trial, err)
 		}
 		requireCrossOptimal(t, perturbed, wv, wz, "warm")
-	}
-}
-
-// TestColdStrategyDifferentialDualVsPrimal: the dual cold start must reach
-// the same optimum as the primal route on the bounded SAM corpus, and must
-// actually engage (DualCold reported) on most of it — a silently always-
-// falling-back dual route would make this test vacuous.
-func TestColdStrategyDifferentialDualVsPrimal(t *testing.T) {
-	engaged := 0
-	trials := 40
-	for trial := 0; trial < trials; trial++ {
-		seed := int64(6200 + trial)
-		model := samShapedBoundedLP(rand.New(rand.NewSource(seed)), 1.0)
-		pc, err := model.Solve(Options{ColdStrategy: ColdPrimal})
-		if err != nil && pc == nil {
-			t.Fatalf("trial %d: primal cold: %v", trial, err)
-		}
-		dc, err := model.Solve(Options{ColdStrategy: ColdDual})
-		if err != nil && dc == nil {
-			t.Fatalf("trial %d: dual cold: %v", trial, err)
-		}
-		if pc.DualCold {
-			t.Fatalf("trial %d: primal cold solve reported DualCold", trial)
-		}
-		if dc.DualCold {
-			engaged++
-		}
-		requireCrossOptimal(t, model, dc, pc, "cold-strategy")
-
-		// Presolve must compose with the dual cold start.
-		pre := samShapedBoundedLP(rand.New(rand.NewSource(seed)), 1.0)
-		pp, err := pre.Solve(Options{Presolve: true, ColdStrategy: ColdPrimal})
-		if err != nil && pp == nil {
-			t.Fatalf("trial %d: presolve primal: %v", trial, err)
-		}
-		dp, err := pre.Solve(Options{Presolve: true, ColdStrategy: ColdDual})
-		if err != nil && dp == nil {
-			t.Fatalf("trial %d: presolve dual: %v", trial, err)
-		}
-		requireCrossOptimal(t, pre, dp, pp, "cold-strategy-presolve")
-	}
-	if engaged < trials/2 {
-		t.Fatalf("dual cold start engaged on only %d/%d bounded instances", engaged, trials)
-	}
-}
-
-// TestColdStrategyDegenerateReplicatedRows: identical replicated capacity
-// rows (massive dual ratio-test ties — exactly what the cost perturbation
-// exists for) must not stop the dual cold start from matching the primal
-// route.
-func TestColdStrategyDegenerateReplicatedRows(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		r := rand.New(rand.NewSource(int64(7300 + trial)))
-		m := NewModel()
-		m.SetMaximize(true)
-		n := 6 + r.Intn(5)
-		vars := make([]Term, n)
-		for j := 0; j < n; j++ {
-			v := m.AddVar(0, 1, 1+float64(j%3)*0.5, "x")
-			vars[j] = Term{Var: v, Coef: 1}
-		}
-		cap := 1 + r.Float64()*2
-		for k := 0; k < 10; k++ {
-			m.AddConstraint(LE, cap, vars...)
-		}
-		for k := 0; k < 3; k++ {
-			terms := []Term{vars[r.Intn(n)], vars[r.Intn(n)]}
-			m.AddConstraint(LE, cap*0.8, terms...)
-		}
-		pc, err := m.Solve(Options{ColdStrategy: ColdPrimal})
-		if err != nil && pc == nil {
-			t.Fatalf("trial %d: primal: %v", trial, err)
-		}
-		dc, err := m.Solve(Options{ColdStrategy: ColdDual})
-		if err != nil && dc == nil {
-			t.Fatalf("trial %d: dual: %v", trial, err)
-		}
-		requireCrossOptimal(t, m, dc, pc, "degenerate")
-		// Devex on the same degenerate shape, for good measure.
-		dv, err := m.Solve(Options{Pricing: PricingDevex})
-		if err != nil && dv == nil {
-			t.Fatalf("trial %d: devex: %v", trial, err)
-		}
-		requireCrossOptimal(t, m, dv, pc, "degenerate-devex")
 	}
 }
 
@@ -508,11 +390,11 @@ func TestColdStrategyDegenerateReplicatedRows(t *testing.T) {
 // must leave dRed exact and every weight at its reset value of 1.
 func TestDevexWeightResetAcrossRefactor(t *testing.T) {
 	model := samShapedLP(rand.New(rand.NewSource(4321)), 1.0)
-	want, err := model.Solve(Options{Pricing: PricingDantzig})
+	want, err := solveWith(PricingDantzig, model, Options{})
 	if err != nil || want.Status != Optimal {
 		t.Fatalf("dantzig reference: %v %v", want.Status, err)
 	}
-	got, err := model.Solve(Options{Pricing: PricingDevex, RefactorEvery: 1})
+	got, err := solveWith(PricingDevex, model, Options{RefactorEvery: 1})
 	if err != nil || got.Status != Optimal {
 		t.Fatalf("devex forced-refactor solve: %v %v", got.Status, err)
 	}
@@ -527,7 +409,8 @@ func TestDevexWeightResetAcrossRefactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := std.solve(Options{Pricing: PricingDevex}.withDefaults(std.n, std.m))
+	var res result
+	withPricing(PricingDevex, func() { res = std.solve(Options{}.withDefaults(std.n, std.m)) })
 	if res.status != Optimal {
 		t.Fatalf("raw solve status %v", res.status)
 	}

@@ -74,7 +74,7 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	std, basis := bigStaircaseBasis(r, m)
 
-	lu := newFactor(false).(*luFactor)
+	lu := &luFactor{}
 	lu.reset(m)
 	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("refactorize outcome %v", out)
@@ -231,7 +231,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 		inBasis[j] = true
 	}
 
-	lu := newFactor(false).(*luFactor)
+	lu := &luFactor{}
 	lu.reset(m)
 	if !lu.ftMode {
 		t.Fatalf("m=%d should select Forrest–Tomlin mode", m)
@@ -302,7 +302,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 
 	// A fresh factorization of the same mutated basis is the differential
 	// oracle; the basis matrix itself is the absolute one.
-	fresh := newFactor(false).(*luFactor)
+	fresh := &luFactor{}
 	fresh.reset(m)
 	if out := fresh.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("fresh refactorize of mutated basis: outcome %v", out)

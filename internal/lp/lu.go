@@ -261,47 +261,6 @@ func (s *markowitzScratch) ensure(m int) {
 	s.rowQ = s.rowQ[:0]
 }
 
-// heapPush adds column j to bucket c (binary min-heap by position).
-func (s *markowitzScratch) heapPush(c int, j int32) {
-	h := append(s.heaps[c], j)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	s.heaps[c] = h
-}
-
-// heapPop removes and returns the smallest column in bucket c.
-func (s *markowitzScratch) heapPop(c int) int32 {
-	h := s.heaps[c]
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r] < h[l] {
-			l = r
-		}
-		if h[i] <= h[l] {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	s.heaps[c] = h
-	return top
-}
-
 // setColCount records column j's live-entry count changing to c, moving its
 // valid bucket entry. Calls on finished columns are ignored.
 func (s *markowitzScratch) setColCount(j int32, c int) {
@@ -317,7 +276,7 @@ func (s *markowitzScratch) setColCount(j int32, c int) {
 	}
 	s.heapKey[j] = int32(c)
 	s.valid[c]++
-	s.heapPush(c, j)
+	s.heaps[c] = heapPush(s.heaps[c], j)
 	if c < s.minBucket {
 		s.minBucket = c
 	}
@@ -352,8 +311,8 @@ func (s *markowitzScratch) candidates(cand *[markowitzCandidates]int32) (int, bo
 		s.popped = s.popped[:0]
 		h := s.heaps[c]
 		for len(h) > 0 && nc < markowitzCandidates {
-			j := s.heapPop(c)
-			h = s.heaps[c]
+			var j int32
+			j, h = heapPop(h)
 			if s.heapKey[j] != int32(c) || s.colDone[j] {
 				continue // stale: dropped for good
 			}
@@ -376,8 +335,9 @@ func (s *markowitzScratch) candidates(cand *[markowitzCandidates]int32) (int, bo
 			s.popped = append(s.popped, j)
 		}
 		for _, j := range s.popped {
-			s.heapPush(c, j)
+			h = heapPush(h, j)
 		}
+		s.heaps[c] = h
 	}
 	return nc, true
 }
@@ -458,12 +418,15 @@ const (
 	ftGrowthLimit = 1
 )
 
-// minPush32/minPop32 and maxPush32/maxPop32 are the binary-heap worklists of
-// the hyper-sparse triangular solves. The heap order is what lets a solve
-// process only the reachable ops/steps while still visiting them in exactly
-// the dense pass's direction (ascending or descending), which the
-// factorization's dependency structure requires.
-func minPush32(h []int32, v int32) []int32 {
+// heapPush/heapPop are the one binary min-heap behind every integer worklist
+// of this file: the Markowitz count buckets, the hyper-sparse triangular
+// solves (int32 op/step indices) and the Forrest–Tomlin paths (int64
+// ord-keyed entries, see ftKey). The heap order is what lets a solve process
+// only the reachable ops/steps while still visiting them in exactly the
+// dense pass's direction, which the factorization's dependency structure
+// requires. Descending worklists push negated keys — every key is
+// non-negative — and negate what they pop or peek.
+func heapPush[K int32 | int64](h []K, v K) []K {
 	h = append(h, v)
 	i := len(h) - 1
 	for i > 0 {
@@ -477,7 +440,7 @@ func minPush32(h []int32, v int32) []int32 {
 	return h
 }
 
-func minPop32(h []int32) (int32, []int32) {
+func heapPop[K int32 | int64](h []K) (K, []K) {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -500,123 +463,10 @@ func minPop32(h []int32) (int32, []int32) {
 	return top, h
 }
 
-func maxPush32(h []int32, v int32) []int32 {
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func maxPop32(h []int32) (int32, []int32) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r] > h[l] {
-			l = r
-		}
-		if h[i] >= h[l] {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	return top, h
-}
-
-// minPush64/minPop64 and maxPush64/maxPop64 are the ord-keyed worklist
-// heaps of the Forrest–Tomlin solve paths. After FT updates the dependency
-// order of U's steps is the *logical* order, not the step index order, so
-// worklist entries carry the packed key ord[k]<<32|k — heap order on the
+// ftKey packs step k with its logical order for the worklist heaps: after
+// FT updates the dependency order of U's steps is the *logical* order, not
+// the step index order, so entries carry ord[k]<<32|k — heap order on the
 // key is heap order on ord (keys are unique: ord is injective).
-func minPush64(h []int64, v int64) []int64 {
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func minPop64(h []int64) (int64, []int64) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r] < h[l] {
-			l = r
-		}
-		if h[i] <= h[l] {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	return top, h
-}
-
-func maxPush64(h []int64, v int64) []int64 {
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func maxPop64(h []int64) (int64, []int64) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r] > h[l] {
-			l = r
-		}
-		if h[i] >= h[l] {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	return top, h
-}
-
-// ftKey packs step k with its logical order for the worklist heaps.
 func (f *luFactor) ftKey(k int32) int64 { return f.ord[k]<<32 | int64(k) }
 
 // nzCutoff is the worklist size beyond which a hyper-sparse stage stops
@@ -1699,14 +1549,14 @@ func (f *luFactor) ftUpdate(r int, w []float64, wnz []int32) {
 	for _, e := range f.ur[s] {
 		ftw[e.k] = e.val
 		mark[e.k] = true
-		eh = minPush64(eh, f.ftKey(e.k))
+		eh = heapPush(eh, f.ftKey(e.k))
 		f.ucolDrop(e.k, s)
 	}
 	for xi := f.xhead[s]; xi >= 0; xi = f.xpool[xi].next {
 		e := f.xpool[xi]
 		ftw[e.k] = e.val
 		mark[e.k] = true
-		eh = minPush64(eh, f.ftKey(e.k))
+		eh = heapPush(eh, f.ftKey(e.k))
 		f.ucolDrop(e.k, s)
 	}
 	f.ur[s] = f.ur[s][:0]
@@ -1745,7 +1595,7 @@ func (f *luFactor) ftUpdate(r int, w []float64, wnz []int32) {
 	opStart := len(f.ftOps)
 	for len(eh) > 0 {
 		var key int64
-		key, eh = minPop64(eh)
+		key, eh = heapPop(eh)
 		j := int32(key & 0xffffffff)
 		mark[j] = false
 		rv := ftw[j]
@@ -1763,7 +1613,7 @@ func (f *luFactor) ftUpdate(r int, w []float64, wnz []int32) {
 			} else {
 				mark[e.k] = true
 				ftw[e.k] = -mult * e.val
-				eh = minPush64(eh, f.ftKey(e.k))
+				eh = heapPush(eh, f.ftKey(e.k))
 			}
 		}
 		for xi := f.xhead[j]; xi >= 0; xi = f.xpool[xi].next {
@@ -1775,7 +1625,7 @@ func (f *luFactor) ftUpdate(r int, w []float64, wnz []int32) {
 			} else {
 				mark[e.k] = true
 				ftw[e.k] = -mult * e.val
-				eh = minPush64(eh, f.ftKey(e.k))
+				eh = heapPush(eh, f.ftKey(e.k))
 			}
 		}
 	}
@@ -1834,9 +1684,9 @@ func (f *luFactor) update(r int, w []float64) {
 // in ascending index order off a min-heap worklist — an op's scatter targets
 // are pivot rows of strictly later ops, so every dependency pops first and
 // the computed values match the dense pass's float stream on the reachable
-// set. The U back-substitution runs descending off a max-heap (step k's
-// dependents through ucIdx are strictly earlier steps). The eta pass cannot
-// be sparsified (every eta must be inspected) but skips the zero-input
+// set. The U back-substitution runs descending off a negated-key heap (step
+// k's dependents through ucIdx are strictly earlier steps). The eta pass
+// cannot be sparsified (every eta must be inspected) but skips the zero-input
 // writes the dense pass makes; skipped entries differ from the dense result
 // at most in the sign of a floating-point zero.
 func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
@@ -1856,7 +1706,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 		xt = append(xt, int32(e.row))
 		if li := f.rowOp[e.row]; li >= 0 && !f.omark[li] {
 			f.omark[li] = true
-			oh = minPush32(oh, li)
+			oh = heapPush(oh, li)
 		}
 	}
 	opCut := nzCutoff(len(f.lops))
@@ -1890,7 +1740,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 			break
 		}
 		var li int32
-		li, oh = minPop32(oh)
+		li, oh = heapPop(oh)
 		f.omark[li] = false
 		op := &f.lops[li]
 		pv := x[op.prow]
@@ -1904,7 +1754,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 			x[nzE.row] -= nzE.val * pv
 			if lj := f.rowOp[nzE.row]; lj >= 0 && !f.omark[lj] {
 				f.omark[lj] = true
-				oh = minPush32(oh, lj)
+				oh = heapPush(oh, lj)
 			}
 		}
 	}
@@ -1943,7 +1793,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 			}
 			if k := f.stepOfRow[r]; !f.smark[k] {
 				f.smark[k] = true
-				fh = maxPush64(fh, f.ftKey(k))
+				fh = heapPush(fh, -f.ftKey(k))
 				sk = append(sk, k)
 				sv = append(sv, x[r])
 			}
@@ -1958,7 +1808,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 				// have later ord, so they are solved before they are read;
 				// mark propagation is pure overhead at this density, so the
 				// sweep just clears marks as it passes.
-				start := int32(fh[0] & 0xffffffff)
+				start := int32(-fh[0] & 0xffffffff)
 				fh = fh[:0]
 				for k := start; k >= 0; k = f.ordPrev[k] {
 					f.smark[k] = false
@@ -1978,8 +1828,8 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 				break
 			}
 			var key int64
-			key, fh = maxPop64(fh)
-			k := int32(key & 0xffffffff)
+			key, fh = heapPop(fh)
+			k := int32(-key & 0xffffffff)
 			f.smark[k] = false
 			v := x[f.permRow[k]]
 			for _, e := range f.ur[k] {
@@ -1995,7 +1845,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 				for _, c := range f.ucols[k] {
 					if !f.smark[c] {
 						f.smark[c] = true
-						fh = maxPush64(fh, f.ftKey(c))
+						fh = heapPush(fh, -f.ftKey(c))
 					}
 				}
 			}
@@ -2023,7 +1873,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 		}
 		if k := f.stepOfRow[r]; !f.smark[k] {
 			f.smark[k] = true
-			sh = maxPush32(sh, k)
+			sh = heapPush(sh, -k)
 		}
 	}
 	stepCut := nzCutoff(f.m)
@@ -2031,7 +1881,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 		if len(sh) > stepCut {
 			// Dense-degrade: sweep descending from the largest marked step;
 			// back-substitution dependents are always earlier steps.
-			start := int(sh[0])
+			start := int(-sh[0])
 			sh = sh[:0]
 			for k := start; k >= 0; k-- {
 				if !f.smark[k] {
@@ -2054,7 +1904,8 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 			break
 		}
 		var k int32
-		k, sh = maxPop32(sh)
+		k, sh = heapPop(sh)
+		k = -k
 		f.smark[k] = false
 		v := x[f.permRow[k]]
 		for _, e := range f.ur[k] {
@@ -2067,7 +1918,7 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 			for _, c := range f.ucIdx[f.ucPtr[k]:f.ucPtr[k+1]] {
 				if !f.smark[c] {
 					f.smark[c] = true
-					sh = maxPush32(sh, c)
+					sh = heapPush(sh, -c)
 				}
 			}
 		}
@@ -2117,8 +1968,8 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 // Mirrors solveBackward: the eta file applies in reverse (dense over etas,
 // sparse in the vector), the Uᵀ forward solve runs ascending off a min-heap
 // (step k scatters into strictly later steps), and the transposed L pass
-// runs descending off a max-heap (the ops reading a pivot row have strictly
-// smaller indices than the op that produced it).
+// runs descending off a negated-key heap (the ops reading a pivot row have
+// strictly smaller indices than the op that produced it).
 func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
@@ -2164,7 +2015,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 			k := f.posStep[pos]
 			f.smark[k] = true
 			z[k] = v
-			fh = minPush64(fh, f.ftKey(k))
+			fh = heapPush(fh, f.ftKey(k))
 		}
 		ztf := f.lstB[:0]
 		ftCut := nzCutoff(f.m)
@@ -2194,7 +2045,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 				break
 			}
 			var key int64
-			key, fh = minPop64(fh)
+			key, fh = heapPop(fh)
 			k := int32(key & 0xffffffff)
 			f.smark[k] = false
 			t := z[k] / f.ud[k]
@@ -2204,7 +2055,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 				for _, e := range f.ur[k] {
 					if !f.smark[e.k] {
 						f.smark[e.k] = true
-						fh = minPush64(fh, f.ftKey(e.k))
+						fh = heapPush(fh, f.ftKey(e.k))
 					}
 					z[e.k] -= e.val * t
 				}
@@ -2212,7 +2063,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 					c := f.xpool[xi].k
 					if !f.smark[c] {
 						f.smark[c] = true
-						fh = minPush64(fh, f.ftKey(c))
+						fh = heapPush(fh, f.ftKey(c))
 					}
 					z[c] -= f.xpool[xi].val * t
 				}
@@ -2252,7 +2103,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 				for _, li := range f.lrIdx[f.lrPtr[rr]:f.lrPtr[rr+1]] {
 					if !f.omark[li] {
 						f.omark[li] = true
-						oh = maxPush32(oh, li)
+						oh = heapPush(oh, -li)
 					}
 				}
 			}
@@ -2272,7 +2123,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 		k := f.posStep[pos]
 		f.smark[k] = true
 		z[k] = v
-		sh = minPush32(sh, k)
+		sh = heapPush(sh, k)
 	}
 	zt := f.lstB[:0]
 	stepCut := nzCutoff(f.m)
@@ -2300,7 +2151,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 			break
 		}
 		var k int32
-		k, sh = minPop32(sh)
+		k, sh = heapPop(sh)
 		f.smark[k] = false
 		t := z[k] / f.ud[k]
 		z[k] = t
@@ -2309,7 +2160,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 			for _, e := range f.ur[k] {
 				if !f.smark[e.k] {
 					f.smark[e.k] = true
-					sh = minPush32(sh, e.k)
+					sh = heapPush(sh, e.k)
 				}
 				z[e.k] -= e.val * t
 			}
@@ -2329,7 +2180,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 			for _, li := range f.lrIdx[f.lrPtr[rr]:f.lrPtr[rr+1]] {
 				if !f.omark[li] {
 					f.omark[li] = true
-					oh = maxPush32(oh, li)
+					oh = heapPush(oh, -li)
 				}
 			}
 		}
@@ -2342,7 +2193,7 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 
 // btranLTranspose runs the reachable transposed L ops of a hyper-sparse
 // BTRAN (shared by the eta and Forrest–Tomlin paths — the L factor is
-// identical in both). oh is the seeded max-heap worklist; the grown nz
+// identical in both). oh is the seeded negated-key worklist; the grown nz
 // list is returned and the heap buffer is retained on the factor.
 func (f *luFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int32 {
 	opCut := nzCutoff(len(f.lops))
@@ -2350,7 +2201,7 @@ func (f *luFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int3
 		if len(oh) > opCut {
 			// Dense-degrade: sweep descending from the largest marked op;
 			// the ops reading a pivot row are always earlier in the file.
-			start := int(oh[0])
+			start := int(-oh[0])
 			oh = oh[:0]
 			for li := start; li >= 0; li-- {
 				if !f.omark[li] {
@@ -2377,7 +2228,8 @@ func (f *luFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int3
 			break
 		}
 		var li int32
-		li, oh = maxPop32(oh)
+		li, oh = heapPop(oh)
+		li = -li
 		f.omark[li] = false
 		op := &f.lops[li]
 		s := out[op.prow]
@@ -2394,7 +2246,7 @@ func (f *luFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int3
 			for _, lj := range f.lrIdx[f.lrPtr[pr]:f.lrPtr[pr+1]] {
 				if !f.omark[lj] {
 					f.omark[lj] = true
-					oh = maxPush32(oh, lj)
+					oh = heapPush(oh, -lj)
 				}
 			}
 		}

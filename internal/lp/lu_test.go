@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -85,7 +86,7 @@ func TestLUMatchesDenseOnRandomBases(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			r := rand.New(rand.NewSource(int64(100*m + trial)))
 			std, basis := randSparseBasis(r, m)
-			lu, dn := newFactor(false), newFactor(true)
+			lu, dn := newKernel(false), newKernel(true)
 			lu.reset(m)
 			dn.reset(m)
 			if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
@@ -107,7 +108,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		r := rand.New(rand.NewSource(int64(900 + trial)))
 		std, basis := randSparseBasis(r, m)
-		lu, dn := newFactor(false), newFactor(true)
+		lu, dn := newKernel(false), newKernel(true)
 		lu.reset(m)
 		dn.reset(m)
 		if lu.refactorize(std, basis, time.Time{}) != refactorOK ||
@@ -152,7 +153,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 		compareKernels(t, r, lu, dn, m, 1e-7, "after etas")
 
 		// Ground truth: refactorize fresh kernels on the mutated basis.
-		fresh := newFactor(false)
+		fresh := newKernel(false)
 		fresh.reset(m)
 		if fresh.refactorize(std, basis, time.Time{}) != refactorOK {
 			t.Fatal("fresh refactorize of mutated basis failed")
@@ -172,7 +173,7 @@ func TestFactorSingularDetection(t *testing.T) {
 	std, basis := randSparseBasis(r, m)
 	basis[3] = basis[6] // duplicate column => singular B
 	for _, dense := range []bool{false, true} {
-		f := newFactor(dense)
+		f := newKernel(dense)
 		f.reset(m)
 		if out := f.refactorize(std, basis, time.Time{}); out != refactorSingular {
 			t.Fatalf("dense=%v: singular basis gave outcome %v", dense, out)
@@ -190,7 +191,7 @@ func TestRefactorizeHonorsDeadline(t *testing.T) {
 	std, basis := randSparseBasis(r, m)
 	expired := time.Now().Add(-time.Second)
 	for _, dense := range []bool{false, true} {
-		f := newFactor(dense)
+		f := newKernel(dense)
 		f.reset(m)
 		if out := f.refactorize(std, basis, expired); out != refactorTimeout {
 			t.Fatalf("dense=%v: expired deadline gave outcome %v", dense, out)
@@ -205,7 +206,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	const m = 12
 	r := rand.New(rand.NewSource(21))
 	std, basis := randSparseBasis(r, m)
-	lu := newFactor(false)
+	lu := newKernel(false)
 	lu.reset(m)
 	if lu.refactorize(std, basis, time.Time{}) != refactorOK {
 		t.Fatal("refactorize failed")
@@ -245,7 +246,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	if lu.wantRefactor() || lu.age() != 0 {
 		t.Fatal("refactorize must clear the growth trigger and the eta file")
 	}
-	dn := newFactor(true)
+	dn := newKernel(true)
 	dn.reset(m)
 	if dn.refactorize(std, basis, time.Time{}) != refactorOK {
 		t.Fatal("dense refactorize failed")
@@ -263,7 +264,7 @@ func TestNzAPIsEtaModeMatchDense(t *testing.T) {
 	const m = 40
 	r := rand.New(rand.NewSource(77))
 	std, basis := randSparseBasis(r, m)
-	lu := newFactor(false).(*luFactor)
+	lu := &luFactor{}
 	lu.reset(m)
 	if lu.ftMode {
 		t.Fatalf("m=%d must stay in product-form mode", m)
@@ -328,7 +329,7 @@ func TestNzAPIsEtaModeMatchDense(t *testing.T) {
 // fill and (b) clear the trigger state on refactorize.
 func TestFTFillGrowthTrigger(t *testing.T) {
 	m := nzVectorMinRows // smallest FT-mode size
-	f := newFactor(false).(*luFactor)
+	f := &luFactor{}
 	f.reset(m)
 	if !f.ftMode {
 		t.Fatalf("m=%d must select FT mode", m)
@@ -387,7 +388,7 @@ func TestFactorCloneIsolation(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		r := rand.New(rand.NewSource(31))
 		std, basis := randSparseBasis(r, m)
-		f := newFactor(dense)
+		f := newKernel(dense)
 		f.reset(m)
 		if f.refactorize(std, basis, time.Time{}) != refactorOK {
 			t.Fatalf("dense=%v: refactorize failed", dense)
@@ -441,5 +442,62 @@ func TestFactorCloneIsolation(t *testing.T) {
 		if d := maxAbsDiff(before, after); d != 0 {
 			t.Fatalf("dense=%v: mutating the clone changed the original by %g", dense, d)
 		}
+	}
+}
+
+// TestHeapMatchesSort: the one worklist heap pops in sort's order — ascending
+// as is, descending through negated keys — for both widths the kernel
+// instantiates, on random keys with duplicates, with a second batch pushed
+// between pops as the worklists do mid-solve.
+func TestHeapMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(300)
+		k32 := make([]int32, n)
+		k64 := make([]int64, n)
+		for i := range k32 {
+			k32[i] = int32(r.Intn(n/2 + 1)) // about two copies of each key
+			k64[i] = int64(r.Intn(n/2+1))<<32 | int64(r.Intn(2))
+		}
+		for _, descending := range []bool{false, true} {
+			checkHeapOrder(t, k32, descending)
+			checkHeapOrder(t, k64, descending)
+		}
+	}
+}
+
+func checkHeapOrder[K int32 | int64](t *testing.T, keys []K, descending bool) {
+	t.Helper()
+	sign := K(1)
+	if descending {
+		sign = -1
+	}
+	sorted := func(ks []K) []K {
+		out := append([]K(nil), ks...)
+		sort.Slice(out, func(a, b int) bool { return sign*out[a] < sign*out[b] })
+		return out
+	}
+	var h []K
+	pop := func(want []K, ctx string) {
+		t.Helper()
+		for i, w := range want {
+			var got K
+			if got, h = heapPop(h); sign*got != w {
+				t.Fatalf("descending=%v, %s pop %d: got %d, want %d", descending, ctx, i, sign*got, w)
+			}
+		}
+	}
+	half := len(keys) / 2
+	for _, k := range keys[:half] {
+		h = heapPush(h, sign*k)
+	}
+	first := sorted(keys[:half])
+	pop(first[:half/2], "first-batch")
+	for _, k := range keys[half:] {
+		h = heapPush(h, sign*k)
+	}
+	pop(sorted(append(first[half/2:], keys[half:]...)), "merged")
+	if len(h) != 0 {
+		t.Fatalf("descending=%v: %d keys left after popping every one pushed", descending, len(h))
 	}
 }

@@ -295,12 +295,8 @@ type Solution struct {
 	Artificials, Recoveries int
 	// Timings is the per-phase wall-clock breakdown of the solve.
 	Timings PhaseTimings
-	// PricingUsed is the entering-variable rule the solve actually ran
-	// with after PricingAuto resolution (PricingDantzig or PricingDevex).
+	// PricingUsed is the entering-variable rule the solve ran with.
 	PricingUsed PricingRule
-	// DualCold reports that the solve reached primal feasibility through
-	// the dual-simplex cold start (ColdDual, or ColdAuto resolving to it).
-	DualCold bool
 	// Residual is the solution health check: the worst relative violation
 	// of any constraint row or variable bound by the reported X, computed
 	// in model space after an Optimal solve (0 otherwise). A correct
@@ -385,17 +381,15 @@ type SolveStats struct {
 	TimeBudgetHits int
 	// IterLimitHits counts solves that ended with Status IterLimit.
 	IterLimitHits int
+	// SingularHits counts solves that ended with Status Singular: the
+	// recovery ladder behind a singular refactorization ran out.
+	SingularHits int
 	// WarmStarts counts solves where a supplied WarmBasis was actually
 	// used (installed primal feasible, or repaired by dual cleanup) —
 	// attempts that fell back cold are not counted.
 	WarmStarts int
-	// DevexSolves counts solves whose final phase priced with devex
-	// (explicitly requested, or chosen by PricingAuto).
+	// DevexSolves counts solves whose final phase priced with devex.
 	DevexSolves int
-	// DualColdStarts counts cold solves that reached primal feasibility
-	// through the dual simplex (attempts that fell back primal are not
-	// counted).
-	DualColdStarts int
 	// Artificials totals the artificial columns basic at cold starts: the
 	// phase-1 work the standard form left for the simplex to do.
 	Artificials int
@@ -415,9 +409,9 @@ func (s *SolveStats) Merge(other SolveStats) {
 	s.Refactorizations += other.Refactorizations
 	s.TimeBudgetHits += other.TimeBudgetHits
 	s.IterLimitHits += other.IterLimitHits
+	s.SingularHits += other.SingularHits
 	s.WarmStarts += other.WarmStarts
 	s.DevexSolves += other.DevexSolves
-	s.DualColdStarts += other.DualColdStarts
 	s.Artificials += other.Artificials
 	s.Recoveries += other.Recoveries
 	s.Timings.add(other.Timings)
@@ -433,6 +427,8 @@ func (s *SolveStats) record(res result) {
 		s.TimeBudgetHits++
 	case IterLimit:
 		s.IterLimitHits++
+	case Singular:
+		s.SingularHits++
 	}
 	if res.warm {
 		s.WarmStarts++
@@ -440,81 +436,31 @@ func (s *SolveStats) record(res result) {
 	if res.pricing == PricingDevex {
 		s.DevexSolves++
 	}
-	if res.dualCold {
-		s.DualColdStarts++
-	}
 	s.Artificials += res.artificials
 	s.Recoveries += res.recoveries
 	s.Timings.add(res.phase)
 }
 
-// PricingRule selects the entering-variable rule of the primal simplex.
+// PricingRule names an entering-variable rule of the primal simplex. The
+// solver picks it: devex for cold solves at hyper-sparse scale (m >= 4096
+// rows, where the Dantzig/partial rule pays ~10^5 pivots on the degenerate
+// staircase plateau), the classic hybrid everywhere else — warm-started
+// solves included, so their pivot streams, pinned by the golden-trace suite
+// and the warm-resolve benchmarks, stay byte-identical.
 type PricingRule string
 
-// Pricing rules. The zero value is PricingAuto.
+// Pricing rules.
 const (
-	// PricingAuto lets the solver choose: devex for cold solves at
-	// hyper-sparse scale (m >= 4096 rows, where the Dantzig/partial rule
-	// pays ~10^5 pivots on the degenerate staircase plateau), the classic
-	// Dantzig/partial hybrid everywhere else. Warm-started solves keep the
-	// classic rule so their pivot streams — pinned by the golden-trace
-	// suite and the warm-resolve benchmarks — stay byte-identical.
-	PricingAuto PricingRule = ""
-	// PricingDantzig forces the classic rule: a full Dantzig scan on
-	// narrow LPs, candidate-list partial pricing on wide ones.
+	// PricingDantzig is the classic rule: a full Dantzig scan on narrow
+	// LPs, candidate-list partial pricing on wide ones.
 	PricingDantzig PricingRule = "dantzig"
-	// PricingDevex forces devex pricing (Forrest–Goldfarb reference
-	// weights) in both simplex phases regardless of model size.
+	// PricingDevex is devex pricing (Forrest–Goldfarb reference weights).
 	PricingDevex PricingRule = "devex"
 )
 
-// normalize maps aliases to canonical values and rejects junk.
-func (p PricingRule) normalize() (PricingRule, error) {
-	switch p {
-	case PricingAuto, "auto":
-		return PricingAuto, nil
-	case PricingDantzig, PricingDevex:
-		return p, nil
-	}
-	return p, fmt.Errorf("lp: unknown pricing rule %q", string(p))
-}
-
-// ColdStrategy selects how a solve without a usable warm basis reaches
-// primal feasibility.
-type ColdStrategy string
-
-// Cold-start strategies. The zero value is ColdAuto.
-const (
-	// ColdAuto lets the solver choose. Today that is always the primal
-	// route (staged start on large LPs, classic artificial-cost phase 1
-	// otherwise). The bound-flipping (long-step) dual ratio test brought
-	// the dual cold start's Paper-scale pivot count from ~137k down to
-	// ~34k — within ~10% of the staged-primal-with-devex count — but each
-	// dual pivot still pays a full tableau-row assembly (BTRAN of a unit
-	// row plus a sweep over every touched column's nonzeros) that the
-	// primal loop never needs, leaving it ~2.5× slower end to end (~42 s
-	// vs ~16 s measured on the same box). Auto therefore still selects
-	// primal; revisit if a candidate-list dual pricing loop lands.
-	ColdAuto ColdStrategy = ""
-	// ColdPrimal forces the primal route regardless of model size.
-	ColdPrimal ColdStrategy = "primal"
-	// ColdDual forces the dual-simplex cold start (with the primal route
-	// still as fallback when a dual-feasible start cannot be flipped into
-	// existence or the dual loop fails). Explicit opt-in only — see
-	// ColdAuto for why auto never picks it.
-	ColdDual ColdStrategy = "dual"
-)
-
-// normalize maps aliases to canonical values and rejects junk.
-func (c ColdStrategy) normalize() (ColdStrategy, error) {
-	switch c {
-	case ColdAuto, "auto":
-		return ColdAuto, nil
-	case ColdPrimal, ColdDual:
-		return c, nil
-	}
-	return c, fmt.Errorf("lp: unknown cold-start strategy %q", string(c))
-}
+// forcePricing, when set, overrides the solver's choice of rule in every
+// phase regardless of model size. Tests only.
+var forcePricing PricingRule
 
 // Options tunes the solver.
 type Options struct {
@@ -542,25 +488,10 @@ type Options struct {
 	// singular at refactorization, or is primal infeasible for the current
 	// data is ignored and the solve falls back to a cold start.
 	WarmBasis *Basis
-	// DenseKernel selects the original dense-inverse basis kernel instead
-	// of the default sparse LU factorization. The dense kernel is retained
-	// as a slow-but-simple reference implementation for differential
-	// testing and benchmarking; production call sites should leave this
-	// false.
-	DenseKernel bool
 	// Stats, when non-nil, accumulates solver telemetry (pivots,
 	// refactorizations, budget hits, warm-start uses) across Solve calls.
 	// The pointer is read once per solve; it adds no per-pivot cost.
 	Stats *SolveStats
-	// Pricing selects the entering-variable rule: PricingAuto (default,
-	// devex on large cold solves, classic hybrid elsewhere),
-	// PricingDantzig, or PricingDevex. Unknown values fail the Solve.
-	Pricing PricingRule
-	// ColdStrategy selects how a cold solve reaches primal feasibility:
-	// ColdAuto (default, the primal route — see the constant for why auto
-	// never picks dual), ColdPrimal, or ColdDual. Unknown values fail the
-	// Solve.
-	ColdStrategy ColdStrategy
 	// Presolve runs a model-reduction pass before the simplex (drop empty
 	// and redundant rows, fix equal-bound and dominated variables, turn
 	// singleton rows into bounds) and maps the reduced solution back to the
@@ -581,8 +512,6 @@ func (o Options) withDefaults(n, m int) Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-9
 	}
-	o.Pricing, _ = o.Pricing.normalize()
-	o.ColdStrategy, _ = o.ColdStrategy.normalize()
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000 + 40*(n+m)
 	}
@@ -599,12 +528,6 @@ func (o Options) withDefaults(n, m int) Options {
 // is not modified (Solve only refreshes internal caches), so it can be
 // re-solved after edits.
 func (m *Model) Solve(opts Options) (*Solution, error) {
-	if _, err := opts.Pricing.normalize(); err != nil {
-		return nil, err
-	}
-	if _, err := opts.ColdStrategy.normalize(); err != nil {
-		return nil, err
-	}
 	if opts.Presolve {
 		return m.solvePresolved(opts)
 	}
@@ -625,7 +548,6 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		Recoveries:  res.recoveries,
 		Timings:     res.phase,
 		PricingUsed: res.pricing,
-		DualCold:    res.dualCold,
 		X:           make([]float64, m.NumVars()),
 		Dual:        make([]float64, m.NumRows()),
 		ReducedCost: make([]float64, m.NumVars()),

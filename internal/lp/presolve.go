@@ -506,7 +506,6 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 		Recoveries:  redSol.Recoveries,
 		Timings:     redSol.Timings,
 		PricingUsed: redSol.PricingUsed,
-		DualCold:    redSol.DualCold,
 		X:           make([]float64, nv),
 		Dual:        make([]float64, nr),
 		ReducedCost: make([]float64, nv),

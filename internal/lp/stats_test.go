@@ -115,13 +115,13 @@ func TestSolveStatsIterLimit(t *testing.T) {
 }
 
 func TestSolveStatsMerge(t *testing.T) {
-	a := SolveStats{Solves: 1, Iterations: 10, Refactorizations: 2, TimeBudgetHits: 1, IterLimitHits: 1, WarmStarts: 1,
+	a := SolveStats{Solves: 1, Iterations: 10, Refactorizations: 2, TimeBudgetHits: 1, IterLimitHits: 1, SingularHits: 1, WarmStarts: 1,
 		Artificials: 40, Recoveries: 1,
 		Timings: PhaseTimings{PricingNs: 100, FtranNs: 10, BtranNs: 1, RefactorNs: 1000}}
 	b := SolveStats{Solves: 2, Iterations: 5, Refactorizations: 1, WarmStarts: 1, Artificials: 2,
 		Timings: PhaseTimings{PricingNs: 1, FtranNs: 2, BtranNs: 3, RefactorNs: 4}}
 	b.Merge(a)
-	want := SolveStats{Solves: 3, Iterations: 15, Refactorizations: 3, TimeBudgetHits: 1, IterLimitHits: 1, WarmStarts: 2,
+	want := SolveStats{Solves: 3, Iterations: 15, Refactorizations: 3, TimeBudgetHits: 1, IterLimitHits: 1, SingularHits: 1, WarmStarts: 2,
 		Artificials: 42, Recoveries: 1,
 		Timings: PhaseTimings{PricingNs: 101, FtranNs: 12, BtranNs: 4, RefactorNs: 1004}}
 	if b != want {
