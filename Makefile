@@ -46,7 +46,7 @@ bench:
 
 # loc prints the ROADMAP scoreboard: non-test Go lines per library layer.
 loc:
-	@for p in lp core sched serve; do \
+	@for p in lp core sched serve exp; do \
 		printf 'internal/%-6s %6d\n' $$p \
 			$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
 	done

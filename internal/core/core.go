@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -107,15 +106,6 @@ type Config struct {
 	// is byte-identical with and without warm starts; production runs
 	// leave it false.
 	ColdStart bool
-	// IncrementalSAM selects the paper-scale SAM solve path: instances are
-	// built with sched.Instance.ImplicitBounds, solved with lp presolve,
-	// and the built model is retained across timesteps — consecutive steps
-	// whose live-demand structure is unchanged patch the previous model in
-	// place (Built.Rebind) instead of rebuilding it. Any structural change
-	// or solver degradation falls back to a fresh build, so the flag only
-	// trades memory for speed, never correctness. Off by default; the
-	// default path is byte-identical to prior releases.
-	IncrementalSAM bool
 }
 
 // Fault is one injected capacity loss: edge capacity is multiplied by
@@ -168,6 +158,12 @@ type admState struct {
 }
 
 func (a *admState) remaining() float64 { return a.adm.Bought - a.delivered }
+
+// live reports whether the transfer still has bytes SAM may schedule at
+// step t or later.
+func (a *admState) live(t int) bool {
+	return !a.preempted && a.end >= t && a.remaining() > 1e-9
+}
 func (a *admState) guaranteeLeft() float64 {
 	g := a.adm.Guaranteed - a.delivered
 	if g < 0 {
@@ -217,12 +213,13 @@ type Controller struct {
 	// solver, so carrying them is always safe.
 	samBasis *lp.Basis
 	pcBasis  *lp.Basis
-	// samBuilt is the retained SAM model under Config.IncrementalSAM:
-	// when the next step's instance matches it structurally, Rebind
-	// patches it in place and the solve reuses the model's cached
-	// standardization and presolve recipe. Dropped when the ladder bottoms
-	// out in the LP-free fallback (a model that degraded that far should
-	// not haunt later steps).
+	// samBuilt is the last SAM-site model sched built with implicit bounds
+	// (instances of lp.LargeModelRows rows or more; smaller ones build
+	// explicit and are not kept). When the next instance matches it
+	// structurally, Rebind patches it in place and the solve reuses the
+	// model's cached standardization and presolve recipe. Dropped when the
+	// ladder bottoms out in the LP-free fallback (a model that degraded
+	// that far should not haunt later steps).
 	samBuilt *sched.Built
 	// obs holds pre-resolved metric handles (nil when Config.Obs is);
 	// samStats/pcStats accumulate per-module solver telemetry via the
@@ -604,55 +601,11 @@ func (c *Controller) runSAM(t int) {
 	started := time.Now()
 	defer func() { c.Timings.SAM = append(c.Timings.SAM, time.Since(started)) }()
 
-	var live []*admState
-	maxEnd := t
-	for _, a := range c.active {
-		if a.preempted || a.end < t || a.remaining() <= 1e-9 {
-			continue
-		}
-		live = append(live, a)
-		if a.end > maxEnd {
-			maxEnd = a.end
-		}
-	}
+	live, horizon := c.liveSet(t)
 	if len(live) == 0 {
 		return
 	}
-	horizon := maxEnd + 1
-	if horizon > c.cfg.Horizon {
-		horizon = c.cfg.Horizon
-	}
-	capacity := make([][]float64, c.net.NumEdges())
-	fixed := make([][]float64, c.net.NumEdges())
-	for e := range capacity {
-		capacity[e] = make([]float64, horizon)
-		fixed[e] = make([]float64, horizon)
-		for tt := 0; tt < horizon; tt++ {
-			capacity[e][tt] = c.state.Capacity(graph.EdgeID(e), tt)
-			if tt < t {
-				fixed[e][tt] = c.outcome.Usage[e][tt]
-			}
-		}
-	}
-	demands := make([]sched.Demand, len(live))
-	for i, a := range live {
-		demands[i] = sched.Demand{
-			ID:           i,
-			Routes:       a.adm.Request.Routes,
-			Start:        a.start,
-			End:          a.end,
-			MaxBytes:     a.remaining(),
-			MinBytes:     a.guaranteeLeft(),
-			ValuePerByte: a.adm.Lambda,
-			RateCap:      c.cfg.CustomerRateCap,
-		}
-	}
-	ins := &sched.Instance{
-		Net: c.net, Horizon: horizon, StartStep: t,
-		Capacity: capacity, FixedUsage: fixed,
-		Demands: demands, Cost: c.cfg.Cost, UseCostProxy: true,
-		ImplicitBounds: c.cfg.IncrementalSAM,
-	}
+	ins := c.samInstance(t, horizon, live, nil)
 	res, lvl, reason := c.solveSAMLadder(ins, t)
 	if res == nil {
 		// Even the LP-free fallback could not run: carry the previous
@@ -687,18 +640,105 @@ func (c *Controller) runSAM(t int) {
 			obs.I("live", len(live)), obs.S("level", lvl.String()),
 			obs.F("scheduled", scheduled), obs.F("guaranteed", guaranteed))
 	}
-	// Replace forward plans and reservations with the new schedule.
-	for _, a := range live {
+	c.installPlan(t, ModuleSAM, t+1, live, res)
+}
+
+// liveSet returns the admitted transfers a SAM-site solve at step t may
+// still schedule, in admission order, and the horizon that covers them.
+func (c *Controller) liveSet(t int) (live []*admState, horizon int) {
+	maxEnd := t
+	for _, a := range c.active {
+		if !a.live(t) {
+			continue
+		}
+		live = append(live, a)
+		if a.end > maxEnd {
+			maxEnd = a.end
+		}
+	}
+	return live, min(maxEnd+1, c.cfg.Horizon)
+}
+
+// samInstance poses the scheduling LP (Eq. 2) for states from step t — the
+// one place the controller does. Realized usage before t is charged to the
+// cost windows as fixed usage. The forward plans of pinned transfers
+// (repair's minimal-disruption rung; nil elsewhere) are subtracted from
+// schedulable capacity and charged the same way, so the solve routes around
+// them without moving them.
+func (c *Controller) samInstance(t, horizon int, states, pinned []*admState) *sched.Instance {
+	ne := c.net.NumEdges()
+	capacity := make([][]float64, ne)
+	fixed := make([][]float64, ne)
+	for e := range capacity {
+		capacity[e] = make([]float64, horizon)
+		fixed[e] = make([]float64, horizon)
+		for tt := 0; tt < horizon; tt++ {
+			capacity[e][tt] = c.state.Capacity(graph.EdgeID(e), tt)
+			if tt < t {
+				fixed[e][tt] = c.outcome.Usage[e][tt]
+			}
+		}
+	}
+	for _, a := range pinned {
+		for _, al := range a.plan {
+			if al.Time < t || al.Time >= horizon {
+				continue
+			}
+			for _, e := range a.adm.Request.Routes[al.RouteIdx] {
+				capacity[e][al.Time] -= al.Bytes
+				if capacity[e][al.Time] < 0 {
+					capacity[e][al.Time] = 0
+				}
+				fixed[e][al.Time] += al.Bytes
+			}
+		}
+	}
+	demands := make([]sched.Demand, len(states))
+	for i, a := range states {
+		demands[i] = sched.Demand{
+			ID:           i,
+			Routes:       a.adm.Request.Routes,
+			Start:        a.start,
+			End:          a.end,
+			MaxBytes:     a.remaining(),
+			MinBytes:     a.guaranteeLeft(),
+			ValuePerByte: a.adm.Lambda,
+			RateCap:      c.cfg.CustomerRateCap,
+		}
+	}
+	return &sched.Instance{
+		Net: c.net, Horizon: horizon, StartStep: t,
+		Capacity: capacity, FixedUsage: fixed,
+		Demands: demands, Cost: c.cfg.Cost, UseCostProxy: true,
+	}
+}
+
+// installPlan replaces the forward plans of the solved demand set, then
+// rebuilds the reservation matrix from every live plan at steps >= from
+// (releasing whatever finished or preempted transfers held). SAM installs
+// after step t's admissions and frees the step being realized (from t+1);
+// repair runs *before* them, so step t stays reserved (from t) or new
+// admissions would be quoted into cells the surviving plans still occupy.
+func (c *Controller) installPlan(t int, module string, from int, states []*admState, res *sched.Result) {
+	for _, a := range states {
 		a.plan = a.plan[:0]
+	}
+	for _, al := range res.Allocs {
+		a := states[al.DemandIdx]
+		a.plan = append(a.plan, pricing.ReservedAlloc{RouteIdx: al.RouteIdx, Time: al.Time, Bytes: al.Bytes})
 	}
 	reserved := make([][]float64, c.net.NumEdges())
 	for e := range reserved {
 		reserved[e] = make([]float64, c.cfg.Horizon)
 	}
-	for _, al := range res.Allocs {
-		a := live[al.DemandIdx]
-		a.plan = append(a.plan, pricing.ReservedAlloc{RouteIdx: al.RouteIdx, Time: al.Time, Bytes: al.Bytes})
-		if al.Time > t { // step t is realized immediately, not re-reserved
+	for _, a := range c.active {
+		if !a.live(t) {
+			continue
+		}
+		for _, al := range a.plan {
+			if al.Time < from {
+				continue
+			}
 			for _, e := range a.adm.Request.Routes[al.RouteIdx] {
 				reserved[e][al.Time] += al.Bytes
 			}
@@ -707,7 +747,7 @@ func (c *Controller) runSAM(t int) {
 	// Dimensions are ours by construction; an error here means a bug, not
 	// solver trouble — surface it as a carry-level event rather than dying.
 	if err := c.state.SetReserved(reserved); err != nil {
-		c.degrade(t, ModuleSAM, LevelCarry, "SetReserved: "+err.Error())
+		c.degrade(t, module, LevelCarry, "SetReserved: "+err.Error())
 	}
 }
 
@@ -740,23 +780,37 @@ func solveErr(r *sched.Result) error {
 	return r.Status.Err()
 }
 
-// buildOrRebind produces the scheduling model for ins. Under
-// Config.IncrementalSAM it first tries to re-target the retained model in
-// place (Built.Rebind) — valid whenever the live-demand structure is
-// unchanged since the last step — and falls back to (and retains) a fresh
-// build otherwise. Without the flag it is exactly ins.Build().
+// buildOrRebind produces the scheduling model for ins: the retained model
+// re-targeted in place (Built.Rebind) when it accepts ins — same live-demand
+// structure as the instance it was built or last rebound for, and ins still
+// large enough to build implicit — and a fresh build otherwise, retained in
+// turn if sched made it implicit.
 func (c *Controller) buildOrRebind(ins *sched.Instance) (*sched.Built, error) {
-	if !c.cfg.IncrementalSAM {
-		return ins.Build()
+	if c.samBuilt != nil && c.samBuilt.Rebind(ins) == nil {
+		return c.samBuilt, nil
 	}
-	if c.samBuilt != nil {
-		if err := c.samBuilt.Rebind(ins); err == nil {
-			return c.samBuilt, nil
-		}
-	}
+	c.samBuilt = nil
 	b, err := ins.Build()
-	c.samBuilt = b // nil after a failed build: nothing worth retaining
+	if err == nil && b.Implicit() {
+		c.samBuilt = b
+	}
 	return b, err
+}
+
+// solveBuilt runs one solve of a SAM-site model under the step's chaos
+// action, returning a nil error only for a clean Optimal result.
+func solveBuilt(built *sched.Built, act chaos.Action, opts lp.Options) (*sched.Result, error) {
+	switch act {
+	case chaos.Fail:
+		return nil, errInjectedOutage
+	case chaos.Timeout:
+		opts.TimeBudget = time.Nanosecond // every attempt comes back lp.TimeLimit
+	}
+	r, err := built.Solve(opts)
+	if err != nil {
+		return nil, err
+	}
+	return r, solveErr(r)
 }
 
 // solveSAMLadder runs the staged degradation ladder for one SAM solve:
@@ -784,36 +838,17 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 	if err != nil {
 		fail("build", err)
 	} else {
-		solve := func(opts lp.Options) (*sched.Result, error) {
-			switch act {
-			case chaos.Fail:
-				return nil, errors.New("injected solver outage")
-			case chaos.Timeout:
-				opts.TimeBudget = time.Nanosecond
-			}
-			r, err := built.Solve(opts)
-			if err != nil {
-				return nil, err
-			}
-			if e := solveErr(r); e != nil {
-				return r, e
-			}
-			return r, nil
-		}
 		// Rung 1: warm solve. (Under Config.ColdStart the previous terminal
 		// basis is not reused, but the within-ladder warm retries below —
 		// phase-1 terminal basis after a relaxation — are kept: they are part
 		// of the ladder's semantics, not a cross-solve optimization.)
 		opts := c.cfg.Solver
 		opts.Stats = &c.samStats
-		if c.cfg.IncrementalSAM {
-			opts.Presolve = true
-		}
 		if !c.cfg.ColdStart {
 			opts.WarmBasis = c.samBasis
 		}
 		relaxed := false
-		res, err := solve(opts)
+		res, err := solveBuilt(built, act, opts)
 		if err == nil {
 			c.samBasis = res.Basis
 			return res, LevelOK, ""
@@ -828,7 +863,7 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 			built.RelaxGuarantees()
 			relaxed = true
 			opts.WarmBasis = res.Basis
-			if res, err = solve(opts); err == nil {
+			if res, err = solveBuilt(built, act, opts); err == nil {
 				c.samBasis = res.Basis
 				return res, LevelRelaxed, chain()
 			}
@@ -838,7 +873,7 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 		// numerically degenerate, or the cause of a suspect solution) —
 		// discard it and solve from scratch.
 		opts.WarmBasis = nil
-		res, err = solve(opts)
+		res, err = solveBuilt(built, act, opts)
 		if err == nil {
 			c.samBasis = res.Basis
 			return res, LevelColdStart, chain()
@@ -847,7 +882,7 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 		if !relaxed && res != nil && res.Status == lp.Infeasible {
 			built.RelaxGuarantees()
 			opts.WarmBasis = res.Basis
-			if res, err = solve(opts); err == nil {
+			if res, err = solveBuilt(built, act, opts); err == nil {
 				c.samBasis = res.Basis
 				return res, LevelColdStart, chain()
 			}

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"pretium/internal/chaos"
 	"pretium/internal/graph"
 	"pretium/internal/lp"
 	"pretium/internal/obs"
-	"pretium/internal/pricing"
 	"pretium/internal/sched"
 )
 
-// errInjectedOutage is what a chaos-killed repair solve reports.
+// errInjectedOutage is what a chaos-killed SAM-site solve reports.
 var errInjectedOutage = errors.New("injected solver outage")
 
 // repairTol is the slack below which a planned overload is float dust
@@ -51,23 +49,9 @@ func (c *Controller) repairGuarantees(t int) {
 	}
 	c.churnSeen = v
 
-	var live []*admState
-	maxEnd := t
-	for _, a := range c.active {
-		if a.preempted || a.end < t || a.remaining() <= 1e-9 {
-			continue
-		}
-		live = append(live, a)
-		if a.end > maxEnd {
-			maxEnd = a.end
-		}
-	}
+	live, horizon := c.liveSet(t)
 	if len(live) == 0 {
 		return
-	}
-	horizon := maxEnd + 1
-	if horizon > c.cfg.Horizon {
-		horizon = c.cfg.Horizon
 	}
 
 	// Forward planned load per (edge, step). The current plan is a
@@ -140,17 +124,17 @@ func (c *Controller) repairGuarantees(t int) {
 
 	// Rung 1: minimal disruption — re-route only the affected transfers,
 	// with every unaffected allocation pinned in place.
-	res, err := c.repairSolve(t, horizon, affectedStates, pinnedStates, planned, over)
+	res, err := c.repairSolve(t, horizon, affectedStates, pinnedStates)
 	if err == nil {
-		c.installRepair(t, affectedStates, res)
+		c.installPlan(t, ModuleRepair, t, affectedStates, res)
 		level = LevelRepairReroute
 	} else {
 		fail("reroute", err)
 		// Rung 2: abandon pinning; re-plan the whole live set jointly
 		// with relaxed routes.
-		res, err = c.repairSolve(t, horizon, live, nil, nil, nil)
+		res, err = c.repairSolve(t, horizon, live, nil)
 		if err == nil {
-			c.installRepair(t, live, res)
+			c.installPlan(t, ModuleRepair, t, live, res)
 			level = LevelRepairReplan
 		} else {
 			fail("replan", err)
@@ -178,13 +162,13 @@ func (c *Controller) repairGuarantees(t int) {
 			if len(working) == 0 {
 				// Everything preempted: nothing left to schedule, and
 				// nothing left stranded.
-				c.installRepair(t, working, &sched.Result{})
+				c.installPlan(t, ModuleRepair, t, working, &sched.Result{})
 				level = LevelRepairPreempt
 				break
 			}
-			res, err = c.repairSolve(t, horizon, working, nil, nil, nil)
+			res, err = c.repairSolve(t, horizon, working, nil)
 			if err == nil {
-				c.installRepair(t, working, res)
+				c.installPlan(t, ModuleRepair, t, working, res)
 				level = LevelRepairPreempt
 				break
 			}
@@ -251,7 +235,7 @@ func (c *Controller) preemptRelaxed(t, horizon int, live []*admState, relaxed *s
 			out = &sched.Result{}
 			break
 		}
-		res, err := c.repairSolve(t, horizon, working, nil, nil, nil)
+		res, err := c.repairSolve(t, horizon, working, nil)
 		if err == nil {
 			out = res
 			break
@@ -309,118 +293,25 @@ func preemptionOrder(affected, pinned []*admState) []*admState {
 	return append(rank(affected), rank(pinned)...)
 }
 
-// repairSolve runs one repair LP over the given demand set. When pinned
-// is non-empty their planned load is subtracted from schedulable capacity
-// and charged to cost windows as fixed usage, so the solve routes around
-// them without moving them. The configured chaos injector is consulted
-// like any other SAM-site solve — a dead solver kills repair too, which
-// is exactly the worst case the ladder's skipped level records.
-func (c *Controller) repairSolve(t, horizon int, states, pinned []*admState, planned [][]float64, over [][]bool) (*sched.Result, error) {
+// repairSolve runs one repair LP over the given demand set, routing around
+// the pinned transfers' plans without moving them (see samInstance). It
+// rides the SAM site's model path — buildOrRebind, so the same size-selected
+// build and the same retained model — and the configured chaos injector is
+// consulted like any other SAM-site solve: a dead solver kills repair too,
+// which is exactly the worst case the ladder's skipped level records.
+func (c *Controller) repairSolve(t, horizon int, states, pinned []*admState) (*sched.Result, error) {
 	act := c.chaosAction(chaos.ModuleSAM, t)
 	if act == chaos.Fail {
 		return nil, errInjectedOutage
 	}
 	c.obs.repairSolve()
-
-	ne := c.net.NumEdges()
-	capacity := make([][]float64, ne)
-	fixed := make([][]float64, ne)
-	for e := range capacity {
-		capacity[e] = make([]float64, horizon)
-		fixed[e] = make([]float64, horizon)
-		for tt := 0; tt < horizon; tt++ {
-			capacity[e][tt] = c.state.Capacity(graph.EdgeID(e), tt)
-			if tt < t {
-				fixed[e][tt] = c.outcome.Usage[e][tt]
-			}
-		}
-	}
-	for _, a := range pinned {
-		for _, al := range a.plan {
-			if al.Time < t || al.Time >= horizon {
-				continue
-			}
-			for _, e := range a.adm.Request.Routes[al.RouteIdx] {
-				capacity[e][al.Time] -= al.Bytes
-				if capacity[e][al.Time] < 0 {
-					capacity[e][al.Time] = 0
-				}
-				fixed[e][al.Time] += al.Bytes
-			}
-		}
-	}
-	demands := make([]sched.Demand, len(states))
-	for i, a := range states {
-		demands[i] = sched.Demand{
-			ID:           i,
-			Routes:       a.adm.Request.Routes,
-			Start:        a.start,
-			End:          a.end,
-			MaxBytes:     a.remaining(),
-			MinBytes:     a.guaranteeLeft(),
-			ValuePerByte: a.adm.Lambda,
-			RateCap:      c.cfg.CustomerRateCap,
-		}
-	}
-	ins := &sched.Instance{
-		Net: c.net, Horizon: horizon, StartStep: t,
-		Capacity: capacity, FixedUsage: fixed,
-		Demands: demands, Cost: c.cfg.Cost, UseCostProxy: true,
-	}
-	built, err := ins.Build()
+	built, err := c.buildOrRebind(c.samInstance(t, horizon, states, pinned))
 	if err != nil {
 		return nil, err
 	}
 	opts := c.cfg.Solver
 	opts.Stats = &c.samStats
-	if act == chaos.Timeout {
-		opts.TimeBudget = time.Nanosecond // every attempt comes back lp.TimeLimit
-	}
-	res, err := built.Solve(opts)
-	if err != nil {
-		return nil, err
-	}
-	if e := solveErr(res); e != nil {
-		return res, e
-	}
-	return res, nil
-}
-
-// installRepair replaces the forward plans of the solved demand set and
-// rebuilds the reservation matrix from every live plan (releasing
-// whatever preempted transfers held).
-func (c *Controller) installRepair(t int, states []*admState, res *sched.Result) {
-	for _, a := range states {
-		a.plan = a.plan[:0]
-	}
-	for _, al := range res.Allocs {
-		a := states[al.DemandIdx]
-		a.plan = append(a.plan, pricing.ReservedAlloc{RouteIdx: al.RouteIdx, Time: al.Time, Bytes: al.Bytes})
-	}
-	reserved := make([][]float64, c.net.NumEdges())
-	for e := range reserved {
-		reserved[e] = make([]float64, c.cfg.Horizon)
-	}
-	for _, a := range c.active {
-		if a.preempted || a.end < t || a.remaining() <= 1e-9 {
-			continue
-		}
-		for _, al := range a.plan {
-			// Unlike the SAM install (which runs after step t's admissions
-			// and frees the step being realized), repair runs *before*
-			// them — step t stays reserved or new admissions would be
-			// quoted into cells the surviving plans still occupy.
-			if al.Time < t {
-				continue
-			}
-			for _, e := range a.adm.Request.Routes[al.RouteIdx] {
-				reserved[e][al.Time] += al.Bytes
-			}
-		}
-	}
-	if err := c.state.SetReserved(reserved); err != nil {
-		c.degrade(t, ModuleRepair, LevelCarry, "SetReserved: "+err.Error())
-	}
+	return solveBuilt(built, act, opts)
 }
 
 // preempt buys back one guarantee: the transfer stops here, and the

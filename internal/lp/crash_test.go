@@ -19,7 +19,7 @@ import (
 // by the §4.2 max-form rows θ_w − x_j ≥ 0 (zero right-hand side — written
 // x_j − θ_w ≤ 0 instead when asLE is set); one guarantee row x_j + x_{j+1} ≥ g
 // per 64 flows, genuinely violated at zero; and pad redundant bound rows, so
-// a caller can land the row count on either side of stagedStartMinRows.
+// a caller can land the row count on either side of LargeModelRows.
 type crashLP struct {
 	m                   *Model
 	flows               []Var
@@ -88,7 +88,7 @@ func TestCrashSenseInvariance(t *testing.T) {
 		opts := Options{Presolve: presolve}
 		a := mustOptimal(t, ge.m, opts, "GE form")
 		b := mustOptimal(t, le.m, opts, "LE form")
-		if presolve && ge.m.pre.red.NumRows() < stagedStartMinRows {
+		if presolve && ge.m.pre.red.NumRows() < LargeModelRows {
 			t.Fatalf("presolve left %d rows: the reduced model is under the gate", ge.m.pre.red.NumRows())
 		}
 		if a.Artificials != len(ge.guards) || b.Artificials != len(le.guards) {
@@ -210,9 +210,9 @@ func TestCrashStandardFormAndRefresh(t *testing.T) {
 func TestCrashGateLeavesSmallModelsAlone(t *testing.T) {
 	const n = 2000
 	lp := crashStaircase(33, n, 0, false)
-	lp = crashStaircase(33, n, stagedStartMinRows-1-lp.m.NumRows(), false)
-	if got := lp.m.NumRows(); got != stagedStartMinRows-1 {
-		t.Fatalf("built %d rows, want %d", got, stagedStartMinRows-1)
+	lp = crashStaircase(33, n, LargeModelRows-1-lp.m.NumRows(), false)
+	if got := lp.m.NumRows(); got != LargeModelRows-1 {
+		t.Fatalf("built %d rows, want %d", got, LargeModelRows-1)
 	}
 	std, err := lp.m.standardized()
 	if err != nil {

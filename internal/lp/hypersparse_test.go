@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// These tests drive the m ≥ nzVectorMinRows machinery — hyper-sparse
+// These tests drive the m ≥ LargeModelRows machinery — hyper-sparse
 // FTRAN/BTRAN, staircase singleton peeling, the staged cold start, and
 // candidate-list pricing — at a size the golden-gated small models never
 // reach, without paying a Paper-scale solve. The oracle is differential
@@ -70,7 +70,7 @@ func checkNzAgainstDense(t *testing.T, dense, sparse []float64, nz []int32, tol 
 // updateNz-driven eta chains must agree with update-driven ones, across
 // updates and a mid-chain refactorization of the mutated basis.
 func TestHyperSparseSolvesMatchDense(t *testing.T) {
-	m := nzVectorMinRows + 404
+	m := LargeModelRows + 404
 	r := rand.New(rand.NewSource(71))
 	std, basis := bigStaircaseBasis(r, m)
 
@@ -371,7 +371,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 // primal feasibility, dual feasibility of every reduced cost, and
 // complementary slackness on rows and bounds.
 func TestBigScaleSolveKKT(t *testing.T) {
-	n := nzVectorMinRows + 301 // rows = n-1 chain rows + extras ≥ the gate
+	n := LargeModelRows + 301 // rows = n-1 chain rows + extras ≥ the gate
 	r := rand.New(rand.NewSource(9))
 	m := NewModel()
 	m.SetMaximize(true)

@@ -9,7 +9,7 @@ import (
 // factorization with Markowitz-style pivot ordering. Pivots applied since
 // the last factorization are absorbed by one of two update schemes:
 //
-//   - Small models (m < nzVectorMinRows) keep the product-form eta file:
+//   - Small models (m < LargeModelRows) keep the product-form eta file:
 //     update() appends an eta vector, FTRAN applies the file last in order
 //     and BTRAN first in reverse. The float stream of these models is
 //     pinned by the golden-trace suite, so this path never changes.
@@ -636,7 +636,7 @@ func (f *luFactor) reset(m int) {
 	f.etaNnz = 0
 	f.baseNnz = m
 	f.drift = false
-	if m >= nzVectorMinRows {
+	if m >= LargeModelRows {
 		f.ftReset(m)
 	} else {
 		f.ftMode = false
@@ -706,7 +706,7 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 	// Staircase peeling is gated like the hyper-sparse solves: it changes
 	// the pivot order, and small models' float streams are pinned by the
 	// golden-trace suite.
-	peel := m >= nzVectorMinRows
+	peel := m >= LargeModelRows
 	for i := range rowNz {
 		rowCount[i] = len(rowNz[i])
 		if peel && rowCount[i] == 1 {
@@ -1006,7 +1006,7 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 	// them too); the fill cursor is pure scratch. In ftMode the static
 	// CSR column map is replaced by the exact dynamic lists the updates
 	// maintain (ucols, built below), so it is not built at all.
-	ft := m >= nzVectorMinRows
+	ft := m >= LargeModelRows
 	var ucPtr []int32
 	var ucIdx []int32
 	if !ft {

@@ -328,7 +328,7 @@ func TestNzAPIsEtaModeMatchDense(t *testing.T) {
 // asserted exactly, then a real update chain is checked to (a) accumulate
 // fill and (b) clear the trigger state on refactorize.
 func TestFTFillGrowthTrigger(t *testing.T) {
-	m := nzVectorMinRows // smallest FT-mode size
+	m := LargeModelRows // smallest FT-mode size
 	f := &luFactor{}
 	f.reset(m)
 	if !f.ftMode {

@@ -390,6 +390,10 @@ type SolveStats struct {
 	WarmStarts int
 	// DevexSolves counts solves whose final phase priced with devex.
 	DevexSolves int
+	// Presolved counts the recorded solves that ran on a presolve-reduced
+	// model (Options.Presolve) — for sched's LPs, the solves of models
+	// large enough to be built with implicit bounds.
+	Presolved int
 	// Artificials totals the artificial columns basic at cold starts: the
 	// phase-1 work the standard form left for the simplex to do.
 	Artificials int
@@ -412,6 +416,7 @@ func (s *SolveStats) Merge(other SolveStats) {
 	s.SingularHits += other.SingularHits
 	s.WarmStarts += other.WarmStarts
 	s.DevexSolves += other.DevexSolves
+	s.Presolved += other.Presolved
 	s.Artificials += other.Artificials
 	s.Recoveries += other.Recoveries
 	s.Timings.add(other.Timings)
@@ -499,7 +504,8 @@ type Options struct {
 	// survive the reduction. Warm bases captured under Presolve refer to
 	// the reduced model and keep working across re-solves as long as the
 	// reduction pattern is stable; a pattern change falls back to a cold
-	// start. Off by default: the unreduced path stays byte-identical.
+	// start. Outside tests internal/sched is its only setter: Built.Solve
+	// turns it on for exactly the models it built with implicit bounds.
 	Presolve bool
 }
 

@@ -1,6 +1,6 @@
 package lp
 
-// Presolve: the model-reduction pass behind Options.Presolve.
+// Presolve is the model-reduction pass behind Options.Presolve.
 //
 // The SAM LP at paper scale is dominated by rows that cannot bind — most
 // (edge, timestep) capacity rows bound flow variables whose own upper
@@ -497,6 +497,9 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 	redSol, err := ps.red.Solve(inner)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Stats != nil {
+		opts.Stats.Presolved++
 	}
 	sol := &Solution{
 		Status:      redSol.Status,

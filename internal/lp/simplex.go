@@ -121,7 +121,7 @@ func (m *Model) refreshStandard(s *standard) bool {
 // moves such a right-hand side between zero and positive is a structure
 // change (the artificial pattern differs) and rebuilds.
 func crashRow(rows int, sense Sense, rhs float64) bool {
-	return rows >= stagedStartMinRows && sense == GE && rhs == 0
+	return rows >= LargeModelRows && sense == GE && rhs == 0
 }
 
 // standardize converts the model into computational form.
@@ -433,7 +433,7 @@ func (std *standard) solve(opts Options) result {
 	if opts.TimeBudget > 0 {
 		st.deadline = time.Now().Add(opts.TimeBudget)
 	}
-	st.useNz = m >= nzVectorMinRows
+	st.useNz = m >= LargeModelRows
 	st.fac.reset(m)
 	if st.useNz && st.refactorEvery == defaultRefactorEvery {
 		if lu, ok := st.fac.(*luFactor); ok && lu.ftMode {
@@ -520,7 +520,7 @@ func (st *state) phases(warm bool) result {
 	st.pricing = forcePricing
 	if st.pricing == "" {
 		st.pricing = PricingDantzig
-		if m >= stagedStartMinRows && !warm {
+		if m >= LargeModelRows && !warm {
 			st.pricing = PricingDevex
 		}
 	}
@@ -544,7 +544,7 @@ func (st *state) phases(warm bool) result {
 		// fails, and always on small LPs, the classic artificial-cost
 		// phase 1 decides feasibility.
 		staged := false
-		if m >= stagedStartMinRows {
+		if m >= LargeModelRows {
 			switch st.stagedStart() {
 			case stagedDone:
 				staged = true
@@ -614,13 +614,18 @@ func (st *state) indexBasis() {
 	}
 }
 
-// stagedStartMinRows gates the staged cold start. Below it the classic
-// artificial-cost phase 1 is cheap and its pivot sequence is part of the
-// golden-trace contract; above it phase 1 degenerates badly on the
-// equality-heavy staircase LPs this solver targets — nearly every pivot is
-// degenerate and the infeasibility creeps down over tens of thousands of
-// iterations — so the staged route wins by orders of magnitude.
-const stagedStartMinRows = 4096
+// LargeModelRows is the one row count at which a model stops being small.
+// Below it every choice is the one the golden-trace suite pins — eta-file
+// kernel, dense pivot loops (whose float stream includes the sign of zeros
+// the sparse path never writes), the Dantzig/partial hybrid, the classic
+// artificial-cost phase 1 — all cheap at that size. From it on the solver
+// switches together to Forrest–Tomlin with hyper-sparse (nonzero-list)
+// FTRAN/BTRAN, devex on cold solves, the logical crash and the staged cold
+// start: phase 1 degenerates badly on the equality-heavy staircase LPs this
+// solver targets, and the dense passes' several O(m) sweeps per pivot
+// dominate the solve. Exported because sched.Instance.Build selects its
+// build mode on the same count: a model is large in both layers or neither.
+const LargeModelRows = 4096
 
 type stagedOutcome int
 
@@ -815,13 +820,6 @@ func (st *state) expelArtificials() {
 		}
 	}
 }
-
-// nzVectorMinRows gates the hyper-sparse pivot vectors (nonzero-list FTRAN/
-// BTRAN and list-driven pivot loops). Below it the dense loops are cheap and
-// their float stream — including the sign of zeros the sparse path never
-// writes — is pinned by the golden-trace suite; above it the per-pivot cost
-// of the dense passes (several O(m) sweeps each) dominates the solve.
-const nzVectorMinRows = 4096
 
 // ftranCol returns w = B⁻¹·A_q in the reusable scratch buffer (valid until
 // the next call; every pivot consumes it immediately). In hyper-sparse mode

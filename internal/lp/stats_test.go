@@ -48,6 +48,14 @@ func TestSolveStatsAccumulates(t *testing.T) {
 	if stats.Solves != 2 {
 		t.Fatalf("Solves = %d after second solve, want 2", stats.Solves)
 	}
+
+	// Only a solve through the reduction pass counts as presolved.
+	if _, err := m.Solve(Options{Presolve: true, Stats: &stats}); err != nil {
+		t.Fatalf("presolved solve: %v", err)
+	}
+	if stats.Presolved != 1 {
+		t.Fatalf("Presolved = %d after two plain solves and one presolved, want 1", stats.Presolved)
+	}
 }
 
 func TestSolveStatsPhaseTimings(t *testing.T) {
@@ -116,13 +124,13 @@ func TestSolveStatsIterLimit(t *testing.T) {
 
 func TestSolveStatsMerge(t *testing.T) {
 	a := SolveStats{Solves: 1, Iterations: 10, Refactorizations: 2, TimeBudgetHits: 1, IterLimitHits: 1, SingularHits: 1, WarmStarts: 1,
-		Artificials: 40, Recoveries: 1,
+		Artificials: 40, Recoveries: 1, Presolved: 1,
 		Timings: PhaseTimings{PricingNs: 100, FtranNs: 10, BtranNs: 1, RefactorNs: 1000}}
-	b := SolveStats{Solves: 2, Iterations: 5, Refactorizations: 1, WarmStarts: 1, Artificials: 2,
+	b := SolveStats{Solves: 2, Iterations: 5, Refactorizations: 1, WarmStarts: 1, Artificials: 2, Presolved: 2,
 		Timings: PhaseTimings{PricingNs: 1, FtranNs: 2, BtranNs: 3, RefactorNs: 4}}
 	b.Merge(a)
 	want := SolveStats{Solves: 3, Iterations: 15, Refactorizations: 3, TimeBudgetHits: 1, IterLimitHits: 1, SingularHits: 1, WarmStarts: 2,
-		Artificials: 42, Recoveries: 1,
+		Artificials: 42, Recoveries: 1, Presolved: 3,
 		Timings: PhaseTimings{PricingNs: 101, FtranNs: 12, BtranNs: 4, RefactorNs: 1004}}
 	if b != want {
 		t.Fatalf("merged = %+v, want %+v", b, want)

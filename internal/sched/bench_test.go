@@ -14,24 +14,23 @@ import (
 // with a short horizon, a mid WAN with a day-at-coarse-resolution horizon,
 // and a larger WAN with a longer horizon.
 type benchScale struct {
-	name     string
+	name string
+	// regions x perReg parameterize the WAN generator; zero regions selects
+	// the fixed 106-node / 226-edge graph.PaperWAN topology and the paper's
+	// demand recipe (T=288 is 5-minute steps over a day).
 	regions  int
 	perReg   int
 	horizon  int
 	nDemands int
-	// paper selects the fixed 106-node / 226-edge graph.PaperWAN topology
-	// with the paper's T=288 (5-minute steps over a day) instead of the
-	// parameterized generator. Paper-scale instances are solved only via
-	// the implicit-bounds + presolve path; the explicit-row model (~65k
-	// capacity rows) is far outside the per-step SAM budget.
-	paper bool
 }
+
+func (sc benchScale) paperWAN() bool { return sc.regions == 0 }
 
 var benchScales = []benchScale{
 	{name: "Small", regions: 2, perReg: 3, horizon: 12, nDemands: 12},
 	{name: "Medium", regions: 3, perReg: 4, horizon: 36, nDemands: 28},
 	{name: "Large", regions: 4, perReg: 4, horizon: 48, nDemands: 36},
-	{name: "Paper", horizon: 288, nDemands: 400, paper: true},
+	{name: "Paper", horizon: 288, nDemands: 400},
 }
 
 // benchInstance builds a deterministic SAM-shaped scheduling instance:
@@ -40,7 +39,7 @@ var benchScales = []benchScale{
 // re-solves every timestep.
 func benchInstance(sc benchScale, seed int64) *Instance {
 	var net *graph.Network
-	if sc.paper {
+	if sc.paperWAN() {
 		net = graph.PaperWAN(seed)
 	} else {
 		cfg := graph.DefaultWANConfig()
@@ -65,7 +64,7 @@ func benchInstance(sc benchScale, seed int64) *Instance {
 		}
 		start := r.Intn(sc.horizon / 2)
 		end := start + 2 + r.Intn(sc.horizon-start-2)
-		if sc.paper {
+		if sc.paperWAN() {
 			// Deadline-driven windows: transfers must land within 30min–3h
 			// of submission (the paper's SLO-class deadlines), not "any time
 			// today". Tight windows are also what keeps the LP's
@@ -84,7 +83,7 @@ func benchInstance(sc benchScale, seed int64) *Instance {
 			MaxBytes:     (20 + r.Float64()*120) * float64(sc.horizon) / 12,
 			ValuePerByte: 0.5 + r.Float64()*2.5,
 		}
-		if sc.paper {
+		if sc.paperWAN() {
 			// Production-shaped sizes: most transfers are small next to
 			// link capacity (their capacity rows presolve away), with a
 			// tail of deadline-constrained elephants that keep a congested
@@ -114,20 +113,19 @@ func benchInstance(sc benchScale, seed int64) *Instance {
 		}
 	}
 	ccfg := cost.DefaultConfig(sc.horizon)
-	if sc.paper {
+	if sc.paperWAN() {
 		// Hourly charging windows at 5-minute resolution: k = 1 per
 		// window, so the percentile proxy uses the cheap max-form rows
 		// instead of a sorting network per window.
 		ccfg.WindowLen = 12
 	}
 	return &Instance{
-		Net:            net,
-		Horizon:        sc.horizon,
-		Capacity:       capm,
-		Demands:        demands,
-		Cost:           ccfg,
-		UseCostProxy:   true,
-		ImplicitBounds: sc.paper,
+		Net:          net,
+		Horizon:      sc.horizon,
+		Capacity:     capm,
+		Demands:      demands,
+		Cost:         ccfg,
+		UseCostProxy: true,
 	}
 }
 
@@ -153,7 +151,7 @@ func BenchmarkSAMSolve(b *testing.B) {
 			var phase lp.PhaseTimings
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ins.Solve(lp.Options{Presolve: sc.paper})
+				res, err := ins.Solve(lp.Options{})
 				if err != nil {
 					b.Fatalf("Solve: %v", err)
 				}
@@ -171,7 +169,7 @@ func BenchmarkSAMSolve(b *testing.B) {
 			b.ReportMetric(float64(recoveries), "recoveries")
 			reportPhases(b, phase)
 		})
-		if sc.paper {
+		if sc.paperWAN() {
 			// The telemetry-overhead sub-bench exists to bound the
 			// Stats hook's cost, which the mid scales already measure;
 			// repeating a Paper cold solve for it buys nothing.
@@ -211,7 +209,7 @@ func BenchmarkSAMResolveWarm(b *testing.B) {
 			if err != nil {
 				b.Fatalf("Build: %v", err)
 			}
-			cold, err := built.Solve(lp.Options{Presolve: sc.paper})
+			cold, err := built.Solve(lp.Options{})
 			if err != nil || cold.Status != lp.Optimal {
 				b.Fatalf("cold solve: %v %v", err, cold.Status)
 			}
@@ -220,7 +218,7 @@ func BenchmarkSAMResolveWarm(b *testing.B) {
 			var phase lp.PhaseTimings
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := built.Solve(lp.Options{Presolve: sc.paper, WarmBasis: basis})
+				res, err := built.Solve(lp.Options{WarmBasis: basis})
 				if err != nil {
 					b.Fatalf("warm solve: %v", err)
 				}

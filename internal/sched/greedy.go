@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -50,13 +49,10 @@ import (
 // whenever the EDF order admits it, and never knowingly carrying
 // best-effort bytes below cost.
 func (ins *Instance) SolveGreedy() (*Result, error) {
-	if ins.Horizon <= 0 || ins.StartStep < 0 || ins.StartStep > ins.Horizon {
-		return nil, fmt.Errorf("sched: bad time axis [%d, %d)", ins.StartStep, ins.Horizon)
+	if err := ins.checkShape(); err != nil {
+		return nil, err
 	}
 	ne := ins.Net.NumEdges()
-	if len(ins.Capacity) != ne {
-		return nil, fmt.Errorf("sched: capacity has %d edges, network has %d", len(ins.Capacity), ne)
-	}
 
 	// Residual schedulable capacity. FixedUsage normally lives only at
 	// steps before StartStep (where nothing is placed), but subtracting it
@@ -176,13 +172,7 @@ func (ins *Instance) SolveGreedy() (*Result, error) {
 			return 0
 		}
 		d := &ins.Demands[di]
-		lo, hi := d.Start, d.End
-		if lo < ins.StartStep {
-			lo = ins.StartStep
-		}
-		if hi > ins.Horizon-1 {
-			hi = ins.Horizon - 1
-		}
+		lo, hi := ins.clip(d)
 		if hi < lo {
 			return 0
 		}

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"pretium/internal/cost"
@@ -49,45 +52,52 @@ func checkFeasible(t *testing.T, ins *Instance, res *Result, guarantees bool) {
 	}
 }
 
-// TestImplicitBoundsDifferential solves the bench instances four ways —
-// explicit rows vs implicit bounds, each with and without lp presolve — and
+// mustBuild forces a build mode regardless of size, for holding the two
+// formulations against each other.
+func mustBuild(t *testing.T, ins *Instance, implicit bool) *Built {
+	t.Helper()
+	if err := ins.checkShape(); err != nil {
+		t.Fatalf("checkShape: %v", err)
+	}
+	b, err := ins.build(implicit)
+	if err != nil {
+		t.Fatalf("build(implicit=%v): %v", implicit, err)
+	}
+	return b
+}
+
+// TestImplicitBoundsDifferential solves the bench instances both ways
+// Build can — explicit rows, and implicit bounds through lp presolve — and
 // demands identical status and objective plus a feasible allocation from
-// every path. The implicit build is a different (smaller) formulation of
-// the same polytope, so vertices may differ under degeneracy; the optimum
-// value may not.
+// each. The implicit build is a different (smaller) formulation of the same
+// polytope, so vertices may differ under degeneracy; the optimum value may
+// not.
 func TestImplicitBoundsDifferential(t *testing.T) {
 	for _, sc := range benchScales[:2] { // Small, Medium
 		for _, wantPrices := range []bool{false, true} {
-			base := benchInstance(sc, 7)
-			base.WantPrices = wantPrices
-			ref, err := base.Solve(lp.Options{})
+			ins := benchInstance(sc, 7)
+			ins.WantPrices = wantPrices
+			ref, err := mustBuild(t, ins, false).Solve(lp.Options{})
 			if err != nil {
-				t.Fatalf("%s ref solve: %v", sc.name, err)
+				t.Fatalf("%s explicit solve: %v", sc.name, err)
 			}
-			for _, mode := range []struct {
-				name     string
-				implicit bool
-				presolve bool
-			}{
-				{"explicit+presolve", false, true},
-				{"implicit", true, false},
-				{"implicit+presolve", true, true},
-			} {
-				ins := cloneInstance(base)
-				ins.ImplicitBounds = mode.implicit
-				res, err := ins.Solve(lp.Options{Presolve: mode.presolve})
-				if err != nil {
-					t.Fatalf("%s/%s prices=%v: %v", sc.name, mode.name, wantPrices, err)
-				}
-				if res.Status != ref.Status {
-					t.Fatalf("%s/%s status %v, ref %v", sc.name, mode.name, res.Status, ref.Status)
-				}
-				if relDiff(res.Objective, ref.Objective) > 1e-6 {
-					t.Errorf("%s/%s prices=%v objective %v, ref %v",
-						sc.name, mode.name, wantPrices, res.Objective, ref.Objective)
-				}
-				checkFeasible(t, ins, res, true)
+			var stats lp.SolveStats
+			res, err := mustBuild(t, ins, true).Solve(lp.Options{Stats: &stats})
+			if err != nil {
+				t.Fatalf("%s implicit prices=%v: %v", sc.name, wantPrices, err)
 			}
+			if stats.Presolved != 1 {
+				t.Errorf("%s implicit solve skipped presolve", sc.name)
+			}
+			if res.Status != ref.Status {
+				t.Fatalf("%s status %v, explicit %v", sc.name, res.Status, ref.Status)
+			}
+			if relDiff(res.Objective, ref.Objective) > 1e-6 {
+				t.Errorf("%s prices=%v objective %v, explicit %v",
+					sc.name, wantPrices, res.Objective, ref.Objective)
+			}
+			checkFeasible(t, ins, ref, true)
+			checkFeasible(t, ins, res, true)
 		}
 	}
 }
@@ -113,26 +123,17 @@ func TestImplicitPricesMatch(t *testing.T) {
 		WantPrices: true,
 	}
 	ref := solveOK(t, base)
-	for _, mode := range []struct {
-		name     string
-		implicit bool
-		presolve bool
-	}{{"implicit", true, false}, {"implicit+presolve", true, true}} {
-		ins := cloneInstance(base)
-		ins.ImplicitBounds = true
-		res, err := ins.Solve(lp.Options{Presolve: mode.presolve})
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		if res.Status != lp.Optimal {
-			t.Fatalf("%s status %v", mode.name, res.Status)
-		}
-		for e := range ref.Price {
-			for tt := range ref.Price[e] {
-				if math.Abs(res.Price[e][tt]-ref.Price[e][tt]) > 1e-6 {
-					t.Errorf("%s price[%d][%d] = %v, ref %v",
-						mode.name, e, tt, res.Price[e][tt], ref.Price[e][tt])
-				}
+	res, err := mustBuild(t, base, true).Solve(lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != lp.Optimal {
+		t.Fatalf("status %v", res.Status)
+	}
+	for e := range ref.Price {
+		for tt := range ref.Price[e] {
+			if math.Abs(res.Price[e][tt]-ref.Price[e][tt]) > 1e-6 {
+				t.Errorf("price[%d][%d] = %v, explicit %v", e, tt, res.Price[e][tt], ref.Price[e][tt])
 			}
 		}
 	}
@@ -166,22 +167,18 @@ func advance(base *Instance, step int) *Instance {
 // and objective — cold and warm-started.
 func TestRebindMatchesFreshBuild(t *testing.T) {
 	base := benchInstance(benchScales[1], 11) // Medium
-	base.ImplicitBounds = true
-	built, err := base.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	res, err := built.Solve(lp.Options{Presolve: true})
+	built := mustBuild(t, base, true)
+	res, err := built.Solve(lp.Options{})
 	if err != nil || res.Status != lp.Optimal {
 		t.Fatalf("initial solve: %v %v", err, res)
 	}
 	basis := res.Basis
 	for step := 1; step <= 4; step++ {
 		ins := advance(base, step)
-		if err := built.Rebind(ins); err != nil {
-			t.Fatalf("step %d Rebind: %v", step, err)
+		if err := built.rebind(ins); err != nil {
+			t.Fatalf("step %d rebind: %v", step, err)
 		}
-		warm, err := built.Solve(lp.Options{Presolve: true, WarmBasis: basis})
+		warm, err := built.Solve(lp.Options{WarmBasis: basis})
 		if err != nil {
 			t.Fatalf("step %d rebind solve: %v", step, err)
 		}
@@ -216,14 +213,10 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 			// Multi-step demand: guarantee stays a GE row.
 			{ID: 1, Routes: []graph.Path{path}, Start: 1, End: 3, MaxBytes: 30, MinBytes: 12, ValuePerByte: 3},
 		},
-		Cost:           cost.DefaultConfig(4),
-		ImplicitBounds: true,
+		Cost: cost.DefaultConfig(4),
 	}
-	built, err := base.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if res, err := built.Solve(lp.Options{Presolve: true}); err != nil || res.Status != lp.Optimal {
+	built := mustBuild(t, base, true)
+	if res, err := built.Solve(lp.Options{}); err != nil || res.Status != lp.Optimal {
 		t.Fatalf("initial solve: %v %v", err, res)
 	}
 
@@ -238,17 +231,14 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 			shocked.Capacity[e][tt] = 3
 		}
 	}
-	if err := built.Rebind(shocked); err == nil {
-		t.Fatal("Rebind accepted a guarantee that exceeds its implicit bound")
+	if err := built.rebind(shocked); err == nil {
+		t.Fatal("rebind accepted a guarantee that exceeds its implicit bound")
 	}
 
 	// The rebuilt model reports infeasibility; relaxing in place must agree
 	// with a fresh build relaxed the same way.
-	built2, err := shocked.Build()
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
-	res, err := built2.Solve(lp.Options{Presolve: true})
+	built2 := mustBuild(t, shocked, true)
+	res, err := built2.Solve(lp.Options{})
 	if err != nil {
 		t.Fatalf("shocked solve: %v", err)
 	}
@@ -256,17 +246,12 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 		t.Fatalf("shocked status %v, want infeasible", res.Status)
 	}
 	built2.RelaxGuarantees()
-	relaxed, err := built2.Solve(lp.Options{Presolve: true, WarmBasis: res.Basis})
+	relaxed, err := built2.Solve(lp.Options{WarmBasis: res.Basis})
 	if err != nil || relaxed.Status != lp.Optimal {
 		t.Fatalf("relaxed solve: %v %v", err, relaxed)
 	}
 
-	ref := cloneInstance(shocked)
-	ref.ImplicitBounds = false
-	refBuilt, err := ref.Build()
-	if err != nil {
-		t.Fatalf("ref build: %v", err)
-	}
+	refBuilt := mustBuild(t, shocked, false)
 	refRes, err := refBuilt.Solve(lp.Options{})
 	if err != nil || refRes.Status != lp.Infeasible {
 		t.Fatalf("ref shocked solve: %v %v", err, refRes)
@@ -295,17 +280,12 @@ func TestRebindFixedUsage(t *testing.T) {
 			Demands: []Demand{
 				{ID: 0, Routes: []graph.Path{path}, Start: 0, End: 3, MaxBytes: 25, ValuePerByte: 2},
 			},
-			Cost:           cost.Config{WindowLen: 4, Percentile: 0.75},
-			UseCostProxy:   true,
-			ImplicitBounds: true,
+			Cost:         cost.Config{WindowLen: 4, Percentile: 0.75},
+			UseCostProxy: true,
 		}
 	}
-	base := mk()
-	built, err := base.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if res, err := built.Solve(lp.Options{Presolve: true}); err != nil || res.Status != lp.Optimal {
+	built := mustBuild(t, mk(), true)
+	if res, err := built.Solve(lp.Options{}); err != nil || res.Status != lp.Optimal {
 		t.Fatalf("initial solve: %v %v", err, res)
 	}
 
@@ -313,10 +293,10 @@ func TestRebindFixedUsage(t *testing.T) {
 	next.StartStep = 1
 	next.Demands[0].MaxBytes = 17 // 8 realized at t=0
 	next.FixedUsage[e1][0] = 8
-	if err := built.Rebind(next); err != nil {
-		t.Fatalf("Rebind: %v", err)
+	if err := built.rebind(next); err != nil {
+		t.Fatalf("rebind: %v", err)
 	}
-	got, err := built.Solve(lp.Options{Presolve: true})
+	got, err := built.Solve(lp.Options{})
 	if err != nil || got.Status != lp.Optimal {
 		t.Fatalf("rebind solve: %v %v", err, got)
 	}
@@ -337,12 +317,113 @@ func make2d(n, m int) [][]float64 {
 	return out
 }
 
+// paddedInstance returns an instance whose explicit build has exactly rows
+// rows: single-step, single-route demands dealt round-robin over a 64-step
+// axis on the two-hop line, so each demand is one cap row and each step
+// two capacity rows.
+func paddedInstance(rows int) *Instance {
+	const horizon = 64
+	n, _, _ := lineNet(1e6)
+	path := n.ShortestPath(0, 2)
+	ins := &Instance{Net: n, Horizon: horizon, Capacity: capMatrix(n, horizon), Cost: cost.DefaultConfig(horizon)}
+	for i := 0; i < rows-2*horizon; i++ {
+		ins.Demands = append(ins.Demands, Demand{
+			ID: i, Routes: []graph.Path{path}, Start: i % horizon, End: i % horizon,
+			MaxBytes: 1 + float64(i%7), ValuePerByte: 1,
+		})
+	}
+	return ins
+}
+
+// TestBuildSelectsBySize pins the rule Build owns: the model is the explicit
+// one (byte for byte, names included) below lp.LargeModelRows explicit rows
+// and the implicit one at or above, flipping exactly at the constant.
+func TestBuildSelectsBySize(t *testing.T) {
+	mps := func(b *Built) string {
+		var buf bytes.Buffer
+		if err := b.model.WriteMPS(&buf, "sam"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	cases := []struct {
+		name     string
+		ins      *Instance
+		implicit bool
+	}{
+		{"Small", benchInstance(benchScales[0], 42), false},
+		{"Medium", benchInstance(benchScales[1], 42), false},
+		{"Paper", benchInstance(benchScales[3], 42), true},
+		{"threshold-1", paddedInstance(lp.LargeModelRows - 1), false},
+		{"threshold", paddedInstance(lp.LargeModelRows), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := tc.ins.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Implicit() != tc.implicit {
+				t.Fatalf("Build chose implicit=%v at %d explicit rows", b.Implicit(), tc.ins.explicitRows())
+			}
+			if mps(b) != mps(mustBuild(t, tc.ins, tc.implicit)) {
+				t.Errorf("Build's model differs from build(%v)'s", tc.implicit)
+			}
+		})
+	}
+}
+
+// TestExplicitRowsMatchesBuild holds the count Build selects on equal to the
+// rows the explicit build emits, across every feature that adds rows: multi-
+// route rate caps, guarantees, Allowed masks, a late StartStep, cost windows
+// with and without load-definition rows.
+func TestExplicitRowsMatchesBuild(t *testing.T) {
+	check := func(name string, ins *Instance) {
+		t.Helper()
+		if got, want := ins.explicitRows(), mustBuild(t, ins, false).model.NumRows(); got != want {
+			t.Errorf("%s: explicitRows = %d, build(false) emitted %d", name, got, want)
+		}
+	}
+	for _, sc := range benchScales {
+		ins := benchInstance(sc, 42)
+		check(sc.name, ins)
+		ins.WantPrices = true
+		check(sc.name+"/prices", ins)
+	}
+	check("padded", paddedInstance(lp.LargeModelRows))
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ins := benchInstance(benchScales[seed%2], seed)
+		ins.StartStep = r.Intn(ins.Horizon + 1)
+		ins.UseCostProxy = r.Intn(4) > 0
+		ins.WantPrices = r.Intn(2) == 0
+		ins.Cost.WindowLen = 1 + r.Intn(ins.Horizon)
+		ins.FixedUsage = make2d(ins.Net.NumEdges(), ins.Horizon)
+		for di := range ins.Demands {
+			d := &ins.Demands[di]
+			d.MinBytes = 0 // a guarantee with no steps left is a build error, not a count
+			if r.Intn(3) == 0 {
+				d.RateCap = 5
+			}
+			if r.Intn(3) == 0 {
+				d.Routes = d.Routes[:1]
+			}
+			if r.Intn(4) == 0 {
+				d.Allowed = []int{d.Start, d.End, -1, ins.Horizon + 3}
+			}
+		}
+		check(fmt.Sprintf("seed %d", seed), ins)
+	}
+}
+
 // TestRebindRejectsStructuralChange enumerates the structural drifts Rebind
 // must refuse: they would silently desynchronize the model from the
-// instance if patched as data.
+// instance if patched as data. The last case is not a drift at all — the
+// unexported rebind patches it happily — but a successor small enough that
+// Build would make it explicit: accepting it would let the path a step runs
+// on depend on what the previous step retained.
 func TestRebindRejectsStructuralChange(t *testing.T) {
-	base := benchInstance(benchScales[0], 3) // Small
-	base.ImplicitBounds = true
+	base := paddedInstance(lp.LargeModelRows + 8)
 	fresh := func() *Built {
 		b, err := base.Build()
 		if err != nil {
@@ -351,15 +432,16 @@ func TestRebindRejectsStructuralChange(t *testing.T) {
 		return b
 	}
 	cases := []struct {
-		name string
-		mut  func(*Instance)
+		name     string
+		mut      func(*Instance)
+		rebindOK bool
 	}{
-		{"horizon", func(ins *Instance) { ins.Horizon++ }},
-		{"start-regresses", func(ins *Instance) { ins.StartStep = -1 }},
-		{"demand-count", func(ins *Instance) { ins.Demands = ins.Demands[:len(ins.Demands)-1] }},
-		{"interval", func(ins *Instance) { ins.Demands[0].End++ }},
-		{"explicit-mode", func(ins *Instance) { ins.ImplicitBounds = false }},
-		{"cost-config", func(ins *Instance) { ins.Cost.WindowLen++ }},
+		{"horizon", func(ins *Instance) { ins.Horizon++ }, false},
+		{"start-regresses", func(ins *Instance) { ins.StartStep = -1 }, false},
+		{"demand-count", func(ins *Instance) { ins.Demands = ins.Demands[:len(ins.Demands)-1] }, false},
+		{"interval", func(ins *Instance) { ins.Demands[0].End++ }, false},
+		{"cost-config", func(ins *Instance) { ins.Cost.WindowLen++ }, false},
+		{"explicit-mode", func(ins *Instance) { ins.StartStep = 1 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -367,6 +449,9 @@ func TestRebindRejectsStructuralChange(t *testing.T) {
 			tc.mut(ins)
 			if err := fresh().Rebind(ins); err == nil {
 				t.Fatalf("Rebind accepted %s change", tc.name)
+			}
+			if err := fresh().rebind(ins); (err == nil) != tc.rebindOK {
+				t.Fatalf("rebind: %v, want accepted=%v", err, tc.rebindOK)
 			}
 		})
 	}

@@ -64,6 +64,9 @@ func TestPaperColdSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if !built.Implicit() {
+			t.Fatalf("seed %d: Build made the paper recipe explicit", seed)
+		}
 		sol, err := built.model.Solve(lp.Options{Presolve: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -18,6 +18,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pretium/internal/cost"
@@ -116,18 +117,6 @@ type Instance struct {
 	// expose the marginal cost burden), growing the LP; only the Price
 	// Computer needs it.
 	WantPrices bool
-	// ImplicitBounds selects the paper-scale build mode: every flow
-	// variable carries its tightest implicit upper bound (remaining
-	// demand, single-route rate cap, minimum capacity along its route),
-	// single-variable demand caps and guarantees become bounds instead of
-	// rows, and variable naming is skipped. The bounds are redundant with
-	// the rows, so the feasible region is unchanged — but they let the
-	// lp presolve prove most (edge, time) capacity rows non-binding and
-	// drop them, which is what makes the 106-node/226-edge/T=288 topology
-	// solvable inside the SAM budget. Builds in this mode also support
-	// Built.Rebind. Off by default; the default build is byte-identical
-	// to prior releases.
-	ImplicitBounds bool
 }
 
 // Result is a solved schedule.
@@ -212,7 +201,8 @@ type Built struct {
 	// demand order, so infeasible instances can be relaxed in place.
 	guaranteeRows []lp.Row
 
-	// Rebind bookkeeping (populated only for ImplicitBounds builds).
+	// implicit records the build mode Build selected (see Instance.Build);
+	// the Rebind bookkeeping below is populated only for implicit builds.
 	implicit    bool
 	builtStart  int
 	demandRow   []lp.Row // per demand; -1 when folded into a bound or absent
@@ -222,6 +212,10 @@ type Built struct {
 	fixedLoads  []fixedLoadVar
 	windows     []costWindow
 }
+
+// Implicit reports whether Build chose the implicit-bound formulation —
+// the only one Rebind can patch, so the only one worth keeping past a solve.
+func (b *Built) Implicit() bool { return b.implicit }
 
 // Solve builds the LP and optimizes it. It returns an error for malformed
 // instances; infeasibility (e.g. guarantees that no longer fit) is
@@ -236,31 +230,138 @@ func (ins *Instance) Solve(opts lp.Options) (*Result, error) {
 	return b.Solve(opts)
 }
 
-// Build constructs the scheduling LP without solving it.
+// Build constructs the scheduling LP without solving it, in the formulation
+// the instance's size selects. Below lp.LargeModelRows rows every demand
+// cap, guarantee and rate cap is a row and every variable is named: the
+// model the golden trace, the fig11 CSV and bench/reference.json pin pivot
+// for pivot, which is the only reason the branch still exists. At or above
+// it every flow variable carries its tightest implicit upper bound
+// (remaining demand, single-route rate cap, minimum capacity along its
+// route), single-variable demand caps and guarantees become bounds, and
+// naming is skipped. The bounds are redundant with the rows, so the
+// feasible region is unchanged — but they let lp's presolve, which
+// Built.Solve turns on for these builds, prove most (edge, time) capacity
+// rows non-binding and drop them, which is what makes the 106-node/
+// 226-edge/T=288 topology solvable inside the SAM budget. Only these
+// builds support Built.Rebind. The count compared is the explicit build's,
+// so the choice is a function of the instance alone, at the threshold
+// where lp switches kernel, pricing rule and cold start.
 func (ins *Instance) Build() (*Built, error) {
-	if ins.Horizon <= 0 || ins.StartStep < 0 || ins.StartStep > ins.Horizon {
-		return nil, fmt.Errorf("sched: bad time axis [%d, %d)", ins.StartStep, ins.Horizon)
+	if err := ins.checkShape(); err != nil {
+		return nil, err
 	}
-	ne := ins.Net.NumEdges()
-	if len(ins.Capacity) != ne {
-		return nil, fmt.Errorf("sched: capacity has %d edges, network has %d", len(ins.Capacity), ne)
-	}
+	return ins.build(ins.explicitRows() >= lp.LargeModelRows)
+}
 
+// checkShape rejects the malformed time axes and capacity matrices that
+// build and explicitRows would otherwise index out of range on.
+func (ins *Instance) checkShape() error {
+	if ins.Horizon <= 0 || ins.StartStep < 0 || ins.StartStep > ins.Horizon {
+		return fmt.Errorf("sched: bad time axis [%d, %d)", ins.StartStep, ins.Horizon)
+	}
+	if ne := ins.Net.NumEdges(); len(ins.Capacity) != ne {
+		return fmt.Errorf("sched: capacity has %d edges, network has %d", len(ins.Capacity), ne)
+	}
+	return nil
+}
+
+// explicitRows counts the rows build(false) would emit for ins (which must
+// have passed checkShape) without constructing anything: rate-cap,
+// demand-cap and guarantee rows per demand, one capacity row per (edge,
+// step) some flow crosses, and per live charging window with flow its
+// load-definition rows (WantPrices) plus the top-k bound.
+// TestExplicitRowsMatchesBuild holds the count equal to the built model's.
+func (ins *Instance) explicitRows() int {
+	rows := 0
+	crossed := make([]bool, ins.Net.NumEdges()*ins.Horizon) // (edge, step) cells
+	for di := range ins.Demands {
+		d := &ins.Demands[di]
+		lo, hi := ins.clip(d)
+		allowed := d.allowedMask(ins.Horizon)
+		steps := 0
+		for t := lo; t <= hi; t++ {
+			if allowed != nil && !allowed[t] {
+				continue
+			}
+			steps++
+			for _, route := range d.Routes {
+				for _, eid := range route {
+					if c := int(eid)*ins.Horizon + t; !crossed[c] {
+						crossed[c] = true
+						rows++
+					}
+				}
+			}
+		}
+		if steps == 0 || len(d.Routes) == 0 {
+			continue
+		}
+		rows++ // demand cap
+		if d.MinBytes > 1e-9 {
+			rows++
+		}
+		if d.RateCap > 0 && len(d.Routes) > 1 {
+			rows += steps
+		}
+	}
+	if ins.UseCostProxy {
+		ins.eachWindow(func(e graph.Edge, ws, we int) {
+			withFlow := 0
+			for t := ws; t < we; t++ {
+				if crossed[int(e.ID)*ins.Horizon+t] {
+					withFlow++
+				}
+			}
+			if withFlow == 0 {
+				return
+			}
+			if ins.WantPrices {
+				rows += withFlow
+			}
+			rows += cost.TopKConstraintCount(we-ws, ins.Cost.K(we-ws))
+		})
+	}
+	return rows
+}
+
+// clip intersects a demand's interval with the schedulable axis
+// [StartStep, Horizon).
+func (ins *Instance) clip(d *Demand) (lo, hi int) {
+	return max(d.Start, ins.StartStep), min(d.End, ins.Horizon-1)
+}
+
+// eachWindow visits every percentile-charging window [ws, we) of every
+// usage-priced edge that the scheduler can still influence. Windows
+// entirely in the past are sunk cost: nothing it does can change them.
+func (ins *Instance) eachWindow(visit func(e graph.Edge, ws, we int)) {
+	w := ins.Cost.WindowLen
+	if w <= 0 {
+		w = ins.Horizon
+	}
+	for _, e := range ins.Net.Edges() {
+		if !e.UsagePriced {
+			continue
+		}
+		for ws := 0; ws < ins.Horizon; ws += w {
+			if we := min(ws+w, ins.Horizon); we > ins.StartStep {
+				visit(e, ws, we)
+			}
+		}
+	}
+}
+
+// build constructs the model in the given mode; ins must have passed
+// checkShape. Build is its only caller outside tests, which use it to hold
+// the two formulations against each other on instances of any size.
+func (ins *Instance) build(implicit bool) (*Built, error) {
 	m := lp.NewModel()
 	m.SetMaximize(true)
 
-	// Flow variables, grouped per (edge, time) for capacity rows.
+	// Flow variables, grouped per (edge, time) cell for capacity rows.
 	var flows []flowVar
 	var guaranteeRows []lp.Row
-	loadTerms := make(map[int]map[int][]lp.Term) // edge -> t -> terms
-	addLoad := func(e, t int, v lp.Var) {
-		byT, ok := loadTerms[e]
-		if !ok {
-			byT = make(map[int][]lp.Term)
-			loadTerms[e] = byT
-		}
-		byT[t] = append(byT[t], lp.Term{Var: v, Coef: 1})
-	}
+	H := ins.Horizon
+	loadTerms := make([][]lp.Term, ins.Net.NumEdges()*H) // cell e*H+t -> terms
 
 	nd := len(ins.Demands)
 	demandRow := make([]lp.Row, nd)
@@ -270,13 +371,7 @@ func (ins *Instance) Build() (*Built, error) {
 	for di := range ins.Demands {
 		demandRow[di], guaranteeOf[di], guardBound[di] = -1, -1, -1
 		d := &ins.Demands[di]
-		lo, hi := d.Start, d.End
-		if lo < ins.StartStep {
-			lo = ins.StartStep
-		}
-		if hi > ins.Horizon-1 {
-			hi = ins.Horizon - 1
-		}
+		lo, hi := ins.clip(d)
 		var dTerms []lp.Term
 		perStep := make(map[int][]lp.Term) // for the RateCap rows
 		allowed := d.allowedMask(ins.Horizon)
@@ -286,7 +381,7 @@ func (ins *Instance) Build() (*Built, error) {
 					continue
 				}
 				var v lp.Var
-				if ins.ImplicitBounds {
+				if implicit {
 					v = m.AddVar(0, implicitUpper(ins, d, route, t), d.ValuePerByte, "")
 				} else {
 					up := lp.Inf
@@ -301,7 +396,8 @@ func (ins *Instance) Build() (*Built, error) {
 					perStep[t] = append(perStep[t], lp.Term{Var: v, Coef: 1})
 				}
 				for _, eid := range route {
-					addLoad(int(eid), t, v)
+					c := int(eid)*H + t
+					loadTerms[c] = append(loadTerms[c], lp.Term{Var: v, Coef: 1})
 				}
 			}
 		}
@@ -317,7 +413,7 @@ func (ins *Instance) Build() (*Built, error) {
 		if d.MaxBytes < 0 {
 			return nil, fmt.Errorf("sched: demand %d has negative MaxBytes", d.ID)
 		}
-		if ins.ImplicitBounds && len(dTerms) == 1 {
+		if implicit && len(dTerms) == 1 {
 			// A one-variable demand cap is just an upper bound, already
 			// folded into the variable by implicitUpper. A one-variable
 			// guarantee is a lower bound — expressible as long as it fits
@@ -342,116 +438,97 @@ func (ins *Instance) Build() (*Built, error) {
 		}
 	}
 
-	// Capacity rows (only where flow exists) and price bookkeeping. Row
-	// order must not depend on map iteration: with degenerate optima, the
-	// simplex vertex (and its duals — the published prices) depends on row
-	// order, so an unsorted build makes whole-figure output vary run to run.
+	// Capacity rows (only where flow exists) and price bookkeeping, in
+	// (edge, step) order: with degenerate optima, the simplex vertex (and
+	// its duals — the published prices) depends on row order.
 	capRow := make(map[int]map[int]lp.Row)
 	defRow := make(map[int]map[int]lp.Row)
-	for _, e := range sortedKeys(loadTerms) {
-		byT := loadTerms[e]
-		capRow[e] = make(map[int]lp.Row)
-		for _, t := range sortedKeys(byT) {
-			capRow[e][t] = m.AddConstraint(lp.LE, ins.Capacity[e][t], byT[t]...)
+	for c, terms := range loadTerms {
+		if len(terms) == 0 {
+			continue
 		}
+		e, t := c/H, c%H
+		if capRow[e] == nil {
+			capRow[e] = make(map[int]lp.Row)
+		}
+		capRow[e][t] = m.AddConstraint(lp.LE, ins.Capacity[e][t], terms...)
 	}
 
 	// Percentile-cost proxy per usage-priced edge per charging window.
 	var fixedLoads []fixedLoadVar
 	var windows []costWindow
 	if ins.UseCostProxy {
-		w := ins.Cost.WindowLen
-		if w <= 0 {
-			w = ins.Horizon
-		}
-		for _, e := range ins.Net.Edges() {
-			if !e.UsagePriced {
-				continue
-			}
+		ins.eachWindow(func(e graph.Edge, ws, we int) {
 			eid := int(e.ID)
-			for ws := 0; ws < ins.Horizon; ws += w {
-				we := ws + w
-				if we > ins.Horizon {
-					we = ins.Horizon
+			// Build per-timestep load expressions. With WantPrices,
+			// each becomes an explicit load variable L with a
+			// definition row L = flows + fixed, whose dual exposes
+			// the marginal cost of load; otherwise the flow terms
+			// feed the sorting network directly (smaller LP).
+			var loads []cost.LoadExpr
+			anyFlow := false
+			for t := ws; t < we; t++ {
+				fixed := 0.0
+				if ins.FixedUsage != nil {
+					fixed = ins.FixedUsage[eid][t]
 				}
-				// Windows entirely in the past are sunk cost: nothing
-				// the scheduler does can change them.
-				if we <= ins.StartStep {
-					continue
-				}
-				// Build per-timestep load expressions. With WantPrices,
-				// each becomes an explicit load variable L with a
-				// definition row L = flows + fixed, whose dual exposes
-				// the marginal cost of load; otherwise the flow terms
-				// feed the sorting network directly (smaller LP).
-				var loads []cost.LoadExpr
-				anyFlow := false
-				for t := ws; t < we; t++ {
-					fixed := 0.0
-					if ins.FixedUsage != nil {
-						fixed = ins.FixedUsage[eid][t]
-					}
-					var terms []lp.Term
-					if byT, ok := loadTerms[eid]; ok {
-						terms = byT[t]
-					}
-					if len(terms) == 0 {
-						// Constant load: a fixed variable keeps the
-						// sorting network purely linear.
-						var lv lp.Var
-						if ins.ImplicitBounds {
-							lv = m.AddVar(fixed, fixed, 0, "")
-							fixedLoads = append(fixedLoads, fixedLoadVar{v: lv, e: eid, t: t})
-						} else {
-							lv = m.AddVar(fixed, fixed, 0, fmt.Sprintf("L.e%d.t%d", eid, t))
-						}
-						loads = append(loads, cost.LoadExpr{{Var: lv, Coef: 1}})
-						continue
-					}
-					anyFlow = true
-					if !ins.WantPrices {
-						expr := append(cost.LoadExpr(nil), terms...)
-						if ins.ImplicitBounds {
-							// Always carry a fixed-usage variable, even at
-							// zero, so Rebind can re-pin it when earlier
-							// steps' traffic becomes FixedUsage.
-							fv := m.AddVar(fixed, fixed, 0, "")
-							fixedLoads = append(fixedLoads, fixedLoadVar{v: fv, e: eid, t: t})
-							expr = append(expr, lp.Term{Var: fv, Coef: 1})
-						} else if fixed > 0 {
-							fv := m.AddVar(fixed, fixed, 0, fmt.Sprintf("F.e%d.t%d", eid, t))
-							expr = append(expr, lp.Term{Var: fv, Coef: 1})
-						}
-						loads = append(loads, expr)
-						continue
-					}
+				terms := loadTerms[eid*H+t]
+				if len(terms) == 0 {
+					// Constant load: a fixed variable keeps the
+					// sorting network purely linear.
 					var lv lp.Var
-					if ins.ImplicitBounds {
-						lv = m.AddVar(0, lp.Inf, 0, "")
+					if implicit {
+						lv = m.AddVar(fixed, fixed, 0, "")
+						fixedLoads = append(fixedLoads, fixedLoadVar{v: lv, e: eid, t: t})
 					} else {
-						lv = m.AddVar(0, lp.Inf, 0, fmt.Sprintf("L.e%d.t%d", eid, t))
+						lv = m.AddVar(fixed, fixed, 0, fmt.Sprintf("L.e%d.t%d", eid, t))
 					}
-					// flows + fixed - L = 0  →  Σ flows - L = -fixed.
-					def := append(append([]lp.Term(nil), terms...), lp.Term{Var: lv, Coef: -1})
-					row := m.AddConstraint(lp.EQ, -fixed, def...)
-					if defRow[eid] == nil {
-						defRow[eid] = make(map[int]lp.Row)
-					}
-					defRow[eid][t] = row
 					loads = append(loads, cost.LoadExpr{{Var: lv, Coef: 1}})
-				}
-				if !anyFlow {
 					continue
 				}
-				k := ins.Cost.K(we - ws)
-				s := cost.AddTopKBound(m, loads, k, fmt.Sprintf("z.e%d.w%d", eid, ws))
-				coef := -e.CostPerUnit / float64(k)
-				m.SetObj(s, coef)
-				if ins.ImplicitBounds {
-					windows = append(windows, costWindow{z: s, we: we, objCoef: coef})
+				anyFlow = true
+				if !ins.WantPrices {
+					expr := append(cost.LoadExpr(nil), terms...)
+					if implicit {
+						// Always carry a fixed-usage variable, even at
+						// zero, so Rebind can re-pin it when earlier
+						// steps' traffic becomes FixedUsage.
+						fv := m.AddVar(fixed, fixed, 0, "")
+						fixedLoads = append(fixedLoads, fixedLoadVar{v: fv, e: eid, t: t})
+						expr = append(expr, lp.Term{Var: fv, Coef: 1})
+					} else if fixed > 0 {
+						fv := m.AddVar(fixed, fixed, 0, fmt.Sprintf("F.e%d.t%d", eid, t))
+						expr = append(expr, lp.Term{Var: fv, Coef: 1})
+					}
+					loads = append(loads, expr)
+					continue
 				}
+				var lv lp.Var
+				if implicit {
+					lv = m.AddVar(0, lp.Inf, 0, "")
+				} else {
+					lv = m.AddVar(0, lp.Inf, 0, fmt.Sprintf("L.e%d.t%d", eid, t))
+				}
+				// flows + fixed - L = 0  →  Σ flows - L = -fixed.
+				def := append(append([]lp.Term(nil), terms...), lp.Term{Var: lv, Coef: -1})
+				row := m.AddConstraint(lp.EQ, -fixed, def...)
+				if defRow[eid] == nil {
+					defRow[eid] = make(map[int]lp.Row)
+				}
+				defRow[eid][t] = row
+				loads = append(loads, cost.LoadExpr{{Var: lv, Coef: 1}})
 			}
-		}
+			if !anyFlow {
+				return
+			}
+			k := ins.Cost.K(we - ws)
+			s := cost.AddTopKBound(m, loads, k, fmt.Sprintf("z.e%d.w%d", eid, ws))
+			coef := -e.CostPerUnit / float64(k)
+			m.SetObj(s, coef)
+			if implicit {
+				windows = append(windows, costWindow{z: s, we: we, objCoef: coef})
+			}
+		})
 	}
 
 	return &Built{
@@ -461,7 +538,7 @@ func (ins *Instance) Build() (*Built, error) {
 		capRow:        capRow,
 		defRow:        defRow,
 		guaranteeRows: guaranteeRows,
-		implicit:      ins.ImplicitBounds,
+		implicit:      implicit,
 		builtStart:    ins.StartStep,
 		demandRow:     demandRow,
 		guaranteeOf:   guaranteeOf,
@@ -505,8 +582,8 @@ func (b *Built) RelaxGuarantees() {
 	for _, r := range b.guaranteeRows {
 		b.model.SetRHS(r, 0)
 	}
-	// Bound-form guarantees (ImplicitBounds single-variable demands) live in
-	// the variable's lower bound instead of a row.
+	// Bound-form guarantees (single-variable demands of an implicit build)
+	// live in the variable's lower bound instead of a row.
 	for _, v := range b.guardBound {
 		if v >= 0 {
 			if lo, up := b.model.Bounds(v); lo > 0 {
@@ -524,9 +601,12 @@ func (b *Built) RelaxGuarantees() {
 // basis remains valid and consecutive SAM steps avoid the ~10⁶ allocations
 // a from-scratch Build costs at paper scale.
 //
-// Only ImplicitBounds builds support Rebind (the default build bakes
+// Only implicit-bound builds support Rebind (the explicit build bakes
 // instance data into variable names and row layout in ways that are not
-// worth patching). The successor must match the built instance structurally:
+// worth patching), and only for a successor that Build would itself make
+// implicit — otherwise the path a step runs on would depend on what the
+// previous step retained, not on the step's own instance. Beyond that the
+// successor must match the built instance structurally:
 // same network size, horizon, cost config, demand count, and per-demand
 // routes/interval/Allowed; StartStep may only advance. Data that may
 // change: StartStep, Capacity, FixedUsage, and per-demand MaxBytes /
@@ -541,9 +621,21 @@ func (b *Built) RelaxGuarantees() {
 // and percentile windows that slid entirely into the past have their proxy
 // cost neutralized, matching what a fresh build would omit.
 func (b *Built) Rebind(ins *Instance) error {
+	if err := ins.checkShape(); err != nil {
+		return err
+	}
+	if ins.explicitRows() < lp.LargeModelRows {
+		return fmt.Errorf("sched: Rebind successor is below %d rows and builds explicit", lp.LargeModelRows)
+	}
+	return b.rebind(ins)
+}
+
+// rebind is Rebind without the build-mode test on the successor, so tests
+// can patch implicit builds of small instances.
+func (b *Built) rebind(ins *Instance) error {
 	old := b.ins
-	if !b.implicit || !ins.ImplicitBounds {
-		return fmt.Errorf("sched: Rebind requires ImplicitBounds builds")
+	if !b.implicit {
+		return fmt.Errorf("sched: Rebind requires an implicit-bound build")
 	}
 	if ins.Horizon != old.Horizon {
 		return fmt.Errorf("sched: Rebind horizon changed %d -> %d", old.Horizon, ins.Horizon)
@@ -647,42 +739,24 @@ func (b *Built) Rebind(ins *Instance) error {
 
 // pathsEqual reports whether two route sets are element-wise identical.
 func pathsEqual(a, b []graph.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, slices.Equal[graph.Path])
 }
 
 // intsEqual reports whether two int slices are identical (nil == empty is
 // NOT assumed: a nil Allowed means "every step", which differs from empty).
 func intsEqual(a, b []int) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 // Solve optimizes the built model. It can be called repeatedly after
-// in-place perturbations (RelaxGuarantees), ideally passing the previous
-// Result.Basis via opts.WarmBasis.
+// in-place perturbations (RelaxGuarantees, Rebind), ideally passing the
+// previous Result.Basis via opts.WarmBasis. The build mode sets
+// opts.Presolve, whatever the caller passed: implicit builds carry their
+// bounds to feed it, explicit builds are pinned without it.
 func (b *Built) Solve(opts lp.Options) (*Result, error) {
 	ins, m := b.ins, b.model
 	ne := ins.Net.NumEdges()
+	opts.Presolve = b.implicit
 	sol, err := m.Solve(opts)
 	if err != nil {
 		return nil, err
