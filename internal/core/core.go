@@ -300,6 +300,11 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	if cfg.HighPriActual != nil && len(cfg.HighPriActual) != net.NumEdges() {
 		return nil, fmt.Errorf("core: HighPriActual has %d edges, want %d", len(cfg.HighPriActual), net.NumEdges())
 	}
+	for e, row := range cfg.HighPriActual {
+		if len(row) < cfg.Horizon {
+			return nil, fmt.Errorf("core: HighPriActual row %d has %d steps, horizon is %d", e, len(row), cfg.Horizon)
+		}
+	}
 	c.trueCap = make([][]float64, net.NumEdges())
 	for _, e := range net.Edges() {
 		c.trueCap[e.ID] = make([]float64, cfg.Horizon)
@@ -319,6 +324,9 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		f := &c.cfg.Faults[i]
 		if f.Factor < 0 || f.Factor > 1 {
 			return nil, fmt.Errorf("core: fault %d factor %v outside [0,1]", i, f.Factor)
+		}
+		if f.Edge < 0 || int(f.Edge) >= net.NumEdges() {
+			return nil, fmt.Errorf("core: fault %d edge %d outside the network's %d edges", i, f.Edge, net.NumEdges())
 		}
 		if f.Announce == 0 || f.Announce < f.From {
 			f.Announce = f.From

@@ -169,6 +169,12 @@ func TestFaultValidation(t *testing.T) {
 	if _, err := New(n, reqs, cfg); err == nil {
 		t.Error("factor > 1 accepted")
 	}
+	for _, e := range []graph.EdgeID{-1, graph.EdgeID(n.NumEdges())} {
+		cfg.Faults = []Fault{{Edge: e, From: 0, To: 0, Factor: 0.5}}
+		if _, err := New(n, reqs, cfg); err == nil {
+			t.Errorf("fault on edge %d of %d accepted", e, n.NumEdges())
+		}
+	}
 }
 
 func TestFaultPreservesOtherEdges(t *testing.T) {

@@ -85,6 +85,13 @@ func TestHighPriActualValidation(t *testing.T) {
 	if _, err := New(n, reqs, cfg); err == nil {
 		t.Error("bad HighPriActual accepted")
 	}
+	cfg.HighPriActual = make([][]float64, n.NumEdges())
+	for e := range cfg.HighPriActual {
+		cfg.HighPriActual[e] = make([]float64, cfg.Horizon-1) // one step short
+	}
+	if _, err := New(n, reqs, cfg); err == nil {
+		t.Error("short HighPriActual row accepted")
+	}
 }
 
 func TestEstimateHighPriSetAside(t *testing.T) {

@@ -27,8 +27,8 @@ type Basis struct {
 	basic   []int  // basic standardized column per row
 	atUpper []bool // nonbasic-at-upper flag per standardized column
 
-	// fac is a deep snapshot of the basis representation (sparse LU + eta
-	// file, or the dense reference inverse) as of capture. It is cloned on
+	// fac is a deep snapshot of the basis representation (the solve's
+	// kernel, see factor) as of capture. It is cloned on
 	// capture and cloned again on install, so no later solve — on the
 	// originating state or any state the basis is installed into — can
 	// mutate the snapshot. Because sig covers the constraint matrix
@@ -126,6 +126,23 @@ func (st *state) effUpper(j int) float64 {
 	return st.std.up[j]
 }
 
+// sameKernel reports whether a captured factorization is of the production
+// kernel this solve runs. The signature fixes the model's size, so the two
+// production kernels never meet; what this turns away is a test's oracle or
+// wrapper, which refactorizes rather than take over another kernel's
+// snapshot.
+func sameKernel(captured, running factor) bool {
+	switch captured.(type) {
+	case *etaFactor:
+		_, ok := running.(*etaFactor)
+		return ok
+	case *ftFactor:
+		_, ok := running.(*ftFactor)
+		return ok
+	}
+	return false
+}
+
 // installWarm loads a structurally matching basis into st and classifies
 // the result: warmPrimal when the implied basic values are primal feasible
 // (with basic artificials at numerical zero), warmRepair when the basis is
@@ -150,8 +167,7 @@ func (st *state) installWarm(b *Basis) warmFit {
 			return warmNo // cannot rest at an infinite upper bound
 		}
 	}
-	if b.fac != nil && b.fac.denseKernel() == st.fac.denseKernel() &&
-		b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
+	if sameKernel(b.fac, st.fac) && b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
 		// Reuse the captured factorization: the signature match guarantees
 		// the basis columns are identical, so the snapshot still represents
 		// B⁻¹ for the new model and the refactorization can be skipped
@@ -159,7 +175,7 @@ func (st *state) installWarm(b *Basis) warmFit {
 		// cloned again so this solve's pivots cannot corrupt the caller's
 		// Basis (which may warm-start further solves). Only the basic
 		// values need recomputing against the new right-hand side.
-		st.fac = b.fac.clone()
+		st.install(b.fac.clone())
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {
 		return warmNo // singular basis matrix (or budget expired mid-rebuild)

@@ -232,6 +232,70 @@ func TestCrashGateLeavesSmallModelsAlone(t *testing.T) {
 	}
 }
 
+// spyFactor counts the tableau-column solves a kernel is asked for, by form.
+type spyFactor struct {
+	wrapFactor
+	dense, nz int
+}
+
+func (s *spyFactor) ftranCol(col []entry, out []float64) {
+	s.dense++
+	s.factor.ftranCol(col, out)
+}
+
+func (s *spyFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
+	s.nz++
+	return s.wrapFactor.ftranColNz(col, out, prev)
+}
+
+// spiedSolve solves m with its kernel wrapped in a spyFactor.
+func spiedSolve(t *testing.T, m *Model, opts Options) (spy *spyFactor, sol *Solution) {
+	t.Helper()
+	old := newFactor
+	newFactor = func(large bool) factor {
+		spy = &spyFactor{wrapFactor: wrapFactor{old(large)}}
+		return spy
+	}
+	defer func() { newFactor = old }()
+	sol, err := m.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spy, sol
+}
+
+// TestOneSizeDecision: the same staircase one row under LargeModelRows and
+// at it. Everything the solver switches on size switches between the two —
+// kernel, pivot-vector form, cold pricing rule, logical crash — and nothing
+// is left on the other side: the size decision is one, seen from outside.
+func TestOneSizeDecision(t *testing.T) {
+	const n = 2000
+	base := crashStaircase(33, n, 0, false).m.NumRows()
+	for _, rows := range []int{LargeModelRows - 1, LargeModelRows} {
+		lp := crashStaircase(33, n, rows-base, false)
+		large := lp.m.NumRows() >= LargeModelRows
+		spy, sol := spiedSolve(t, lp.m, Options{MaxIters: 60}) // the first pivots tell
+		_, eta := spy.factor.(*etaFactor)
+		_, ft := spy.factor.(*ftFactor)
+		if eta == large || ft != large {
+			t.Errorf("%d rows: kernel %T", rows, spy.factor)
+		}
+		if spy.dense+spy.nz == 0 || (spy.nz > 0) != large || (spy.dense > 0) == large {
+			t.Errorf("%d rows: %d dense and %d nonzero-list tableau columns", rows, spy.dense, spy.nz)
+		}
+		if devex := sol.PricingUsed == PricingDevex; devex != large {
+			t.Errorf("%d rows: cold solve priced with %q", rows, sol.PricingUsed)
+		}
+		wantArt := len(lp.guards)
+		if !large {
+			wantArt += len(lp.costs)
+		}
+		if sol.Artificials != wantArt {
+			t.Errorf("%d rows: %d artificials, want %d", rows, sol.Artificials, wantArt)
+		}
+	}
+}
+
 // TestRelPivotTol pins the tolerance on the event it was written for: a
 // 3.14e-8 entry in a column whose largest entry is 4.7e2 is not a pivot.
 func TestRelPivotTol(t *testing.T) {
@@ -244,10 +308,10 @@ func TestRelPivotTol(t *testing.T) {
 	}
 }
 
-// faultyFactor is the sparse kernel with refactorize failing on chosen
-// calls, as a numerically singular basis would.
+// faultyFactor is the solve's sparse kernel with refactorize failing on
+// chosen calls, as a numerically singular basis would.
 type faultyFactor struct {
-	*luFactor
+	wrapFactor
 	calls int
 	fail  func(call int) bool
 }
@@ -257,21 +321,27 @@ func (f *faultyFactor) refactorize(std *standard, basis []int, deadline time.Tim
 	if f.fail(f.calls) {
 		return refactorSingular
 	}
-	return f.luFactor.refactorize(std, basis, deadline)
+	return f.factor.refactorize(std, basis, deadline)
 }
 
-// withFaults runs fn with every solve's kernel wrapped in a faultyFactor
-// and returns the wrappers created, in order.
+// faultEvery is the refactorization cadence under withFaults: short enough
+// that the staircase solves here refactorize several times, so an injection
+// aimed at a later call has one to hit.
+const faultEvery = 256
+
+// withFaults runs fn with every solve's kernel wrapped in a faultyFactor,
+// at the faultEvery cadence unless fn forces its own, and returns the
+// wrappers created, in order.
 func withFaults(fail func(call int) bool, fn func()) []*faultyFactor {
 	var made []*faultyFactor
 	old := newFactor
-	newFactor = func() factor {
-		f := &faultyFactor{luFactor: &luFactor{}, fail: fail}
+	newFactor = func(large bool) factor {
+		f := &faultyFactor{wrapFactor: wrapFactor{old(large)}, fail: fail}
 		made = append(made, f)
 		return f
 	}
 	defer func() { newFactor = old }()
-	fn()
+	withRefactorEvery(faultEvery, fn)
 	return made
 }
 
@@ -298,8 +368,8 @@ func TestSingularRefactorRecovers(t *testing.T) {
 	if !relClose(hit.Objective, base.Objective, objTol) {
 		t.Fatalf("objective %v after recovery, %v without the fault", hit.Objective, base.Objective)
 	}
-	if lost := hit.Iterations - base.Iterations; lost > nzRefactorEvery {
-		t.Fatalf("recovery cost %d pivots, a refactorization interval is %d", lost, nzRefactorEvery)
+	if lost := hit.Iterations - base.Iterations; lost > faultEvery {
+		t.Fatalf("recovery cost %d pivots, a refactorization interval is %d", lost, faultEvery)
 	}
 }
 
@@ -328,7 +398,9 @@ func TestSingularLadder(t *testing.T) {
 	wantWarm := mustOptimal(t, lp.m, Options{}, "edited, cold").Objective
 	var stats SolveStats
 	withFaults(func(call int) bool { return call <= 2 }, func() {
-		sol = mustOptimal(t, lp.m, Options{WarmBasis: cold.Basis(), RefactorEvery: 8, Stats: &stats}, "warm, retried cold")
+		withRefactorEvery(8, func() {
+			sol = mustOptimal(t, lp.m, Options{WarmBasis: cold.Basis(), Stats: &stats}, "warm, retried cold")
+		})
 	})
 	if stats.WarmStarts != 0 || sol.Artificials != len(lp.guards) {
 		t.Fatalf("warm starts %d, artificials %d: the singular warm solve was not retried cold", stats.WarmStarts, sol.Artificials)
@@ -366,7 +438,9 @@ func TestBarredColumnGetsItsTurn(t *testing.T) {
 		var sol *Solution
 		withPricing(rule, func() {
 			withFaults(func(call int) bool { return call == 1 }, func() {
-				sol = mustOptimal(t, m, Options{RefactorEvery: 1}, "fault after the first pivot")
+				withRefactorEvery(1, func() {
+					sol = mustOptimal(t, m, Options{}, "fault after the first pivot")
+				})
 			})
 		})
 		if sol.Recoveries != 1 || sol.Objective != want.Objective {

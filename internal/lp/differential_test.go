@@ -185,7 +185,7 @@ func TestSparseSolveWithGrowthOnlyRefactor(t *testing.T) {
 		if err != nil || want.Status != Optimal {
 			continue
 		}
-		got, err := model.Solve(Options{RefactorEvery: 1 << 20})
+		got, err := solveEvery(1<<20, model, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -251,7 +251,7 @@ func TestCaptureSurvivesLaterMutation(t *testing.T) {
 // yields TimeLimit (with ErrTimeBudget) and no captured basis.
 func TestTimeBudgetStillBindsOnSparseKernel(t *testing.T) {
 	model := samShapedLP(rand.New(rand.NewSource(99)), 1.0)
-	sol, err := model.Solve(Options{TimeBudget: time.Nanosecond, RefactorEvery: 1})
+	sol, err := solveEvery(1, model, Options{TimeBudget: time.Nanosecond})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 	}
 }
 
-// TestDevexWeightResetAcrossRefactor: with RefactorEvery forced to 1 every
+// TestDevexWeightResetAcrossRefactor: with the cadence forced to 1 every
 // pivot passes through a refactorization, so the devex reference weights
 // and maintained reduced costs are rebuilt at every step — the solve must
 // still land on the Dantzig optimum, and the final refresh-verified exit
@@ -394,13 +394,14 @@ func TestDevexWeightResetAcrossRefactor(t *testing.T) {
 	if err != nil || want.Status != Optimal {
 		t.Fatalf("dantzig reference: %v %v", want.Status, err)
 	}
-	got, err := solveWith(PricingDevex, model, Options{RefactorEvery: 1})
+	var got *Solution
+	withRefactorEvery(1, func() { got, err = solveWith(PricingDevex, model, Options{}) })
 	if err != nil || got.Status != Optimal {
 		t.Fatalf("devex forced-refactor solve: %v %v", got.Status, err)
 	}
 	requireCrossOptimal(t, model, got, want, "forced-refactor")
 	if got.Refactors < got.Iterations {
-		t.Fatalf("RefactorEvery=1 performed %d refactors over %d pivots", got.Refactors, got.Iterations)
+		t.Fatalf("a cadence of 1 performed %d refactors over %d pivots", got.Refactors, got.Iterations)
 	}
 
 	// State-level: after a devex solve's verified exit, dRed must equal the

@@ -17,8 +17,9 @@ const (
 
 // factor is the basis representation behind the revised simplex: everything
 // the pivot loops need from B⁻¹, expressed operationally so the kernel can
-// be the sparse LU factorization (luFactor, the one production solves run) or
-// the dense inverse the tests keep as its differential oracle.
+// be etaFactor or ftFactor (the production pair, both sparse LU
+// factorizations, see luFactor) or the dense inverse the tests keep as
+// their differential oracle.
 //
 // Vector index conventions, fixed by the simplex loops: FTRAN inputs are
 // indexed by constraint row and outputs by basis position (w[i] pairs with
@@ -49,38 +50,50 @@ type factor interface {
 	// w is consumed (the caller's scratch; the kernel must copy what it
 	// keeps).
 	update(r int, w []float64)
-	// ftranColNz is the hyper-sparse form of ftranCol for large models: it
-	// zeroes out's entries at prev (the list the previous call returned for
-	// this buffer), computes only the reachable entries, and returns their
-	// deduplicated (unsorted) index list. Everything off the list is exactly
-	// zero. The caller owns one prev list per output buffer and must thread
-	// it through every call.
-	ftranColNz(col []entry, out []float64, prev []int32) []int32
-	// btranUnitNz is the hyper-sparse form of btranUnit, same contract as
-	// ftranColNz (indices are constraint rows).
-	btranUnitNz(r int, out []float64, prev []int32) []int32
-	// updateNz is update with the column's nonzero list (sorted ascending)
-	// supplied, letting the kernel skip its O(m) scan of w.
-	updateNz(r int, w []float64, wnz []int32)
 	// age counts product-form pivots applied since the last reset or
 	// refactorization — the periodic-refactorization hygiene counter.
 	age() int
+	// refactorEvery is the age at which the kernel wants that periodic
+	// refactorization.
+	refactorEvery() int
 	// wantRefactor reports that the representation itself asks for an
-	// early refactorization (eta-file growth or a drift-suspect pivot),
-	// independent of the periodic Options.RefactorEvery cadence.
+	// early refactorization (update-fill growth or a drift-suspect pivot),
+	// independent of the refactorEvery cadence.
 	wantRefactor() bool
 	// clone returns a deep snapshot: no later update or refactorize on
 	// either copy may affect the other. Basis capture depends on this.
 	clone() factor
-	// denseKernel tells the sparse kernel from the tests' dense oracle so a
-	// captured snapshot is only transplanted into a solve using the same
-	// kernel.
-	denseKernel() bool
 }
 
-// newFactor builds the kernel for a solve. A var so tests can wrap the
-// kernel (fault injection into refactorize) or swap in the dense oracle.
-var newFactor = func() factor { return &luFactor{} }
+// nzFactor is a factor that also serves the hyper-sparse pivot vectors of a
+// large model (standard.large): solves that touch, and report, only the
+// nonzeros.
+type nzFactor interface {
+	factor
+	// ftranColNz is the hyper-sparse form of ftranCol: it zeroes out's
+	// entries at prev (the list the previous call returned for this buffer),
+	// computes only the reachable entries, and returns their deduplicated
+	// (unsorted) index list. Everything off the list is exactly zero. The
+	// caller owns one prev list per output buffer and must thread it through
+	// every call.
+	ftranColNz(col []entry, out []float64, prev []int32) []int32
+	// btranUnitNz is the hyper-sparse form of btranUnit, same contract as
+	// ftranColNz (indices are constraint rows).
+	btranUnitNz(r int, out []float64, prev []int32) []int32
+	// updateNz is update with the column's nonzero list supplied, letting
+	// the kernel skip its O(m) scan of w.
+	updateNz(r int, w []float64, wnz []int32)
+}
+
+// newFactor builds the kernel for a solve of a large or a small model. A
+// var so tests can wrap the kernel (fault injection into refactorize) or
+// swap in the dense oracle.
+var newFactor = func(large bool) factor {
+	if large {
+		return &ftFactor{}
+	}
+	return &etaFactor{}
+}
 
 // expired reports whether the wall-clock deadline (zero value = none) has
 // passed.

@@ -67,14 +67,14 @@ func checkNzAgainstDense(t *testing.T, dense, sparse []float64, nz []int32, tol 
 // TestHyperSparseSolvesMatchDense: on a staircase basis big enough for
 // the peeled refactorization path, ftranColNz/btranUnitNz must agree with
 // ftranCol/btranUnit (independent loop structures over the same LU), and
-// updateNz-driven eta chains must agree with update-driven ones, across
+// updateNz-driven update chains must agree with update-driven ones, across
 // updates and a mid-chain refactorization of the mutated basis.
 func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	m := LargeModelRows + 404
 	r := rand.New(rand.NewSource(71))
 	std, basis := bigStaircaseBasis(r, m)
 
-	lu := &luFactor{}
+	lu := &ftFactor{}
 	lu.reset(m)
 	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("refactorize outcome %v", out)
@@ -114,8 +114,8 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 
 	probe("fresh factorization")
 
-	// Eta chain: mirror pivots through updateNz on lu and update on a
-	// clone, then require the two eta files to answer identically.
+	// Update chain: mirror pivots through updateNz on lu and update on a
+	// clone, then require the two factors to answer identically.
 	mirror := lu.clone()
 	w := make([]float64, m)
 	var wPrev []int32
@@ -139,18 +139,18 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 		basis[leave] = q
 	}
 	if lu.age() == 0 {
-		t.Fatal("eta chain never applied a pivot")
+		t.Fatal("update chain never applied a pivot")
 	}
 	for k := 0; k < 16; k++ {
 		rr := r.Intn(m)
 		mirror.btranUnit(rr, dOut)
 		btranPrev = lu.btranUnitNz(rr, sBtran, btranPrev)
-		checkNzAgainstDense(t, dOut, sBtran, btranPrev, 1e-7, "eta chain: btran")
+		checkNzAgainstDense(t, dOut, sBtran, btranPrev, 1e-7, "update chain: btran")
 	}
 	col := coalesce([]entry{{row: r.Intn(m), val: 1.5}, {row: r.Intn(m), val: -0.7}})
 	mirror.ftranCol(col, dOut)
 	ftranPrev = lu.ftranColNz(col, sFtran, ftranPrev)
-	checkNzAgainstDense(t, dOut, sFtran, ftranPrev, 1e-7, "eta chain: ftran")
+	checkNzAgainstDense(t, dOut, sFtran, ftranPrev, 1e-7, "update chain: ftran")
 
 	// Refactorize the mutated basis (peeling on a basis with real
 	// replaced columns) and re-verify against ground truth.
@@ -231,17 +231,14 @@ func TestFTLongChainDifferential(t *testing.T) {
 		inBasis[j] = true
 	}
 
-	lu := &luFactor{}
+	lu := &ftFactor{}
 	lu.reset(m)
-	if !lu.ftMode {
-		t.Fatalf("m=%d should select Forrest–Tomlin mode", m)
-	}
 	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("refactorize outcome %v", out)
 	}
 
 	var (
-		snapshot  *luFactor // clone taken mid-chain
+		snapshot  *ftFactor // clone taken mid-chain
 		basisSnap []int
 	)
 	w := make([]float64, m)
@@ -275,7 +272,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 		basis[leave] = q
 		pivots++
 		if pivots == 120 {
-			snapshot = lu.clone().(*luFactor)
+			snapshot = lu.clone().(*ftFactor)
 			basisSnap = append([]int(nil), basis...)
 		}
 		if pivots == 180 {
@@ -302,7 +299,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 
 	// A fresh factorization of the same mutated basis is the differential
 	// oracle; the basis matrix itself is the absolute one.
-	fresh := &luFactor{}
+	fresh := &ftFactor{}
 	fresh.reset(m)
 	if out := fresh.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("fresh refactorize of mutated basis: outcome %v", out)

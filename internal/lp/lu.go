@@ -5,24 +5,30 @@ import (
 	"time"
 )
 
-// luFactor is the sparse kernel: the basis is held as a sparse LU
-// factorization with Markowitz-style pivot ordering. Pivots applied since
-// the last factorization are absorbed by one of two update schemes:
+// luFactor is the sparse LU factorization of the basis, with Markowitz-style
+// pivot ordering, that both production kernels are built on. They differ in
+// how pivots since the last factorization are absorbed, and the model's size
+// (standard.large, decided once in standardize) picks one for the whole solve:
 //
-//   - Small models (m < LargeModelRows) keep the product-form eta file:
-//     update() appends an eta vector, FTRAN applies the file last in order
-//     and BTRAN first in reverse. The float stream of these models is
-//     pinned by the golden-trace suite, so this path never changes.
-//   - At hyper-sparse scale the kernel switches to Forrest–Tomlin updates
-//     (ftMode): each pivot rewrites the U factor in place — the entering
-//     column's spike v = U·w̃ replaces U's column at the leaving step, the
-//     step moves to the end of a *logical* pivot order, and the leaving
-//     step's old row is eliminated against the rows below it, appending
-//     row-elimination multipliers (ftOps) that FTRAN applies to the
-//     right-hand side after L and BTRAN applies transposed in reverse.
-//     FTRAN/BTRAN stay pure L/U triangular solves with no eta-file replay,
-//     so per-pivot solve cost tracks the (slowly growing) factor fill
-//     rather than the pivot count since the last refactorization.
+//   - etaFactor, small models: the product-form eta file. update() appends
+//     an eta vector, FTRAN applies the file last in order and BTRAN first in
+//     reverse. It serves the dense pivot vectors only.
+//   - ftFactor, large models: Forrest–Tomlin. Each pivot rewrites the U
+//     factor in place — the entering column's spike v = U·w̃ replaces U's
+//     column at the leaving step, the step moves to the end of a *logical*
+//     pivot order, and the leaving step's old row is eliminated against the
+//     rows below it, appending row-elimination multipliers (ftOps) that
+//     FTRAN applies to the right-hand side after L and BTRAN applies
+//     transposed in reverse. FTRAN/BTRAN stay pure L/U triangular solves, so
+//     per-pivot solve cost tracks the (slowly growing) factor fill rather
+//     than the pivot count since the last refactorization. It serves the
+//     hyper-sparse (nonzero-list) entry points of nzFactor, and the dense
+//     ones as their independent reference.
+//
+// Both stay because a bench row says so: Forrest–Tomlin forced at every
+// size costs loop-wan16 (m < LargeModelRows) 0.95% of its welfare and 39%
+// more wall clock (DESIGN.md §13), and at paper scale the eta file is what
+// Forrest–Tomlin replaced (DESIGN.md §15: 281 refactorizations → 27).
 //
 // Representation. Factorization of B (rows = constraint rows, columns =
 // basis positions) by right-looking Gaussian elimination choosing pivot
@@ -35,13 +41,10 @@ import (
 //   - urows/udiag + permRow/permPos: the rows that became pivot rows, i.e.
 //     U in elimination order; entries are indexed by elimination step so
 //     back-substitution (FTRAN) and the transposed forward solve (BTRAN)
-//     are direct slice walks. In ftMode the *iteration* order is the
+//     are direct slice walks. In ftFactor the *iteration* order is the
 //     logical order (ordNext/ordPrev), which starts equal to step order
 //     and diverges as updates move steps to the end; the triangular
 //     invariant ord[row] < ord[col] holds for every off-diagonal entry.
-//   - etas: product-form updates E_1…E_k appended by update() when ftMode
-//     is off; B = B₀E₁…E_k so FTRAN applies them last in order and BTRAN
-//     first in reverse. Empty in ftMode.
 //
 // All iteration orders are slice-deterministic: two solves of the same
 // model pivot identically (warm-start determinism tests rely on this).
@@ -53,50 +56,20 @@ type luFactor struct {
 	permRow []int32 // step k -> original constraint row
 	permPos []int32 // step k -> basis position
 
-	etas    []eta
-	etaNnz  int
-	baseNnz int  // nnz(L)+nnz(U) at factorization, anchors the growth policy
+	baseNnz int  // nnz(L)+nnz(U) at factorization, anchors the growth policies
 	drift   bool // an ill-conditioned update pivot was absorbed
 
-	// Forrest–Tomlin update state (ftMode only; see the type comment).
-	// Update-added U entries never grow the arena-carved static rows:
-	// they live in per-row overflow chains (xhead heads a linked list
-	// through the xpool slab), so a pivot's structural writes are pool
-	// appends and in-place unlinks — amortized-zero allocations. ucols is
-	// the exact dynamic transpose (rows holding a U entry per column),
-	// maintained eagerly on every update so the dependency-ordered
-	// hyper-sparse worklists stay correct as the structure mutates; it
-	// replaces the static ucPtr/ucIdx CSR, which is not built in ftMode.
-	ftMode  bool
-	ftOps   []ftOp  // row-elimination ops in application (append) order
-	ftNnz   int     // update fill: spike entries + op multipliers absorbed
-	nupd    int     // updates since refactorize (the age in ftMode)
-	ord     []int64 // step -> logical order key, strictly increasing along the order
-	ordNext []int32 // step -> successor in logical order (-1 at tail)
-	ordPrev []int32 // step -> predecessor in logical order (-1 at head)
-	ordHead int32
-	ordTail int32
-	nextOrd int64
-	xhead   []int32   // step -> first xpool index of its overflow entries (-1 none)
-	xpool   []lux     // overflow entry slab, recycled at refactorize
-	ucols   [][]int32 // column step -> rows holding a U entry there (exact)
-
-	// Transposed factorization structure for rhs-sparsity-adaptive solves.
-	// ucPtr/ucIdx is a CSR map from elimination step k to the earlier steps
-	// whose U rows reference z[k] (FTRAN's back-substitution dependents);
 	// lrPtr/lrIdx maps each constraint row r to the L-op indices that read
-	// out[r] (BTRAN's transposed-pass dependents). Both are stable between
+	// out[r] (BTRAN's transposed-pass dependents). Stable between
 	// refactorize/reset calls and shared by clones (the `shared` flag below
 	// keeps a clone's view immutable), like the factorization itself.
-	ucPtr, ucIdx []int32
 	lrPtr, lrIdx []int32
 
-	// Permutation inverses and the row→op map for the hyper-sparse solves
-	// (ftranColNz/btranUnitNz): posStep is the inverse of permPos (basis
-	// position → elimination step), stepOfRow the inverse of permRow, and
-	// rowOp[r] the index of the elimination op whose pivot row is r (-1 when
-	// row r generated no multipliers). Stable between refactorize/reset
-	// calls, shared by clones under the `shared` flag.
+	// Permutation inverses and the row→op map: posStep is the inverse of
+	// permPos (basis position → elimination step), stepOfRow the inverse of
+	// permRow, and rowOp[r] the index of the elimination op whose pivot row
+	// is r (-1 when row r generated no multipliers). Stable between
+	// refactorize/reset calls, shared by clones under the `shared` flag.
 	posStep   []int32
 	stepOfRow []int32
 	rowOp     []int32
@@ -105,39 +78,6 @@ type luFactor struct {
 	zwork []float64 // elimination-order scratch
 	umark []bool    // FTRAN U-solve reachability marks (self-clearing)
 	lmark []bool    // BTRAN L-op reachability marks (cleared per solve)
-
-	// Forrest–Tomlin update scratch (ftMode only). ftb holds the scattered
-	// step-space image of the tableau column while the spike is computed,
-	// ftw the row-spike working values during elimination; both are kept
-	// all-zero between calls. ftmark tags worklist membership and ftheap /
-	// ftlist are the ord-keyed worklist and its companion lists.
-	ftb, ftw []float64
-	ftmark   []bool
-	ftheap   []int64
-	ftlist   []int32
-	ftvals   []float64
-
-	// Spike stash: the step-space image F(a) captured by the last hyper-
-	// sparse FTRAN, which is exactly the spike column the next ftUpdate
-	// needs. stashPtr identifies the output buffer the FTRAN filled; an
-	// update whose w is that same buffer reuses the stash and skips the
-	// U·w̃ recomputation. Any update or refactorization invalidates it.
-	stashK   []int32
-	stashV   []float64
-	stashPtr *float64
-
-	// Hyper-sparse solve scratch. sxw/szw are kept all-zero between calls
-	// (each call clears exactly what it touched); the marks likewise. omark
-	// and smark self-clear as the worklist heaps drain; pmark is cleared
-	// with the eta-pass nonzero list; posMark/rmark persist between calls as
-	// "currently in the caller's nonzero list" and are cleared when the next
-	// call zeroes the previous output.
-	sxw, szw       []float64
-	smark, pmark   []bool
-	posMark, rmark []bool
-	omark          []bool
-	heapA, heapB   []int32
-	lstA, lstB     []int32
 
 	// mkz holds the refactorization working set (active matrix, Markowitz
 	// count buckets). It is reused across refactorizations — on paper-scale
@@ -157,14 +97,86 @@ type luFactor struct {
 	shared bool
 
 	// Arenas backing the per-step/per-pivot small slices, recycled across
-	// refactorizations when not shared. lueArena backs ur's step rows,
-	// opArena backs the lops multiplier lists, etaArena backs the eta-file
-	// nonzero lists (append-carved with a capped three-index expression, so
-	// a mid-carve growth leaves earlier, already-published slices on the old
-	// backing array — write-once, never revisited).
+	// refactorizations when not shared: lueArena backs ur's step rows,
+	// opArena the lops multiplier lists.
 	lueArena []lue
 	opArena  []entry
+}
+
+// etaFactor is luFactor plus the product-form eta file (see luFactor).
+type etaFactor struct {
+	luFactor
+
+	// etas are the updates E_1…E_k appended by update(): B = B₀E₁…E_k, so
+	// FTRAN applies them last in order and BTRAN first in reverse. etaArena
+	// backs their nonzero lists (append-carved with a capped three-index
+	// expression, so a mid-carve growth leaves earlier, already-published
+	// slices on the old backing array — write-once, never revisited).
+	etas     []eta
+	etaNnz   int
 	etaArena []entry
+
+	// ucPtr/ucIdx is a CSR map from elimination step k to the earlier steps
+	// whose U rows reference z[k] (FTRAN's back-substitution dependents),
+	// stable and shared with clones like lrPtr/lrIdx.
+	ucPtr, ucIdx []int32
+}
+
+// ftFactor is luFactor plus the Forrest–Tomlin update state (see luFactor)
+// and the working set of the hyper-sparse solves.
+type ftFactor struct {
+	luFactor
+
+	// Update-added U entries never grow the arena-carved static rows: they
+	// live in per-row overflow chains (xhead heads a linked list through
+	// the xpool slab), so a pivot's structural writes are pool appends and
+	// in-place unlinks — amortized-zero allocations. ucols is the exact
+	// dynamic transpose (rows holding a U entry per column), maintained
+	// eagerly on every update so the dependency-ordered hyper-sparse
+	// worklists stay correct as the structure mutates.
+	ftOps   []ftOp  // row-elimination ops in application (append) order
+	ftNnz   int     // update fill: spike entries + op multipliers absorbed
+	nupd    int     // updates since refactorize (the kernel's age)
+	ord     []int64 // step -> logical order key, strictly increasing along the order
+	ordNext []int32 // step -> successor in logical order (-1 at tail)
+	ordPrev []int32 // step -> predecessor in logical order (-1 at head)
+	ordHead int32
+	ordTail int32
+	nextOrd int64
+	xhead   []int32   // step -> first xpool index of its overflow entries (-1 none)
+	xpool   []lux     // overflow entry slab, recycled at refactorize
+	ucols   [][]int32 // column step -> rows holding a U entry there (exact)
+
+	// Update scratch. ftb holds the scattered step-space image of the
+	// tableau column while the spike is computed, ftw the row-spike working
+	// values during elimination; both are kept all-zero between calls.
+	// ftmark tags worklist membership and ftheap / ftlist are the ord-keyed
+	// worklist and its companion lists.
+	ftb, ftw []float64
+	ftmark   []bool
+	ftheap   []int64
+	ftlist   []int32
+	ftvals   []float64
+
+	// Spike stash: the step-space image F(a) captured by the last hyper-
+	// sparse FTRAN, which is exactly the spike column the next update
+	// needs. stashPtr identifies the output buffer the FTRAN filled; an
+	// update whose w is that same buffer reuses the stash and skips the
+	// U·w̃ recomputation. Any update or refactorization invalidates it.
+	stashK   []int32
+	stashV   []float64
+	stashPtr *float64
+
+	// Hyper-sparse solve scratch. sxw/szw are kept all-zero between calls
+	// (each call clears exactly what it touched); the marks likewise. omark
+	// and smark self-clear as the worklist heaps drain; posMark/rmark
+	// persist between calls as "currently in the caller's nonzero list" and
+	// are cleared when the next call zeroes the previous output.
+	sxw, szw       []float64
+	smark, omark   []bool
+	posMark, rmark []bool
+	heapA          []int32
+	lstA, lstB     []int32
 }
 
 // markowitzScratch is the reusable working set of refactorize. Everything
@@ -414,8 +426,16 @@ const (
 	// factorization, and it is deliberately tighter than the eta limit —
 	// FT fill is paid on *every* subsequent solve, an eta only on replay.
 	// This measured-growth trigger, not a fixed pivot cadence, is what
-	// paces refactorization in ftMode (see wantRefactor).
+	// paces refactorization on ftFactor (see wantRefactor).
 	ftGrowthLimit = 1
+	// etaRefactorEvery is the eta file's refactorization cadence in pivots
+	// (fights floating-point drift).
+	etaRefactorEvery = 512
+	// ftRefactorBackstop is the cadence on Forrest–Tomlin kernels, where the
+	// measured fill growth decides when refactorizing pays; the cadence
+	// survives only as a long numerical-hygiene backstop against roundoff
+	// accumulating over very long, low-fill pivot chains.
+	ftRefactorBackstop = 2048
 )
 
 // heapPush/heapPop are the one binary min-heap behind every integer worklist
@@ -467,7 +487,7 @@ func heapPop[K int32 | int64](h []K) (K, []K) {
 // FT updates the dependency order of U's steps is the *logical* order, not
 // the step index order, so entries carry ord[k]<<32|k — heap order on the
 // key is heap order on ord (keys are unique: ord is injective).
-func (f *luFactor) ftKey(k int32) int64 { return f.ord[k]<<32 | int64(k) }
+func (f *ftFactor) ftKey(k int32) int64 { return f.ord[k]<<32 | int64(k) }
 
 // nzCutoff is the worklist size beyond which a hyper-sparse stage stops
 // paying heap log-factors and degrades to a linear mark-driven sweep (the
@@ -482,27 +502,24 @@ func nzCutoff(n int) int {
 	return c
 }
 
-func (f *luFactor) denseKernel() bool { return false }
-
-// age counts the updates absorbed since the last refactorization: eta
-// vectors in product-form mode, in-place U rewrites in ftMode.
-func (f *luFactor) age() int { return len(f.etas) + f.nupd }
+func (f *etaFactor) age() int           { return len(f.etas) }
+func (f *etaFactor) refactorEvery() int { return etaRefactorEvery }
 
 // wantRefactor requests a refactorization when the representation has
-// drifted numerically or the update scheme's measured fill growth has
-// passed its budget. In ftMode the budget is adaptive in the literal
-// sense: it tracks the fill each pivot actually absorbed into U (spike
-// entries plus elimination multipliers) rather than assuming a fixed
-// per-pivot cost, so sparse pivot chains run long between
-// refactorizations and dense ones refactor early.
-func (f *luFactor) wantRefactor() bool {
-	if f.drift {
-		return true
-	}
-	if f.ftMode {
-		return f.ftNnz > ftGrowthLimit*f.baseNnz+4*f.m
-	}
-	return f.etaNnz > etaGrowthLimit*f.baseNnz+4*f.m
+// drifted numerically or the eta file has outgrown its budget.
+func (f *etaFactor) wantRefactor() bool {
+	return f.drift || f.etaNnz > etaGrowthLimit*f.baseNnz+4*f.m
+}
+
+func (f *ftFactor) age() int           { return f.nupd }
+func (f *ftFactor) refactorEvery() int { return ftRefactorBackstop }
+
+// wantRefactor is adaptive in the literal sense: the budget tracks the fill
+// each pivot actually absorbed into U (spike entries plus elimination
+// multipliers) rather than assuming a fixed per-pivot cost, so sparse pivot
+// chains run long between refactorizations and dense ones refactor early.
+func (f *ftFactor) wantRefactor() bool {
+	return f.drift || f.ftNnz > ftGrowthLimit*f.baseNnz+4*f.m
 }
 
 func (f *luFactor) ensureScratch() {
@@ -515,12 +532,11 @@ func (f *luFactor) ensureScratch() {
 
 // ensureNzScratch sizes the hyper-sparse solve working set. sxw/szw come
 // back from make all-zero, which establishes the kept-clean invariant.
-func (f *luFactor) ensureNzScratch() {
+func (f *ftFactor) ensureNzScratch() {
 	if len(f.sxw) != f.m {
 		f.sxw = make([]float64, f.m)
 		f.szw = make([]float64, f.m)
 		f.smark = make([]bool, f.m)
-		f.pmark = make([]bool, f.m)
 		f.posMark = make([]bool, f.m)
 		f.rmark = make([]bool, f.m)
 	}
@@ -531,7 +547,7 @@ func (f *luFactor) ensureNzScratch() {
 
 // ensureFtScratch sizes the Forrest–Tomlin update working set. ftb/ftw
 // come back from make all-zero, establishing the kept-clean invariant.
-func (f *luFactor) ensureFtScratch() {
+func (f *ftFactor) ensureFtScratch() {
 	if len(f.ftb) != f.m {
 		f.ftb = make([]float64, f.m)
 		f.ftw = make([]float64, f.m)
@@ -543,8 +559,7 @@ func (f *luFactor) ensureFtScratch() {
 // factorization of m steps: logical order equal to step order, no ops, no
 // overflow entries. ucols is left to the caller (refactorize builds it
 // from U; reset leaves it empty — the identity has no off-diagonals).
-func (f *luFactor) ftReset(m int) {
-	f.ftMode = true
+func (f *ftFactor) ftReset(m int) {
 	f.ftOps = f.ftOps[:0]
 	f.ftNnz = 0
 	f.nupd = 0
@@ -578,54 +593,54 @@ func (f *luFactor) ftReset(m int) {
 	f.ensureFtScratch()
 }
 
-// reset installs the identity factorization (the cold-start basis is the
-// identity by construction). Fresh slices are allocated so a reset can
-// never write through arrays shared with a cloned snapshot.
-func (f *luFactor) reset(m int) {
+// own readies the factorization output arrays for an m-row rewrite and
+// reports whether it allocated them fresh: on first use, after a size
+// change, or while a clone still views the current ones (`shared`) — the
+// clone keeps those, so nothing is ever written through arrays a snapshot
+// can see. Otherwise the current arrays are recycled in place. Every reset
+// and refactorize starts here, before anything can fail, so a rebuild that
+// ends singular or out of time holds nothing a clone views either.
+func (f *luFactor) own(m int) (fresh bool) {
 	f.m = m
-	if f.shared || len(f.ud) != m || f.ur == nil {
-		// First use, a size change, or a clone still views the current
-		// arrays: allocate fresh so a reset can never write through arrays
-		// shared with a cloned snapshot.
-		f.lops = nil
-		f.opArena = nil
-		f.lueArena = nil
-		f.ur = make([][]lue, m)
-		f.ud = make([]float64, m)
-		f.permRow = make([]int32, m)
-		f.permPos = make([]int32, m)
-		f.posStep = make([]int32, m)
-		f.stepOfRow = make([]int32, m)
-		f.rowOp = make([]int32, m)
-		f.ucPtr = make([]int32, m+1)
-		f.ucIdx = nil
-		f.lrPtr = make([]int32, m+1)
-		f.lrIdx = nil
-		f.lmark = nil
-		f.etas = nil
-		f.etaArena = nil
-		f.shared = false
-	} else {
-		// Recycle in place: rewrite every identity-state entry and rewind
-		// the arenas (no clone can see them — that is what !shared means).
-		f.lops = f.lops[:0]
-		f.opArena = f.opArena[:0]
-		f.lueArena = f.lueArena[:0]
-		for k := 0; k < m; k++ {
-			f.ur[k] = nil
-		}
-		for i := range f.ucPtr {
-			f.ucPtr[i] = 0
-		}
-		for i := range f.lrPtr {
-			f.lrPtr[i] = 0
-		}
-		f.ucIdx = f.ucIdx[:0]
-		f.lrIdx = f.lrIdx[:0]
-		f.etas = f.etas[:0]
-		f.etaArena = f.etaArena[:0]
+	if !f.shared && len(f.ud) == m && f.ur != nil {
+		return false
 	}
-	for k := 0; k < m; k++ {
+	f.lops, f.opArena, f.lueArena = nil, nil, nil
+	f.ur = make([][]lue, m)
+	f.ud = make([]float64, m)
+	f.permRow = make([]int32, m)
+	f.permPos = make([]int32, m)
+	f.posStep = make([]int32, m)
+	f.stepOfRow = make([]int32, m)
+	f.rowOp = make([]int32, m)
+	f.lrPtr = make([]int32, m+1)
+	f.lrIdx = nil
+	f.lmark = nil
+	f.shared = false
+	return true
+}
+
+// own extends luFactor.own over the arrays an etaFactor clone views as well:
+// the U column transpose and the arena under the eta file.
+func (f *etaFactor) own(m int) {
+	if f.luFactor.own(m) {
+		f.ucPtr, f.ucIdx = make([]int32, m+1), nil
+		f.etas, f.etaArena = nil, nil
+	}
+}
+
+// identity installs the identity factorization (the cold-start basis is the
+// identity by construction) in the arrays own readied.
+func (f *luFactor) identity() {
+	f.lops = f.lops[:0]
+	f.opArena = f.opArena[:0]
+	f.lueArena = f.lueArena[:0]
+	for i := range f.lrPtr {
+		f.lrPtr[i] = 0
+	}
+	f.lrIdx = f.lrIdx[:0]
+	for k := 0; k < f.m; k++ {
+		f.ur[k] = nil
 		f.ud[k] = 1
 		f.permRow[k] = int32(k)
 		f.permPos[k] = int32(k)
@@ -633,16 +648,26 @@ func (f *luFactor) reset(m int) {
 		f.stepOfRow[k] = int32(k)
 		f.rowOp[k] = -1
 	}
-	f.etaNnz = 0
-	f.baseNnz = m
+	f.baseNnz = f.m
 	f.drift = false
-	if m >= LargeModelRows {
-		f.ftReset(m)
-	} else {
-		f.ftMode = false
-		f.nupd = 0
-	}
 	f.ensureScratch()
+}
+
+func (f *etaFactor) reset(m int) {
+	f.own(m)
+	f.identity()
+	for i := range f.ucPtr {
+		f.ucPtr[i] = 0
+	}
+	f.ucIdx = f.ucIdx[:0]
+	f.etas, f.etaArena = f.etas[:0], f.etaArena[:0]
+	f.etaNnz = 0
+}
+
+func (f *ftFactor) reset(m int) {
+	f.own(m)
+	f.identity()
+	f.ftReset(m)
 }
 
 // ment is an active-matrix entry during factorization, indexed by basis
@@ -663,15 +688,14 @@ func rowGet(row []ment, pos int32) (float64, bool) {
 	return 0, false
 }
 
-// refactorize factors the basis columns from scratch, rebuilding every
-// factorization output slice — in place when no clone shares them, freshly
-// otherwise (clones taken earlier keep their own view) — and clearing the
-// eta file; the working set comes from the reusable Markowitz scratch. The
-// deadline is checked every 64 elimination steps so a large factorization
-// respects Options.TimeBudget.
-func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome {
-	m := std.m
-	f.m = m
+// factorize factors the basis columns from scratch, rebuilding every
+// factorization output slice in the arrays own readied; the working set
+// comes from the reusable Markowitz scratch. peel turns on staircase
+// singleton peeling: it changes the pivot order, so only the large-model
+// kernel asks for it. The deadline is checked every 64 elimination steps so
+// a large factorization respects Options.TimeBudget.
+func (f *luFactor) factorize(std *standard, basis []int, deadline time.Time, peel bool) refactorOutcome {
+	m := f.m
 	f.ensureScratch()
 	if f.mkz == nil {
 		f.mkz = &markowitzScratch{}
@@ -703,10 +727,6 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 	for p := range basis {
 		s.setColCount(int32(p), len(colRows[p]))
 	}
-	// Staircase peeling is gated like the hyper-sparse solves: it changes
-	// the pivot order, and small models' float streams are pinned by the
-	// golden-trace suite.
-	peel := m >= LargeModelRows
 	for i := range rowNz {
 		rowCount[i] = len(rowNz[i])
 		if peel && rowCount[i] == 1 {
@@ -716,40 +736,21 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 
 	rowDone := s.rowDone
 	colDone := s.colDone
-	// Factorization outputs: recycled in place from the previous
-	// refactorization unless a clone shares them, in which case one fresh
-	// allocation round replaces the whole set and the clone keeps the old
-	// arrays untouched. Recycling scribbles over the live representation as
-	// the elimination proceeds, which is fine: every failure exit
-	// (timeout/singular) leads the solver to reset() or abandon the
-	// factorization, never to keep solving with it. The per-step L
-	// multipliers are carved out of one append-grown arena — slices carved
-	// before a growth keep the old backing array, which is never written
-	// again, so publishing stays safe.
-	fresh := f.shared || len(f.ud) != m || f.ur == nil
-	var (
-		lops    []lop
-		opArena []entry
-		ur      [][]lue
-		ud      []float64
-		permRow []int32
-		permPos []int32
-	)
-	if fresh {
+	// Rewriting the outputs scribbles over the live representation as the
+	// elimination proceeds, which is fine: every failure exit (timeout/
+	// singular) leads the solver to reset() or abandon the factorization,
+	// never to keep solving with it. The per-step L multipliers are carved
+	// out of one append-grown arena — slices carved before a growth keep the
+	// old backing array, which is never written again, so publishing stays
+	// safe.
+	lops := f.lops[:0]
+	opArena := f.opArena[:0]
+	if lops == nil { // own dropped the arenas
 		lops = make([]lop, 0, m/4+1)
 		opArena = make([]entry, 0, 4*m)
-		ur = make([][]lue, m) // built as position-indexed, remapped at the end
-		ud = make([]float64, m)
-		permRow = make([]int32, m)
-		permPos = make([]int32, m)
-	} else {
-		lops = f.lops[:0]
-		opArena = f.opArena[:0]
-		ur = f.ur
-		ud = f.ud
-		permRow = f.permRow
-		permPos = f.permPos
 	}
+	ur, ud := f.ur, f.ud // ur is built position-indexed, remapped at the end
+	permRow, permPos := f.permRow, f.permPos
 	urPos := s.urPos
 	uArena := s.uArena[:0]
 
@@ -974,17 +975,12 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 	// off-diagonal entry belongs to a column eliminated later, so FTRAN's
 	// descending back-substitution and BTRAN's ascending transposed solve
 	// become direct walks.
-	var posOfPos []int32
-	if fresh {
-		posOfPos = make([]int32, m)
-	} else {
-		posOfPos = f.posStep
-	}
+	posOfPos := f.posStep
 	for k, p := range permPos {
 		posOfPos[p] = int32(k)
 	}
 	lueA := f.lueArena[:0]
-	if fresh {
+	if lueA == nil {
 		lueA = make([]lue, 0, len(uArena))
 	}
 	nnz := m
@@ -1001,54 +997,12 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 		nnz += len(op.nz)
 	}
 
-	// Transposes for the sparsity-adaptive solves. Recycled like the
-	// factorization they mirror (clones share both, so `fresh` governs
-	// them too); the fill cursor is pure scratch. In ftMode the static
-	// CSR column map is replaced by the exact dynamic lists the updates
-	// maintain (ucols, built below), so it is not built at all.
-	ft := m >= LargeModelRows
-	var ucPtr []int32
-	var ucIdx []int32
-	if !ft {
-		if fresh {
-			ucPtr = make([]int32, m+1)
-		} else {
-			ucPtr = f.ucPtr
-			for i := range ucPtr {
-				ucPtr[i] = 0
-			}
-		}
-		for _, u := range ur {
-			for _, e := range u {
-				ucPtr[e.k+1]++
-			}
-		}
-		for k := 0; k < m; k++ {
-			ucPtr[k+1] += ucPtr[k]
-		}
-		ucIdx = f.ucIdx
-		if need := int(ucPtr[m]); fresh || cap(ucIdx) < need {
-			ucIdx = make([]int32, need)
-		} else {
-			ucIdx = ucIdx[:need]
-		}
-		ucFill := s.fill
-		copy(ucFill, ucPtr[:m])
-		for k, u := range ur {
-			for _, e := range u {
-				ucIdx[ucFill[e.k]] = int32(k)
-				ucFill[e.k]++
-			}
-		}
-	}
-	var lrPtr []int32
-	if fresh {
-		lrPtr = make([]int32, m+1)
-	} else {
-		lrPtr = f.lrPtr
-		for i := range lrPtr {
-			lrPtr[i] = 0
-		}
+	// The row transpose for the sparsity-adaptive BTRAN (own covers it like
+	// the factorization it mirrors; clones share both); the fill cursor is
+	// pure scratch.
+	lrPtr := f.lrPtr
+	for i := range lrPtr {
+		lrPtr[i] = 0
 	}
 	for li := range lops {
 		for _, nz := range lops[li].nz {
@@ -1059,7 +1013,7 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 		lrPtr[r+1] += lrPtr[r]
 	}
 	lrIdx := f.lrIdx
-	if need := int(lrPtr[m]); fresh || cap(lrIdx) < need {
+	if need := int(lrPtr[m]); cap(lrIdx) < need {
 		lrIdx = make([]int32, need)
 	} else {
 		lrIdx = lrIdx[:need]
@@ -1073,86 +1027,25 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 		}
 	}
 
-	var stepOfRow, rowOp []int32
-	if fresh {
-		stepOfRow = make([]int32, m)
-		rowOp = make([]int32, m)
-	} else {
-		stepOfRow = f.stepOfRow
-		rowOp = f.rowOp
-	}
 	for k, r := range permRow {
-		stepOfRow[r] = int32(k)
+		f.stepOfRow[r] = int32(k)
 	}
-	for r := range rowOp {
-		rowOp[r] = -1
+	for r := range f.rowOp {
+		f.rowOp[r] = -1
 	}
 	for li := range lops {
-		rowOp[lops[li].prow] = int32(li)
+		f.rowOp[lops[li].prow] = int32(li)
 	}
 
 	f.lops = lops
 	f.opArena = opArena
-	f.ur = ur
-	f.ud = ud
-	f.permRow = permRow
-	f.permPos = permPos
-	f.posStep = posOfPos
-	f.stepOfRow = stepOfRow
-	f.rowOp = rowOp
-	if !ft {
-		f.ucPtr, f.ucIdx = ucPtr, ucIdx
-	}
-	f.lrPtr, f.lrIdx = lrPtr, lrIdx
+	f.lrIdx = lrIdx
 	s.uArena = uArena[:0]
 	if len(f.lmark) < len(lops) {
 		f.lmark = make([]bool, len(lops))
 	}
-	if len(f.omark) < len(lops) {
-		f.omark = make([]bool, len(lops))
-	}
-	// The eta headers are private (clone copies them into its own array),
-	// but their nonzero lists live in the arena: rewind it only when no
-	// clone can still be reading the old contents.
-	f.etas = f.etas[:0]
-	if f.shared {
-		f.etaArena = nil
-	} else {
-		f.etaArena = f.etaArena[:0]
-	}
-	f.shared = false
-	f.etaNnz = 0
 	f.baseNnz = nnz
 	f.drift = false
-	if ft {
-		f.ftReset(m)
-		// Count column occupancy first (ftw is all-zero between calls and
-		// free here, so it doubles as the counting scratch), then pre-size
-		// each list with a little headroom for later spike rebuilds; the
-		// build itself then stays off the allocator, and retained capacity
-		// covers subsequent refactorizations.
-		cnt := f.ftw
-		for k := range ur {
-			for _, e := range ur[k] {
-				cnt[e.k]++
-			}
-		}
-		for k := 0; k < m; k++ {
-			c := int(cnt[k])
-			cnt[k] = 0
-			if c > 0 && cap(f.ucols[k]) < c {
-				f.ucols[k] = make([]int32, 0, c+8)
-			}
-		}
-		for k := range ur {
-			for _, e := range ur[k] {
-				f.ucols[e.k] = append(f.ucols[e.k], int32(k))
-			}
-		}
-	} else {
-		f.ftMode = false
-		f.nupd = 0
-	}
 	// The workspace doubled as the scatter buffer; leave it zeroed.
 	for i := range ws {
 		ws[i] = 0
@@ -1160,18 +1053,83 @@ func (f *luFactor) refactorize(std *standard, basis []int, deadline time.Time) r
 	return refactorOK
 }
 
-// solveForward is the FTRAN core: x (row space, consumed) through L⁻¹, U
-// back-substitution, permutation to position space, then the eta file.
-//
-// The U back-substitution is rhs-sparsity-adaptive: step k's result can be
-// nonzero only when its own rhs entry is, or a later step it references
-// produced a nonzero (tracked through the transposed structure in
-// ucPtr/ucIdx). Skipped steps are exact zeros — the arithmetic for computed
-// steps runs the original inner loop in the original order, so the float
-// stream is unchanged. On simplex workloads the rhs is an entering column
-// with a handful of nonzeros and the reachable set is tiny; this is what
-// turns each pivot from O(m + nnz(U)) into O(m) flag work plus O(reached).
-func (f *luFactor) solveForward(x, out []float64) {
+// refactorize rebuilds the factorization, the column transpose of U for the
+// sparsity-adaptive back-substitution, and clears the eta file.
+func (f *etaFactor) refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome {
+	f.own(std.m)
+	if out := f.factorize(std, basis, deadline, false); out != refactorOK {
+		return out
+	}
+	m := f.m
+	ucPtr := f.ucPtr
+	for i := range ucPtr {
+		ucPtr[i] = 0
+	}
+	for _, u := range f.ur {
+		for _, e := range u {
+			ucPtr[e.k+1]++
+		}
+	}
+	for k := 0; k < m; k++ {
+		ucPtr[k+1] += ucPtr[k]
+	}
+	ucIdx := f.ucIdx
+	if need := int(ucPtr[m]); cap(ucIdx) < need {
+		ucIdx = make([]int32, need)
+	} else {
+		ucIdx = ucIdx[:need]
+	}
+	ucFill := f.mkz.fill
+	copy(ucFill, ucPtr[:m])
+	for k, u := range f.ur {
+		for _, e := range u {
+			ucIdx[ucFill[e.k]] = int32(k)
+			ucFill[e.k]++
+		}
+	}
+	f.ucIdx = ucIdx
+	f.etas, f.etaArena = f.etas[:0], f.etaArena[:0]
+	f.etaNnz = 0
+	return refactorOK
+}
+
+// refactorize rebuilds the factorization (peeled) and the Forrest–Tomlin
+// state on top of it; ucols, the exact dynamic transpose the updates
+// maintain, is rebuilt from U.
+func (f *ftFactor) refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome {
+	f.own(std.m)
+	if out := f.factorize(std, basis, deadline, true); out != refactorOK {
+		return out
+	}
+	f.ftReset(f.m)
+	// Count column occupancy first (ftw is all-zero between calls and free
+	// here, so it doubles as the counting scratch), then pre-size each list
+	// with a little headroom for later spike rebuilds; the build itself then
+	// stays off the allocator, and retained capacity covers subsequent
+	// refactorizations.
+	cnt := f.ftw
+	for k := range f.ur {
+		for _, e := range f.ur[k] {
+			cnt[e.k]++
+		}
+	}
+	for k := 0; k < f.m; k++ {
+		c := int(cnt[k])
+		cnt[k] = 0
+		if c > 0 && cap(f.ucols[k]) < c {
+			f.ucols[k] = make([]int32, 0, c+8)
+		}
+	}
+	for k := range f.ur {
+		for _, e := range f.ur[k] {
+			f.ucols[e.k] = append(f.ucols[e.k], int32(k))
+		}
+	}
+	return refactorOK
+}
+
+// lPass applies L⁻¹ to x (row space): the elimination ops in order.
+func (f *luFactor) lPass(x []float64) {
 	for li := range f.lops {
 		op := &f.lops[li]
 		pv := x[op.prow]
@@ -1181,46 +1139,93 @@ func (f *luFactor) solveForward(x, out []float64) {
 			}
 		}
 	}
-	if f.ftMode {
-		// FT row ops transform the step-space rhs in application order;
-		// since z₀[k] ≡ x[permRow[k]] they run on x through the gather.
-		for i := range f.ftOps {
-			op := &f.ftOps[i]
-			pv := x[f.permRow[op.j]]
-			if pv != 0 {
-				x[f.permRow[op.s]] -= op.val * pv
+}
+
+// ltPass finishes a BTRAN: zwork (step space) is permuted to row space in
+// out, then the transposed elimination ops run in reverse.
+//
+// The pass is rhs-sparsity-adaptive: an op only changes out[op.prow] when
+// one of the rows it reads is nonzero, so ops are marked through the reader
+// lists in lrPtr/lrIdx as nonzeros appear and unmarked ops are skipped. A
+// skipped op leaves its row's value bit-exactly as the dense pass would
+// (subtracting only exact zeros); marked ops run the original loop in the
+// original order, so the float stream is unchanged.
+func (f *luFactor) ltPass(out []float64) {
+	z := f.zwork
+	mk := f.lmark
+	for k := 0; k < f.m; k++ {
+		v := z[k]
+		r := f.permRow[k]
+		out[r] = v
+		if v != 0 {
+			for _, li := range f.lrIdx[f.lrPtr[r]:f.lrPtr[r+1]] {
+				mk[li] = true
 			}
 		}
-		// Back-substitution walks the *logical* order descending; every
-		// entry's column is logically later, so its z is already final.
-		z := f.zwork
-		mk := f.umark
-		for k := f.ordTail; k >= 0; k = f.ordPrev[k] {
-			v := x[f.permRow[k]]
-			if !mk[k] && v == 0 {
-				z[k] = 0
-				continue
-			}
-			mk[k] = false
-			for _, e := range f.ur[k] {
-				v -= e.val * z[e.k]
-			}
-			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-				v -= f.xpool[xi].val * z[f.xpool[xi].k]
-			}
-			t := v / f.ud[k]
-			z[k] = t
-			if t != 0 {
-				for _, c := range f.ucols[k] {
-					mk[c] = true
-				}
-			}
-		}
-		for k := 0; k < f.m; k++ {
-			out[f.permPos[k]] = z[k]
-		}
-		return
 	}
+	for li := len(f.lops) - 1; li >= 0; li-- {
+		op := &f.lops[li]
+		if !mk[li] {
+			continue
+		}
+		s := out[op.prow]
+		for _, nz := range op.nz {
+			s -= nz.val * out[nz.row]
+		}
+		out[op.prow] = s
+		if s != 0 {
+			pr := int(op.prow)
+			for _, lj := range f.lrIdx[f.lrPtr[pr]:f.lrPtr[pr+1]] {
+				mk[lj] = true
+			}
+		}
+	}
+	for li := range mk {
+		mk[li] = false
+	}
+}
+
+// scatter, load and unit stage a dense solve's input in xwork, which the
+// solve consumes: a sparse column, a copy of x, the unit vector e_r.
+func (f *luFactor) scatter(col []entry) []float64 {
+	x := f.xwork
+	for i := range x {
+		x[i] = 0
+	}
+	for _, e := range col {
+		x[e.row] = e.val
+	}
+	return x
+}
+
+func (f *luFactor) load(x []float64) []float64 {
+	copy(f.xwork, x)
+	return f.xwork
+}
+
+func (f *luFactor) unit(r int) []float64 {
+	p := f.xwork
+	for i := range p {
+		p[i] = 0
+	}
+	p[r] = 1
+	return p
+}
+
+// solveForward is the eta kernel's FTRAN core: x (row space, consumed)
+// through L⁻¹, U back-substitution, permutation to position space, then the
+// eta file.
+//
+// The U back-substitution is rhs-sparsity-adaptive: step k's result can be
+// nonzero only when its own rhs entry is, or a later step it references
+// produced a nonzero (tracked through the transposed structure in
+// ucPtr/ucIdx). Skipped steps are exact zeros — the arithmetic for computed
+// steps runs the original inner loop in the original order, so the float
+// stream is unchanged. On simplex workloads the rhs is an entering column
+// with a handful of nonzeros and the reachable set is tiny; this is what
+// turns each pivot from O(m + nnz(U)) into O(m) flag work plus O(reached).
+func (f *etaFactor) solveForward(x, out []float64) {
+	f.lPass(x)
 	z := f.zwork
 	mk := f.umark
 	for k := f.m - 1; k >= 0; k-- {
@@ -1257,34 +1262,10 @@ func (f *luFactor) solveForward(x, out []float64) {
 	}
 }
 
-func (f *luFactor) ftranCol(col []entry, out []float64) {
-	x := f.xwork
-	for i := range x {
-		x[i] = 0
-	}
-	for _, e := range col {
-		x[e.row] = e.val
-	}
-	f.solveForward(x, out)
-}
-
-func (f *luFactor) ftranDense(x, out []float64) {
-	copy(f.xwork, x)
-	f.solveForward(f.xwork, out)
-}
-
-// solveBackward is the BTRAN core: p (position space, consumed) through the
-// transposed eta file in reverse, Uᵀ forward solve, permutation to row
-// space, then the transposed elimination ops in reverse.
-//
-// The transposed elimination pass is rhs-sparsity-adaptive: an op only
-// changes out[op.prow] when one of the rows it reads is nonzero, so ops are
-// marked through the reader lists in lrPtr/lrIdx as nonzeros appear and
-// unmarked ops are skipped. A skipped op leaves its row's value bit-exactly
-// as the dense pass would (subtracting only exact zeros); marked ops run
-// the original loop in the original order, so the float stream is
-// unchanged.
-func (f *luFactor) solveBackward(p, out []float64) {
+// solveBackward is the eta kernel's BTRAN core: p (position space,
+// consumed) through the transposed eta file in reverse, the Uᵀ forward
+// solve, then ltPass.
+func (f *etaFactor) solveBackward(p, out []float64) {
 	for ei := len(f.etas) - 1; ei >= 0; ei-- {
 		e := &f.etas[ei]
 		s := p[e.r]
@@ -1297,90 +1278,136 @@ func (f *luFactor) solveBackward(p, out []float64) {
 	for k := 0; k < f.m; k++ {
 		z[k] = p[f.permPos[k]]
 	}
-	if f.ftMode {
-		// Uᵀ forward solve walks the logical order ascending (scatter
-		// targets are logically later), then the transposed FT ops apply
-		// in reverse append order.
-		for k := f.ordHead; k >= 0; k = f.ordNext[k] {
-			t := z[k] / f.ud[k]
-			z[k] = t
-			if t != 0 {
-				for _, e := range f.ur[k] {
-					z[e.k] -= e.val * t
-				}
-				for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-					z[f.xpool[xi].k] -= f.xpool[xi].val * t
-				}
-			}
-		}
-		for i := len(f.ftOps) - 1; i >= 0; i-- {
-			op := &f.ftOps[i]
-			if v := z[op.s]; v != 0 {
-				z[op.j] -= op.val * v
-			}
-		}
-	} else {
-		for k := 0; k < f.m; k++ {
-			t := z[k] / f.ud[k]
-			z[k] = t
-			if t != 0 {
-				for _, e := range f.ur[k] {
-					z[e.k] -= e.val * t
-				}
-			}
-		}
-	}
-	mk := f.lmark
 	for k := 0; k < f.m; k++ {
-		v := z[k]
-		r := f.permRow[k]
-		out[r] = v
-		if v != 0 {
-			for _, li := range f.lrIdx[f.lrPtr[r]:f.lrPtr[r+1]] {
-				mk[li] = true
+		t := z[k] / f.ud[k]
+		z[k] = t
+		if t != 0 {
+			for _, e := range f.ur[k] {
+				z[e.k] -= e.val * t
 			}
 		}
 	}
-	for li := len(f.lops) - 1; li >= 0; li-- {
-		op := &f.lops[li]
-		if !mk[li] {
+	f.ltPass(out)
+}
+
+func (f *etaFactor) ftranCol(col []entry, out []float64) { f.solveForward(f.scatter(col), out) }
+func (f *etaFactor) ftranDense(x, out []float64)         { f.solveForward(f.load(x), out) }
+func (f *etaFactor) btran(x, out []float64)              { f.solveBackward(f.load(x), out) }
+func (f *etaFactor) btranUnit(r int, out []float64)      { f.solveBackward(f.unit(r), out) }
+
+// update appends the pivot's eta vector.
+func (f *etaFactor) update(r int, w []float64) {
+	piv := w[r]
+	maxAbs := math.Abs(piv)
+	start := len(f.etaArena)
+	for i, v := range w {
+		if i == r {
 			continue
 		}
-		s := out[op.prow]
-		for _, nz := range op.nz {
-			s -= nz.val * out[nz.row]
+		a := math.Abs(v)
+		if a <= etaDropTol {
+			continue
 		}
-		out[op.prow] = s
-		if s != 0 {
-			pr := int(op.prow)
-			for _, lj := range f.lrIdx[f.lrPtr[pr]:f.lrPtr[pr+1]] {
-				mk[lj] = true
+		if a > maxAbs {
+			maxAbs = a
+		}
+		f.etaArena = append(f.etaArena, entry{row: i, val: v})
+	}
+	nz := f.etaArena[start:len(f.etaArena):len(f.etaArena)]
+	f.etas = append(f.etas, eta{r: int32(r), piv: piv, nz: nz})
+	f.etaNnz += len(nz) + 1
+	if math.Abs(piv) < etaDriftTol*maxAbs {
+		f.drift = true // ill-conditioned update: refactor before next pivot
+	}
+}
+
+// solveForward is the Forrest–Tomlin kernel's dense FTRAN core, the
+// reference the hyper-sparse ftranColNz is tested against: x (row space,
+// consumed) through L⁻¹ and the row ops, then U back-substitution in
+// logical order (marks as in etaFactor.solveForward, through ucols).
+func (f *ftFactor) solveForward(x, out []float64) {
+	f.lPass(x)
+	// FT row ops transform the step-space rhs in application order; since
+	// z₀[k] ≡ x[permRow[k]] they run on x through the gather.
+	for i := range f.ftOps {
+		op := &f.ftOps[i]
+		pv := x[f.permRow[op.j]]
+		if pv != 0 {
+			x[f.permRow[op.s]] -= op.val * pv
+		}
+	}
+	// Back-substitution walks the *logical* order descending; every
+	// entry's column is logically later, so its z is already final.
+	z := f.zwork
+	mk := f.umark
+	for k := f.ordTail; k >= 0; k = f.ordPrev[k] {
+		v := x[f.permRow[k]]
+		if !mk[k] && v == 0 {
+			z[k] = 0
+			continue
+		}
+		mk[k] = false
+		for _, e := range f.ur[k] {
+			v -= e.val * z[e.k]
+		}
+		for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
+			v -= f.xpool[xi].val * z[f.xpool[xi].k]
+		}
+		t := v / f.ud[k]
+		z[k] = t
+		if t != 0 {
+			for _, c := range f.ucols[k] {
+				mk[c] = true
 			}
 		}
 	}
-	for li := range mk {
-		mk[li] = false
+	for k := 0; k < f.m; k++ {
+		out[f.permPos[k]] = z[k]
 	}
 }
 
-func (f *luFactor) btran(x, out []float64) {
-	copy(f.xwork, x)
-	f.solveBackward(f.xwork, out)
+// solveBackward is the dense BTRAN core: the Uᵀ forward solve walks the
+// logical order ascending (scatter targets are logically later), the
+// transposed FT ops apply in reverse append order, then ltPass.
+func (f *ftFactor) solveBackward(p, out []float64) {
+	z := f.zwork
+	for k := 0; k < f.m; k++ {
+		z[k] = p[f.permPos[k]]
+	}
+	for k := f.ordHead; k >= 0; k = f.ordNext[k] {
+		t := z[k] / f.ud[k]
+		z[k] = t
+		if t != 0 {
+			for _, e := range f.ur[k] {
+				z[e.k] -= e.val * t
+			}
+			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
+				z[f.xpool[xi].k] -= f.xpool[xi].val * t
+			}
+		}
+	}
+	for i := len(f.ftOps) - 1; i >= 0; i-- {
+		op := &f.ftOps[i]
+		if v := z[op.s]; v != 0 {
+			z[op.j] -= op.val * v
+		}
+	}
+	f.ltPass(out)
 }
 
-func (f *luFactor) btranUnit(r int, out []float64) {
-	p := f.xwork
-	for i := range p {
-		p[i] = 0
-	}
-	p[r] = 1
-	f.solveBackward(p, out)
-}
+func (f *ftFactor) ftranCol(col []entry, out []float64) { f.solveForward(f.scatter(col), out) }
+func (f *ftFactor) ftranDense(x, out []float64)         { f.solveForward(f.load(x), out) }
+func (f *ftFactor) btran(x, out []float64)              { f.solveBackward(f.load(x), out) }
+func (f *ftFactor) btranUnit(r int, out []float64)      { f.solveBackward(f.unit(r), out) }
+
+// update is updateNz without the nonzero list: the spike is recomputed from
+// a scan of w (the reference for the stash-fed path).
+func (f *ftFactor) update(r int, w []float64) { f.updateNz(r, w, nil) }
 
 // ftDelete removes row k's U entry in column s, whichever store holds it
 // (static row or overflow chain). A miss is a no-op: exact-cancellation
 // drops can leave a column list pointing at an entry that never existed.
-func (f *luFactor) ftDelete(k, s int32) {
+func (f *ftFactor) ftDelete(k, s int32) {
 	row := f.ur[k]
 	for i := range row {
 		if row[i].k == s {
@@ -1407,7 +1434,7 @@ func (f *luFactor) ftDelete(k, s int32) {
 // hyper-sparse worklists rely on ucols never naming a row whose logical
 // order is later than the column's, which a stale entry for a moved row
 // would violate).
-func (f *luFactor) ucolDrop(j, k int32) {
+func (f *ftFactor) ucolDrop(j, k int32) {
 	l := f.ucols[j]
 	for i := range l {
 		if l[i] == k {
@@ -1418,7 +1445,7 @@ func (f *luFactor) ucolDrop(j, k int32) {
 	}
 }
 
-// ftUpdate absorbs one pivot into the factorization in place (Forrest–
+// updateNz absorbs one pivot into the factorization in place (Forrest–
 // Tomlin): the basis column at position r has been replaced by a column
 // with tableau form w = B⁻¹a (nonzero positions wnz; nil means scan w).
 //
@@ -1434,7 +1461,7 @@ func (f *luFactor) ucolDrop(j, k int32) {
 // fill lands either at a later column of the working row (handled when
 // popped) or at column s, where it accumulates into the new diagonal.
 // Row s ends a singleton; no other row or column of U moves.
-func (f *luFactor) ftUpdate(r int, w []float64, wnz []int32) {
+func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 	f.ensureFtScratch()
 	s := f.posStep[r]
 
@@ -1644,35 +1671,6 @@ func (f *luFactor) ftUpdate(r int, w []float64, wnz []int32) {
 	f.ftheap = eh[:0]
 }
 
-func (f *luFactor) update(r int, w []float64) {
-	if f.ftMode {
-		f.ftUpdate(r, w, nil)
-		return
-	}
-	piv := w[r]
-	maxAbs := math.Abs(piv)
-	start := len(f.etaArena)
-	for i, v := range w {
-		if i == r {
-			continue
-		}
-		a := math.Abs(v)
-		if a <= etaDropTol {
-			continue
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-		f.etaArena = append(f.etaArena, entry{row: i, val: v})
-	}
-	nz := f.etaArena[start:len(f.etaArena):len(f.etaArena)]
-	f.etas = append(f.etas, eta{r: int32(r), piv: piv, nz: nz})
-	f.etaNnz += len(nz) + 1
-	if math.Abs(piv) < etaDriftTol*maxAbs {
-		f.drift = true // ill-conditioned update: refactor before next pivot
-	}
-}
-
 // ftranColNz is the hyper-sparse FTRAN: out = B⁻¹·a for a sparse column a,
 // touching only the entries reachable from a's nonzeros through the
 // factorization's dependency graph. prev is the nonzero list the previous
@@ -1680,16 +1678,14 @@ func (f *luFactor) update(r int, w []float64) {
 // with the all-zero initial state keeps out exactly-zero everywhere off the
 // returned list. The returned list is deduplicated (posMark) and unsorted.
 //
-// The three stages mirror solveForward. The L pass processes elimination ops
-// in ascending index order off a min-heap worklist — an op's scatter targets
+// The stages mirror solveForward. The L pass processes elimination ops in
+// ascending index order off a min-heap worklist — an op's scatter targets
 // are pivot rows of strictly later ops, so every dependency pops first and
 // the computed values match the dense pass's float stream on the reachable
-// set. The U back-substitution runs descending off a negated-key heap (step
-// k's dependents through ucIdx are strictly earlier steps). The eta pass
-// cannot be sparsified (every eta must be inspected) but skips the zero-input
-// writes the dense pass makes; skipped entries differ from the dense result
-// at most in the sign of a floating-point zero.
-func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
+// set. The U back-substitution runs descending in logical order off a
+// negated-key heap (step k's dependents through ucols are logically earlier
+// steps).
+func (f *ftFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
 		out[p] = 0
@@ -1759,175 +1755,98 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 		}
 	}
 
-	if f.ftMode {
-		// FT row ops on the step-space rhs (z₀[k] ≡ x[permRow[k]]), in
-		// application order; the op file is short (it resets at every
-		// refactorization), so a linear zero-skipping walk beats any
-		// worklist here.
-		for i := range f.ftOps {
-			op := &f.ftOps[i]
-			pv := x[f.permRow[op.j]]
-			if pv != 0 {
-				rr := f.permRow[op.s]
-				if x[rr] == 0 {
-					xt = append(xt, rr)
-				}
-				x[rr] -= op.val * pv
+	// FT row ops on the step-space rhs (z₀[k] ≡ x[permRow[k]]), in
+	// application order; the op file is short (it resets at every
+	// refactorization), so a linear zero-skipping walk beats any worklist.
+	for i := range f.ftOps {
+		op := &f.ftOps[i]
+		pv := x[f.permRow[op.j]]
+		if pv != 0 {
+			rr := f.permRow[op.s]
+			if x[rr] == 0 {
+				xt = append(xt, rr)
 			}
+			x[rr] -= op.val * pv
 		}
 	}
 
-	// U back-substitution, descending over the reachable steps.
+	// U back-substitution, descending in *logical* order over the reachable
+	// steps via the ord-keyed heap; the degrade sweep follows the order
+	// links the same way. The seeding pass doubles as the spike stash: x
+	// here is F(a) in row space, exactly the spike column an updateNz
+	// absorbing this column needs.
 	z := f.szw
 	zt := f.lstB[:0]
-	if f.ftMode {
-		// Descending in *logical* order via the ord-keyed heap; the
-		// degrade sweep follows the order links the same way. The seeding
-		// pass doubles as the spike stash: x here is F(a) in row space,
-		// exactly the spike column an ftUpdate absorbing this column needs.
-		fh := f.ftheap[:0]
-		sk, sv := f.stashK[:0], f.stashV[:0]
-		for _, r := range xt {
-			if x[r] == 0 {
-				continue
-			}
-			if k := f.stepOfRow[r]; !f.smark[k] {
-				f.smark[k] = true
-				fh = heapPush(fh, -f.ftKey(k))
-				sk = append(sk, k)
-				sv = append(sv, x[r])
-			}
-		}
-		f.stashK, f.stashV = sk, sv
-		f.stashPtr = &out[0]
-		ftCut := nzCutoff(f.m)
-		for len(fh) > 0 {
-			if len(fh) > ftCut {
-				// Dense-degrade: substitute every step from the largest
-				// marked one down the logical order. Dependencies always
-				// have later ord, so they are solved before they are read;
-				// mark propagation is pure overhead at this density, so the
-				// sweep just clears marks as it passes.
-				start := int32(-fh[0] & 0xffffffff)
-				fh = fh[:0]
-				for k := start; k >= 0; k = f.ordPrev[k] {
-					f.smark[k] = false
-					v := x[f.permRow[k]]
-					for _, e := range f.ur[k] {
-						v -= e.val * z[e.k]
-					}
-					for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-						v -= f.xpool[xi].val * z[f.xpool[xi].k]
-					}
-					if v == 0 {
-						continue
-					}
-					z[k] = v / f.ud[k]
-					zt = append(zt, k)
-				}
-				break
-			}
-			var key int64
-			key, fh = heapPop(fh)
-			k := int32(-key & 0xffffffff)
-			f.smark[k] = false
-			v := x[f.permRow[k]]
-			for _, e := range f.ur[k] {
-				v -= e.val * z[e.k]
-			}
-			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-				v -= f.xpool[xi].val * z[f.xpool[xi].k]
-			}
-			t := v / f.ud[k]
-			z[k] = t
-			zt = append(zt, k)
-			if t != 0 {
-				for _, c := range f.ucols[k] {
-					if !f.smark[c] {
-						f.smark[c] = true
-						fh = heapPush(fh, -f.ftKey(c))
-					}
-				}
-			}
-		}
-		f.ftheap = fh[:0]
-		for _, r := range xt {
-			x[r] = 0
-		}
-		// Permute to position space; there is no eta file in ftMode.
-		for _, k := range zt {
-			p := f.permPos[k]
-			out[p] = z[k]
-			z[k] = 0
-			f.posMark[p] = true
-			nz = append(nz, p)
-		}
-		f.lstA, f.lstB = xt[:0], zt[:0]
-		f.heapA = oh
-		return nz
-	}
-	sh := f.heapB[:0]
+	fh := f.ftheap[:0]
+	sk, sv := f.stashK[:0], f.stashV[:0]
 	for _, r := range xt {
 		if x[r] == 0 {
 			continue
 		}
 		if k := f.stepOfRow[r]; !f.smark[k] {
 			f.smark[k] = true
-			sh = heapPush(sh, -k)
+			fh = heapPush(fh, -f.ftKey(k))
+			sk = append(sk, k)
+			sv = append(sv, x[r])
 		}
 	}
-	stepCut := nzCutoff(f.m)
-	for len(sh) > 0 {
-		if len(sh) > stepCut {
-			// Dense-degrade: sweep descending from the largest marked step;
-			// back-substitution dependents are always earlier steps.
-			start := int(-sh[0])
-			sh = sh[:0]
-			for k := start; k >= 0; k-- {
-				if !f.smark[k] {
-					continue
-				}
+	f.stashK, f.stashV = sk, sv
+	f.stashPtr = &out[0]
+	ftCut := nzCutoff(f.m)
+	for len(fh) > 0 {
+		if len(fh) > ftCut {
+			// Dense-degrade: substitute every step from the largest marked
+			// one down the logical order. Dependencies always have later
+			// ord, so they are solved before they are read; mark
+			// propagation is pure overhead at this density, so the sweep
+			// just clears marks as it passes.
+			start := int32(-fh[0] & 0xffffffff)
+			fh = fh[:0]
+			for k := start; k >= 0; k = f.ordPrev[k] {
 				f.smark[k] = false
 				v := x[f.permRow[k]]
 				for _, e := range f.ur[k] {
 					v -= e.val * z[e.k]
 				}
-				t := v / f.ud[k]
-				z[k] = t
-				zt = append(zt, int32(k))
-				if t != 0 {
-					for _, c := range f.ucIdx[f.ucPtr[k]:f.ucPtr[k+1]] {
-						f.smark[c] = true
-					}
+				for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
+					v -= f.xpool[xi].val * z[f.xpool[xi].k]
 				}
+				if v == 0 {
+					continue
+				}
+				z[k] = v / f.ud[k]
+				zt = append(zt, k)
 			}
 			break
 		}
-		var k int32
-		k, sh = heapPop(sh)
-		k = -k
+		var key int64
+		key, fh = heapPop(fh)
+		k := int32(-key & 0xffffffff)
 		f.smark[k] = false
 		v := x[f.permRow[k]]
 		for _, e := range f.ur[k] {
 			v -= e.val * z[e.k]
 		}
+		for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
+			v -= f.xpool[xi].val * z[f.xpool[xi].k]
+		}
 		t := v / f.ud[k]
 		z[k] = t
 		zt = append(zt, k)
 		if t != 0 {
-			for _, c := range f.ucIdx[f.ucPtr[k]:f.ucPtr[k+1]] {
+			for _, c := range f.ucols[k] {
 				if !f.smark[c] {
 					f.smark[c] = true
-					sh = heapPush(sh, -c)
+					fh = heapPush(fh, -f.ftKey(c))
 				}
 			}
 		}
 	}
+	f.ftheap = fh[:0]
 	for _, r := range xt {
 		x[r] = 0
 	}
-
-	// Permute to position space, then the eta file in order.
+	// Permute to position space.
 	for _, k := range zt {
 		p := f.permPos[k]
 		out[p] = z[k]
@@ -1935,28 +1854,8 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 		f.posMark[p] = true
 		nz = append(nz, p)
 	}
-	for ei := range f.etas {
-		e := &f.etas[ei]
-		v := out[e.r]
-		if v == 0 {
-			continue
-		}
-		t := v / e.piv
-		out[e.r] = t
-		if t == 0 {
-			continue
-		}
-		for _, nzE := range e.nz {
-			if !f.posMark[nzE.row] {
-				f.posMark[nzE.row] = true
-				nz = append(nz, int32(nzE.row))
-			}
-			out[nzE.row] -= nzE.val * t
-		}
-	}
-
 	f.lstA, f.lstB = xt[:0], zt[:0]
-	f.heapA, f.heapB = oh, sh
+	f.heapA = oh
 	return nz
 }
 
@@ -1965,12 +1864,12 @@ func (f *luFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 // as ftranColNz: prev is zeroed first, the returned row list is deduplicated
 // (rmark) and unsorted, and everything off it is exactly zero.
 //
-// Mirrors solveBackward: the eta file applies in reverse (dense over etas,
-// sparse in the vector), the Uᵀ forward solve runs ascending off a min-heap
-// (step k scatters into strictly later steps), and the transposed L pass
-// runs descending off a negated-key heap (the ops reading a pivot row have
-// strictly smaller indices than the op that produced it).
-func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
+// Mirrors solveBackward: the Uᵀ forward solve runs ascending in logical
+// order off the ord-keyed min-heap (step k scatters into logically later
+// steps), the transposed FT ops run in reverse append order, and the
+// transposed L pass runs descending off a negated-key heap (the ops reading
+// a pivot row have strictly smaller indices than the op that produced it).
+func (f *ftFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
 		out[p] = 0
@@ -1978,198 +1877,87 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 	}
 	nz := prev[:0]
 
-	// Transposed eta pass, newest first.
-	p := f.sxw
-	p[r] = 1
-	f.pmark[r] = true
-	pnz := append(f.lstA[:0], int32(r))
-	for ei := len(f.etas) - 1; ei >= 0; ei-- {
-		e := &f.etas[ei]
-		s := p[e.r]
-		for _, nzE := range e.nz {
-			s -= nzE.val * p[nzE.row]
-		}
-		if s == 0 && p[e.r] == 0 {
-			continue
-		}
-		p[e.r] = s / e.piv
-		if !f.pmark[e.r] {
-			f.pmark[e.r] = true
-			pnz = append(pnz, e.r)
-		}
-	}
-
-	// Gather to elimination order and solve Uᵀ ascending.
 	z := f.szw
-	if f.ftMode {
-		// Ascending in *logical* order via the ord-keyed heap; after the
-		// solve, the transposed FT ops run in reverse append order.
-		fh := f.ftheap[:0]
-		for _, pos := range pnz {
-			f.pmark[pos] = false
-			v := p[pos]
-			p[pos] = 0
-			if v == 0 {
-				continue
-			}
-			k := f.posStep[pos]
-			f.smark[k] = true
-			z[k] = v
-			fh = heapPush(fh, f.ftKey(k))
-		}
-		ztf := f.lstB[:0]
-		ftCut := nzCutoff(f.m)
-		for len(fh) > 0 {
-			if len(fh) > ftCut {
-				start := int32(fh[0] & 0xffffffff)
-				fh = fh[:0]
-				for k := start; k >= 0; k = f.ordNext[k] {
-					if !f.smark[k] {
-						continue
-					}
-					f.smark[k] = false
-					t := z[k] / f.ud[k]
-					z[k] = t
-					ztf = append(ztf, k)
-					if t != 0 {
-						for _, e := range f.ur[k] {
-							f.smark[e.k] = true
-							z[e.k] -= e.val * t
-						}
-						for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-							f.smark[f.xpool[xi].k] = true
-							z[f.xpool[xi].k] -= f.xpool[xi].val * t
-						}
-					}
-				}
-				break
-			}
-			var key int64
-			key, fh = heapPop(fh)
-			k := int32(key & 0xffffffff)
-			f.smark[k] = false
-			t := z[k] / f.ud[k]
-			z[k] = t
-			ztf = append(ztf, k)
-			if t != 0 {
-				for _, e := range f.ur[k] {
-					if !f.smark[e.k] {
-						f.smark[e.k] = true
-						fh = heapPush(fh, f.ftKey(e.k))
-					}
-					z[e.k] -= e.val * t
-				}
-				for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-					c := f.xpool[xi].k
-					if !f.smark[c] {
-						f.smark[c] = true
-						fh = heapPush(fh, f.ftKey(c))
-					}
-					z[c] -= f.xpool[xi].val * t
-				}
-			}
-		}
-		f.ftheap = fh[:0]
-		// Transposed FT ops, newest first. The touched-step list doubles
-		// as the dedupe set (re-marked around the pass).
-		if len(f.ftOps) > 0 {
-			for _, k := range ztf {
-				f.smark[k] = true
-			}
-			for i := len(f.ftOps) - 1; i >= 0; i-- {
-				op := &f.ftOps[i]
-				if v := z[op.s]; v != 0 {
-					if !f.smark[op.j] {
-						f.smark[op.j] = true
-						ztf = append(ztf, op.j)
-					}
-					z[op.j] -= op.val * v
-				}
-			}
-			for _, k := range ztf {
-				f.smark[k] = false
-			}
-		}
-		// Permute to row space and run the reachable transposed L ops.
-		oh := f.heapA[:0]
-		for _, k := range ztf {
-			rr := f.permRow[k]
-			v := z[k]
-			z[k] = 0
-			out[rr] = v
-			f.rmark[rr] = true
-			nz = append(nz, rr)
-			if v != 0 {
-				for _, li := range f.lrIdx[f.lrPtr[rr]:f.lrPtr[rr+1]] {
-					if !f.omark[li] {
-						f.omark[li] = true
-						oh = heapPush(oh, -li)
-					}
-				}
-			}
-		}
-		nz = f.btranLTranspose(out, nz, oh)
-		f.lstA, f.lstB = pnz[:0], ztf[:0]
-		return nz
-	}
-	sh := f.heapB[:0]
-	for _, pos := range pnz {
-		f.pmark[pos] = false
-		v := p[pos]
-		p[pos] = 0
-		if v == 0 {
-			continue
-		}
-		k := f.posStep[pos]
-		f.smark[k] = true
-		z[k] = v
-		sh = heapPush(sh, k)
-	}
-	zt := f.lstB[:0]
-	stepCut := nzCutoff(f.m)
-	for len(sh) > 0 {
-		if len(sh) > stepCut {
-			// Dense-degrade: sweep ascending from the smallest marked step;
-			// Uᵀ scatters only into later steps.
-			start := int(sh[0])
-			sh = sh[:0]
-			for k := start; k < f.m; k++ {
+	k0 := f.posStep[r]
+	f.smark[k0] = true
+	z[k0] = 1
+	fh := heapPush(f.ftheap[:0], f.ftKey(k0))
+	ztf := f.lstB[:0]
+	ftCut := nzCutoff(f.m)
+	for len(fh) > 0 {
+		if len(fh) > ftCut {
+			start := int32(fh[0] & 0xffffffff)
+			fh = fh[:0]
+			for k := start; k >= 0; k = f.ordNext[k] {
 				if !f.smark[k] {
 					continue
 				}
 				f.smark[k] = false
 				t := z[k] / f.ud[k]
 				z[k] = t
-				zt = append(zt, int32(k))
+				ztf = append(ztf, k)
 				if t != 0 {
 					for _, e := range f.ur[k] {
 						f.smark[e.k] = true
 						z[e.k] -= e.val * t
 					}
+					for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
+						f.smark[f.xpool[xi].k] = true
+						z[f.xpool[xi].k] -= f.xpool[xi].val * t
+					}
 				}
 			}
 			break
 		}
-		var k int32
-		k, sh = heapPop(sh)
+		var key int64
+		key, fh = heapPop(fh)
+		k := int32(key & 0xffffffff)
 		f.smark[k] = false
 		t := z[k] / f.ud[k]
 		z[k] = t
-		zt = append(zt, k)
+		ztf = append(ztf, k)
 		if t != 0 {
 			for _, e := range f.ur[k] {
 				if !f.smark[e.k] {
 					f.smark[e.k] = true
-					sh = heapPush(sh, e.k)
+					fh = heapPush(fh, f.ftKey(e.k))
 				}
 				z[e.k] -= e.val * t
 			}
+			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
+				c := f.xpool[xi].k
+				if !f.smark[c] {
+					f.smark[c] = true
+					fh = heapPush(fh, f.ftKey(c))
+				}
+				z[c] -= f.xpool[xi].val * t
+			}
 		}
 	}
-
+	f.ftheap = fh[:0]
+	// Transposed FT ops, newest first. The touched-step list doubles as
+	// the dedupe set (re-marked around the pass).
+	if len(f.ftOps) > 0 {
+		for _, k := range ztf {
+			f.smark[k] = true
+		}
+		for i := len(f.ftOps) - 1; i >= 0; i-- {
+			op := &f.ftOps[i]
+			if v := z[op.s]; v != 0 {
+				if !f.smark[op.j] {
+					f.smark[op.j] = true
+					ztf = append(ztf, op.j)
+				}
+				z[op.j] -= op.val * v
+			}
+		}
+		for _, k := range ztf {
+			f.smark[k] = false
+		}
+	}
 	// Permute to row space and run the reachable transposed L ops.
 	oh := f.heapA[:0]
-	for _, k := range zt {
+	for _, k := range ztf {
 		rr := f.permRow[k]
 		v := z[k]
 		z[k] = 0
@@ -2186,16 +1974,14 @@ func (f *luFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 		}
 	}
 	nz = f.btranLTranspose(out, nz, oh)
-	f.lstA, f.lstB = pnz[:0], zt[:0]
-	f.heapB = sh
+	f.lstB = ztf[:0]
 	return nz
 }
 
-// btranLTranspose runs the reachable transposed L ops of a hyper-sparse
-// BTRAN (shared by the eta and Forrest–Tomlin paths — the L factor is
-// identical in both). oh is the seeded negated-key worklist; the grown nz
-// list is returned and the heap buffer is retained on the factor.
-func (f *luFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int32 {
+// btranLTranspose runs the reachable transposed L ops of btranUnitNz. oh is
+// the seeded negated-key worklist; the grown nz list is returned and the
+// heap buffer is retained on the factor.
+func (f *ftFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int32 {
 	opCut := nzCutoff(len(f.lops))
 	for len(oh) > 0 {
 		if len(oh) > opCut {
@@ -2255,58 +2041,13 @@ func (f *luFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int3
 	return nz
 }
 
-// updateNz is update with the tableau column's nonzero list supplied, so
-// building the eta costs O(nnz) instead of an O(m) scan. The eta inherits
-// the list's order; eta entries only ever feed independent scatter writes
-// and deterministic-order gather sums, so no particular order is required.
-func (f *luFactor) updateNz(r int, w []float64, wnz []int32) {
-	if f.ftMode {
-		f.ftUpdate(r, w, wnz)
-		return
-	}
-	piv := w[r]
-	maxAbs := math.Abs(piv)
-	start := len(f.etaArena)
-	for _, i32 := range wnz {
-		i := int(i32)
-		if i == r {
-			continue
-		}
-		v := w[i]
-		a := math.Abs(v)
-		if a <= etaDropTol {
-			continue
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-		f.etaArena = append(f.etaArena, entry{row: i, val: v})
-	}
-	nz := f.etaArena[start:len(f.etaArena):len(f.etaArena)]
-	f.etas = append(f.etas, eta{r: int32(r), piv: piv, nz: nz})
-	f.etaNnz += len(nz) + 1
-	if math.Abs(piv) < etaDriftTol*maxAbs {
-		f.drift = true
-	}
-}
-
-// clone deep-snapshots the representation. The factorization slices are
-// shared — marking BOTH sides `shared` makes them immutable from here on:
-// the next refactorize/reset on either side allocates fresh arrays instead
-// of recycling these. The eta file gets a fresh header array because the
-// live solver keeps appending to its own; the eta nonzero lists stay on the
-// parent's arena, which the shared flag likewise protects from rewinding
-// (appends past the current length never touch a carved slice — each is
-// capped at its own end). Scratch buffers are never shared.
-//
-// In ftMode the update scheme mutates U in place, so the shared/immutable
-// contract cannot cover it: the mutable set (diagonal, U rows, overflow
-// chains, column lists, logical order, op file) is deep-copied instead,
-// and both sides keep updating their own copy freely. The L factor, the
-// permutations, and the row-transpose stay shared exactly as before.
-func (f *luFactor) clone() factor {
+// share marks the factorization outputs `shared` on both sides and returns
+// the clone's view of them: the same immutable slices, its own scratch. From
+// here on the next refactorize/reset on either side allocates fresh arrays
+// instead of recycling these.
+func (f *luFactor) share() luFactor {
 	f.shared = true
-	c := &luFactor{
+	return luFactor{
 		m:         f.m,
 		shared:    true,
 		lops:      f.lops,
@@ -2317,12 +2058,8 @@ func (f *luFactor) clone() factor {
 		posStep:   f.posStep,
 		stepOfRow: f.stepOfRow,
 		rowOp:     f.rowOp,
-		ucPtr:     f.ucPtr,
-		ucIdx:     f.ucIdx,
 		lrPtr:     f.lrPtr,
 		lrIdx:     f.lrIdx,
-		etas:      append([]eta(nil), f.etas...),
-		etaNnz:    f.etaNnz,
 		baseNnz:   f.baseNnz,
 		drift:     f.drift,
 		xwork:     make([]float64, f.m),
@@ -2330,42 +2067,63 @@ func (f *luFactor) clone() factor {
 		umark:     make([]bool, f.m),
 		lmark:     make([]bool, len(f.lops)),
 	}
-	if f.ftMode {
-		c.ftMode = true
-		c.ud = append([]float64(nil), f.ud...)
-		total := 0
-		for _, row := range f.ur {
-			total += len(row)
-		}
-		ur := make([][]lue, f.m)
-		arena := make([]lue, 0, total)
-		for k, row := range f.ur {
-			start := len(arena)
-			arena = append(arena, row...)
-			ur[k] = arena[start:len(arena):len(arena)]
-		}
-		c.ur = ur
-		c.xhead = append([]int32(nil), f.xhead...)
-		c.xpool = append([]lux(nil), f.xpool...)
-		total = 0
-		for _, l := range f.ucols {
-			total += len(l)
-		}
-		ucols := make([][]int32, f.m)
-		ua := make([]int32, 0, total)
-		for k, l := range f.ucols {
-			start := len(ua)
-			ua = append(ua, l...)
-			ucols[k] = ua[start:len(ua):len(ua)]
-		}
-		c.ucols = ucols
-		c.ftOps = append([]ftOp(nil), f.ftOps...)
-		c.ftNnz = f.ftNnz
-		c.nupd = f.nupd
-		c.ord = append([]int64(nil), f.ord...)
-		c.ordNext = append([]int32(nil), f.ordNext...)
-		c.ordPrev = append([]int32(nil), f.ordPrev...)
-		c.ordHead, c.ordTail, c.nextOrd = f.ordHead, f.ordTail, f.nextOrd
+}
+
+// clone deep-snapshots the representation. The eta file gets a fresh header
+// array because the live solver keeps appending to its own; the eta nonzero
+// lists stay on the parent's arena, which the shared flag protects from
+// rewinding (appends past the current length never touch a carved slice —
+// each is capped at its own end).
+func (f *etaFactor) clone() factor {
+	return &etaFactor{
+		luFactor: f.share(),
+		etas:     append([]eta(nil), f.etas...),
+		etaNnz:   f.etaNnz,
+		ucPtr:    f.ucPtr,
+		ucIdx:    f.ucIdx,
 	}
+}
+
+// clone deep-snapshots the representation. Forrest–Tomlin mutates U in
+// place, so the shared/immutable contract cannot cover it: the mutable set
+// (diagonal, U rows, overflow chains, column lists, logical order, op file)
+// is deep-copied, and both sides keep updating their own copy freely. The L
+// factor, the permutations, and the row-transpose stay shared.
+func (f *ftFactor) clone() factor {
+	c := &ftFactor{luFactor: f.share()}
+	c.ud = append([]float64(nil), f.ud...)
+	total := 0
+	for _, row := range f.ur {
+		total += len(row)
+	}
+	ur := make([][]lue, f.m)
+	arena := make([]lue, 0, total)
+	for k, row := range f.ur {
+		start := len(arena)
+		arena = append(arena, row...)
+		ur[k] = arena[start:len(arena):len(arena)]
+	}
+	c.ur = ur
+	c.xhead = append([]int32(nil), f.xhead...)
+	c.xpool = append([]lux(nil), f.xpool...)
+	total = 0
+	for _, l := range f.ucols {
+		total += len(l)
+	}
+	ucols := make([][]int32, f.m)
+	ua := make([]int32, 0, total)
+	for k, l := range f.ucols {
+		start := len(ua)
+		ua = append(ua, l...)
+		ucols[k] = ua[start:len(ua):len(ua)]
+	}
+	c.ucols = ucols
+	c.ftOps = append([]ftOp(nil), f.ftOps...)
+	c.ftNnz = f.ftNnz
+	c.nupd = f.nupd
+	c.ord = append([]int64(nil), f.ord...)
+	c.ordNext = append([]int32(nil), f.ordNext...)
+	c.ordPrev = append([]int32(nil), f.ordPrev...)
+	c.ordHead, c.ordTail, c.nextOrd = f.ordHead, f.ordTail, f.nextOrd
 	return c
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -254,72 +255,6 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	compareKernels(t, r, lu, dn, m, 1e-8, "post-growth refactor")
 }
 
-// TestNzAPIsEtaModeMatchDense pins the nonzero-list solve and update APIs
-// in product-form (eta) mode — the non-FT fallback a future kernel below
-// the FT gate would rely on. The Nz calls have no size restriction, so a
-// small factor exercises the eta-replay branches of ftranColNz/btranUnitNz
-// and the eta-building body of updateNz directly against the dense-loop
-// answers for the same factor.
-func TestNzAPIsEtaModeMatchDense(t *testing.T) {
-	const m = 40
-	r := rand.New(rand.NewSource(77))
-	std, basis := randSparseBasis(r, m)
-	lu := &luFactor{}
-	lu.reset(m)
-	if lu.ftMode {
-		t.Fatalf("m=%d must stay in product-form mode", m)
-	}
-	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
-		t.Fatalf("refactorize outcome %v", out)
-	}
-
-	dOut := make([]float64, m)
-	sFtran := make([]float64, m)
-	sBtran := make([]float64, m)
-	var ftranPrev, btranPrev []int32
-	probe := func(tag string) {
-		t.Helper()
-		for k := 0; k < 8; k++ {
-			col := coalesce([]entry{
-				{row: r.Intn(m), val: r.Float64() + 0.2},
-				{row: r.Intn(m), val: r.Float64() - 0.5},
-			})
-			lu.ftranCol(col, dOut)
-			ftranPrev = lu.ftranColNz(col, sFtran, ftranPrev)
-			checkNzAgainstDense(t, dOut, sFtran, ftranPrev, 1e-9, tag+": ftran")
-		}
-		for rr := 0; rr < m; rr++ {
-			lu.btranUnit(rr, dOut)
-			btranPrev = lu.btranUnitNz(rr, sBtran, btranPrev)
-			checkNzAgainstDense(t, dOut, sBtran, btranPrev, 1e-9, tag+": btran")
-		}
-	}
-	probe("fresh")
-
-	// Drive an eta chain through updateNz (the list-fed eta builder) and
-	// keep the Nz solves honest against the dense loops over the same
-	// growing eta file.
-	w := make([]float64, m)
-	var wPrev []int32
-	pivots := 0
-	for piv := 0; piv < 60 && pivots < 12; piv++ {
-		q := r.Intn(m)
-		wPrev = lu.ftranColNz(std.cols[q], w, wPrev)
-		for _, i := range wPrev {
-			if math.Abs(w[i]) > 0.3 {
-				lu.updateNz(int(i), w, wPrev)
-				basis[i] = q
-				pivots++
-				break
-			}
-		}
-	}
-	if len(lu.etas) == 0 {
-		t.Fatal("updateNz built no etas in eta mode")
-	}
-	probe("after updateNz eta chain")
-}
-
 // TestFTFillGrowthTrigger pins the adaptive refactorization policy of the
 // Forrest–Tomlin kernel: wantRefactor fires on measured update fill (spike
 // entries plus absorbed op multipliers) crossing the factor-relative limit,
@@ -328,12 +263,9 @@ func TestNzAPIsEtaModeMatchDense(t *testing.T) {
 // asserted exactly, then a real update chain is checked to (a) accumulate
 // fill and (b) clear the trigger state on refactorize.
 func TestFTFillGrowthTrigger(t *testing.T) {
-	m := LargeModelRows // smallest FT-mode size
-	f := &luFactor{}
+	m := LargeModelRows // the smallest model the solver hands this kernel
+	f := &ftFactor{}
 	f.reset(m)
-	if !f.ftMode {
-		t.Fatalf("m=%d must select FT mode", m)
-	}
 	if f.wantRefactor() {
 		t.Fatal("fresh identity factor must not want a refactorization")
 	}
@@ -408,7 +340,7 @@ func TestFactorCloneIsolation(t *testing.T) {
 		f.ftranDense(probe, before)
 
 		snap := f.clone()
-		if snap.age() != f.age() || snap.denseKernel() != f.denseKernel() {
+		if snap.age() != f.age() || reflect.TypeOf(snap) != reflect.TypeOf(f) {
 			t.Fatalf("dense=%v: clone metadata mismatch", dense)
 		}
 
@@ -441,6 +373,78 @@ func TestFactorCloneIsolation(t *testing.T) {
 		f.ftranDense(probe, after)
 		if d := maxAbsDiff(before, after); d != 0 {
 			t.Fatalf("dense=%v: mutating the clone changed the original by %g", dense, d)
+		}
+	}
+}
+
+// TestEtaCloneSurvivesFailedRefactorize: a refactorization that ends
+// singular must leave the kernel no more able to write through arrays a
+// clone views than one that succeeded. Either side of a clone fails its
+// first refactorize, then rebuilds (refactorize of another basis, or reset)
+// and pivots; the other side's answers must not move by a bit. This is the
+// warm-install path when a transplanted factor meets a singular basis and
+// the solve recovers or retries cold while the caller keeps its *Basis.
+func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
+	const m = 15
+	r := rand.New(rand.NewSource(31))
+	std, basis := randSparseBasis(r, m)
+	other, otherBasis := randSparseBasis(r, m)
+	singular := append([]int(nil), basis...)
+	singular[1] = singular[0]
+
+	w := make([]float64, m)
+	pivot := func(f *etaFactor, col []entry) {
+		f.ftranCol(col, w)
+		pr := 0
+		for i := range w {
+			if math.Abs(w[i]) > math.Abs(w[pr]) {
+				pr = i
+			}
+		}
+		f.update(pr, w)
+	}
+	answers := func(f *etaFactor) []float64 {
+		var all []float64
+		out := make([]float64, m)
+		for j := 0; j < m; j++ {
+			f.ftranCol(std.cols[j], out)
+			all = append(all, out...)
+			f.btranUnit(j, out)
+			all = append(all, out...)
+		}
+		return all
+	}
+
+	for _, failOnClone := range []bool{true, false} {
+		for _, retryReset := range []bool{false, true} {
+			kept := &etaFactor{}
+			kept.reset(m)
+			if kept.refactorize(std, basis, time.Time{}) != refactorOK {
+				t.Fatal("refactorize failed")
+			}
+			pivot(kept, []entry{{row: 2, val: 1.5}, {row: 7, val: -0.4}})
+			mut := kept.clone().(*etaFactor)
+			if !failOnClone {
+				kept, mut = mut, kept
+			}
+			want := answers(kept)
+
+			if out := mut.refactorize(std, singular, time.Time{}); out != refactorSingular {
+				t.Fatalf("duplicated column refactorized with outcome %d", out)
+			}
+			if retryReset {
+				mut.reset(m)
+			} else if mut.refactorize(other, otherBasis, time.Time{}) != refactorOK {
+				t.Fatal("refactorize after the singular one failed")
+			}
+			for k := 0; k < 5; k++ {
+				pivot(mut, []entry{{row: (3*k + 1) % m, val: 2 + float64(k)}, {row: (k + 5) % m, val: 0.3}})
+			}
+
+			if got := answers(kept); !reflect.DeepEqual(got, want) {
+				t.Errorf("failOnClone=%v retryReset=%v: rebuilding one side after a singular refactorize changed the other by %g",
+					failOnClone, retryReset, maxAbsDiff(got, want))
+			}
 		}
 	}
 }

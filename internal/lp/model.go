@@ -406,22 +406,6 @@ type SolveStats struct {
 	Timings PhaseTimings
 }
 
-// Merge adds other's counts into s.
-func (s *SolveStats) Merge(other SolveStats) {
-	s.Solves += other.Solves
-	s.Iterations += other.Iterations
-	s.Refactorizations += other.Refactorizations
-	s.TimeBudgetHits += other.TimeBudgetHits
-	s.IterLimitHits += other.IterLimitHits
-	s.SingularHits += other.SingularHits
-	s.WarmStarts += other.WarmStarts
-	s.DevexSolves += other.DevexSolves
-	s.Presolved += other.Presolved
-	s.Artificials += other.Artificials
-	s.Recoveries += other.Recoveries
-	s.Timings.add(other.Timings)
-}
-
 // record folds one raw simplex outcome into the totals.
 func (s *SolveStats) record(res result) {
 	s.Solves++
@@ -467,6 +451,10 @@ const (
 // phase regardless of model size. Tests only.
 var forcePricing PricingRule
 
+// forceRefactorEvery, when positive, replaces the kernel's own periodic
+// refactorization cadence (factor.refactorEvery) in every solve. Tests only.
+var forceRefactorEvery int
+
 // Options tunes the solver.
 type Options struct {
 	// MaxIters bounds total pivots; 0 means a generous default derived
@@ -474,9 +462,6 @@ type Options struct {
 	MaxIters int
 	// Tol is the feasibility/optimality tolerance; 0 means 1e-9.
 	Tol float64
-	// RefactorEvery rebuilds the basis inverse from scratch after this
-	// many pivots (fights floating-point drift); 0 means 512.
-	RefactorEvery int
 	// TimeBudget bounds the wall-clock time of the solve; when it expires
 	// the solve returns Status TimeLimit (checked between pivots, so the
 	// overrun is at most one pivot). 0 means unlimited. This is the
@@ -510,8 +495,8 @@ type Options struct {
 }
 
 // withDefaults normalizes the options against a standardized problem of n
-// columns and m rows: non-positive tolerances, iteration budgets, and
-// refactorization cadences are replaced with the documented defaults, so
+// columns and m rows: non-positive tolerances and iteration budgets are
+// replaced with the documented defaults, so
 // call sites passing lp.Options{} (or accidentally negative values) get
 // well-defined behavior.
 func (o Options) withDefaults(n, m int) Options {
@@ -520,9 +505,6 @@ func (o Options) withDefaults(n, m int) Options {
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000 + 40*(n+m)
-	}
-	if o.RefactorEvery <= 0 {
-		o.RefactorEvery = defaultRefactorEvery
 	}
 	if o.ResidualTol <= 0 {
 		o.ResidualTol = 1e-6

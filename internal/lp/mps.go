@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteMPS serializes the model in (free-form) MPS format, the lingua
@@ -103,190 +101,4 @@ func (m *Model) WriteMPS(w io.Writer, name string) error {
 	}
 	fmt.Fprintln(bw, "ENDATA")
 	return bw.Flush()
-}
-
-// ReadMPS parses a free-form MPS model: NAME, ROWS, COLUMNS, RHS and
-// BOUNDS sections (UP, LO, FX, MI, PL bound records), the dialect WriteMPS
-// emits plus the common hand-written variants. It returns the model and
-// the NAME record. WriteMPS's maximization convention round-trips: the
-// "* objective negated" comment restores SetMaximize(true) with the
-// original (un-negated) objective, so write→read→write is byte-identical.
-//
-// Sections this codebase never produces (RANGES, SOS, integrality
-// markers) are rejected rather than silently dropped — a model that
-// parses is a model that means what the file says.
-func ReadMPS(r io.Reader) (*Model, string, error) {
-	type rowRec struct {
-		sense Sense
-		rhs   float64
-		terms []Term
-	}
-	var (
-		name     string
-		maximize bool
-		objName  string
-		rowOrder []string
-		rows     = map[string]*rowRec{}
-		varOrder []string
-		varIdx   = map[string]Var{}
-	)
-	m := NewModel()
-	getVar := func(col string) Var {
-		if v, ok := varIdx[col]; ok {
-			return v
-		}
-		v := m.AddVar(0, Inf, 0, col)
-		varIdx[col] = v
-		varOrder = append(varOrder, col)
-		return v
-	}
-
-	section := ""
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.HasPrefix(line, "*") {
-			if strings.Contains(line, "objective negated") {
-				maximize = true
-			}
-			continue
-		}
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		// A non-indented line opens a section (free-form MPS).
-		if line[0] != ' ' && line[0] != '\t' {
-			fields := strings.Fields(line)
-			section = fields[0]
-			switch section {
-			case "NAME":
-				if len(fields) > 1 {
-					name = fields[1]
-				}
-			case "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA":
-			default:
-				return nil, "", fmt.Errorf("lp: mps line %d: unsupported section %q", lineNo, section)
-			}
-			if section == "ENDATA" {
-				break
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		switch section {
-		case "ROWS":
-			if len(fields) != 2 {
-				return nil, "", fmt.Errorf("lp: mps line %d: malformed row record", lineNo)
-			}
-			switch fields[0] {
-			case "N":
-				if objName != "" {
-					return nil, "", fmt.Errorf("lp: mps line %d: second objective row %q", lineNo, fields[1])
-				}
-				objName = fields[1]
-			case "L", "G", "E":
-				sense := map[string]Sense{"L": LE, "G": GE, "E": EQ}[fields[0]]
-				if _, dup := rows[fields[1]]; dup {
-					return nil, "", fmt.Errorf("lp: mps line %d: duplicate row %q", lineNo, fields[1])
-				}
-				rows[fields[1]] = &rowRec{sense: sense}
-				rowOrder = append(rowOrder, fields[1])
-			default:
-				return nil, "", fmt.Errorf("lp: mps line %d: unknown row sense %q", lineNo, fields[0])
-			}
-		case "COLUMNS":
-			// col row value [row value]
-			if len(fields) < 3 || len(fields)%2 == 0 {
-				return nil, "", fmt.Errorf("lp: mps line %d: malformed column record", lineNo)
-			}
-			v := getVar(fields[0])
-			for i := 1; i+1 < len(fields); i += 2 {
-				val, err := strconv.ParseFloat(fields[i+1], 64)
-				if err != nil {
-					return nil, "", fmt.Errorf("lp: mps line %d: bad coefficient %q", lineNo, fields[i+1])
-				}
-				if fields[i] == objName {
-					if maximize {
-						val = -val
-					}
-					m.SetObj(v, m.obj[v]+val)
-					continue
-				}
-				rec, ok := rows[fields[i]]
-				if !ok {
-					return nil, "", fmt.Errorf("lp: mps line %d: unknown row %q", lineNo, fields[i])
-				}
-				rec.terms = append(rec.terms, Term{Var: v, Coef: val})
-			}
-		case "RHS":
-			// rhsname row value [row value]
-			if len(fields) < 3 || len(fields)%2 == 0 {
-				return nil, "", fmt.Errorf("lp: mps line %d: malformed rhs record", lineNo)
-			}
-			for i := 1; i+1 < len(fields); i += 2 {
-				val, err := strconv.ParseFloat(fields[i+1], 64)
-				if err != nil {
-					return nil, "", fmt.Errorf("lp: mps line %d: bad rhs %q", lineNo, fields[i+1])
-				}
-				rec, ok := rows[fields[i]]
-				if !ok {
-					return nil, "", fmt.Errorf("lp: mps line %d: unknown row %q", lineNo, fields[i])
-				}
-				rec.rhs = val
-			}
-		case "BOUNDS":
-			// type bndname col [value]
-			if len(fields) < 3 {
-				return nil, "", fmt.Errorf("lp: mps line %d: malformed bound record", lineNo)
-			}
-			v := getVar(fields[2])
-			lo, up := m.Bounds(v)
-			needVal := fields[0] == "UP" || fields[0] == "LO" || fields[0] == "FX"
-			val := 0.0
-			if needVal {
-				if len(fields) < 4 {
-					return nil, "", fmt.Errorf("lp: mps line %d: bound %s needs a value", lineNo, fields[0])
-				}
-				var err error
-				if val, err = strconv.ParseFloat(fields[3], 64); err != nil {
-					return nil, "", fmt.Errorf("lp: mps line %d: bad bound %q", lineNo, fields[3])
-				}
-			}
-			switch fields[0] {
-			case "UP":
-				up = val
-			case "LO":
-				lo = val
-			case "FX":
-				lo, up = val, val
-			case "MI":
-				lo = -Inf
-			case "PL":
-				up = Inf
-			default:
-				return nil, "", fmt.Errorf("lp: mps line %d: unsupported bound type %q", lineNo, fields[0])
-			}
-			m.SetBounds(v, lo, up)
-		case "":
-			return nil, "", fmt.Errorf("lp: mps line %d: data before first section", lineNo)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, "", err
-	}
-	if section != "ENDATA" {
-		return nil, "", fmt.Errorf("lp: mps input ended without ENDATA")
-	}
-	if objName == "" {
-		return nil, "", fmt.Errorf("lp: mps input has no objective (N) row")
-	}
-	m.SetMaximize(maximize)
-	for _, rn := range rowOrder {
-		rec := rows[rn]
-		m.AddConstraint(rec.sense, rec.rhs, rec.terms...)
-	}
-	return m, name, nil
 }

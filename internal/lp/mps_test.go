@@ -69,92 +69,3 @@ func TestWriteMPSMinNoComment(t *testing.T) {
 		t.Error("unexpected bound record for default-bounded variable")
 	}
 }
-
-// buildMPSFixture is a maximization model exercising every bound class
-// WriteMPS can emit: default, UP-only, LO+UP, MI (free below), FX.
-func buildMPSFixture() *Model {
-	m := NewModel()
-	m.SetMaximize(true)
-	x := m.AddVar(0, 4, 3, "x")
-	y := m.AddVar(-2, 7, 2, "y")
-	z := m.AddVar(math.Inf(-1), Inf, 1, "z")
-	w := m.AddVar(1, 1, 5, "w")
-	u := m.AddVar(0, Inf, 0.5, "u")
-	m.AddConstraint(LE, 10, Term{x, 1}, Term{y, 2}, Term{u, 1})
-	m.AddConstraint(GE, 1, Term{y, 1}, Term{z, -1})
-	m.AddConstraint(EQ, 3, Term{z, 1}, Term{w, 1})
-	return m
-}
-
-func TestReadMPSRoundTrip(t *testing.T) {
-	orig := buildMPSFixture()
-	var first bytes.Buffer
-	if err := orig.WriteMPS(&first, "RT"); err != nil {
-		t.Fatal(err)
-	}
-
-	parsed, name, err := ReadMPS(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "RT" {
-		t.Errorf("name = %q, want RT", name)
-	}
-	if parsed.NumVars() != orig.NumVars() || parsed.NumRows() != orig.NumRows() {
-		t.Fatalf("parsed %d vars / %d rows, want %d / %d",
-			parsed.NumVars(), parsed.NumRows(), orig.NumVars(), orig.NumRows())
-	}
-	for j := 0; j < orig.NumVars(); j++ {
-		glo, gup := parsed.Bounds(Var(j))
-		wlo, wup := orig.Bounds(Var(j))
-		if glo != wlo || gup != wup {
-			t.Errorf("var %d bounds [%v, %v], want [%v, %v]", j, glo, gup, wlo, wup)
-		}
-	}
-
-	// Write→read→write must be byte-identical: WriteMPS's var-major,
-	// position-named output is a canonical form, and the negation comment
-	// restores the maximization sense exactly.
-	var second bytes.Buffer
-	if err := parsed.WriteMPS(&second, "RT"); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Errorf("round trip not byte-identical:\n--- first ---\n%s\n--- second ---\n%s",
-			first.String(), second.String())
-	}
-
-	// And the models must agree where it matters: same optimum.
-	so, err := orig.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := parsed.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if so.Status != Optimal || sp.Status != Optimal {
-		t.Fatalf("status %v vs %v, want both optimal", so.Status, sp.Status)
-	}
-	if math.Abs(so.Objective-sp.Objective) > 1e-9 {
-		t.Errorf("objective %v vs %v after round trip", so.Objective, sp.Objective)
-	}
-}
-
-func TestReadMPSErrors(t *testing.T) {
-	cases := map[string]string{
-		"no endata":    "NAME X\nROWS\n N  COST\nCOLUMNS\n",
-		"no objective": "NAME X\nROWS\n L  R0\nENDATA\n",
-		"bad section":  "NAME X\nRANGES\nENDATA\n",
-		"bad sense":    "NAME X\nROWS\n Q  R0\nENDATA\n",
-		"unknown row":  "NAME X\nROWS\n N  COST\nCOLUMNS\n    C0 R9 1\nENDATA\n",
-		"bad coef":     "NAME X\nROWS\n N  COST\n L  R0\nCOLUMNS\n    C0 R0 oops\nENDATA\n",
-		"bad bound":    "NAME X\nROWS\n N  COST\nBOUNDS\n UQ BND C0 1\nENDATA\n",
-		"short bound":  "NAME X\nROWS\n N  COST\nBOUNDS\n UP BND C0\nENDATA\n",
-	}
-	for tag, in := range cases {
-		if _, _, err := ReadMPS(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadMPS accepted malformed input", tag)
-		}
-	}
-}

@@ -6,20 +6,53 @@ import (
 )
 
 // newKernel builds a bare kernel for the factor-level tests: the dense
-// oracle, or the sparse LU under test.
+// oracle, or the small-model sparse kernel under test.
 func newKernel(dense bool) factor {
 	if dense {
 		return &denseFactor{}
 	}
-	return &luFactor{}
+	return &etaFactor{}
 }
 
-// solveDense is m.Solve on the dense oracle kernel.
+// solveDense is m.Solve on the dense oracle kernel, which serves small
+// models only (install refuses it a large one).
 func solveDense(m *Model, opts Options) (*Solution, error) {
 	old := newFactor
-	newFactor = func() factor { return newKernel(true) }
+	newFactor = func(bool) factor { return newKernel(true) }
 	defer func() { newFactor = old }()
 	return m.Solve(opts)
+}
+
+// withRefactorEvery runs fn with every solve's periodic refactorization
+// cadence forced to n pivots.
+func withRefactorEvery(n int, fn func()) {
+	old := forceRefactorEvery
+	forceRefactorEvery = n
+	defer func() { forceRefactorEvery = old }()
+	fn()
+}
+
+// solveEvery is m.Solve with the refactorization cadence forced to n.
+func solveEvery(n int, m *Model, opts Options) (sol *Solution, err error) {
+	withRefactorEvery(n, func() { sol, err = m.Solve(opts) })
+	return sol, err
+}
+
+// wrapFactor lets a test wrap either production kernel: it forwards the
+// hyper-sparse entry points to the wrapped kernel, which has them whenever
+// the solver calls them (a large model's is an nzFactor).
+type wrapFactor struct{ factor }
+
+func (w wrapFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
+	return w.factor.(nzFactor).ftranColNz(col, out, prev)
+}
+
+func (w wrapFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
+	return w.factor.(nzFactor).btranUnitNz(r, out, prev)
+}
+
+func (w wrapFactor) updateNz(r int, wv []float64, wnz []int32) {
+	w.factor.(nzFactor).updateNz(r, wv, wnz)
 }
 
 // withPricing runs fn with every solve's entering rule forced to rule.
@@ -47,8 +80,8 @@ type denseFactor struct {
 	nPiv int         // product-form pivots since reset/refactorize
 }
 
-func (f *denseFactor) denseKernel() bool { return true }
-func (f *denseFactor) age() int          { return f.nPiv }
+func (f *denseFactor) age() int           { return f.nPiv }
+func (f *denseFactor) refactorEvery() int { return etaRefactorEvery }
 func (f *denseFactor) wantRefactor() bool {
 	return false // the dense inverse has no eta file to outgrow
 }
@@ -204,35 +237,6 @@ func (f *denseFactor) update(r int, w []float64) {
 		}
 	}
 	f.nPiv++
-}
-
-// The dense kernel has no sparsity to exploit: the Nz variants compute the
-// full dense result and report its nonzero pattern (prev needs no clearing —
-// the dense solves overwrite every entry).
-func (f *denseFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
-	f.ftranCol(col, out)
-	nz := prev[:0]
-	for i, v := range out[:f.m] {
-		if v != 0 {
-			nz = append(nz, int32(i))
-		}
-	}
-	return nz
-}
-
-func (f *denseFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
-	f.btranUnit(r, out)
-	nz := prev[:0]
-	for i, v := range out[:f.m] {
-		if v != 0 {
-			nz = append(nz, int32(i))
-		}
-	}
-	return nz
-}
-
-func (f *denseFactor) updateNz(r int, w []float64, wnz []int32) {
-	f.update(r, w)
 }
 
 func (f *denseFactor) clone() factor {

@@ -42,7 +42,7 @@ func TestRefactorizationConsistency(t *testing.T) {
 		if base.Status != Optimal {
 			t.Fatalf("seed %d: base status %v", seed, base.Status)
 		}
-		aggressive, err := buildMidLP(seed).Solve(Options{RefactorEvery: 3})
+		aggressive, err := solveEvery(3, buildMidLP(seed), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestRefactorWithEqualityAndFreeVars(t *testing.T) {
 		}
 		m.AddConstraint(LE, 8, row...)
 	}
-	sol, err := m.Solve(Options{RefactorEvery: 2})
+	sol, err := solveEvery(2, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

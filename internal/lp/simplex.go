@@ -19,13 +19,14 @@ type entry struct {
 // where columns include structural variables (shifted so every lower bound
 // is zero), slack/surplus logicals, and phase-1 artificials.
 type standard struct {
-	m, n int
-	cols [][]entry
-	c    []float64 // phase-2 costs (minimization)
-	up   []float64 // upper bounds (lower bounds are all 0)
-	b    []float64
-	art  []bool // artificial columns (excluded from phase 2 pricing)
-	nArt int    // number of artificial columns, all basic in basisInit
+	m, n  int
+	large bool // m >= LargeModelRows: the one size decision, see there
+	cols  [][]entry
+	c     []float64 // phase-2 costs (minimization)
+	up    []float64 // upper bounds (lower bounds are all 0)
+	b     []float64
+	art   []bool // artificial columns (excluded from phase 2 pricing)
+	nArt  int    // number of artificial columns, all basic in basisInit
 
 	basisInit []int // initial basic column per row (slack or artificial)
 
@@ -100,7 +101,7 @@ func (m *Model) refreshStandard(s *standard) bool {
 			rhs -= t.Coef * s.shift[t.Var]
 		}
 		want := 1.0
-		if rhs < 0 || crashRow(len(m.rows), m.senses[i], rhs) {
+		if rhs < 0 || crashRow(s.large, m.senses[i], rhs) {
 			want = -1
 		}
 		if want != s.rowSign[i] {
@@ -116,12 +117,12 @@ func (m *Model) refreshStandard(s *standard) bool {
 // start, so it is standardized as the ≤ row its negation is (rowSign -1,
 // exactly like a negative right-hand side) and starts on its own slack —
 // no surplus/artificial pair, no degenerate pivot to swap the artificial
-// out. Gated like the staged start so small models keep their pinned
-// standard form; refreshStandard applies the same rule, so an edit that
-// moves such a right-hand side between zero and positive is a structure
-// change (the artificial pattern differs) and rebuilds.
-func crashRow(rows int, sense Sense, rhs float64) bool {
-	return rows >= LargeModelRows && sense == GE && rhs == 0
+// out. Large models only, so small ones keep their pinned standard form;
+// refreshStandard applies the same rule, so an edit that moves such a
+// right-hand side between zero and positive is a structure change (the
+// artificial pattern differs) and rebuilds.
+func crashRow(large bool, sense Sense, rhs float64) bool {
+	return large && sense == GE && rhs == 0
 }
 
 // standardize converts the model into computational form.
@@ -130,6 +131,7 @@ func (m *Model) standardize() (*standard, error) {
 	nr := m.NumRows()
 	s := &standard{
 		m:       nr,
+		large:   nr >= LargeModelRows,
 		colOf:   make([]int, nv),
 		negCol:  make([]int, nv),
 		shift:   make([]float64, nv),
@@ -192,7 +194,7 @@ func (m *Model) standardize() (*standard, error) {
 			}
 		}
 		s.rowSign[i] = 1
-		if rd.rhs < 0 || crashRow(nr, rd.sense, rd.rhs) {
+		if rd.rhs < 0 || crashRow(s.large, rd.sense, rd.rhs) {
 			s.rowSign[i] = -1
 			rd.rhs = -rd.rhs
 			for k := range rd.terms {
@@ -302,6 +304,7 @@ type result struct {
 type state struct {
 	std           *standard
 	fac           factor    // basis representation: B⁻¹ as FTRAN/BTRAN/update
+	nz            nzFactor  // fac on a large model, nil on a small one (dense pivot vectors); see install
 	basis         []int     // basic column per row
 	basePos       []int     // column -> basis row + 1, 0 if nonbasic, -1 if nonbasic and barred (see recover)
 	atUpper       []bool    // nonbasic-at-upper flag per column
@@ -311,7 +314,6 @@ type state struct {
 	rhoBuf        []float64 // scratch: a row of B⁻¹ (dual updates, ratio tests)
 	wNz           []int32   // nonzero positions of wBuf (hyper-sparse mode)
 	rhoNz         []int32   // nonzero rows of rhoBuf (hyper-sparse mode)
-	useNz         bool      // hyper-sparse pivot vectors (large models only)
 	cbBuf         []float64 // scratch: basic costs / right-hand sides
 	cand          []int     // partial-pricing candidate list
 	cursor        int       // partial-pricing scan position
@@ -394,22 +396,6 @@ func (st *state) limitStatus() Status {
 	return TimeLimit
 }
 
-const defaultRefactorEvery = 512
-
-// nzRefactorEvery replaces the default cadence on hyper-sparse models that
-// still run the product-form eta file (the caller can force any cadence
-// through Options.RefactorEvery): there every BTRAN/FTRAN walks the whole
-// file, so a short fixed cadence is the better trade.
-const nzRefactorEvery = 256
-
-// ftRefactorBackstop is the cadence on Forrest–Tomlin kernels. FT updates
-// keep the factorization triangular, so the *measured* update-fill growth
-// trigger in the kernel (wantRefactor: ftNnz against a multiple of the
-// fresh factorization's nonzeros) decides when refactorizing pays; the
-// cadence survives only as a long numerical-hygiene backstop against
-// roundoff accumulating over very long, low-fill pivot chains.
-const ftRefactorBackstop = 2048
-
 // solve runs phase 1 then phase 2 and extracts primal and dual values.
 // With a usable Options.WarmBasis, phase 1 is skipped entirely and phase 2
 // starts from the supplied basis.
@@ -417,7 +403,6 @@ func (std *standard) solve(opts Options) result {
 	m := std.m
 	st := &state{
 		std:           std,
-		fac:           newFactor(),
 		basis:         make([]int, m),
 		basePos:       make([]int, std.n),
 		atUpper:       make([]bool, std.n),
@@ -428,22 +413,15 @@ func (std *standard) solve(opts Options) result {
 		cbBuf:         make([]float64, m),
 		tol:           opts.Tol,
 		maxIter:       opts.MaxIters,
-		refactorEvery: opts.RefactorEvery,
+		refactorEvery: forceRefactorEvery,
 	}
 	if opts.TimeBudget > 0 {
 		st.deadline = time.Now().Add(opts.TimeBudget)
 	}
-	st.useNz = m >= LargeModelRows
+	st.install(newFactor(std.large))
 	st.fac.reset(m)
-	if st.useNz && st.refactorEvery == defaultRefactorEvery {
-		if lu, ok := st.fac.(*luFactor); ok && lu.ftMode {
-			// Forrest–Tomlin kernel: the fill-growth trigger inside
-			// wantRefactor adapts the cadence to the measured update fill;
-			// the fixed cadence is only a numerical backstop.
-			st.refactorEvery = ftRefactorBackstop
-		} else {
-			st.refactorEvery = nzRefactorEvery
-		}
+	if st.refactorEvery <= 0 {
+		st.refactorEvery = st.fac.refactorEvery()
 	}
 	// The staged start may swap a perturbed right-hand side into the cached
 	// standardization; whatever path the solve exits through, the pristine
@@ -497,12 +475,21 @@ func (std *standard) solve(opts Options) result {
 	return res
 }
 
+// install makes f the solve's kernel. A large model's pivot loops call the
+// hyper-sparse entry points, so its kernel must have them: the assertion
+// fails here, once, not per pivot.
+func (st *state) install(f factor) {
+	st.fac = f
+	if st.std.large {
+		st.nz = f.(nzFactor)
+	}
+}
+
 // phases runs the solve proper from the state solve prepared — a warm-
 // installed basis, or nothing (cold) — through phase 1 (skipped when warm)
 // and phase 2, and reports the outcome without the solution vectors.
 func (st *state) phases(warm bool) result {
 	std := st.std
-	m := std.m
 	outcome := func(status Status) result {
 		r := result{status: status, iters: st.iters, refactors: st.refactors,
 			phase: st.phase, warm: warm, pricing: st.pricing, recoveries: st.recoveries}
@@ -514,13 +501,13 @@ func (st *state) phases(warm bool) result {
 
 	// Resolve the entering rule: the classic Dantzig/partial hybrid except on
 	// large cold solves, where devex pays for its maintained state many times
-	// over. The m gate doubles as the byte-identity shield: every golden-trace
-	// model sits below it, and warm re-solves (a handful of pivots, sequences
-	// pinned by the golden suite) stay on the classic rule.
+	// over. The size gate doubles as the byte-identity shield: every golden-
+	// trace model sits below it, and warm re-solves (a handful of pivots,
+	// sequences pinned by the golden suite) stay on the classic rule.
 	st.pricing = forcePricing
 	if st.pricing == "" {
 		st.pricing = PricingDantzig
-		if m >= LargeModelRows && !warm {
+		if std.large && !warm {
 			st.pricing = PricingDevex
 		}
 	}
@@ -544,7 +531,7 @@ func (st *state) phases(warm bool) result {
 		// fails, and always on small LPs, the classic artificial-cost
 		// phase 1 decides feasibility.
 		staged := false
-		if m >= LargeModelRows {
+		if std.large {
 			switch st.stagedStart() {
 			case stagedDone:
 				staged = true
@@ -623,8 +610,10 @@ func (st *state) indexBasis() {
 // FTRAN/BTRAN, devex on cold solves, the logical crash and the staged cold
 // start: phase 1 degenerates badly on the equality-heavy staircase LPs this
 // solver targets, and the dense passes' several O(m) sweeps per pivot
-// dominate the solve. Exported because sched.Instance.Build selects its
-// build mode on the same count: a model is large in both layers or neither.
+// dominate the solve. standardize makes the comparison, once, and the rest
+// of the package reads standard.large. Exported because
+// sched.Instance.Build selects its build mode on the same count: a model is
+// large in both layers or neither.
 const LargeModelRows = 4096
 
 type stagedOutcome int
@@ -778,8 +767,8 @@ func (st *state) duals(costs []float64) []float64 {
 // tableau column and a rho row can coexist).
 func (st *state) rowOfInverse(r int) []float64 {
 	t0 := time.Now()
-	if st.useNz {
-		st.rhoNz = st.fac.btranUnitNz(r, st.rhoBuf, st.rhoNz)
+	if st.nz != nil {
+		st.rhoNz = st.nz.btranUnitNz(r, st.rhoBuf, st.rhoNz)
 	} else {
 		st.fac.btranUnit(r, st.rhoBuf)
 	}
@@ -830,8 +819,8 @@ func (st *state) expelArtificials() {
 // only have to be reproducible, not ascending).
 func (st *state) ftranCol(q int) []float64 {
 	t0 := time.Now()
-	if st.useNz {
-		st.wNz = st.fac.ftranColNz(st.std.cols[q], st.wBuf, st.wNz)
+	if st.nz != nil {
+		st.wNz = st.nz.ftranColNz(st.std.cols[q], st.wBuf, st.wNz)
 	} else {
 		st.fac.ftranCol(st.std.cols[q], st.wBuf)
 	}
@@ -842,8 +831,8 @@ func (st *state) ftranCol(q int) []float64 {
 // applyPivot performs the product-form basis update for entering column q
 // at row r with tableau column w, and fixes the bookkeeping arrays.
 func (st *state) applyPivot(q, r int, w []float64) {
-	if st.useNz {
-		st.fac.updateNz(r, w, st.wNz)
+	if st.nz != nil {
+		st.nz.updateNz(r, w, st.wNz)
 	} else {
 		st.fac.update(r, w)
 	}
@@ -999,7 +988,7 @@ func (st *state) pricePartial(costs, y []float64, skipArt bool) (q int, fromUppe
 	// factor. Small models keep the original shallow list — their pivot
 	// sequences are pinned by the golden-trace suite.
 	candCap := 32
-	if st.useNz {
+	if st.nz != nil {
 		candCap = 256
 	}
 	chunk := std.n / 8
@@ -1138,7 +1127,7 @@ func (st *state) pivotRow(rho []float64) {
 	nz := st.alphaNz[:0]
 	rowPtr, rowCol, rowVal := st.rowPtr, st.rowCol, st.rowVal
 	alphaBuf, alphaMark := st.alphaBuf, st.alphaMark
-	if st.useNz {
+	if st.nz != nil {
 		for _, i32 := range st.rhoNz {
 			i := int(i32)
 			v := rho[i]
@@ -1522,7 +1511,7 @@ func (st *state) dualCleanup() bool {
 
 		w := st.ftranCol(q)
 		wTol := pivTol
-		if st.useNz {
+		if st.nz != nil {
 			// The row test above is absolute; the pivot element itself is
 			// held to the column-relative tolerance optimize uses, now that
 			// the column is in hand.
@@ -1653,7 +1642,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			continue
 		}
 		if q < 0 {
-			if st.useNz {
+			if st.nz != nil {
 				// The per-pivot clamp only visits touched rows; sweep the
 				// rest before reporting the solution.
 				for i := 0; i < m; i++ {
@@ -1679,7 +1668,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		leave := -1
 		leaveToUpper := false
 		pivTol := 1e-9
-		if st.useNz {
+		if st.nz != nil {
 			pivTol = relPivotTol(w, st.wNz)
 		}
 		ratioStep := func(i int) {
@@ -1719,7 +1708,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 				}
 			}
 		}
-		if st.useNz {
+		if st.nz != nil {
 			for _, i32 := range st.wNz {
 				ratioStep(int(i32))
 			}
@@ -1792,7 +1781,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			st.dRed[q] = 0
 		} else {
 			theta := qD / w[leave]
-			if st.useNz {
+			if st.nz != nil {
 				for _, k := range st.rhoNz {
 					y[k] += theta * rho[k]
 				}
@@ -1813,7 +1802,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		// only the rows this pivot touched can have picked up new residue;
 		// rows dirtied by a refactorization's recompute are swept by the
 		// full clamp at the Optimal exit above.
-		if st.useNz {
+		if st.nz != nil {
 			for _, i32 := range st.wNz {
 				if st.xB[i32] < 0 && st.xB[i32] > -1e-7 {
 					st.xB[i32] = 0
@@ -1854,7 +1843,7 @@ func relPivotTol(w []float64, nz []int32) float64 {
 // stepXB moves the basic values one ratio-test step: xB -= t·σ·w, over w's
 // nonzero rows in hyper-sparse mode.
 func (st *state) stepXB(t, sigma float64, w []float64) {
-	if st.useNz {
+	if st.nz != nil {
 		for _, i32 := range st.wNz {
 			st.xB[i32] -= t * sigma * w[i32]
 		}

@@ -34,11 +34,11 @@ func TestSolveStatsAccumulates(t *testing.T) {
 	// A tight refactorization cadence must show up in the counter (a cold
 	// start from the identity slack basis legitimately reports zero).
 	var tight SolveStats
-	if _, err := m.Solve(Options{RefactorEvery: 1, Stats: &tight}); err != nil {
+	if _, err := solveEvery(1, m, Options{Stats: &tight}); err != nil {
 		t.Fatalf("tight-cadence solve: %v", err)
 	}
 	if tight.Refactorizations < 1 {
-		t.Fatalf("Refactorizations = %d with RefactorEvery=1, want >= 1", tight.Refactorizations)
+		t.Fatalf("Refactorizations = %d at a cadence of 1, want >= 1", tight.Refactorizations)
 	}
 
 	// A second solve accumulates into the same struct.
@@ -81,7 +81,7 @@ func TestSolveStatsPhaseTimings(t *testing.T) {
 	}
 	// A forced refactorization cadence must tick the refactor clock.
 	var tight SolveStats
-	if _, err := m.Solve(Options{RefactorEvery: 1, Stats: &tight}); err != nil {
+	if _, err := solveEvery(1, m, Options{Stats: &tight}); err != nil {
 		t.Fatalf("tight-cadence solve: %v", err)
 	}
 	if tight.Refactorizations >= 1 && tight.Timings.RefactorNs <= 0 {
@@ -119,20 +119,5 @@ func TestSolveStatsIterLimit(t *testing.T) {
 	}
 	if stats.IterLimitHits != 1 {
 		t.Fatalf("IterLimitHits = %d, want 1", stats.IterLimitHits)
-	}
-}
-
-func TestSolveStatsMerge(t *testing.T) {
-	a := SolveStats{Solves: 1, Iterations: 10, Refactorizations: 2, TimeBudgetHits: 1, IterLimitHits: 1, SingularHits: 1, WarmStarts: 1,
-		Artificials: 40, Recoveries: 1, Presolved: 1,
-		Timings: PhaseTimings{PricingNs: 100, FtranNs: 10, BtranNs: 1, RefactorNs: 1000}}
-	b := SolveStats{Solves: 2, Iterations: 5, Refactorizations: 1, WarmStarts: 1, Artificials: 2, Presolved: 2,
-		Timings: PhaseTimings{PricingNs: 1, FtranNs: 2, BtranNs: 3, RefactorNs: 4}}
-	b.Merge(a)
-	want := SolveStats{Solves: 3, Iterations: 15, Refactorizations: 3, TimeBudgetHits: 1, IterLimitHits: 1, SingularHits: 1, WarmStarts: 2,
-		Artificials: 42, Recoveries: 1, Presolved: 3,
-		Timings: PhaseTimings{PricingNs: 101, FtranNs: 12, BtranNs: 4, RefactorNs: 1004}}
-	if b != want {
-		t.Fatalf("merged = %+v, want %+v", b, want)
 	}
 }

@@ -208,15 +208,12 @@ func TestWarmStartAfterRelaxedInfeasibility(t *testing.T) {
 // or negative iteration budgets) must be normalized, not passed through —
 // call sites handing in lp.Options{} rely on this.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{Tol: -1, MaxIters: -5, RefactorEvery: -3}.withDefaults(10, 4)
+	o := Options{Tol: -1, MaxIters: -5}.withDefaults(10, 4)
 	if o.Tol != 1e-9 {
 		t.Errorf("Tol = %v, want 1e-9", o.Tol)
 	}
 	if o.MaxIters != 2000+40*14 {
 		t.Errorf("MaxIters = %v, want %v", o.MaxIters, 2000+40*14)
-	}
-	if o.RefactorEvery != defaultRefactorEvery {
-		t.Errorf("RefactorEvery = %v, want %v", o.RefactorEvery, defaultRefactorEvery)
 	}
 
 	// End to end: a solve with hostile options must behave like defaults.
@@ -225,7 +222,7 @@ func TestOptionsDefaults(t *testing.T) {
 	x := m.AddVar(0, Inf, 3, "x")
 	y := m.AddVar(0, Inf, 2, "y")
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
-	sol, err := m.Solve(Options{Tol: -7, MaxIters: -1, RefactorEvery: -9})
+	sol, err := m.Solve(Options{Tol: -7, MaxIters: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

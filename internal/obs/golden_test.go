@@ -13,17 +13,20 @@ import (
 	"pretium/internal/obs"
 )
 
-// update rewrites the checked-in golden trace instead of comparing
-// against it: go test ./internal/obs -run Golden -update
-var update = flag.Bool("update", false, "rewrite golden trace files")
+// update rewrites the checked-in golden files instead of comparing
+// against them: go test ./internal/obs -run Golden -update
+var update = flag.Bool("update", false, "rewrite golden files")
 
-const goldenFile = "testdata/golden_trace.jsonl"
+const (
+	goldenFile     = "testdata/golden_trace.jsonl"
+	goldenCounters = "testdata/golden_lp_counters.txt"
+)
 
-// goldenRun executes the golden scenario — the Small experiment setup at
-// a fixed seed, run end-to-end through the Pretium controller — with its
-// own recorder, and returns the raw JSONL event stream. mutate lets
+// goldenRecorder executes the golden scenario — the Small experiment setup
+// at a fixed seed, run end-to-end through the Pretium controller — with its
+// own recorder, and returns it with the trace it buffered. mutate lets
 // variants (cold start) tweak the controller config.
-func goldenRun(t *testing.T, mutate func(*core.Config)) []byte {
+func goldenRecorder(t *testing.T, mutate func(*core.Config)) (*obs.Recorder, *obs.TraceBuffer) {
 	t.Helper()
 	rec, buf := obs.NewTraceRecorder()
 	s := exp.NewSetup(exp.Small(), exp.WithSeed(7), exp.WithObs(rec))
@@ -33,7 +36,37 @@ func goldenRun(t *testing.T, mutate func(*core.Config)) []byte {
 	if rec.Events() == 0 {
 		t.Fatal("golden run emitted no events")
 	}
+	return rec, buf
+}
+
+// goldenRun is goldenRecorder's raw JSONL event stream.
+func goldenRun(t *testing.T, mutate func(*core.Config)) []byte {
+	t.Helper()
+	_, buf := goldenRecorder(t, mutate)
 	return buf.Bytes()
+}
+
+// checkGolden compares got byte-for-byte against the checked-in file, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", file, len(got))
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s diverges from golden:\n%s", file, traceDiff(want, got))
+	}
 }
 
 // TestGoldenTrace locks the full event stream of the golden scenario
@@ -42,24 +75,23 @@ func goldenRun(t *testing.T, mutate func(*core.Config)) []byte {
 // loop's observable decisions shows up as a diff here; refresh
 // deliberately with -update and review the diff like code.
 func TestGoldenTrace(t *testing.T) {
-	got := goldenRun(t, nil)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFile, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", goldenFile, len(got))
-		return
+	checkGolden(t, goldenFile, goldenRun(t, nil))
+}
+
+// TestGoldenLPCounters locks the golden scenario's simplex work as exact
+// integers. The trace's 9-digit floats absorb a change in the pivot path
+// (TestGoldenTraceColdStart relies on that); these counters do not, so a
+// change that claims to move no float has to leave every one of them alone.
+func TestGoldenLPCounters(t *testing.T) {
+	rec, _ := goldenRecorder(t, nil)
+	var got bytes.Buffer
+	for _, name := range []string{
+		"sam.lp.iterations", "sam.lp.refactorizations", "sam.lp.warm_starts",
+		"pc.lp.iterations", "pc.lp.refactorizations",
+	} {
+		fmt.Fprintf(&got, "%s %d\n", name, rec.Metrics().Counter(name).Value())
 	}
-	want, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace diverges from golden:\n%s", traceDiff(want, got))
-	}
+	checkGolden(t, goldenCounters, got.Bytes())
 }
 
 // TestGoldenTraceParallel re-runs the golden scenario several times under
