@@ -53,7 +53,8 @@ type Config struct {
 	// HighPriActual, when non-nil, is the high-pri traffic that actually
 	// materializes: it physically consumes link capacity whether or not
 	// the estimate covered it, so an underestimate squeezes scheduled
-	// transfers exactly like an unannounced fault.
+	// transfers exactly like an unannounced fault. Every cell must be
+	// finite and non-negative.
 	HighPriActual [][]float64
 	// EnableSAM switches schedule adjustment (off = Pretium-NoSAM).
 	EnableSAM bool
@@ -304,6 +305,11 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		if len(row) < cfg.Horizon {
 			return nil, fmt.Errorf("core: HighPriActual row %d has %d steps, horizon is %d", e, len(row), cfg.Horizon)
 		}
+		for t, v := range row {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("core: HighPriActual[%d][%d] = %v, want finite and non-negative", e, t, v)
+			}
+		}
 	}
 	c.trueCap = make([][]float64, net.NumEdges())
 	for _, e := range net.Edges() {
@@ -322,7 +328,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	}
 	for i := range cfg.Faults {
 		f := &c.cfg.Faults[i]
-		if f.Factor < 0 || f.Factor > 1 {
+		if !(f.Factor >= 0 && f.Factor <= 1) { // NaN fails both
 			return nil, fmt.Errorf("core: fault %d factor %v outside [0,1]", i, f.Factor)
 		}
 		if f.Edge < 0 || int(f.Edge) >= net.NumEdges() {

@@ -165,9 +165,11 @@ func TestFaultValidation(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
 	cfg := smallConfig(1)
-	cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: 2}}
-	if _, err := New(n, reqs, cfg); err == nil {
-		t.Error("factor > 1 accepted")
+	for _, f := range []float64{2, -0.5, math.NaN()} {
+		cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: f}}
+		if _, err := New(n, reqs, cfg); err == nil {
+			t.Errorf("factor %v accepted", f)
+		}
 	}
 	for _, e := range []graph.EdgeID{-1, graph.EdgeID(n.NumEdges())} {
 		cfg.Faults = []Fault{{Edge: e, From: 0, To: 0, Factor: 0.5}}

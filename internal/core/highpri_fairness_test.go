@@ -92,6 +92,15 @@ func TestHighPriActualValidation(t *testing.T) {
 	if _, err := New(n, reqs, cfg); err == nil {
 		t.Error("short HighPriActual row accepted")
 	}
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+		for e := range cfg.HighPriActual {
+			cfg.HighPriActual[e] = make([]float64, cfg.Horizon)
+		}
+		cfg.HighPriActual[0][cfg.Horizon-1] = v
+		if _, err := New(n, reqs, cfg); err == nil {
+			t.Errorf("HighPriActual cell %v accepted", v)
+		}
+	}
 }
 
 func TestEstimateHighPriSetAside(t *testing.T) {

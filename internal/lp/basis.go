@@ -175,7 +175,7 @@ func (st *state) installWarm(b *Basis) warmFit {
 		// cloned again so this solve's pivots cannot corrupt the caller's
 		// Basis (which may warm-start further solves). Only the basic
 		// values need recomputing against the new right-hand side.
-		st.install(b.fac.clone())
+		st.fac = b.fac.clone()
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {
 		return warmNo // singular basis matrix (or budget expired mid-rebuild)

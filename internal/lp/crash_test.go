@@ -234,7 +234,7 @@ func TestCrashGateLeavesSmallModelsAlone(t *testing.T) {
 
 // spyFactor counts the tableau-column solves a kernel is asked for, by form.
 type spyFactor struct {
-	wrapFactor
+	factor
 	dense, nz int
 }
 
@@ -245,7 +245,7 @@ func (s *spyFactor) ftranCol(col []entry, out []float64) {
 
 func (s *spyFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
 	s.nz++
-	return s.wrapFactor.ftranColNz(col, out, prev)
+	return s.factor.ftranColNz(col, out, prev)
 }
 
 // spiedSolve solves m with its kernel wrapped in a spyFactor.
@@ -253,7 +253,7 @@ func spiedSolve(t *testing.T, m *Model, opts Options) (spy *spyFactor, sol *Solu
 	t.Helper()
 	old := newFactor
 	newFactor = func(large bool) factor {
-		spy = &spyFactor{wrapFactor: wrapFactor{old(large)}}
+		spy = &spyFactor{factor: old(large)}
 		return spy
 	}
 	defer func() { newFactor = old }()
@@ -266,8 +266,10 @@ func spiedSolve(t *testing.T, m *Model, opts Options) (spy *spyFactor, sol *Solu
 
 // TestOneSizeDecision: the same staircase one row under LargeModelRows and
 // at it. Everything the solver switches on size switches between the two —
-// kernel, pivot-vector form, cold pricing rule, logical crash — and nothing
-// is left on the other side: the size decision is one, seen from outside.
+// kernel, cold pricing rule, logical crash — and nothing is left on the
+// other side: the size decision is one, seen from outside. The pivot-vector
+// form is the one thing both sides share: nonzero lists, never the dense
+// tableau column.
 func TestOneSizeDecision(t *testing.T) {
 	const n = 2000
 	base := crashStaircase(33, n, 0, false).m.NumRows()
@@ -280,7 +282,7 @@ func TestOneSizeDecision(t *testing.T) {
 		if eta == large || ft != large {
 			t.Errorf("%d rows: kernel %T", rows, spy.factor)
 		}
-		if spy.dense+spy.nz == 0 || (spy.nz > 0) != large || (spy.dense > 0) == large {
+		if spy.nz == 0 || spy.dense != 0 {
 			t.Errorf("%d rows: %d dense and %d nonzero-list tableau columns", rows, spy.dense, spy.nz)
 		}
 		if devex := sol.PricingUsed == PricingDevex; devex != large {
@@ -311,7 +313,7 @@ func TestRelPivotTol(t *testing.T) {
 // faultyFactor is the solve's sparse kernel with refactorize failing on
 // chosen calls, as a numerically singular basis would.
 type faultyFactor struct {
-	wrapFactor
+	factor
 	calls int
 	fail  func(call int) bool
 }
@@ -336,7 +338,7 @@ func withFaults(fail func(call int) bool, fn func()) []*faultyFactor {
 	var made []*faultyFactor
 	old := newFactor
 	newFactor = func(large bool) factor {
-		f := &faultyFactor{wrapFactor: wrapFactor{old(large)}, fail: fail}
+		f := &faultyFactor{factor: old(large), fail: fail}
 		made = append(made, f)
 		return f
 	}

@@ -25,6 +25,11 @@ const (
 // indexed by constraint row and outputs by basis position (w[i] pairs with
 // basis[i]); BTRAN inputs are indexed by basis position and outputs by
 // constraint row (duals live in row space).
+//
+// The pivot loops take their tableau columns and rows through the
+// hyper-sparse (nonzero-list) forms, ftranColNz/btranUnitNz/updateNz; the
+// dense ftranCol/btranUnit/update are the references those are tested
+// against.
 type factor interface {
 	// reset installs the exact identity basis (the cold-start slack/
 	// artificial basis is the identity matrix by construction), clearing
@@ -50,6 +55,18 @@ type factor interface {
 	// w is consumed (the caller's scratch; the kernel must copy what it
 	// keeps).
 	update(r int, w []float64)
+	// ftranColNz is the hyper-sparse form of ftranCol: it zeroes out's
+	// entries at prev (the list the previous call returned for this buffer),
+	// computes only the reachable entries, and returns their deduplicated
+	// index list. Everything off the list is exactly zero. The caller owns
+	// one prev list per output buffer and must thread it through every call.
+	ftranColNz(col []entry, out []float64, prev []int32) []int32
+	// btranUnitNz is the hyper-sparse form of btranUnit, same contract as
+	// ftranColNz (indices are constraint rows).
+	btranUnitNz(r int, out []float64, prev []int32) []int32
+	// updateNz is update with the column's nonzero list supplied, letting
+	// the kernel skip its O(m) scan of w.
+	updateNz(r int, w []float64, wnz []int32)
 	// age counts product-form pivots applied since the last reset or
 	// refactorization — the periodic-refactorization hygiene counter.
 	age() int
@@ -63,26 +80,6 @@ type factor interface {
 	// clone returns a deep snapshot: no later update or refactorize on
 	// either copy may affect the other. Basis capture depends on this.
 	clone() factor
-}
-
-// nzFactor is a factor that also serves the hyper-sparse pivot vectors of a
-// large model (standard.large): solves that touch, and report, only the
-// nonzeros.
-type nzFactor interface {
-	factor
-	// ftranColNz is the hyper-sparse form of ftranCol: it zeroes out's
-	// entries at prev (the list the previous call returned for this buffer),
-	// computes only the reachable entries, and returns their deduplicated
-	// (unsorted) index list. Everything off the list is exactly zero. The
-	// caller owns one prev list per output buffer and must thread it through
-	// every call.
-	ftranColNz(col []entry, out []float64, prev []int32) []int32
-	// btranUnitNz is the hyper-sparse form of btranUnit, same contract as
-	// ftranColNz (indices are constraint rows).
-	btranUnitNz(r int, out []float64, prev []int32) []int32
-	// updateNz is update with the column's nonzero list supplied, letting
-	// the kernel skip its O(m) scan of w.
-	updateNz(r int, w []float64, wnz []int32)
 }
 
 // newFactor builds the kernel for a solve of a large or a small model. A

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -12,7 +13,10 @@ import (
 //
 //   - etaFactor, small models: the product-form eta file. update() appends
 //     an eta vector, FTRAN applies the file last in order and BTRAN first in
-//     reverse. It serves the dense pivot vectors only.
+//     reverse — the hyper-sparse BTRAN only the etas a per-position reader
+//     index (etaRows) reaches. Its nonzero lists come back ascending, so
+//     every list-driven loop of the simplex visits entries in the order
+//     the dense loop over all m did.
 //   - ftFactor, large models: Forrest–Tomlin. Each pivot rewrites the U
 //     factor in place — the entering column's spike v = U·w̃ replaces U's
 //     column at the leaving step, the step moves to the end of a *logical*
@@ -21,9 +25,13 @@ import (
 //     FTRAN applies to the right-hand side after L and BTRAN applies
 //     transposed in reverse. FTRAN/BTRAN stay pure L/U triangular solves, so
 //     per-pivot solve cost tracks the (slowly growing) factor fill rather
-//     than the pivot count since the last refactorization. It serves the
-//     hyper-sparse (nonzero-list) entry points of nzFactor, and the dense
-//     ones as their independent reference.
+//     than the pivot count since the last refactorization. Its nonzero lists
+//     come back in worklist order.
+//
+// Both serve the simplex's pivot vectors through the hyper-sparse
+// (nonzero-list) entry points, which share the L-side worklist passes
+// (lPassNz, btranLTranspose); the dense entry points are their independent
+// reference.
 //
 // Both stay because a bench row says so: Forrest–Tomlin forced at every
 // size costs loop-wan16 (m < LargeModelRows) 0.95% of its welfare and 39%
@@ -101,6 +109,17 @@ type luFactor struct {
 	// opArena the lops multiplier lists.
 	lueArena []lue
 	opArena  []entry
+
+	// Hyper-sparse solve scratch, private to each kernel (a clone allocates
+	// its own on first use). sxw (row space; position space in the eta
+	// kernel's BTRAN) and szw (step space) are kept all-zero between calls —
+	// each call clears exactly what it touched — and so are the marks:
+	// opBits, the L passes' op worklist (a bitset the pass drains as it
+	// sweeps), and rmark, which dedupes a BTRAN's row list.
+	sxw, szw   []float64
+	opBits     []uint64
+	rmark      []bool
+	lstA, lstB []int32
 }
 
 // etaFactor is luFactor plus the product-form eta file (see luFactor).
@@ -115,6 +134,18 @@ type etaFactor struct {
 	etas     []eta
 	etaNnz   int
 	etaArena []entry
+
+	// etaRows[p] lists, ascending, the etas that read or write basis
+	// position p: the hyper-sparse BTRAN's reader index, appended with the
+	// eta file. It is private to each kernel — no clone ever views it, so
+	// it recycles in place — and a kernel without one (a clone, or one own
+	// reallocated) builds it from its eta file on first use (indexEtas).
+	etaRows [][]int32
+
+	// Hyper-sparse solve scratch: mbits is an m-bit worklist (steps, then
+	// positions or rows, within one call) and ebits the BTRAN's eta
+	// worklist, both all-zero between calls.
+	mbits, ebits []uint64
 
 	// ucPtr/ucIdx is a CSR map from elimination step k to the earlier steps
 	// whose U rows reference z[k] (FTRAN's back-substitution dependents),
@@ -167,16 +198,7 @@ type ftFactor struct {
 	stashV   []float64
 	stashPtr *float64
 
-	// Hyper-sparse solve scratch. sxw/szw are kept all-zero between calls
-	// (each call clears exactly what it touched); the marks likewise. omark
-	// and smark self-clear as the worklist heaps drain; posMark/rmark
-	// persist between calls as "currently in the caller's nonzero list" and
-	// are cleared when the next call zeroes the previous output.
-	sxw, szw       []float64
-	smark, omark   []bool
-	posMark, rmark []bool
-	heapA          []int32
-	lstA, lstB     []int32
+	smark []bool // hyper-sparse U-pass worklist marks (self-clearing)
 }
 
 // markowitzScratch is the reusable working set of refactorize. Everything
@@ -438,14 +460,14 @@ const (
 	ftRefactorBackstop = 2048
 )
 
-// heapPush/heapPop are the one binary min-heap behind every integer worklist
-// of this file: the Markowitz count buckets, the hyper-sparse triangular
-// solves (int32 op/step indices) and the Forrest–Tomlin paths (int64
-// ord-keyed entries, see ftKey). The heap order is what lets a solve process
-// only the reachable ops/steps while still visiting them in exactly the
-// dense pass's direction, which the factorization's dependency structure
-// requires. Descending worklists push negated keys — every key is
-// non-negative — and negate what they pop or peek.
+// heapPush/heapPop are the one binary min-heap behind the integer worklists
+// a bitset cannot serve: the Markowitz count buckets (int32 column
+// positions) and the Forrest–Tomlin U passes (int64 ord-keyed entries, see
+// ftKey), whose order is the logical one, not the index. The heap order is
+// what lets a solve process only the reachable steps while still visiting
+// them in exactly the dense pass's direction, which the factorization's
+// dependency structure requires. Descending worklists push negated keys —
+// every key is non-negative — and negate what they pop or peek.
 func heapPush[K int32 | int64](h []K, v K) []K {
 	h = append(h, v)
 	i := len(h) - 1
@@ -530,19 +552,59 @@ func (f *luFactor) ensureScratch() {
 	}
 }
 
-// ensureNzScratch sizes the hyper-sparse solve working set. sxw/szw come
-// back from make all-zero, which establishes the kept-clean invariant.
-func (f *ftFactor) ensureNzScratch() {
+// ensureNzScratch sizes the hyper-sparse solve working set. Everything
+// comes back from make all-zero, which establishes the kept-clean
+// invariant.
+func (f *luFactor) ensureNzScratch() {
 	if len(f.sxw) != f.m {
 		f.sxw = make([]float64, f.m)
 		f.szw = make([]float64, f.m)
-		f.smark = make([]bool, f.m)
-		f.posMark = make([]bool, f.m)
 		f.rmark = make([]bool, f.m)
 	}
-	if len(f.omark) < len(f.lops) {
-		f.omark = make([]bool, len(f.lops))
+	if n := words(len(f.lops)); len(f.opBits) < n {
+		f.opBits = make([]uint64, n)
 	}
+}
+
+func (f *etaFactor) ensureNzScratch() {
+	f.luFactor.ensureNzScratch()
+	if n := words(f.m); len(f.mbits) != n {
+		f.mbits = make([]uint64, n)
+	}
+	if len(f.ebits) < words(len(f.etas)) {
+		f.ebits = make([]uint64, words(cap(f.etas)))
+	}
+}
+
+func (f *ftFactor) ensureNzScratch() {
+	f.luFactor.ensureNzScratch()
+	if len(f.smark) != f.m {
+		f.smark = make([]bool, f.m)
+	}
+}
+
+// words is the number of uint64 words a bitset over [0, n) takes. The
+// hyper-sparse passes keep their worklists in such bitsets: setBit marks an
+// index, and a sweep takes the lowest (TrailingZeros64) or highest
+// (LeadingZeros64) mark next — the order each triangular pass needs, since
+// a pass only ever marks indices beyond the one it is processing — for
+// O(n/64) plus the work itself.
+func words(n int) int { return (n + 63) >> 6 }
+
+func setBit(bs []uint64, i int32) { bs[i>>6] |= 1 << (uint32(i) & 63) }
+
+// drain appends the set bits of bs to nz, ascending, and clears bs.
+func drain(bs []uint64, nz []int32) []int32 {
+	for w, word := range bs {
+		if word == 0 {
+			continue
+		}
+		bs[w] = 0
+		for ; word != 0; word &= word - 1 {
+			nz = append(nz, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return nz
 }
 
 // ensureFtScratch sizes the Forrest–Tomlin update working set. ftb/ftw
@@ -621,11 +683,44 @@ func (f *luFactor) own(m int) (fresh bool) {
 }
 
 // own extends luFactor.own over the arrays an etaFactor clone views as well:
-// the U column transpose and the arena under the eta file.
+// the U column transpose, the arena under the eta file and its reader index.
 func (f *etaFactor) own(m int) {
 	if f.luFactor.own(m) {
 		f.ucPtr, f.ucIdx = make([]int32, m+1), nil
 		f.etas, f.etaArena = nil, nil
+		f.etaRows = nil
+	}
+}
+
+// indexEtas builds the reader index from the eta file when the kernel has
+// none.
+func (f *etaFactor) indexEtas() {
+	if f.etaRows != nil {
+		return
+	}
+	f.etaRows = make([][]int32, f.m)
+	for ei := range f.etas {
+		f.indexEta(int32(ei))
+	}
+}
+
+// indexEta records eta ei under every position it reads and the one it
+// writes.
+func (f *etaFactor) indexEta(ei int32) {
+	e := &f.etas[ei]
+	f.etaRows[e.r] = append(f.etaRows[e.r], ei)
+	for _, en := range e.nz {
+		f.etaRows[en.row] = append(f.etaRows[en.row], ei)
+	}
+}
+
+// clearEtas empties the eta file and its reader index in the arrays own
+// readied.
+func (f *etaFactor) clearEtas() {
+	f.etas, f.etaArena = f.etas[:0], f.etaArena[:0]
+	f.etaNnz = 0
+	for p := range f.etaRows {
+		f.etaRows[p] = f.etaRows[p][:0]
 	}
 }
 
@@ -660,8 +755,7 @@ func (f *etaFactor) reset(m int) {
 		f.ucPtr[i] = 0
 	}
 	f.ucIdx = f.ucIdx[:0]
-	f.etas, f.etaArena = f.etas[:0], f.etaArena[:0]
-	f.etaNnz = 0
+	f.clearEtas()
 }
 
 func (f *ftFactor) reset(m int) {
@@ -1088,8 +1182,7 @@ func (f *etaFactor) refactorize(std *standard, basis []int, deadline time.Time) 
 		}
 	}
 	f.ucIdx = ucIdx
-	f.etas, f.etaArena = f.etas[:0], f.etaArena[:0]
-	f.etaNnz = 0
+	f.clearEtas()
 	return refactorOK
 }
 
@@ -1295,15 +1388,29 @@ func (f *etaFactor) ftranDense(x, out []float64)         { f.solveForward(f.load
 func (f *etaFactor) btran(x, out []float64)              { f.solveBackward(f.load(x), out) }
 func (f *etaFactor) btranUnit(r int, out []float64)      { f.solveBackward(f.unit(r), out) }
 
-// update appends the pivot's eta vector.
-func (f *etaFactor) update(r int, w []float64) {
+// update is updateNz scanning w for its nonzeros.
+func (f *etaFactor) update(r int, w []float64) { f.updateNz(r, w, nil) }
+
+// updateNz appends the pivot's eta vector: w's off-pivot entries above
+// etaDropTol in wnz's order (nil: scan w; the simplex's lists are ascending,
+// so both store the same eta), and indexes it.
+func (f *etaFactor) updateNz(r int, w []float64, wnz []int32) {
 	piv := w[r]
 	maxAbs := math.Abs(piv)
 	start := len(f.etaArena)
-	for i, v := range w {
+	n := len(wnz)
+	if wnz == nil {
+		n = len(w)
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if wnz != nil {
+			i = int(wnz[k])
+		}
 		if i == r {
 			continue
 		}
+		v := w[i]
 		a := math.Abs(v)
 		if a <= etaDropTol {
 			continue
@@ -1314,11 +1421,185 @@ func (f *etaFactor) update(r int, w []float64) {
 		f.etaArena = append(f.etaArena, entry{row: i, val: v})
 	}
 	nz := f.etaArena[start:len(f.etaArena):len(f.etaArena)]
+	f.indexEtas()
 	f.etas = append(f.etas, eta{r: int32(r), piv: piv, nz: nz})
+	f.indexEta(int32(len(f.etas) - 1))
 	f.etaNnz += len(nz) + 1
 	if math.Abs(piv) < etaDriftTol*maxAbs {
 		f.drift = true // ill-conditioned update: refactor before next pivot
 	}
+}
+
+// ftranColNz is the eta kernel's hyper-sparse FTRAN (the nonzero-list
+// contract is factor's). The stages mirror solveForward: the L pass over
+// the reachable ops (lPassNz); the U back-substitution over the reachable
+// steps, a step bitset swept descending (a step's dependents through
+// ucPtr/ucIdx are earlier steps, so they join below the sweep); the
+// permutation to position space; the eta file in order with solveForward's
+// zero skip. Each stage runs solveForward's arithmetic in its order on
+// every entry it visits and leaves only zeros unvisited, so the nonzeros
+// are solveForward's to the bit. The list is the position bitset drained,
+// so it comes back ascending.
+func (f *etaFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
+	f.ensureNzScratch()
+	for _, p := range prev {
+		out[p] = 0
+	}
+	x := f.sxw
+	xt := f.lPassNz(col)
+
+	z, sb := f.szw, f.mbits
+	hi := -1
+	for _, r := range xt {
+		if x[r] != 0 {
+			k := f.stepOfRow[r]
+			setBit(sb, k)
+			hi = max(hi, int(k>>6))
+		}
+	}
+	zt := f.lstB[:0]
+	for w := hi; w >= 0; w-- {
+		for sb[w] != 0 {
+			b := 63 - bits.LeadingZeros64(sb[w])
+			sb[w] &^= 1 << b
+			k := int32(w<<6 | b)
+			v := x[f.permRow[k]]
+			for _, e := range f.ur[k] {
+				v -= e.val * z[e.k]
+			}
+			t := v / f.ud[k]
+			z[k] = t
+			zt = append(zt, k)
+			if t != 0 {
+				for _, c := range f.ucIdx[f.ucPtr[k]:f.ucPtr[k+1]] {
+					setBit(sb, c)
+				}
+			}
+		}
+	}
+	for _, r := range xt {
+		x[r] = 0
+	}
+
+	for _, k := range zt {
+		p := f.permPos[k]
+		out[p] = z[k]
+		z[k] = 0
+		setBit(sb, p)
+	}
+	for ei := range f.etas {
+		e := &f.etas[ei]
+		v := out[e.r]
+		if v == 0 {
+			continue
+		}
+		t := v / e.piv
+		out[e.r] = t
+		if t != 0 {
+			for _, en := range e.nz {
+				o := out[en.row]
+				if o == 0 {
+					setBit(sb, int32(en.row)) // every nonzero is marked already
+				}
+				out[en.row] = o - en.val*t
+			}
+		}
+	}
+	f.lstA, f.lstB = xt[:0], zt[:0]
+	return drain(sb, prev[:0])
+}
+
+// btranUnitNz is the eta kernel's hyper-sparse BTRAN of a unit vector (the
+// nonzero-list contract is factor's), mirroring solveBackward stage by
+// stage. The transposed eta file runs newest first over only the etas that
+// can see a nonzero: those etaRows lists under a position holding one,
+// marked when the position first turns nonzero (an eta above the current
+// one has already run, exactly as in the dense pass). The Uᵀ forward solve
+// sweeps a step bitset ascending (scatter targets are later steps), and
+// btranLTranspose finishes. As in ftranColNz, the nonzeros are
+// solveBackward's to the bit, and the row list comes back ascending.
+func (f *etaFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
+	f.ensureNzScratch()
+	f.indexEtas()
+	for _, i := range prev {
+		out[i] = 0
+	}
+	// p is position space (sxw); pb marks the positions touched (listed in
+	// pt) and eb the etas still to run.
+	p, pb, eb := f.sxw, f.mbits, f.ebits
+	markReaders := func(q, below int32) {
+		for _, ej := range f.etaRows[q] {
+			if ej >= below {
+				break
+			}
+			setBit(eb, ej)
+		}
+	}
+	p[r] = 1
+	setBit(pb, int32(r))
+	pt := append(f.lstA[:0], int32(r))
+	markReaders(int32(r), int32(len(f.etas)))
+	for w := words(len(f.etas)) - 1; w >= 0; w-- {
+		for eb[w] != 0 {
+			b := 63 - bits.LeadingZeros64(eb[w])
+			eb[w] &^= 1 << b
+			ei := int32(w<<6 | b)
+			e := &f.etas[ei]
+			old := p[e.r]
+			s := old
+			for _, en := range e.nz {
+				s -= en.val * p[en.row]
+			}
+			v := s / e.piv
+			p[e.r] = v
+			if pb[e.r>>6]&(1<<(e.r&63)) == 0 {
+				setBit(pb, e.r)
+				pt = append(pt, e.r)
+			}
+			if old == 0 && v != 0 {
+				markReaders(e.r, ei)
+			}
+		}
+	}
+
+	// To step space: pb, cleared, becomes the Uᵀ worklist.
+	for _, q := range pt {
+		pb[q>>6] = 0
+	}
+	z := f.szw
+	lo := len(pb)
+	for _, q := range pt {
+		v := p[q]
+		p[q] = 0
+		if v != 0 {
+			k := f.posStep[q]
+			z[k] = v
+			setBit(pb, k)
+			lo = min(lo, int(k>>6))
+		}
+	}
+	zt := f.lstB[:0]
+	for w := lo; w < len(pb); w++ {
+		for pb[w] != 0 {
+			k := int32(w<<6 | bits.TrailingZeros64(pb[w]))
+			pb[w] &= pb[w] - 1
+			t := z[k] / f.ud[k]
+			z[k] = t
+			zt = append(zt, k)
+			if t != 0 {
+				for _, e := range f.ur[k] {
+					setBit(pb, e.k)
+					z[e.k] -= e.val * t
+				}
+			}
+		}
+	}
+	nz := f.btranLTranspose(z, zt, out, prev[:0])
+	for _, i := range nz {
+		setBit(pb, i)
+	}
+	f.lstA, f.lstB = pt[:0], zt[:0]
+	return drain(pb, nz[:0])
 }
 
 // solveForward is the Forrest–Tomlin kernel's dense FTRAN core, the
@@ -1671,89 +1952,64 @@ func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 	f.ftheap = eh[:0]
 }
 
-// ftranColNz is the hyper-sparse FTRAN: out = B⁻¹·a for a sparse column a,
-// touching only the entries reachable from a's nonzeros through the
-// factorization's dependency graph. prev is the nonzero list the previous
-// call returned for this output buffer; its entries are zeroed first, which
-// with the all-zero initial state keeps out exactly-zero everywhere off the
-// returned list. The returned list is deduplicated (posMark) and unsorted.
-//
-// The stages mirror solveForward. The L pass processes elimination ops in
-// ascending index order off a min-heap worklist — an op's scatter targets
-// are pivot rows of strictly later ops, so every dependency pops first and
-// the computed values match the dense pass's float stream on the reachable
-// set. The U back-substitution runs descending in logical order off a
-// negated-key heap (step k's dependents through ucols are logically earlier
-// steps).
+// lPassNz is the L⁻¹ pass of a hyper-sparse FTRAN: col is scattered into
+// sxw (row space) and only the elimination ops reachable from its nonzeros
+// run, in ascending index order off the op bitset — an op's scatter
+// targets are pivot rows of strictly later ops, so every dependency is
+// swept first and the computed values match lPass's float stream on the
+// reachable set. It returns the rows it wrote (duplicates and rows
+// cancelled back to zero included); the caller reads x from sxw and zeroes
+// those rows.
+func (f *luFactor) lPassNz(col []entry) []int32 {
+	x := f.sxw
+	xt := f.lstA[:0]
+	ob := f.opBits[:words(len(f.lops))]
+	lo := len(ob)
+	for _, e := range col {
+		x[e.row] = e.val
+		xt = append(xt, int32(e.row))
+		if li := f.rowOp[e.row]; li >= 0 {
+			setBit(ob, li)
+			lo = min(lo, int(li>>6))
+		}
+	}
+	for w := lo; w < len(ob); w++ {
+		for ob[w] != 0 {
+			li := w<<6 | bits.TrailingZeros64(ob[w])
+			ob[w] &= ob[w] - 1
+			op := &f.lops[li]
+			pv := x[op.prow]
+			if pv == 0 {
+				continue
+			}
+			for _, e := range op.nz {
+				if x[e.row] == 0 {
+					xt = append(xt, int32(e.row))
+				}
+				x[e.row] -= e.val * pv
+				if lj := f.rowOp[e.row]; lj >= 0 {
+					setBit(ob, lj)
+				}
+			}
+		}
+	}
+	return xt
+}
+
+// ftranColNz is the Forrest–Tomlin kernel's hyper-sparse FTRAN (the
+// nonzero-list contract is factor's; the list comes back in worklist
+// order). The stages mirror solveForward: the L pass over the reachable ops
+// (lPassNz), the FT row ops, and the U back-substitution descending in
+// logical order off a negated-key heap (step k's dependents through ucols
+// are logically earlier steps).
 func (f *ftFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
 		out[p] = 0
-		f.posMark[p] = false
 	}
 	nz := prev[:0]
-
-	// L pass over the reachable ops.
 	x := f.sxw
-	xt := f.lstA[:0]
-	oh := f.heapA[:0]
-	for _, e := range col {
-		x[e.row] = e.val
-		xt = append(xt, int32(e.row))
-		if li := f.rowOp[e.row]; li >= 0 && !f.omark[li] {
-			f.omark[li] = true
-			oh = heapPush(oh, li)
-		}
-	}
-	opCut := nzCutoff(len(f.lops))
-	for len(oh) > 0 {
-		if len(oh) > opCut {
-			// Dense-degrade: sweep ascending from the smallest marked op;
-			// scatter targets are always later ops, so marks set mid-sweep
-			// are reached by the same sweep.
-			start := int(oh[0])
-			oh = oh[:0]
-			for li := start; li < len(f.lops); li++ {
-				if !f.omark[li] {
-					continue
-				}
-				f.omark[li] = false
-				op := &f.lops[li]
-				pv := x[op.prow]
-				if pv == 0 {
-					continue
-				}
-				for _, nzE := range op.nz {
-					if x[nzE.row] == 0 {
-						xt = append(xt, int32(nzE.row))
-					}
-					x[nzE.row] -= nzE.val * pv
-					if lj := f.rowOp[nzE.row]; lj >= 0 {
-						f.omark[lj] = true
-					}
-				}
-			}
-			break
-		}
-		var li int32
-		li, oh = heapPop(oh)
-		f.omark[li] = false
-		op := &f.lops[li]
-		pv := x[op.prow]
-		if pv == 0 {
-			continue
-		}
-		for _, nzE := range op.nz {
-			if x[nzE.row] == 0 {
-				xt = append(xt, int32(nzE.row))
-			}
-			x[nzE.row] -= nzE.val * pv
-			if lj := f.rowOp[nzE.row]; lj >= 0 && !f.omark[lj] {
-				f.omark[lj] = true
-				oh = heapPush(oh, lj)
-			}
-		}
-	}
+	xt := f.lPassNz(col)
 
 	// FT row ops on the step-space rhs (z₀[k] ≡ x[permRow[k]]), in
 	// application order; the op file is short (it resets at every
@@ -1851,31 +2107,23 @@ func (f *ftFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 		p := f.permPos[k]
 		out[p] = z[k]
 		z[k] = 0
-		f.posMark[p] = true
 		nz = append(nz, p)
 	}
 	f.lstA, f.lstB = xt[:0], zt[:0]
-	f.heapA = oh
 	return nz
 }
 
-// btranUnitNz is the hyper-sparse BTRAN of a unit vector: out = eᵣᵀB⁻¹, the
-// tableau row the dual updates and dual ratio tests consume. Same contract
-// as ftranColNz: prev is zeroed first, the returned row list is deduplicated
-// (rmark) and unsorted, and everything off it is exactly zero.
-//
-// Mirrors solveBackward: the Uᵀ forward solve runs ascending in logical
-// order off the ord-keyed min-heap (step k scatters into logically later
-// steps), the transposed FT ops run in reverse append order, and the
-// transposed L pass runs descending off a negated-key heap (the ops reading
-// a pivot row have strictly smaller indices than the op that produced it).
+// btranUnitNz is the Forrest–Tomlin kernel's hyper-sparse BTRAN of a unit
+// vector (the nonzero-list contract is factor's; the list comes back in
+// worklist order). Mirrors solveBackward: the Uᵀ forward solve runs
+// ascending in logical order off the ord-keyed min-heap (step k scatters
+// into logically later steps), the transposed FT ops run in reverse append
+// order, and btranLTranspose finishes.
 func (f *ftFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
 		out[p] = 0
-		f.rmark[p] = false
 	}
-	nz := prev[:0]
 
 	z := f.szw
 	k0 := f.posStep[r]
@@ -1955,9 +2203,22 @@ func (f *ftFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 			f.smark[k] = false
 		}
 	}
-	// Permute to row space and run the reachable transposed L ops.
-	oh := f.heapA[:0]
-	for _, k := range ztf {
+	nz := f.btranLTranspose(z, ztf, out, prev[:0])
+	f.lstB = ztf[:0]
+	return nz
+}
+
+// btranLTranspose finishes a hyper-sparse BTRAN from its step-space result:
+// each touched step's value in z (zeroed on the way) lands in its row of out
+// and joins the row list nz, then the transposed L ops reachable from the
+// nonzero rows run descending off the op bitset (the ops reading a pivot
+// row have strictly smaller indices than the op that produced it), each
+// one ltPass's arithmetic. rmark dedupes the list, which is returned in
+// the order the rows were reached.
+func (f *luFactor) btranLTranspose(z []float64, zt []int32, out []float64, nz []int32) []int32 {
+	ob := f.opBits[:words(len(f.lops))]
+	hi := -1
+	for _, k := range zt {
 		rr := f.permRow[k]
 		v := z[k]
 		z[k] = 0
@@ -1966,78 +2227,36 @@ func (f *ftFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 		nz = append(nz, rr)
 		if v != 0 {
 			for _, li := range f.lrIdx[f.lrPtr[rr]:f.lrPtr[rr+1]] {
-				if !f.omark[li] {
-					f.omark[li] = true
-					oh = heapPush(oh, -li)
+				setBit(ob, li)
+				hi = max(hi, int(li>>6))
+			}
+		}
+	}
+	for w := hi; w >= 0; w-- {
+		for ob[w] != 0 {
+			b := 63 - bits.LeadingZeros64(ob[w])
+			ob[w] &^= 1 << b
+			op := &f.lops[w<<6|b]
+			s := out[op.prow]
+			for _, e := range op.nz {
+				s -= e.val * out[e.row]
+			}
+			pr := op.prow
+			out[pr] = s
+			if !f.rmark[pr] {
+				f.rmark[pr] = true
+				nz = append(nz, pr)
+			}
+			if s != 0 {
+				for _, lj := range f.lrIdx[f.lrPtr[pr]:f.lrPtr[pr+1]] {
+					setBit(ob, lj)
 				}
 			}
 		}
 	}
-	nz = f.btranLTranspose(out, nz, oh)
-	f.lstB = ztf[:0]
-	return nz
-}
-
-// btranLTranspose runs the reachable transposed L ops of btranUnitNz. oh is
-// the seeded negated-key worklist; the grown nz list is returned and the
-// heap buffer is retained on the factor.
-func (f *ftFactor) btranLTranspose(out []float64, nz []int32, oh []int32) []int32 {
-	opCut := nzCutoff(len(f.lops))
-	for len(oh) > 0 {
-		if len(oh) > opCut {
-			// Dense-degrade: sweep descending from the largest marked op;
-			// the ops reading a pivot row are always earlier in the file.
-			start := int(-oh[0])
-			oh = oh[:0]
-			for li := start; li >= 0; li-- {
-				if !f.omark[li] {
-					continue
-				}
-				f.omark[li] = false
-				op := &f.lops[li]
-				s := out[op.prow]
-				for _, nzE := range op.nz {
-					s -= nzE.val * out[nzE.row]
-				}
-				pr := op.prow
-				out[pr] = s
-				if !f.rmark[pr] {
-					f.rmark[pr] = true
-					nz = append(nz, pr)
-				}
-				if s != 0 {
-					for _, lj := range f.lrIdx[f.lrPtr[pr]:f.lrPtr[pr+1]] {
-						f.omark[lj] = true
-					}
-				}
-			}
-			break
-		}
-		var li int32
-		li, oh = heapPop(oh)
-		li = -li
-		f.omark[li] = false
-		op := &f.lops[li]
-		s := out[op.prow]
-		for _, nzE := range op.nz {
-			s -= nzE.val * out[nzE.row]
-		}
-		pr := op.prow
-		out[pr] = s
-		if !f.rmark[pr] {
-			f.rmark[pr] = true
-			nz = append(nz, pr)
-		}
-		if s != 0 {
-			for _, lj := range f.lrIdx[f.lrPtr[pr]:f.lrPtr[pr+1]] {
-				if !f.omark[lj] {
-					f.omark[lj] = true
-					oh = heapPush(oh, -lj)
-				}
-			}
-		}
+	for _, rr := range nz {
+		f.rmark[rr] = false
 	}
-	f.heapA = oh
 	return nz
 }
 
@@ -2073,7 +2292,8 @@ func (f *luFactor) share() luFactor {
 // array because the live solver keeps appending to its own; the eta nonzero
 // lists stay on the parent's arena, which the shared flag protects from
 // rewinding (appends past the current length never touch a carved slice —
-// each is capped at its own end).
+// each is capped at its own end). The reader index stays behind: the clone
+// builds its own if it ever runs a hyper-sparse BTRAN or an update.
 func (f *etaFactor) clone() factor {
 	return &etaFactor{
 		luFactor: f.share(),

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -381,9 +382,10 @@ func TestFactorCloneIsolation(t *testing.T) {
 // singular must leave the kernel no more able to write through arrays a
 // clone views than one that succeeded. Either side of a clone fails its
 // first refactorize, then rebuilds (refactorize of another basis, or reset)
-// and pivots; the other side's answers must not move by a bit. This is the
-// warm-install path when a transplanted factor meets a singular basis and
-// the solve recovers or retries cold while the caller keeps its *Basis.
+// and pivots; the other side's answers, dense and nonzero-list, and its eta
+// reader index must not move by a bit. This is the warm-install path when a
+// transplanted factor meets a singular basis and the solve recovers or
+// retries cold while the caller keeps its *Basis.
 func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 	const m = 15
 	r := rand.New(rand.NewSource(31))
@@ -393,26 +395,40 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 	singular[1] = singular[0]
 
 	w := make([]float64, m)
+	var wl []int32
 	pivot := func(f *etaFactor, col []entry) {
-		f.ftranCol(col, w)
-		pr := 0
-		for i := range w {
+		wl = f.ftranColNz(col, w, wl)
+		pr := wl[0]
+		for _, i := range wl {
 			if math.Abs(w[i]) > math.Abs(w[pr]) {
 				pr = i
 			}
 		}
-		f.update(pr, w)
+		f.updateNz(int(pr), w, wl)
 	}
 	answers := func(f *etaFactor) []float64 {
 		var all []float64
-		out := make([]float64, m)
+		out, fo, bo := make([]float64, m), make([]float64, m), make([]float64, m)
+		var fl, bl []int32
 		for j := 0; j < m; j++ {
 			f.ftranCol(std.cols[j], out)
-			all = append(all, out...)
+			fl = f.ftranColNz(std.cols[j], fo, fl)
+			all = append(append(all, out...), fo...)
 			f.btranUnit(j, out)
-			all = append(all, out...)
+			bl = f.btranUnitNz(j, bo, bl)
+			all = append(append(all, out...), bo...)
+			for _, i := range append(fl, bl...) {
+				all = append(all, float64(i))
+			}
 		}
 		return all
+	}
+	index := func(f *etaFactor) [][]int32 {
+		rows := make([][]int32, len(f.etaRows))
+		for p, l := range f.etaRows {
+			rows[p] = append([]int32{}, l...)
+		}
+		return rows
 	}
 
 	for _, failOnClone := range []bool{true, false} {
@@ -422,12 +438,14 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 			if kept.refactorize(std, basis, time.Time{}) != refactorOK {
 				t.Fatal("refactorize failed")
 			}
-			pivot(kept, []entry{{row: 2, val: 1.5}, {row: 7, val: -0.4}})
+			for k := 0; k < 3; k++ {
+				pivot(kept, []entry{{row: 2 + k, val: 1.5}, {row: 7 + k, val: -0.4}})
+			}
 			mut := kept.clone().(*etaFactor)
 			if !failOnClone {
 				kept, mut = mut, kept
 			}
-			want := answers(kept)
+			want, wantIndex := answers(kept), index(kept)
 
 			if out := mut.refactorize(std, singular, time.Time{}); out != refactorSingular {
 				t.Fatalf("duplicated column refactorized with outcome %d", out)
@@ -445,6 +463,146 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 				t.Errorf("failOnClone=%v retryReset=%v: rebuilding one side after a singular refactorize changed the other by %g",
 					failOnClone, retryReset, maxAbsDiff(got, want))
 			}
+			if got := index(kept); !reflect.DeepEqual(got, wantIndex) {
+				t.Errorf("failOnClone=%v retryReset=%v: rebuilding one side changed the other's eta reader index", failOnClone, retryReset)
+			}
+		}
+	}
+}
+
+// checkNzBits holds a nonzero-list answer to the dense answer of the same
+// operation: the list strictly ascending (so duplicate-free), every entry
+// off it an exact +0 where the dense answer is a zero too, and every
+// nonzero of either bit-identical to the other's. A zero's sign is the one
+// thing the dense passes write that a worklist never visits, so zeros are
+// compared as zeros.
+func checkNzBits(t *testing.T, dense, sparse []float64, nz []int32, ctx string) {
+	t.Helper()
+	on := make([]bool, len(dense))
+	for k, i := range nz {
+		if k > 0 && i <= nz[k-1] {
+			t.Fatalf("%s: list not strictly ascending at %d: %d after %d", ctx, k, i, nz[k-1])
+		}
+		on[i] = true
+	}
+	for i, d := range dense {
+		s := sparse[i]
+		if !on[i] && (math.Float64bits(s) != 0 || d != 0) {
+			t.Fatalf("%s: entry %d off the list: nz %g, dense %g", ctx, i, s, d)
+		}
+		if (s != 0 || d != 0) && math.Float64bits(s) != math.Float64bits(d) {
+			t.Fatalf("%s: entry %d: nz %x, dense %x", ctx, i, math.Float64bits(s), math.Float64bits(d))
+		}
+	}
+}
+
+// TestEtaNzMatchesDense: the eta kernel's three nonzero-list calls against
+// its own dense ones, bit for bit. Two kernels over one random basis take
+// the same pivots — one through ftranColNz/updateNz, the other through
+// ftranCol/update — along eta chains from 0 up to etaRefactorEvery long,
+// and at checkpoints every FTRAN and BTRAN form must agree. Half-way the
+// pair is cloned and both pairs pivot on separately, so a clone that
+// disturbed its parent's reader index (or the other way round) shows up as
+// a mismatch within a pair: the dense BTRAN never reads the index.
+func TestEtaNzMatchesDense(t *testing.T) {
+	// band > 0 keeps every nonzero of the basis and of the entering columns
+	// within band rows of the diagonal, so B⁻¹ and the etas stay sparse and
+	// a BTRAN reaches only part of the eta file; band 0 scatters them.
+	for _, c := range []struct{ m, band int }{{1, 0}, {6, 0}, {29, 0}, {64, 0}, {300, 2}} {
+		m := c.m
+		r := rand.New(rand.NewSource(int64(7000 + m)))
+		near := func(i int) int {
+			if c.band == 0 {
+				return r.Intn(m)
+			}
+			return min(m-1, max(0, i+r.Intn(2*c.band+1)-c.band))
+		}
+		std := &standard{m: m, n: m, cols: make([][]entry, m)}
+		for j := range std.cols {
+			std.cols[j] = coalesce([]entry{{row: j, val: 2 + r.Float64()}, {row: near(j), val: r.Float64() - 0.5}})
+		}
+		basis := r.Perm(m)
+		nzK, dnK := &etaFactor{}, &etaFactor{}
+		for _, f := range []*etaFactor{nzK, dnK} {
+			f.reset(m)
+			if f.refactorize(std, basis, time.Time{}) != refactorOK {
+				t.Fatalf("m=%d: refactorize failed", m)
+			}
+		}
+		type pair struct{ nz, dn *etaFactor }
+		pairs := []pair{{nzK, dnK}}
+		randCol := func() []entry {
+			i := r.Intn(m)
+			col := []entry{{row: i, val: 1 + r.Float64()}}
+			for k := 0; k < 2; k++ {
+				col = append(col, entry{row: near(i), val: r.Float64() - 0.5})
+			}
+			return coalesce(col)
+		}
+		// One output buffer per list, as the nonzero-list contract asks.
+		wNz, wDn := make([]float64, m), make([]float64, m)
+		fOut, bOut, dOut := make([]float64, m), make([]float64, m), make([]float64, m)
+		var wList, fList, bList []int32
+		check := func(p pair, ctx string) {
+			t.Helper()
+			for k := 0; k < 3; k++ {
+				col := randCol()
+				fList = p.nz.ftranColNz(col, fOut, fList)
+				p.dn.ftranCol(col, dOut)
+				checkNzBits(t, dOut, fOut, fList, ctx+": ftran")
+			}
+			for rr := 0; rr < m; rr++ {
+				bList = p.nz.btranUnitNz(rr, bOut, bList)
+				p.dn.btranUnit(rr, dOut)
+				checkNzBits(t, dOut, bOut, bList, ctx+": btran")
+			}
+		}
+		pivot := func(p pair) bool {
+			col := randCol()
+			wList = p.nz.ftranColNz(col, wNz, wList)
+			p.dn.ftranCol(col, wDn)
+			pr := -1
+			for _, i := range wList {
+				if math.Abs(wNz[i]) > 0.3 && (pr < 0 || math.Abs(wNz[i]) > math.Abs(wNz[pr])) {
+					pr = int(i)
+				}
+			}
+			if pr < 0 {
+				return false
+			}
+			p.nz.updateNz(pr, wNz, wList)
+			p.dn.update(pr, wDn)
+			return true
+		}
+		next := 1
+		for step := 0; nzK.age() < etaRefactorEvery && step < 8*etaRefactorEvery; step++ {
+			if age := nzK.age(); age+1 >= next || age == 0 {
+				for i, p := range pairs {
+					check(p, fmt.Sprintf("m=%d side %d age %d", m, i, p.nz.age()))
+				}
+				next = 2*age + 1
+			}
+			if nzK.age() == etaRefactorEvery/2 && len(pairs) == 1 {
+				// The clones run a few etas ahead, so the two sides' eta
+				// files differ from here on at every index.
+				c := pair{nzK.clone().(*etaFactor), dnK.clone().(*etaFactor)}
+				for c.nz.age() < nzK.age()+3 {
+					pivot(c)
+				}
+				pairs = append(pairs, c)
+			}
+			for _, p := range pairs {
+				pivot(p)
+			}
+		}
+		if nzK.age() != etaRefactorEvery {
+			t.Fatalf("m=%d: chain stopped at %d etas", m, nzK.age())
+		}
+		for i, p := range pairs {
+			if p.nz.age() != p.dn.age() || !reflect.DeepEqual(p.nz.etaRows, p.dn.etaRows) {
+				t.Fatalf("m=%d side %d: the two update forms built different eta files", m, i)
+			}
+			check(p, fmt.Sprintf("m=%d side %d end", m, i))
 		}
 	}
 }

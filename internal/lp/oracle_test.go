@@ -14,8 +14,8 @@ func newKernel(dense bool) factor {
 	return &etaFactor{}
 }
 
-// solveDense is m.Solve on the dense oracle kernel, which serves small
-// models only (install refuses it a large one).
+// solveDense is m.Solve on the dense oracle kernel (O(m²) per pivot, so
+// small models only).
 func solveDense(m *Model, opts Options) (*Solution, error) {
 	old := newFactor
 	newFactor = func(bool) factor { return newKernel(true) }
@@ -36,23 +36,6 @@ func withRefactorEvery(n int, fn func()) {
 func solveEvery(n int, m *Model, opts Options) (sol *Solution, err error) {
 	withRefactorEvery(n, func() { sol, err = m.Solve(opts) })
 	return sol, err
-}
-
-// wrapFactor lets a test wrap either production kernel: it forwards the
-// hyper-sparse entry points to the wrapped kernel, which has them whenever
-// the solver calls them (a large model's is an nzFactor).
-type wrapFactor struct{ factor }
-
-func (w wrapFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
-	return w.factor.(nzFactor).ftranColNz(col, out, prev)
-}
-
-func (w wrapFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
-	return w.factor.(nzFactor).btranUnitNz(r, out, prev)
-}
-
-func (w wrapFactor) updateNz(r int, wv []float64, wnz []int32) {
-	w.factor.(nzFactor).updateNz(r, wv, wnz)
 }
 
 // withPricing runs fn with every solve's entering rule forced to rule.
@@ -237,6 +220,31 @@ func (f *denseFactor) update(r int, w []float64) {
 		}
 	}
 	f.nPiv++
+}
+
+// The nonzero-list forms are the dense ones plus a scan: every call
+// overwrites all of out, and the list names every nonzero, ascending.
+func (f *denseFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
+	f.ftranCol(col, out)
+	return scanNz(out, prev)
+}
+
+func (f *denseFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
+	f.btranUnit(r, out)
+	return scanNz(out, prev)
+}
+
+func (f *denseFactor) updateNz(r int, w []float64, _ []int32) { f.update(r, w) }
+
+// scanNz lists v's nonzero indices, ascending, reusing nz's storage.
+func scanNz(v []float64, nz []int32) []int32 {
+	nz = nz[:0]
+	for i, x := range v {
+		if x != 0 {
+			nz = append(nz, int32(i))
+		}
+	}
+	return nz
 }
 
 func (f *denseFactor) clone() factor {

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -304,7 +305,6 @@ type result struct {
 type state struct {
 	std           *standard
 	fac           factor    // basis representation: B⁻¹ as FTRAN/BTRAN/update
-	nz            nzFactor  // fac on a large model, nil on a small one (dense pivot vectors); see install
 	basis         []int     // basic column per row
 	basePos       []int     // column -> basis row + 1, 0 if nonbasic, -1 if nonbasic and barred (see recover)
 	atUpper       []bool    // nonbasic-at-upper flag per column
@@ -312,9 +312,10 @@ type state struct {
 	wBuf          []float64 // scratch: B⁻¹·A_q, reused every pivot
 	yBuf          []float64 // scratch: duals, reused across refactors
 	rhoBuf        []float64 // scratch: a row of B⁻¹ (dual updates, ratio tests)
-	wNz           []int32   // nonzero positions of wBuf (hyper-sparse mode)
-	rhoNz         []int32   // nonzero rows of rhoBuf (hyper-sparse mode)
+	wNz           []int32   // nonzero positions of wBuf
+	rhoNz         []int32   // nonzero rows of rhoBuf
 	cbBuf         []float64 // scratch: basic costs / right-hand sides
+	flipped       []int32   // scratch: rows bound flips moved since the last clamp (see optimize)
 	cand          []int     // partial-pricing candidate list
 	cursor        int       // partial-pricing scan position
 	tol           float64
@@ -362,9 +363,9 @@ type state struct {
 	dvxSweeps int
 
 	// Row-wise copy of the standardized matrix (CSR over constraint rows),
-	// built lazily for devex pricing: the pivot row alpha = rho·A is
-	// assembled by scattering each nonzero row of rho through its matrix
-	// row instead of n column dot products.
+	// built lazily for devex pricing and artificial expulsion: the pivot row
+	// alpha = rho·A is assembled by scattering each nonzero row of rho
+	// through its matrix row instead of n column dot products.
 	rowPtr []int32
 	rowCol []int32
 	rowVal []float64
@@ -418,7 +419,7 @@ func (std *standard) solve(opts Options) result {
 	if opts.TimeBudget > 0 {
 		st.deadline = time.Now().Add(opts.TimeBudget)
 	}
-	st.install(newFactor(std.large))
+	st.fac = newFactor(std.large)
 	st.fac.reset(m)
 	if st.refactorEvery <= 0 {
 		st.refactorEvery = st.fac.refactorEvery()
@@ -473,16 +474,6 @@ func (std *standard) solve(opts Options) result {
 		res.d[j] = dj
 	}
 	return res
-}
-
-// install makes f the solve's kernel. A large model's pivot loops call the
-// hyper-sparse entry points, so its kernel must have them: the assertion
-// fails here, once, not per pivot.
-func (st *state) install(f factor) {
-	st.fac = f
-	if st.std.large {
-		st.nz = f.(nzFactor)
-	}
 }
 
 // phases runs the solve proper from the state solve prepared — a warm-
@@ -603,17 +594,17 @@ func (st *state) indexBasis() {
 
 // LargeModelRows is the one row count at which a model stops being small.
 // Below it every choice is the one the golden-trace suite pins — eta-file
-// kernel, dense pivot loops (whose float stream includes the sign of zeros
-// the sparse path never writes), the Dantzig/partial hybrid, the classic
-// artificial-cost phase 1 — all cheap at that size. From it on the solver
-// switches together to Forrest–Tomlin with hyper-sparse (nonzero-list)
-// FTRAN/BTRAN, devex on cold solves, the logical crash and the staged cold
-// start: phase 1 degenerates badly on the equality-heavy staircase LPs this
-// solver targets, and the dense passes' several O(m) sweeps per pivot
-// dominate the solve. standardize makes the comparison, once, and the rest
-// of the package reads standard.large. Exported because
-// sched.Instance.Build selects its build mode on the same count: a model is
-// large in both layers or neither.
+// kernel with ascending nonzero lists, the Dantzig/partial hybrid with a
+// shallow candidate list, the absolute ratio-test pivot tolerance, the
+// per-pivot clamp over every row, the classic artificial-cost phase 1 — all
+// cheap at that size. From it on the solver switches together to
+// Forrest–Tomlin, devex on cold solves, a deep candidate list, the relative
+// pivot tolerance, the logical crash and the staged cold start: phase 1
+// degenerates badly on the equality-heavy staircase LPs this solver
+// targets. Both sizes take their pivot vectors as nonzero lists.
+// standardize makes the comparison, once, and the rest of the package reads
+// standard.large. Exported because sched.Instance.Build selects its build
+// mode on the same count: a model is large in both layers or neither.
 const LargeModelRows = 4096
 
 type stagedOutcome int
@@ -763,15 +754,11 @@ func (st *state) duals(costs []float64) []float64 {
 }
 
 // rowOfInverse computes row r of B⁻¹ (eᵣᵀB⁻¹) into the rho scratch buffer
-// (valid until the next rowOfInverse call; wBuf is independent, so a
-// tableau column and a rho row can coexist).
+// and its nonzero rows into rhoNz (valid until the next rowOfInverse call;
+// wBuf is independent, so a tableau column and a rho row can coexist).
 func (st *state) rowOfInverse(r int) []float64 {
 	t0 := time.Now()
-	if st.nz != nil {
-		st.rhoNz = st.nz.btranUnitNz(r, st.rhoBuf, st.rhoNz)
-	} else {
-		st.fac.btranUnit(r, st.rhoBuf)
-	}
+	st.rhoNz = st.fac.btranUnitNz(r, st.rhoBuf, st.rhoNz)
 	st.phase.BtranNs += int64(time.Since(t0))
 	return st.rhoBuf
 }
@@ -782,6 +769,7 @@ func (st *state) rowOfInverse(r int) []float64 {
 // at zero and is excluded from phase-2 pricing, which keeps it at zero.
 func (st *state) expelArtificials() {
 	std := st.std
+	st.ensureRowA()
 	for i := 0; i < std.m; i++ {
 		j := st.basis[i]
 		if !std.art[j] {
@@ -790,9 +778,16 @@ func (st *state) expelArtificials() {
 		// Find a nonbasic-at-lower, non-artificial column with a usable
 		// pivot in row i of the tableau: alpha = (B⁻¹ row i) · A_col.
 		// Columns resting at their upper bound are skipped because the
-		// entering variable keeps the leaving artificial's zero value.
+		// entering variable keeps the leaving artificial's zero value. Only
+		// a column meeting one of rho's nonzero rows can have a nonzero
+		// alpha: pivotRow gathers those, and they are visited in column
+		// order, each alpha summed down its column, as a scan of every
+		// column would.
 		rho := st.rowOfInverse(i)
-		for col := 0; col < std.n; col++ {
+		st.pivotRow(rho)
+		slices.Sort(st.alphaNz)
+		for _, c := range st.alphaNz {
+			col := int(c)
 			if std.art[col] || st.basePos[col] != 0 || st.atUpper[col] {
 				continue
 			}
@@ -810,20 +805,16 @@ func (st *state) expelArtificials() {
 	}
 }
 
-// ftranCol returns w = B⁻¹·A_q in the reusable scratch buffer (valid until
-// the next call; every pivot consumes it immediately). In hyper-sparse mode
-// it also refreshes st.wNz. The list's order is whatever the solve's
-// worklists produced — deterministic for a given model and basis, which is
-// all the list-driven loops need (sorting it measurably dominated the
-// per-pivot cost and buys nothing: ratio-test ties and eta summation order
-// only have to be reproducible, not ascending).
+// ftranCol returns w = B⁻¹·A_q in the reusable scratch buffer and its
+// nonzero positions in st.wNz (valid until the next call; every pivot
+// consumes it immediately). The list's order is the kernel's: ascending on
+// the eta kernel, so a small model's ratio-test ties and eta entry order are
+// exactly the dense loop's, and worklist order on Forrest–Tomlin, where
+// they only have to be reproducible and sorting measurably dominated the
+// per-pivot cost.
 func (st *state) ftranCol(q int) []float64 {
 	t0 := time.Now()
-	if st.nz != nil {
-		st.wNz = st.nz.ftranColNz(st.std.cols[q], st.wBuf, st.wNz)
-	} else {
-		st.fac.ftranCol(st.std.cols[q], st.wBuf)
-	}
+	st.wNz = st.fac.ftranColNz(st.std.cols[q], st.wBuf, st.wNz)
 	st.phase.FtranNs += int64(time.Since(t0))
 	return st.wBuf
 }
@@ -831,11 +822,7 @@ func (st *state) ftranCol(q int) []float64 {
 // applyPivot performs the product-form basis update for entering column q
 // at row r with tableau column w, and fixes the bookkeeping arrays.
 func (st *state) applyPivot(q, r int, w []float64) {
-	if st.nz != nil {
-		st.nz.updateNz(r, w, st.wNz)
-	} else {
-		st.fac.update(r, w)
-	}
+	st.fac.updateNz(r, w, st.wNz)
 	leaving := st.basis[r]
 	st.basePos[leaving] = 0
 	st.basis[r] = q
@@ -981,14 +968,14 @@ func (st *state) pricePartial(costs, y []float64, skipArt bool) (q int, fromUppe
 	if q >= 0 {
 		return q, fromUpper, qD
 	}
-	// Candidate-list sizing. Large (hyper-sparse) models keep a much deeper
-	// list: refills there cost a scan of tens of thousands of columns, and a
-	// deep list keeps pricing quality close to full Dantzig between refills,
-	// which on the paper-scale staircase LPs cuts total pivots by a large
-	// factor. Small models keep the original shallow list — their pivot
-	// sequences are pinned by the golden-trace suite.
+	// Candidate-list sizing. Large models keep a much deeper list: refills
+	// there cost a scan of tens of thousands of columns, and a deep list
+	// keeps pricing quality close to full Dantzig between refills, which on
+	// the paper-scale staircase LPs cuts total pivots by a large factor.
+	// Small models keep the original shallow list — their pivot sequences
+	// are pinned by the golden-trace suite.
 	candCap := 32
-	if st.nz != nil {
+	if std.large {
 		candCap = 256
 	}
 	chunk := std.n / 8
@@ -1073,9 +1060,9 @@ func (st *state) priceBland(costs, y []float64, skipArt bool) (q int, fromUpper 
 }
 
 // ensureRowA builds the row-wise (CSR) copy of the standardized matrix
-// devex prices with, plus the pivot-row scratch. Built
-// once per solve; the standardization's structure is immutable while a
-// solve runs, so no invalidation is needed.
+// pivotRow scatters through, plus the pivot-row scratch. Built once per
+// solve; the standardization's structure is immutable while a solve runs,
+// so no invalidation is needed.
 func (st *state) ensureRowA() {
 	if st.rowPtr != nil {
 		return
@@ -1115,10 +1102,10 @@ func (st *state) ensureRowA() {
 
 // pivotRow assembles the tableau pivot row alpha = rho·A into alphaBuf,
 // recording the touched columns in alphaNz. rho is the output of the last
-// rowOfInverse call; in hyper-sparse mode only its nonzero rows are
-// scattered, so the cost tracks the rows' fill instead of n dot products.
-// The previous call's entries are cleared first, so alphaBuf stays exactly
-// zero off the current list.
+// rowOfInverse call; only its nonzero rows are scattered, so the cost
+// tracks the rows' fill instead of n dot products. The previous call's
+// entries are cleared first, so alphaBuf stays exactly zero off the current
+// list.
 func (st *state) pivotRow(rho []float64) {
 	for _, j := range st.alphaNz {
 		st.alphaBuf[j] = 0
@@ -1127,36 +1114,18 @@ func (st *state) pivotRow(rho []float64) {
 	nz := st.alphaNz[:0]
 	rowPtr, rowCol, rowVal := st.rowPtr, st.rowCol, st.rowVal
 	alphaBuf, alphaMark := st.alphaBuf, st.alphaMark
-	if st.nz != nil {
-		for _, i32 := range st.rhoNz {
-			i := int(i32)
-			v := rho[i]
-			if v == 0 {
-				continue
-			}
-			for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
-				j := rowCol[idx]
-				if !alphaMark[j] {
-					alphaMark[j] = true
-					nz = append(nz, j)
-				}
-				alphaBuf[j] += v * rowVal[idx]
-			}
+	for _, i := range st.rhoNz {
+		v := rho[i]
+		if v == 0 {
+			continue
 		}
-	} else {
-		for i := 0; i < st.std.m; i++ {
-			v := rho[i]
-			if v == 0 {
-				continue
+		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
+			j := rowCol[idx]
+			if !alphaMark[j] {
+				alphaMark[j] = true
+				nz = append(nz, j)
 			}
-			for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
-				j := rowCol[idx]
-				if !alphaMark[j] {
-					alphaMark[j] = true
-					nz = append(nz, j)
-				}
-				alphaBuf[j] += v * rowVal[idx]
-			}
+			alphaBuf[j] += v * rowVal[idx]
 		}
 	}
 	st.alphaNz = nz
@@ -1511,7 +1480,7 @@ func (st *state) dualCleanup() bool {
 
 		w := st.ftranCol(q)
 		wTol := pivTol
-		if st.nz != nil {
+		if std.large {
 			// The row test above is absolute; the pivot element itself is
 			// held to the column-relative tolerance optimize uses, now that
 			// the column is in hand.
@@ -1575,6 +1544,13 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 	}
 	st.cand = st.cand[:0]
 	st.snapshot()
+	// A small model clamps roundoff residue on every row at every pivot.
+	// Only rows whose xB moved since the last clamp can need it, so the
+	// sweep covers all m only after xB was recomputed wholesale (the entry
+	// state, a refactorization) and otherwise the rows bound flips moved
+	// (st.flipped) plus the pivot's own — the same rows, so the same values.
+	sweepAll := true
+	st.flipped = st.flipped[:0]
 	for {
 		if st.iters >= st.maxIter {
 			return IterLimit
@@ -1583,6 +1559,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			return TimeLimit
 		}
 		if st.needsRefactor() {
+			sweepAll = true
 			switch st.refactor() {
 			case refactorOK:
 				if devex {
@@ -1642,14 +1619,10 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			continue
 		}
 		if q < 0 {
-			if st.nz != nil {
+			if std.large {
 				// The per-pivot clamp only visits touched rows; sweep the
 				// rest before reporting the solution.
-				for i := 0; i < m; i++ {
-					if st.xB[i] < 0 && st.xB[i] > -1e-7 {
-						st.xB[i] = 0
-					}
-				}
+				st.clampAll()
 			}
 			return Optimal
 		}
@@ -1661,17 +1634,17 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		}
 		w := st.ftranCol(q)
 
-		// Ratio test. Basic i changes at rate -sigma*w[i] per unit t. In
-		// hyper-sparse mode only w's nonzero rows can limit the step,
-		// visited in wNz's (deterministic) order.
+		// Ratio test. Basic i changes at rate -sigma*w[i] per unit t, so only
+		// w's nonzero rows can limit the step, visited in wNz's order.
 		tMax := std.up[q] // bound-flip limit (up - lo, lo = 0)
 		leave := -1
 		leaveToUpper := false
 		pivTol := 1e-9
-		if st.nz != nil {
+		if std.large {
 			pivTol = relPivotTol(w, st.wNz)
 		}
-		ratioStep := func(i int) {
+		for _, i32 := range st.wNz {
+			i := int(i32)
 			r := sigma * w[i]
 			jb := st.basis[i]
 			if r > pivTol {
@@ -1684,7 +1657,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 				} else if bland && lim <= tMax+1e-12 && leave >= 0 && st.basis[i] < st.basis[leave] {
 					tMax, leave, leaveToUpper = math.Min(tMax, lim), i, false
 				}
-				return
+				continue
 			}
 			// A basic artificial is held to an upper bound of zero once
 			// artificials are locked out of pricing (the staged start's
@@ -1708,15 +1681,6 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 				}
 			}
 		}
-		if st.nz != nil {
-			for _, i32 := range st.wNz {
-				ratioStep(int(i32))
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				ratioStep(i)
-			}
-		}
 		if math.IsInf(tMax, 1) && leave < 0 {
 			return Unbounded
 		}
@@ -1731,6 +1695,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			// Bound flip: entering crosses its own span.
 			st.stepXB(tMax, sigma, w)
 			st.atUpper[q] = !st.atUpper[q]
+			st.flipped = append(st.flipped, st.wNz...)
 			continue
 		}
 
@@ -1741,11 +1706,10 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		}
 		st.stepXB(tMax, sigma, w)
 		// Dual-side update before the representation changes, through the
-		// leaving row ρ_r of the *old* inverse (one BTRAN on the sparse
-		// kernel, a row read on the dense one). Classic mode updates the
-		// maintained duals; devex mode assembles the tableau pivot row
-		// α = ρ_r·A and pushes it through the maintained reduced costs and
-		// reference weights instead.
+		// leaving row ρ_r of the *old* inverse (one BTRAN). Classic mode
+		// updates the maintained duals; devex mode assembles the tableau
+		// pivot row α = ρ_r·A and pushes it through the maintained reduced
+		// costs and reference weights instead.
 		rho := st.rowOfInverse(leave)
 		leavingCol := st.basis[leave]
 		resetDevex := false
@@ -1781,14 +1745,8 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			st.dRed[q] = 0
 		} else {
 			theta := qD / w[leave]
-			if st.nz != nil {
-				for _, k := range st.rhoNz {
-					y[k] += theta * rho[k]
-				}
-			} else {
-				for k := 0; k < m; k++ {
-					y[k] += theta * rho[k]
-				}
+			for _, k := range st.rhoNz {
+				y[k] += theta * rho[k]
 			}
 		}
 		st.applyPivot(q, leave, w)
@@ -1798,23 +1756,22 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		// in force, in which case it genuinely rests at the cap.
 		st.atUpper[leavingCol] = leaveToUpper &&
 			!(std.art[leavingCol] && math.IsInf(std.up[leavingCol], 1))
-		// Clamp tiny negative residue from roundoff. In hyper-sparse mode
-		// only the rows this pivot touched can have picked up new residue;
-		// rows dirtied by a refactorization's recompute are swept by the
-		// full clamp at the Optimal exit above.
-		if st.nz != nil {
-			for _, i32 := range st.wNz {
-				if st.xB[i32] < 0 && st.xB[i32] > -1e-7 {
-					st.xB[i32] = 0
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				if st.xB[i] < 0 && st.xB[i] > -1e-7 {
-					st.xB[i] = 0
-				}
-			}
+		// Clamp tiny negative residue from roundoff. On a large model only
+		// the rows this pivot touched are clamped; rows dirtied by bound
+		// flips or a refactorization's recompute wait for the full clamp
+		// at the Optimal exit above. A small model clamps every row whose
+		// value moved (see sweepAll), as its golden-pinned pivot paths
+		// always have.
+		switch {
+		case std.large:
+		case sweepAll || len(st.flipped) > m:
+			st.clampAll()
+			sweepAll = false
+		default:
+			st.clampRows(st.flipped)
 		}
+		st.clampRows(st.wNz)
+		st.flipped = st.flipped[:0]
 		if resetDevex {
 			// A reference weight blew past dvxResetLimit: the framework has
 			// drifted too far from the current nonbasic set. Restart it (and
@@ -1840,16 +1797,28 @@ func relPivotTol(w []float64, nz []int32) float64 {
 	return math.Max(1e-9, 1e-7*wMax)
 }
 
-// stepXB moves the basic values one ratio-test step: xB -= t·σ·w, over w's
-// nonzero rows in hyper-sparse mode.
-func (st *state) stepXB(t, sigma float64, w []float64) {
-	if st.nz != nil {
-		for _, i32 := range st.wNz {
-			st.xB[i32] -= t * sigma * w[i32]
+// clampAll zeroes the roundoff residue (values in (-1e-7, 0)) of xB;
+// clampRows does so on the listed rows only.
+func (st *state) clampAll() {
+	for i, v := range st.xB {
+		if v < 0 && v > -1e-7 {
+			st.xB[i] = 0
 		}
-		return
 	}
-	for i := range st.xB {
+}
+
+func (st *state) clampRows(rows []int32) {
+	for _, i := range rows {
+		if v := st.xB[i]; v < 0 && v > -1e-7 {
+			st.xB[i] = 0
+		}
+	}
+}
+
+// stepXB moves the basic values one ratio-test step: xB -= t·σ·w, over w's
+// nonzero rows.
+func (st *state) stepXB(t, sigma float64, w []float64) {
+	for _, i := range st.wNz {
 		st.xB[i] -= t * sigma * w[i]
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -193,6 +194,41 @@ func BenchmarkSAMSolve(b *testing.B) {
 				b.Fatalf("stats recorded %d solves, want %d", stats.Solves, b.N)
 			}
 		})
+	}
+}
+
+// TestMediumLPCounters pins the Medium instance's simplex work as exact
+// integers and its objective to the bit: a small-model cold solve long
+// enough for the eta file to grow and refactorize 33 times, then a warm
+// re-solve from its basis, which takes over the captured factorization
+// (eta file and reader index included) and pivots no more. A change that
+// claims to move no float leaves every number here alone.
+func TestMediumLPCounters(t *testing.T) {
+	built, err := benchInstance(benchScales[1], 42).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := built.Solve(lp.Options{})
+	if err != nil || cold.Status != lp.Optimal {
+		t.Fatalf("cold solve: %v %v", err, cold.Status)
+	}
+	if cold.Iterations != 3468 || cold.Refactors != 33 || cold.Artificials != 688 {
+		t.Errorf("cold: %d pivots, %d refactors, %d artificials; want 3468, 33, 688",
+			cold.Iterations, cold.Refactors, cold.Artificials)
+	}
+	if got := math.Float64bits(cold.Objective); got != 0x40c4d5221fa93f07 {
+		t.Errorf("cold objective %v (bits %#x), want bits 0x40c4d5221fa93f07", cold.Objective, got)
+	}
+	warm, err := built.Solve(lp.Options{WarmBasis: cold.Basis})
+	if err != nil || warm.Status != lp.Optimal {
+		t.Fatalf("warm solve: %v %v", err, warm.Status)
+	}
+	if warm.Iterations != 0 || warm.Refactors != 0 || warm.Artificials != 0 {
+		t.Errorf("warm: %d pivots, %d refactors, %d artificials; want none",
+			warm.Iterations, warm.Refactors, warm.Artificials)
+	}
+	if got := math.Float64bits(warm.Objective); got != 0x40c4d5221fa93f08 {
+		t.Errorf("warm objective %v (bits %#x), want bits 0x40c4d5221fa93f08", warm.Objective, got)
 	}
 }
 
