@@ -176,10 +176,12 @@ func (o *coreObs) publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
 	m.Counter(prefix + ".artificials").Add(int64(s.Artificials))
 	m.Counter(prefix + ".recoveries").Add(int64(s.Recoveries))
 	// Per-phase wall-clock breakdown (see lp.PhaseTimings): localizes a
-	// solver wall-clock regression to pricing, FTRAN, BTRAN, or
-	// refactorization without a profiler attached.
+	// solver wall-clock regression to pricing, FTRAN, BTRAN,
+	// refactorization, or devex pivot-row assembly without a profiler
+	// attached.
 	m.Counter(prefix + ".pricing_ns").Add(s.Timings.PricingNs)
 	m.Counter(prefix + ".ftran_ns").Add(s.Timings.FtranNs)
 	m.Counter(prefix + ".btran_ns").Add(s.Timings.BtranNs)
 	m.Counter(prefix + ".refactor_ns").Add(s.Timings.RefactorNs)
+	m.Counter(prefix + ".row_ns").Add(s.Timings.RowNs)
 }

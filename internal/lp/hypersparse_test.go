@@ -92,8 +92,8 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	probe := func(tag string) {
 		t.Helper()
 		// A sparse probe column (the common case: an entering column
-		// touches a handful of rows) and a wide one (exercises the
-		// degrade-to-dense sweeps once the worklist outgrows m/16).
+		// touches a handful of rows) and a wide one (m/8 entries, whose
+		// reach covers much of U).
 		for pi, width := range []int{3, m / 8} {
 			col := make([]entry, 0, width)
 			for k := 0; k < width; k++ {

@@ -25,8 +25,9 @@ import (
 //     FTRAN applies to the right-hand side after L and BTRAN applies
 //     transposed in reverse. FTRAN/BTRAN stay pure L/U triangular solves, so
 //     per-pivot solve cost tracks the (slowly growing) factor fill rather
-//     than the pivot count since the last refactorization. Its nonzero lists
-//     come back in worklist order.
+//     than the pivot count since the last refactorization. Its FTRAN list
+//     comes back in descending logical order, its BTRAN list in worklist
+//     order.
 //
 // Both serve the simplex's pivot vectors through the hyper-sparse
 // (nonzero-list) entry points, which share the L-side worklist passes
@@ -50,9 +51,9 @@ import (
 //     U in elimination order; entries are indexed by elimination step so
 //     back-substitution (FTRAN) and the transposed forward solve (BTRAN)
 //     are direct slice walks. In ftFactor the *iteration* order is the
-//     logical order (ordNext/ordPrev), which starts equal to step order
-//     and diverges as updates move steps to the end; the triangular
-//     invariant ord[row] < ord[col] holds for every off-diagonal entry.
+//     logical order (the ord keys), which starts equal to step order and
+//     diverges as updates move steps to the end; the triangular invariant
+//     ord[row] < ord[col] holds for every off-diagonal entry.
 //
 // All iteration orders are slice-deterministic: two solves of the same
 // model pivot identically (warm-start determinism tests rely on this).
@@ -155,39 +156,57 @@ type etaFactor struct {
 
 // ftFactor is luFactor plus the Forrest–Tomlin update state (see luFactor)
 // and the working set of the hyper-sparse solves.
+//
+// The logical order is kept as keys: ord[k] is step k's key, ordStep maps a
+// key back to its step, and an update moving step s to the end gives it the
+// next key, len(ordStep). Keys are dense integers in [0, m + updates), so
+// every pass in logical order sweeps a bitset over keys (kbits) and visits
+// only the steps it reaches; a key a step has since moved off is stale and
+// never set.
 type ftFactor struct {
 	luFactor
 
 	// Update-added U entries never grow the arena-carved static rows: they
-	// live in per-row overflow chains (xhead heads a linked list through
-	// the xpool slab), so a pivot's structural writes are pool appends and
-	// in-place unlinks — amortized-zero allocations. ucols is the exact
-	// dynamic transpose (rows holding a U entry per column), maintained
-	// eagerly on every update so the dependency-ordered hyper-sparse
-	// worklists stay correct as the structure mutates.
-	ftOps   []ftOp  // row-elimination ops in application (append) order
-	ftNnz   int     // update fill: spike entries + op multipliers absorbed
-	nupd    int     // updates since refactorize (the kernel's age)
-	ord     []int64 // step -> logical order key, strictly increasing along the order
-	ordNext []int32 // step -> successor in logical order (-1 at tail)
-	ordPrev []int32 // step -> predecessor in logical order (-1 at head)
-	ordHead int32
-	ordTail int32
-	nextOrd int64
-	xhead   []int32   // step -> first xpool index of its overflow entries (-1 none)
-	xpool   []lux     // overflow entry slab, recycled at refactorize
+	// live in per-row spans of one overflow slab (xrow[k] is row k's span
+	// of xs, entries in insertion order, walked newest-first). A row that
+	// outgrows its span moves it to the slab's end; the slab is recycled at
+	// refactorize, so a pivot's structural writes stay amortized-zero
+	// allocations. ucols is the exact dynamic transpose (rows holding a U
+	// entry per column), maintained eagerly on every update so the
+	// dependency-ordered worklists stay correct as the structure mutates.
+	ftOps   []ftOp    // row-elimination ops in application (append) order
+	ftRuns  []int32   // start in ftOps of each update's ops (updates that appended none have no run)
+	ftNnz   int       // update fill: spike entries + op multipliers absorbed
+	nupd    int       // updates since refactorize (the kernel's age)
+	ord     []int32   // step -> logical order key, strictly increasing along the order
+	ordStep []int32   // key -> step (stale once the step moves on)
+	xrow    []xspan   // step -> its overflow span in xs
+	xs      []lue     // overflow slab, recycled at refactorize
 	ucols   [][]int32 // column step -> rows holding a U entry there (exact)
+
+	// The FTRAN's step → runs reader index: rdHead[j] heads a newest-first
+	// list through rdLink of the runs whose ops read step j. rdN runs are
+	// indexed so far; the FTRAN catches up on the rest. Like etaFactor's
+	// etaRows it is private to each kernel — a clone starts without one and
+	// builds its own on first use.
+	rdHead []int32
+	rdLink []rdLink
+	rdN    int
 
 	// Update scratch. ftb holds the scattered step-space image of the
 	// tableau column while the spike is computed, ftw the row-spike working
 	// values during elimination; both are kept all-zero between calls.
-	// ftmark tags worklist membership and ftheap / ftlist are the ord-keyed
-	// worklist and its companion lists.
+	// ftmark tags spike-candidate membership and ftlist / ftvals are the
+	// candidates and their spike values.
 	ftb, ftw []float64
 	ftmark   []bool
-	ftheap   []int64
 	ftlist   []int32
 	ftvals   []float64
+
+	// Worklist bitsets, all-zero between calls: kbits over logical-order
+	// keys (the U passes and the row-spike elimination), rbits over runs
+	// (the FTRAN's op pass).
+	kbits, rbits []uint64
 
 	// Spike stash: the step-space image F(a) captured by the last hyper-
 	// sparse FTRAN, which is exactly the spike column the next update
@@ -197,8 +216,6 @@ type ftFactor struct {
 	stashK   []int32
 	stashV   []float64
 	stashPtr *float64
-
-	smark []bool // hyper-sparse U-pass worklist marks (self-clearing)
 }
 
 // markowitzScratch is the reusable working set of refactorize. Everything
@@ -406,14 +423,13 @@ type ftOp struct {
 	val  float64
 }
 
-// lux is one overflow U entry added by a Forrest–Tomlin update: k is the
-// column step (same convention as lue), next chains the owning row's
-// overflow entries through the pool (-1 ends the chain).
-type lux struct {
-	k    int32
-	next int32
-	val  float64
-}
+// xspan is one U row's span of the Forrest–Tomlin overflow slab: n entries
+// from off, room for cap.
+type xspan struct{ off, n, cap int32 }
+
+// rdLink is one entry of the FTRAN's step → runs index: run reads the step,
+// next is the step's previous (older) entry, -1 at the end.
+type rdLink struct{ run, next int32 }
 
 const (
 	// markowitzTau is the threshold-pivoting stability factor: a pivot
@@ -460,15 +476,11 @@ const (
 	ftRefactorBackstop = 2048
 )
 
-// heapPush/heapPop are the one binary min-heap behind the integer worklists
-// a bitset cannot serve: the Markowitz count buckets (int32 column
-// positions) and the Forrest–Tomlin U passes (int64 ord-keyed entries, see
-// ftKey), whose order is the logical one, not the index. The heap order is
-// what lets a solve process only the reachable steps while still visiting
-// them in exactly the dense pass's direction, which the factorization's
-// dependency structure requires. Descending worklists push negated keys —
-// every key is non-negative — and negate what they pop or peek.
-func heapPush[K int32 | int64](h []K, v K) []K {
+// heapPush/heapPop are the binary min-heap behind the one integer worklist
+// a bitset cannot serve: a Markowitz count bucket, whose column positions
+// come and go (stale entries are popped and dropped) across the whole
+// refactorization.
+func heapPush(h []int32, v int32) []int32 {
 	h = append(h, v)
 	i := len(h) - 1
 	for i > 0 {
@@ -482,7 +494,7 @@ func heapPush[K int32 | int64](h []K, v K) []K {
 	return h
 }
 
-func heapPop[K int32 | int64](h []K) (K, []K) {
+func heapPop(h []int32) (int32, []int32) {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -503,25 +515,6 @@ func heapPop[K int32 | int64](h []K) (K, []K) {
 		i = l
 	}
 	return top, h
-}
-
-// ftKey packs step k with its logical order for the worklist heaps: after
-// FT updates the dependency order of U's steps is the *logical* order, not
-// the step index order, so entries carry ord[k]<<32|k — heap order on the
-// key is heap order on ord (keys are unique: ord is injective).
-func (f *ftFactor) ftKey(k int32) int64 { return f.ord[k]<<32 | int64(k) }
-
-// nzCutoff is the worklist size beyond which a hyper-sparse stage stops
-// paying heap log-factors and degrades to a linear mark-driven sweep (the
-// marks are already in place; the sweep visits indices in the same direction
-// the heap would have popped them, so the float stream is unchanged). n is
-// the stage's index-space size (ops or steps).
-func nzCutoff(n int) int {
-	c := n / 16
-	if c < 32 {
-		c = 32
-	}
-	return c
 }
 
 func (f *etaFactor) age() int           { return len(f.etas) }
@@ -576,10 +569,15 @@ func (f *etaFactor) ensureNzScratch() {
 	}
 }
 
+// ensureNzScratch also sizes the key and run bitsets for every key and run
+// the kernel holds (with room for those the next updates append).
 func (f *ftFactor) ensureNzScratch() {
 	f.luFactor.ensureNzScratch()
-	if len(f.smark) != f.m {
-		f.smark = make([]bool, f.m)
+	if len(f.kbits) < words(len(f.ordStep)) {
+		f.kbits = make([]uint64, words(cap(f.ordStep)))
+	}
+	if len(f.rbits) < words(len(f.ftRuns)) {
+		f.rbits = make([]uint64, words(cap(f.ftRuns)))
 	}
 }
 
@@ -592,6 +590,8 @@ func (f *ftFactor) ensureNzScratch() {
 func words(n int) int { return (n + 63) >> 6 }
 
 func setBit(bs []uint64, i int32) { bs[i>>6] |= 1 << (uint32(i) & 63) }
+
+func hasBit(bs []uint64, i int32) bool { return bs[i>>6]&(1<<(uint32(i)&63)) != 0 }
 
 // drain appends the set bits of bs to nz, ascending, and clears bs.
 func drain(bs []uint64, nz []int32) []int32 {
@@ -619,33 +619,26 @@ func (f *ftFactor) ensureFtScratch() {
 
 // ftReset (re)initializes the Forrest–Tomlin bookkeeping for a fresh
 // factorization of m steps: logical order equal to step order, no ops, no
-// overflow entries. ucols is left to the caller (refactorize builds it
-// from U; reset leaves it empty — the identity has no off-diagonals).
+// overflow entries, an empty reader index. ucols is left to the caller
+// (refactorize builds it from U; reset leaves it empty — the identity has
+// no off-diagonals).
 func (f *ftFactor) ftReset(m int) {
-	f.ftOps = f.ftOps[:0]
+	f.ftOps, f.ftRuns = f.ftOps[:0], f.ftRuns[:0]
 	f.ftNnz = 0
 	f.nupd = 0
 	f.stashPtr = nil
-	f.xpool = f.xpool[:0]
+	f.xs = f.xs[:0]
+	f.rdHead = f.rdHead[:0]
 	if len(f.ord) != m {
-		f.ord = make([]int64, m)
-		f.ordNext = make([]int32, m)
-		f.ordPrev = make([]int32, m)
-		f.xhead = make([]int32, m)
+		f.ord = make([]int32, m)
+		f.xrow = make([]xspan, m)
 	}
+	f.ordStep = f.ordStep[:0]
 	for k := 0; k < m; k++ {
-		f.ord[k] = int64(k)
-		f.ordNext[k] = int32(k + 1)
-		f.ordPrev[k] = int32(k - 1)
-		f.xhead[k] = -1
+		f.ord[k] = int32(k)
+		f.ordStep = append(f.ordStep, int32(k))
+		f.xrow[k] = xspan{}
 	}
-	if m > 0 {
-		f.ordNext[m-1] = -1
-		f.ordHead, f.ordTail = 0, int32(m-1)
-	} else {
-		f.ordHead, f.ordTail = -1, -1
-	}
-	f.nextOrd = int64(m)
 	if len(f.ucols) != m {
 		f.ucols = make([][]int32, m)
 	}
@@ -1617,11 +1610,15 @@ func (f *ftFactor) solveForward(x, out []float64) {
 			x[f.permRow[op.s]] -= op.val * pv
 		}
 	}
-	// Back-substitution walks the *logical* order descending; every
-	// entry's column is logically later, so its z is already final.
+	// Back-substitution walks the *logical* order descending, key by key;
+	// every entry's column is logically later, so its z is already final.
 	z := f.zwork
 	mk := f.umark
-	for k := f.ordTail; k >= 0; k = f.ordPrev[k] {
+	for key := len(f.ordStep) - 1; key >= 0; key-- {
+		k := f.ordStep[key]
+		if f.ord[k] != int32(key) {
+			continue // stale: step k has moved on to a later key
+		}
 		v := x[f.permRow[k]]
 		if !mk[k] && v == 0 {
 			z[k] = 0
@@ -1631,8 +1628,9 @@ func (f *ftFactor) solveForward(x, out []float64) {
 		for _, e := range f.ur[k] {
 			v -= e.val * z[e.k]
 		}
-		for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-			v -= f.xpool[xi].val * z[f.xpool[xi].k]
+		xr := f.overflow(k)
+		for i := len(xr) - 1; i >= 0; i-- {
+			v -= xr[i].val * z[xr[i].k]
 		}
 		t := v / f.ud[k]
 		z[k] = t
@@ -1655,15 +1653,18 @@ func (f *ftFactor) solveBackward(p, out []float64) {
 	for k := 0; k < f.m; k++ {
 		z[k] = p[f.permPos[k]]
 	}
-	for k := f.ordHead; k >= 0; k = f.ordNext[k] {
+	for key, k := range f.ordStep {
+		if f.ord[k] != int32(key) {
+			continue
+		}
 		t := z[k] / f.ud[k]
 		z[k] = t
 		if t != 0 {
 			for _, e := range f.ur[k] {
 				z[e.k] -= e.val * t
 			}
-			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-				z[f.xpool[xi].k] -= f.xpool[xi].val * t
+			for _, e := range f.overflow(k) {
+				z[e.k] -= e.val * t
 			}
 		}
 	}
@@ -1685,9 +1686,31 @@ func (f *ftFactor) btranUnit(r int, out []float64)      { f.solveBackward(f.unit
 // a scan of w (the reference for the stash-fed path).
 func (f *ftFactor) update(r int, w []float64) { f.updateNz(r, w, nil) }
 
+// overflow is row k's update-added U entries, oldest first.
+func (f *ftFactor) overflow(k int32) []lue {
+	sp := f.xrow[k]
+	return f.xs[sp.off : sp.off+sp.n]
+}
+
+// xpush appends e to row k's overflow entries. A full span moves to the
+// slab's end with room to double.
+func (f *ftFactor) xpush(k int32, e lue) {
+	sp := &f.xrow[k]
+	if sp.n == sp.cap {
+		off := int32(len(f.xs))
+		f.xs = append(f.xs, f.xs[sp.off:sp.off+sp.n]...)
+		sp.cap = max(4, 2*sp.n)
+		f.xs = append(f.xs, make([]lue, sp.cap-sp.n)...)
+		sp.off = off
+	}
+	f.xs[sp.off+sp.n] = e
+	sp.n++
+}
+
 // ftDelete removes row k's U entry in column s, whichever store holds it
-// (static row or overflow chain). A miss is a no-op: exact-cancellation
-// drops can leave a column list pointing at an entry that never existed.
+// (static row or overflow span; the span keeps its order). A miss is a
+// no-op: exact-cancellation drops can leave a column list pointing at an
+// entry that never existed.
 func (f *ftFactor) ftDelete(k, s int32) {
 	row := f.ur[k]
 	for i := range row {
@@ -1697,17 +1720,13 @@ func (f *ftFactor) ftDelete(k, s int32) {
 			return
 		}
 	}
-	prev := int32(-1)
-	for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-		if f.xpool[xi].k == s {
-			if prev < 0 {
-				f.xhead[k] = f.xpool[xi].next
-			} else {
-				f.xpool[prev].next = f.xpool[xi].next
-			}
+	xr := f.overflow(k)
+	for i := range xr {
+		if xr[i].k == s {
+			copy(xr[i:], xr[i+1:])
+			f.xrow[k].n--
 			return
 		}
-		prev = xi
 	}
 }
 
@@ -1740,10 +1759,12 @@ func (f *ftFactor) ucolDrop(j, k int32) {
 // diagonal and are eliminated against the rows owning their columns in
 // ascending logical order. Each elimination emits one ftOp (F_new = E∘F);
 // fill lands either at a later column of the working row (handled when
-// popped) or at column s, where it accumulates into the new diagonal.
-// Row s ends a singleton; no other row or column of U moves.
+// swept) or at column s, where it accumulates into the new diagonal.
+// Row s ends a singleton; no other row or column of U moves. The update's
+// ops form one run (ftRuns): they all write step s and none reads it.
 func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 	f.ensureFtScratch()
+	f.ensureNzScratch()
 	s := f.posStep[r]
 
 	mark := f.ftmark
@@ -1810,8 +1831,9 @@ func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 			for _, e := range f.ur[k] {
 				v += e.val * ftb[e.k]
 			}
-			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-				v += f.xpool[xi].val * ftb[f.xpool[xi].k]
+			xr := f.overflow(k)
+			for i := len(xr) - 1; i >= 0; i-- {
+				v += xr[i].val * ftb[xr[i].k]
 			}
 			if k == s {
 				vdiag = v
@@ -1845,97 +1867,76 @@ func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 	f.stashPtr = nil // the factor is about to change; the stash is spent
 
 	// Drop the old column s from its rows, and capture-and-remove the old
-	// row s: its entries seed the row-spike elimination worklist (ordered
-	// by the columns' logical order), and their column lists drop row s
-	// eagerly so ucols stays exact once s moves to the end.
+	// row s: its entries seed the row-spike elimination worklist (the key
+	// bitset, so ordered by the columns' logical order), and their column
+	// lists drop row s eagerly so ucols stays exact once s moves to the end.
 	for _, k := range f.ucols[s] {
 		f.ftDelete(k, s)
 	}
 	f.ucols[s] = f.ucols[s][:0]
-	ftw := f.ftw
-	eh := f.ftheap[:0]
-	for _, e := range f.ur[s] {
-		ftw[e.k] = e.val
-		mark[e.k] = true
-		eh = heapPush(eh, f.ftKey(e.k))
-		f.ucolDrop(e.k, s)
-	}
-	for xi := f.xhead[s]; xi >= 0; xi = f.xpool[xi].next {
-		e := f.xpool[xi]
-		ftw[e.k] = e.val
-		mark[e.k] = true
-		eh = heapPush(eh, f.ftKey(e.k))
-		f.ucolDrop(e.k, s)
+	ftw, kb := f.ftw, f.kbits
+	lo := len(kb)
+	for _, row := range [2][]lue{f.ur[s], f.overflow(s)} {
+		for _, e := range row {
+			ftw[e.k] = e.val
+			setBit(kb, f.ord[e.k])
+			lo = min(lo, int(f.ord[e.k]>>6))
+			f.ucolDrop(e.k, s)
+		}
 	}
 	f.ur[s] = f.ur[s][:0]
-	f.xhead[s] = -1
+	f.xrow[s].n = 0
 
 	// Insert the spike column as overflow entries and rebuild ucols[s].
 	for i, k := range spikeK {
-		f.xpool = append(f.xpool, lux{k: s, next: f.xhead[k], val: vals[i]})
-		f.xhead[k] = int32(len(f.xpool) - 1)
+		f.xpush(k, lue{k: s, val: vals[i]})
 		f.ucols[s] = append(f.ucols[s], k)
 	}
 
-	// Move step s to the end of the logical order.
-	if f.ordTail != s {
-		p, n := f.ordPrev[s], f.ordNext[s]
-		if p >= 0 {
-			f.ordNext[p] = n
-		} else {
-			f.ordHead = n
-		}
-		if n >= 0 {
-			f.ordPrev[n] = p
-		}
-		f.ordPrev[s] = f.ordTail
-		f.ordNext[f.ordTail] = s
-		f.ordNext[s] = -1
-		f.ordTail = s
-	}
-	f.ord[s] = f.nextOrd
-	f.nextOrd++
+	// Move step s to the end of the logical order: the next key.
+	f.ord[s] = int32(len(f.ordStep))
+	f.ordStep = append(f.ordStep, s)
 
 	// Eliminate the row spike in ascending logical order, one ftOp per
-	// surviving column. Entries at column s (the spike, inserted above)
-	// accumulate into the new diagonal.
+	// surviving column; every column the elimination fills is logically
+	// later than the row being eliminated, so it joins the bitset above the
+	// sweep. Entries at column s (the spike, inserted above) accumulate
+	// into the new diagonal.
 	d := vdiag
 	opStart := len(f.ftOps)
-	for len(eh) > 0 {
-		var key int64
-		key, eh = heapPop(eh)
-		j := int32(key & 0xffffffff)
-		mark[j] = false
-		rv := ftw[j]
-		ftw[j] = 0
-		if math.Abs(rv) <= luDropTol {
-			continue
+	fill := func(e lue, mult float64) {
+		switch key := f.ord[e.k]; {
+		case e.k == s:
+			d -= mult * e.val
+		case hasBit(kb, key):
+			ftw[e.k] -= mult * e.val
+		default:
+			setBit(kb, key)
+			ftw[e.k] = -mult * e.val
 		}
-		mult := rv / f.ud[j]
-		f.ftOps = append(f.ftOps, ftOp{s: s, j: j, val: mult})
-		for _, e := range f.ur[j] {
-			if e.k == s {
-				d -= mult * e.val
-			} else if mark[e.k] {
-				ftw[e.k] -= mult * e.val
-			} else {
-				mark[e.k] = true
-				ftw[e.k] = -mult * e.val
-				eh = heapPush(eh, f.ftKey(e.k))
+	}
+	for w := lo; w < len(kb); w++ {
+		for kb[w] != 0 {
+			j := f.ordStep[w<<6|bits.TrailingZeros64(kb[w])]
+			kb[w] &= kb[w] - 1
+			rv := ftw[j]
+			ftw[j] = 0
+			if math.Abs(rv) <= luDropTol {
+				continue
+			}
+			mult := rv / f.ud[j]
+			f.ftOps = append(f.ftOps, ftOp{s: s, j: j, val: mult})
+			for _, e := range f.ur[j] {
+				fill(e, mult)
+			}
+			xr := f.overflow(j)
+			for i := len(xr) - 1; i >= 0; i-- {
+				fill(xr[i], mult)
 			}
 		}
-		for xi := f.xhead[j]; xi >= 0; xi = f.xpool[xi].next {
-			e := f.xpool[xi]
-			if e.k == s {
-				d -= mult * e.val
-			} else if mark[e.k] {
-				ftw[e.k] -= mult * e.val
-			} else {
-				mark[e.k] = true
-				ftw[e.k] = -mult * e.val
-				eh = heapPush(eh, f.ftKey(e.k))
-			}
-		}
+	}
+	if len(f.ftOps) > opStart {
+		f.ftRuns = append(f.ftRuns, int32(opStart))
 	}
 
 	if a := math.Abs(d); a < luAbsPivotMin || a < etaDriftTol*maxAbs {
@@ -1949,7 +1950,34 @@ func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 	f.ftNnz += ns + (len(f.ftOps) - opStart)
 	f.ftlist = cand[:0]
 	f.ftvals = vals[:0]
-	f.ftheap = eh[:0]
+}
+
+// run is update run i's ops: all target the same step s, none reads it.
+func (f *ftFactor) run(i int) []ftOp {
+	end := len(f.ftOps)
+	if i+1 < len(f.ftRuns) {
+		end = int(f.ftRuns[i+1])
+	}
+	return f.ftOps[f.ftRuns[i]:end]
+}
+
+// indexRuns brings the step → runs reader index up to date, building it
+// whole when the kernel has none (a clone, or the first FTRAN since a
+// refactorization).
+func (f *ftFactor) indexRuns() {
+	if len(f.rdHead) != f.m {
+		f.rdHead = append(f.rdHead[:0], make([]int32, f.m)...)
+		for k := range f.rdHead {
+			f.rdHead[k] = -1
+		}
+		f.rdLink, f.rdN = f.rdLink[:0], 0
+	}
+	for ; f.rdN < len(f.ftRuns); f.rdN++ {
+		for _, op := range f.run(f.rdN) {
+			f.rdLink = append(f.rdLink, rdLink{run: int32(f.rdN), next: f.rdHead[op.j]})
+			f.rdHead[op.j] = int32(len(f.rdLink) - 1)
+		}
+	}
 }
 
 // lPassNz is the L⁻¹ pass of a hyper-sparse FTRAN: col is scattered into
@@ -1997,112 +2025,114 @@ func (f *luFactor) lPassNz(col []entry) []int32 {
 }
 
 // ftranColNz is the Forrest–Tomlin kernel's hyper-sparse FTRAN (the
-// nonzero-list contract is factor's; the list comes back in worklist
-// order). The stages mirror solveForward: the L pass over the reachable ops
-// (lPassNz), the FT row ops, and the U back-substitution descending in
-// logical order off a negated-key heap (step k's dependents through ucols
-// are logically earlier steps).
+// nonzero-list contract is factor's). The stages mirror solveForward: the
+// L pass over the reachable ops (lPassNz); the update runs with a nonzero
+// source, ascending off a run bitset seeded and grown through the reader
+// index (a run that turns its step nonzero marks the later runs reading
+// it); and the U back-substitution over the reachable steps, the key
+// bitset swept descending (step k's dependents through ucols are logically
+// earlier, so they join below the sweep). Each stage runs solveForward's
+// arithmetic in its order on every entry it visits and leaves only zeros
+// unvisited, so the nonzeros are solveForward's to the bit. The list comes
+// back in descending logical order — the order the ratio test's first-wins
+// tie-break sees.
 func (f *ftFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
 		out[p] = 0
 	}
-	nz := prev[:0]
 	x := f.sxw
 	xt := f.lPassNz(col)
 
-	// FT row ops on the step-space rhs (z₀[k] ≡ x[permRow[k]]), in
-	// application order; the op file is short (it resets at every
-	// refactorization), so a linear zero-skipping walk beats any worklist.
-	for i := range f.ftOps {
-		op := &f.ftOps[i]
-		pv := x[f.permRow[op.j]]
-		if pv != 0 {
-			rr := f.permRow[op.s]
-			if x[rr] == 0 {
-				xt = append(xt, rr)
+	// FT row ops on the step-space rhs (z₀[k] ≡ x[permRow[k]]), run by run
+	// in application order. A run none of whose sources is nonzero would
+	// only skip every op, so it is never visited.
+	if len(f.ftRuns) > 0 {
+		f.indexRuns()
+		rb := f.rbits[:words(len(f.ftRuns))]
+		markReaders := func(k, after int32) {
+			for l := f.rdHead[k]; l >= 0 && f.rdLink[l].run > after; l = f.rdLink[l].next {
+				setBit(rb, f.rdLink[l].run)
 			}
-			x[rr] -= op.val * pv
+		}
+		for _, r := range xt {
+			if x[r] != 0 {
+				markReaders(f.stepOfRow[r], -1)
+			}
+		}
+		for w := range rb {
+			for rb[w] != 0 {
+				i := w<<6 | bits.TrailingZeros64(rb[w])
+				rb[w] &= rb[w] - 1
+				ops := f.run(i)
+				s := ops[0].s
+				rr := f.permRow[s]
+				old := x[rr]
+				for oi := range ops {
+					op := &ops[oi]
+					if pv := x[f.permRow[op.j]]; pv != 0 {
+						if x[rr] == 0 {
+							xt = append(xt, rr)
+						}
+						x[rr] -= op.val * pv
+					}
+				}
+				if old == 0 && x[rr] != 0 {
+					markReaders(s, int32(i))
+				}
+			}
 		}
 	}
 
 	// U back-substitution, descending in *logical* order over the reachable
-	// steps via the ord-keyed heap; the degrade sweep follows the order
-	// links the same way. The seeding pass doubles as the spike stash: x
-	// here is F(a) in row space, exactly the spike column an updateNz
-	// absorbing this column needs.
-	z := f.szw
-	zt := f.lstB[:0]
-	fh := f.ftheap[:0]
+	// steps. The seeding pass doubles as the spike stash: x here is F(a) in
+	// row space, exactly the spike column an updateNz absorbing this column
+	// needs.
+	z, kb := f.szw, f.kbits
+	hi := -1
 	sk, sv := f.stashK[:0], f.stashV[:0]
 	for _, r := range xt {
 		if x[r] == 0 {
 			continue
 		}
-		if k := f.stepOfRow[r]; !f.smark[k] {
-			f.smark[k] = true
-			fh = heapPush(fh, -f.ftKey(k))
+		if k := f.stepOfRow[r]; !hasBit(kb, f.ord[k]) {
+			setBit(kb, f.ord[k])
+			hi = max(hi, int(f.ord[k]>>6))
 			sk = append(sk, k)
 			sv = append(sv, x[r])
 		}
 	}
 	f.stashK, f.stashV = sk, sv
 	f.stashPtr = &out[0]
-	ftCut := nzCutoff(f.m)
-	for len(fh) > 0 {
-		if len(fh) > ftCut {
-			// Dense-degrade: substitute every step from the largest marked
-			// one down the logical order. Dependencies always have later
-			// ord, so they are solved before they are read; mark
-			// propagation is pure overhead at this density, so the sweep
-			// just clears marks as it passes.
-			start := int32(-fh[0] & 0xffffffff)
-			fh = fh[:0]
-			for k := start; k >= 0; k = f.ordPrev[k] {
-				f.smark[k] = false
-				v := x[f.permRow[k]]
-				for _, e := range f.ur[k] {
-					v -= e.val * z[e.k]
-				}
-				for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-					v -= f.xpool[xi].val * z[f.xpool[xi].k]
-				}
-				if v == 0 {
-					continue
-				}
-				z[k] = v / f.ud[k]
-				zt = append(zt, k)
+	zt := f.lstB[:0]
+	for w := hi; w >= 0; w-- {
+		for kb[w] != 0 {
+			b := 63 - bits.LeadingZeros64(kb[w])
+			kb[w] &^= 1 << b
+			k := f.ordStep[w<<6|b]
+			v := x[f.permRow[k]]
+			for _, e := range f.ur[k] {
+				v -= e.val * z[e.k]
 			}
-			break
-		}
-		var key int64
-		key, fh = heapPop(fh)
-		k := int32(-key & 0xffffffff)
-		f.smark[k] = false
-		v := x[f.permRow[k]]
-		for _, e := range f.ur[k] {
-			v -= e.val * z[e.k]
-		}
-		for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-			v -= f.xpool[xi].val * z[f.xpool[xi].k]
-		}
-		t := v / f.ud[k]
-		z[k] = t
-		zt = append(zt, k)
-		if t != 0 {
-			for _, c := range f.ucols[k] {
-				if !f.smark[c] {
-					f.smark[c] = true
-					fh = heapPush(fh, -f.ftKey(c))
+			xr := f.overflow(k)
+			for i := len(xr) - 1; i >= 0; i-- {
+				v -= xr[i].val * z[xr[i].k]
+			}
+			t := v / f.ud[k]
+			z[k] = t
+			zt = append(zt, k)
+			if t != 0 {
+				for _, c := range f.ucols[k] {
+					setBit(kb, f.ord[c])
 				}
 			}
 		}
 	}
-	f.ftheap = fh[:0]
 	for _, r := range xt {
 		x[r] = 0
 	}
 	// Permute to position space.
+	nz := prev[:0]
 	for _, k := range zt {
 		p := f.permPos[k]
 		out[p] = z[k]
@@ -2115,96 +2145,71 @@ func (f *ftFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 
 
 // btranUnitNz is the Forrest–Tomlin kernel's hyper-sparse BTRAN of a unit
 // vector (the nonzero-list contract is factor's; the list comes back in
-// worklist order). Mirrors solveBackward: the Uᵀ forward solve runs
-// ascending in logical order off the ord-keyed min-heap (step k scatters
-// into logically later steps), the transposed FT ops run in reverse append
-// order, and btranLTranspose finishes.
+// worklist order). Mirrors solveBackward: the Uᵀ forward solve sweeps the
+// key bitset ascending (step k scatters into logically later steps), the
+// transposed update runs apply newest first — skipping each run whose step
+// holds a zero, as its every op would — and btranLTranspose finishes.
 func (f *ftFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
 	f.ensureNzScratch()
 	for _, p := range prev {
 		out[p] = 0
 	}
 
-	z := f.szw
+	z, kb := f.szw, f.kbits[:words(len(f.ordStep))]
 	k0 := f.posStep[r]
-	f.smark[k0] = true
 	z[k0] = 1
-	fh := heapPush(f.ftheap[:0], f.ftKey(k0))
-	ztf := f.lstB[:0]
-	ftCut := nzCutoff(f.m)
-	for len(fh) > 0 {
-		if len(fh) > ftCut {
-			start := int32(fh[0] & 0xffffffff)
-			fh = fh[:0]
-			for k := start; k >= 0; k = f.ordNext[k] {
-				if !f.smark[k] {
-					continue
+	setBit(kb, f.ord[k0])
+	zt := f.lstB[:0]
+	for w := int(f.ord[k0] >> 6); w < len(kb); w++ {
+		for kb[w] != 0 {
+			k := f.ordStep[w<<6|bits.TrailingZeros64(kb[w])]
+			kb[w] &= kb[w] - 1
+			t := z[k] / f.ud[k]
+			z[k] = t
+			zt = append(zt, k)
+			if t != 0 {
+				for _, e := range f.ur[k] {
+					setBit(kb, f.ord[e.k])
+					z[e.k] -= e.val * t
 				}
-				f.smark[k] = false
-				t := z[k] / f.ud[k]
-				z[k] = t
-				ztf = append(ztf, k)
-				if t != 0 {
-					for _, e := range f.ur[k] {
-						f.smark[e.k] = true
-						z[e.k] -= e.val * t
-					}
-					for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-						f.smark[f.xpool[xi].k] = true
-						z[f.xpool[xi].k] -= f.xpool[xi].val * t
-					}
+				for _, e := range f.overflow(k) {
+					setBit(kb, f.ord[e.k])
+					z[e.k] -= e.val * t
 				}
-			}
-			break
-		}
-		var key int64
-		key, fh = heapPop(fh)
-		k := int32(key & 0xffffffff)
-		f.smark[k] = false
-		t := z[k] / f.ud[k]
-		z[k] = t
-		ztf = append(ztf, k)
-		if t != 0 {
-			for _, e := range f.ur[k] {
-				if !f.smark[e.k] {
-					f.smark[e.k] = true
-					fh = heapPush(fh, f.ftKey(e.k))
-				}
-				z[e.k] -= e.val * t
-			}
-			for xi := f.xhead[k]; xi >= 0; xi = f.xpool[xi].next {
-				c := f.xpool[xi].k
-				if !f.smark[c] {
-					f.smark[c] = true
-					fh = heapPush(fh, f.ftKey(c))
-				}
-				z[c] -= f.xpool[xi].val * t
 			}
 		}
 	}
-	f.ftheap = fh[:0]
-	// Transposed FT ops, newest first. The touched-step list doubles as
-	// the dedupe set (re-marked around the pass).
-	if len(f.ftOps) > 0 {
-		for _, k := range ztf {
-			f.smark[k] = true
+	// Transposed FT runs, newest first. Once one applies, the key bitset
+	// marks the listed steps so the ops' targets join the list once.
+	listed := false
+	for i := len(f.ftRuns) - 1; i >= 0; i-- {
+		ops := f.run(i)
+		v := z[ops[0].s]
+		if v == 0 {
+			continue
 		}
-		for i := len(f.ftOps) - 1; i >= 0; i-- {
-			op := &f.ftOps[i]
-			if v := z[op.s]; v != 0 {
-				if !f.smark[op.j] {
-					f.smark[op.j] = true
-					ztf = append(ztf, op.j)
-				}
-				z[op.j] -= op.val * v
+		if !listed {
+			for _, k := range zt {
+				setBit(kb, f.ord[k])
 			}
+			listed = true
 		}
-		for _, k := range ztf {
-			f.smark[k] = false
+		for oi := len(ops) - 1; oi >= 0; oi-- {
+			j := ops[oi].j
+			if !hasBit(kb, f.ord[j]) {
+				setBit(kb, f.ord[j])
+				zt = append(zt, j)
+			}
+			z[j] -= ops[oi].val * v
 		}
 	}
-	nz := f.btranLTranspose(z, ztf, out, prev[:0])
-	f.lstB = ztf[:0]
+	if listed {
+		for _, k := range zt {
+			kb[f.ord[k]>>6] = 0
+		}
+	}
+	nz := f.btranLTranspose(z, zt, out, prev[:0])
+	f.lstB = zt[:0]
 	return nz
 }
 
@@ -2306,9 +2311,11 @@ func (f *etaFactor) clone() factor {
 
 // clone deep-snapshots the representation. Forrest–Tomlin mutates U in
 // place, so the shared/immutable contract cannot cover it: the mutable set
-// (diagonal, U rows, overflow chains, column lists, logical order, op file)
-// is deep-copied, and both sides keep updating their own copy freely. The L
-// factor, the permutations, and the row-transpose stay shared.
+// (diagonal, U rows, overflow spans — compacted, column lists, logical
+// order, op file) is deep-copied into flat arrays, and both sides keep
+// updating their own copy freely. The L factor, the permutations, and the
+// row-transpose stay shared; the reader index stays behind, and the clone
+// builds its own on its first FTRAN.
 func (f *ftFactor) clone() factor {
 	c := &ftFactor{luFactor: f.share()}
 	c.ud = append([]float64(nil), f.ud...)
@@ -2324,8 +2331,16 @@ func (f *ftFactor) clone() factor {
 		ur[k] = arena[start:len(arena):len(arena)]
 	}
 	c.ur = ur
-	c.xhead = append([]int32(nil), f.xhead...)
-	c.xpool = append([]lux(nil), f.xpool...)
+	total = 0
+	for _, sp := range f.xrow {
+		total += int(sp.n)
+	}
+	c.xrow = make([]xspan, f.m)
+	c.xs = make([]lue, 0, total)
+	for k := range f.xrow {
+		c.xrow[k] = xspan{off: int32(len(c.xs)), n: f.xrow[k].n, cap: f.xrow[k].n}
+		c.xs = append(c.xs, f.overflow(int32(k))...)
+	}
 	total = 0
 	for _, l := range f.ucols {
 		total += len(l)
@@ -2339,11 +2354,10 @@ func (f *ftFactor) clone() factor {
 	}
 	c.ucols = ucols
 	c.ftOps = append([]ftOp(nil), f.ftOps...)
+	c.ftRuns = append([]int32(nil), f.ftRuns...)
 	c.ftNnz = f.ftNnz
 	c.nupd = f.nupd
-	c.ord = append([]int64(nil), f.ord...)
-	c.ordNext = append([]int32(nil), f.ordNext...)
-	c.ordPrev = append([]int32(nil), f.ordPrev...)
-	c.ordHead, c.ordTail, c.nextOrd = f.ordHead, f.ordTail, f.nextOrd
+	c.ord = append([]int32(nil), f.ord...)
+	c.ordStep = append([]int32(nil), f.ordStep...)
 	return c
 }

@@ -471,17 +471,20 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 }
 
 // checkNzBits holds a nonzero-list answer to the dense answer of the same
-// operation: the list strictly ascending (so duplicate-free), every entry
-// off it an exact +0 where the dense answer is a zero too, and every
-// nonzero of either bit-identical to the other's. A zero's sign is the one
-// thing the dense passes write that a worklist never visits, so zeros are
-// compared as zeros.
-func checkNzBits(t *testing.T, dense, sparse []float64, nz []int32, ctx string) {
+// operation: the list duplicate-free and, when rank is given, strictly
+// ascending in rank; every entry off it an exact +0 where the dense answer
+// is a zero too; and every nonzero of either bit-identical to the other's.
+// A zero's sign is the one thing the dense passes write that a worklist
+// never visits, so zeros are compared as zeros.
+func checkNzBits(t *testing.T, dense, sparse []float64, nz []int32, rank func(int32) int, ctx string) {
 	t.Helper()
 	on := make([]bool, len(dense))
 	for k, i := range nz {
-		if k > 0 && i <= nz[k-1] {
-			t.Fatalf("%s: list not strictly ascending at %d: %d after %d", ctx, k, i, nz[k-1])
+		if on[i] {
+			t.Fatalf("%s: %d listed twice", ctx, i)
+		}
+		if rank != nil && k > 0 && rank(i) <= rank(nz[k-1]) {
+			t.Fatalf("%s: list out of order at %d: %d after %d", ctx, k, i, nz[k-1])
 		}
 		on[i] = true
 	}
@@ -495,6 +498,9 @@ func checkNzBits(t *testing.T, dense, sparse []float64, nz []int32, ctx string) 
 		}
 	}
 }
+
+// ascending ranks a list entry by itself: the eta kernel's lists ascend.
+func ascending(i int32) int { return int(i) }
 
 // TestEtaNzMatchesDense: the eta kernel's three nonzero-list calls against
 // its own dense ones, bit for bit. Two kernels over one random basis take
@@ -549,12 +555,12 @@ func TestEtaNzMatchesDense(t *testing.T) {
 				col := randCol()
 				fList = p.nz.ftranColNz(col, fOut, fList)
 				p.dn.ftranCol(col, dOut)
-				checkNzBits(t, dOut, fOut, fList, ctx+": ftran")
+				checkNzBits(t, dOut, fOut, fList, ascending, ctx+": ftran")
 			}
 			for rr := 0; rr < m; rr++ {
 				bList = p.nz.btranUnitNz(rr, bOut, bList)
 				p.dn.btranUnit(rr, dOut)
-				checkNzBits(t, dOut, bOut, bList, ctx+": btran")
+				checkNzBits(t, dOut, bOut, bList, ascending, ctx+": btran")
 			}
 		}
 		pivot := func(p pair) bool {
@@ -607,43 +613,138 @@ func TestEtaNzMatchesDense(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesSort: the one worklist heap pops in sort's order — ascending
-// as is, descending through negated keys — for both widths the kernel
-// instantiates, on random keys with duplicates, with a second batch pushed
-// between pops as the worklists do mid-solve.
+// TestFTNzMatchesDense is TestEtaNzMatchesDense for the Forrest–Tomlin
+// kernel: along update chains from 0 up to 300 pivots on a staircase basis,
+// each kernel's ftranColNz/btranUnitNz must equal its own dense
+// solveForward/solveBackward bit for bit, and the FTRAN list must come back
+// in strictly descending logical order. Pivots alternate between the stash-
+// fed updateNz and the scan-fed update, and probe columns of 3 and of m/8
+// entries reach a handful of steps and a large share of them. Half-way the
+// kernel is cloned and both copies pivot on separately, so a clone that
+// shared its parent's reader index shows up as a mismatch on one side: the
+// dense solves never read it.
+func TestFTNzMatchesDense(t *testing.T) {
+	const m, chain = 2048, 300
+	r := rand.New(rand.NewSource(29))
+	std, basis := bigStaircaseBasis(r, m)
+	kernel := &ftFactor{}
+	kernel.reset(m)
+	if kernel.refactorize(std, basis, time.Time{}) != refactorOK {
+		t.Fatal("refactorize failed")
+	}
+	randCol := func(width int) []entry {
+		i := r.Intn(m)
+		col := []entry{{row: i, val: 1 + r.Float64()}}
+		for k := 1; k < width; k++ {
+			col = append(col, entry{row: min(m-1, i+r.Intn(3)), val: r.Float64() - 0.5})
+			if width > 3 {
+				i = r.Intn(m)
+			}
+		}
+		return coalesce(col)
+	}
+	w, wCopy := make([]float64, m), make([]float64, m)
+	fOut, bOut, dOut := make([]float64, m), make([]float64, m), make([]float64, m)
+	var wList, fList, bList []int32
+	check := func(f *ftFactor, ctx string) {
+		t.Helper()
+		descending := func(p int32) int { return -int(f.ord[f.posStep[p]]) }
+		for _, width := range []int{3, m / 8} {
+			col := randCol(width)
+			fList = f.ftranColNz(col, fOut, fList)
+			f.ftranCol(col, dOut)
+			checkNzBits(t, dOut, fOut, fList, descending, fmt.Sprintf("%s: ftran width %d", ctx, width))
+		}
+		for k := 0; k < 64; k++ {
+			rr := r.Intn(m)
+			bList = f.btranUnitNz(rr, bOut, bList)
+			f.btranUnit(rr, dOut)
+			checkNzBits(t, dOut, bOut, bList, nil, ctx+": btran")
+		}
+	}
+	pivot := func(f *ftFactor) {
+		for {
+			wList = f.ftranColNz(randCol(3), w, wList)
+			pr := -1
+			for _, i := range wList {
+				if math.Abs(w[i]) > 0.3 && (pr < 0 || math.Abs(w[i]) > math.Abs(w[pr])) {
+					pr = int(i)
+				}
+			}
+			if pr < 0 {
+				continue
+			}
+			if f.age()%2 == 0 {
+				f.updateNz(pr, w, wList)
+			} else {
+				copy(wCopy, w) // not the stashed buffer: the spike is rebuilt from w
+				f.update(pr, wCopy)
+			}
+			return
+		}
+	}
+	sides := []*ftFactor{kernel}
+	next := 0
+	for kernel.age() < chain {
+		if age := kernel.age(); age == next {
+			for i, f := range sides {
+				check(f, fmt.Sprintf("side %d age %d", i, f.age()))
+			}
+			next = 2*age + 1
+		}
+		if kernel.age() == chain/2 && len(sides) == 1 {
+			c := kernel.clone().(*ftFactor)
+			for c.age() < kernel.age()+3 {
+				pivot(c)
+			}
+			sides = append(sides, c)
+		}
+		for _, f := range sides {
+			pivot(f)
+		}
+	}
+	if len(kernel.ftRuns) == 0 {
+		t.Fatal("the chain appended no update runs")
+	}
+	for i, f := range sides {
+		check(f, fmt.Sprintf("side %d end", i))
+	}
+}
+
+// TestHeapMatchesSort: the Markowitz bucket heap pops in sort's order —
+// ascending as is, descending through negated keys — on random keys with
+// duplicates, with a second batch pushed between pops as the buckets are
+// mid-refactorization.
 func TestHeapMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + r.Intn(300)
-		k32 := make([]int32, n)
-		k64 := make([]int64, n)
-		for i := range k32 {
-			k32[i] = int32(r.Intn(n/2 + 1)) // about two copies of each key
-			k64[i] = int64(r.Intn(n/2+1))<<32 | int64(r.Intn(2))
+		keys := make([]int32, n)
+		for i := range keys {
+			keys[i] = int32(r.Intn(n/2 + 1)) // about two copies of each key
 		}
 		for _, descending := range []bool{false, true} {
-			checkHeapOrder(t, k32, descending)
-			checkHeapOrder(t, k64, descending)
+			checkHeapOrder(t, keys, descending)
 		}
 	}
 }
 
-func checkHeapOrder[K int32 | int64](t *testing.T, keys []K, descending bool) {
+func checkHeapOrder(t *testing.T, keys []int32, descending bool) {
 	t.Helper()
-	sign := K(1)
+	sign := int32(1)
 	if descending {
 		sign = -1
 	}
-	sorted := func(ks []K) []K {
-		out := append([]K(nil), ks...)
+	sorted := func(ks []int32) []int32 {
+		out := append([]int32(nil), ks...)
 		sort.Slice(out, func(a, b int) bool { return sign*out[a] < sign*out[b] })
 		return out
 	}
-	var h []K
-	pop := func(want []K, ctx string) {
+	var h []int32
+	pop := func(want []int32, ctx string) {
 		t.Helper()
 		for i, w := range want {
-			var got K
+			var got int32
 			if got, h = heapPop(h); sign*got != w {
 				t.Fatalf("descending=%v, %s pop %d: got %d, want %d", descending, ctx, i, sign*got, w)
 			}

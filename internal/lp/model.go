@@ -343,15 +343,17 @@ func (s *Solution) Value(terms ...Term) float64 {
 // PhaseTimings is the per-phase wall-clock breakdown of solver time, in
 // nanoseconds: pricing (entering-column scans and maintained-reduced-cost
 // refreshes), FTRAN (tableau-column solves), BTRAN (dual and row-of-inverse
-// solves), and refactorization (basis rebuilds, including the xB
-// recomputation they force). The four phases do not sum to the solve's wall
-// clock — ratio tests, pivot application, and bookkeeping are uncounted —
-// but a wall-clock regression localizes to whichever counter moved.
+// solves), refactorization (basis rebuilds, including the xB recomputation
+// they force), and the devex pivot-row assembly (alpha = rho·A, on devex
+// solves only). The phases do not sum to the solve's wall clock — ratio tests,
+// pivot application, and bookkeeping are uncounted — but a wall-clock
+// regression localizes to whichever counter moved.
 type PhaseTimings struct {
 	PricingNs  int64
 	FtranNs    int64
 	BtranNs    int64
 	RefactorNs int64
+	RowNs      int64
 }
 
 // add accumulates o into p.
@@ -360,6 +362,7 @@ func (p *PhaseTimings) add(o PhaseTimings) {
 	p.FtranNs += o.FtranNs
 	p.BtranNs += o.BtranNs
 	p.RefactorNs += o.RefactorNs
+	p.RowNs += o.RowNs
 }
 
 // SolveStats accumulates solver telemetry across Solve calls when hung on

@@ -809,9 +809,9 @@ func (st *state) expelArtificials() {
 // nonzero positions in st.wNz (valid until the next call; every pivot
 // consumes it immediately). The list's order is the kernel's: ascending on
 // the eta kernel, so a small model's ratio-test ties and eta entry order are
-// exactly the dense loop's, and worklist order on Forrest–Tomlin, where
-// they only have to be reproducible and sorting measurably dominated the
-// per-pivot cost.
+// exactly the dense loop's, and descending logical order on Forrest–Tomlin,
+// where they only have to be reproducible and sorting measurably dominated
+// the per-pivot cost.
 func (st *state) ftranCol(q int) []float64 {
 	t0 := time.Now()
 	st.wNz = st.fac.ftranColNz(st.std.cols[q], st.wBuf, st.wNz)
@@ -1714,7 +1714,9 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		leavingCol := st.basis[leave]
 		resetDevex := false
 		if devex {
+			t0 := time.Now()
 			st.pivotRow(rho)
+			st.phase.RowNs += int64(time.Since(t0))
 			wr := w[leave]
 			thetaD := qD / wr
 			wq := st.dvxW[q]

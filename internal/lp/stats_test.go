@@ -79,6 +79,18 @@ func TestSolveStatsPhaseTimings(t *testing.T) {
 	if stats.Timings != sol.Timings {
 		t.Fatalf("stats timings %+v != solution timings %+v", stats.Timings, sol.Timings)
 	}
+	// The pivot-row clock belongs to devex: a small model prices without
+	// it and never starts the timer; forced onto devex, it ticks.
+	if sol.Timings.RowNs != 0 {
+		t.Fatalf("row clock ticked on a Dantzig solve: %+v", sol.Timings)
+	}
+	dvx, err := solveWith(PricingDevex, m, Options{})
+	if err != nil || dvx.Status != Optimal {
+		t.Fatalf("devex solve: %v %v", dvx.Status, err)
+	}
+	if dvx.Timings.RowNs <= 0 {
+		t.Fatalf("row clock did not tick on a devex solve of %d pivots: %+v", dvx.Iterations, dvx.Timings)
+	}
 	// A forced refactorization cadence must tick the refactor clock.
 	var tight SolveStats
 	if _, err := solveEvery(1, m, Options{Stats: &tight}); err != nil {

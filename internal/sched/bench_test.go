@@ -132,12 +132,14 @@ func benchInstance(sc benchScale, seed int64) *Instance {
 
 // reportPhases publishes the last solve's per-phase wall-clock breakdown as
 // bench metrics, so BENCH_solver.json localizes a ns/op regression to the
-// solver phase that moved (pricing scan, FTRAN, BTRAN, or refactorization).
+// solver phase that moved (pricing scan, FTRAN, BTRAN, refactorization, or
+// devex pivot-row assembly).
 func reportPhases(b *testing.B, p lp.PhaseTimings) {
 	b.ReportMetric(float64(p.PricingNs), "pricing_ns")
 	b.ReportMetric(float64(p.FtranNs), "ftran_ns")
 	b.ReportMetric(float64(p.BtranNs), "btran_ns")
 	b.ReportMetric(float64(p.RefactorNs), "refactor_ns")
+	b.ReportMetric(float64(p.RowNs), "row_ns")
 }
 
 // BenchmarkSAMSolve measures Instance.Solve (model build + LP solve, the
@@ -229,6 +231,39 @@ func TestMediumLPCounters(t *testing.T) {
 	}
 	if got := math.Float64bits(warm.Objective); got != 0x40c4d5221fa93f08 {
 		t.Errorf("warm objective %v (bits %#x), want bits 0x40c4d5221fa93f08", warm.Objective, got)
+	}
+}
+
+// TestLargeLPCounters is TestMediumLPCounters for the large-model path: the
+// Large instance standardizes past lp.LargeModelRows, so it builds with
+// implicit bounds, presolves, and pivots on the Forrest–Tomlin kernel. The
+// cold solve refactorizes on measured update fill; the warm re-solve takes
+// over the captured factorization and pivots a few more times.
+func TestLargeLPCounters(t *testing.T) {
+	built, err := benchInstance(benchScales[2], 42).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := built.Solve(lp.Options{})
+	if err != nil || cold.Status != lp.Optimal {
+		t.Fatalf("cold solve: %v %v", err, cold.Status)
+	}
+	if cold.Iterations != 4926 || cold.Refactors != 3 || cold.Artificials != 1699 {
+		t.Errorf("cold: %d pivots, %d refactors, %d artificials; want 4926, 3, 1699",
+			cold.Iterations, cold.Refactors, cold.Artificials)
+	}
+	if got := math.Float64bits(cold.Objective); got != 0x40d120eb7ad85bad {
+		t.Errorf("cold objective %v (bits %#x), want bits 0x40d120eb7ad85bad", cold.Objective, got)
+	}
+	warm, err := built.Solve(lp.Options{WarmBasis: cold.Basis})
+	if err != nil || warm.Status != lp.Optimal {
+		t.Fatalf("warm solve: %v %v", err, warm.Status)
+	}
+	if warm.Iterations != 5 {
+		t.Errorf("warm: %d pivots, want 5", warm.Iterations)
+	}
+	if got := math.Float64bits(warm.Objective); got != 0x40d120eb7abf6698 {
+		t.Errorf("warm objective %v (bits %#x), want bits 0x40d120eb7abf6698", warm.Objective, got)
 	}
 }
 
