@@ -170,6 +170,7 @@ func (o *coreObs) publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
 	m.Counter(prefix + ".warm_starts").Add(int64(s.WarmStarts))
 	m.Counter(prefix + ".devex_solves").Add(int64(s.DevexSolves))
 	m.Counter(prefix + ".presolved").Add(int64(s.Presolved))
+	m.Counter(prefix + ".presolve_reused").Add(int64(s.PresolveReused))
 	m.Counter(prefix + ".singular_hits").Add(int64(s.SingularHits))
 	// A nonzero recoveries counter is a solver leaning on its safety net:
 	// it shows here before it shows as a slow step.

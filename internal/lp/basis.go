@@ -21,34 +21,32 @@ import "math"
 // same LP skeleton after an RHS or objective perturbation typically need a
 // handful of pivots from the previous optimal basis instead of a full
 // two-phase solve from scratch.
+//
+// A Basis is read-only once captured: installing it never writes it, so one
+// Basis may warm-start any number of solves, concurrently included.
 type Basis struct {
 	m, n    int    // standardized row/column counts
 	sig     uint64 // signature of the standardization (layout and matrix)
 	basic   []int  // basic standardized column per row
 	atUpper []bool // nonbasic-at-upper flag per standardized column
 
-	// fac is a deep snapshot of the basis representation (the solve's
-	// kernel, see factor) as of capture. It is cloned on
-	// capture and cloned again on install, so no later solve — on the
-	// originating state or any state the basis is installed into — can
-	// mutate the snapshot. Because sig covers the constraint matrix
-	// entries, a signature match guarantees the same basis columns, so the
-	// factorization can be reinstalled directly — skipping the
-	// refactorization that would otherwise eat much of the warm-start
-	// saving. Its age (product-form pivots since the last refactorization)
-	// rides along inside the snapshot so the periodic-refactorization
-	// hygiene policy spans chains of warm solves exactly as it spans pivots
-	// within one solve.
+	// fac is the basis representation as of capture: a clone, a view of the
+	// capturing solve's arrays with no scratch. installWarm clones it again,
+	// and a solve copies what it writes before writing it, so a warm solve
+	// that takes no pivot copies no factor (see ftFactor.clone). A signature
+	// match guarantees the same basis columns, so the factorization is
+	// reinstalled, skipping a refactorization. Its age rides along, so the
+	// periodic-refactorization policy spans chains of warm solves.
 	fac factor
 }
 
-// signature fingerprints the standardization: column count, row count, the
+// fingerprint hashes the standardization: column count, row count, the
 // artificial-column pattern (which encodes the normalized senses), and
 // every constraint-matrix nonzero. Models that hash equal share an index
 // space AND a constraint matrix — only right-hand sides, bounds, and
 // objective may differ — so a captured basis, including its factorization,
-// can be transplanted verbatim.
-func (std *standard) signature() uint64 {
+// can be transplanted verbatim. standardize stores it in std.sig.
+func (std *standard) fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -78,18 +76,17 @@ func (std *standard) signature() uint64 {
 // matches reports whether the basis was captured from a standardization
 // with the same layout as std.
 func (b *Basis) matches(std *standard) bool {
-	return b != nil && b.m == std.m && b.n == std.n && b.sig == std.signature()
+	return b != nil && b.m == std.m && b.n == std.n && b.sig == std.sig
 }
 
-// capture snapshots the current basis of st. The factorization is deep-
-// cloned, so later pivots on st (or a fresh solve reusing the state) can
-// never corrupt the captured snapshot — the regression test
-// TestCaptureSurvivesLaterMutation locks this contract in.
+// capture snapshots the current basis of st. The factorization is cloned,
+// so later pivots on st can never corrupt the captured snapshot
+// (TestCaptureSurvivesLaterMutation).
 func (st *state) capture() *Basis {
 	return &Basis{
 		m:       st.std.m,
 		n:       st.std.n,
-		sig:     st.std.signature(),
+		sig:     st.std.sig,
 		basic:   append([]int(nil), st.basis...),
 		atUpper: append([]bool(nil), st.atUpper...),
 		fac:     st.fac.clone(),
@@ -171,10 +168,11 @@ func (st *state) installWarm(b *Basis) warmFit {
 		// Reuse the captured factorization: the signature match guarantees
 		// the basis columns are identical, so the snapshot still represents
 		// B⁻¹ for the new model and the refactorization can be skipped
-		// outright — the dominant cost of a warm install. The snapshot is
-		// cloned again so this solve's pivots cannot corrupt the caller's
-		// Basis (which may warm-start further solves). Only the basic
-		// values need recomputing against the new right-hand side.
+		// outright — the dominant cost of a warm install. The solve runs on
+		// a clone, a view that copies before it writes, so its pivots
+		// cannot corrupt the caller's Basis (which may warm-start further
+		// solves). Only the basic values need recomputing against the new
+		// right-hand side.
 		st.fac = b.fac.clone()
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {

@@ -2,8 +2,10 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -242,6 +244,94 @@ func TestCaptureSurvivesLaterMutation(t *testing.T) {
 		if d := math.Abs(warm.Objective - cold.Objective); d > relTol {
 			t.Fatalf("dense=%v: captured basis corrupted by intervening solve: warm %v cold %v",
 				dense, warm.Objective, cold.Objective)
+		}
+	}
+	captureSurvivesBorrowed(t)
+}
+
+// captureSurvivesBorrowed is TestCaptureSurvivesLaterMutation on the
+// borrowed path. Above LargeModelRows the kernel is Forrest–Tomlin, whose
+// capture is a scratch-free view of the capturing solve's arrays and whose
+// every install is a view of that: a Basis captured, whose capturing kernel
+// then pivots and refactorizes, and which warm-starts solves that pivot —
+// one after another, then two at once — must give each of them the answer
+// its first install gave, to the bit. Under the race detector the concurrent
+// pair also proves an install writes nothing the Basis holds, on either
+// kernel.
+func captureSurvivesBorrowed(t *testing.T) {
+	var kernels []factor
+	old := newFactor
+	defer func() { newFactor = old }()
+	newFactor = func(large bool) factor {
+		f := old(large)
+		kernels = append(kernels, f)
+		return f
+	}
+	src := crashStaircase(37, 2400, 0, false).m
+	b := mustOptimal(t, src, Options{}, "cold").Basis()
+	newFactor = old
+	snap, ok := b.fac.(*ftFactor)
+	if !ok || !snap.borrowed || snap.mkz != nil || snap.xwork != nil || snap.sxw != nil || snap.ftb != nil {
+		t.Fatalf("captured %T is not a scratch-free borrowed view", b.fac)
+	}
+	edited := func() *Model {
+		lp := crashStaircase(37, 2400, 0, false)
+		for j := 0; j < len(lp.flows); j += 3 {
+			lp.m.SetObj(lp.flows[j], 0.1)
+		}
+		return lp.m
+	}
+	want := mustOptimal(t, edited(), Options{WarmBasis: b}, "first install")
+	if want.Iterations == 0 {
+		t.Fatal("the edit left the warm solve no pivot to take")
+	}
+
+	// The capturing kernel pivots on, then refactorizes.
+	f, std := kernels[0].(*ftFactor), src.std
+	w := make([]float64, std.m)
+	var nz []int32
+	for q := 0; q < 40; q++ {
+		nz = f.ftranColNz(std.cols[q], w, nz)
+		r := nz[0]
+		for _, i := range nz {
+			if math.Abs(w[i]) > math.Abs(w[r]) {
+				r = i
+			}
+		}
+		f.updateNz(int(r), w, nz)
+	}
+	if f.refactorize(std, b.basic, time.Time{}) != refactorOK {
+		t.Fatal("refactorize of the captured basis failed")
+	}
+	for k := 0; k < 2; k++ {
+		requireIdentical(t, mustOptimal(t, edited(), Options{WarmBasis: b}, "install"), want, fmt.Sprintf("install %d", k+2))
+	}
+
+	small := samShapedLP(rand.New(rand.NewSource(4243)), 1.0)
+	smallB := mustOptimal(t, small, Options{}, "small cold").Basis()
+	perturbed := func() *Model { return samShapedLP(rand.New(rand.NewSource(4243)), 1.3) }
+	smallWant := mustOptimal(t, perturbed(), Options{WarmBasis: smallB}, "small install")
+	for _, c := range []struct {
+		build func() *Model
+		b     *Basis
+		want  *Solution
+	}{{edited, b, want}, {perturbed, smallB, smallWant}} {
+		got := make([]*Solution, 2)
+		var wg sync.WaitGroup
+		for i := range got {
+			m := c.build()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _ = m.Solve(Options{WarmBasis: c.b})
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g == nil {
+				t.Fatalf("concurrent install %d failed", i)
+			}
+			requireIdentical(t, g, c.want, fmt.Sprintf("concurrent install %d", i))
 		}
 	}
 }

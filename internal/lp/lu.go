@@ -184,6 +184,11 @@ type ftFactor struct {
 	xs      []lue     // overflow slab, recycled at refactorize
 	ucols   [][]int32 // column step -> rows holding a U entry there (exact)
 
+	// borrowed: the mutable set (ud, ur, ftOps through ucols) is visible to
+	// another kernel (see clone). updateNz copies it first (detach);
+	// refactorize and reset rebuild it fresh (luFactor.shared, ftReset).
+	borrowed bool
+
 	// The FTRAN's step → runs reader index: rdHead[j] heads a newest-first
 	// list through rdLink of the runs whose ops read step j. rdN runs are
 	// indexed so far; the FTRAN catches up on the rest. Like etaFactor's
@@ -537,11 +542,17 @@ func (f *ftFactor) wantRefactor() bool {
 	return f.drift || f.ftNnz > ftGrowthLimit*f.baseNnz+4*f.m
 }
 
+// ensureScratch sizes the dense solves' working set. Every dense solve
+// stages its input through it (scatter, load, unit), so a view (share),
+// which starts without scratch, allocates its own on its first one.
 func (f *luFactor) ensureScratch() {
 	if len(f.xwork) != f.m {
 		f.xwork = make([]float64, f.m)
 		f.zwork = make([]float64, f.m)
 		f.umark = make([]bool, f.m)
+	}
+	if len(f.lmark) < len(f.lops) {
+		f.lmark = make([]bool, len(f.lops))
 	}
 }
 
@@ -621,8 +632,12 @@ func (f *ftFactor) ensureFtScratch() {
 // factorization of m steps: logical order equal to step order, no ops, no
 // overflow entries, an empty reader index. ucols is left to the caller
 // (refactorize builds it from U; reset leaves it empty — the identity has
-// no off-diagonals).
+// no off-diagonals). A borrowed kernel builds it all in fresh arrays.
 func (f *ftFactor) ftReset(m int) {
+	if f.borrowed {
+		f.ftOps, f.ftRuns, f.ord, f.ordStep, f.xrow, f.xs, f.ucols = nil, nil, nil, nil, nil, nil, nil
+		f.borrowed = false
+	}
 	f.ftOps, f.ftRuns = f.ftOps[:0], f.ftRuns[:0]
 	f.ftNnz = 0
 	f.nupd = 0
@@ -1128,9 +1143,6 @@ func (f *luFactor) factorize(std *standard, basis []int, deadline time.Time, pee
 	f.opArena = opArena
 	f.lrIdx = lrIdx
 	s.uArena = uArena[:0]
-	if len(f.lmark) < len(lops) {
-		f.lmark = make([]bool, len(lops))
-	}
 	f.baseNnz = nnz
 	f.drift = false
 	// The workspace doubled as the scatter buffer; leave it zeroed.
@@ -1274,10 +1286,9 @@ func (f *luFactor) ltPass(out []float64) {
 // scatter, load and unit stage a dense solve's input in xwork, which the
 // solve consumes: a sparse column, a copy of x, the unit vector e_r.
 func (f *luFactor) scatter(col []entry) []float64 {
+	f.ensureScratch()
 	x := f.xwork
-	for i := range x {
-		x[i] = 0
-	}
+	clear(x)
 	for _, e := range col {
 		x[e.row] = e.val
 	}
@@ -1285,15 +1296,15 @@ func (f *luFactor) scatter(col []entry) []float64 {
 }
 
 func (f *luFactor) load(x []float64) []float64 {
+	f.ensureScratch()
 	copy(f.xwork, x)
 	return f.xwork
 }
 
 func (f *luFactor) unit(r int) []float64 {
+	f.ensureScratch()
 	p := f.xwork
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	p[r] = 1
 	return p
 }
@@ -1763,6 +1774,7 @@ func (f *ftFactor) ucolDrop(j, k int32) {
 // Row s ends a singleton; no other row or column of U moves. The update's
 // ops form one run (ftRuns): they all write step s and none reads it.
 func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
+	f.detach()
 	f.ensureFtScratch()
 	f.ensureNzScratch()
 	s := f.posStep[r]
@@ -2265,12 +2277,15 @@ func (f *luFactor) btranLTranspose(z []float64, zt []int32, out []float64, nz []
 	return nz
 }
 
-// share marks the factorization outputs `shared` on both sides and returns
-// the clone's view of them: the same immutable slices, its own scratch. From
-// here on the next refactorize/reset on either side allocates fresh arrays
-// instead of recycling these.
+// share marks the factorization outputs `shared` and returns a view of
+// them: the same immutable slices, no scratch. From here on the next
+// refactorize/reset on either side allocates fresh arrays instead of
+// recycling these. A kernel already marked is only read, so goroutines may
+// take views of one captured snapshot concurrently.
 func (f *luFactor) share() luFactor {
-	f.shared = true
+	if !f.shared {
+		f.shared = true
+	}
 	return luFactor{
 		m:         f.m,
 		shared:    true,
@@ -2286,19 +2301,15 @@ func (f *luFactor) share() luFactor {
 		lrIdx:     f.lrIdx,
 		baseNnz:   f.baseNnz,
 		drift:     f.drift,
-		xwork:     make([]float64, f.m),
-		zwork:     make([]float64, f.m),
-		umark:     make([]bool, f.m),
-		lmark:     make([]bool, len(f.lops)),
 	}
 }
 
-// clone deep-snapshots the representation. The eta file gets a fresh header
-// array because the live solver keeps appending to its own; the eta nonzero
-// lists stay on the parent's arena, which the shared flag protects from
-// rewinding (appends past the current length never touch a carved slice —
-// each is capped at its own end). The reader index stays behind: the clone
-// builds its own if it ever runs a hyper-sparse BTRAN or an update.
+// clone snapshots the representation as a view. The eta file gets a fresh
+// header array because the live solver keeps appending to its own; the eta
+// nonzero lists stay on the parent's arena, which the shared flag protects
+// from rewinding (appends past the current length never touch a carved
+// slice — each is capped at its own end). The reader index stays behind: the
+// clone builds its own if it ever runs a hyper-sparse BTRAN or an update.
 func (f *etaFactor) clone() factor {
 	return &etaFactor{
 		luFactor: f.share(),
@@ -2309,55 +2320,65 @@ func (f *etaFactor) clone() factor {
 	}
 }
 
-// clone deep-snapshots the representation. Forrest–Tomlin mutates U in
-// place, so the shared/immutable contract cannot cover it: the mutable set
-// (diagonal, U rows, overflow spans — compacted, column lists, logical
-// order, op file) is deep-copied into flat arrays, and both sides keep
-// updating their own copy freely. The L factor, the permutations, and the
-// row-transpose stay shared; the reader index stays behind, and the clone
-// builds its own on its first FTRAN.
+// clone snapshots the representation as a copy-on-write view: Forrest–Tomlin
+// mutates U in place, so both sides share the mutable set too and are marked
+// borrowed. The first update on either side copies it (detach); a refactorize
+// or reset leaves it; a side that only solves never copies. The reader index,
+// the spike stash and all scratch stay behind.
 func (f *ftFactor) clone() factor {
-	c := &ftFactor{luFactor: f.share()}
-	c.ud = append([]float64(nil), f.ud...)
+	if !f.borrowed {
+		f.borrowed = true
+	}
+	return &ftFactor{
+		luFactor: f.share(),
+		borrowed: true,
+		ftOps:    f.ftOps,
+		ftRuns:   f.ftRuns,
+		ftNnz:    f.ftNnz,
+		nupd:     f.nupd,
+		ord:      f.ord,
+		ordStep:  f.ordStep,
+		xrow:     f.xrow,
+		xs:       f.xs,
+		ucols:    f.ucols,
+	}
+}
+
+// detach gives a borrowed kernel its own copy of the mutable set, rows and
+// spans compacted in their order. The reader index and the spike stash
+// describe contents the copy keeps, so both carry over: the update that
+// triggered the copy still absorbs its FTRAN's stashed spike.
+func (f *ftFactor) detach() {
+	if !f.borrowed {
+		return
+	}
+	f.borrowed = false
+	f.ud = append([]float64(nil), f.ud...)
+	f.ur, f.ucols = flatten(f.ur), flatten(f.ucols)
+	xrow := make([]xspan, f.m)
+	xs := make([]lue, 0, len(f.xs))
+	for k := range f.xrow {
+		xrow[k] = xspan{off: int32(len(xs)), n: f.xrow[k].n, cap: f.xrow[k].n}
+		xs = append(xs, f.overflow(int32(k))...)
+	}
+	f.xrow, f.xs = xrow, xs
+	f.ftOps = append([]ftOp(nil), f.ftOps...)
+	f.ftRuns = append([]int32(nil), f.ftRuns...)
+	f.ord = append([]int32(nil), f.ord...)
+	f.ordStep = append([]int32(nil), f.ordStep...)
+}
+
+// flatten copies rows into one backing array, each row capped at its end.
+func flatten[T any](rows [][]T) [][]T {
 	total := 0
-	for _, row := range f.ur {
+	for _, row := range rows {
 		total += len(row)
 	}
-	ur := make([][]lue, f.m)
-	arena := make([]lue, 0, total)
-	for k, row := range f.ur {
-		start := len(arena)
-		arena = append(arena, row...)
-		ur[k] = arena[start:len(arena):len(arena)]
+	flat, out := make([]T, 0, total), make([][]T, len(rows))
+	for k, row := range rows {
+		start := len(flat)
+		flat = append(flat, row...)
+		out[k] = flat[start:len(flat):len(flat)]
 	}
-	c.ur = ur
-	total = 0
-	for _, sp := range f.xrow {
-		total += int(sp.n)
-	}
-	c.xrow = make([]xspan, f.m)
-	c.xs = make([]lue, 0, total)
-	for k := range f.xrow {
-		c.xrow[k] = xspan{off: int32(len(c.xs)), n: f.xrow[k].n, cap: f.xrow[k].n}
-		c.xs = append(c.xs, f.overflow(int32(k))...)
-	}
-	total = 0
-	for _, l := range f.ucols {
-		total += len(l)
-	}
-	ucols := make([][]int32, f.m)
-	ua := make([]int32, 0, total)
-	for k, l := range f.ucols {
-		start := len(ua)
-		ua = append(ua, l...)
-		ucols[k] = ua[start:len(ua):len(ua)]
-	}
-	c.ucols = ucols
-	c.ftOps = append([]ftOp(nil), f.ftOps...)
-	c.ftRuns = append([]int32(nil), f.ftRuns...)
-	c.ftNnz = f.ftNnz
-	c.nupd = f.nupd
-	c.ord = append([]int32(nil), f.ord...)
-	c.ordStep = append([]int32(nil), f.ordStep...)
-	return c
+	return out
 }

@@ -99,8 +99,16 @@ func (m *Model) AddVar(lo, up, obj float64, name string) Var {
 	m.lo = append(m.lo, lo)
 	m.up = append(m.up, up)
 	m.names = append(m.names, name)
-	m.std = nil
+	m.restructured()
 	return Var(len(m.obj) - 1)
+}
+
+// restructured drops the caches a structural edit invalidates.
+func (m *Model) restructured() {
+	m.std = nil
+	if m.pre != nil {
+		m.pre.keyed, m.pre.varRowsOK = false, false
+	}
 }
 
 // NumVars reports the number of variables added so far.
@@ -155,7 +163,7 @@ func (m *Model) AddConstraint(sense Sense, rhs float64, terms ...Term) Row {
 	m.rows = append(m.rows, merged)
 	m.senses = append(m.senses, sense)
 	m.rhs = append(m.rhs, rhs)
-	m.std = nil
+	m.restructured()
 	return Row(len(m.rows) - 1)
 }
 
@@ -397,6 +405,9 @@ type SolveStats struct {
 	// model (Options.Presolve) — for sched's LPs, the solves of models
 	// large enough to be built with implicit bounds.
 	Presolved int
+	// PresolveReused counts the presolved solves that reused the last
+	// reduction because only the objective had changed (see runPresolve).
+	PresolveReused int
 	// Artificials totals the artificial columns basic at cold starts: the
 	// phase-1 work the standard form left for the simplex to do.
 	Artificials int
@@ -495,6 +506,9 @@ type Options struct {
 	// start. Outside tests internal/sched is its only setter: Built.Solve
 	// turns it on for exactly the models it built with implicit bounds.
 	Presolve bool
+	// postsolved marks presolve's inner solve, which skips what
+	// solvePresolved recomputes: reduced costs, residual, Suspect.
+	postsolved bool
 }
 
 // withDefaults normalizes the options against a standardized problem of n
@@ -541,8 +555,10 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		PricingUsed: res.pricing,
 		X:           make([]float64, m.NumVars()),
 		Dual:        make([]float64, m.NumRows()),
-		ReducedCost: make([]float64, m.NumVars()),
 		basis:       res.basis,
+	}
+	if !opts.postsolved {
+		sol.ReducedCost = make([]float64, m.NumVars())
 	}
 	if res.status != Optimal {
 		return sol, nil
@@ -561,7 +577,9 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		// ∂obj_model/∂x_j: the standardized column moves by sign per
 		// unit of x_j, and the model objective is orient times the
 		// minimized one.
-		sol.ReducedCost[j] = orient * std.sign[j] * res.d[std.colOf[j]]
+		if !opts.postsolved {
+			sol.ReducedCost[j] = orient * std.sign[j] * res.d[std.colOf[j]]
+		}
 	}
 	obj := 0.0
 	for j, c := range m.obj {
@@ -575,8 +593,10 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		}
 		sol.Dual[i] = d
 	}
-	sol.Residual = m.residual(sol.X)
-	sol.Suspect = sol.Residual > opts.ResidualTol
+	if !opts.postsolved {
+		sol.Residual = m.residual(sol.X)
+		sol.Suspect = sol.Residual > opts.ResidualTol
+	}
 	return sol, nil
 }
 

@@ -20,7 +20,11 @@ package lp
 // is patched in place instead of rebuilt, which keeps its own standardized
 // form and warm-basis signature stable across re-solves.
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // dropKind records how a row left the model during presolve, which
 // determines how its dual is recovered during postsolve.
@@ -73,7 +77,17 @@ type presolveState struct {
 	prevRemoved []bool
 	prevKept    []bool
 
-	// CSR index of rows per variable, for postsolve dual recovery.
+	// The last run's inputs (see runPresolve), valid while keyed; a
+	// structural edit clears it (Model.restructured).
+	keyed        bool
+	keyMax       bool
+	keyRhs       []float64
+	keyLo, keyUp []float64
+	keyObj       []int8
+
+	// CSR index of rows per variable, for postsolve dual recovery; built
+	// once per structure (varRowsOK).
+	varRowsOK  bool
 	varRowPtr  []int32
 	varRowIdx  []int32
 	varRowCoef []float64
@@ -89,67 +103,98 @@ type presolveState struct {
 
 const presolveFeasTol = 1e-7
 
-// resizeInt etc: grow-and-reset helpers that keep capacity across solves.
-func resizeInts(s []int, n int) []int {
+// resize returns s with length n, reusing its capacity when it suffices
+// (contents are not cleared).
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // runPresolve computes the reduction for the model's current data,
-// reusing (and, when the pattern is stable, patching) the cached state.
-func (m *Model) runPresolve() *presolveState {
-	ps := m.pre
+// reusing (and, when the pattern is stable, patching) the cached state, and
+// reports whether it reused the last run's reduction outright.
+//
+// The passes read the structure, the right-hand sides, the bounds, the
+// direction, and of the objective only each coefficient's sign class. So
+// when only the objective changed since the last run, and no coefficient
+// changed class, that run's reduction is this one's bit for bit and only the
+// reduced objective is patched: the SAM step that re-prices a retained model.
+func (m *Model) runPresolve() (ps *presolveState, reused bool) {
+	ps = m.pre
 	if ps == nil {
 		ps = &presolveState{}
 		m.pre = ps
 	}
-	nv, nr := m.NumVars(), m.NumRows()
-	ps.status = Optimal
-	ps.removed = resizeBools(ps.removed, nv)
-	ps.fixVal = resizeFloats(ps.fixVal, nv)
-	ps.colMap = resizeInts(ps.colMap, nv)
-	ps.lo = resizeFloats(ps.lo, nv)
-	ps.up = resizeFloats(ps.up, nv)
-	ps.drops = ps.drops[:0]
-	if cap(ps.drops) < nr {
-		ps.drops = make([]rowDrop, nr)
-	} else {
-		ps.drops = ps.drops[:nr]
-		for i := range ps.drops {
-			ps.drops[i] = rowDrop{}
+	if !ps.sameInputs(m) {
+		m.reduce(ps)
+		ps.saveInputs(m)
+		return ps, false
+	}
+	if ps.status == Optimal {
+		for j, rv := range ps.colMap {
+			if rv >= 0 {
+				ps.red.obj[rv] = m.obj[j]
+			}
 		}
 	}
-	ps.rowMap = resizeInts(ps.rowMap, nr)
-	ps.effRhs = resizeFloats(ps.effRhs, nr)
+	return ps, true
+}
+
+// signClass is what presolve reads of a cost: <0, 0, >0 or NaN.
+func signClass(c float64) int8 {
+	if c != c {
+		return 2
+	}
+	return int8(cmp.Compare(c, 0))
+}
+
+// saveInputs records what the run just made read (see runPresolve).
+func (ps *presolveState) saveInputs(m *Model) {
+	ps.keyed, ps.keyMax = true, m.maximize
+	ps.keyRhs = append(ps.keyRhs[:0], m.rhs...)
+	ps.keyLo = append(ps.keyLo[:0], m.lo...)
+	ps.keyUp = append(ps.keyUp[:0], m.up...)
+	ps.keyObj = ps.keyObj[:0]
+	for _, c := range m.obj {
+		ps.keyObj = append(ps.keyObj, signClass(c))
+	}
+}
+
+// sameInputs reports whether the model holds the saved inputs to the bit.
+func (ps *presolveState) sameInputs(m *Model) bool {
+	if !ps.keyed || ps.keyMax != m.maximize || len(ps.keyObj) != len(m.obj) {
+		return false
+	}
+	for j, c := range m.obj {
+		if ps.keyObj[j] != signClass(c) {
+			return false
+		}
+	}
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	return same(ps.keyRhs, m.rhs) && same(ps.keyLo, m.lo) && same(ps.keyUp, m.up)
+}
+
+// reduce runs the presolve passes into ps and assembles the reduced model.
+func (m *Model) reduce(ps *presolveState) {
+	nv, nr := m.NumVars(), m.NumRows()
+	ps.status = Optimal
+	ps.removed = resize(ps.removed, nv)
+	ps.fixVal = resize(ps.fixVal, nv)
+	ps.colMap = resize(ps.colMap, nv)
+	ps.lo = resize(ps.lo, nv)
+	ps.up = resize(ps.up, nv)
+	ps.drops = resize(ps.drops, nr)
+	clear(ps.drops)
+	ps.rowMap = resize(ps.rowMap, nr)
+	ps.effRhs = resize(ps.effRhs, nr)
 	ps.removeOrder = ps.removeOrder[:0]
 	copy(ps.lo, m.lo)
 	copy(ps.up, m.up)
-	for j := 0; j < nv; j++ {
-		ps.removed[j] = false
-	}
+	clear(ps.removed)
 
 	objSign := 1.0
 	if m.maximize {
@@ -161,12 +206,12 @@ func (m *Model) runPresolve() *presolveState {
 		ps.removeOrder = append(ps.removeOrder, j)
 	}
 
-	ps.colCnt = resizeInt32s(ps.colCnt, nv)
-	ps.colRow = resizeInt32s(ps.colRow, nv)
-	ps.colCoef = resizeFloats(ps.colCoef, nv)
-	ps.colOKDn = resizeBools(ps.colOKDn, nv)
-	ps.colOKUp = resizeBools(ps.colOKUp, nv)
-	ps.colEQ = resizeBools(ps.colEQ, nv)
+	ps.colCnt = resize(ps.colCnt, nv)
+	ps.colRow = resize(ps.colRow, nv)
+	ps.colCoef = resize(ps.colCoef, nv)
+	ps.colOKDn = resize(ps.colOKDn, nv)
+	ps.colOKUp = resize(ps.colOKUp, nv)
+	ps.colEQ = resize(ps.colEQ, nv)
 
 	maxPasses := nv + nr + 2
 	for pass := 0; pass < maxPasses; pass++ {
@@ -180,7 +225,7 @@ func (m *Model) runPresolve() *presolveState {
 			lo, up := ps.lo[j], ps.up[j]
 			if lo > up+presolveFeasTol*(1+math.Abs(lo)) {
 				ps.status = Infeasible
-				return ps
+				return
 			}
 			if lo >= up {
 				remove(j, 0.5*(lo+up))
@@ -221,7 +266,7 @@ func (m *Model) runPresolve() *presolveState {
 				}
 				if viol > tol {
 					ps.status = Infeasible
-					return ps
+					return
 				}
 				ps.drops[i] = rowDrop{kind: dropEmptyRow}
 				changed = true
@@ -233,7 +278,7 @@ func (m *Model) runPresolve() *presolveState {
 				val := eff / lc
 				if val < ps.lo[lv]-tol || val > ps.up[lv]+tol {
 					ps.status = Infeasible
-					return ps
+					return
 				}
 				val = math.Max(ps.lo[lv], math.Min(ps.up[lv], val))
 				ps.drops[i] = rowDrop{kind: dropSingletonFix, v: lv, coef: lc}
@@ -258,7 +303,7 @@ func (m *Model) runPresolve() *presolveState {
 				// infeasible value and hide the conflict).
 				if ps.lo[lv] > ps.up[lv]+presolveFeasTol*(1+math.Abs(ps.lo[lv])) {
 					ps.status = Infeasible
-					return ps
+					return
 				}
 				ps.drops[i] = d
 			}
@@ -396,7 +441,6 @@ func (m *Model) runPresolve() *presolveState {
 	}
 
 	m.assembleReduced(ps)
-	return ps
 }
 
 // assembleReduced builds (or, when the reduction pattern matches the
@@ -472,7 +516,7 @@ func (m *Model) assembleReduced(ps *presolveState) {
 	}
 	ps.red = red
 	ps.prevRemoved = append(ps.prevRemoved[:0], ps.removed...)
-	ps.prevKept = resizeBools(ps.prevKept, nr)
+	ps.prevKept = resize(ps.prevKept, nr)
 	for i := 0; i < nr; i++ {
 		ps.prevKept[i] = ps.drops[i].kind == dropKeep
 	}
@@ -482,7 +526,7 @@ func (m *Model) assembleReduced(ps *presolveState) {
 // reduced model (warm bases and telemetry pass straight through), then map
 // the solution back onto the original model.
 func (m *Model) solvePresolved(opts Options) (*Solution, error) {
-	ps := m.runPresolve()
+	ps, reused := m.runPresolve()
 	nv, nr := m.NumVars(), m.NumRows()
 	if ps.status != Optimal {
 		return &Solution{
@@ -493,13 +537,16 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 		}, nil
 	}
 	inner := opts
-	inner.Presolve = false
+	inner.Presolve, inner.postsolved = false, true
 	redSol, err := ps.red.Solve(inner)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Stats != nil {
 		opts.Stats.Presolved++
+		if reused {
+			opts.Stats.PresolveReused++
+		}
 	}
 	sol := &Solution{
 		Status:      redSol.Status,
@@ -570,45 +617,34 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-// buildVarRows (re)builds the rows-per-variable CSR index used by dual
-// recovery and reduced-cost reconstruction.
+// buildVarRows builds the rows-per-variable CSR index used by dual
+// recovery and reduced-cost reconstruction, unless the current structure
+// already has one.
 func (ps *presolveState) buildVarRows(m *Model) {
-	nv := m.NumVars()
-	ps.varRowPtr = resizeInt32s(ps.varRowPtr, nv+1)
-	for i := range ps.varRowPtr {
-		ps.varRowPtr[i] = 0
+	if ps.varRowsOK {
+		return
 	}
-	nnz := 0
+	ps.varRowsOK = true
+	nv, nnz := m.NumVars(), 0
+	ptr := make([]int32, nv+1)
 	for _, row := range m.rows {
 		nnz += len(row)
-	}
-	if cap(ps.varRowIdx) < nnz {
-		ps.varRowIdx = make([]int32, nnz)
-		ps.varRowCoef = make([]float64, nnz)
-	}
-	ps.varRowIdx = ps.varRowIdx[:nnz]
-	ps.varRowCoef = ps.varRowCoef[:nnz]
-	for _, row := range m.rows {
 		for _, t := range row {
-			ps.varRowPtr[t.Var+1]++
+			ptr[t.Var+1]++
 		}
 	}
 	for j := 0; j < nv; j++ {
-		ps.varRowPtr[j+1] += ps.varRowPtr[j]
+		ptr[j+1] += ptr[j]
 	}
-	// colCnt is free at postsolve time; reuse it as the fill cursor.
-	fill := resizeInt32s(ps.colCnt, nv)
-	for i := range fill {
-		fill[i] = 0
-	}
+	idx, coef := make([]int32, nnz), make([]float64, nnz)
+	fill := append([]int32(nil), ptr[:nv]...)
 	for i, row := range m.rows {
 		for _, t := range row {
-			p := ps.varRowPtr[t.Var] + fill[t.Var]
-			ps.varRowIdx[p] = int32(i)
-			ps.varRowCoef[p] = t.Coef
+			idx[fill[t.Var]], coef[fill[t.Var]] = int32(i), t.Coef
 			fill[t.Var]++
 		}
 	}
+	ps.varRowPtr, ps.varRowIdx, ps.varRowCoef = ptr, idx, coef
 }
 
 // reducedCostAt computes c_j - y·A_j over the original rows.

@@ -185,7 +185,12 @@ func TestPresolveDifferentialRandom(t *testing.T) {
 
 // TestPresolveMutateAndResolve drives the retained-model path: data edits
 // (SetRHS, SetBounds, SetObj) followed by warm re-solves, with presolve on
-// and off, checking agreement after every mutation.
+// and off, checking agreement after every mutation. Then come objective-only
+// steps of three kinds — same-sign rescales, which reuse the last reduction
+// outright, a coefficient set to exactly zero and a sign flip, which run
+// presolve again — and after every edit, data or objective, the retained
+// model's presolved solve must be bit for bit the solve of a fresh copy of
+// it given the same warm basis.
 func TestPresolveMutateAndResolve(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -211,10 +216,7 @@ func TestPresolveMutateAndResolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: plain: %v", seed, step, err)
 			}
-			pre, err := m.Solve(Options{Presolve: true, WarmBasis: warmPre})
-			if err != nil {
-				t.Fatalf("seed %d step %d: presolved: %v", seed, step, err)
-			}
+			pre := solveLikeFresh(t, m, warmPre, fmt.Sprintf("seed %d step %d", seed, step))
 			if plain.Status != pre.Status {
 				t.Fatalf("seed %d step %d: status plain=%v presolve=%v", seed, step, plain.Status, pre.Status)
 			}
@@ -227,6 +229,97 @@ func TestPresolveMutateAndResolve(t *testing.T) {
 				t.Errorf("seed %d step %d: objective plain=%g presolve=%g", seed, step, plain.Objective, pre.Objective)
 			}
 			checkOptimalityCertificate(t, m, pre, fmt.Sprintf("seed %d step %d", seed, step))
+		}
+
+		nonzero := func() Var {
+			for k := 0; ; k++ {
+				if j := Var(r.Intn(m.NumVars())); m.obj[j] != 0 || k > 100 {
+					return j
+				}
+			}
+		}
+		for step, kind := range []string{"rescale", "rescale", "zero", "rescale", "flip", "rescale"} {
+			moved := true // some coefficient changed sign class
+			switch kind {
+			case "rescale":
+				for j, c := range m.obj {
+					m.SetObj(Var(j), c*(0.25+1.5*r.Float64()))
+				}
+				moved = false
+			case "zero":
+				j := nonzero()
+				moved = m.obj[j] != 0
+				m.SetObj(j, 0)
+			case "flip":
+				j := nonzero()
+				moved = m.obj[j] != 0
+				m.SetObj(j, -m.obj[j])
+			}
+			ctx := fmt.Sprintf("seed %d objective step %d (%s)", seed, step, kind)
+			var stats SolveStats
+			pre := solveLikeFresh(t, m, warmPre, ctx, &stats)
+			// A presolve that decided the status itself records nothing.
+			if reused := stats.PresolveReused == 1; stats.Presolved == 1 && reused == moved {
+				t.Errorf("%s: presolve reused %v", ctx, reused)
+			}
+			warmPre = pre.Basis()
+			if pre.Status == Optimal {
+				checkOptimalityCertificate(t, m, pre, ctx)
+			}
+		}
+	}
+}
+
+// solveLikeFresh solves m with presolve from warm and requires the answer,
+// bit for bit, of a freshly built copy of m solved the same way: whatever
+// m retained from earlier solves (reduction, reduced model, standard form)
+// must not show.
+func solveLikeFresh(t *testing.T, m *Model, warm *Basis, ctx string, stats ...*SolveStats) *Solution {
+	t.Helper()
+	opts := Options{Presolve: true, WarmBasis: warm}
+	if len(stats) > 0 {
+		opts.Stats = stats[0]
+	}
+	got, err := m.Solve(opts)
+	if err != nil {
+		t.Fatalf("%s: retained: %v", ctx, err)
+	}
+	fresh := NewModel()
+	fresh.SetMaximize(m.maximize)
+	for j := range m.obj {
+		fresh.AddVar(m.lo[j], m.up[j], m.obj[j], m.names[j])
+	}
+	for i, row := range m.rows {
+		fresh.AddConstraint(m.senses[i], m.rhs[i], row...)
+	}
+	want, err := fresh.Solve(Options{Presolve: true, WarmBasis: warm})
+	if err != nil {
+		t.Fatalf("%s: fresh: %v", ctx, err)
+	}
+	requireIdentical(t, got, want, ctx)
+	return got
+}
+
+// requireIdentical asserts two solutions are the same to the bit: status,
+// pivot count, objective, and every primal, dual and reduced-cost entry.
+func requireIdentical(t *testing.T, got, want *Solution, ctx string) {
+	t.Helper()
+	if got.Status != want.Status || got.Iterations != want.Iterations ||
+		math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("%s: %v, %d pivots, objective %v; want %v, %d, %v", ctx,
+			got.Status, got.Iterations, got.Objective, want.Status, want.Iterations, want.Objective)
+	}
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{{"X", got.X, want.X}, {"Dual", got.Dual, want.Dual}, {"ReducedCost", got.ReducedCost, want.ReducedCost}} {
+		if len(v.got) != len(v.want) {
+			t.Fatalf("%s: %s has %d entries, want %d", ctx, v.name, len(v.got), len(v.want))
+		}
+		for i := range v.want {
+			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", ctx, v.name, i, v.got[i], v.want[i])
+			}
 		}
 	}
 }

@@ -28,6 +28,7 @@ type standard struct {
 	b     []float64
 	art   []bool // artificial columns (excluded from phase 2 pricing)
 	nArt  int    // number of artificial columns, all basic in basisInit
+	sig   uint64 // fingerprint of the layout and matrix (warm-basis matching)
 
 	basisInit []int // initial basic column per row (slack or artificial)
 
@@ -65,7 +66,8 @@ func (m *Model) standardized() (*standard, error) {
 // (e.g. a finite lower bound became -Inf), or a row's rhs normalization
 // sign flipped — in which case the caller must rebuild from scratch.
 // Matrix entries, column layout, and the artificial pattern are untouched,
-// so warm-basis signatures keep matching across refreshes.
+// so the stored signature stays valid and warm bases keep matching across
+// refreshes.
 func (m *Model) refreshStandard(s *standard) bool {
 	objSign := 1.0
 	if m.maximize {
@@ -253,6 +255,7 @@ func (m *Model) standardize() (*standard, error) {
 		}
 	}
 	s.n = len(s.cols)
+	s.sig = s.fingerprint()
 	return s, nil
 }
 
@@ -419,8 +422,8 @@ func (std *standard) solve(opts Options) result {
 	if opts.TimeBudget > 0 {
 		st.deadline = time.Now().Add(opts.TimeBudget)
 	}
+	// No reset: coldInit installs the identity, a warm install a clone.
 	st.fac = newFactor(std.large)
-	st.fac.reset(m)
 	if st.refactorEvery <= 0 {
 		st.refactorEvery = st.fac.refactorEvery()
 	}
@@ -465,6 +468,9 @@ func (std *standard) solve(opts Options) result {
 		res.x[j] = st.xB[i]
 	}
 	res.y = append([]float64(nil), st.duals(std.c)...)
+	if opts.postsolved {
+		return res
+	}
 	res.d = make([]float64, std.n)
 	for j := 0; j < std.n; j++ {
 		dj := std.c[j]

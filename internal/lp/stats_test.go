@@ -102,6 +102,31 @@ func TestSolveStatsPhaseTimings(t *testing.T) {
 	}
 }
 
+// TestSolveStatsPresolveReused: a presolved re-solve after an objective-only
+// edit reuses the last reduction and counts it; one after a right-hand-side
+// edit presolves again and does not.
+func TestSolveStatsPresolveReused(t *testing.T) {
+	m, x, _ := statsModel()
+	solve := func() SolveStats {
+		var stats SolveStats
+		if sol, err := m.Solve(Options{Presolve: true, Stats: &stats}); err != nil || sol.Status != Optimal {
+			t.Fatalf("presolved solve: %v %v", err, sol.Status)
+		}
+		return stats
+	}
+	if s := solve(); s.Presolved != 1 || s.PresolveReused != 0 {
+		t.Fatalf("first solve: presolved %d, reused %d; want 1, 0", s.Presolved, s.PresolveReused)
+	}
+	m.SetObj(x, 1.5)
+	if s := solve(); s.PresolveReused != 1 {
+		t.Fatalf("objective-only re-solve: reused %d, want 1", s.PresolveReused)
+	}
+	m.SetRHS(0, 5)
+	if s := solve(); s.Presolved != 1 || s.PresolveReused != 0 {
+		t.Fatalf("re-solve after SetRHS: presolved %d, reused %d; want 1, 0", s.Presolved, s.PresolveReused)
+	}
+}
+
 func TestSolveStatsWarmStart(t *testing.T) {
 	m, _, _ := statsModel()
 	sol, err := m.Solve(Options{})

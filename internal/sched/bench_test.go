@@ -267,6 +267,71 @@ func TestLargeLPCounters(t *testing.T) {
 	}
 }
 
+// TestLargeWarmChainCounters pins a chain of warm steps on the large-model
+// path, the shape of a SAM step that re-prices a retained model: from the
+// Large instance's cold solve, eight steps each rescale every demand's value
+// by a deterministic factor, Rebind and solve from the previous step's
+// basis, and a ninth re-solves the last step unchanged, so a capture that
+// took no pivot is installed again. Every step keeps its presolve reduction
+// (only the objective moves, and no value changes sign), so the chain runs
+// the presolve reuse, the borrowed factor views and their first-update
+// copies; a copy that lost the spike stash moves these bits.
+func TestLargeWarmChainCounters(t *testing.T) {
+	base := benchInstance(benchScales[2], 42)
+	built, err := base.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := built.Solve(lp.Options{})
+	if err != nil || res.Status != lp.Optimal {
+		t.Fatalf("cold solve: %v %v", err, res.Status)
+	}
+	if res.Iterations != 4926 {
+		t.Fatalf("cold: %d pivots, want 4926", res.Iterations)
+	}
+	want := []struct {
+		pivots int
+		bits   uint64
+	}{
+		{320, 0x40bea90d833dc59f},
+		{80, 0x40c579ed058683d5},
+		{0, 0x40c33ccc49652daf},
+		{0, 0x40c386645dbf42e5},
+		{0, 0x40c1447bd178d0eb},
+		{66, 0x40bce274e357bbc8},
+		{117, 0x40bfd15655c1b648},
+		{111, 0x40c0657412982b94},
+		{0, 0x40c0657412982b92}, // the unchanged re-solve
+	}
+	var stats lp.SolveStats
+	ins := base
+	for step, w := range want {
+		if step < 8 {
+			r := rand.New(rand.NewSource(int64(7 + step)))
+			next := *base
+			next.Demands = append([]Demand(nil), base.Demands...)
+			for i := range next.Demands {
+				next.Demands[i].ValuePerByte *= 0.02 + 2*r.Float64()*r.Float64()
+			}
+			ins = &next
+		}
+		if err := built.Rebind(ins); err != nil {
+			t.Fatalf("step %d: Rebind: %v", step, err)
+		}
+		res, err = built.Solve(lp.Options{WarmBasis: res.Basis, Stats: &stats})
+		if err != nil || res.Status != lp.Optimal {
+			t.Fatalf("step %d: %v %v", step, err, res.Status)
+		}
+		if res.Iterations != w.pivots || math.Float64bits(res.Objective) != w.bits {
+			t.Errorf("step %d: %d pivots, objective bits %#x; want %d, %#x",
+				step, res.Iterations, math.Float64bits(res.Objective), w.pivots, w.bits)
+		}
+	}
+	if stats.WarmStarts != len(want) {
+		t.Errorf("%d of %d steps started warm", stats.WarmStarts, len(want))
+	}
+}
+
 // BenchmarkSAMResolveWarm measures the warm-started re-solve path: the
 // same model solved again from its previous optimal basis.
 func BenchmarkSAMResolveWarm(b *testing.B) {

@@ -192,11 +192,13 @@ type costWindow struct {
 // around lets callers perturb it in place (RelaxGuarantees, Rebind) and
 // re-solve with a warm basis instead of rebuilding from scratch.
 type Built struct {
-	ins    *Instance
-	model  *lp.Model
-	flows  []flowVar
-	capRow map[int]map[int]lp.Row
-	defRow map[int]map[int]lp.Row
+	ins   *Instance
+	model *lp.Model
+	flows []flowVar
+	// capRow and defRow hold each (edge, step) cell's capacity row and
+	// load-definition row at e*Horizon+t, -1 where the build emitted none.
+	capRow []lp.Row
+	defRow []lp.Row
 	// guaranteeRows are the GE rows from demands with MinBytes > 0, in
 	// demand order, so infeasible instances can be relaxed in place.
 	guaranteeRows []lp.Row
@@ -441,17 +443,13 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 	// Capacity rows (only where flow exists) and price bookkeeping, in
 	// (edge, step) order: with degenerate optima, the simplex vertex (and
 	// its duals — the published prices) depends on row order.
-	capRow := make(map[int]map[int]lp.Row)
-	defRow := make(map[int]map[int]lp.Row)
+	capRow := make([]lp.Row, len(loadTerms))
+	defRow := make([]lp.Row, len(loadTerms))
 	for c, terms := range loadTerms {
-		if len(terms) == 0 {
-			continue
+		capRow[c], defRow[c] = -1, -1
+		if len(terms) > 0 {
+			capRow[c] = m.AddConstraint(lp.LE, ins.Capacity[c/H][c%H], terms...)
 		}
-		e, t := c/H, c%H
-		if capRow[e] == nil {
-			capRow[e] = make(map[int]lp.Row)
-		}
-		capRow[e][t] = m.AddConstraint(lp.LE, ins.Capacity[e][t], terms...)
 	}
 
 	// Percentile-cost proxy per usage-priced edge per charging window.
@@ -511,11 +509,7 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 				}
 				// flows + fixed - L = 0  →  Σ flows - L = -fixed.
 				def := append(append([]lp.Term(nil), terms...), lp.Term{Var: lv, Coef: -1})
-				row := m.AddConstraint(lp.EQ, -fixed, def...)
-				if defRow[eid] == nil {
-					defRow[eid] = make(map[int]lp.Row)
-				}
-				defRow[eid][t] = row
+				defRow[eid*H+t] = m.AddConstraint(lp.EQ, -fixed, def...)
 				loads = append(loads, cost.LoadExpr{{Var: lv, Coef: 1}})
 			}
 			if !anyFlow {
@@ -702,16 +696,16 @@ func (b *Built) rebind(ins *Instance) error {
 		m.SetBounds(f.v, lo, up)
 		m.SetObj(f.v, d2.ValuePerByte)
 	}
-	for e, byT := range b.capRow {
-		for t, row := range byT {
-			m.SetRHS(row, ins.Capacity[e][t])
+	H := ins.Horizon
+	for c, row := range b.capRow {
+		if row < 0 {
+			continue // no flow crosses the cell, so no definition row either
 		}
-	}
-	for e, byT := range b.defRow {
-		for t, row := range byT {
+		m.SetRHS(row, ins.Capacity[c/H][c%H])
+		if row := b.defRow[c]; row >= 0 {
 			fixed := 0.0
 			if ins.FixedUsage != nil {
-				fixed = ins.FixedUsage[e][t]
+				fixed = ins.FixedUsage[c/H][c%H]
 			}
 			m.SetRHS(row, -fixed)
 		}
@@ -799,18 +793,19 @@ func (b *Built) Solve(opts lp.Options) (*Result, error) {
 	// come out nonnegative at an optimum (clamped against roundoff):
 	// raising capacity can only help, and raising the rhs of
 	// "Σ flows - L = -fixed" relieves a unit of charged load, gaining
-	// exactly the marginal C_e z_e burden.
-	for e, byT := range b.capRow {
-		for t, row := range byT {
-			if p := sol.Dual[row]; p > 0 {
-				res.Price[e][t] += p
-			}
+	// exactly the marginal C_e z_e burden. A cell adds its capacity dual
+	// before its definition dual.
+	H := ins.Horizon
+	for c, row := range b.capRow {
+		if row < 0 {
+			continue
 		}
-	}
-	for e, byT := range b.defRow {
-		for t, row := range byT {
+		if p := sol.Dual[row]; p > 0 {
+			res.Price[c/H][c%H] += p
+		}
+		if row := b.defRow[c]; row >= 0 {
 			if d := sol.Dual[row]; d > 0 {
-				res.Price[e][t] += d
+				res.Price[c/H][c%H] += d
 			}
 		}
 	}
