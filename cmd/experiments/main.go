@@ -7,11 +7,18 @@
 // buffers are printed in the requested order, so the output is identical
 // to a sequential run.
 //
+// Two verbs work on one setup instead: run runs one scheme over it
+// (optionally on a saved topology and traffic series) and prints its
+// economics; export saves the setup's topology and load-1 series in the
+// form run reads. -exp all runs neither.
+//
 // Usage:
 //
 //	experiments -list
-//	experiments -exp fig6 [-scale small|default] [-seed N]
+//	experiments -exp fig6 [-scale small|default|medium|paper] [-seed N]
 //	experiments -exp all
+//	experiments -exp run -scheme Pretium -load 2 [-ratefrac F] [-topology t.csv] [-series s.csv]
+//	experiments -exp export -topology t.csv -series s.csv
 package main
 
 import (
@@ -74,30 +81,15 @@ var experiments = map[string]func(rc *runCtx, sc exp.Scale, seed int64) error{
 		rc.printRows("Figure 7c: admission price vs request value (sampled)", c)
 		return nil
 	},
-	"fig10": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.Figure10(sc, []string{exp.SchemeRegionOracle, exp.SchemeVCGLike, exp.SchemePretium}, seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("Figure 10: quantiles of per-link 90th-pct utilization, by scheme (load 1)", rows)
-		return nil
-	},
-	"fig11": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.Figure11(sc, loadFactors(), seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("Figure 11: ablations — welfare rel. OPT (full vs NoMenu vs NoSAM)", rows)
-		return nil
-	},
-	"fig12": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.Figure12(sc, []float64{0.5, 1, 1.5, 2, 3}, seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("Figure 12: welfare rel. OPT vs mean link cost (load 1)", rows)
-		return nil
-	},
+	"fig10": table("Figure 10: quantiles of per-link 90th-pct utilization, by scheme (load 1)", func(sc exp.Scale, seed int64) ([]exp.Row, error) {
+		return exp.Figure10(sc, []string{exp.SchemeRegionOracle, exp.SchemeVCGLike, exp.SchemePretium}, seed)
+	}),
+	"fig11": table("Figure 11: ablations — welfare rel. OPT (full vs NoMenu vs NoSAM)", func(sc exp.Scale, seed int64) ([]exp.Row, error) {
+		return exp.Figure11(sc, loadFactors(), seed)
+	}),
+	"fig12": table("Figure 12: welfare rel. OPT vs mean link cost (load 1)", func(sc exp.Scale, seed int64) ([]exp.Row, error) {
+		return exp.Figure12(sc, []float64{0.5, 1, 1.5, 2, 3}, seed)
+	}),
 	"fig13": func(rc *runCtx, sc exp.Scale, seed int64) error {
 		f13, f14, err := exp.Figure13and14(sc, exp.ValueDistCases(), seed)
 		if err != nil {
@@ -107,14 +99,7 @@ var experiments = map[string]func(rc *runCtx, sc exp.Scale, seed int64) error{
 		rc.printRows("Figure 14: Pretium profit rel. |RegionOracle| across value distributions", f14)
 		return nil
 	},
-	"table4": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.Table4(sc, seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("Table 4: module runtimes (our solver, our scale — compare shape, not seconds)", rows)
-		return nil
-	},
+	"table4": table("Table 4: module runtimes (our solver, our scale — compare shape, not seconds)", exp.Table4),
 	"incentives": func(rc *runCtx, sc exp.Scale, seed int64) error {
 		res, err := exp.Incentives(sc, 10, seed)
 		if err != nil {
@@ -123,36 +108,31 @@ var experiments = map[string]func(rc *runCtx, sc exp.Scale, seed int64) error{
 		rc.printRows("§5 incentives: single-request deadline misreports", res.Rows())
 		return nil
 	},
-	"convergence": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.Convergence(sc, 6, seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("§4.4 price convergence over statistically identical days", rows)
-		return nil
-	},
-	"chaos": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.ChaosSuite(sc, seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("Chaos gauntlet: welfare loss and degradation under injected faults (load 2)", rows)
-		return nil
-	},
-	"churn": func(rc *runCtx, sc exp.Scale, seed int64) error {
-		rows, err := exp.ChurnGauntlet(sc, seed)
-		if err != nil {
-			return err
-		}
-		rc.printRows("Churn gauntlet: preemption, refunds, and repair under topology churn (load 2)", rows)
-		return nil
-	},
+	"convergence": table("§4.4 price convergence over statistically identical days", func(sc exp.Scale, seed int64) ([]exp.Row, error) {
+		return exp.Convergence(sc, 6, seed)
+	}),
+	"gauntlet": table("Robustness gauntlet: welfare loss, refunds and degradation under faults and topology churn (load 2)", exp.Gauntlet),
+	"run":      runScheme,
+	"export":   export,
 }
 
-// order fixes the -exp all execution sequence.
-var order = []string{"fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig10", "fig11", "fig12", "fig13", "table4", "incentives", "convergence", "chaos", "churn"}
+// order fixes the -exp all execution sequence; the run and export verbs
+// stay out of it.
+var order = []string{"fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig10", "fig11", "fig12", "fig13", "table4", "incentives", "convergence", "gauntlet"}
 
 func loadFactors() []float64 { return []float64{0.5, 1, 2, 3} }
+
+// table adapts an experiment that prints one titled table.
+func table(title string, run func(exp.Scale, int64) ([]exp.Row, error)) func(*runCtx, exp.Scale, int64) error {
+	return func(rc *runCtx, sc exp.Scale, seed int64) error {
+		rows, err := run(sc, seed)
+		if err != nil {
+			return err
+		}
+		rc.printRows(title, rows)
+		return nil
+	}
+}
 
 func (rc *runCtx) printRows(title string, rows []exp.Row) {
 	fmt.Fprintf(rc.out, "\n== %s ==\n", title)
@@ -256,20 +236,13 @@ func main() {
 		fmt.Println("experiments:", strings.Join(names, " "), "| all")
 		return
 	}
-	var sc exp.Scale
-	switch *scale {
-	case "small":
-		sc = exp.Small()
-	case "default":
-		sc = exp.Default()
-	case "medium":
-		sc = exp.Medium()
-	case "paper":
-		sc = exp.Paper()
-		fmt.Fprintln(os.Stderr, "warning: paper scale builds very large LPs; expect hours per experiment")
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := exp.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if sc.Name == "paper" {
+		fmt.Fprintln(os.Stderr, "warning: paper scale builds very large LPs; expect hours per experiment")
 	}
 	var names []string
 	if *name == "all" {
@@ -292,7 +265,7 @@ func main() {
 	// wall-clock stamps, which reflect the concurrent schedule).
 	bufs := make([]bytes.Buffer, len(names))
 	durs := make([]time.Duration, len(names))
-	err := exp.ParallelFor(len(names), func(i int) error {
+	err = exp.ParallelFor(len(names), func(i int) error {
 		start := time.Now()
 		rc := &runCtx{out: &bufs[i], plot: *plot}
 		if err := experiments[names[i]](rc, sc, *seed); err != nil {

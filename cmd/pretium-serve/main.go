@@ -42,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := scaleByName(*scale)
+	sc, err := exp.ScaleByName(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -91,17 +91,3 @@ const (
 	idleTimeout       = 2 * time.Minute
 	shutdownGrace     = 10 * time.Second
 )
-
-func scaleByName(name string) (exp.Scale, error) {
-	switch name {
-	case "small":
-		return exp.Small(), nil
-	case "default":
-		return exp.Default(), nil
-	case "medium":
-		return exp.Medium(), nil
-	case "paper":
-		return exp.Paper(), nil
-	}
-	return exp.Scale{}, fmt.Errorf("unknown scale %q (want small, default, medium, or paper)", name)
-}

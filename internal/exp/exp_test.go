@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pretium/internal/graph"
 	"pretium/internal/sim"
+	"pretium/internal/traffic"
 )
 
 func TestSetupDeterministic(t *testing.T) {
@@ -57,6 +61,91 @@ func TestSetupOptions(t *testing.T) {
 		if same {
 			t.Error("different seed produced identical requests")
 		}
+	}
+}
+
+// TestSetupExportRoundTrip pins what `experiments -exp export` and
+// `-exp run` rely on: a setup's network and load-1 series, written to CSV
+// and read back through WithNetwork and WithSeries, rebuild the generated
+// setup exactly — the same requests and the same Pretium welfare bits.
+func TestSetupExportRoundTrip(t *testing.T) {
+	for _, sc := range []Scale{Small(), Default()} {
+		for _, seed := range []int64{1, 7} {
+			var topo, trace bytes.Buffer
+			exported := NewSetup(sc, WithSeed(seed))
+			if err := exported.Net.WriteCSV(&topo); err != nil {
+				t.Fatal(err)
+			}
+			if err := traffic.WriteSeriesCSV(&trace, exported.Series); err != nil {
+				t.Fatal(err)
+			}
+			net, err := graph.ReadCSV(&topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series, err := traffic.ReadSeriesCSV(&trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := NewSetup(sc, WithSeed(seed), WithLoad(2))
+			cases := map[string]*Setup{
+				"topology+series": NewSetup(sc, WithSeed(seed), WithNetwork(net), WithSeries(series), WithLoad(2)),
+				// Without a series the scale's traffic is generated on the
+				// given network, BaseDemand included.
+				"topology-only": NewSetup(sc, WithSeed(seed), WithNetwork(net), WithLoad(2)),
+			}
+			for name, got := range cases {
+				if !reflect.DeepEqual(got.Requests, want.Requests) {
+					t.Errorf("%s/%d %s: rebuilt requests differ from the generated ones", sc.Name, seed, name)
+					continue
+				}
+				a, err := got.RunPretium(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := want.RunPretium(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Report.Welfare != b.Report.Welfare {
+					t.Errorf("%s/%d %s: welfare %v, generated %v", sc.Name, seed, name, a.Report.Welfare, b.Report.Welfare)
+				}
+			}
+			if !reflect.DeepEqual(series, exported.Series) {
+				t.Errorf("%s/%d: WithLoad scaled the caller's series", sc.Name, seed)
+			}
+		}
+	}
+}
+
+// TestWithNetworkCostScaleCopies pins that WithCostScale scales a copy of
+// a caller's network, never the network itself.
+func TestWithNetworkCostScaleCopies(t *testing.T) {
+	net := NewSetup(Small()).Net
+	priced := net.UsagePricedEdges()
+	if len(priced) == 0 {
+		t.Fatal("no usage-priced edges")
+	}
+	before := net.Edge(priced[0]).CostPerUnit
+	s := NewSetup(Small(), WithNetwork(net), WithCostScale(3))
+	if got := net.Edge(priced[0]).CostPerUnit; got != before {
+		t.Errorf("caller's cost mutated: %v, was %v", got, before)
+	}
+	if got := s.Net.Edge(priced[0]).CostPerUnit; got != 3*before {
+		t.Errorf("setup cost %v, want %v", got, 3*before)
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	for _, name := range []string{"small", "default", "medium", "paper"} {
+		sc, err := ScaleByName(name)
+		if err != nil || sc.Name != name {
+			t.Errorf("ScaleByName(%q) = %q, %v", name, sc.Name, err)
+		}
+	}
+	if _, err := ScaleByName("weird"); err == nil {
+		t.Error("unknown scale accepted")
 	}
 }
 

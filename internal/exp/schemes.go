@@ -34,7 +34,7 @@ type SchemeResult struct {
 
 // baselineConfig adapts a setup for the baselines package.
 func (s *Setup) baselineConfig() baselines.Config {
-	return baselines.Config{Horizon: s.Scale.Steps, Cost: s.Cost, Solver: s.Scale.Solver}
+	return baselines.Config{Horizon: s.Scale.Steps, Cost: s.Cost}
 }
 
 // PretiumConfig returns the controller configuration used across the
@@ -43,7 +43,6 @@ func (s *Setup) PretiumConfig() core.Config {
 	cfg := core.DefaultConfig(s.Scale.Steps)
 	cfg.Cost = s.Cost
 	cfg.PriceWindow = s.Scale.StepsPerDay
-	cfg.Solver = s.Scale.Solver
 	// Seed prices relative to the value scale: day one starts below the
 	// typical value so the market can discover demand, and the floor
 	// stays an order of magnitude below it.

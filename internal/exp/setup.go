@@ -6,9 +6,10 @@
 package exp
 
 import (
+	"fmt"
+
 	"pretium/internal/cost"
 	"pretium/internal/graph"
-	"pretium/internal/lp"
 	"pretium/internal/obs"
 	"pretium/internal/stats"
 	"pretium/internal/traffic"
@@ -50,8 +51,6 @@ type Scale struct {
 	// provider's 95th-percentile bills are a first-order cost in the
 	// paper, not a rounding error).
 	MeanUsageCost float64
-	// Solver bounds each LP solve.
-	Solver lp.Options
 }
 
 // Small is the scale used by unit tests and benchmarks: tiny but still
@@ -89,7 +88,7 @@ func Default() Scale {
 	}
 }
 
-// Medium is the headline scale under the name the churn gauntlet's CI
+// Medium is the headline scale under the name the robustness gauntlet's CI
 // tier uses — identical to Default, aliased so test names and workflow
 // matrices can say small/medium/paper without conflating "default" (a
 // CLI fallback) with a size.
@@ -122,6 +121,21 @@ func Paper() Scale {
 	}
 }
 
+// ScaleByName returns the named scale: small, default, medium or paper.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return Small(), nil
+	case "default":
+		return Default(), nil
+	case "medium":
+		return Medium(), nil
+	case "paper":
+		return Paper(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want small, default, medium, or paper)", name)
+}
+
 // Setup is one fully-instantiated experiment input: topology, traffic
 // matrix series, and the synthesized request stream.
 type Setup struct {
@@ -150,6 +164,8 @@ type setupParams struct {
 	costScale  float64
 	rateFrac   float64
 	rec        *obs.Recorder
+	net        *graph.Network
+	series     traffic.Series
 }
 
 // WithLoad sets the traffic-matrix load factor (paper: 0.5–4).
@@ -184,6 +200,21 @@ func WithObs(r *obs.Recorder) SetupOption {
 	return func(p *setupParams) { p.rec = r }
 }
 
+// WithNetwork runs the setup on a given topology (see graph.ReadCSV)
+// instead of generating the scale's WAN. The caller's network is never
+// modified: WithCostScale applies to a copy.
+func WithNetwork(n *graph.Network) SetupOption {
+	return func(p *setupParams) { p.net = n }
+}
+
+// WithSeries replays a recorded load-1 traffic-matrix series (see
+// traffic.ReadSeriesCSV) instead of generating one; its length overrides
+// the scale's Steps, and it must name no node the network lacks. The
+// caller's series is never modified: WithLoad scales a copy.
+func WithSeries(s traffic.Series) SetupOption {
+	return func(p *setupParams) { p.series = s }
+}
+
 // NewSetup generates a deterministic experiment input at the given scale.
 func NewSetup(sc Scale, opts ...SetupOption) *Setup {
 	// Value scale calibration: the mean value per byte sits *below* the
@@ -202,30 +233,44 @@ func NewSetup(sc Scale, opts ...SetupOption) *Setup {
 	for _, o := range opts {
 		o(&p)
 	}
-	wc := graph.DefaultWANConfig()
-	wc.Regions = sc.Regions
-	wc.NodesPerRegion = sc.NodesPerRegion
-	if sc.MeanUsageCost > 0 {
-		wc.MeanUsageCost = sc.MeanUsageCost
+	net := p.net
+	if net == nil {
+		wc := graph.DefaultWANConfig()
+		wc.Regions = sc.Regions
+		wc.NodesPerRegion = sc.NodesPerRegion
+		if sc.MeanUsageCost > 0 {
+			wc.MeanUsageCost = sc.MeanUsageCost
+		}
+		// Purchased (usage-priced) links are the fat inter-region pipes;
+		// owned cross-region capacity is thin. Intra-region links are
+		// tight enough that congestion varies per link and hour — the
+		// structure a flat two-tier price cannot express (Figure 6's
+		// point), and the scarcity that makes partial-fulfillment menus
+		// matter (Figure 11).
+		wc.UnpricedInterFactor = 0.35
+		wc.IntraCapacity = 40
+		wc.Seed = p.seed
+		net = graph.GenerateWAN(wc)
+	} else if p.costScale != 1 {
+		net = net.Clone()
 	}
-	// Purchased (usage-priced) links are the fat inter-region pipes;
-	// owned cross-region capacity is thin. Intra-region links are tight
-	// enough that congestion varies per link and hour — the structure a
-	// flat two-tier price cannot express (Figure 6's point), and the
-	// scarcity that makes partial-fulfillment menus matter (Figure 11).
-	wc.UnpricedInterFactor = 0.35
-	wc.IntraCapacity = 40
-	wc.Seed = p.seed
-	net := graph.GenerateWAN(wc)
 	if p.costScale != 1 {
 		net.ScaleUsageCosts(p.costScale)
 	}
 
-	gc := traffic.DefaultGenConfig(sc.Steps)
-	gc.StepsPerDay = sc.StepsPerDay
-	gc.BaseDemand = sc.BaseDemand
-	gc.Seed = p.seed + 100
-	series := traffic.Generate(net, gc)
+	series := p.series
+	if series == nil {
+		gc := traffic.DefaultGenConfig(sc.Steps)
+		gc.StepsPerDay = sc.StepsPerDay
+		gc.BaseDemand = sc.BaseDemand
+		gc.Seed = p.seed + 100
+		series = traffic.Generate(net, gc)
+	} else {
+		sc.Steps = len(series)
+		if p.loadFactor != 1 {
+			series = series.Clone()
+		}
+	}
 	if p.loadFactor != 1 {
 		series.Scale(p.loadFactor)
 	}

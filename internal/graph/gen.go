@@ -207,6 +207,21 @@ func (n *Network) ScaleUsageCosts(factor float64) {
 	}
 }
 
+// Clone returns a deep copy of the network with an empty route memo.
+func (n *Network) Clone() *Network {
+	c := New()
+	for _, nd := range n.nodes {
+		c.AddNode(nd.Name, nd.Region)
+	}
+	for _, e := range n.edges {
+		id := c.AddEdge(e.From, e.To, e.Capacity)
+		if e.UsagePriced {
+			c.SetUsagePriced(id, e.CostPerUnit)
+		}
+	}
+	return c
+}
+
 // Regions returns the distinct region names in node order.
 func (n *Network) Regions() []string {
 	var out []string

@@ -145,6 +145,18 @@ func (s Series) Scale(f float64) {
 	}
 }
 
+// Clone returns a deep copy of the series.
+func (s Series) Clone() Series {
+	c := make(Series, len(s))
+	for t, m := range s {
+		c[t] = NewMatrix(len(m.Demand))
+		for i, row := range m.Demand {
+			copy(c[t].Demand[i], row)
+		}
+	}
+	return c
+}
+
 // LinkUtilization routes every matrix entry along the network's shortest
 // path and returns usage[edge][t], the per-link per-timestep load. It is
 // how Figure 1's utilization statistics are derived from the trace (the
