@@ -44,9 +44,12 @@ bench:
 			-gate 'BenchmarkServiceHTTPQuote:allocs/op<=32'
 	$(GO) run ./cmd/experiments -exp table4 -scale small -metrics BENCH_metrics.json
 
-# loc prints the ROADMAP scoreboard: non-test Go lines per library layer.
+# loc prints the ROADMAP scoreboard: non-test Go lines per library layer,
+# then their total.
 loc:
-	@for p in lp core sched serve exp; do \
-		printf 'internal/%-6s %6d\n' $$p \
-			$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
-	done
+	@total=0; for p in lp core sched serve exp baselines pricing; do \
+		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
+		total=$$((total + n)); \
+		printf 'internal/%-9s %6d\n' $$p $$n; \
+	done; \
+	printf '%-18s %6d\n' total $$total

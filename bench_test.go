@@ -182,10 +182,10 @@ func BenchmarkTopKConstraintEmission(b *testing.B) {
 		m := lp.NewModel()
 		loads := make([]cost.LoadExpr, 48)
 		for t := range loads {
-			v := m.AddVar(0, 100, 0, "L")
+			v := m.AddVar(0, 100, 0)
 			loads[t] = cost.LoadExpr{{Var: v, Coef: 1}}
 		}
-		cost.AddTopKBound(m, loads, 5, "bench")
+		cost.AddTopKBound(m, loads, 5)
 		if m.NumRows() == 0 {
 			b.Fatal("no constraints emitted")
 		}
@@ -200,7 +200,7 @@ func BenchmarkLPSolver(b *testing.B) {
 		const n, rows = 120, 60
 		vars := make([]lp.Var, n)
 		for j := range vars {
-			vars[j] = m.AddVar(0, 10, float64(j%7)+1, "x")
+			vars[j] = m.AddVar(0, 10, float64(j%7)+1)
 		}
 		for i := 0; i < rows; i++ {
 			var terms []lp.Term

@@ -26,7 +26,6 @@ import (
 type Config struct {
 	Horizon int
 	Cost    cost.Config
-	Solver  lp.Options
 }
 
 // capacityMatrix materializes static edge capacities over the horizon.
@@ -56,9 +55,7 @@ func solveOffline(n *graph.Network, reqs []*traffic.Request, demands []sched.Dem
 		Cost:         cfg.Cost,
 		UseCostProxy: true,
 	}
-	opts := cfg.Solver
-	opts.WarmBasis = warm
-	res, err := ins.Solve(opts)
+	res, err := ins.Solve(lp.Options{WarmBasis: warm})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,9 +330,7 @@ func VCGLike(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outcom
 				Capacity: capacityMatrix(n, t+1),
 				Demands:  ds, Cost: cfg.Cost, UseCostProxy: false,
 			}
-			opts := cfg.Solver
-			opts.WarmBasis = stepBasis
-			res, err := ins.Solve(opts)
+			res, err := ins.Solve(lp.Options{WarmBasis: stepBasis})
 			if err != nil {
 				return nil, err
 			}

@@ -58,7 +58,7 @@ func OnlineTE(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outco
 
 		m := lp.NewModel()
 		m.SetMaximize(true)
-		alpha := m.AddVar(0, 1, 1, "alpha")
+		alpha := m.AddVar(0, 1, 1)
 		type flowVar struct {
 			v        lp.Var
 			a, r, tt int
@@ -70,7 +70,7 @@ func OnlineTE(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outco
 			var terms []lp.Term
 			for ri, route := range ac.req.Routes {
 				for tt := t; tt <= ac.req.End && tt < horizon; tt++ {
-					v := m.AddVar(0, lp.Inf, 0, fmt.Sprintf("x.%d.%d.%d", ai, ri, tt))
+					v := m.AddVar(0, lp.Inf, 0)
 					flows = append(flows, flowVar{v: v, a: ai, r: ri, tt: tt})
 					terms = append(terms, lp.Term{Var: v, Coef: 1})
 					sumAll = append(sumAll, lp.Term{Var: v, Coef: 1})
@@ -109,9 +109,7 @@ func OnlineTE(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outco
 				m.AddConstraint(lp.LE, n.Edge(graph.EdgeID(ei)).Capacity, byT[tt]...)
 			}
 		}
-		opts := cfg.Solver
-		opts.WarmBasis = stage1Basis
-		sol, err := m.Solve(opts)
+		sol, err := m.Solve(lp.Options{WarmBasis: stage1Basis})
 		if err != nil {
 			return nil, err
 		}
@@ -127,8 +125,7 @@ func OnlineTE(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outco
 		for _, f := range flows {
 			m.SetObj(f.v, 1)
 		}
-		opts.WarmBasis = stage2Basis
-		sol, err = m.Solve(opts)
+		sol, err = m.Solve(lp.Options{WarmBasis: stage2Basis})
 		if err != nil {
 			return nil, err
 		}

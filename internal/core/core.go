@@ -33,12 +33,10 @@ type Config struct {
 	Horizon int
 	// Cost is the percentile-charging rule (shared with accounting).
 	Cost cost.Config
-	// PriceWindow is W: steps between price recomputations (§4.3).
+	// PriceWindow is W: steps between price recomputations (§4.3). At
+	// each window boundary the Price Computer re-solves the offline
+	// welfare LP over the window just ended.
 	PriceWindow int
-	// PCHistoryWindows is how many windows of history feed the offline
-	// pricing LP (the paper allows the period T to exceed W to reduce
-	// boundary distortion).
-	PCHistoryWindows int
 	// InitialPrice seeds P_{e,t} before any history exists.
 	InitialPrice float64
 	// MinPrice floors recomputed prices.
@@ -56,18 +54,12 @@ type Config struct {
 	// transfers exactly like an unannounced fault. Every cell must be
 	// finite and non-negative.
 	HighPriActual [][]float64
-	// EnableSAM switches schedule adjustment (off = Pretium-NoSAM).
+	// EnableSAM switches schedule adjustment, run every timestep as the
+	// paper recommends (off = Pretium-NoSAM).
 	EnableSAM bool
 	// EnableMenu switches menu purchases (off = Pretium-NoMenu:
 	// customers buy all-or-nothing).
 	EnableMenu bool
-	// EnablePC switches dynamic price recomputation.
-	EnablePC bool
-	// SAMEvery runs SAM every k timesteps (1 = every step, as the paper
-	// recommends).
-	SAMEvery int
-	// Adjust is the short-term price adjustment rule.
-	Adjust pricing.AdjustConfig
 	// CustomerRateCap bounds the bandwidth any single request may hold
 	// per timestep (0 = unlimited) — the §4.4 fairness lever against
 	// elephant transfers crowding out everyone else. Purchases are
@@ -87,8 +79,6 @@ type Config struct {
 	// over [From, To] regardless, so unannounced faults clamp realized
 	// transfers.
 	Faults []Fault
-	// Solver bounds each LP solve.
-	Solver lp.Options
 	// Chaos, when non-nil, is a deterministic fault injector consulted
 	// before every LP solve and at the top of every step (see
 	// internal/chaos). It exists so robustness tests can force solver
@@ -119,22 +109,27 @@ type Fault struct {
 	Announce int
 }
 
+// announceStep is the step the planner learns of f: Announce, or From when
+// Announce is unset or earlier than the onset.
+func (f Fault) announceStep() int {
+	if f.Announce == 0 || f.Announce < f.From {
+		return f.From
+	}
+	return f.Announce
+}
+
 // DefaultConfig returns the full Pretium configuration over the given
 // horizon with daily (24-step) pricing and charging windows.
 func DefaultConfig(horizon int) Config {
 	return Config{
-		Horizon:          horizon,
-		Cost:             cost.DefaultConfig(24),
-		PriceWindow:      24,
-		PCHistoryWindows: 1,
-		InitialPrice:     0.5,
-		MinPrice:         0.05,
-		HighPriFraction:  0,
-		EnableSAM:        true,
-		EnableMenu:       true,
-		EnablePC:         true,
-		SAMEvery:         1,
-		Adjust:           pricing.DefaultAdjust(),
+		Horizon:         horizon,
+		Cost:            cost.DefaultConfig(24),
+		PriceWindow:     24,
+		InitialPrice:    0.5,
+		MinPrice:        0.05,
+		HighPriFraction: 0,
+		EnableSAM:       true,
+		EnableMenu:      true,
 	}
 }
 
@@ -236,14 +231,8 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("core: horizon must be positive")
 	}
-	if cfg.SAMEvery <= 0 {
-		cfg.SAMEvery = 1
-	}
 	if cfg.PriceWindow <= 0 {
 		cfg.PriceWindow = cfg.Horizon
-	}
-	if cfg.PCHistoryWindows <= 0 {
-		cfg.PCHistoryWindows = 1
 	}
 	for _, r := range reqs {
 		if err := r.Validate(net); err != nil {
@@ -251,7 +240,6 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		}
 	}
 	st := pricing.NewState(net, cfg.Horizon, cfg.InitialPrice)
-	st.Adjust = cfg.Adjust
 	// Usage-priced links start at the initial price plus their
 	// *amortized* percentile charge C_e/W (the break-even rate under
 	// flat load) rather than NewState's conservative full C_e, so day
@@ -326,22 +314,19 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 			}
 		}
 	}
-	for i := range cfg.Faults {
-		f := &c.cfg.Faults[i]
+	// A fault removes the share of nameplate capacity the planner reserves
+	// once it is announced (see announceFaults), on top of the high-pri
+	// drain already taken out above.
+	for i, f := range cfg.Faults {
 		if !(f.Factor >= 0 && f.Factor <= 1) { // NaN fails both
 			return nil, fmt.Errorf("core: fault %d factor %v outside [0,1]", i, f.Factor)
 		}
 		if f.Edge < 0 || int(f.Edge) >= net.NumEdges() {
 			return nil, fmt.Errorf("core: fault %d edge %d outside the network's %d edges", i, f.Edge, net.NumEdges())
 		}
-		if f.Announce == 0 || f.Announce < f.From {
-			f.Announce = f.From
-		}
-		for t := f.From; t <= f.To && t < cfg.Horizon; t++ {
-			if t < 0 {
-				continue
-			}
-			c.trueCap[f.Edge][t] *= f.Factor
+		lost := net.Edge(f.Edge).Capacity * (1 - f.Factor)
+		for t := max(f.From, 0); t <= f.To && t < cfg.Horizon; t++ {
+			c.trueCap[f.Edge][t] = math.Max(c.trueCap[f.Edge][t]-lost, 0)
 		}
 	}
 	return c, nil
@@ -352,7 +337,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 // both RA quotes and SAM capacities respect from now on.
 func (c *Controller) announceFaults(t int) {
 	for _, f := range c.cfg.Faults {
-		if f.Announce != t {
+		if f.announceStep() != t {
 			continue
 		}
 		cap := c.net.Edge(f.Edge).Capacity
@@ -377,7 +362,7 @@ func (c *Controller) Run() (*sim.Outcome, error) {
 	}
 	for t := 0; t < c.cfg.Horizon; t++ {
 		c.announceFaults(t)
-		if c.cfg.EnablePC && t > 0 && t%c.cfg.PriceWindow == 0 {
+		if t > 0 && t%c.cfg.PriceWindow == 0 {
 			c.runPC(t)
 		}
 		// Chaos state mutations land after the PC so a corrupted price at a
@@ -394,7 +379,7 @@ func (c *Controller) Run() (*sim.Outcome, error) {
 		for _, r := range byArrival[t] {
 			c.admit(r)
 		}
-		if c.cfg.EnableSAM && t%c.cfg.SAMEvery == 0 {
+		if c.cfg.EnableSAM {
 			c.runSAM(t)
 		}
 		c.realize(t)
@@ -856,8 +841,7 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 		// basis is not reused, but the within-ladder warm retries below —
 		// phase-1 terminal basis after a relaxation — are kept: they are part
 		// of the ladder's semantics, not a cross-solve optimization.)
-		opts := c.cfg.Solver
-		opts.Stats = &c.samStats
+		opts := lp.Options{Stats: &c.samStats}
 		if !c.cfg.ColdStart {
 			opts.WarmBasis = c.samBasis
 		}
@@ -980,21 +964,14 @@ func (c *Controller) realize(t int) {
 	}
 }
 
-// runPC recomputes prices at a window boundary t using the preceding
-// history period (§4.3).
+// runPC recomputes prices at a window boundary t using the window just
+// ended as history (§4.3).
 func (c *Controller) runPC(t int) {
 	started := time.Now()
 	defer func() { c.Timings.PC = append(c.Timings.PC, time.Since(started)) }()
 
 	w := c.cfg.PriceWindow
-	period := c.cfg.PCHistoryWindows * w
-	if period > t {
-		period = t
-	}
-	if period < w {
-		return // not enough history yet
-	}
-	from := t - period
+	from := t - w
 	var entries []pricing.HistoryEntry
 	for _, h := range c.history {
 		if h.End < from || h.Start >= t {
@@ -1006,8 +983,8 @@ func (c *Controller) runPC(t int) {
 		if e.Start < 0 {
 			e.Start = 0
 		}
-		if e.End > period-1 {
-			e.End = period - 1
+		if e.End > w-1 {
+			e.End = w - 1
 		}
 		entries = append(entries, e)
 	}
@@ -1016,13 +993,12 @@ func (c *Controller) runPC(t int) {
 	}
 	capacity := make([][]float64, c.net.NumEdges())
 	for e := range capacity {
-		capacity[e] = make([]float64, period)
-		for i := 0; i < period; i++ {
+		capacity[e] = make([]float64, w)
+		for i := 0; i < w; i++ {
 			capacity[e][i] = c.state.Capacity(graph.EdgeID(e), from+i)
 		}
 	}
-	opts := c.cfg.Solver
-	opts.Stats = &c.pcStats
+	opts := lp.Options{Stats: &c.pcStats}
 	switch c.chaosAction(chaos.ModulePC, t) {
 	case chaos.Fail:
 		c.obs.pcRetain()
@@ -1036,7 +1012,7 @@ func (c *Controller) runPC(t int) {
 	if c.cfg.ColdStart {
 		warmBasis = nil
 	}
-	window, basis, err := pricing.ComputePricesBasis(c.net, entries, capacity, period, period-w,
+	window, basis, err := pricing.ComputePricesBasis(c.net, entries, capacity, w, 0,
 		pricing.ComputerConfig{
 			WindowLen: w, Cost: c.cfg.Cost,
 			MinPrice: c.cfg.MinPrice, CostFloorFrac: 1,

@@ -409,17 +409,16 @@ func cloneReqs(reqs []*traffic.Request) []*traffic.Request {
 	return out
 }
 
-// Assert the short-term adjustment config propagates.
+// The controller's state prices with the default short-term adjustment
+// rule.
 func TestAdjustConfigApplied(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
-	cfg := smallConfig(1)
-	cfg.Adjust = pricing.AdjustConfig{Threshold: 0.5, Factor: 3}
-	c, err := New(n, reqs, cfg)
+	c, err := New(n, reqs, smallConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.State().Adjust.Factor != 3 {
-		t.Error("adjust config not applied to state")
+	if got := c.State().Adjust; got != pricing.DefaultAdjust() {
+		t.Errorf("state adjust = %+v, want %+v", got, pricing.DefaultAdjust())
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"pretium/internal/graph"
@@ -207,5 +209,80 @@ func TestFaultPreservesOtherEdges(t *testing.T) {
 	}
 	if out.Usage[sx][0] > 1e-9 || out.Usage[sx][1] > 1e-9 {
 		t.Errorf("traffic on the dead edge: %v", out.Usage[sx])
+	}
+}
+
+// TestSilentFaultChargesHighPriOnce: a fault the planner never hears of
+// leaves Factor of the nameplate capacity, and high-pri traffic still
+// takes its set-aside out of that. On a 10-unit link with 20% high-pri and
+// a silent halving, scheduled traffic physically gets 10*0.5 - 2 = 3, not
+// 0.5*(10-2) = 4.
+func TestSilentFaultChargesHighPriOnce(t *testing.T) {
+	n, a, b := simpleNet()
+	req := mkReq(n, 0, a, b, 0, 0, 0, 8, 5)
+	cfg := smallConfig(1)
+	cfg.HighPriFraction = 0.2
+	cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: 0.5, Announce: 1}} // after the horizon
+	c, err := New(n, []*traffic.Request{req}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Admitted[0] {
+		t.Fatal("the 8-byte guarantee fits the planner's view and must be admitted")
+	}
+	if math.Abs(out.Delivered[0]-3) > 1e-9 {
+		t.Errorf("delivered %v over the silently halved link, want 3", out.Delivered[0])
+	}
+}
+
+// TestNewLeavesFaultsUntouched: New reads cfg.Faults and never writes it,
+// so the caller's slice keeps every field as given.
+func TestNewLeavesFaultsUntouched(t *testing.T) {
+	n, a, b := simpleNet()
+	cfg := smallConfig(4)
+	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0.5}, {Edge: 0, From: 3, To: 3, Factor: 0, Announce: 1}}
+	want := append([]Fault(nil), cfg.Faults...)
+	if _, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg.Faults, want) {
+		t.Errorf("New rewrote the caller's faults: %+v, want %+v", cfg.Faults, want)
+	}
+}
+
+// TestControllersShareConfig builds and runs two controllers from one
+// Config at once; under -race any write New or Run makes to the shared
+// fault slice is reported. Both runs must also agree.
+func TestControllersShareConfig(t *testing.T) {
+	n, a, b := simpleNet()
+	cfg := smallConfig(4)
+	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0.5}}
+	var wg sync.WaitGroup
+	outs := make([]*sim.Outcome, 2)
+	errs := make([]error, 2)
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}, cfg)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			outs[i], errs[i] = c.Run()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(outs[0].Delivered, outs[1].Delivered) || !reflect.DeepEqual(outs[0].Usage, outs[1].Usage) {
+		t.Errorf("two runs of one config disagree: %v vs %v", outs[0].Delivered, outs[1].Delivered)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pretium/internal/chaos"
 	"pretium/internal/obs"
 	"pretium/internal/traffic"
 )
@@ -160,15 +161,16 @@ func TestColdStartDisablesWarmStarts(t *testing.T) {
 }
 
 // TestDegradeEventsMirrorHealth checks the trace carries a degrade event
-// whenever Health records one (forced here via a chaos-free trick: an
-// unsatisfiable iteration budget).
+// whenever Health records one (forced here by a SAM solver outage that
+// times out every LP attempt).
 func TestDegradeEventsMirrorHealth(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 15, 5)}
 	rec, buf := obs.NewTraceRecorder()
 	cfg := smallConfig(3)
 	cfg.Obs = rec
-	cfg.Solver.MaxIters = 1 // every LP attempt dies; ladder lands on greedy
+	// Every LP attempt dies; the ladder lands on greedy.
+	cfg.Chaos = chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 2, Mode: chaos.Timeout}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +179,7 @@ func TestDegradeEventsMirrorHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c.Health.Degraded() {
-		t.Fatalf("expected degradations with MaxIters=1")
+		t.Fatalf("expected degradations under a SAM solver outage")
 	}
 	if !strings.Contains(buf.String(), `"ev":"degrade"`) {
 		t.Fatalf("trace has no degrade events:\n%s", buf.String())

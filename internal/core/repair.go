@@ -146,36 +146,17 @@ func (c *Controller) repairGuarantees(t int) {
 	// guarantees cheapest-first — affected transfers before pinned ones,
 	// ascending value proxy — refunding each, until the rest fit.
 	if level == LevelRepairSkipped && errIsInfeasible(err) {
-		candidates := preemptionOrder(affectedStates, pinnedStates)
-		working := live
-		for _, victim := range candidates {
-			c.preempt(t, victim)
-			preempted++
-			refunded += victim.refund
-			keep := working[:0:0]
-			for _, a := range working {
-				if !a.preempted {
-					keep = append(keep, a)
-				}
+		res, survivors, victims, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(affectedStates, pinnedStates))
+		switch {
+		case err == nil:
+			c.installPlan(t, ModuleRepair, t, survivors, res)
+			level = LevelRepairPreempt
+			preempted = len(victims)
+			for _, v := range victims {
+				refunded += v.refund
 			}
-			working = keep
-			if len(working) == 0 {
-				// Everything preempted: nothing left to schedule, and
-				// nothing left stranded.
-				c.installPlan(t, ModuleRepair, t, working, &sched.Result{})
-				level = LevelRepairPreempt
-				break
-			}
-			res, err = c.repairSolve(t, horizon, working, nil)
-			if err == nil {
-				c.installPlan(t, ModuleRepair, t, working, res)
-				level = LevelRepairPreempt
-				break
-			}
-			if !errIsInfeasible(err) {
-				fail("preempt", err)
-				break // solver trouble, not structural infeasibility
-			}
+		case !errIsInfeasible(err):
+			fail("preempt", err) // solver trouble, not structural infeasibility
 		}
 	}
 
@@ -197,8 +178,7 @@ func (c *Controller) repairGuarantees(t int) {
 // relaxed-guarantees and would renege the shortfall with no refund. Under
 // churn that is a silent violation, so this pass extends the repair
 // ladder into the SAM site: find the guarantees the relaxed solution
-// shorted, preempt them cheapest-first, and re-solve strictly. Side
-// effects (refunds) are deferred until a strict solve succeeds; on solver
+// shorted, preempt them cheapest-first, and re-solve strictly. On solver
 // trouble nothing is preempted and the caller keeps the relaxed plan
 // (honest, accounted reneges). Returns the strict result and surviving
 // live set, or (nil, nil) to keep the relaxed outcome.
@@ -219,49 +199,56 @@ func (c *Controller) preemptRelaxed(t, horizon int, live []*admState, relaxed *s
 		return nil, nil
 	}
 	c.obs.repairDetected(len(shorted))
-	isVictim := make(map[*admState]bool, len(shorted))
+	res, survivors, victims, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(shorted, nil))
+	if err != nil {
+		return nil, nil
+	}
+	refunded := 0.0
+	for _, v := range victims {
+		refunded += v.refund
+	}
+	c.degrade(t, ModuleRepair, LevelRepairPreempt,
+		fmt.Sprintf("guarantees relaxed under outage: preempted %d", len(victims)))
+	c.cfg.Obs.Emit(t, ModuleRepair, "repair",
+		obs.I("affected", len(shorted)), obs.I("stranded", len(shorted)),
+		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(victims)),
+		obs.S("level", LevelRepairPreempt.String()), obs.F("refund", refunded))
+	return res, survivors
+}
+
+// preemptUntilFit drops candidates from the live set one at a time, in
+// order, and re-solves the rest after each drop until they fit. Side
+// effects wait for that plan: only then are the dropped candidates
+// preempted and refunded, so no refund is issued without a plan that
+// fits. It returns the plan, the surviving states and the victims; or,
+// with nothing preempted, the solver error that stopped the walk, or
+// lp.ErrInfeasible once the candidates run out.
+func (c *Controller) preemptUntilFit(t, horizon int, live, candidates []*admState) (*sched.Result, []*admState, []*admState, error) {
 	working := live
-	var out *sched.Result
-	for _, v := range preemptionOrder(shorted, nil) {
-		isVictim[v] = true
+	for i, v := range candidates {
 		keep := working[:0:0]
 		for _, a := range working {
-			if !isVictim[a] {
+			if a != v {
 				keep = append(keep, a)
 			}
 		}
 		working = keep
-		if len(working) == 0 {
-			out = &sched.Result{}
-			break
+		res, err := &sched.Result{}, error(nil) // nothing left to schedule fits
+		if len(working) > 0 {
+			res, err = c.repairSolve(t, horizon, working, nil)
 		}
-		res, err := c.repairSolve(t, horizon, working, nil)
 		if err == nil {
-			out = res
-			break
+			victims := candidates[:i+1]
+			for _, a := range victims {
+				c.preempt(t, a)
+			}
+			return res, working, victims, nil
 		}
 		if !errIsInfeasible(err) {
-			return nil, nil // solver trouble: keep the relaxed plan, nothing preempted
+			return nil, nil, nil, err
 		}
 	}
-	if out == nil {
-		return nil, nil
-	}
-	refunded := 0.0
-	for _, v := range preemptionOrder(shorted, nil) {
-		if !isVictim[v] {
-			continue
-		}
-		c.preempt(t, v)
-		refunded += v.refund
-	}
-	c.degrade(t, ModuleRepair, LevelRepairPreempt,
-		fmt.Sprintf("guarantees relaxed under outage: preempted %d", len(isVictim)))
-	c.cfg.Obs.Emit(t, ModuleRepair, "repair",
-		obs.I("affected", len(shorted)), obs.I("stranded", len(shorted)),
-		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(isVictim)),
-		obs.S("level", LevelRepairPreempt.String()), obs.F("refund", refunded))
-	return out, working
+	return nil, nil, nil, lp.ErrInfeasible
 }
 
 // errIsInfeasible reports whether a repair solve failed because the
@@ -309,9 +296,7 @@ func (c *Controller) repairSolve(t, horizon int, states, pinned []*admState) (*s
 	if err != nil {
 		return nil, err
 	}
-	opts := c.cfg.Solver
-	opts.Stats = &c.samStats
-	return solveBuilt(built, act, opts)
+	return solveBuilt(built, act, lp.Options{Stats: &c.samStats})
 }
 
 // preempt buys back one guarantee: the transfer stops here, and the

@@ -88,7 +88,7 @@ func explicitSAM(t *testing.T, ins *sched.Instance) (optimum float64, score func
 		for tt := max(d.Start, ins.StartStep); tt <= min(d.End, ins.Horizon-1); tt++ {
 			var step []lp.Term
 			for _, route := range d.Routes {
-				x := lp.Term{Var: m.AddVar(0, lp.Inf, d.ValuePerByte, ""), Coef: 1}
+				x := lp.Term{Var: m.AddVar(0, lp.Inf, d.ValuePerByte), Coef: 1}
 				step = append(step, x)
 				for _, e := range route {
 					flows[cell{int(e), tt}] = append(flows[cell{int(e), tt}], x)
@@ -126,13 +126,13 @@ func explicitSAM(t *testing.T, ins *sched.Instance) (optimum float64, score func
 				fixed := ins.FixedUsage[e.ID][tt]
 				terms := flows[cell{int(e.ID), tt}]
 				schedulable = schedulable || len(terms) > 0
-				loads = append(loads, append(cost.LoadExpr{{Var: m.AddVar(fixed, fixed, 0, ""), Coef: 1}}, terms...))
+				loads = append(loads, append(cost.LoadExpr{{Var: m.AddVar(fixed, fixed, 0), Coef: 1}}, terms...))
 			}
 			if we <= ins.StartStep || !schedulable {
 				continue // sunk, or nothing the schedule can move
 			}
 			k := ins.Cost.K(we - ws)
-			m.SetObj(cost.AddTopKBound(m, loads, k, "z"), -e.CostPerUnit/float64(k))
+			m.SetObj(cost.AddTopKBound(m, loads, k), -e.CostPerUnit/float64(k))
 			charged = append(charged, window{e, ws, we})
 		}
 	}

@@ -80,15 +80,6 @@ func ProxyWindowCost(e graph.Edge, usage []float64, cfg Config) float64 {
 // matrix indexed usage[edge][t], splitting [0,T) into charging windows of
 // cfg.WindowLen (a trailing partial window is charged too).
 func ExactScheduleCost(n *graph.Network, usage [][]float64, cfg Config) float64 {
-	return scheduleCost(n, usage, cfg, ExactWindowCost)
-}
-
-// ProxyScheduleCost is ExactScheduleCost with the z_e proxy.
-func ProxyScheduleCost(n *graph.Network, usage [][]float64, cfg Config) float64 {
-	return scheduleCost(n, usage, cfg, ProxyWindowCost)
-}
-
-func scheduleCost(n *graph.Network, usage [][]float64, cfg Config, f func(graph.Edge, []float64, Config) float64) float64 {
 	total := 0.0
 	w := cfg.WindowLen
 	if w <= 0 {
@@ -104,7 +95,7 @@ func scheduleCost(n *graph.Network, usage [][]float64, cfg Config, f func(graph.
 			if end > len(series) {
 				end = len(series)
 			}
-			total += f(e, series[start:end], cfg)
+			total += ExactWindowCost(e, series[start:end], cfg)
 		}
 	}
 	return total

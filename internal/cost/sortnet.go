@@ -1,10 +1,6 @@
 package cost
 
-import (
-	"fmt"
-
-	"pretium/internal/lp"
-)
+import "pretium/internal/lp"
 
 // LoadExpr is the linear expression giving one timestep's load on an edge
 // (a sum of request-flow variables in SAM, or a single variable in tests).
@@ -29,7 +25,7 @@ type LoadExpr []lp.Term
 //
 // which forces M >= max(x, y). After k iterations, S is lower-bounded by
 // the sum of the k bubbled maxima, hence by the top-k sum.
-func AddTopKBound(m *lp.Model, loads []LoadExpr, k int, name string) lp.Var {
+func AddTopKBound(m *lp.Model, loads []LoadExpr, k int) lp.Var {
 	T := len(loads)
 	if T == 0 {
 		panic("cost: AddTopKBound with no loads")
@@ -37,7 +33,7 @@ func AddTopKBound(m *lp.Model, loads []LoadExpr, k int, name string) lp.Var {
 	if k <= 0 {
 		panic("cost: AddTopKBound with k <= 0")
 	}
-	s := m.AddVar(0, lp.Inf, 0, name+".S")
+	s := m.AddVar(0, lp.Inf, 0)
 	if k >= T {
 		// Top-T sum is the total: S >= sum of all loads.
 		var terms []lp.Term
@@ -88,11 +84,9 @@ func AddTopKBound(m *lp.Model, loads []LoadExpr, k int, name string) lp.Var {
 		return out
 	}
 	// comparator emits (min, max) variables for inputs x, y.
-	comp := 0
 	comparator := func(x, y val) (val, val) {
-		comp++
-		mn := m.AddVar(0, lp.Inf, 0, fmt.Sprintf("%s.m%d", name, comp))
-		mx := m.AddVar(0, lp.Inf, 0, fmt.Sprintf("%s.M%d", name, comp))
+		mn := m.AddVar(0, lp.Inf, 0)
+		mx := m.AddVar(0, lp.Inf, 0)
 		// x + y - m - M = 0.
 		terms := append(asTerms(x, 1), asTerms(y, 1)...)
 		terms = append(terms, lp.Term{Var: mn, Coef: -1}, lp.Term{Var: mx, Coef: -1})

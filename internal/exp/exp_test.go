@@ -494,27 +494,6 @@ func TestRenderBars(t *testing.T) {
 	}
 }
 
-func TestRenderSeries(t *testing.T) {
-	var rows []Row
-	for i := 0; i < 8; i++ {
-		rows = append(rows, Row{Label: "t", Columns: []Col{{Name: "p", Value: float64(i)}}})
-	}
-	out := RenderSeries(rows, "p")
-	if !strings.Contains(out, "▁") || !strings.Contains(out, "█") {
-		t.Errorf("sparkline missing ramp ends: %q", out)
-	}
-	if RenderSeries(rows, "zzz") != "" {
-		t.Error("unknown column should render nothing")
-	}
-	flat := []Row{
-		{Label: "t", Columns: []Col{{Name: "p", Value: 5}}},
-		{Label: "t", Columns: []Col{{Name: "p", Value: 5}}},
-	}
-	if out := RenderSeries(flat, "p"); !strings.Contains(out, "▁▁") {
-		t.Errorf("flat series should render low blocks: %q", out)
-	}
-}
-
 func TestPaperScaleGenerates(t *testing.T) {
 	// The paper-scale setup must at least construct (no LP solves here:
 	// a single one takes minutes).

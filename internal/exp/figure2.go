@@ -61,9 +61,9 @@ func (f *figure2Instance) scheduleLP(eligible func(i, t int) bool, w []float64, 
 		var vars [2]lp.Var
 		for t := 0; t <= 1; t++ {
 			if t <= f.reqs[i].End && eligible(i, t) {
-				vars[t] = m.AddVar(0, f.reqs[i].Demand, w[i], fmt.Sprintf("x%d.%d", i, t))
+				vars[t] = m.AddVar(0, f.reqs[i].Demand, w[i])
 			} else {
-				vars[t] = m.AddVar(0, 0, 0, "zero")
+				vars[t] = m.AddVar(0, 0, 0)
 			}
 		}
 		x = append(x, vars)

@@ -63,41 +63,3 @@ func RenderBars(rows []Row, column string, width int) string {
 	}
 	return b.String()
 }
-
-// RenderSeries draws a compact sparkline of one named column across rows
-// using eighth-block characters, for dense series like Figure 7a's
-// price-over-time trace. Values are min-max normalized.
-func RenderSeries(rows []Row, column string) string {
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	var vals []float64
-	for _, r := range rows {
-		for _, c := range r.Columns {
-			if c.Name == column {
-				vals = append(vals, c.Value)
-			}
-		}
-	}
-	if len(vals) == 0 {
-		return ""
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(ramp)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(ramp) {
-			idx = len(ramp) - 1
-		}
-		b.WriteRune(ramp[idx])
-	}
-	return fmt.Sprintf("%s [%.4g..%.4g] %s", column, lo, hi, b.String())
-}

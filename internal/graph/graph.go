@@ -10,7 +10,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 )
 
@@ -157,20 +156,6 @@ func (n *Network) Validate(p Path, src, dst NodeID) error {
 		return fmt.Errorf("graph: path ends at %d, want %d", cur, dst)
 	}
 	return nil
-}
-
-// PathString renders a path as "A->B->C" for logs and error messages.
-func (n *Network) PathString(p Path) string {
-	if len(p) == 0 {
-		return "(empty)"
-	}
-	var b strings.Builder
-	b.WriteString(n.nodes[n.edges[p[0]].From].Name)
-	for _, eid := range p {
-		b.WriteString("->")
-		b.WriteString(n.nodes[n.edges[eid].To].Name)
-	}
-	return b.String()
 }
 
 // equalPaths reports whether two paths are identical.

@@ -168,18 +168,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestPathString(t *testing.T) {
-	n, s, dst := diamond()
-	p := n.ShortestPath(s, dst)
-	str := n.PathString(p)
-	if str != "s->a->t" && str != "s->b->t" {
-		t.Errorf("PathString = %q", str)
-	}
-	if n.PathString(nil) != "(empty)" {
-		t.Errorf("empty PathString = %q", n.PathString(nil))
-	}
-}
-
 func TestFourNodeExample(t *testing.T) {
 	n, ids := FourNodeExample()
 	if n.NumNodes() != 4 || n.NumEdges() != 3 {

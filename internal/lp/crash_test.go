@@ -32,13 +32,13 @@ func crashStaircase(seed int64, n, pad int, asLE bool) *crashLP {
 	m := lp.m
 	m.SetMaximize(true)
 	for j := 0; j < n; j++ {
-		lp.flows = append(lp.flows, m.AddVar(0, 1+2*r.Float64(), 0.5+r.Float64(), ""))
+		lp.flows = append(lp.flows, m.AddVar(0, 1+2*r.Float64(), 0.5+r.Float64()))
 	}
 	for j := 0; j+1 < n; j++ {
 		lp.caps = append(lp.caps, m.AddConstraint(LE, 0.5+2*r.Float64(), Term{lp.flows[j], 1}, Term{lp.flows[j+1], 1}))
 	}
 	for w := 0; w < n; w += 8 {
-		theta := m.AddVar(0, Inf, -(4 + 8*r.Float64()), "")
+		theta := m.AddVar(0, Inf, -(4 + 8*r.Float64()))
 		for j := w; j < w+8 && j < n; j++ {
 			if asLE {
 				lp.costs = append(lp.costs, m.AddConstraint(LE, 0, Term{lp.flows[j], 1}, Term{theta, -1}))
@@ -434,7 +434,7 @@ func TestSingularLadder(t *testing.T) {
 func TestBarredColumnGetsItsTurn(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	m.AddConstraint(LE, 4, Term{m.AddVar(0, Inf, 1, "x"), 1})
+	m.AddConstraint(LE, 4, Term{m.AddVar(0, Inf, 1), 1})
 	want := mustOptimal(t, m, Options{}, "reference")
 	for _, rule := range []PricingRule{PricingDantzig, PricingDevex} {
 		var sol *Solution

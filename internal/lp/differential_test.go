@@ -123,7 +123,7 @@ func TestKernelDifferentialDegenerate(t *testing.T) {
 		n := 6 + r.Intn(5)
 		vars := make([]Term, n)
 		for j := 0; j < n; j++ {
-			v := m.AddVar(0, 1, 1+float64(j%3)*0.5, "x")
+			v := m.AddVar(0, 1, 1+float64(j%3)*0.5)
 			vars[j] = Term{Var: v, Coef: 1}
 		}
 		// The same aggregate row replicated many times: every ratio test
@@ -156,7 +156,7 @@ func TestKernelDifferentialDegenerate(t *testing.T) {
 // classify identically on both kernels.
 func TestKernelDifferentialTaxonomy(t *testing.T) {
 	inf := NewModel()
-	x := inf.AddVar(0, 10, 1, "x")
+	x := inf.AddVar(0, 10, 1)
 	inf.AddConstraint(GE, 5, Term{Var: x, Coef: 1})
 	inf.AddConstraint(LE, 2, Term{Var: x, Coef: 1})
 	spI, dnI := solveBoth(t, inf, Options{})
@@ -166,8 +166,8 @@ func TestKernelDifferentialTaxonomy(t *testing.T) {
 
 	unb := NewModel()
 	unb.SetMaximize(true)
-	y := unb.AddVar(0, Inf, 1, "y")
-	z := unb.AddVar(0, Inf, 1, "z")
+	y := unb.AddVar(0, Inf, 1)
+	z := unb.AddVar(0, Inf, 1)
 	unb.AddConstraint(GE, 1, Term{Var: y, Coef: 1}, Term{Var: z, Coef: 1})
 	spU, dnU := solveBoth(t, unb, Options{})
 	if spU.Status != Unbounded || dnU.Status != Unbounded {

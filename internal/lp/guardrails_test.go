@@ -15,7 +15,7 @@ func randomDenseModel(n, m int, seed int64) *Model {
 	md.SetMaximize(true)
 	vars := make([]Var, n)
 	for i := range vars {
-		vars[i] = md.AddVar(0, Inf, rng.Float64(), "")
+		vars[i] = md.AddVar(0, Inf, rng.Float64())
 	}
 	for j := 0; j < m; j++ {
 		terms := make([]Term, n)

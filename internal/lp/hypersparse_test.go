@@ -374,7 +374,7 @@ func TestBigScaleSolveKKT(t *testing.T) {
 	m.SetMaximize(true)
 	vars := make([]Var, n)
 	for j := 0; j < n; j++ {
-		vars[j] = m.AddVar(0, 1+2*r.Float64(), 0.5+r.Float64(), "")
+		vars[j] = m.AddVar(0, 1+2*r.Float64(), 0.5+r.Float64())
 	}
 	caps := make([]float64, n-1)
 	for i := 0; i < n-1; i++ {

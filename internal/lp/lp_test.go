@@ -25,8 +25,8 @@ func TestSimpleMax(t *testing.T) {
 	// Optimum at (4, 0) with objective 12.
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 3, "x")
-	y := m.AddVar(0, Inf, 2, "y")
+	x := m.AddVar(0, Inf, 3)
+	y := m.AddVar(0, Inf, 2)
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
 	m.AddConstraint(LE, 6, Term{x, 1}, Term{y, 3})
 	sol := solveOK(t, m)
@@ -42,8 +42,8 @@ func TestSimpleMin(t *testing.T) {
 	// min 2x + 3y  s.t. x + y >= 10, x <= 6, y <= 8.
 	// Optimum: x=6, y=4, objective 24.
 	m := NewModel()
-	x := m.AddVar(0, 6, 2, "x")
-	y := m.AddVar(0, 8, 3, "y")
+	x := m.AddVar(0, 6, 2)
+	y := m.AddVar(0, 8, 3)
 	m.AddConstraint(GE, 10, Term{x, 1}, Term{y, 1})
 	sol := solveOK(t, m)
 	if !approx(sol.Objective, 24, 1e-8) {
@@ -58,8 +58,8 @@ func TestEquality(t *testing.T) {
 	// max x + y  s.t. x + 2y = 8, x <= 4. Optimum: x=4, y=2, obj 6.
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, 4, 1, "x")
-	y := m.AddVar(0, Inf, 1, "y")
+	x := m.AddVar(0, 4, 1)
+	y := m.AddVar(0, Inf, 1)
 	m.AddConstraint(EQ, 8, Term{x, 1}, Term{y, 2})
 	sol := solveOK(t, m)
 	if !approx(sol.Objective, 6, 1e-8) {
@@ -73,8 +73,8 @@ func TestEquality(t *testing.T) {
 func TestNegativeLowerBound(t *testing.T) {
 	// min x  s.t. x >= -5 (bound), x + y = 0, y <= 3 → x = -3.
 	m := NewModel()
-	x := m.AddVar(-5, Inf, 1, "x")
-	y := m.AddVar(0, 3, 0, "y")
+	x := m.AddVar(-5, Inf, 1)
+	y := m.AddVar(0, 3, 0)
 	m.AddConstraint(EQ, 0, Term{x, 1}, Term{y, 1})
 	sol := solveOK(t, m)
 	if !approx(sol.X[x], -3, 1e-8) {
@@ -86,8 +86,8 @@ func TestFreeVariable(t *testing.T) {
 	// min y s.t. y >= x - 4, y >= -x, x in [0, 10], y free.
 	// i.e. min max(x-4, -x): optimum x=2, y=-2.
 	m := NewModel()
-	x := m.AddVar(0, 10, 0, "x")
-	y := m.AddVar(math.Inf(-1), Inf, 1, "y")
+	x := m.AddVar(0, 10, 0)
+	y := m.AddVar(math.Inf(-1), Inf, 1)
 	m.AddConstraint(GE, -4, Term{y, 1}, Term{x, -1})
 	m.AddConstraint(GE, 0, Term{y, 1}, Term{x, 1})
 	sol := solveOK(t, m)
@@ -100,7 +100,7 @@ func TestUpperBoundedOnlyVariable(t *testing.T) {
 	// Variable with lo=-Inf, up=5: max x s.t. x <= 5 bound only.
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(math.Inf(-1), 5, 1, "x")
+	x := m.AddVar(math.Inf(-1), 5, 1)
 	m.AddConstraint(GE, -100, Term{x, 1}) // keep it bounded below via row
 	sol := solveOK(t, m)
 	if !approx(sol.X[x], 5, 1e-8) {
@@ -110,7 +110,7 @@ func TestUpperBoundedOnlyVariable(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, Inf, 1, "x")
+	x := m.AddVar(0, Inf, 1)
 	m.AddConstraint(LE, 1, Term{x, 1})
 	m.AddConstraint(GE, 2, Term{x, 1})
 	sol, err := m.Solve(Options{})
@@ -125,8 +125,8 @@ func TestInfeasible(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 1, "x")
-	y := m.AddVar(0, Inf, 0, "y")
+	x := m.AddVar(0, Inf, 1)
+	y := m.AddVar(0, Inf, 0)
 	m.AddConstraint(GE, 0, Term{x, 1}, Term{y, -1})
 	sol, err := m.Solve(Options{})
 	if err != nil {
@@ -140,8 +140,8 @@ func TestUnbounded(t *testing.T) {
 func TestFixedVariable(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(3, 3, 1, "x") // fixed at 3
-	y := m.AddVar(0, Inf, 1, "y")
+	x := m.AddVar(3, 3, 1) // fixed at 3
+	y := m.AddVar(0, Inf, 1)
 	m.AddConstraint(LE, 10, Term{x, 1}, Term{y, 1})
 	sol := solveOK(t, m)
 	if !approx(sol.X[x], 3, 1e-9) || !approx(sol.X[y], 7, 1e-8) {
@@ -154,8 +154,8 @@ func TestDualsOfCapacityRows(t *testing.T) {
 	// Optimum a=4, b=6, obj 38. Duals: capacity row 3, a-row 2.
 	m := NewModel()
 	m.SetMaximize(true)
-	a := m.AddVar(0, Inf, 5, "a")
-	b := m.AddVar(0, Inf, 3, "b")
+	a := m.AddVar(0, Inf, 5)
+	b := m.AddVar(0, Inf, 3)
 	cap := m.AddConstraint(LE, 10, Term{a, 1}, Term{b, 1})
 	lim := m.AddConstraint(LE, 4, Term{a, 1})
 	sol := solveOK(t, m)
@@ -174,7 +174,7 @@ func TestDualSlackRow(t *testing.T) {
 	// A non-binding row must have zero dual (complementary slackness).
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, 2, 1, "x")
+	x := m.AddVar(0, 2, 1)
 	loose := m.AddConstraint(LE, 100, Term{x, 1})
 	sol := solveOK(t, m)
 	if !approx(sol.Dual[loose], 0, 1e-8) {
@@ -188,7 +188,7 @@ func TestDualSlackRow(t *testing.T) {
 func TestNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -3  (i.e. x >= 3).
 	m := NewModel()
-	x := m.AddVar(0, Inf, 1, "x")
+	x := m.AddVar(0, Inf, 1)
 	m.AddConstraint(LE, -3, Term{x, -1})
 	sol := solveOK(t, m)
 	if !approx(sol.X[x], 3, 1e-8) {
@@ -199,7 +199,7 @@ func TestNegativeRHS(t *testing.T) {
 func TestDuplicateTermsMerged(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 1, "x")
+	x := m.AddVar(0, Inf, 1)
 	m.AddConstraint(LE, 6, Term{x, 1}, Term{x, 2}) // 3x <= 6
 	sol := solveOK(t, m)
 	if !approx(sol.X[x], 2, 1e-8) {
@@ -214,10 +214,10 @@ func TestBealeCyclingExample(t *testing.T) {
 	//      0.5x4  - 90x5 - 0.02x6 + 3x7 <= 0
 	//      x6 <= 1. Optimum objective -0.05.
 	m := NewModel()
-	x4 := m.AddVar(0, Inf, -0.75, "x4")
-	x5 := m.AddVar(0, Inf, 150, "x5")
-	x6 := m.AddVar(0, 1, -0.02, "x6")
-	x7 := m.AddVar(0, Inf, 6, "x7")
+	x4 := m.AddVar(0, Inf, -0.75)
+	x5 := m.AddVar(0, Inf, 150)
+	x6 := m.AddVar(0, 1, -0.02)
+	x7 := m.AddVar(0, Inf, 6)
 	m.AddConstraint(LE, 0, Term{x4, 0.25}, Term{x5, -60}, Term{x6, -0.04}, Term{x7, 9})
 	m.AddConstraint(LE, 0, Term{x4, 0.5}, Term{x5, -90}, Term{x6, -0.02}, Term{x7, 3})
 	sol := solveOK(t, m)
@@ -231,8 +231,8 @@ func TestDegenerateRedundantRows(t *testing.T) {
 	// must still succeed.
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 1, "x")
-	y := m.AddVar(0, Inf, 1, "y")
+	x := m.AddVar(0, Inf, 1)
+	y := m.AddVar(0, Inf, 1)
 	m.AddConstraint(EQ, 4, Term{x, 1}, Term{y, 1})
 	m.AddConstraint(EQ, 8, Term{x, 2}, Term{y, 2}) // redundant copy
 	m.AddConstraint(LE, 3, Term{x, 1})
@@ -245,10 +245,10 @@ func TestDegenerateRedundantRows(t *testing.T) {
 func TestIterationLimit(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 1, "x")
-	y := m.AddVar(0, Inf, 1, "y")
+	x := m.AddVar(0, Inf, 1)
+	y := m.AddVar(0, Inf, 1)
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
-	sol, err := m.Solve(Options{MaxIters: 1, Tol: 1e-9})
+	sol, err := m.Solve(Options{MaxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestIterationLimit(t *testing.T) {
 func TestSetObjReSolve(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, 10, 1, "x")
-	y := m.AddVar(0, 10, 2, "y")
+	x := m.AddVar(0, 10, 1)
+	y := m.AddVar(0, 10, 2)
 	m.AddConstraint(LE, 10, Term{x, 1}, Term{y, 1})
 	sol := solveOK(t, m)
 	if !approx(sol.Objective, 20, 1e-8) {
@@ -279,7 +279,7 @@ func TestSetObjReSolve(t *testing.T) {
 func TestSolutionValue(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, 3, 1, "x")
+	x := m.AddVar(0, 3, 1)
 	sol := solveOK(t, m)
 	if got := sol.Value(Term{x, 2}); !approx(got, 6, 1e-9) {
 		t.Errorf("Value = %v, want 6", got)
@@ -288,10 +288,7 @@ func TestSolutionValue(t *testing.T) {
 
 func TestVarAccessors(t *testing.T) {
 	m := NewModel()
-	v := m.AddVar(1, 2, 3, "foo")
-	if m.VarName(v) != "foo" {
-		t.Errorf("VarName = %q", m.VarName(v))
-	}
+	v := m.AddVar(1, 2, 3)
 	lo, up := m.Bounds(v)
 	if lo != 1 || up != 2 {
 		t.Errorf("Bounds = %v %v", lo, up)
@@ -315,7 +312,7 @@ func TestAddVarPanicsOnBadBounds(t *testing.T) {
 			t.Error("expected panic for lo > up")
 		}
 	}()
-	NewModel().AddVar(2, 1, 0, "bad")
+	NewModel().AddVar(2, 1, 0)
 }
 
 func TestSenseString(t *testing.T) {
@@ -344,7 +341,7 @@ func randomBoundedLP(r *rand.Rand) (*Model, []Var, []Row, [][]Term, []float64) {
 	for j := 0; j < n; j++ {
 		up := 1 + r.Float64()*9
 		c := r.Float64()*10 - 2
-		vars[j] = m.AddVar(0, up, c, "")
+		vars[j] = m.AddVar(0, up, c)
 	}
 	rows := make([]Row, mm)
 	rowTerms := make([][]Term, mm)
@@ -439,7 +436,7 @@ func TestTransportationProblem(t *testing.T) {
 	var x [2][3]Var
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
-			x[i][j] = m.AddVar(0, Inf, costs[i][j], "")
+			x[i][j] = m.AddVar(0, Inf, costs[i][j])
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -463,7 +460,7 @@ func TestLargeRandomStress(t *testing.T) {
 	m.SetMaximize(true)
 	vars := make([]Var, n)
 	for j := range vars {
-		vars[j] = m.AddVar(0, 5+r.Float64()*10, r.Float64()*10, "")
+		vars[j] = m.AddVar(0, 5+r.Float64()*10, r.Float64()*10)
 	}
 	type rowRec struct {
 		terms []Term
@@ -498,8 +495,8 @@ func TestReducedCostsKnownLP(t *testing.T) {
 	// from its bound loses 1/unit); x is basic with reduced cost 0.
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 3, "x")
-	y := m.AddVar(0, Inf, 2, "y")
+	x := m.AddVar(0, Inf, 3)
+	y := m.AddVar(0, Inf, 2)
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
 	m.AddConstraint(LE, 6, Term{x, 1}, Term{y, 3})
 	sol := solveOK(t, m)

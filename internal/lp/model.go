@@ -61,7 +61,6 @@ type Model struct {
 	// Per-variable data, indexed by Var.
 	obj    []float64
 	lo, up []float64
-	names  []string
 
 	// Per-row data, indexed by Row.
 	rows   [][]Term
@@ -88,17 +87,15 @@ func NewModel() *Model { return &Model{} }
 func (m *Model) SetMaximize(max bool) { m.maximize = max }
 
 // AddVar adds a decision variable with bounds [lo, up] and objective
-// coefficient obj. Use -Inf/Inf for unbounded sides. The name is only for
-// diagnostics. It panics if lo > up, since that is always a programming
-// error in the caller.
-func (m *Model) AddVar(lo, up, obj float64, name string) Var {
+// coefficient obj. Use -Inf/Inf for unbounded sides. It panics if lo > up,
+// since that is always a programming error in the caller.
+func (m *Model) AddVar(lo, up, obj float64) Var {
 	if lo > up {
-		panic(fmt.Sprintf("lp: variable %q has lo %v > up %v", name, lo, up))
+		panic(fmt.Sprintf("lp: variable %d has lo %v > up %v", len(m.obj), lo, up))
 	}
 	m.obj = append(m.obj, obj)
 	m.lo = append(m.lo, lo)
 	m.up = append(m.up, up)
-	m.names = append(m.names, name)
 	m.restructured()
 	return Var(len(m.obj) - 1)
 }
@@ -134,14 +131,11 @@ func (m *Model) SetRHS(r Row, rhs float64) { m.rhs[r] = rhs }
 // AddVar.
 func (m *Model) SetBounds(v Var, lo, up float64) {
 	if lo > up {
-		panic(fmt.Sprintf("lp: variable %q has lo %v > up %v", m.names[v], lo, up))
+		panic(fmt.Sprintf("lp: variable %d has lo %v > up %v", v, lo, up))
 	}
 	m.lo[v] = lo
 	m.up[v] = up
 }
-
-// VarName returns the diagnostic name of v.
-func (m *Model) VarName(v Var) string { return m.names[v] }
 
 // Bounds returns the bounds of v.
 func (m *Model) Bounds(v Var) (lo, up float64) { return m.lo[v], m.up[v] }
@@ -474,8 +468,6 @@ type Options struct {
 	// MaxIters bounds total pivots; 0 means a generous default derived
 	// from problem size.
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-9.
-	Tol float64
 	// TimeBudget bounds the wall-clock time of the solve; when it expires
 	// the solve returns Status TimeLimit (checked between pivots, so the
 	// overrun is at most one pivot). 0 means unlimited. This is the
@@ -512,14 +504,11 @@ type Options struct {
 }
 
 // withDefaults normalizes the options against a standardized problem of n
-// columns and m rows: non-positive tolerances and iteration budgets are
-// replaced with the documented defaults, so
-// call sites passing lp.Options{} (or accidentally negative values) get
-// well-defined behavior.
+// columns and m rows: non-positive iteration budgets and residual
+// tolerances are replaced with the documented defaults, so call sites
+// passing lp.Options{} (or accidentally negative values) get well-defined
+// behavior.
 func (o Options) withDefaults(n, m int) Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000 + 40*(n+m)
 	}

@@ -63,7 +63,6 @@ func partialPricingState(dRed []float64) *state {
 		dvxW:    make([]float64, n),
 		atUpper: make([]bool, n),
 		basePos: make([]int, n),
-		tol:     1e-9,
 	}
 	for j := range st.dvxW {
 		st.dvxW[j] = 1

@@ -492,7 +492,7 @@ func (m *Model) assembleReduced(ps *presolveState) {
 			ps.colMap[j] = -1
 			continue
 		}
-		ps.colMap[j] = int(red.AddVar(ps.lo[j], ps.up[j], m.obj[j], m.names[j]))
+		ps.colMap[j] = int(red.AddVar(ps.lo[j], ps.up[j], m.obj[j]))
 	}
 	for i := 0; i < nr; i++ {
 		if ps.drops[i].kind != dropKeep {

@@ -38,7 +38,7 @@ func randomModel(r *rand.Rand) *Model {
 		if r.Intn(6) == 0 {
 			obj = 0
 		}
-		vars[j] = m.AddVar(lo, up, obj, fmt.Sprintf("x%d", j))
+		vars[j] = m.AddVar(lo, up, obj)
 	}
 	for i := 0; i < nr; i++ {
 		sense := Sense(r.Intn(3))
@@ -287,7 +287,7 @@ func solveLikeFresh(t *testing.T, m *Model, warm *Basis, ctx string, stats ...*S
 	fresh := NewModel()
 	fresh.SetMaximize(m.maximize)
 	for j := range m.obj {
-		fresh.AddVar(m.lo[j], m.up[j], m.obj[j], m.names[j])
+		fresh.AddVar(m.lo[j], m.up[j], m.obj[j])
 	}
 	for i, row := range m.rows {
 		fresh.AddConstraint(m.senses[i], m.rhs[i], row...)
@@ -331,8 +331,8 @@ func TestPresolveReductions(t *testing.T) {
 		// max x+y s.t. x <= 3 (singleton), x+y <= 10, y <= 4 (bound).
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(0, Inf, 1, "x")
-		y := m.AddVar(0, 4, 1, "y")
+		x := m.AddVar(0, Inf, 1)
+		y := m.AddVar(0, 4, 1)
 		rx := m.AddConstraint(LE, 3, Term{x, 1})
 		rsum := m.AddConstraint(LE, 10, Term{x, 1}, Term{y, 1})
 		sol, err := m.Solve(Options{Presolve: true})
@@ -356,8 +356,8 @@ func TestPresolveReductions(t *testing.T) {
 		// Row activity can never reach the rhs: dual must be exactly 0.
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(0, 2, 1, "x")
-		y := m.AddVar(0, 2, 1, "y")
+		x := m.AddVar(0, 2, 1)
+		y := m.AddVar(0, 2, 1)
 		red := m.AddConstraint(LE, 100, Term{x, 1}, Term{y, 1})
 		sol, err := m.Solve(Options{Presolve: true})
 		if err != nil || sol.Status != Optimal {
@@ -374,8 +374,8 @@ func TestPresolveReductions(t *testing.T) {
 	t.Run("fixed-variable-substituted", func(t *testing.T) {
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(2, 2, 5, "x") // fixed at 2
-		y := m.AddVar(0, Inf, 1, "y")
+		x := m.AddVar(2, 2, 5) // fixed at 2
+		y := m.AddVar(0, Inf, 1)
 		r := m.AddConstraint(LE, 7, Term{x, 1}, Term{y, 1})
 		sol, err := m.Solve(Options{Presolve: true})
 		if err != nil || sol.Status != Optimal {
@@ -397,8 +397,8 @@ func TestPresolveReductions(t *testing.T) {
 		// since x is interior to [0, 10].
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(0, 10, 4, "x")
-		y := m.AddVar(0, 5, 1, "y")
+		x := m.AddVar(0, 10, 4)
+		y := m.AddVar(0, 5, 1)
 		req := m.AddConstraint(EQ, 6, Term{x, 2})
 		m.AddConstraint(LE, 100, Term{x, 1}, Term{y, 1})
 		sol, err := m.Solve(Options{Presolve: true})
@@ -419,7 +419,7 @@ func TestPresolveReductions(t *testing.T) {
 
 	t.Run("infeasible-detected-in-presolve", func(t *testing.T) {
 		m := NewModel()
-		x := m.AddVar(0, 1, 1, "x")
+		x := m.AddVar(0, 1, 1)
 		m.AddConstraint(GE, 5, Term{x, 1}) // x >= 5 vs up = 1
 		sol, err := m.Solve(Options{Presolve: true})
 		if err != nil {
@@ -435,8 +435,8 @@ func TestPresolveReductions(t *testing.T) {
 		// model is empty and postsolve alone produces the answer.
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(1, 1, 3, "x")
-		y := m.AddVar(0, 2, 1, "y") // dominated upward: no rows resist
+		x := m.AddVar(1, 1, 3)
+		y := m.AddVar(0, 2, 1) // dominated upward: no rows resist
 		sol, err := m.Solve(Options{Presolve: true})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("solve: %v %v", err, sol.Status)
@@ -457,8 +457,8 @@ func TestSetBoundsPatchedStandardization(t *testing.T) {
 	build := func() *Model {
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(0, 4, 3, "x")
-		y := m.AddVar(-1, 5, 2, "y")
+		x := m.AddVar(0, 4, 3)
+		y := m.AddVar(-1, 5, 2)
 		m.AddConstraint(LE, 6, Term{x, 1}, Term{y, 1})
 		m.AddConstraint(GE, 1, Term{x, 1})
 		return m
@@ -514,7 +514,7 @@ func TestSetBoundsPatchedStandardization(t *testing.T) {
 	}
 
 	// A structural edit after caching must also rebuild cleanly.
-	v := m.AddVar(0, 1, 10, "z")
+	v := m.AddVar(0, 1, 10)
 	m.AddConstraint(LE, 1, Term{v, 1})
 	if _, err := m.Solve(Options{}); err != nil {
 		t.Fatal(err)

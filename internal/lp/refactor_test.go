@@ -16,7 +16,7 @@ func buildMidLP(seed int64) *Model {
 	const n, rows = 50, 35
 	vars := make([]Var, n)
 	for j := range vars {
-		vars[j] = m.AddVar(0, 2+r.Float64()*8, r.Float64()*10, "")
+		vars[j] = m.AddVar(0, 2+r.Float64()*8, r.Float64()*10)
 	}
 	for i := 0; i < rows; i++ {
 		var terms []Term
@@ -61,10 +61,10 @@ func TestRefactorizationConsistency(t *testing.T) {
 func TestRefactorWithEqualityAndFreeVars(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	free := m.AddVar(math.Inf(-1), Inf, -1, "free")
+	free := m.AddVar(math.Inf(-1), Inf, -1)
 	var xs []Var
 	for j := 0; j < 20; j++ {
-		xs = append(xs, m.AddVar(0, 3, 1+float64(j%5), ""))
+		xs = append(xs, m.AddVar(0, 3, 1+float64(j%5)))
 	}
 	// free equals the total shipped (so it is pinned by equality).
 	terms := []Term{{free, -1}}

@@ -321,7 +321,6 @@ type state struct {
 	flipped       []int32   // scratch: rows bound flips moved since the last clamp (see optimize)
 	cand          []int     // partial-pricing candidate list
 	cursor        int       // partial-pricing scan position
-	tol           float64
 	iters         int
 	refactors     int // refactorizations performed (telemetry for SolveStats)
 	maxIter       int
@@ -415,7 +414,6 @@ func (std *standard) solve(opts Options) result {
 		yBuf:          make([]float64, m),
 		rhoBuf:        make([]float64, m),
 		cbBuf:         make([]float64, m),
-		tol:           opts.Tol,
 		maxIter:       opts.MaxIters,
 		refactorEvery: forceRefactorEvery,
 	}
@@ -612,6 +610,9 @@ func (st *state) indexBasis() {
 // standard.large. Exported because sched.Instance.Build selects its build
 // mode on the same count: a model is large in both layers or neither.
 const LargeModelRows = 4096
+
+// optTol is the simplex's feasibility and optimality tolerance.
+const optTol = 1e-9
 
 type stagedOutcome int
 
@@ -933,10 +934,10 @@ func (st *state) reducedCost(costs, y []float64, j int) float64 {
 // (rising from lower, or falling from upper), zero otherwise.
 func (st *state) violation(j int, d float64) (viol float64, fromUpper bool) {
 	if st.atUpper[j] {
-		if d > st.tol {
+		if d > optTol {
 			return d, true
 		}
-	} else if d < -st.tol {
+	} else if d < -optTol {
 		return -d, false
 	}
 	return 0, false
@@ -1225,7 +1226,6 @@ func (st *state) priceDevex(skipArt bool) (q int, fromUpper bool, qD float64) {
 func (st *state) priceDevexFull(skipArt bool) (q int, fromUpper bool, qD, best float64) {
 	std := st.std
 	q = -1
-	tol := st.tol
 	// The scan is the single hottest loop of a large cold solve, so it is
 	// arranged to reject a column from the sequentially-read dRed value
 	// alone wherever possible: the sign tests discard every well-priced
@@ -1240,12 +1240,12 @@ func (st *state) priceDevexFull(skipArt bool) (q int, fromUpper bool, qD, best f
 	for j, d := range dRed {
 		var viol float64
 		var fu bool
-		if d < -tol {
+		if d < -optTol {
 			if atUpper[j] {
 				continue
 			}
 			viol = -d
-		} else if d > tol && atUpper[j] {
+		} else if d > optTol && atUpper[j] {
 			viol, fu = d, true
 		} else {
 			continue
@@ -1281,7 +1281,6 @@ func (st *state) priceDevexPartial(skipArt bool) (q int, fromUpper bool, qD floa
 func (st *state) priceDevexCand(skipArt bool) (q int, fromUpper bool, qD float64) {
 	std := st.std
 	q = -1
-	tol := st.tol
 	dRed, dvxW := st.dRed, st.dvxW
 	atUpper, basePos, art := st.atUpper, st.basePos, std.art
 	kept := st.dvxCand[:0]
@@ -1291,12 +1290,12 @@ func (st *state) priceDevexCand(skipArt bool) (q int, fromUpper bool, qD float64
 		d := dRed[j]
 		var viol float64
 		var fu bool
-		if d < -tol {
+		if d < -optTol {
 			if atUpper[j] {
 				continue
 			}
 			viol = -d
-		} else if d > tol && atUpper[j] {
+		} else if d > optTol && atUpper[j] {
 			viol, fu = d, true
 		} else {
 			continue
@@ -1326,18 +1325,17 @@ func (st *state) priceDevexSweep(skipArt bool) (q int, fromUpper bool, qD float6
 		return q, fromUpper, qD
 	}
 	std := st.std
-	tol := st.tol
 	thr := best / dvxCandFrac
 	dRed, dvxW := st.dRed, st.dvxW
 	atUpper, basePos, art := st.atUpper, st.basePos, std.art
 	for j, d := range dRed {
 		var viol float64
-		if d < -tol {
+		if d < -optTol {
 			if atUpper[j] {
 				continue
 			}
 			viol = -d
-		} else if d > tol && atUpper[j] {
+		} else if d > optTol && atUpper[j] {
 			viol = d
 		} else {
 			continue
@@ -1691,7 +1689,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			return Unbounded
 		}
 		st.iters++
-		if tMax <= st.tol {
+		if tMax <= optTol {
 			stall++
 		} else {
 			stall = 0

@@ -7,8 +7,8 @@ import "testing"
 func statsModel() (*Model, Var, Var) {
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 1, "x")
-	y := m.AddVar(0, Inf, 2, "y")
+	x := m.AddVar(0, Inf, 1)
+	y := m.AddVar(0, Inf, 2)
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
 	m.AddConstraint(LE, 3, Term{y, 1})
 	return m, x, y

@@ -24,7 +24,7 @@ func samShapedLP(r *rand.Rand, rhsScale float64) *Model {
 		for ri := 0; ri < routes; ri++ {
 			e1, e2 := r.Intn(nEdges), r.Intn(nEdges)
 			for t := 0; t < steps; t++ {
-				v := m.AddVar(0, Inf, value, "x")
+				v := m.AddVar(0, Inf, value)
 				dTerms = append(dTerms, Term{Var: v, Coef: 1})
 				edgeTerms[e1*steps+t] = append(edgeTerms[e1*steps+t], Term{Var: v, Coef: 1})
 				if e2 != e1 {
@@ -136,7 +136,7 @@ func TestWarmStartFewerIterations(t *testing.T) {
 func TestWarmStartStructuralMismatchFallsBack(t *testing.T) {
 	small := NewModel()
 	small.SetMaximize(true)
-	x := small.AddVar(0, 5, 1, "x")
+	x := small.AddVar(0, 5, 1)
 	small.AddConstraint(LE, 3, Term{x, 1})
 	sSol, err := small.Solve(Options{})
 	if err != nil || sSol.Status != Optimal {
@@ -165,8 +165,8 @@ func TestWarmStartAfterRelaxedInfeasibility(t *testing.T) {
 	build := func() (*Model, Row) {
 		m := NewModel()
 		m.SetMaximize(true)
-		a := m.AddVar(0, Inf, 2, "a")
-		b := m.AddVar(0, Inf, 1, "b")
+		a := m.AddVar(0, Inf, 2)
+		b := m.AddVar(0, Inf, 1)
 		m.AddConstraint(LE, 4, Term{a, 1}, Term{b, 1}) // capacity
 		g := m.AddConstraint(GE, 10, Term{a, 1}, Term{b, 1})
 		return m, g
@@ -204,13 +204,13 @@ func TestWarmStartAfterRelaxedInfeasibility(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults: degenerate Options values (negative tolerance, zero
-// or negative iteration budgets) must be normalized, not passed through —
-// call sites handing in lp.Options{} rely on this.
+// TestOptionsDefaults: degenerate Options values (negative residual
+// tolerance, zero or negative iteration budgets) must be normalized, not
+// passed through — call sites handing in lp.Options{} rely on this.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{Tol: -1, MaxIters: -5}.withDefaults(10, 4)
-	if o.Tol != 1e-9 {
-		t.Errorf("Tol = %v, want 1e-9", o.Tol)
+	o := Options{ResidualTol: -1, MaxIters: -5}.withDefaults(10, 4)
+	if o.ResidualTol != 1e-6 {
+		t.Errorf("ResidualTol = %v, want 1e-6", o.ResidualTol)
 	}
 	if o.MaxIters != 2000+40*14 {
 		t.Errorf("MaxIters = %v, want %v", o.MaxIters, 2000+40*14)
@@ -219,10 +219,10 @@ func TestOptionsDefaults(t *testing.T) {
 	// End to end: a solve with hostile options must behave like defaults.
 	m := NewModel()
 	m.SetMaximize(true)
-	x := m.AddVar(0, Inf, 3, "x")
-	y := m.AddVar(0, Inf, 2, "y")
+	x := m.AddVar(0, Inf, 3)
+	y := m.AddVar(0, Inf, 2)
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
-	sol, err := m.Solve(Options{Tol: -7, MaxIters: -1})
+	sol, err := m.Solve(Options{ResidualTol: -7, MaxIters: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +297,8 @@ func TestWarmStartMatrixChangeFallsBack(t *testing.T) {
 	build := func(coef float64) *Model {
 		m := NewModel()
 		m.SetMaximize(true)
-		x := m.AddVar(0, Inf, 3, "x")
-		y := m.AddVar(0, Inf, 2, "y")
+		x := m.AddVar(0, Inf, 3)
+		y := m.AddVar(0, Inf, 2)
 		m.AddConstraint(LE, 12, Term{x, coef}, Term{y, 1})
 		m.AddConstraint(LE, 8, Term{x, 1}, Term{y, 1})
 		return m

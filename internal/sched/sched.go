@@ -382,16 +382,13 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 				if allowed != nil && !allowed[t] {
 					continue
 				}
-				var v lp.Var
+				up := lp.Inf
 				if implicit {
-					v = m.AddVar(0, implicitUpper(ins, d, route, t), d.ValuePerByte, "")
-				} else {
-					up := lp.Inf
-					if d.RateCap > 0 && len(d.Routes) == 1 {
-						up = d.RateCap // single route: a bound beats a row
-					}
-					v = m.AddVar(0, up, d.ValuePerByte, fmt.Sprintf("x.d%d.r%d.t%d", d.ID, ri, t))
+					up = implicitUpper(ins, d, route, t)
+				} else if d.RateCap > 0 && len(d.Routes) == 1 {
+					up = d.RateCap // single route: a bound beats a row
 				}
+				v := m.AddVar(0, up, d.ValuePerByte)
 				flows = append(flows, flowVar{v: v, d: di, r: ri, t: t})
 				dTerms = append(dTerms, lp.Term{Var: v, Coef: 1})
 				if d.RateCap > 0 && len(d.Routes) > 1 {
@@ -474,12 +471,9 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 				if len(terms) == 0 {
 					// Constant load: a fixed variable keeps the
 					// sorting network purely linear.
-					var lv lp.Var
+					lv := m.AddVar(fixed, fixed, 0)
 					if implicit {
-						lv = m.AddVar(fixed, fixed, 0, "")
 						fixedLoads = append(fixedLoads, fixedLoadVar{v: lv, e: eid, t: t})
-					} else {
-						lv = m.AddVar(fixed, fixed, 0, fmt.Sprintf("L.e%d.t%d", eid, t))
 					}
 					loads = append(loads, cost.LoadExpr{{Var: lv, Coef: 1}})
 					continue
@@ -487,26 +481,20 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 				anyFlow = true
 				if !ins.WantPrices {
 					expr := append(cost.LoadExpr(nil), terms...)
-					if implicit {
-						// Always carry a fixed-usage variable, even at
-						// zero, so Rebind can re-pin it when earlier
-						// steps' traffic becomes FixedUsage.
-						fv := m.AddVar(fixed, fixed, 0, "")
-						fixedLoads = append(fixedLoads, fixedLoadVar{v: fv, e: eid, t: t})
-						expr = append(expr, lp.Term{Var: fv, Coef: 1})
-					} else if fixed > 0 {
-						fv := m.AddVar(fixed, fixed, 0, fmt.Sprintf("F.e%d.t%d", eid, t))
+					// The implicit build always carries a fixed-usage
+					// variable, even at zero, so Rebind can re-pin it
+					// when earlier steps' traffic becomes FixedUsage.
+					if implicit || fixed > 0 {
+						fv := m.AddVar(fixed, fixed, 0)
+						if implicit {
+							fixedLoads = append(fixedLoads, fixedLoadVar{v: fv, e: eid, t: t})
+						}
 						expr = append(expr, lp.Term{Var: fv, Coef: 1})
 					}
 					loads = append(loads, expr)
 					continue
 				}
-				var lv lp.Var
-				if implicit {
-					lv = m.AddVar(0, lp.Inf, 0, "")
-				} else {
-					lv = m.AddVar(0, lp.Inf, 0, fmt.Sprintf("L.e%d.t%d", eid, t))
-				}
+				lv := m.AddVar(0, lp.Inf, 0)
 				// flows + fixed - L = 0  →  Σ flows - L = -fixed.
 				def := append(append([]lp.Term(nil), terms...), lp.Term{Var: lv, Coef: -1})
 				defRow[eid*H+t] = m.AddConstraint(lp.EQ, -fixed, def...)
@@ -516,7 +504,7 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 				return
 			}
 			k := ins.Cost.K(we - ws)
-			s := cost.AddTopKBound(m, loads, k, fmt.Sprintf("z.e%d.w%d", eid, ws))
+			s := cost.AddTopKBound(m, loads, k)
 			coef := -e.CostPerUnit / float64(k)
 			m.SetObj(s, coef)
 			if implicit {
@@ -596,8 +584,8 @@ func (b *Built) RelaxGuarantees() {
 // a from-scratch Build costs at paper scale.
 //
 // Only implicit-bound builds support Rebind (the explicit build bakes
-// instance data into variable names and row layout in ways that are not
-// worth patching), and only for a successor that Build would itself make
+// instance data into its row layout in ways that are not worth
+// patching), and only for a successor that Build would itself make
 // implicit — otherwise the path a step runs on would depend on what the
 // previous step retained, not on the step's own instance. Beyond that the
 // successor must match the built instance structurally:

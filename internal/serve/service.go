@@ -106,10 +106,6 @@ func (s *Service) Net() *graph.Network { return s.net }
 // Epoch reports the current pricing epoch number.
 func (s *Service) Epoch() uint64 { return s.cur.Load().n }
 
-// View returns the current epoch's sealed snapshot: safe for concurrent
-// reads, poisoned against every mutation.
-func (s *Service) View() *pricing.State { return s.cur.Load().view }
-
 // Quote prices req against the current epoch's sealed view without
 // admitting it. Lock-free: an atomic epoch load plus pooled quoter
 // scratch. maxBytes <= 0 means req.Demand. The menu reflects room as of

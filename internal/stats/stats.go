@@ -66,16 +66,6 @@ func TopKMean(xs []float64, k int) (float64, error) {
 	return sum / float64(k), nil
 }
 
-// TopKSum returns the sum of the k largest values of xs. The sorting-network
-// constraints of Theorem 4.2 bound exactly this quantity.
-func TopKSum(xs []float64, k int) (float64, error) {
-	m, err := TopKMean(xs, k)
-	if err != nil {
-		return 0, err
-	}
-	return m * float64(k), nil
-}
-
 // CDF is an empirical cumulative distribution function over a sample.
 type CDF struct {
 	sorted []float64
@@ -115,32 +105,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		q = 1
 	}
 	return percentileSorted(c.sorted, q*100)
-}
-
-// Points returns up to n evenly spaced (x, F(x)) pairs suitable for
-// printing a CDF series like the paper's Figure 1 and Figure 10.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		if n == 1 {
-			q = 1
-		}
-		x := percentileSorted(c.sorted, q*100)
-		pts = append(pts, Point{X: x, Y: c.At(x)})
-	}
-	return pts
-}
-
-// Point is an (x, y) pair in a printed series.
-type Point struct {
-	X, Y float64
 }
 
 // Histogram buckets values into fixed-width bins over [min, max).
@@ -198,20 +162,6 @@ func Mean(xs []float64) float64 {
 		s += v
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // LinReg holds the result of an ordinary-least-squares fit y = a + b*x.
