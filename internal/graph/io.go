@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -54,7 +55,10 @@ func (n *Network) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a network written by WriteCSV.
+// ReadCSV parses a network written by WriteCSV. Every capacity must be
+// finite and positive, and every usage-priced edge's cost finite and
+// non-negative: they become the right-hand sides and objective
+// coefficients of the scheduling LPs.
 func ReadCSV(r io.Reader) (*Network, error) {
 	br := bufio.NewReader(r)
 	n := New()
@@ -112,8 +116,11 @@ func ReadCSV(r io.Reader) (*Network, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("graph: malformed edge row %v", rec)
 		}
-		if capacity <= 0 {
-			return nil, fmt.Errorf("graph: nonpositive capacity in %v", rec)
+		if !(capacity > 0) || math.IsInf(capacity, 1) {
+			return nil, fmt.Errorf("graph: capacity not finite and positive in %v", rec)
+		}
+		if priced && (!(cost >= 0) || math.IsInf(cost, 1)) {
+			return nil, fmt.Errorf("graph: usage cost not finite and non-negative in %v", rec)
 		}
 		if from == to {
 			return nil, fmt.Errorf("graph: self-loop edge in %v", rec)

@@ -59,12 +59,17 @@ func TestReadCSVErrors(t *testing.T) {
 		"",
 		"foo,bar\n",
 		"name,region\na,r\n\nwrong,header,x,y,z\n",
-		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,z,1,false,0\n", // unknown node
-		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,x,false,0\n", // bad float
-		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,0,false,0\n", // zero capacity
-		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,a,1,false,0\n", // self loop
-		"name,region\na,r\na,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\n",                // duplicate node
-		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,1,maybe,0\n", // bad bool
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,z,1,false,0\n",    // unknown node
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,x,false,0\n",    // bad float
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,0,false,0\n",    // zero capacity
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,a,1,false,0\n",    // self loop
+		"name,region\na,r\na,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\n",                   // duplicate node
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,1,maybe,0\n",    // bad bool
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,NaN,false,0\n",  // NaN capacity
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,+Inf,false,0\n", // infinite capacity
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,1,true,-1\n",    // negative priced cost
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,1,true,NaN\n",   // NaN priced cost
+		"name,region\na,r\nb,r\n\nfrom,to,capacity,usage_priced,cost_per_unit\na,b,1,true,Inf\n",   // infinite priced cost
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {

@@ -79,21 +79,21 @@ const objTol = 1e-6
 
 // TestCrashSenseInvariance: θ − Σx ≥ 0 and Σx − θ ≤ 0 are the same row, so
 // above the gate the two spellings must standardize to the same problem —
-// same pivot count, same objective, reduced costs equal and row duals equal
-// up to the sign the sense implies — with and without presolve.
+// same pivot count, same objective, and row duals equal up to the sign the
+// sense implies, so the reduced costs agree too — with and without presolve.
 func TestCrashSenseInvariance(t *testing.T) {
 	for _, presolve := range []bool{false, true} {
 		ge := crashStaircase(31, 2400, 0, false)
 		le := crashStaircase(31, 2400, 0, true)
-		opts := Options{Presolve: presolve}
-		a := mustOptimal(t, ge.m, opts, "GE form")
-		b := mustOptimal(t, le.m, opts, "LE form")
+		var sa, sb SolveStats
+		a := mustOptimal(t, ge.m, Options{Presolve: presolve, Stats: &sa}, "GE form")
+		b := mustOptimal(t, le.m, Options{Presolve: presolve, Stats: &sb}, "LE form")
 		if presolve && ge.m.pre.red.NumRows() < LargeModelRows {
 			t.Fatalf("presolve left %d rows: the reduced model is under the gate", ge.m.pre.red.NumRows())
 		}
-		if a.Artificials != len(ge.guards) || b.Artificials != len(le.guards) {
+		if sa.Artificials != len(ge.guards) || sb.Artificials != len(le.guards) {
 			t.Errorf("presolve=%v: cold-start artificials %d / %d, want the %d guarantee rows",
-				presolve, a.Artificials, b.Artificials, len(ge.guards))
+				presolve, sa.Artificials, sb.Artificials, len(ge.guards))
 		}
 		if a.Iterations != b.Iterations {
 			t.Errorf("presolve=%v: %d pivots as ≥ rows, %d as ≤ rows", presolve, a.Iterations, b.Iterations)
@@ -117,9 +117,10 @@ func TestCrashSenseInvariance(t *testing.T) {
 				t.Fatalf("presolve=%v: row %d dual %g, want %g", presolve, i, a.Dual[i], want)
 			}
 		}
-		for j := range a.ReducedCost {
-			if !relClose(a.ReducedCost[j], b.ReducedCost[j], 1e-9) {
-				t.Fatalf("presolve=%v: var %d reduced cost %g vs %g", presolve, j, a.ReducedCost[j], b.ReducedCost[j])
+		da, db := reducedCosts(ge.m, a.Dual), reducedCosts(le.m, b.Dual)
+		for j := range da {
+			if !relClose(da[j], db[j], 1e-9) {
+				t.Fatalf("presolve=%v: var %d reduced cost %g vs %g", presolve, j, da[j], db[j])
 			}
 		}
 	}
@@ -168,8 +169,8 @@ func TestCrashStandardFormAndRefresh(t *testing.T) {
 	}
 	var stats SolveStats
 	warm := mustOptimal(t, m, Options{WarmBasis: cold.Basis(), Stats: &stats}, "warm")
-	if stats.WarmStarts != 1 || warm.Artificials != 0 {
-		t.Fatalf("warm starts %d, artificials %d: the edit cost the solve its basis", stats.WarmStarts, warm.Artificials)
+	if stats.WarmStarts != 1 || stats.Artificials != 0 {
+		t.Fatalf("warm starts %d, artificials %d: the edit cost the solve its basis", stats.WarmStarts, stats.Artificials)
 	}
 	fresh := crashStaircase(32, 2400, 0, false)
 	edit(fresh)
@@ -194,8 +195,8 @@ func TestCrashStandardFormAndRefresh(t *testing.T) {
 		if rhs > 0 {
 			wantArt++
 		}
-		if stats.WarmStarts != 0 || got.Artificials != wantArt {
-			t.Fatalf("rhs → %v: warm starts %d, artificials %d (want cold, %d)", rhs, stats.WarmStarts, got.Artificials, wantArt)
+		if stats.WarmStarts != 0 || stats.Artificials != wantArt {
+			t.Fatalf("rhs → %v: warm starts %d, artificials %d (want cold, %d)", rhs, stats.WarmStarts, stats.Artificials, wantArt)
 		}
 		fresh.m.std = nil
 		if want := mustOptimal(t, fresh.m, Options{}, "fresh").Objective; !relClose(got.Objective, want, objTol) {
@@ -232,15 +233,10 @@ func TestCrashGateLeavesSmallModelsAlone(t *testing.T) {
 	}
 }
 
-// spyFactor counts the tableau-column solves a kernel is asked for, by form.
+// spyFactor counts the tableau-column solves a kernel is asked for.
 type spyFactor struct {
 	factor
-	dense, nz int
-}
-
-func (s *spyFactor) ftranCol(col []entry, out []float64) {
-	s.dense++
-	s.factor.ftranCol(col, out)
+	nz int
 }
 
 func (s *spyFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
@@ -268,32 +264,33 @@ func spiedSolve(t *testing.T, m *Model, opts Options) (spy *spyFactor, sol *Solu
 // at it. Everything the solver switches on size switches between the two —
 // kernel, cold pricing rule, logical crash — and nothing is left on the
 // other side: the size decision is one, seen from outside. The pivot-vector
-// form is the one thing both sides share: nonzero lists, never the dense
-// tableau column.
+// form is the one thing both sides share: nonzero lists.
 func TestOneSizeDecision(t *testing.T) {
 	const n = 2000
 	base := crashStaircase(33, n, 0, false).m.NumRows()
 	for _, rows := range []int{LargeModelRows - 1, LargeModelRows} {
 		lp := crashStaircase(33, n, rows-base, false)
 		large := lp.m.NumRows() >= LargeModelRows
-		spy, sol := spiedSolve(t, lp.m, Options{MaxIters: 60}) // the first pivots tell
+		var stats SolveStats
+		var spy *spyFactor
+		withIterBudget(60, func() { spy, _ = spiedSolve(t, lp.m, Options{Stats: &stats}) }) // the first pivots tell
 		_, eta := spy.factor.(*etaFactor)
 		_, ft := spy.factor.(*ftFactor)
 		if eta == large || ft != large {
 			t.Errorf("%d rows: kernel %T", rows, spy.factor)
 		}
-		if spy.nz == 0 || spy.dense != 0 {
-			t.Errorf("%d rows: %d dense and %d nonzero-list tableau columns", rows, spy.dense, spy.nz)
+		if spy.nz == 0 {
+			t.Errorf("%d rows: no nonzero-list tableau columns", rows)
 		}
-		if devex := sol.PricingUsed == PricingDevex; devex != large {
-			t.Errorf("%d rows: cold solve priced with %q", rows, sol.PricingUsed)
+		if devex := stats.DevexSolves == 1; devex != large {
+			t.Errorf("%d rows: cold solve priced with devex: %v", rows, devex)
 		}
 		wantArt := len(lp.guards)
 		if !large {
 			wantArt += len(lp.costs)
 		}
-		if sol.Artificials != wantArt {
-			t.Errorf("%d rows: %d artificials, want %d", rows, sol.Artificials, wantArt)
+		if stats.Artificials != wantArt {
+			t.Errorf("%d rows: %d artificials, want %d", rows, stats.Artificials, wantArt)
 		}
 	}
 }
@@ -364,8 +361,8 @@ func TestSingularRefactorRecovers(t *testing.T) {
 	withFaults(func(call int) bool { return call == 3 }, func() {
 		hit = mustOptimal(t, crashStaircase(34, 2400, 0, false).m, Options{Stats: &stats}, "one fault")
 	})
-	if hit.Recoveries != 1 || stats.Recoveries != 1 {
-		t.Fatalf("recoveries %d (stats %d), want 1", hit.Recoveries, stats.Recoveries)
+	if stats.Recoveries != 1 {
+		t.Fatalf("recoveries %d, want 1", stats.Recoveries)
 	}
 	if !relClose(hit.Objective, base.Objective, objTol) {
 		t.Fatalf("objective %v after recovery, %v without the fault", hit.Objective, base.Objective)
@@ -404,8 +401,8 @@ func TestSingularLadder(t *testing.T) {
 			sol = mustOptimal(t, lp.m, Options{WarmBasis: cold.Basis(), Stats: &stats}, "warm, retried cold")
 		})
 	})
-	if stats.WarmStarts != 0 || sol.Artificials != len(lp.guards) {
-		t.Fatalf("warm starts %d, artificials %d: the singular warm solve was not retried cold", stats.WarmStarts, sol.Artificials)
+	if stats.WarmStarts != 0 || stats.Artificials != len(lp.guards) {
+		t.Fatalf("warm starts %d, artificials %d: the singular warm solve was not retried cold", stats.WarmStarts, stats.Artificials)
 	}
 	if !relClose(sol.Objective, wantWarm, objTol) {
 		t.Fatalf("objective %v after the cold retry, want %v", sol.Objective, wantWarm)
@@ -419,8 +416,8 @@ func TestSingularLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if sol.Status != Singular || !errors.Is(sol.Err(), ErrSingular) || sol.Basis() != nil {
-		t.Fatalf("status %v, err %v, basis %v; want Singular with no basis", sol.Status, sol.Err(), sol.Basis())
+	if sol.Status != Singular || !errors.Is(sol.Status.Err(), ErrSingular) || sol.Basis() != nil {
+		t.Fatalf("status %v, err %v, basis %v; want Singular with no basis", sol.Status, sol.Status.Err(), sol.Basis())
 	}
 	if stats.SingularHits != 1 || stats.TimeBudgetHits != 0 || stats.IterLimitHits != 0 {
 		t.Fatalf("singular hits %d, time %d, iter %d; want the one Singular solve counted as itself",
@@ -436,17 +433,18 @@ func TestBarredColumnGetsItsTurn(t *testing.T) {
 	m.SetMaximize(true)
 	m.AddConstraint(LE, 4, Term{m.AddVar(0, Inf, 1), 1})
 	want := mustOptimal(t, m, Options{}, "reference")
-	for _, rule := range []PricingRule{PricingDantzig, PricingDevex} {
+	for _, rule := range []pricingRule{pricingDantzig, pricingDevex} {
 		var sol *Solution
+		var stats SolveStats
 		withPricing(rule, func() {
 			withFaults(func(call int) bool { return call == 1 }, func() {
 				withRefactorEvery(1, func() {
-					sol = mustOptimal(t, m, Options{}, "fault after the first pivot")
+					sol = mustOptimal(t, m, Options{Stats: &stats}, "fault after the first pivot")
 				})
 			})
 		})
-		if sol.Recoveries != 1 || sol.Objective != want.Objective {
-			t.Fatalf("%s: recoveries %d, objective %v; want 1 and %v", rule, sol.Recoveries, sol.Objective, want.Objective)
+		if stats.Recoveries != 1 || sol.Objective != want.Objective {
+			t.Fatalf("%s: recoveries %d, objective %v; want 1 and %v", rule, stats.Recoveries, sol.Objective, want.Objective)
 		}
 	}
 }
@@ -455,18 +453,21 @@ func TestBarredColumnGetsItsTurn(t *testing.T) {
 // start is reported as the budget it is.
 func TestStagedBudgetsKeepTheirNames(t *testing.T) {
 	for _, c := range []struct {
-		opts Options
-		want Status
+		maxIters int
+		opts     Options
+		want     Status
 	}{
-		{Options{MaxIters: 40}, IterLimit},
-		{Options{TimeBudget: time.Nanosecond}, TimeLimit},
+		{40, Options{}, IterLimit},
+		{0, Options{TimeBudget: time.Nanosecond}, TimeLimit},
 	} {
-		sol, err := crashStaircase(36, 2400, 0, false).m.Solve(c.opts)
+		var sol *Solution
+		var err error
+		withIterBudget(c.maxIters, func() { sol, err = crashStaircase(36, 2400, 0, false).m.Solve(c.opts) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sol.Status != c.want {
-			t.Errorf("%+v: status %v, want %v", c.opts, sol.Status, c.want)
+			t.Errorf("pivot budget %d, %+v: status %v, want %v", c.maxIters, c.opts, sol.Status, c.want)
 		}
 	}
 }

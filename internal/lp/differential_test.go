@@ -26,8 +26,8 @@ func solveBoth(t *testing.T, m *Model, opts Options) (sparse, dense *Solution) {
 }
 
 // requireAgreement asserts the two kernels reached the same status and, for
-// Optimal outcomes, matching objective, primal, dual, and reduced-cost
-// vectors. Both kernels run the identical pivot sequence (pricing and ratio
+// Optimal outcomes, matching objective, primal and dual vectors (reduced
+// costs are c − yᵀA, so they agree with the duals). Both kernels run the identical pivot sequence (pricing and ratio
 // tests are deterministic and the kernels differ only in roundoff), so
 // element-wise agreement is the expected behavior, not a lucky accident.
 func requireAgreement(t *testing.T, sp, dn *Solution, ctx string) {
@@ -52,16 +52,11 @@ func requireAgreement(t *testing.T, sp, dn *Solution, ctx string) {
 			t.Fatalf("%s: dual[%d] sparse=%v dense=%v", ctx, i, sp.Dual[i], dn.Dual[i])
 		}
 	}
-	for j := range dn.ReducedCost {
-		if d := math.Abs(sp.ReducedCost[j] - dn.ReducedCost[j]); d > 1e-5*(1+math.Abs(dn.ReducedCost[j])) {
-			t.Fatalf("%s: redcost[%d] sparse=%v dense=%v", ctx, j, sp.ReducedCost[j], dn.ReducedCost[j])
-		}
-	}
 }
 
 // TestKernelDifferentialSAMShaped: the tentpole's differential gate — on
 // randomized SAM-shaped instances the sparse LU kernel must reproduce the
-// dense reference kernel's objective, primals, duals, and reduced costs,
+// dense reference kernel's objective, primals and duals,
 // both cold and across warm-started re-solves after an RHS perturbation.
 func TestKernelDifferentialSAMShaped(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
@@ -144,7 +139,7 @@ func TestKernelDifferentialDegenerate(t *testing.T) {
 		}
 		// Devex on the same degenerate shape: the ties must not move its
 		// optimum off the default rule's.
-		dv, err := solveWith(PricingDevex, m, Options{})
+		dv, err := solveWith(pricingDevex, m, Options{})
 		if err != nil && dv == nil {
 			t.Fatalf("trial %d: devex: %v", trial, err)
 		}
@@ -348,8 +343,8 @@ func TestTimeBudgetStillBindsOnSparseKernel(t *testing.T) {
 	if sol.Status != TimeLimit {
 		t.Fatalf("status %v, want TimeLimit", sol.Status)
 	}
-	if !errors.Is(sol.Err(), ErrTimeBudget) {
-		t.Fatalf("Err() = %v, want ErrTimeBudget", sol.Err())
+	if !errors.Is(sol.Status.Err(), ErrTimeBudget) {
+		t.Fatalf("Err() = %v, want ErrTimeBudget", sol.Status.Err())
 	}
 	if sol.Basis() != nil {
 		t.Fatal("a timed-out solve must not capture a basis")
@@ -422,8 +417,8 @@ func requireCrossOptimal(t *testing.T, m *Model, a, b *Solution, ctx string) {
 			t.Fatalf("%s/%s: cross complementarity residual %g > %g", ctx, tag, compRes, lim)
 		}
 	}
-	check(a.X, b.Dual, b.ReducedCost, "aX-bY")
-	check(b.X, a.Dual, a.ReducedCost, "bX-aY")
+	check(a.X, b.Dual, reducedCosts(m, b.Dual), "aX-bY")
+	check(b.X, a.Dual, reducedCosts(m, a.Dual), "bX-aY")
 }
 
 // TestPricingDifferentialDevexVsDantzig: on the randomized SAM-shaped
@@ -433,16 +428,17 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		seed := int64(5000 + trial)
 		model := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		dz, err := solveWith(PricingDantzig, model, Options{})
+		var sz, sv SolveStats
+		dz, err := solveWith(pricingDantzig, model, Options{Stats: &sz})
 		if err != nil && dz == nil {
 			t.Fatalf("trial %d: dantzig: %v", trial, err)
 		}
-		dv, err := solveWith(PricingDevex, model, Options{})
+		dv, err := solveWith(pricingDevex, model, Options{Stats: &sv})
 		if err != nil && dv == nil {
 			t.Fatalf("trial %d: devex: %v", trial, err)
 		}
-		if dv.PricingUsed != PricingDevex || dz.PricingUsed != PricingDantzig {
-			t.Fatalf("trial %d: PricingUsed devex=%q dantzig=%q", trial, dv.PricingUsed, dz.PricingUsed)
+		if sv.DevexSolves != 1 || sz.DevexSolves != 0 {
+			t.Fatalf("trial %d: devex solves: devex=%d dantzig=%d", trial, sv.DevexSolves, sz.DevexSolves)
 		}
 		requireCrossOptimal(t, model, dv, dz, "cold")
 		if dz.Status != Optimal {
@@ -450,22 +446,22 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 		}
 
 		pre := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		pz, err := solveWith(PricingDantzig, pre, Options{Presolve: true})
+		pz, err := solveWith(pricingDantzig, pre, Options{Presolve: true})
 		if err != nil && pz == nil {
 			t.Fatalf("trial %d: presolve dantzig: %v", trial, err)
 		}
-		pv, err := solveWith(PricingDevex, pre, Options{Presolve: true})
+		pv, err := solveWith(pricingDevex, pre, Options{Presolve: true})
 		if err != nil && pv == nil {
 			t.Fatalf("trial %d: presolve devex: %v", trial, err)
 		}
 		requireCrossOptimal(t, pre, pv, pz, "presolve")
 
 		perturbed := samShapedLP(rand.New(rand.NewSource(seed)), 1.07)
-		wz, err := solveWith(PricingDantzig, perturbed, Options{WarmBasis: dz.Basis()})
+		wz, err := solveWith(pricingDantzig, perturbed, Options{WarmBasis: dz.Basis()})
 		if err != nil && wz == nil {
 			t.Fatalf("trial %d: warm dantzig: %v", trial, err)
 		}
-		wv, err := solveWith(PricingDevex, perturbed, Options{WarmBasis: dz.Basis()})
+		wv, err := solveWith(pricingDevex, perturbed, Options{WarmBasis: dz.Basis()})
 		if err != nil && wv == nil {
 			t.Fatalf("trial %d: warm devex: %v", trial, err)
 		}
@@ -476,42 +472,20 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 // TestDevexWeightResetAcrossRefactor: with the cadence forced to 1 every
 // pivot passes through a refactorization, so the devex reference weights
 // and maintained reduced costs are rebuilt at every step — the solve must
-// still land on the Dantzig optimum, and the final refresh-verified exit
-// must leave dRed exact and every weight at its reset value of 1.
+// still land on the Dantzig optimum.
 func TestDevexWeightResetAcrossRefactor(t *testing.T) {
 	model := samShapedLP(rand.New(rand.NewSource(4321)), 1.0)
-	want, err := solveWith(PricingDantzig, model, Options{})
+	want, err := solveWith(pricingDantzig, model, Options{})
 	if err != nil || want.Status != Optimal {
 		t.Fatalf("dantzig reference: %v %v", want.Status, err)
 	}
 	var got *Solution
-	withRefactorEvery(1, func() { got, err = solveWith(PricingDevex, model, Options{}) })
+	withRefactorEvery(1, func() { got, err = solveWith(pricingDevex, model, Options{}) })
 	if err != nil || got.Status != Optimal {
 		t.Fatalf("devex forced-refactor solve: %v %v", got.Status, err)
 	}
 	requireCrossOptimal(t, model, got, want, "forced-refactor")
 	if got.Refactors < got.Iterations {
 		t.Fatalf("a cadence of 1 performed %d refactors over %d pivots", got.Refactors, got.Iterations)
-	}
-
-	// State-level: after a devex solve's verified exit, dRed must equal the
-	// exact reduced costs and the weights must sit at the reset value.
-	std, err := model.standardized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res result
-	withPricing(PricingDevex, func() { res = std.solve(Options{}.withDefaults(std.n, std.m)) })
-	if res.status != Optimal {
-		t.Fatalf("raw solve status %v", res.status)
-	}
-	for j := 0; j < std.n; j++ {
-		dj := std.c[j]
-		for _, e := range std.cols[j] {
-			dj -= res.y[e.row] * e.val
-		}
-		if math.Abs(dj-res.d[j]) > 1e-8*(1+math.Abs(dj)) {
-			t.Fatalf("reported reduced cost %d inconsistent with duals: %g vs %g", j, res.d[j], dj)
-		}
 	}
 }

@@ -27,9 +27,10 @@ const (
 // constraint row (duals live in row space).
 //
 // The pivot loops take their tableau columns and rows through the
-// hyper-sparse (nonzero-list) forms, ftranColNz/btranUnitNz/updateNz; the
-// dense ftranCol/btranUnit/update are the references those are tested
-// against.
+// hyper-sparse (nonzero-list) forms, ftranColNz/btranUnitNz/updateNz, and
+// whole vectors through ftranDense/btran. The tests check the list forms
+// against ftranDense/btran of a scattered column or unit vector, against
+// updateNz with a nil list, and against the dense oracle.
 type factor interface {
 	// reset installs the exact identity basis (the cold-start slack/
 	// artificial basis is the identity matrix by construction), clearing
@@ -40,32 +41,25 @@ type factor interface {
 	// Options.TimeBudget, checked periodically inside the factorization so
 	// a large refactorization cannot blow the control loop's budget.
 	refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome
-	// ftranCol computes out = B⁻¹·a for a sparse column a. out is dense,
-	// fully overwritten, len m.
-	ftranCol(col []entry, out []float64)
 	// ftranDense computes out = B⁻¹·x for dense x (out must not alias x).
 	ftranDense(x, out []float64)
 	// btran computes out = B⁻ᵀ·x, i.e. outᵀ = xᵀB⁻¹ (out must not alias x).
 	btran(x, out []float64)
-	// btranUnit computes out = eᵣᵀB⁻¹ — row r of the basis inverse, the
-	// vector the dual ratio test and the incremental dual update consume.
-	btranUnit(r int, out []float64)
-	// update applies the product-form pivot replacing the basis column at
-	// position r with the entering column whose tableau form is w = B⁻¹a_q.
-	// w is consumed (the caller's scratch; the kernel must copy what it
-	// keeps).
-	update(r int, w []float64)
-	// ftranColNz is the hyper-sparse form of ftranCol: it zeroes out's
-	// entries at prev (the list the previous call returned for this buffer),
-	// computes only the reachable entries, and returns their deduplicated
-	// index list. Everything off the list is exactly zero. The caller owns
-	// one prev list per output buffer and must thread it through every call.
+	// ftranColNz computes out = B⁻¹·a for a sparse column a: it zeroes
+	// out's entries at prev (the list the previous call returned for this
+	// buffer), computes only the reachable entries, and returns their
+	// deduplicated index list. Everything off the list is exactly zero. The
+	// caller owns one prev list per output buffer and must thread it
+	// through every call.
 	ftranColNz(col []entry, out []float64, prev []int32) []int32
-	// btranUnitNz is the hyper-sparse form of btranUnit, same contract as
-	// ftranColNz (indices are constraint rows).
+	// btranUnitNz computes out = eᵣᵀB⁻¹ — row r of the basis inverse, the
+	// vector the dual ratio test and the incremental dual update consume —
+	// with ftranColNz's contract (indices are constraint rows).
 	btranUnitNz(r int, out []float64, prev []int32) []int32
-	// updateNz is update with the column's nonzero list supplied, letting
-	// the kernel skip its O(m) scan of w.
+	// updateNz applies the product-form pivot replacing the basis column at
+	// position r with the entering column whose tableau form is w = B⁻¹a_q,
+	// wnz its nonzero list (nil: the kernel scans w). w is consumed (the
+	// caller's scratch; the kernel must copy what it keeps).
 	updateNz(r int, w []float64, wnz []int32)
 	// age counts product-form pivots applied since the last reset or
 	// refactorization — the periodic-refactorization hygiene counter.

@@ -66,9 +66,10 @@ func checkNzAgainstDense(t *testing.T, dense, sparse []float64, nz []int32, tol 
 
 // TestHyperSparseSolvesMatchDense: on a staircase basis big enough for
 // the peeled refactorization path, ftranColNz/btranUnitNz must agree with
-// ftranCol/btranUnit (independent loop structures over the same LU), and
-// updateNz-driven update chains must agree with update-driven ones, across
-// updates and a mid-chain refactorization of the mutated basis.
+// ftranDense/btran of the scattered column or unit vector (independent loop
+// structures over the same LU), and list-fed updateNz chains must agree with
+// scan-fed (nil-list) ones, across updates and a mid-chain refactorization
+// of the mutated basis.
 func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	m := LargeModelRows + 404
 	r := rand.New(rand.NewSource(71))
@@ -100,13 +101,13 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 				col = append(col, entry{row: r.Intn(m), val: r.Float64() + 0.1})
 			}
 			col = coalesce(col)
-			lu.ftranCol(col, dOut)
+			ftranColRef(lu, col, dOut)
 			ftranPrev = lu.ftranColNz(col, sFtran, ftranPrev)
 			checkNzAgainstDense(t, dOut, sFtran, ftranPrev, 1e-9, tag+": ftran probe "+string(rune('a'+pi)))
 		}
 		for k := 0; k < 24; k++ {
 			rr := r.Intn(m)
-			lu.btranUnit(rr, dOut)
+			btranUnitRef(lu, rr, dOut)
 			btranPrev = lu.btranUnitNz(rr, sBtran, btranPrev)
 			checkNzAgainstDense(t, dOut, sBtran, btranPrev, 1e-9, tag+": btran")
 		}
@@ -114,8 +115,9 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 
 	probe("fresh factorization")
 
-	// Update chain: mirror pivots through updateNz on lu and update on a
-	// clone, then require the two factors to answer identically.
+	// Update chain: mirror pivots through list-fed updateNz on lu and
+	// scan-fed updateNz on a clone, then require the two factors to answer
+	// identically.
 	mirror := lu.clone()
 	w := make([]float64, m)
 	var wPrev []int32
@@ -135,7 +137,7 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 		}
 		wc := append([]float64(nil), w...)
 		lu.updateNz(leave, w, wPrev)
-		mirror.update(leave, wc)
+		mirror.updateNz(leave, wc, nil)
 		basis[leave] = q
 	}
 	if lu.age() == 0 {
@@ -143,12 +145,12 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	}
 	for k := 0; k < 16; k++ {
 		rr := r.Intn(m)
-		mirror.btranUnit(rr, dOut)
+		btranUnitRef(mirror, rr, dOut)
 		btranPrev = lu.btranUnitNz(rr, sBtran, btranPrev)
 		checkNzAgainstDense(t, dOut, sBtran, btranPrev, 1e-7, "update chain: btran")
 	}
 	col := coalesce([]entry{{row: r.Intn(m), val: 1.5}, {row: r.Intn(m), val: -0.7}})
-	mirror.ftranCol(col, dOut)
+	ftranColRef(mirror, col, dOut)
 	ftranPrev = lu.ftranColNz(col, sFtran, ftranPrev)
 	checkNzAgainstDense(t, dOut, sFtran, ftranPrev, 1e-7, "update chain: ftran")
 
@@ -324,7 +326,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 		if res := ftranResidual(std, basis, sFtran, aBuf); res > 1e-6 {
 			t.Fatalf("ftran probe %d: FT solve residual %g vs mutated basis", k, res)
 		}
-		fresh.ftranCol(col, dOut)
+		ftranColRef(fresh, col, dOut)
 		checkNzAgainstDense(t, dOut, sFtran, ftranPrev, 1e-6, "FT vs fresh: ftran")
 	}
 	sBtran := make([]float64, m)
@@ -335,7 +337,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 		if res := btranUnitResidual(std, basis, sBtran, rr); res > 1e-6 {
 			t.Fatalf("btran probe %d: FT solve residual %g vs mutated basis", k, res)
 		}
-		fresh.btranUnit(rr, dOut)
+		btranUnitRef(fresh, rr, dOut)
 		checkNzAgainstDense(t, dOut, sBtran, btranPrev, 1e-6, "FT vs fresh: btran")
 	}
 
@@ -343,13 +345,13 @@ func TestFTLongChainDifferential(t *testing.T) {
 	// unaffected by the parent's later updates and refactorizations.
 	for k := 0; k < 8; k++ {
 		rr := r.Intn(m)
-		snapshot.btranUnit(rr, dOut)
+		btranUnitRef(snapshot, rr, dOut)
 		if res := btranUnitResidual(std, basisSnap, dOut, rr); res > 1e-6 {
 			t.Fatalf("snapshot btran probe %d: residual %g vs its own basis", k, res)
 		}
 	}
 	col := coalesce([]entry{{row: r.Intn(m), val: 1.5}, {row: r.Intn(m), val: -0.7}})
-	snapshot.ftranCol(col, dOut)
+	ftranColRef(snapshot, col, dOut)
 	for i := range aBuf {
 		aBuf[i] = 0
 	}
@@ -429,9 +431,10 @@ func TestBigScaleSolveKKT(t *testing.T) {
 			t.Fatalf("row %d slack %g but dual %g", i, m.rhs[i]-activity[i], sol.Dual[i])
 		}
 	}
+	rc := reducedCosts(m, sol.Dual)
 	for j, v := range vars {
 		lo, up := m.Bounds(v)
-		d := sol.ReducedCost[v]
+		d := rc[v]
 		switch {
 		case sol.X[v] < lo+tol:
 			if d > tol {
@@ -457,8 +460,8 @@ func TestBigScaleSolveKKT(t *testing.T) {
 	}
 	for _, v := range vars {
 		_, up := m.Bounds(v)
-		if rc := sol.ReducedCost[v]; rc > tol {
-			dualObj += rc * up
+		if rc[v] > tol {
+			dualObj += rc[v] * up
 		}
 	}
 	if math.Abs(dualObj-sol.Objective) > 1e-4*(1+math.Abs(sol.Objective)) {

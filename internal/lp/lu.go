@@ -11,7 +11,7 @@ import (
 // how pivots since the last factorization are absorbed, and the model's size
 // (standard.large, decided once in standardize) picks one for the whole solve:
 //
-//   - etaFactor, small models: the product-form eta file. update() appends
+//   - etaFactor, small models: the product-form eta file. updateNz appends
 //     an eta vector, FTRAN applies the file last in order and BTRAN first in
 //     reverse — the hyper-sparse BTRAN only the etas a per-position reader
 //     index (etaRows) reaches. Its nonzero lists come back ascending, so
@@ -127,7 +127,7 @@ type luFactor struct {
 type etaFactor struct {
 	luFactor
 
-	// etas are the updates E_1…E_k appended by update(): B = B₀E₁…E_k, so
+	// etas are the updates E_1…E_k appended by updateNz: B = B₀E₁…E_k, so
 	// FTRAN applies them last in order and BTRAN first in reverse. etaArena
 	// backs their nonzero lists (append-carved with a capped three-index
 	// expression, so a mid-carve growth leaves earlier, already-published
@@ -543,8 +543,8 @@ func (f *ftFactor) wantRefactor() bool {
 }
 
 // ensureScratch sizes the dense solves' working set. Every dense solve
-// stages its input through it (scatter, load, unit), so a view (share),
-// which starts without scratch, allocates its own on its first one.
+// stages its input through it (load), so a view (share), which starts
+// without scratch, allocates its own on its first one.
 func (f *luFactor) ensureScratch() {
 	if len(f.xwork) != f.m {
 		f.xwork = make([]float64, f.m)
@@ -1283,30 +1283,12 @@ func (f *luFactor) ltPass(out []float64) {
 	}
 }
 
-// scatter, load and unit stage a dense solve's input in xwork, which the
-// solve consumes: a sparse column, a copy of x, the unit vector e_r.
-func (f *luFactor) scatter(col []entry) []float64 {
-	f.ensureScratch()
-	x := f.xwork
-	clear(x)
-	for _, e := range col {
-		x[e.row] = e.val
-	}
-	return x
-}
-
+// load stages a copy of a dense solve's input x in xwork, which the solve
+// consumes.
 func (f *luFactor) load(x []float64) []float64 {
 	f.ensureScratch()
 	copy(f.xwork, x)
 	return f.xwork
-}
-
-func (f *luFactor) unit(r int) []float64 {
-	f.ensureScratch()
-	p := f.xwork
-	clear(p)
-	p[r] = 1
-	return p
 }
 
 // solveForward is the eta kernel's FTRAN core: x (row space, consumed)
@@ -1387,13 +1369,8 @@ func (f *etaFactor) solveBackward(p, out []float64) {
 	f.ltPass(out)
 }
 
-func (f *etaFactor) ftranCol(col []entry, out []float64) { f.solveForward(f.scatter(col), out) }
-func (f *etaFactor) ftranDense(x, out []float64)         { f.solveForward(f.load(x), out) }
-func (f *etaFactor) btran(x, out []float64)              { f.solveBackward(f.load(x), out) }
-func (f *etaFactor) btranUnit(r int, out []float64)      { f.solveBackward(f.unit(r), out) }
-
-// update is updateNz scanning w for its nonzeros.
-func (f *etaFactor) update(r int, w []float64) { f.updateNz(r, w, nil) }
+func (f *etaFactor) ftranDense(x, out []float64) { f.solveForward(f.load(x), out) }
+func (f *etaFactor) btran(x, out []float64)      { f.solveBackward(f.load(x), out) }
 
 // updateNz appends the pivot's eta vector: w's off-pivot entries above
 // etaDropTol in wnz's order (nil: scan w; the simplex's lists are ascending,
@@ -1688,14 +1665,8 @@ func (f *ftFactor) solveBackward(p, out []float64) {
 	f.ltPass(out)
 }
 
-func (f *ftFactor) ftranCol(col []entry, out []float64) { f.solveForward(f.scatter(col), out) }
-func (f *ftFactor) ftranDense(x, out []float64)         { f.solveForward(f.load(x), out) }
-func (f *ftFactor) btran(x, out []float64)              { f.solveBackward(f.load(x), out) }
-func (f *ftFactor) btranUnit(r int, out []float64)      { f.solveBackward(f.unit(r), out) }
-
-// update is updateNz without the nonzero list: the spike is recomputed from
-// a scan of w (the reference for the stash-fed path).
-func (f *ftFactor) update(r int, w []float64) { f.updateNz(r, w, nil) }
+func (f *ftFactor) ftranDense(x, out []float64) { f.solveForward(f.load(x), out) }
+func (f *ftFactor) btran(x, out []float64)      { f.solveBackward(f.load(x), out) }
 
 // overflow is row k's update-added U entries, oldest first.
 func (f *ftFactor) overflow(k int32) []lue {

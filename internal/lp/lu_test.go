@@ -57,10 +57,10 @@ func compareKernels(t *testing.T, r *rand.Rand, lu, dn factor, m int, tol float6
 	}
 	a1, a2 := make([]float64, m), make([]float64, m)
 
-	lu.ftranCol(probeCol, a1)
-	dn.ftranCol(probeCol, a2)
+	ftranColRef(lu, probeCol, a1)
+	ftranColRef(dn, probeCol, a2)
 	if d := maxAbsDiff(a1, a2); d > tol {
-		t.Fatalf("%s: ftranCol mismatch %g", ctx, d)
+		t.Fatalf("%s: ftran mismatch %g", ctx, d)
 	}
 	lu.ftranDense(dense, a1)
 	dn.ftranDense(dense, a2)
@@ -73,10 +73,10 @@ func compareKernels(t *testing.T, r *rand.Rand, lu, dn factor, m int, tol float6
 		t.Fatalf("%s: btran mismatch %g", ctx, d)
 	}
 	for rr := 0; rr < m; rr++ {
-		lu.btranUnit(rr, a1)
-		dn.btranUnit(rr, a2)
+		btranUnitRef(lu, rr, a1)
+		btranUnitRef(dn, rr, a2)
 		if d := maxAbsDiff(a1, a2); d > tol {
-			t.Fatalf("%s: btranUnit(%d) mismatch %g", ctx, rr, d)
+			t.Fatalf("%s: btran(e_%d) mismatch %g", ctx, rr, d)
 		}
 	}
 }
@@ -128,7 +128,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 				col = append(col, entry{row: r.Intn(m), val: r.Float64() - 0.5})
 			}
 			col = coalesce(col)
-			lu.ftranCol(col, w)
+			ftranColRef(lu, col, w)
 			pr, best := -1, 0.3 // only accept well-conditioned pivots
 			for i := range w {
 				if v := math.Abs(w[i]); v > best {
@@ -139,8 +139,8 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 				continue
 			}
 			copy(wCopy, w)
-			lu.update(pr, w)
-			dn.update(pr, wCopy)
+			lu.updateNz(pr, w, nil)
+			dn.updateNz(pr, wCopy, nil)
 			std.cols = append(std.cols, col)
 			basis[pr] = std.n
 			std.n++
@@ -220,7 +220,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 		for i := 0; i < m; i++ {
 			col = append(col, entry{row: i, val: r.Float64() + 0.05})
 		}
-		lu.ftranCol(col, w)
+		ftranColRef(lu, col, w)
 		pr, best := -1, 0.2
 		for i := range w {
 			if v := math.Abs(w[i]); v > best {
@@ -230,7 +230,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 		if pr < 0 {
 			continue
 		}
-		lu.update(pr, w)
+		lu.updateNz(pr, w, nil)
 		std.cols = append(std.cols, col)
 		basis[pr] = std.n
 		std.n++
@@ -330,8 +330,8 @@ func TestFactorCloneIsolation(t *testing.T) {
 		// non-trivial pivot history too.
 		w := make([]float64, m)
 		col := []entry{{row: 2, val: 1.5}, {row: 7, val: -0.4}}
-		f.ftranCol(col, w)
-		f.update(2, w)
+		ftranColRef(f, col, w)
+		f.updateNz(2, w, nil)
 
 		probe := make([]float64, m)
 		for i := range probe {
@@ -349,14 +349,14 @@ func TestFactorCloneIsolation(t *testing.T) {
 		// refactorization (both mutation classes the snapshot must survive).
 		for k := 0; k < 5; k++ {
 			col := []entry{{row: (3*k + 1) % m, val: 2 + float64(k)}, {row: (k + 5) % m, val: 0.3}}
-			f.ftranCol(col, w)
+			ftranColRef(f, col, w)
 			pr := 0
 			for i := range w {
 				if math.Abs(w[i]) > math.Abs(w[pr]) {
 					pr = i
 				}
 			}
-			f.update(pr, w)
+			f.updateNz(pr, w, nil)
 		}
 		f.refactorize(std, basis, time.Time{})
 
@@ -369,8 +369,8 @@ func TestFactorCloneIsolation(t *testing.T) {
 		// And the other direction: pivoting on the clone must not disturb
 		// the (freshly refactorized) original.
 		f.ftranDense(probe, before)
-		snap.ftranCol(col, w)
-		snap.update(1, w)
+		ftranColRef(snap, col, w)
+		snap.updateNz(1, w, nil)
 		f.ftranDense(probe, after)
 		if d := maxAbsDiff(before, after); d != 0 {
 			t.Fatalf("dense=%v: mutating the clone changed the original by %g", dense, d)
@@ -411,10 +411,10 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 		out, fo, bo := make([]float64, m), make([]float64, m), make([]float64, m)
 		var fl, bl []int32
 		for j := 0; j < m; j++ {
-			f.ftranCol(std.cols[j], out)
+			ftranColRef(f, std.cols[j], out)
 			fl = f.ftranColNz(std.cols[j], fo, fl)
 			all = append(append(all, out...), fo...)
-			f.btranUnit(j, out)
+			btranUnitRef(f, j, out)
 			bl = f.btranUnitNz(j, bo, bl)
 			all = append(append(all, out...), bo...)
 			for _, i := range append(fl, bl...) {
@@ -504,8 +504,9 @@ func ascending(i int32) int { return int(i) }
 
 // TestEtaNzMatchesDense: the eta kernel's three nonzero-list calls against
 // its own dense ones, bit for bit. Two kernels over one random basis take
-// the same pivots — one through ftranColNz/updateNz, the other through
-// ftranCol/update — along eta chains from 0 up to etaRefactorEvery long,
+// the same pivots — one through ftranColNz and list-fed updateNz, the other
+// through ftranDense of the scattered column and scan-fed updateNz — along
+// eta chains from 0 up to etaRefactorEvery long,
 // and at checkpoints every FTRAN and BTRAN form must agree. Half-way the
 // pair is cloned and both pairs pivot on separately, so a clone that
 // disturbed its parent's reader index (or the other way round) shows up as
@@ -554,19 +555,19 @@ func TestEtaNzMatchesDense(t *testing.T) {
 			for k := 0; k < 3; k++ {
 				col := randCol()
 				fList = p.nz.ftranColNz(col, fOut, fList)
-				p.dn.ftranCol(col, dOut)
+				ftranColRef(p.dn, col, dOut)
 				checkNzBits(t, dOut, fOut, fList, ascending, ctx+": ftran")
 			}
 			for rr := 0; rr < m; rr++ {
 				bList = p.nz.btranUnitNz(rr, bOut, bList)
-				p.dn.btranUnit(rr, dOut)
+				btranUnitRef(p.dn, rr, dOut)
 				checkNzBits(t, dOut, bOut, bList, ascending, ctx+": btran")
 			}
 		}
 		pivot := func(p pair) bool {
 			col := randCol()
 			wList = p.nz.ftranColNz(col, wNz, wList)
-			p.dn.ftranCol(col, wDn)
+			ftranColRef(p.dn, col, wDn)
 			pr := -1
 			for _, i := range wList {
 				if math.Abs(wNz[i]) > 0.3 && (pr < 0 || math.Abs(wNz[i]) > math.Abs(wNz[pr])) {
@@ -577,7 +578,7 @@ func TestEtaNzMatchesDense(t *testing.T) {
 				return false
 			}
 			p.nz.updateNz(pr, wNz, wList)
-			p.dn.update(pr, wDn)
+			p.dn.updateNz(pr, wDn, nil)
 			return true
 		}
 		next := 1
@@ -618,7 +619,7 @@ func TestEtaNzMatchesDense(t *testing.T) {
 // each kernel's ftranColNz/btranUnitNz must equal its own dense
 // solveForward/solveBackward bit for bit, and the FTRAN list must come back
 // in strictly descending logical order. Pivots alternate between the stash-
-// fed updateNz and the scan-fed update, and probe columns of 3 and of m/8
+// fed updateNz and the scan-fed one (nil list), and probe columns of 3 and of m/8
 // entries reach a handful of steps and a large share of them. Half-way the
 // kernel is cloned and both copies pivot on separately, so a clone that
 // shared its parent's reader index shows up as a mismatch on one side: the
@@ -652,13 +653,13 @@ func TestFTNzMatchesDense(t *testing.T) {
 		for _, width := range []int{3, m / 8} {
 			col := randCol(width)
 			fList = f.ftranColNz(col, fOut, fList)
-			f.ftranCol(col, dOut)
+			ftranColRef(f, col, dOut)
 			checkNzBits(t, dOut, fOut, fList, descending, fmt.Sprintf("%s: ftran width %d", ctx, width))
 		}
 		for k := 0; k < 64; k++ {
 			rr := r.Intn(m)
 			bList = f.btranUnitNz(rr, bOut, bList)
-			f.btranUnit(rr, dOut)
+			btranUnitRef(f, rr, dOut)
 			checkNzBits(t, dOut, bOut, bList, nil, ctx+": btran")
 		}
 	}
@@ -678,7 +679,7 @@ func TestFTNzMatchesDense(t *testing.T) {
 				f.updateNz(pr, w, wList)
 			} else {
 				copy(wCopy, w) // not the stashed buffer: the spike is rebuilt from w
-				f.update(pr, wCopy)
+				f.updateNz(pr, wCopy, nil)
 			}
 			return
 		}

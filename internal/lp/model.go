@@ -87,12 +87,11 @@ func NewModel() *Model { return &Model{} }
 func (m *Model) SetMaximize(max bool) { m.maximize = max }
 
 // AddVar adds a decision variable with bounds [lo, up] and objective
-// coefficient obj. Use -Inf/Inf for unbounded sides. It panics if lo > up,
-// since that is always a programming error in the caller.
+// coefficient obj. The lower bound must be finite; use Inf for an unbounded
+// upper side. It panics otherwise, or if lo > up, since either is always a
+// programming error in the caller.
 func (m *Model) AddVar(lo, up, obj float64) Var {
-	if lo > up {
-		panic(fmt.Sprintf("lp: variable %d has lo %v > up %v", len(m.obj), lo, up))
-	}
+	checkBounds(len(m.obj), lo, up)
 	m.obj = append(m.obj, obj)
 	m.lo = append(m.lo, lo)
 	m.up = append(m.up, up)
@@ -125,16 +124,19 @@ func (m *Model) SetObj(v Var, obj float64) { m.obj[v] = obj }
 func (m *Model) SetRHS(r Row, rhs float64) { m.rhs[r] = rhs }
 
 // SetBounds overwrites the bounds of v. Like SetRHS/SetObj it is a data
-// edit: the cached standardization is patched, not rebuilt, as long as the
-// bound pattern keeps the variable in the same standardization branch (a
-// finite lower bound staying finite, etc.). It panics if lo > up, matching
-// AddVar.
+// edit: the cached standardization is patched, not rebuilt. It panics on
+// the bounds AddVar rejects.
 func (m *Model) SetBounds(v Var, lo, up float64) {
-	if lo > up {
-		panic(fmt.Sprintf("lp: variable %d has lo %v > up %v", v, lo, up))
-	}
+	checkBounds(int(v), lo, up)
 	m.lo[v] = lo
 	m.up[v] = up
+}
+
+// checkBounds panics unless lo is finite and lo <= up (so neither is NaN).
+func checkBounds(j int, lo, up float64) {
+	if math.IsInf(lo, 0) || !(lo <= up) {
+		panic(fmt.Sprintf("lp: variable %d has bounds [%v, %v]", j, lo, up))
+	}
 }
 
 // Bounds returns the bounds of v.
@@ -248,8 +250,8 @@ var (
 	ErrSingular = errors.New("lp: singular basis")
 )
 
-// Err maps a status to its sentinel error (nil for Optimal). Combined
-// with Solution.Err it gives callers a uniform errors.Is-able taxonomy.
+// Err maps a status to its sentinel error (nil for Optimal), so callers
+// can pattern-match outcomes with errors.Is.
 func (s Status) Err() error {
 	switch s {
 	case Optimal:
@@ -280,25 +282,11 @@ type Solution struct {
 	// objective gain per unit of extra capacity — exactly the link price
 	// the Price Computer wants.
 	Dual []float64
-	// ReducedCost holds each variable's reduced cost in the model's
-	// orientation: the marginal objective change per unit increase of
-	// the variable from its current value. At an optimum of a
-	// maximization model, a variable resting at its lower bound has
-	// ReducedCost <= 0, one at its upper bound has >= 0, and a basic
-	// (strictly interior) variable has 0 — complementary slackness.
-	ReducedCost []float64
-	// Iterations counts simplex pivots (both phases).
+	// Iterations counts simplex pivots (both phases); Refactors counts
+	// basis refactorizations. The rest of the solve's telemetry goes to
+	// Options.Stats.
 	Iterations int
-	// Refactors counts basis refactorizations performed by the solve.
-	Refactors int
-	// Artificials counts the artificial columns basic at the cold start (0
-	// when the solve started warm); Recoveries counts singular
-	// refactorizations repaired from the last good basis mid-solve.
-	Artificials, Recoveries int
-	// Timings is the per-phase wall-clock breakdown of the solve.
-	Timings PhaseTimings
-	// PricingUsed is the entering-variable rule the solve ran with.
-	PricingUsed PricingRule
+	Refactors  int
 	// Residual is the solution health check: the worst relative violation
 	// of any constraint row or variable bound by the reported X, computed
 	// in model space after an Optimal solve (0 otherwise). A correct
@@ -308,22 +296,12 @@ type Solution struct {
 	// should not be trusted.
 	Residual float64
 	// Suspect flags an Optimal solution whose Residual exceeds
-	// Options.ResidualTol. The primal values and duals are still returned
-	// (they may be approximately right), but control loops should treat
-	// the solve as failed and retry cold or degrade.
+	// residualTol. The primal values and duals are still returned (they
+	// may be approximately right), but control loops should treat the
+	// solve as failed and retry cold or degrade.
 	Suspect bool
 
 	basis *Basis
-}
-
-// Err reports the solve outcome as a sentinel error: nil for a healthy
-// optimum, ErrSuspect for an Optimal-but-unhealthy one, and the status
-// sentinel (ErrInfeasible, ErrIterLimit, ...) otherwise.
-func (s *Solution) Err() error {
-	if s.Status == Optimal && s.Suspect {
-		return ErrSuspect
-	}
-	return s.Status.Err()
 }
 
 // Basis returns the terminal simplex basis of the solve, for warm-starting
@@ -332,15 +310,6 @@ func (s *Solution) Err() error {
 // captures the phase-1 terminal basis — useful when the caller relaxes
 // constraints and retries). It is nil after Unbounded or IterLimit.
 func (s *Solution) Basis() *Basis { return s.basis }
-
-// Value evaluates a linear expression under the solution.
-func (s *Solution) Value(terms ...Term) float64 {
-	v := 0.0
-	for _, t := range terms {
-		v += t.Coef * s.X[t.Var]
-	}
-	return v
-}
 
 // PhaseTimings is the per-phase wall-clock breakdown of solver time, in
 // nanoseconds: pricing (entering-column scans and maintained-reduced-cost
@@ -430,7 +399,7 @@ func (s *SolveStats) record(res result) {
 	if res.warm {
 		s.WarmStarts++
 	}
-	if res.pricing == PricingDevex {
+	if res.pricing == pricingDevex {
 		s.DevexSolves++
 	}
 	s.Artificials += res.artificials
@@ -438,36 +407,51 @@ func (s *SolveStats) record(res result) {
 	s.Timings.add(res.phase)
 }
 
-// PricingRule names an entering-variable rule of the primal simplex. The
+// pricingRule names an entering-variable rule of the primal simplex. The
 // solver picks it: devex for cold solves at hyper-sparse scale (m >= 4096
 // rows, where the Dantzig/partial rule pays ~10^5 pivots on the degenerate
 // staircase plateau), the classic hybrid everywhere else — warm-started
 // solves included, so their pivot streams, pinned by the golden-trace suite
 // and the warm-resolve benchmarks, stay byte-identical.
-type PricingRule string
+type pricingRule string
 
 // Pricing rules.
 const (
-	// PricingDantzig is the classic rule: a full Dantzig scan on narrow
+	// pricingDantzig is the classic rule: a full Dantzig scan on narrow
 	// LPs, candidate-list partial pricing on wide ones.
-	PricingDantzig PricingRule = "dantzig"
-	// PricingDevex is devex pricing (Forrest–Goldfarb reference weights).
-	PricingDevex PricingRule = "devex"
+	pricingDantzig pricingRule = "dantzig"
+	// pricingDevex is devex pricing (Forrest–Goldfarb reference weights).
+	pricingDevex pricingRule = "devex"
 )
 
 // forcePricing, when set, overrides the solver's choice of rule in every
 // phase regardless of model size. Tests only.
-var forcePricing PricingRule
+var forcePricing pricingRule
 
 // forceRefactorEvery, when positive, replaces the kernel's own periodic
 // refactorization cadence (factor.refactorEvery) in every solve. Tests only.
 var forceRefactorEvery int
 
+// forceIterBudget, when positive, replaces the pivot budget (see iterBudget)
+// in every solve. Tests only.
+var forceIterBudget int
+
+// iterBudget bounds the total pivots of a solve of a standardized problem
+// of n columns and m rows: generous for any well-posed LP, and what stops a
+// cycling one with IterLimit.
+func iterBudget(n, m int) int {
+	if forceIterBudget > 0 {
+		return forceIterBudget
+	}
+	return 2000 + 40*(n+m)
+}
+
+// residualTol is the relative constraint-violation threshold above which
+// an Optimal solution is flagged Suspect. A var so tests can force the flag.
+var residualTol = 1e-6
+
 // Options tunes the solver.
 type Options struct {
-	// MaxIters bounds total pivots; 0 means a generous default derived
-	// from problem size.
-	MaxIters int
 	// TimeBudget bounds the wall-clock time of the solve; when it expires
 	// the solve returns Status TimeLimit (checked between pivots, so the
 	// overrun is at most one pivot). 0 means unlimited. This is the
@@ -475,9 +459,6 @@ type Options struct {
 	// LP degenerates: the caller gets a clean TimeLimit instead of a
 	// stalled controller.
 	TimeBudget time.Duration
-	// ResidualTol is the relative constraint-violation threshold above
-	// which an Optimal solution is flagged Suspect; 0 means 1e-6.
-	ResidualTol float64
 	// WarmBasis, when non-nil, starts the solve from this previously
 	// captured basis (see Solution.Basis) instead of running phase 1 from
 	// scratch. A basis that does not structurally match the model, is
@@ -491,31 +472,16 @@ type Options struct {
 	// Presolve runs a model-reduction pass before the simplex (drop empty
 	// and redundant rows, fix equal-bound and dominated variables, turn
 	// singleton rows into bounds) and maps the reduced solution back to the
-	// full model — primal, duals, and reduced costs included, so PC prices
-	// survive the reduction. Warm bases captured under Presolve refer to
+	// full model — primal and duals included, so PC prices survive the
+	// reduction. Warm bases captured under Presolve refer to
 	// the reduced model and keep working across re-solves as long as the
 	// reduction pattern is stable; a pattern change falls back to a cold
 	// start. Outside tests internal/sched is its only setter: Built.Solve
 	// turns it on for exactly the models it built with implicit bounds.
 	Presolve bool
 	// postsolved marks presolve's inner solve, which skips what
-	// solvePresolved recomputes: reduced costs, residual, Suspect.
+	// solvePresolved recomputes: residual, Suspect.
 	postsolved bool
-}
-
-// withDefaults normalizes the options against a standardized problem of n
-// columns and m rows: non-positive iteration budgets and residual
-// tolerances are replaced with the documented defaults, so call sites
-// passing lp.Options{} (or accidentally negative values) get well-defined
-// behavior.
-func (o Options) withDefaults(n, m int) Options {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 2000 + 40*(n+m)
-	}
-	if o.ResidualTol <= 0 {
-		o.ResidualTol = 1e-6
-	}
-	return o
 }
 
 // Solve optimizes the model and returns the solution. The model's LP data
@@ -529,49 +495,25 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(std.n, std.m)
 	res := std.solve(opts)
 	if opts.Stats != nil {
 		opts.Stats.record(res)
 	}
 	sol := &Solution{
-		Status:      res.status,
-		Iterations:  res.iters,
-		Refactors:   res.refactors,
-		Artificials: res.artificials,
-		Recoveries:  res.recoveries,
-		Timings:     res.phase,
-		PricingUsed: res.pricing,
-		X:           make([]float64, m.NumVars()),
-		Dual:        make([]float64, m.NumRows()),
-		basis:       res.basis,
-	}
-	if !opts.postsolved {
-		sol.ReducedCost = make([]float64, m.NumVars())
+		Status:     res.status,
+		Iterations: res.iters,
+		Refactors:  res.refactors,
+		X:          make([]float64, m.NumVars()),
+		Dual:       make([]float64, m.NumRows()),
+		basis:      res.basis,
 	}
 	if res.status != Optimal {
 		return sol, nil
 	}
 	// Map the standardized solution back to model variables.
-	orient := 1.0
-	if m.maximize {
-		orient = -1
-	}
-	for j := 0; j < m.NumVars(); j++ {
-		v := std.shift[j] + std.sign[j]*res.x[std.colOf[j]]
-		if std.negCol[j] >= 0 {
-			v -= res.x[std.negCol[j]]
-		}
-		sol.X[j] = v
-		// ∂obj_model/∂x_j: the standardized column moves by sign per
-		// unit of x_j, and the model objective is orient times the
-		// minimized one.
-		if !opts.postsolved {
-			sol.ReducedCost[j] = orient * std.sign[j] * res.d[std.colOf[j]]
-		}
-	}
 	obj := 0.0
 	for j, c := range m.obj {
+		sol.X[j] = m.lo[j] + res.x[j]
 		obj += c * sol.X[j]
 	}
 	sol.Objective = obj
@@ -584,7 +526,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	}
 	if !opts.postsolved {
 		sol.Residual = m.residual(sol.X)
-		sol.Suspect = sol.Residual > opts.ResidualTol
+		sol.Suspect = sol.Residual > residualTol
 	}
 	return sol, nil
 }
@@ -602,7 +544,7 @@ func (m *Model) residual(x []float64) float64 {
 	}
 	for j := range x {
 		scale := 1 + math.Abs(x[j])
-		if lo := m.lo[j]; !math.IsInf(lo, -1) && x[j] < lo {
+		if lo := m.lo[j]; x[j] < lo {
 			note(lo-x[j], scale)
 		}
 		if up := m.up[j]; !math.IsInf(up, 1) && x[j] > up {

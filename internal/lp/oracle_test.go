@@ -32,6 +32,27 @@ func withRefactorEvery(n int, fn func()) {
 	fn()
 }
 
+// withIterBudget runs fn with every solve's pivot budget forced to n.
+func withIterBudget(n int, fn func()) {
+	old := forceIterBudget
+	forceIterBudget = n
+	defer func() { forceIterBudget = old }()
+	fn()
+}
+
+// reducedCosts computes each variable's reduced cost c_j − yᵀA_j from the
+// duals, in the model's orientation: the marginal objective change per unit
+// increase of the variable.
+func reducedCosts(m *Model, dual []float64) []float64 {
+	d := append([]float64(nil), m.obj...)
+	for i, row := range m.rows {
+		for _, t := range row {
+			d[t.Var] -= dual[i] * t.Coef
+		}
+	}
+	return d
+}
+
 // solveEvery is m.Solve with the refactorization cadence forced to n.
 func solveEvery(n int, m *Model, opts Options) (sol *Solution, err error) {
 	withRefactorEvery(n, func() { sol, err = m.Solve(opts) })
@@ -39,7 +60,7 @@ func solveEvery(n int, m *Model, opts Options) (sol *Solution, err error) {
 }
 
 // withPricing runs fn with every solve's entering rule forced to rule.
-func withPricing(rule PricingRule, fn func()) {
+func withPricing(rule pricingRule, fn func()) {
 	old := forcePricing
 	forcePricing = rule
 	defer func() { forcePricing = old }()
@@ -47,7 +68,7 @@ func withPricing(rule PricingRule, fn func()) {
 }
 
 // solveWith is m.Solve with the entering rule forced to rule.
-func solveWith(rule PricingRule, m *Model, opts Options) (sol *Solution, err error) {
+func solveWith(rule pricingRule, m *Model, opts Options) (sol *Solution, err error) {
 	withPricing(rule, func() { sol, err = m.Solve(opts) })
 	return sol, err
 }
@@ -143,7 +164,9 @@ func (f *denseFactor) refactorize(std *standard, basis []int, deadline time.Time
 	return refactorOK
 }
 
-func (f *denseFactor) ftranCol(col []entry, out []float64) {
+// The nonzero-list forms compute the dense result plus a scan: every call
+// overwrites all of out, and the list names every nonzero, ascending.
+func (f *denseFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
 	m := f.m
 	for i := range out {
 		out[i] = 0
@@ -154,6 +177,12 @@ func (f *denseFactor) ftranCol(col []entry, out []float64) {
 			out[i] += f.binv[i][e.row] * v
 		}
 	}
+	return scanNz(out, prev)
+}
+
+func (f *denseFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
+	copy(out, f.binv[r])
+	return scanNz(out, prev)
 }
 
 func (f *denseFactor) ftranDense(x, out []float64) {
@@ -185,11 +214,7 @@ func (f *denseFactor) btran(x, out []float64) {
 	}
 }
 
-func (f *denseFactor) btranUnit(r int, out []float64) {
-	copy(out, f.binv[r])
-}
-
-func (f *denseFactor) update(r int, w []float64) {
+func (f *denseFactor) updateNz(r int, w []float64, _ []int32) {
 	m := f.m
 	piv := w[r]
 	br := f.binv[r][:m]
@@ -222,19 +247,23 @@ func (f *denseFactor) update(r int, w []float64) {
 	f.nPiv++
 }
 
-// The nonzero-list forms are the dense ones plus a scan: every call
-// overwrites all of out, and the list names every nonzero, ascending.
-func (f *denseFactor) ftranColNz(col []entry, out []float64, prev []int32) []int32 {
-	f.ftranCol(col, out)
-	return scanNz(out, prev)
+// ftranColRef is the dense reference for ftranColNz: f's ftranDense of the
+// scattered column.
+func ftranColRef(f factor, col []entry, out []float64) {
+	x := make([]float64, len(out))
+	for _, e := range col {
+		x[e.row] = e.val
+	}
+	f.ftranDense(x, out)
 }
 
-func (f *denseFactor) btranUnitNz(r int, out []float64, prev []int32) []int32 {
-	f.btranUnit(r, out)
-	return scanNz(out, prev)
+// btranUnitRef is the dense reference for btranUnitNz: f's btran of the
+// unit vector e_r.
+func btranUnitRef(f factor, r int, out []float64) {
+	x := make([]float64, len(out))
+	x[r] = 1
+	f.btran(x, out)
 }
-
-func (f *denseFactor) updateNz(r int, w []float64, _ []int32) { f.update(r, w) }
 
 // scanNz lists v's nonzero indices, ascending, reusing nz's storage.
 func scanNz(v []float64, nz []int32) []int32 {

@@ -29,7 +29,7 @@ func TestPartialDevexEquivalence(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		seed := int64(9100 + trial)
 		model := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		full, err := solveWith(PricingDevex, model, Options{})
+		full, err := solveWith(pricingDevex, model, Options{})
 		if err != nil && full == nil {
 			t.Fatalf("trial %d: full devex: %v", trial, err)
 		}
@@ -37,13 +37,13 @@ func TestPartialDevexEquivalence(t *testing.T) {
 		part := full
 		withPartialDevexGate(t, 1, func() {
 			m2 := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-			part, err = solveWith(PricingDevex, m2, Options{})
+			part, err = solveWith(pricingDevex, m2, Options{})
 			if err != nil && part == nil {
 				t.Fatalf("trial %d: partial devex: %v", trial, err)
 			}
 			requireCrossOptimal(t, m2, part, full, "cold partial-vs-full")
 
-			p2, err := solveWith(PricingDevex, m2, Options{Presolve: true})
+			p2, err := solveWith(pricingDevex, m2, Options{Presolve: true})
 			if err != nil && p2 == nil {
 				t.Fatalf("trial %d: partial devex presolve: %v", trial, err)
 			}

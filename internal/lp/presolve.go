@@ -7,12 +7,11 @@ package lp
 // bounds already cap the row's activity below capacity — and by rows that
 // are really just variable bounds in disguise (single-route rate caps,
 // single-variable demand caps). Presolve removes both classes before the
-// simplex sees the model, and postsolve reconstructs the full primal,
-// dual, and reduced-cost vectors so the Price Computer's duals survive the
-// reduction: a row proven redundant against the variable bounds always
-// admits zero as an optimal dual, and a singleton row that became the
-// binding bound of its variable takes that variable's reduced cost back as
-// its dual.
+// simplex sees the model, and postsolve reconstructs the full primal and
+// dual vectors so the Price Computer's duals survive the reduction: a row
+// proven redundant against the variable bounds always admits zero as an
+// optimal dual, and a singleton row that became the binding bound of its
+// variable takes that variable's reduced cost back as its dual.
 //
 // The reduction recipe is retained on the Model. When a data-only edit
 // (rhs, bounds, objective) leaves the reduction pattern unchanged — the
@@ -383,30 +382,21 @@ func (m *Model) reduce(ps *presolveState) {
 			cmin := objSign * m.obj[j] // cost in minimization orientation
 			lo, up := ps.lo[j], ps.up[j]
 			if ps.colCnt[j] == 0 {
-				// Empty column: settle at the cost-optimal finite bound.
-				// An unbounded improving direction is left for the simplex
-				// to certify (it may still be Infeasible elsewhere).
+				// Empty column: settle at the cost-optimal bound (lo is
+				// finite). An unbounded improving direction is left for the
+				// simplex to certify (it may still be Infeasible elsewhere).
 				switch {
-				case cmin > 0 && !math.IsInf(lo, -1):
+				case cmin >= 0:
 					remove(j, lo)
 				case cmin < 0 && !math.IsInf(up, 1):
 					remove(j, up)
-				case cmin == 0:
-					switch {
-					case !math.IsInf(lo, -1):
-						remove(j, lo)
-					case !math.IsInf(up, 1):
-						remove(j, up)
-					default:
-						remove(j, 0)
-					}
 				default:
 					continue
 				}
 				changed = true
 				continue
 			}
-			if ps.colCnt[j] == 1 && m.obj[j] == 0 && math.IsInf(up, 1) && !math.IsInf(lo, -1) {
+			if ps.colCnt[j] == 1 && m.obj[j] == 0 && math.IsInf(up, 1) {
 				// Zero-cost singleton column that can grow without limit in
 				// its row's slack direction: the row can always be satisfied
 				// by this variable alone, so both leave the model. Postsolve
@@ -426,7 +416,7 @@ func (m *Model) reduce(ps *presolveState) {
 			}
 			// Weak domination: moving to a bound never hurts feasibility
 			// and never hurts the objective, so the variable can rest there.
-			if ps.colOKDn[j] && cmin >= 0 && !math.IsInf(lo, -1) {
+			if ps.colOKDn[j] && cmin >= 0 {
 				remove(j, lo)
 				changed = true
 			} else if ps.colOKUp[j] && cmin <= 0 && !math.IsInf(up, 1) {
@@ -530,10 +520,9 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 	nv, nr := m.NumVars(), m.NumRows()
 	if ps.status != Optimal {
 		return &Solution{
-			Status:      ps.status,
-			X:           make([]float64, nv),
-			Dual:        make([]float64, nr),
-			ReducedCost: make([]float64, nv),
+			Status: ps.status,
+			X:      make([]float64, nv),
+			Dual:   make([]float64, nr),
 		}, nil
 	}
 	inner := opts
@@ -549,17 +538,12 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 		}
 	}
 	sol := &Solution{
-		Status:      redSol.Status,
-		Iterations:  redSol.Iterations,
-		Refactors:   redSol.Refactors,
-		Artificials: redSol.Artificials,
-		Recoveries:  redSol.Recoveries,
-		Timings:     redSol.Timings,
-		PricingUsed: redSol.PricingUsed,
-		X:           make([]float64, nv),
-		Dual:        make([]float64, nr),
-		ReducedCost: make([]float64, nv),
-		basis:       redSol.basis,
+		Status:     redSol.Status,
+		Iterations: redSol.Iterations,
+		Refactors:  redSol.Refactors,
+		X:          make([]float64, nv),
+		Dual:       make([]float64, nr),
+		basis:      redSol.basis,
 	}
 	if redSol.Status != Optimal {
 		return sol, nil
@@ -600,26 +584,18 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 	ps.buildVarRows(m)
 	m.recoverSingletonDuals(ps, sol)
 
-	// Reduced costs from the recovered duals: d_j = c_j - y·A_j in the
-	// model's own orientation (see Solve's mapping).
-	for j := 0; j < nv; j++ {
-		sol.ReducedCost[j] = m.reducedCostAt(ps, sol.Dual, j)
-	}
-
 	obj := 0.0
 	for j, c := range m.obj {
 		obj += c * sol.X[j]
 	}
 	sol.Objective = obj
 	sol.Residual = m.residual(sol.X)
-	o := opts.withDefaults(0, 0)
-	sol.Suspect = sol.Residual > o.ResidualTol
+	sol.Suspect = sol.Residual > residualTol
 	return sol, nil
 }
 
 // buildVarRows builds the rows-per-variable CSR index used by dual
-// recovery and reduced-cost reconstruction, unless the current structure
-// already has one.
+// recovery, unless the current structure already has one.
 func (ps *presolveState) buildVarRows(m *Model) {
 	if ps.varRowsOK {
 		return

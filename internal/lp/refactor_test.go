@@ -57,17 +57,18 @@ func TestRefactorizationConsistency(t *testing.T) {
 }
 
 // TestRefactorWithEqualityAndFreeVars drives refactorization through a
-// problem that mixes equality rows, free variables, and bounds.
+// problem that mixes an equality row, a column free above (only that row
+// pins it), and boxed columns.
 func TestRefactorWithEqualityAndFreeVars(t *testing.T) {
 	m := NewModel()
 	m.SetMaximize(true)
-	free := m.AddVar(math.Inf(-1), Inf, -1)
+	total := m.AddVar(0, Inf, -1)
 	var xs []Var
 	for j := 0; j < 20; j++ {
 		xs = append(xs, m.AddVar(0, 3, 1+float64(j%5)))
 	}
-	// free equals the total shipped (so it is pinned by equality).
-	terms := []Term{{free, -1}}
+	// total equals the sum shipped (so it is pinned by equality).
+	terms := []Term{{total, -1}}
 	for _, x := range xs {
 		terms = append(terms, Term{x, 1})
 	}
@@ -87,11 +88,11 @@ func TestRefactorWithEqualityAndFreeVars(t *testing.T) {
 		t.Fatalf("status %v", sol.Status)
 	}
 	// The equality must hold at the optimum.
-	total := 0.0
+	sum := 0.0
 	for _, x := range xs {
-		total += sol.X[x]
+		sum += sol.X[x]
 	}
-	if math.Abs(sol.X[free]-total) > 1e-6 {
-		t.Errorf("equality violated after refactors: free=%v total=%v", sol.X[free], total)
+	if math.Abs(sol.X[total]-sum) > 1e-6 {
+		t.Errorf("equality violated after refactors: total=%v sum=%v", sol.X[total], sum)
 	}
 }

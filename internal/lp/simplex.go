@@ -17,8 +17,10 @@ type entry struct {
 //
 //	minimize c·x  subject to  A x = b,  0 ≤ x ≤ up,  b ≥ 0,
 //
-// where columns include structural variables (shifted so every lower bound
-// is zero), slack/surplus logicals, and phase-1 artificials.
+// where columns include structural variables, slack/surplus logicals, and
+// phase-1 artificials. Structural column j is model variable j shifted by
+// its lower bound (which the model guarantees is finite): the variable's
+// value is lo[j] + x[j].
 type standard struct {
 	m, n  int
 	large bool // m >= LargeModelRows: the one size decision, see there
@@ -32,12 +34,6 @@ type standard struct {
 
 	basisInit []int // initial basic column per row (slack or artificial)
 
-	// Mapping back to model space: modelVar j has value
-	// shift[j] + sign[j]*x[colOf[j]] - x[negCol[j]] (negCol -1 if unused).
-	colOf   []int
-	negCol  []int
-	shift   []float64
-	sign    []float64
 	rowSign []float64 // +1, or -1 if the row was negated to make b >= 0
 }
 
@@ -60,11 +56,10 @@ func (m *Model) standardized() (*standard, error) {
 }
 
 // refreshStandard re-derives the data-dependent parts (costs, upper
-// bounds, shifts, rhs) of a cached standardization in place, without
+// bounds, rhs) of a cached standardization in place, without
 // allocating. It reports false when an edit invalidated the cached
-// structure — a variable's bound pattern switched standardization branches
-// (e.g. a finite lower bound became -Inf), or a row's rhs normalization
-// sign flipped — in which case the caller must rebuild from scratch.
+// structure — a row's rhs normalization sign flipped — in which case the
+// caller must rebuild from scratch.
 // Matrix entries, column layout, and the artificial pattern are untouched,
 // so the stored signature stays valid and warm bases keep matching across
 // refreshes.
@@ -73,35 +68,14 @@ func (m *Model) refreshStandard(s *standard) bool {
 	if m.maximize {
 		objSign = -1
 	}
-	for j := 0; j < len(m.obj); j++ {
-		lo, up, c := m.lo[j], m.up[j], objSign*m.obj[j]
-		col := s.colOf[j]
-		switch {
-		case s.negCol[j] >= 0: // built as a free split
-			if !math.IsInf(lo, -1) || !math.IsInf(up, 1) {
-				return false
-			}
-			s.c[col] = c
-			s.c[s.negCol[j]] = -c
-		case s.sign[j] == 1: // built as x = lo + x'
-			if math.IsInf(lo, -1) {
-				return false
-			}
-			s.shift[j] = lo
-			s.up[col] = up - lo
-			s.c[col] = c
-		default: // built as x = up - x'
-			if !math.IsInf(lo, -1) || math.IsInf(up, 1) {
-				return false
-			}
-			s.shift[j] = up
-			s.c[col] = -c
-		}
+	for j, c := range m.obj {
+		s.up[j] = m.up[j] - m.lo[j]
+		s.c[j] = objSign * c
 	}
 	for i := range m.rows {
 		rhs := m.rhs[i]
 		for _, t := range m.rows[i] {
-			rhs -= t.Coef * s.shift[t.Var]
+			rhs -= t.Coef * m.lo[t.Var]
 		}
 		want := 1.0
 		if rhs < 0 || crashRow(s.large, m.senses[i], rhs) {
@@ -130,15 +104,10 @@ func crashRow(large bool, sense Sense, rhs float64) bool {
 
 // standardize converts the model into computational form.
 func (m *Model) standardize() (*standard, error) {
-	nv := m.NumVars()
 	nr := m.NumRows()
 	s := &standard{
 		m:       nr,
 		large:   nr >= LargeModelRows,
-		colOf:   make([]int, nv),
-		negCol:  make([]int, nv),
-		shift:   make([]float64, nv),
-		sign:    make([]float64, nv),
 		rowSign: make([]float64, nr),
 		b:       make([]float64, nr),
 	}
@@ -155,28 +124,9 @@ func (m *Model) standardize() (*standard, error) {
 		objSign = -1
 	}
 
-	// Structural columns.
-	for j := 0; j < nv; j++ {
-		lo, up, c := m.lo[j], m.up[j], objSign*m.obj[j]
-		s.negCol[j] = -1
-		switch {
-		case !math.IsInf(lo, -1):
-			// x = lo + x',  x' in [0, up-lo].
-			s.colOf[j] = addCol(up-lo, c)
-			s.shift[j] = lo
-			s.sign[j] = 1
-		case !math.IsInf(up, 1):
-			// x = up - x',  x' in [0, inf).
-			s.colOf[j] = addCol(Inf, -c)
-			s.shift[j] = up
-			s.sign[j] = -1
-		default:
-			// Free: x = x+ - x-.
-			s.colOf[j] = addCol(Inf, c)
-			s.negCol[j] = addCol(Inf, -c)
-			s.shift[j] = 0
-			s.sign[j] = 1
-		}
+	// Structural columns: x = lo + x',  x' in [0, up-lo].
+	for j, c := range m.obj {
+		addCol(m.up[j]-m.lo[j], objSign*c)
 	}
 
 	// Rows: substitute the variable transforms, then normalize b >= 0.
@@ -189,12 +139,8 @@ func (m *Model) standardize() (*standard, error) {
 	for i := 0; i < nr; i++ {
 		rd := rowData{sense: m.senses[i], rhs: m.rhs[i]}
 		for _, t := range m.rows[i] {
-			j := t.Var
-			rd.rhs -= t.Coef * s.shift[j]
-			rd.terms = append(rd.terms, entry{row: s.colOf[j], val: t.Coef * s.sign[j]})
-			if s.negCol[j] >= 0 {
-				rd.terms = append(rd.terms, entry{row: s.negCol[j], val: -t.Coef})
-			}
+			rd.rhs -= t.Coef * m.lo[t.Var]
+			rd.terms = append(rd.terms, entry{row: int(t.Var), val: t.Coef})
 		}
 		s.rowSign[i] = 1
 		if rd.rhs < 0 || crashRow(s.large, rd.sense, rd.rhs) {
@@ -288,12 +234,11 @@ type result struct {
 	status    Status
 	x         []float64 // per standardized column
 	y         []float64 // per row (duals of the minimization problem)
-	d         []float64 // reduced costs per standardized column
 	iters     int
 	refactors int          // basis refactorizations performed
 	phase     PhaseTimings // per-phase wall-clock breakdown
 	warm      bool         // a supplied warm basis was actually used
-	pricing   PricingRule  // entering rule the final phase ran with
+	pricing   pricingRule  // entering rule the final phase ran with
 	basis     *Basis       // terminal basis (Optimal and Infeasible outcomes)
 	// artificials counts the artificial columns basic at the cold start (0
 	// on a warm solve); recoveries counts singular refactorizations repaired
@@ -345,8 +290,8 @@ type state struct {
 	bOrig []float64
 
 	// pricing is the resolved entering-variable rule for the current
-	// optimize call (PricingDantzig = classic Dantzig/partial hybrid).
-	pricing PricingRule
+	// optimize call (pricingDantzig = classic Dantzig/partial hybrid).
+	pricing pricingRule
 
 	// Devex pricing state (allocated on first use). dRed maintains every
 	// column's reduced cost incrementally across pivots — refreshed from
@@ -414,7 +359,7 @@ func (std *standard) solve(opts Options) result {
 		yBuf:          make([]float64, m),
 		rhoBuf:        make([]float64, m),
 		cbBuf:         make([]float64, m),
-		maxIter:       opts.MaxIters,
+		maxIter:       iterBudget(std.n, std.m),
 		refactorEvery: forceRefactorEvery,
 	}
 	if opts.TimeBudget > 0 {
@@ -466,17 +411,6 @@ func (std *standard) solve(opts Options) result {
 		res.x[j] = st.xB[i]
 	}
 	res.y = append([]float64(nil), st.duals(std.c)...)
-	if opts.postsolved {
-		return res
-	}
-	res.d = make([]float64, std.n)
-	for j := 0; j < std.n; j++ {
-		dj := std.c[j]
-		for _, e := range std.cols[j] {
-			dj -= res.y[e.row] * e.val
-		}
-		res.d[j] = dj
-	}
 	return res
 }
 
@@ -501,9 +435,9 @@ func (st *state) phases(warm bool) result {
 	// sequences pinned by the golden suite) stay on the classic rule.
 	st.pricing = forcePricing
 	if st.pricing == "" {
-		st.pricing = PricingDantzig
+		st.pricing = pricingDantzig
 		if std.large && !warm {
-			st.pricing = PricingDevex
+			st.pricing = pricingDevex
 		}
 	}
 
@@ -1531,7 +1465,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 	std := st.std
 	m := std.m
 	stall := 0
-	devex := st.pricing == PricingDevex
+	devex := st.pricing == pricingDevex
 	// Under classic pricing the duals are maintained incrementally across
 	// pivots (y' = y + (d_q/w_r)·ρ_r with ρ_r the leaving row of the old
 	// inverse) and recomputed from scratch only at refactorization points.

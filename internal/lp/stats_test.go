@@ -61,9 +61,7 @@ func TestSolveStatsAccumulates(t *testing.T) {
 func TestSolveStatsPhaseTimings(t *testing.T) {
 	// The per-phase clocks must tick on a solve that pivots: pricing runs
 	// every pivot and FTRAN computes every tableau column, so both are
-	// guaranteed nonzero; BTRAN ticks with the per-pivot duals. The
-	// timings must also land on the Solution itself and match the stats
-	// of a single recorded solve.
+	// guaranteed nonzero; BTRAN ticks with the per-pivot duals.
 	m, _, _ := statsModel()
 	var stats SolveStats
 	sol, err := m.Solve(Options{Stats: &stats})
@@ -73,23 +71,21 @@ func TestSolveStatsPhaseTimings(t *testing.T) {
 	if sol.Iterations == 0 {
 		t.Fatalf("statsModel solved without a pivot; the timing assertions need one")
 	}
-	if sol.Timings.PricingNs <= 0 || sol.Timings.FtranNs <= 0 || sol.Timings.BtranNs <= 0 {
-		t.Fatalf("phase timings did not tick: %+v", sol.Timings)
-	}
-	if stats.Timings != sol.Timings {
-		t.Fatalf("stats timings %+v != solution timings %+v", stats.Timings, sol.Timings)
+	if ph := stats.Timings; ph.PricingNs <= 0 || ph.FtranNs <= 0 || ph.BtranNs <= 0 {
+		t.Fatalf("phase timings did not tick: %+v", ph)
 	}
 	// The pivot-row clock belongs to devex: a small model prices without
 	// it and never starts the timer; forced onto devex, it ticks.
-	if sol.Timings.RowNs != 0 {
-		t.Fatalf("row clock ticked on a Dantzig solve: %+v", sol.Timings)
+	if stats.Timings.RowNs != 0 {
+		t.Fatalf("row clock ticked on a Dantzig solve: %+v", stats.Timings)
 	}
-	dvx, err := solveWith(PricingDevex, m, Options{})
+	var dstats SolveStats
+	dvx, err := solveWith(pricingDevex, m, Options{Stats: &dstats})
 	if err != nil || dvx.Status != Optimal {
 		t.Fatalf("devex solve: %v %v", dvx.Status, err)
 	}
-	if dvx.Timings.RowNs <= 0 {
-		t.Fatalf("row clock did not tick on a devex solve of %d pivots: %+v", dvx.Iterations, dvx.Timings)
+	if dstats.Timings.RowNs <= 0 {
+		t.Fatalf("row clock did not tick on a devex solve of %d pivots: %+v", dvx.Iterations, dstats.Timings)
 	}
 	// A forced refactorization cadence must tick the refactor clock.
 	var tight SolveStats
@@ -147,7 +143,9 @@ func TestSolveStatsWarmStart(t *testing.T) {
 func TestSolveStatsIterLimit(t *testing.T) {
 	m, _, _ := statsModel()
 	var stats SolveStats
-	sol, err := m.Solve(Options{MaxIters: 1, Stats: &stats})
+	var sol *Solution
+	var err error
+	withIterBudget(1, func() { sol, err = m.Solve(Options{Stats: &stats}) })
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}

@@ -204,30 +204,29 @@ func TestWarmStartAfterRelaxedInfeasibility(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults: degenerate Options values (negative residual
-// tolerance, zero or negative iteration budgets) must be normalized, not
-// passed through — call sites handing in lp.Options{} rely on this.
+// TestOptionsDefaults: every solve runs with the documented budgets — a
+// pivot budget of 2000 + 40(n+m) on a standardized problem of n columns and
+// m rows, and a 1e-6 residual tolerance — so call sites hand in lp.Options{}.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{ResidualTol: -1, MaxIters: -5}.withDefaults(10, 4)
-	if o.ResidualTol != 1e-6 {
-		t.Errorf("ResidualTol = %v, want 1e-6", o.ResidualTol)
+	if got := iterBudget(10, 4); got != 2000+40*14 {
+		t.Errorf("iterBudget(10, 4) = %v, want %v", got, 2000+40*14)
 	}
-	if o.MaxIters != 2000+40*14 {
-		t.Errorf("MaxIters = %v, want %v", o.MaxIters, 2000+40*14)
+	if residualTol != 1e-6 {
+		t.Errorf("residualTol = %v, want 1e-6", residualTol)
 	}
 
-	// End to end: a solve with hostile options must behave like defaults.
+	// End to end: the zero options solve to the optimum.
 	m := NewModel()
 	m.SetMaximize(true)
 	x := m.AddVar(0, Inf, 3)
 	y := m.AddVar(0, Inf, 2)
 	m.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
-	sol, err := m.Solve(Options{ResidualTol: -7, MaxIters: -1})
+	sol, err := m.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != Optimal || math.Abs(sol.Objective-12) > 1e-8 {
-		t.Fatalf("hostile options: status %v objective %v, want optimal 12", sol.Status, sol.Objective)
+		t.Fatalf("zero options: status %v objective %v, want optimal 12", sol.Status, sol.Objective)
 	}
 }
 

@@ -150,27 +150,23 @@ func BenchmarkSAMSolve(b *testing.B) {
 	for _, sc := range benchScales {
 		ins := benchInstance(sc, 42)
 		b.Run(sc.name+"/sparse", func(b *testing.B) {
-			iters, refactors, artificials, recoveries := 0, 0, 0, 0
-			var phase lp.PhaseTimings
+			var stats lp.SolveStats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ins.Solve(lp.Options{})
+				stats = lp.SolveStats{}
+				res, err := ins.Solve(lp.Options{Stats: &stats})
 				if err != nil {
 					b.Fatalf("Solve: %v", err)
 				}
 				if res.Status != lp.Optimal {
 					b.Fatalf("status %v", res.Status)
 				}
-				iters = res.Iterations
-				refactors = res.Refactors
-				artificials, recoveries = res.Artificials, res.Recoveries
-				phase = res.Timings
 			}
-			b.ReportMetric(float64(iters), "pivots")
-			b.ReportMetric(float64(refactors), "refactors")
-			b.ReportMetric(float64(artificials), "artificials")
-			b.ReportMetric(float64(recoveries), "recoveries")
-			reportPhases(b, phase)
+			b.ReportMetric(float64(stats.Iterations), "pivots")
+			b.ReportMetric(float64(stats.Refactorizations), "refactors")
+			b.ReportMetric(float64(stats.Artificials), "artificials")
+			b.ReportMetric(float64(stats.Recoveries), "recoveries")
+			reportPhases(b, stats.Timings)
 		})
 		if sc.paperWAN() {
 			// The telemetry-overhead sub-bench exists to bound the
@@ -210,24 +206,26 @@ func TestMediumLPCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := built.Solve(lp.Options{})
+	var stats lp.SolveStats
+	cold, err := built.Solve(lp.Options{Stats: &stats})
 	if err != nil || cold.Status != lp.Optimal {
 		t.Fatalf("cold solve: %v %v", err, cold.Status)
 	}
-	if cold.Iterations != 3468 || cold.Refactors != 33 || cold.Artificials != 688 {
+	if cold.Iterations != 3468 || cold.Refactors != 33 || stats.Artificials != 688 {
 		t.Errorf("cold: %d pivots, %d refactors, %d artificials; want 3468, 33, 688",
-			cold.Iterations, cold.Refactors, cold.Artificials)
+			cold.Iterations, cold.Refactors, stats.Artificials)
 	}
 	if got := math.Float64bits(cold.Objective); got != 0x40c4d5221fa93f07 {
 		t.Errorf("cold objective %v (bits %#x), want bits 0x40c4d5221fa93f07", cold.Objective, got)
 	}
-	warm, err := built.Solve(lp.Options{WarmBasis: cold.Basis})
+	stats = lp.SolveStats{}
+	warm, err := built.Solve(lp.Options{WarmBasis: cold.Basis, Stats: &stats})
 	if err != nil || warm.Status != lp.Optimal {
 		t.Fatalf("warm solve: %v %v", err, warm.Status)
 	}
-	if warm.Iterations != 0 || warm.Refactors != 0 || warm.Artificials != 0 {
+	if warm.Iterations != 0 || warm.Refactors != 0 || stats.Artificials != 0 {
 		t.Errorf("warm: %d pivots, %d refactors, %d artificials; want none",
-			warm.Iterations, warm.Refactors, warm.Artificials)
+			warm.Iterations, warm.Refactors, stats.Artificials)
 	}
 	if got := math.Float64bits(warm.Objective); got != 0x40c4d5221fa93f08 {
 		t.Errorf("warm objective %v (bits %#x), want bits 0x40c4d5221fa93f08", warm.Objective, got)
@@ -244,13 +242,14 @@ func TestLargeLPCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := built.Solve(lp.Options{})
+	var stats lp.SolveStats
+	cold, err := built.Solve(lp.Options{Stats: &stats})
 	if err != nil || cold.Status != lp.Optimal {
 		t.Fatalf("cold solve: %v %v", err, cold.Status)
 	}
-	if cold.Iterations != 4926 || cold.Refactors != 3 || cold.Artificials != 1699 {
+	if cold.Iterations != 4926 || cold.Refactors != 3 || stats.Artificials != 1699 {
 		t.Errorf("cold: %d pivots, %d refactors, %d artificials; want 4926, 3, 1699",
-			cold.Iterations, cold.Refactors, cold.Artificials)
+			cold.Iterations, cold.Refactors, stats.Artificials)
 	}
 	if got := math.Float64bits(cold.Objective); got != 0x40d120eb7ad85bad {
 		t.Errorf("cold objective %v (bits %#x), want bits 0x40d120eb7ad85bad", cold.Objective, got)
@@ -350,11 +349,11 @@ func BenchmarkSAMResolveWarm(b *testing.B) {
 				b.Fatalf("cold solve: %v %v", err, cold.Status)
 			}
 			basis := cold.Basis
-			iters, refactors := 0, 0
-			var phase lp.PhaseTimings
+			var stats lp.SolveStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := built.Solve(lp.Options{WarmBasis: basis})
+				stats = lp.SolveStats{}
+				res, err := built.Solve(lp.Options{WarmBasis: basis, Stats: &stats})
 				if err != nil {
 					b.Fatalf("warm solve: %v", err)
 				}
@@ -362,13 +361,10 @@ func BenchmarkSAMResolveWarm(b *testing.B) {
 					b.Fatalf("warm status %v", res.Status)
 				}
 				basis = res.Basis
-				iters = res.Iterations
-				refactors = res.Refactors
-				phase = res.Timings
 			}
-			b.ReportMetric(float64(iters), "pivots")
-			b.ReportMetric(float64(refactors), "refactors")
-			reportPhases(b, phase)
+			b.ReportMetric(float64(stats.Iterations), "pivots")
+			b.ReportMetric(float64(stats.Refactorizations), "refactors")
+			reportPhases(b, stats.Timings)
 		})
 	}
 }

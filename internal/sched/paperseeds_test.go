@@ -67,7 +67,8 @@ func TestPaperColdSeeds(t *testing.T) {
 		if !built.Implicit() {
 			t.Fatalf("seed %d: Build made the paper recipe explicit", seed)
 		}
-		sol, err := built.model.Solve(lp.Options{Presolve: true})
+		var stats lp.SolveStats
+		sol, err := built.model.Solve(lp.Options{Presolve: true, Stats: &stats})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -78,7 +79,7 @@ func TestPaperColdSeeds(t *testing.T) {
 		bound, infeas := dualBound(built.model, sol.Dual)
 		gap := (bound - sol.Objective) / (1 + math.Abs(sol.Objective))
 		t.Logf("seed %d: objective %.9g, dual bound %.9g (gap %.2g, dual infeasibility %.2g), %d pivots, %d refactorizations, %d artificials, %d recoveries",
-			seed, sol.Objective, bound, gap, infeas, sol.Iterations, sol.Refactors, sol.Artificials, sol.Recoveries)
+			seed, sol.Objective, bound, gap, infeas, sol.Iterations, sol.Refactors, stats.Artificials, stats.Recoveries)
 		if infeas > 1e-7 || math.Abs(gap) > 1e-7 {
 			t.Errorf("seed %d: objective %v against a dual bound of %v (dual infeasibility %g)", seed, sol.Objective, bound, infeas)
 		}

@@ -133,20 +133,11 @@ type Result struct {
 	// shadow price plus the marginal percentile-cost burden. This is
 	// what the Price Computer publishes (§4.3).
 	Price [][]float64
-	// Iterations counts simplex pivots.
+	// Iterations counts simplex pivots and Refactors basis
+	// refactorizations; the rest of the solver's telemetry goes to
+	// opts.Stats (see lp.SolveStats).
 	Iterations int
-	// Refactors counts basis refactorizations performed by the solve.
-	Refactors int
-	// Artificials counts the artificial columns basic at a cold start and
-	// Recoveries the singular refactorizations repaired mid-solve (see
-	// lp.SolveStats).
-	Artificials, Recoveries int
-	// Timings is the solver's per-phase wall-clock breakdown (pricing/
-	// FTRAN/BTRAN/refactorization nanoseconds).
-	Timings lp.PhaseTimings
-	// PricingUsed is the entering-variable rule the solver resolved to
-	// (lp.PricingDantzig or lp.PricingDevex; see lp.PricingRule).
-	PricingUsed lp.PricingRule
+	Refactors  int
 	// Suspect flags an Optimal solve whose solution failed the lp residual
 	// health check (see lp.Solution.Suspect): allocations are populated but
 	// the control loop should treat the solve as failed and retry cold or
@@ -744,18 +735,14 @@ func (b *Built) Solve(opts lp.Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Status:      sol.Status,
-		Iterations:  sol.Iterations,
-		Refactors:   sol.Refactors,
-		Artificials: sol.Artificials,
-		Recoveries:  sol.Recoveries,
-		Timings:     sol.Timings,
-		PricingUsed: sol.PricingUsed,
-		Suspect:     sol.Suspect,
-		Basis:       sol.Basis(),
-		Delivered:   make([]float64, len(ins.Demands)),
-		EdgeUsage:   make([][]float64, ne),
-		Price:       make([][]float64, ne),
+		Status:     sol.Status,
+		Iterations: sol.Iterations,
+		Refactors:  sol.Refactors,
+		Suspect:    sol.Suspect,
+		Basis:      sol.Basis(),
+		Delivered:  make([]float64, len(ins.Demands)),
+		EdgeUsage:  make([][]float64, ne),
+		Price:      make([][]float64, ne),
 	}
 	for e := 0; e < ne; e++ {
 		res.EdgeUsage[e] = make([]float64, ins.Horizon)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 
 	"pretium/internal/obs"
@@ -271,6 +272,16 @@ func (h *httpServer) publish(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, limit, &in); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
+	}
+	// A negative price quotes negative payments; a negative reservation
+	// reports room above capacity. JSON carries no NaN, so that is all.
+	for _, m := range [][][]float64{in.BasePrice, in.Reserved} {
+		for e, row := range m {
+			if t := slices.IndexFunc(row, func(v float64) bool { return v < 0 }); t >= 0 {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("serve: publish has negative entry %v at edge %d, step %d", row[t], e, t))
+				return
+			}
+		}
 	}
 	var plan *pricing.State
 	adopt := false

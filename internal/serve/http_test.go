@@ -162,6 +162,45 @@ func TestHTTPPublish(t *testing.T) {
 	}
 }
 
+// TestHTTPPublishRejectsNegative: a negative price would quote negative
+// payments and a negative reservation would sell room above capacity, so
+// either entry fails the publish with 400 and leaves the epoch as it was.
+func TestHTTPPublishRejectsNegative(t *testing.T) {
+	net, h, svc, _ := httpWorld(t)
+	matrix := func(neg float64) [][]float64 {
+		m := make([][]float64, net.NumEdges())
+		for e := range m {
+			m[e] = make([]float64, svc.Horizon())
+		}
+		m[1][2] = neg
+		return m
+	}
+	for _, in := range []wirePublishRequest{
+		{BasePrice: matrix(-1)},
+		{Reserved: matrix(-0.5)},
+		{BasePrice: matrix(0), Reserved: matrix(-3)},
+	} {
+		w, out := doJSON(t, h, "POST", "/v1/publish", in)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("publish %+v: status %d, want 400", in, w.Code)
+		}
+		if _, ok := out["error"]; !ok {
+			t.Fatalf("publish %+v: no error field in %s", in, w.Body)
+		}
+		if svc.Epoch() != 0 {
+			t.Fatalf("rejected publish moved the epoch to %d", svc.Epoch())
+		}
+	}
+	var q wireQuoteResponse
+	w, _ := doJSON(t, h, "POST", "/v1/quote", wireRequest{ID: 1, Src: "a", Dst: "c", Start: 0, End: 0, Demand: 1, Value: 5})
+	if err := json.Unmarshal(w.Body.Bytes(), &q); err != nil {
+		t.Fatalf("quote response: %v", err)
+	}
+	if q.Epoch != 0 || len(q.Segments) == 0 || q.Segments[0].Price != 1 {
+		t.Fatalf("quote after rejected publishes: %+v, want epoch 0 at price 1", q)
+	}
+}
+
 func TestHTTPStateAndMetrics(t *testing.T) {
 	_, h, _, _ := httpWorld(t)
 	w, _ := doJSON(t, h, "POST", "/v1/admit", wireRequest{ID: 1, Src: "a", Dst: "c", Start: 0, End: 0, Demand: 1, Value: 5})

@@ -90,6 +90,11 @@ func TestReadRequestsCSVErrors(t *testing.T) {
 		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,bad,0,0,2\n",
 		// arrival after start fails request validation
 		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,5,0,1,5,0,0,2\n",
+		// so do non-finite demands, rates and values
+		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,NaN,0,0,2\n",
+		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,+Inf,0,0,2\n",
+		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,5,Inf,1,2\n",
+		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,5,0,0,NaN\n",
 	}
 	for _, c := range cases {
 		if _, err := ReadRequestsCSV(strings.NewReader(c), n, 2); err == nil {

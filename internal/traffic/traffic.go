@@ -14,6 +14,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"pretium/internal/graph"
 )
@@ -74,8 +75,8 @@ type Request struct {
 // Window returns the number of timesteps in the allowed interval.
 func (r *Request) Window() int { return r.End - r.Start + 1 }
 
-// Validate checks internal consistency and that every route connects
-// Src to Dst in the network.
+// Validate checks internal consistency — finite numbers included — and that
+// every route connects Src to Dst in the network.
 func (r *Request) Validate(n *graph.Network) error {
 	if r.Start > r.End {
 		return fmt.Errorf("traffic: request %d has start %d > end %d", r.ID, r.Start, r.End)
@@ -85,6 +86,11 @@ func (r *Request) Validate(n *graph.Network) error {
 	}
 	if r.Demand < 0 {
 		return fmt.Errorf("traffic: request %d has negative demand", r.ID)
+	}
+	for _, v := range [...]float64{r.Demand, r.Value, r.Rate} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("traffic: request %d has non-finite demand, value or rate", r.ID)
+		}
 	}
 	if len(r.Routes) == 0 {
 		return fmt.Errorf("traffic: request %d has no admissible routes", r.ID)

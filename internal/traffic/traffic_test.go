@@ -64,6 +64,19 @@ func TestRequestValidate(t *testing.T) {
 	if (&bad).Validate(n) == nil {
 		t.Error("zero-rate rate request accepted")
 	}
+	// A NaN value buys the whole menu (no price exceeds it), and a NaN or
+	// infinite demand or rate poisons every LP row it enters.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, field := range []*float64{&bad.Demand, &bad.Value, &bad.Rate} {
+			bad = *good
+			bad.Kind = RateRequest
+			bad.Rate = 1
+			*field = v
+			if (&bad).Validate(n) == nil {
+				t.Errorf("request with demand %v, value %v, rate %v accepted", bad.Demand, bad.Value, bad.Rate)
+			}
+		}
+	}
 }
 
 func TestMatrixOps(t *testing.T) {
