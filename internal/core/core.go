@@ -6,8 +6,8 @@
 // Per timestep the controller (1) refreshes internal prices at window
 // boundaries via the PC, (2) admits arriving requests with menu quotes,
 // (3) re-optimizes the forward schedule with SAM, and (4) realizes the
-// current step's planned transfers. Ablation flags reproduce the paper's
-// Pretium-NoMenu and Pretium-NoSAM variants (Figure 11).
+// current step's planned transfers. AllOrNothing and EnableSAM reproduce
+// the paper's Pretium-NoMenu and Pretium-NoSAM variants (Figure 11).
 package core
 
 import (
@@ -39,14 +39,13 @@ type Config struct {
 	PriceWindow int
 	// InitialPrice seeds P_{e,t} before any history exists.
 	InitialPrice float64
-	// MinPrice floors recomputed prices.
+	// MinPrice floors recomputed prices. Both prices must be finite and
+	// non-negative.
 	MinPrice float64
-	// HighPriFraction of each link is set aside for high-pri traffic.
-	HighPriFraction float64
-	// HighPriEstimate, when non-nil, replaces the uniform fraction with
-	// an explicit per-(edge, step) set-aside — typically produced by
-	// pricing.EstimateHighPriSetAside from historical high-pri usage
-	// (§4.4). Indexed [edge][step] over the horizon.
+	// HighPriEstimate, when non-nil, is the capacity set aside for
+	// high-pri traffic, indexed [edge][step] over the horizon — typically
+	// pricing.EstimateHighPriSetAside of historical high-pri usage (§4.4).
+	// Every cell must be finite and non-negative; it clamps to capacity.
 	HighPriEstimate [][]float64
 	// HighPriActual, when non-nil, is the high-pri traffic that actually
 	// materializes: it physically consumes link capacity whether or not
@@ -57,21 +56,17 @@ type Config struct {
 	// EnableSAM switches schedule adjustment, run every timestep as the
 	// paper recommends (off = Pretium-NoSAM).
 	EnableSAM bool
-	// EnableMenu switches menu purchases (off = Pretium-NoMenu:
-	// customers buy all-or-nothing).
-	EnableMenu bool
 	// CustomerRateCap bounds the bandwidth any single request may hold
 	// per timestep (0 = unlimited) — the §4.4 fairness lever against
-	// elephant transfers crowding out everyone else. Purchases are
-	// capped at CustomerRateCap x window and SAM enforces the per-step
-	// cap exactly.
+	// elephant transfers crowding out everyone else. Byte purchases are
+	// capped at CustomerRateCap x window, rate purchases at
+	// CustomerRateCap per step, and SAM enforces the per-step cap exactly.
 	CustomerRateCap float64
-	// Purchase overrides the customer decision rule. Given the quoted
-	// menu and the request, it returns the bytes bought. Nil applies
-	// Theorem 5.2's linear-utility rule (or all-or-nothing when
-	// EnableMenu is false). Custom rules model the nonlinear utilities
-	// discussed in §4.4 — e.g. all-or-nothing transfers or concave
-	// value — without touching the quoting machinery.
+	// Purchase overrides the customer decision rule for byte requests:
+	// given the menu quoted up to the rate-capped demand, it returns the
+	// bytes bought, clamped to that cap. Nil applies Theorem 5.2's
+	// linear-utility rule; AllOrNothing is Pretium-NoMenu's. Other rules
+	// model §4.4's nonlinear utilities, e.g. concave value.
 	Purchase func(menu *pricing.Menu, req *traffic.Request) float64
 	// Faults injects capacity losses for robustness experiments (§4.4):
 	// from its Announce step onward the planner sees the reduced
@@ -122,15 +117,24 @@ func (f Fault) announceStep() int {
 // horizon with daily (24-step) pricing and charging windows.
 func DefaultConfig(horizon int) Config {
 	return Config{
-		Horizon:         horizon,
-		Cost:            cost.DefaultConfig(24),
-		PriceWindow:     24,
-		InitialPrice:    0.5,
-		MinPrice:        0.05,
-		HighPriFraction: 0,
-		EnableSAM:       true,
-		EnableMenu:      true,
+		Horizon:      horizon,
+		Cost:         cost.DefaultConfig(24),
+		PriceWindow:  24,
+		InitialPrice: 0.5,
+		MinPrice:     0.05,
+		EnableSAM:    true,
 	}
+}
+
+// AllOrNothing is the purchase rule of the Pretium-NoMenu ablation
+// (Figure 11): the customer takes the full demand iff the menu guarantees
+// all of it and its total price is within the request's value, and
+// otherwise walks away.
+func AllOrNothing(menu *pricing.Menu, req *traffic.Request) float64 {
+	if menu.Cap() >= req.Demand-1e-9 && menu.Price(req.Demand) <= req.Value*req.Demand {
+		return req.Demand
+	}
+	return 0
 }
 
 // Timings collects per-module runtimes (Table 4).
@@ -234,6 +238,15 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	if cfg.PriceWindow <= 0 {
 		cfg.PriceWindow = cfg.Horizon
 	}
+	if !finiteNonNeg(cfg.InitialPrice) || !finiteNonNeg(cfg.MinPrice) {
+		return nil, fmt.Errorf("core: InitialPrice %v and MinPrice %v must be finite and non-negative", cfg.InitialPrice, cfg.MinPrice)
+	}
+	if err := checkHighPri("HighPriEstimate", cfg.HighPriEstimate, net.NumEdges(), cfg.Horizon); err != nil {
+		return nil, err
+	}
+	if err := checkHighPri("HighPriActual", cfg.HighPriActual, net.NumEdges(), cfg.Horizon); err != nil {
+		return nil, err
+	}
 	for _, r := range reqs {
 		if err := r.Validate(net); err != nil {
 			return nil, err
@@ -256,9 +269,6 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		for t := 0; t < cfg.Horizon; t++ {
 			st.SetBasePrice(e.ID, t, p)
 		}
-	}
-	if cfg.HighPriFraction > 0 {
-		st.SetHighPriFraction(cfg.HighPriFraction)
 	}
 	if cfg.HighPriEstimate != nil {
 		if err := st.SetHighPriMatrix(cfg.HighPriEstimate); err != nil {
@@ -286,19 +296,6 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	// (what `realize` clamps against, known or not). When actual
 	// high-pri usage is given it drains physical capacity directly;
 	// otherwise the planner's set-aside is assumed exactly consumed.
-	if cfg.HighPriActual != nil && len(cfg.HighPriActual) != net.NumEdges() {
-		return nil, fmt.Errorf("core: HighPriActual has %d edges, want %d", len(cfg.HighPriActual), net.NumEdges())
-	}
-	for e, row := range cfg.HighPriActual {
-		if len(row) < cfg.Horizon {
-			return nil, fmt.Errorf("core: HighPriActual row %d has %d steps, horizon is %d", e, len(row), cfg.Horizon)
-		}
-		for t, v := range row {
-			if !(v >= 0) || math.IsInf(v, 1) {
-				return nil, fmt.Errorf("core: HighPriActual[%d][%d] = %v, want finite and non-negative", e, t, v)
-			}
-		}
-	}
 	c.trueCap = make([][]float64, net.NumEdges())
 	for _, e := range net.Edges() {
 		c.trueCap[e.ID] = make([]float64, cfg.Horizon)
@@ -330,6 +327,28 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		}
 	}
 	return c, nil
+}
+
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// checkHighPri validates a per-(edge, step) high-pri matrix named name:
+// nil, or one row per edge covering the horizon with every cell finite
+// and non-negative.
+func checkHighPri(name string, m [][]float64, edges, horizon int) error {
+	if m != nil && len(m) != edges {
+		return fmt.Errorf("core: %s has %d edges, want %d", name, len(m), edges)
+	}
+	for e, row := range m {
+		if len(row) < horizon {
+			return fmt.Errorf("core: %s row %d has %d steps, horizon is %d", name, e, len(row), horizon)
+		}
+		for t, v := range row {
+			if !finiteNonNeg(v) {
+				return fmt.Errorf("core: %s[%d][%d] = %v, want finite and non-negative", name, e, t, v)
+			}
+		}
+	}
+	return nil
 }
 
 // announceFaults folds every fault announced at step t into the planning
@@ -401,36 +420,13 @@ func (c *Controller) admit(r *traffic.Request) {
 		c.admitScavenger(r)
 		return
 	}
-	// Fairness cap (§4.4): a single request may not hold more than
-	// CustomerRateCap bandwidth per step, so its purchase is bounded by
-	// cap x window (SAM enforces the per-step cap exactly).
-	maxBuy := r.Demand
-	if c.cfg.CustomerRateCap > 0 {
-		if lim := c.cfg.CustomerRateCap * float64(r.Window()); lim < maxBuy {
-			maxBuy = lim
-		}
+	maxBuy := c.rateCapped(r.Demand, r.Window())
+	menu := c.admitter.Quote(r, maxBuy)
+	bought := menu.Purchase(r.Value, maxBuy)
+	if c.cfg.Purchase != nil {
+		bought = math.Min(c.cfg.Purchase(menu, r), maxBuy)
 	}
-	var adm *pricing.Admission
-	var menu *pricing.Menu
-	switch {
-	case c.cfg.Purchase != nil:
-		menu = c.admitter.Quote(r, maxBuy)
-		bought := c.cfg.Purchase(menu, r)
-		if bought > maxBuy {
-			bought = maxBuy
-		}
-		adm = pricing.Commit(c.state, r, menu, bought)
-	case c.cfg.EnableMenu:
-		menu = c.admitter.Quote(r, maxBuy)
-		adm = pricing.Commit(c.state, r, menu, menu.Purchase(r.Value, maxBuy))
-	default:
-		// NoMenu ablation: all-or-nothing — take the full demand iff it
-		// is fully guaranteeable and worth it in aggregate.
-		menu = c.admitter.Quote(r, r.Demand)
-		if menu.Cap() >= r.Demand-1e-9 && menu.Price(r.Demand) <= r.Value*r.Demand {
-			adm = pricing.Commit(c.state, r, menu, r.Demand)
-		}
-	}
+	adm := pricing.Commit(c.state, r, menu, bought)
 	bumps := 0
 	if c.cfg.Obs != nil {
 		bumps = c.priceBumps(r, menu)
@@ -448,12 +444,28 @@ func (c *Controller) admit(r *traffic.Request) {
 	idx := c.reqIndex(r)
 	c.Admitted[idx] = true
 	c.AdmissionPrice[idx] = adm.Lambda
+	c.enroll(adm, idx, r.Start, r.End)
+}
+
+// rateCapped bounds a purchase of want bytes over steps timesteps by
+// CustomerRateCap per step, the cap SAM enforces: selling more would sell
+// guarantees SAM cannot schedule.
+func (c *Controller) rateCapped(want float64, steps int) float64 {
+	if c.cfg.CustomerRateCap > 0 {
+		return math.Min(want, c.cfg.CustomerRateCap*float64(steps))
+	}
+	return want
+}
+
+// enroll hands an admitted (sub)request over [start, end] to SAM and
+// records it as price-computer history.
+func (c *Controller) enroll(adm *pricing.Admission, idx, start, end int) {
 	c.active = append(c.active, &admState{
-		adm: adm, reqIdx: idx, start: r.Start, end: r.End,
+		adm: adm, reqIdx: idx, start: start, end: end,
 		plan: append([]pricing.ReservedAlloc(nil), adm.Allocs...),
 	})
 	c.history = append(c.history, pricing.HistoryEntry{
-		Routes: r.Routes, Start: r.Start, End: r.End,
+		Routes: adm.Request.Routes, Start: start, End: end,
 		Bytes: adm.Bought, Lambda: adm.Lambda,
 	})
 }
@@ -488,7 +500,7 @@ func (c *Controller) admitRate(r *traffic.Request) {
 		menu *pricing.Menu
 	}
 	var quotes []stepQuote
-	rate := r.Rate
+	rate := c.rateCapped(r.Rate, 1)
 	total := 0.0
 	feasibleRate := rate
 	for t := r.Start; t <= r.End && t < c.cfg.Horizon; t++ {
@@ -501,21 +513,15 @@ func (c *Controller) admitRate(r *traffic.Request) {
 		}
 		quotes = append(quotes, stepQuote{t: t, menu: menu})
 	}
-	if feasibleRate <= 1e-9 || len(quotes) == 0 {
-		c.obs.admission(false, 0)
-		c.cfg.Obs.Emit(r.Arrival, "RA", "decline",
-			obs.I("req", c.reqIndex(r)), obs.S("kind", "rate"), obs.I("steps", len(quotes)))
-		return
-	}
 	for _, q := range quotes {
 		total += q.menu.Price(feasibleRate)
 	}
 	bytes := feasibleRate * float64(len(quotes))
-	if total > r.Value*bytes {
+	if feasibleRate <= 1e-9 || len(quotes) == 0 || total > r.Value*bytes {
 		c.obs.admission(false, 0)
 		c.cfg.Obs.Emit(r.Arrival, "RA", "decline",
 			obs.I("req", c.reqIndex(r)), obs.S("kind", "rate"), obs.I("steps", len(quotes)))
-		return // bundle not worth it
+		return // nothing schedulable, or the bundle is not worth it
 	}
 	idx := c.reqIndex(r)
 	committed := 0
@@ -528,14 +534,7 @@ func (c *Controller) admitRate(r *traffic.Request) {
 			continue
 		}
 		committed++
-		c.active = append(c.active, &admState{
-			adm: adm, reqIdx: idx, start: q.t, end: q.t,
-			plan: append([]pricing.ReservedAlloc(nil), adm.Allocs...),
-		})
-		c.history = append(c.history, pricing.HistoryEntry{
-			Routes: r.Routes, Start: q.t, End: q.t,
-			Bytes: feasibleRate, Lambda: adm.Lambda,
-		})
+		c.enroll(adm, idx, q.t, q.t)
 	}
 	// Only count the request admitted once at least one per-step commit
 	// actually held; quotes can go stale between Quote and Commit (state
@@ -559,18 +558,7 @@ func (c *Controller) admitScavenger(r *traffic.Request) {
 	idx := c.reqIndex(r)
 	c.Admitted[idx] = true
 	c.AdmissionPrice[idx] = r.Value
-	c.active = append(c.active, &admState{
-		adm: &pricing.Admission{
-			Request: r,
-			Bought:  r.Demand,
-			Lambda:  r.Value,
-		},
-		reqIdx: idx, start: r.Start, end: r.End,
-	})
-	c.history = append(c.history, pricing.HistoryEntry{
-		Routes: r.Routes, Start: r.Start, End: r.End,
-		Bytes: r.Demand, Lambda: r.Value,
-	})
+	c.enroll(&pricing.Admission{Request: r, Bought: r.Demand, Lambda: r.Value}, idx, r.Start, r.End)
 	c.obs.admission(true, 0)
 	c.cfg.Obs.Emit(r.Arrival, "RA", "admit",
 		obs.I("req", idx), obs.S("kind", "scavenger"), obs.F("bought", r.Demand))

@@ -20,6 +20,18 @@ func smallConfig(horizon int) Config {
 	return cfg
 }
 
+// uniformHighPri sets aside frac of every link at every step.
+func uniformHighPri(n *graph.Network, horizon int, frac float64) [][]float64 {
+	m := make([][]float64, n.NumEdges())
+	for _, e := range n.Edges() {
+		m[e.ID] = make([]float64, horizon)
+		for t := range m[e.ID] {
+			m[e.ID][t] = e.Capacity * frac
+		}
+	}
+	return m
+}
+
 // simpleNet: a -> b with capacity 10.
 func simpleNet() (*graph.Network, graph.NodeID, graph.NodeID) {
 	n := graph.New()
@@ -199,7 +211,7 @@ func TestNoMenuAllOrNothing(t *testing.T) {
 	if outWith.Delivered[0] < 10-1e-6 {
 		t.Errorf("menu delivered %v, want 10", outWith.Delivered[0])
 	}
-	cfg.EnableMenu = false
+	cfg.Purchase = AllOrNothing
 	cWithout, err := New(n, mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +292,7 @@ func TestHighPriReducesDeliverableVolume(t *testing.T) {
 		return []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 10, 5)}
 	}
 	cfg := smallConfig(1)
-	cfg.HighPriFraction = 0.5
+	cfg.HighPriEstimate = uniformHighPri(n, 1, 0.5)
 	c, err := New(n, mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +315,32 @@ func TestBadConfigs(t *testing.T) {
 	bad := mkReq(n, 0, a, b, 5, 0, 0, 1, 1) // arrival after start
 	if _, err := New(n, []*traffic.Request{bad}, smallConfig(2)); err == nil {
 		t.Error("invalid request accepted")
+	}
+}
+
+// TestNewRejectsBadPrices: a negative price would pay customers to take
+// capacity, and a non-finite one poisons every quote.
+func TestNewRejectsBadPrices(t *testing.T) {
+	n, a, b := simpleNet()
+	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
+	for _, tc := range []struct {
+		initial, min float64
+		ok           bool
+	}{
+		{0, 0, true},
+		{0.5, 0.05, true},
+		{-1, 0.05, false},
+		{math.NaN(), 0.05, false},
+		{math.Inf(1), 0.05, false},
+		{0.5, -1, false},
+		{0.5, math.NaN(), false},
+		{0.5, math.Inf(1), false},
+	} {
+		cfg := smallConfig(1)
+		cfg.InitialPrice, cfg.MinPrice = tc.initial, tc.min
+		if _, err := New(n, reqs, cfg); (err == nil) != tc.ok {
+			t.Errorf("InitialPrice %v, MinPrice %v: err = %v, want ok %v", tc.initial, tc.min, err, tc.ok)
+		}
 	}
 }
 
@@ -379,7 +417,9 @@ func TestAblationOrdering(t *testing.T) {
 	}
 	run := func(menu bool) float64 {
 		cfg := smallConfig(4)
-		cfg.EnableMenu = menu
+		if !menu {
+			cfg.Purchase = AllOrNothing
+		}
 		c, err := New(n, cloneReqs(reqs), cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -221,7 +221,7 @@ func TestSilentFaultChargesHighPriOnce(t *testing.T) {
 	n, a, b := simpleNet()
 	req := mkReq(n, 0, a, b, 0, 0, 0, 8, 5)
 	cfg := smallConfig(1)
-	cfg.HighPriFraction = 0.2
+	cfg.HighPriEstimate = uniformHighPri(n, 1, 0.2)
 	cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: 0.5, Announce: 1}} // after the horizon
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pretium/internal/pricing"
+	"pretium/internal/sim"
 	"pretium/internal/traffic"
 )
 
@@ -103,6 +104,33 @@ func TestHighPriActualValidation(t *testing.T) {
 	}
 }
 
+// TestHighPriEstimateValidation: the planner's set-aside is checked like
+// the actual high-pri traffic, so a NaN or negative cell never reaches
+// the capacity that quotes and SAM plan on.
+func TestHighPriEstimateValidation(t *testing.T) {
+	n, a, b := simpleNet()
+	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
+	cfg := smallConfig(1)
+	for _, v := range []float64{math.NaN(), -1, math.Inf(1)} {
+		cfg.HighPriEstimate = [][]float64{{v}}
+		if _, err := New(n, reqs, cfg); err == nil {
+			t.Errorf("HighPriEstimate cell %v accepted", v)
+		}
+	}
+	cfg.HighPriEstimate = [][]float64{{}}
+	if _, err := New(n, reqs, cfg); err == nil {
+		t.Error("short HighPriEstimate row accepted")
+	}
+	cfg.HighPriEstimate = [][]float64{{25}} // clamps to the link's 10
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.State().HighPri[0][0]; got != 10 {
+		t.Errorf("over-capacity estimate set aside %v, want 10", got)
+	}
+}
+
 func TestEstimateHighPriSetAside(t *testing.T) {
 	// Two days, two steps per day; hour 0 loads {2, 4}, hour 1 loads
 	// {10, 10}.
@@ -163,8 +191,6 @@ func TestCustomerRateCapLimitsElephant(t *testing.T) {
 	}
 	// Per-step enforcement, not just aggregate.
 	for tt := 0; tt < 2; tt++ {
-		mouseShare := out.Usage[0][tt] - elephantShare(out, tt)
-		_ = mouseShare
 		if elephantShare(out, tt) > 3+1e-6 {
 			t.Errorf("elephant used %v at step %d, cap 3", elephantShare(out, tt), tt)
 		}
@@ -192,5 +218,56 @@ func TestCustomerRateCapUnsetIsUnlimited(t *testing.T) {
 	}
 	if math.Abs(out.Delivered[0]-10) > 1e-6 {
 		t.Errorf("delivered %v without a cap, want 10", out.Delivered[0])
+	}
+}
+
+// runCapped runs req alone for three steps on the 10-unit link under a
+// rate cap of 2 with the given purchase rule.
+func runCapped(t *testing.T, req *traffic.Request, purchase func(*pricing.Menu, *traffic.Request) float64) *sim.Outcome {
+	t.Helper()
+	n, _, _ := simpleNet()
+	cfg := smallConfig(3)
+	cfg.CustomerRateCap = 2
+	cfg.Purchase = purchase
+	c, err := New(n, []*traffic.Request{req}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := 0; tt < 3; tt++ {
+		if out.Usage[0][tt] > 2+1e-9 {
+			t.Errorf("step %d carried %v, cap 2", tt, out.Usage[0][tt])
+		}
+	}
+	return out
+}
+
+// TestNoMenuRespectsRateCap: the all-or-nothing customer is offered the
+// rate-capped menu like every other. A 15-byte demand cannot fit 2 per
+// step over 3 steps, so it is declined instead of sold as a guarantee SAM
+// cannot schedule (and reneged at the end); a 6-byte one still fits.
+func TestNoMenuRespectsRateCap(t *testing.T) {
+	n, a, b := simpleNet()
+	for _, tc := range []struct{ demand, want float64 }{{15, 0}, {6, 6}} {
+		out := runCapped(t, mkReq(n, 0, a, b, 0, 0, 2, tc.demand, 5), AllOrNothing)
+		if out.Reneged[0] != 0 || math.Abs(out.Delivered[0]-tc.want) > 1e-6 {
+			t.Errorf("demand %v: delivered %v, reneged %v; want %v and 0",
+				tc.demand, out.Delivered[0], out.Reneged[0], tc.want)
+		}
+	}
+}
+
+// TestRateRequestRespectsRateCap: a rate request above the cap is sold
+// the cap per step, not its asking rate, so every sold step is delivered.
+func TestRateRequestRespectsRateCap(t *testing.T) {
+	n, a, b := simpleNet()
+	req := mkReq(n, 0, a, b, 0, 0, 2, 15, 5)
+	req.Kind, req.Rate = traffic.RateRequest, 5
+	out := runCapped(t, req, nil)
+	if out.Reneged[0] != 0 || math.Abs(out.Delivered[0]-6) > 1e-6 {
+		t.Errorf("delivered %v, reneged %v; want 6 (2 per step) and 0", out.Delivered[0], out.Reneged[0])
 	}
 }

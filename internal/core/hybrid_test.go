@@ -102,6 +102,23 @@ func TestCustomPurchaseRule(t *testing.T) {
 	if math.Abs(out2.Delivered[0]-7.5) > 1e-6 {
 		t.Errorf("concave customer delivered %v, want 7.5", out2.Delivered[0])
 	}
+
+	// The NoMenu ablation's rule walks away from the 15-byte request like
+	// the hand-rolled one, and takes a demand the link can guarantee.
+	cfg.Purchase = AllOrNothing
+	for _, tc := range []struct{ demand, want float64 }{{15, 0}, {10, 10}} {
+		c3, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, tc.demand, 5)}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out3, err := c3.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(out3.Delivered[0]-tc.want) > 1e-6 {
+			t.Errorf("AllOrNothing on demand %v delivered %v, want %v", tc.demand, out3.Delivered[0], tc.want)
+		}
+	}
 }
 
 // TestPurchaseHookClampedToDemand: the hook cannot buy beyond demand.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -207,19 +208,32 @@ type LoadSweepResult struct {
 	Results map[string]SchemeResult
 }
 
-// LoadSweep runs every scheme across load factors; Figures 6, 8 and 9 are
-// different projections of its output. The (load, scheme) cells run
-// concurrently on up to Workers goroutines; every cell constructs its own
-// Setup from (sc, load, seed), so cells share nothing and the output is
-// identical to a sequential run regardless of scheduling.
-func LoadSweep(sc Scale, loads []float64, schemes []string, seed int64) ([]LoadSweepResult, error) {
-	results := make([]SchemeResult, len(loads)*len(schemes))
+// sweepCase is one point of a figure sweep: its row label and setup.
+type sweepCase struct {
+	label string
+	opts  []SetupOption
+}
+
+// loadCases sweeps the load factor.
+func loadCases(loads []float64) []sweepCase {
+	cases := make([]sweepCase, len(loads))
+	for i, load := range loads {
+		cases[i] = sweepCase{fmt.Sprintf("load=%.2g", load), []SetupOption{WithLoad(load)}}
+	}
+	return cases
+}
+
+// sweep runs every scheme on every case, one result map per case. The
+// (case, scheme) cells run concurrently on up to Workers goroutines, each
+// on its own Setup, so the output is identical to a sequential run.
+func sweep(sc Scale, seed int64, cases []sweepCase, schemes []string) ([]map[string]SchemeResult, error) {
+	results := make([]SchemeResult, len(cases)*len(schemes))
 	err := ParallelFor(len(results), func(i int) error {
-		load, scheme := loads[i/len(schemes)], schemes[i%len(schemes)]
-		s := NewSetup(sc, WithLoad(load), WithSeed(seed))
+		c, scheme := cases[i/len(schemes)], schemes[i%len(schemes)]
+		s := NewSetup(sc, append([]SetupOption{WithSeed(seed)}, c.opts...)...)
 		r, err := s.RunScheme(scheme)
 		if err != nil {
-			return fmt.Errorf("load %v: %s: %w", load, scheme, err)
+			return fmt.Errorf("%s: %s: %w", c.label, scheme, err)
 		}
 		results[i] = r
 		return nil
@@ -227,13 +241,57 @@ func LoadSweep(sc Scale, loads []float64, schemes []string, seed int64) ([]LoadS
 	if err != nil {
 		return nil, err
 	}
-	out := make([]LoadSweepResult, len(loads))
-	for li, load := range loads {
-		res := make(map[string]SchemeResult, len(schemes))
+	out := make([]map[string]SchemeResult, len(cases))
+	for ci := range cases {
+		out[ci] = make(map[string]SchemeResult, len(schemes))
 		for si, scheme := range schemes {
-			res[scheme] = results[li*len(schemes)+si]
+			out[ci][scheme] = results[ci*len(schemes)+si]
 		}
-		out[li] = LoadSweepResult{Load: load, Results: res}
+	}
+	return out, nil
+}
+
+// relWelfare is name's welfare over OPT's (signed), 0 when OPT's is 0.
+func relWelfare(res map[string]SchemeResult, name string) float64 {
+	opt := res[SchemeOPT].Report.Welfare
+	if opt == 0 {
+		return 0
+	}
+	return res[name].Report.Welfare / opt
+}
+
+// relProfit is name's profit over |RegionOracle's|, raw when that is 0.
+func relProfit(res map[string]SchemeResult, name string) float64 {
+	p, ro := res[name].Report.Profit, res[SchemeRegionOracle].Report.Profit
+	if ro == 0 {
+		return p
+	}
+	return p / math.Abs(ro)
+}
+
+// welfareRows is one row per case of each name's relWelfare.
+func welfareRows(cases []sweepCase, res []map[string]SchemeResult, names ...string) []Row {
+	rows := make([]Row, len(cases))
+	for i, c := range cases {
+		cols := make([]Col, len(names))
+		for j, name := range names {
+			cols[j] = Col{Name: name, Value: relWelfare(res[i], name)}
+		}
+		rows[i] = Row{Label: c.label, Columns: cols}
+	}
+	return rows
+}
+
+// LoadSweep runs every scheme across load factors; Figures 6, 8 and 9 are
+// different projections of its output.
+func LoadSweep(sc Scale, loads []float64, schemes []string, seed int64) ([]LoadSweepResult, error) {
+	res, err := sweep(sc, seed, loadCases(loads), schemes)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]LoadSweepResult, len(loads))
+	for i, load := range loads {
+		out[i] = LoadSweepResult{Load: load, Results: res[i]}
 	}
 	return out, nil
 }
@@ -242,17 +300,12 @@ func LoadSweep(sc Scale, loads []float64, schemes []string, seed int64) ([]LoadS
 func Figure6(sweep []LoadSweepResult) []Row {
 	var rows []Row
 	for _, cell := range sweep {
-		opt := cell.Results[SchemeOPT].Report.Welfare
 		cols := []Col{}
 		for _, name := range schemeOrder(cell.Results) {
 			if name == SchemeOPT {
 				continue
 			}
-			rel := 0.0
-			if opt != 0 {
-				rel = cell.Results[name].Report.Welfare / opt
-			}
-			cols = append(cols, Col{Name: name, Value: rel})
+			cols = append(cols, Col{Name: name, Value: relWelfare(cell.Results, name)})
 		}
 		rows = append(rows, Row{Label: fmt.Sprintf("load=%.2g", cell.Load), Columns: cols})
 	}
@@ -263,17 +316,12 @@ func Figure6(sweep []LoadSweepResult) []Row {
 func Figure8(sweep []LoadSweepResult) []Row {
 	var rows []Row
 	for _, cell := range sweep {
-		ro := cell.Results[SchemeRegionOracle].Report.Profit
 		cols := []Col{}
 		for _, name := range schemeOrder(cell.Results) {
 			if name == SchemeOPT || name == SchemeNoPrices {
 				continue // unpriced schemes have no meaningful profit
 			}
-			rel := cell.Results[name].Report.Profit
-			if ro != 0 {
-				rel = rel / math.Abs(ro)
-			}
-			cols = append(cols, Col{Name: name, Value: rel})
+			cols = append(cols, Col{Name: name, Value: relProfit(cell.Results, name)})
 		}
 		rows = append(rows, Row{Label: fmt.Sprintf("load=%.2g", cell.Load), Columns: cols})
 	}
@@ -424,60 +472,26 @@ func Figure10(sc Scale, schemes []string, seed int64) ([]Row, error) {
 // Figure11 is the ablation study: full Pretium vs Pretium-NoMenu vs
 // Pretium-NoSAM, welfare relative to OPT across load factors.
 func Figure11(sc Scale, loads []float64, seed int64) ([]Row, error) {
-	rows := make([]Row, len(loads))
-	err := ParallelFor(len(loads), func(i int) error {
-		load := loads[i]
-		s := NewSetup(sc, WithLoad(load), WithSeed(seed))
-		res, err := s.RunSchemes(SchemeOPT, SchemePretium, SchemeNoMenu, SchemeNoSAM)
-		if err != nil {
-			return err
-		}
-		opt := res[SchemeOPT].Report.Welfare
-		cols := []Col{}
-		for _, name := range []string{SchemePretium, SchemeNoMenu, SchemeNoSAM} {
-			rel := 0.0
-			if opt != 0 {
-				rel = res[name].Report.Welfare / opt
-			}
-			cols = append(cols, Col{Name: name, Value: rel})
-		}
-		rows[i] = Row{Label: fmt.Sprintf("load=%.2g", load), Columns: cols}
-		return nil
-	})
+	cases := loadCases(loads)
+	res, err := sweep(sc, seed, cases, []string{SchemeOPT, SchemePretium, SchemeNoMenu, SchemeNoSAM})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return welfareRows(cases, res, SchemePretium, SchemeNoMenu, SchemeNoSAM), nil
 }
 
 // Figure12 sweeps the mean link cost (x2 and beyond) at load 1 and
 // reports welfare relative to OPT for Pretium and RegionOracle.
 func Figure12(sc Scale, costScales []float64, seed int64) ([]Row, error) {
-	rows := make([]Row, len(costScales))
-	err := ParallelFor(len(costScales), func(i int) error {
-		cs := costScales[i]
-		s := NewSetup(sc, WithLoad(1), WithCostScale(cs), WithSeed(seed))
-		res, err := s.RunSchemes(SchemeOPT, SchemePretium, SchemeRegionOracle)
-		if err != nil {
-			return err
-		}
-		opt := res[SchemeOPT].Report.Welfare
-		rel := func(n string) float64 {
-			if opt == 0 {
-				return 0
-			}
-			return res[n].Report.Welfare / opt
-		}
-		rows[i] = Row{Label: fmt.Sprintf("costx%.2g", cs), Columns: []Col{
-			{Name: SchemePretium, Value: rel(SchemePretium)},
-			{Name: SchemeRegionOracle, Value: rel(SchemeRegionOracle)},
-		}}
-		return nil
-	})
+	cases := make([]sweepCase, len(costScales))
+	for i, cs := range costScales {
+		cases[i] = sweepCase{fmt.Sprintf("costx%.2g", cs), []SetupOption{WithLoad(1), WithCostScale(cs)}}
+	}
+	res, err := sweep(sc, seed, cases, []string{SchemeOPT, SchemePretium, SchemeRegionOracle})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return welfareRows(cases, res, SchemePretium, SchemeRegionOracle), nil
 }
 
 // ValueDistCase is one point of the Figures 13-14 sweep.
@@ -509,39 +523,21 @@ func ValueDistCases() []ValueDistCase {
 
 // Figure13and14 sweeps value distributions at load 1: welfare relative to
 // OPT (Figure 13) and profit relative to RegionOracle (Figure 14).
-func Figure13and14(sc Scale, cases []ValueDistCase, seed int64) (f13, f14 []Row, err error) {
-	f13 = make([]Row, len(cases))
-	f14 = make([]Row, len(cases))
-	err = ParallelFor(len(cases), func(i int) error {
-		vc := cases[i]
-		s := NewSetup(sc, WithLoad(1), WithValueDist(vc.Dist), WithSeed(seed))
-		res, err := s.RunSchemes(SchemeOPT, SchemePretium, SchemeRegionOracle)
-		if err != nil {
-			return err
-		}
-		opt := res[SchemeOPT].Report.Welfare
-		rel := func(n string) float64 {
-			if opt == 0 {
-				return 0
-			}
-			return res[n].Report.Welfare / opt
-		}
-		f13[i] = Row{Label: vc.Name, Columns: []Col{
-			{Name: SchemePretium, Value: rel(SchemePretium)},
-			{Name: SchemeRegionOracle, Value: rel(SchemeRegionOracle)},
-		}}
-		ro := res[SchemeRegionOracle].Report.Profit
-		relP := res[SchemePretium].Report.Profit
-		if ro != 0 {
-			relP = relP / math.Abs(ro)
-		}
-		f14[i] = Row{Label: vc.Name, Columns: []Col{
-			{Name: "Pretium_profit_rel_RegionOracle", Value: relP},
-		}}
-		return nil
-	})
+func Figure13and14(sc Scale, vcs []ValueDistCase, seed int64) (f13, f14 []Row, err error) {
+	cases := make([]sweepCase, len(vcs))
+	for i, vc := range vcs {
+		cases[i] = sweepCase{vc.Name, []SetupOption{WithLoad(1), WithValueDist(vc.Dist)}}
+	}
+	res, err := sweep(sc, seed, cases, []string{SchemeOPT, SchemePretium, SchemeRegionOracle})
 	if err != nil {
 		return nil, nil, err
+	}
+	f13 = welfareRows(cases, res, SchemePretium, SchemeRegionOracle)
+	f14 = make([]Row, len(cases))
+	for i, c := range cases {
+		f14[i] = Row{Label: c.label, Columns: []Col{
+			{Name: "Pretium_profit_rel_RegionOracle", Value: relProfit(res[i], SchemePretium)},
+		}}
 	}
 	return f13, f14, nil
 }
@@ -593,13 +589,7 @@ func schemeOrder(res map[string]SchemeResult) []string {
 	// Any extras, alphabetically.
 	var extra []string
 	for n := range res {
-		found := false
-		for _, o := range out {
-			if o == n {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(out, n) {
 			extra = append(extra, n)
 		}
 	}

@@ -53,18 +53,18 @@ func (s *Setup) PretiumConfig() core.Config {
 	return cfg
 }
 
-// RunPretium runs Pretium (or an ablation) over the setup.
+// ablations maps each Pretium variant of Figure 11 to its config change.
+var ablations = map[string]func(*core.Config){
+	SchemeNoMenu: func(c *core.Config) { c.Purchase = core.AllOrNothing },
+	SchemeNoSAM:  func(c *core.Config) { c.EnableSAM = false },
+}
+
+// RunPretium runs Pretium over the setup, its configuration adjusted by
+// mutate when non-nil; RunScheme names the ablations it runs through it.
 func (s *Setup) RunPretium(mutate func(*core.Config)) (SchemeResult, error) {
 	cfg := s.PretiumConfig()
-	name := SchemePretium
 	if mutate != nil {
 		mutate(&cfg)
-	}
-	switch {
-	case !cfg.EnableMenu:
-		name = SchemeNoMenu
-	case !cfg.EnableSAM:
-		name = SchemeNoSAM
 	}
 	ctl, err := core.New(s.Net, s.Requests, cfg)
 	if err != nil {
@@ -78,7 +78,7 @@ func (s *Setup) RunPretium(mutate func(*core.Config)) (SchemeResult, error) {
 	if err != nil {
 		return SchemeResult{}, err
 	}
-	return SchemeResult{Name: name, Outcome: out, Report: rep, Controller: ctl}, nil
+	return SchemeResult{Name: SchemePretium, Outcome: out, Report: rep, Controller: ctl}, nil
 }
 
 // RunScheme runs one named scheme over the setup.
@@ -100,12 +100,10 @@ func (s *Setup) RunScheme(name string) (SchemeResult, error) {
 		out, err = baselines.VCGLike(s.Net, s.Requests, bc)
 	case SchemeOnlineTE:
 		out, err = baselines.OnlineTE(s.Net, s.Requests, bc)
-	case SchemePretium:
-		return s.RunPretium(nil)
-	case SchemeNoMenu:
-		return s.RunPretium(func(c *core.Config) { c.EnableMenu = false })
-	case SchemeNoSAM:
-		return s.RunPretium(func(c *core.Config) { c.EnableSAM = false })
+	case SchemePretium, SchemeNoMenu, SchemeNoSAM:
+		r, err := s.RunPretium(ablations[name])
+		r.Name = name
+		return r, err
 	default:
 		return SchemeResult{}, fmt.Errorf("exp: unknown scheme %q", name)
 	}

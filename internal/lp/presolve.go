@@ -35,13 +35,12 @@ const (
 	dropRedundantRow                 // implied by variable bounds; dual 0
 	dropSingletonBnd                 // inequality singleton folded into a bound
 	dropSingletonFix                 // equality singleton fixed its variable
-	dropSlackCol                     // zero-cost singleton column absorbs the row; dual 0
 )
 
 // rowDrop is the per-row recipe entry.
 type rowDrop struct {
 	kind   dropKind
-	v      int     // variable involved (singleton and slack kinds)
+	v      int     // variable involved (singleton kinds)
 	coef   float64 // its coefficient in the row
 	bound  float64 // implied bound (dropSingletonBnd)
 	atUp   bool    // the implied bound is an upper bound
@@ -58,7 +57,7 @@ type presolveState struct {
 
 	// Per original variable.
 	removed []bool
-	fixVal  []float64 // value of removed variables (NaN for slack columns)
+	fixVal  []float64 // value of removed variables
 	colMap  []int     // original var -> reduced var, -1 when removed
 	lo, up  []float64 // working (tightened) bounds
 
@@ -93,8 +92,6 @@ type presolveState struct {
 
 	// Column-pass scratch.
 	colCnt  []int32
-	colRow  []int32
-	colCoef []float64
 	colOKDn []bool
 	colOKUp []bool
 	colEQ   []bool
@@ -206,8 +203,6 @@ func (m *Model) reduce(ps *presolveState) {
 	}
 
 	ps.colCnt = resize(ps.colCnt, nv)
-	ps.colRow = resize(ps.colRow, nv)
-	ps.colCoef = resize(ps.colCoef, nv)
 	ps.colOKDn = resize(ps.colOKDn, nv)
 	ps.colOKUp = resize(ps.colOKUp, nv)
 	ps.colEQ = resize(ps.colEQ, nv)
@@ -337,7 +332,7 @@ func (m *Model) reduce(ps *presolveState) {
 			}
 		}
 
-		// Column scan: empty, slack-singleton, and dominated columns.
+		// Column scan: empty and dominated columns.
 		for j := 0; j < nv; j++ {
 			ps.colCnt[j] = 0
 			ps.colOKDn[j] = true
@@ -354,8 +349,6 @@ func (m *Model) reduce(ps *presolveState) {
 					continue
 				}
 				ps.colCnt[j]++
-				ps.colRow[j] = int32(i)
-				ps.colCoef[j] = t.Coef
 				switch m.senses[i] {
 				case EQ:
 					ps.colEQ[j] = true
@@ -395,21 +388,6 @@ func (m *Model) reduce(ps *presolveState) {
 				}
 				changed = true
 				continue
-			}
-			if ps.colCnt[j] == 1 && m.obj[j] == 0 && math.IsInf(up, 1) {
-				// Zero-cost singleton column that can grow without limit in
-				// its row's slack direction: the row can always be satisfied
-				// by this variable alone, so both leave the model. Postsolve
-				// computes the variable from the final row activity.
-				i := int(ps.colRow[j])
-				a := ps.colCoef[j]
-				if ps.drops[i].kind == dropKeep &&
-					((m.senses[i] == GE && a > 0) || (m.senses[i] == LE && a < 0)) {
-					ps.drops[i] = rowDrop{kind: dropSlackCol, v: j, coef: a}
-					remove(j, math.NaN())
-					changed = true
-					continue
-				}
 			}
 			if ps.colEQ[j] {
 				continue
@@ -550,26 +528,13 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 	}
 
 	// Primal: kept variables from the reduced solution, removed ones from
-	// the recipe, slack columns from the residual activity of their row.
+	// the recipe.
 	for j := 0; j < nv; j++ {
 		if ps.removed[j] {
 			sol.X[j] = ps.fixVal[j]
 		} else {
 			sol.X[j] = redSol.X[ps.colMap[j]]
 		}
-	}
-	for i := 0; i < nr; i++ {
-		d := ps.drops[i]
-		if d.kind != dropSlackCol {
-			continue
-		}
-		rest := 0.0
-		for _, t := range m.rows[i] {
-			if int(t.Var) != d.v {
-				rest += t.Coef * sol.X[t.Var]
-			}
-		}
-		sol.X[d.v] = math.Max(m.lo[d.v], (m.rhs[i]-rest)/d.coef)
 	}
 
 	// Duals: kept rows from the reduced solution; dropped rows start at

@@ -2,7 +2,9 @@ package pricing
 
 import (
 	"fmt"
+	"math"
 
+	"pretium/internal/graph"
 	"pretium/internal/stats"
 )
 
@@ -55,20 +57,28 @@ func EstimateHighPriSetAside(observed [][]float64, stepsPerDay int, pct float64,
 }
 
 // SetHighPriMatrix replaces the high-pri set-aside with an explicit
-// per-(edge, step) matrix (e.g. from EstimateHighPriSetAside).
+// per-(edge, step) matrix (e.g. from EstimateHighPriSetAside). A
+// non-finite or negative cell rejects the whole matrix; a cell above its
+// link's capacity clamps to it (SetHighPri's rule).
 func (s *State) SetHighPriMatrix(m [][]float64) error {
 	s.guardPlan("SetHighPriMatrix")
 	if len(m) != s.Net.NumEdges() {
 		return fmt.Errorf("pricing: high-pri matrix has %d edges, want %d", len(m), s.Net.NumEdges())
 	}
-	for e := range m {
-		if len(m[e]) != s.Horizon {
-			return fmt.Errorf("pricing: high-pri row %d has %d steps, want %d", e, len(m[e]), s.Horizon)
+	for e, row := range m {
+		if len(row) != s.Horizon {
+			return fmt.Errorf("pricing: high-pri row %d has %d steps, want %d", e, len(row), s.Horizon)
+		}
+		for t, v := range row {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("pricing: high-pri cell [%d][%d] = %v, want finite and non-negative", e, t, v)
+			}
 		}
 	}
-	for e := range m {
-		copy(s.HighPri[e], m[e])
+	for e, row := range m {
+		for t, v := range row {
+			s.SetHighPri(graph.EdgeID(e), t, v)
+		}
 	}
-	s.Invalidate()
 	return nil
 }

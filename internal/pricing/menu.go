@@ -158,15 +158,3 @@ type ReservedAlloc struct {
 	Time     int
 	Bytes    float64
 }
-
-// Admit quotes req, applies the customer's purchase rule with their
-// private value, reserves the preliminary schedule on the minimum-price
-// segments, and returns the admission record (nil when the customer
-// declines). The reservation immediately shifts subsequent quotes — this
-// is the admission-path traffic engineering plus, via the premium
-// segments, the short-term price adjustment of §4.1. Streams of arrivals
-// should go through an Admitter, which reuses quoting scratch.
-func Admit(st *State, req *traffic.Request) *Admission {
-	menu := QuoteMenu(st, req, req.Demand)
-	return Commit(st, req, menu, menu.Purchase(req.Value, req.Demand))
-}

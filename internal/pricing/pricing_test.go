@@ -48,7 +48,7 @@ func TestNewStateInitialPrices(t *testing.T) {
 func TestHighPriReducesCapacity(t *testing.T) {
 	n, _ := twoPathNet()
 	st := flatState(n, 2, 1)
-	st.SetHighPriFraction(0.25)
+	setUniformHighPri(t, st, 0.25)
 	if got := st.Capacity(0, 0); math.Abs(got-3) > 1e-9 {
 		t.Errorf("Capacity = %v, want 3", got)
 	}
@@ -193,7 +193,7 @@ func TestAdmitReservesAndPrices(t *testing.T) {
 	st := flatState(n, 2, 1)
 	req.Value = 1.5
 	req.Demand = 6
-	adm := Admit(st, req)
+	adm := NewAdmitter(st).Admit(req)
 	if adm == nil {
 		t.Fatal("admission declined")
 	}
@@ -223,7 +223,7 @@ func TestAdmitDeclined(t *testing.T) {
 	n, req := twoPathNet()
 	st := flatState(n, 2, 100) // prices far above value
 	req.Value = 1
-	if adm := Admit(st, req); adm != nil {
+	if adm := NewAdmitter(st).Admit(req); adm != nil {
 		t.Errorf("expected decline, got %+v", adm)
 	}
 }
@@ -235,7 +235,7 @@ func TestAdmitPartialGuarantee(t *testing.T) {
 	req.End = 0 // one timestep: cap = 4 (direct) + 4 (two-hop) = 8
 	req.Demand = 20
 	req.Value = 10
-	adm := Admit(st, req)
+	adm := NewAdmitter(st).Admit(req)
 	if adm == nil {
 		t.Fatal("declined")
 	}
@@ -376,6 +376,21 @@ func TestComputePricesSkipsEmptyHistory(t *testing.T) {
 	}
 }
 
+// setUniformHighPri sets aside frac of every link at every step.
+func setUniformHighPri(t *testing.T, st *State, frac float64) {
+	t.Helper()
+	m := make([][]float64, st.Net.NumEdges())
+	for _, e := range st.Net.Edges() {
+		m[e.ID] = make([]float64, st.Horizon)
+		for tt := range m[e.ID] {
+			m[e.ID][tt] = e.Capacity * frac
+		}
+	}
+	if err := st.SetHighPriMatrix(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetHighPriMatrix(t *testing.T) {
 	n, _ := twoPathNet()
 	st := flatState(n, 2, 1)
@@ -398,6 +413,24 @@ func TestSetHighPriMatrix(t *testing.T) {
 	}
 	if err := st.SetHighPriMatrix(bad); err == nil {
 		t.Error("wrong horizon accepted")
+	}
+	// A bad cell rejects the whole matrix and leaves the set-aside alone;
+	// a cell above capacity clamps to it, as SetHighPri does.
+	for _, v := range []float64{math.NaN(), -1, math.Inf(1)} {
+		m[0][0] = v
+		if err := st.SetHighPriMatrix(m); err == nil {
+			t.Errorf("cell %v accepted", v)
+		}
+		if st.HighPri[0][0] != 1 {
+			t.Errorf("rejected matrix applied: HighPri[0][0] = %v", st.HighPri[0][0])
+		}
+	}
+	m[0][0] = 1e9
+	if err := st.SetHighPriMatrix(m); err != nil {
+		t.Fatal(err)
+	}
+	if cap := n.Edge(0).Capacity; st.HighPri[0][0] != cap || st.Capacity(0, 0) != 0 {
+		t.Errorf("over-capacity cell: HighPri %v, Capacity %v, want %v and 0", st.HighPri[0][0], st.Capacity(0, 0), cap)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestAdmissionCapacityInvariant(t *testing.T) {
 			if req2.Start > req2.End {
 				req2.Start = req2.End
 			}
-			Admit(st, &req2)
+			NewAdmitter(st).Admit(&req2)
 		}
 		for e := 0; e < st.Net.NumEdges(); e++ {
 			for tt := 0; tt < st.Horizon; tt++ {

@@ -11,7 +11,7 @@ func publishTestState(t *testing.T) *State {
 	t.Helper()
 	net := lineNetwork(t, 3)
 	st := NewState(net, 4, 1.0)
-	st.SetHighPriFraction(0.1)
+	setUniformHighPri(t, st, 0.1)
 	st.SetOutage("churn", 0, 1, 2.5)
 	st.Reserve(graph.Path{0, 1}, 2, 3.0)
 	return st
@@ -57,7 +57,6 @@ func TestPublishPoisonsPlanningMutators(t *testing.T) {
 	mustPanic(t, "SetBasePrice", func() { st.SetBasePrice(0, 0, 2) })
 	mustPanic(t, "SetHighPri", func() { st.SetHighPri(0, 0, 1) })
 	mustPanic(t, "AddHighPri", func() { st.AddHighPri(0, 0, 1) })
-	mustPanic(t, "SetHighPriFraction", func() { st.SetHighPriFraction(0.2) })
 	mustPanic(t, "SetHighPriMatrix", func() { _ = st.SetHighPriMatrix(st.HighPri) })
 	mustPanic(t, "SetOutage", func() { st.SetOutage("x", 0, 0, 1) })
 	mustPanic(t, "SetReserved", func() { _ = st.SetReserved(st.Reserved) })

@@ -233,18 +233,6 @@ func (s *State) refreshSeg(e graph.EdgeID, t int) {
 	s.segRoom[i] = s.Adjust.room(cap, used)
 }
 
-// SetHighPriFraction reserves a uniform fraction of every link for
-// high-pri traffic.
-func (s *State) SetHighPriFraction(frac float64) {
-	s.guardPlan("SetHighPriFraction")
-	for _, e := range s.Net.Edges() {
-		for t := 0; t < s.Horizon; t++ {
-			s.HighPri[e.ID][t] = e.Capacity * frac
-		}
-	}
-	s.Invalidate()
-}
-
 // AddHighPri grows the high-pri set-aside on (e, t) — e.g. to model an
 // announced capacity fault — keeping the segment cache coherent. The
 // set-aside is clamped to [0, physical capacity]: overlapping fault

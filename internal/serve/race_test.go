@@ -567,7 +567,16 @@ func TestPublishedPairSharesNothingMutable(t *testing.T) {
 		}
 	}
 	dearer := pricing.NewState(net, horizon, 1.5)
-	dearer.SetHighPriFraction(0.25)
+	quarter := make([][]float64, net.NumEdges())
+	for _, e := range net.Edges() {
+		quarter[e.ID] = make([]float64, horizon)
+		for t := range quarter[e.ID] {
+			quarter[e.ID][t] = e.Capacity * 0.25
+		}
+	}
+	if err := dearer.SetHighPriMatrix(quarter); err != nil {
+		t.Fatal(err)
+	}
 	dearer.SetOutage("cut", 0, 2, 100)
 	publishes := []struct {
 		name  string
