@@ -1,8 +1,11 @@
-// Faults demonstrates §4.4 robustness: mid-run a link loses most of its
-// capacity. When the fault is announced at onset, the schedule adjustment
-// module respreads traffic over other paths and later timesteps and the
-// guarantees survive; when the fault stays silent, planned transfers are
-// physically shed and the broken promises are accounted as reneged bytes.
+// Command faults demonstrates §4.4 robustness: mid-run a link loses most
+// of its capacity. A fault announced at onset is a chaos.LinkCut: the
+// planner sees the hole, the schedule adjustment module respreads traffic
+// over other paths and later timesteps, and a guarantee it cannot carry
+// is refunded by the repair ladder. A silent fault is high-pri use the
+// planner never learns of (core.Config.HighPriActual): planned transfers
+// are physically shed and the broken promises are accounted as reneged
+// bytes.
 package main
 
 import (
@@ -10,6 +13,7 @@ import (
 	"log"
 
 	"pretium"
+	"pretium/internal/chaos"
 	"pretium/internal/core"
 	"pretium/internal/exp"
 )
@@ -19,9 +23,11 @@ func main() {
 	faultEdge := pretium.EdgeID(0)
 	day := exp.Small().StepsPerDay
 
-	run := func(name string, faults []core.Fault) {
+	run := func(name string, fault func(*core.Config)) {
 		cfg := s.PretiumConfig()
-		cfg.Faults = faults
+		if fault != nil {
+			fault(&cfg)
+		}
 		ctl, err := core.New(s.Net, cloneReqs(s.Requests), cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -40,11 +46,18 @@ func main() {
 
 	fmt.Printf("fault: link %d loses 80%% of capacity for half a day mid-run\n\n", faultEdge)
 	run("no fault", nil)
-	run("announced at onset", []core.Fault{
-		{Edge: faultEdge, From: day / 2, To: day, Factor: 0.2},
+	run("announced at onset", func(cfg *core.Config) {
+		cfg.Chaos = chaos.LinkCut{Edge: faultEdge, From: day / 2, To: day, Survive: 0.2}
 	})
-	run("silent (never known)", []core.Fault{
-		{Edge: faultEdge, From: day / 2, To: day, Factor: 0.2, Announce: 1 << 30},
+	run("silent (never known)", func(cfg *core.Config) {
+		lost := make([][]float64, s.Net.NumEdges())
+		for e := range lost {
+			lost[e] = make([]float64, cfg.Horizon)
+		}
+		for t := day / 2; t <= day; t++ {
+			lost[faultEdge][t] = s.Net.Edge(faultEdge).Capacity * (1 - 0.2)
+		}
+		cfg.HighPriActual = lost
 	})
 
 	fmt.Println("\nAnnounced faults let SAM respread load (small welfare dip, promises")

@@ -62,9 +62,9 @@ type Injector interface {
 	// SolveAction is consulted immediately before module (ModuleSAM or
 	// ModulePC) would solve an LP at step t.
 	SolveAction(module string, step int) Action
-	// BeforeStep runs at the top of step t, after fault announcements and
-	// before pricing/admission, and may mutate the planning state through
-	// its cache-coherent mutators.
+	// BeforeStep runs at the top of step t, after any price recomputation
+	// and before admission, and may mutate the planning state through its
+	// cache-coherent mutators.
 	BeforeStep(step int, st *pricing.State)
 }
 
@@ -127,9 +127,8 @@ func (p PriceCorruption) BeforeStep(step int, st *pricing.State) {
 // keeps re-planning around a future that keeps changing — the
 // flapping-link nightmare §4.4 gestures at. The flap owns a private
 // overlay source, so up-phases restore the edge's capacity exactly and
-// flaps compose with drains, cuts, and fault set-asides on the same edge
-// without clobbering them (the old implementation wrote the shared
-// high-pri set-aside and lost both properties).
+// flaps compose with drains, cuts, and the high-pri set-aside on the same
+// edge without clobbering them.
 type CapacityFlap struct {
 	Edge     graph.EdgeID
 	From, To int
@@ -181,7 +180,10 @@ type LinkCut struct {
 	Survive float64
 	// Announce is the step the cut becomes visible to the planner. The
 	// zero value and anything past From mean "at onset" (From); negative
-	// values mean "known from the start" (step 0).
+	// values mean "known from the start" (step 0). A fault announced only
+	// after it strikes is two inputs to the controller: the steps before
+	// the announcement are extra core.Config.HighPriActual (a loss the
+	// planner never hears of), the rest a LinkCut from the announcement on.
 	Announce int
 }
 
@@ -361,4 +363,33 @@ func (p Plan) BeforeStep(step int, st *pricing.State) {
 	for _, in := range p {
 		in.BeforeStep(step, st)
 	}
+}
+
+// CheckEdges reports an error when in, or any injector nested in a Plan,
+// names an edge outside a network of numEdges edges. Knobs stay clamped at
+// use; an edge cannot be, since the injector would index past the state.
+func CheckEdges(in Injector, numEdges int) error {
+	var edges []graph.EdgeID
+	switch v := in.(type) {
+	case Plan:
+		for _, sub := range v {
+			if err := CheckEdges(sub, numEdges); err != nil {
+				return err
+			}
+		}
+	case LinkCut:
+		edges = []graph.EdgeID{v.Edge}
+	case MaintenanceDrain:
+		edges = []graph.EdgeID{v.Edge}
+	case CapacityFlap:
+		edges = []graph.EdgeID{v.Edge}
+	case CorrelatedFailure:
+		edges = v.Edges
+	}
+	for _, e := range edges {
+		if e < 0 || int(e) >= numEdges {
+			return fmt.Errorf("chaos: %T names edge %d outside the network's %d edges", in, e, numEdges)
+		}
+	}
+	return nil
 }

@@ -98,3 +98,24 @@ func TestPlanComposesWorstAction(t *testing.T) {
 		t.Errorf("PC = %v, want Proceed", got)
 	}
 }
+
+// TestCheckEdges: in-range plans (and no plan) pass; an off-network edge
+// fails even nested two Plans deep. core's TestFaultValidation rejects
+// each edge-bearing injector through core.New.
+func TestCheckEdges(t *testing.T) {
+	ok := Plan{
+		SolverOutage{},
+		LinkCut{Edge: 1},
+		MaintenanceDrain{Edge: 0},
+		CapacityFlap{Edge: 1},
+		Plan{CorrelatedFailure{Edges: []graph.EdgeID{0, 1}}},
+	}
+	for _, in := range []Injector{nil, ok} {
+		if err := CheckEdges(in, 2); err != nil {
+			t.Errorf("CheckEdges(%+v) = %v, want nil", in, err)
+		}
+	}
+	if err := CheckEdges(Plan{ok, Plan{CorrelatedFailure{Edges: []graph.EdgeID{0, 2}}}}, 2); err == nil {
+		t.Error("CheckEdges accepted a nested edge outside 2")
+	}
+}

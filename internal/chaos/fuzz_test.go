@@ -41,7 +41,7 @@ func decodeFuzzPlan(data []byte, edges []graph.EdgeID) Plan {
 // FuzzChurnOverlay drives random injector plans through a full horizon
 // and asserts the overlay's safety invariants: no (edge, step) capacity
 // ever goes negative, windows that have fully passed restore the exact
-// original capacity, and the fault set-aside survives untouched.
+// original capacity, and the high-pri set-aside survives untouched.
 func FuzzChurnOverlay(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 4, 0})                                 // one full LinkCut
 	f.Add([]byte{1, 1, 3, 5, 120})                               // over-unity drain knob
@@ -60,8 +60,8 @@ func FuzzChurnOverlay(f *testing.F) {
 			n.AddEdge(a, c, 13),
 		}
 		st := pricing.NewState(n, fuzzHorizon, 1)
-		// A standing fault set-aside the injectors must not disturb.
-		st.AddHighPri(edges[0], 5, 2)
+		// A standing high-pri set-aside the injectors must not disturb.
+		st.SetHighPri(edges[0], 5, 2)
 
 		p := decodeFuzzPlan(data, edges)
 		// Latest step any injector may still be touching (drains extend
@@ -122,7 +122,7 @@ func FuzzChurnOverlay(f *testing.F) {
 			}
 		}
 		if got := st.HighPri[edges[0]][5]; got != 2 {
-			t.Fatalf("injectors disturbed the fault set-aside: %v", got)
+			t.Fatalf("injectors disturbed the high-pri set-aside: %v", got)
 		}
 	})
 }

@@ -50,8 +50,9 @@ type Config struct {
 	// HighPriActual, when non-nil, is the high-pri traffic that actually
 	// materializes: it physically consumes link capacity whether or not
 	// the estimate covered it, so an underestimate squeezes scheduled
-	// transfers exactly like an unannounced fault. Every cell must be
-	// finite and non-negative.
+	// transfers exactly like an unannounced fault — which is how one is
+	// modelled: leaving fraction f of edge e adds Capacity*(1-f) to its
+	// cells. Every cell must be finite and non-negative.
 	HighPriActual [][]float64
 	// EnableSAM switches schedule adjustment, run every timestep as the
 	// paper recommends (off = Pretium-NoSAM).
@@ -68,17 +69,13 @@ type Config struct {
 	// linear-utility rule; AllOrNothing is Pretium-NoMenu's. Other rules
 	// model §4.4's nonlinear utilities, e.g. concave value.
 	Purchase func(menu *pricing.Menu, req *traffic.Request) float64
-	// Faults injects capacity losses for robustness experiments (§4.4):
-	// from its Announce step onward the planner sees the reduced
-	// capacity and SAM respreads load; physically the reduction holds
-	// over [From, To] regardless, so unannounced faults clamp realized
-	// transfers.
-	Faults []Fault
 	// Chaos, when non-nil, is a deterministic fault injector consulted
 	// before every LP solve and at the top of every step (see
 	// internal/chaos). It exists so robustness tests can force solver
 	// outages, price corruption, and capacity flaps at exact steps and
-	// assert the controller's degradation ladder handles each one.
+	// assert the controller's degradation ladder handles each one. With
+	// HighPriActual it is the only capacity-loss input: an announced fault
+	// is a chaos.LinkCut, planned around and repaired like any outage.
 	Chaos chaos.Injector
 	// Obs, when non-nil, receives the controller's metrics (admissions,
 	// ladder levels, solver telemetry, price duals) and its structured
@@ -92,25 +89,6 @@ type Config struct {
 	// is byte-identical with and without warm starts; production runs
 	// leave it false.
 	ColdStart bool
-}
-
-// Fault is one injected capacity loss: edge capacity is multiplied by
-// Factor during steps [From, To] (inclusive). The planner learns of it at
-// Announce (0 value means at From, i.e. detected at onset).
-type Fault struct {
-	Edge     graph.EdgeID
-	From, To int
-	Factor   float64
-	Announce int
-}
-
-// announceStep is the step the planner learns of f: Announce, or From when
-// Announce is unset or earlier than the onset.
-func (f Fault) announceStep() int {
-	if f.Announce == 0 || f.Announce < f.From {
-		return f.From
-	}
-	return f.Announce
 }
 
 // DefaultConfig returns the full Pretium configuration over the given
@@ -203,8 +181,8 @@ type Controller struct {
 	// churnSeen is the last outage-overlay version the repair loop
 	// examined; an unchanged version means no new churn to repair.
 	churnSeen uint64
-	// trueCap is the physical per-(edge,step) capacity including faults,
-	// whether announced or not.
+	// trueCap is the physical per-(edge,step) capacity left to scheduled
+	// traffic by high-pri usage, before any chaos outage.
 	trueCap [][]float64
 	// samBasis and pcBasis hold the previous SAM / Price Computer terminal
 	// simplex bases. Successive solves of the same LP skeleton (same live
@@ -245,6 +223,9 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		return nil, err
 	}
 	if err := checkHighPri("HighPriActual", cfg.HighPriActual, net.NumEdges(), cfg.Horizon); err != nil {
+		return nil, err
+	}
+	if err := chaos.CheckEdges(cfg.Chaos, net.NumEdges()); err != nil {
 		return nil, err
 	}
 	for _, r := range reqs {
@@ -292,10 +273,11 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	}
 	c.obs = newCoreObs(cfg.Obs)
 	c.admitter.SetObs(cfg.Obs.Metrics())
-	// Physical capacity available to scheduled traffic, faults included
-	// (what `realize` clamps against, known or not). When actual
-	// high-pri usage is given it drains physical capacity directly;
-	// otherwise the planner's set-aside is assumed exactly consumed.
+	// Physical capacity available to scheduled traffic (what `realize`
+	// clamps against, less the outage overlay). When actual high-pri usage
+	// is given it drains physical capacity directly, silent faults
+	// included; otherwise the planner's set-aside is assumed exactly
+	// consumed.
 	c.trueCap = make([][]float64, net.NumEdges())
 	for _, e := range net.Edges() {
 		c.trueCap[e.ID] = make([]float64, cfg.Horizon)
@@ -309,21 +291,6 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 			} else {
 				c.trueCap[e.ID][t] = st.Capacity(e.ID, t)
 			}
-		}
-	}
-	// A fault removes the share of nameplate capacity the planner reserves
-	// once it is announced (see announceFaults), on top of the high-pri
-	// drain already taken out above.
-	for i, f := range cfg.Faults {
-		if !(f.Factor >= 0 && f.Factor <= 1) { // NaN fails both
-			return nil, fmt.Errorf("core: fault %d factor %v outside [0,1]", i, f.Factor)
-		}
-		if f.Edge < 0 || int(f.Edge) >= net.NumEdges() {
-			return nil, fmt.Errorf("core: fault %d edge %d outside the network's %d edges", i, f.Edge, net.NumEdges())
-		}
-		lost := net.Edge(f.Edge).Capacity * (1 - f.Factor)
-		for t := max(f.From, 0); t <= f.To && t < cfg.Horizon; t++ {
-			c.trueCap[f.Edge][t] = math.Max(c.trueCap[f.Edge][t]-lost, 0)
 		}
 	}
 	return c, nil
@@ -351,24 +318,6 @@ func checkHighPri(name string, m [][]float64, edges, horizon int) error {
 	return nil
 }
 
-// announceFaults folds every fault announced at step t into the planning
-// state: the lost share of capacity becomes a high-pri set-aside, which
-// both RA quotes and SAM capacities respect from now on.
-func (c *Controller) announceFaults(t int) {
-	for _, f := range c.cfg.Faults {
-		if f.announceStep() != t {
-			continue
-		}
-		cap := c.net.Edge(f.Edge).Capacity
-		for tt := f.From; tt <= f.To && tt < c.cfg.Horizon; tt++ {
-			if tt < t {
-				continue
-			}
-			c.state.AddHighPri(f.Edge, tt, cap*(1-f.Factor))
-		}
-	}
-}
-
 // State exposes the live network state (read-mostly; used by experiments
 // that inspect prices).
 func (c *Controller) State() *pricing.State { return c.state }
@@ -380,7 +329,6 @@ func (c *Controller) Run() (*sim.Outcome, error) {
 		byArrival[r.Arrival] = append(byArrival[r.Arrival], r)
 	}
 	for t := 0; t < c.cfg.Horizon; t++ {
-		c.announceFaults(t)
 		if t > 0 && t%c.cfg.PriceWindow == 0 {
 			c.runPC(t)
 		}
@@ -889,9 +837,10 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 }
 
 // realize executes every plan entry scheduled for step t, clamped to the
-// physical capacity — which can be below what the plan assumed when a
-// fault has struck but not yet been announced to the planner. Overloaded
-// links shed load proportionally, like a router dropping excess traffic.
+// physical capacity the two capacity-loss inputs leave — nameplate less
+// HighPriActual (silent faults) and the chaos outage overlay (announced
+// ones), which can be below what the plan assumed. Overloaded links shed
+// load proportionally, like a router dropping excess traffic.
 func (c *Controller) realize(t int) {
 	type intent struct {
 		a     *admState

@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"pretium/internal/chaos"
 	"pretium/internal/graph"
 	"pretium/internal/sim"
 	"pretium/internal/traffic"
@@ -81,6 +83,17 @@ func TestScavengerInertWithoutSAM(t *testing.T) {
 	}
 }
 
+// silentFault is the Config.HighPriActual matrix of a capacity loss the
+// planner never hears of: edge e keeps fraction survive of its nameplate
+// capacity over steps [from, to].
+func silentFault(n *graph.Network, horizon int, e graph.EdgeID, from, to int, survive float64) [][]float64 {
+	m := uniformHighPri(n, horizon, 0)
+	for t := from; t <= to; t++ {
+		m[e][t] = n.Edge(e).Capacity * (1 - survive)
+	}
+	return m
+}
+
 func TestAnnouncedFaultRespreadsLoad(t *testing.T) {
 	// Request window [0,3]; the single link loses 100% of capacity at
 	// steps 1-2, announced at onset. SAM must route everything through
@@ -88,7 +101,7 @@ func TestAnnouncedFaultRespreadsLoad(t *testing.T) {
 	n, a, b := simpleNet()
 	req := mkReq(n, 0, a, b, 0, 0, 3, 20, 5)
 	cfg := smallConfig(4)
-	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0}}
+	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 1, To: 2}
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,13 +121,42 @@ func TestAnnouncedFaultRespreadsLoad(t *testing.T) {
 	}
 }
 
+// TestAnnouncedLinkCutStrandingGuaranteeIsRefunded: a full cut over
+// [1,2], announced at onset, strands part of a 20-byte guarantee over
+// [0,2] on a 10-unit link. The repair ladder buys it back, so the
+// shortfall is a refund, not a renege.
+func TestAnnouncedLinkCutStrandingGuaranteeIsRefunded(t *testing.T) {
+	n, a, b := simpleNet()
+	cfg := smallConfig(3)
+	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 1, To: 2}
+	c, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 20, 5)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reneged[0] > 1e-9 {
+		t.Errorf("reneged %v bytes, want 0 (refunded instead)", out.Reneged[0])
+	}
+	if len(c.Refunds) != 1 || c.Refunds[0].Req != 0 {
+		t.Errorf("refunds = %+v, want one for request 0", c.Refunds)
+	}
+	if sum := c.Health.Summary(); !strings.Contains(sum, "repair-") {
+		t.Errorf("health %q records no repair rung", sum)
+	}
+	checkRefundConservation(t, c, out)
+}
+
 func TestUnannouncedFaultDropsThenRecovers(t *testing.T) {
-	// The fault at step 1 is announced only at step 2: the step-1 plan
-	// physically cannot ship, but SAM recovers the loss in steps 2-3.
+	// The fault at step 1 is announced only at step 2, after it ended: the
+	// planner never hears of it, so it is actual high-pri use. The step-1
+	// plan physically cannot ship, but SAM recovers the loss in steps 2-3.
 	n, a, b := simpleNet()
 	req := mkReq(n, 0, a, b, 0, 0, 3, 20, 5)
 	cfg := smallConfig(4)
-	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 1, Factor: 0, Announce: 2}}
+	cfg.HighPriActual = silentFault(n, 4, 0, 1, 1, 0)
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +182,7 @@ func TestPartialFaultScalesProportionally(t *testing.T) {
 		mkReq(n, 1, a, b, 0, 0, 0, 5, 5),
 	}
 	cfg := smallConfig(1)
-	// Announce after the horizon = never announced.
-	cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: 0.5, Announce: 1}}
+	cfg.HighPriActual = silentFault(n, 1, 0, 0, 0, 0.5)
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,20 +204,27 @@ func TestPartialFaultScalesProportionally(t *testing.T) {
 	}
 }
 
+// TestFaultValidation: New rejects a chaos plan naming an edge outside
+// the network, for every edge-bearing injector and inside a Plan, instead
+// of letting the first step index past the state.
 func TestFaultValidation(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
-	cfg := smallConfig(1)
-	for _, f := range []float64{2, -0.5, math.NaN()} {
-		cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: f}}
-		if _, err := New(n, reqs, cfg); err == nil {
-			t.Errorf("factor %v accepted", f)
-		}
-	}
 	for _, e := range []graph.EdgeID{-1, graph.EdgeID(n.NumEdges())} {
-		cfg.Faults = []Fault{{Edge: e, From: 0, To: 0, Factor: 0.5}}
-		if _, err := New(n, reqs, cfg); err == nil {
-			t.Errorf("fault on edge %d of %d accepted", e, n.NumEdges())
+		for _, in := range []chaos.Injector{
+			chaos.LinkCut{Edge: e, From: 0, To: 0},
+			chaos.MaintenanceDrain{Edge: e, From: 0, To: 0},
+			chaos.CapacityFlap{Edge: e, From: 0, To: 0, Period: 1, Frac: 0.5},
+			chaos.CorrelatedFailure{Edges: []graph.EdgeID{0, e}, From: 0, To: 0},
+			chaos.Plan{chaos.SolverOutage{}, chaos.LinkCut{Edge: e, From: 0, To: 0}},
+		} {
+			cfg := smallConfig(1)
+			cfg.Chaos = in
+			c, err := New(n, reqs, cfg)
+			if err == nil {
+				t.Errorf("%T on edge %d of %d accepted", in, e, n.NumEdges())
+				c.Run() // an unchecked plan panics at its first step
+			}
 		}
 	}
 }
@@ -195,7 +243,7 @@ func TestFaultPreservesOtherEdges(t *testing.T) {
 	routes := net.KShortestPaths(s, d, 2)
 	req := &traffic.Request{ID: 0, Src: s, Dst: d, Routes: routes, Arrival: 0, Start: 0, End: 1, Demand: 16, Value: 5}
 	cfg := smallConfig(2)
-	cfg.Faults = []Fault{{Edge: sx, From: 0, To: 1, Factor: 0}}
+	cfg.Chaos = chaos.LinkCut{Edge: sx, From: 0, To: 1}
 	c, err := New(net, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -213,16 +261,17 @@ func TestFaultPreservesOtherEdges(t *testing.T) {
 }
 
 // TestSilentFaultChargesHighPriOnce: a fault the planner never hears of
-// leaves Factor of the nameplate capacity, and high-pri traffic still
-// takes its set-aside out of that. On a 10-unit link with 20% high-pri and
-// a silent halving, scheduled traffic physically gets 10*0.5 - 2 = 3, not
-// 0.5*(10-2) = 4.
+// removes its share of the nameplate capacity, and high-pri traffic still
+// takes its set-aside out of what is left. On a 10-unit link with 20%
+// high-pri and a silent halving, actual high-pri use is 2 + 5, so
+// scheduled traffic physically gets 10*0.5 - 2 = 3, not 0.5*(10-2) = 4.
 func TestSilentFaultChargesHighPriOnce(t *testing.T) {
 	n, a, b := simpleNet()
 	req := mkReq(n, 0, a, b, 0, 0, 0, 8, 5)
 	cfg := smallConfig(1)
 	cfg.HighPriEstimate = uniformHighPri(n, 1, 0.2)
-	cfg.Faults = []Fault{{Edge: 0, From: 0, To: 0, Factor: 0.5, Announce: 1}} // after the horizon
+	cfg.HighPriActual = silentFault(n, 1, 0, 0, 0, 0.5)
+	cfg.HighPriActual[0][0] += cfg.HighPriEstimate[0][0]
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,28 +288,36 @@ func TestSilentFaultChargesHighPriOnce(t *testing.T) {
 	}
 }
 
-// TestNewLeavesFaultsUntouched: New reads cfg.Faults and never writes it,
-// so the caller's slice keeps every field as given.
+// TestNewLeavesFaultsUntouched: New reads the capacity-loss inputs —
+// cfg.HighPriActual and cfg.Chaos — and never writes them, so the
+// caller's values keep every field as given.
 func TestNewLeavesFaultsUntouched(t *testing.T) {
 	n, a, b := simpleNet()
 	cfg := smallConfig(4)
-	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0.5}, {Edge: 0, From: 3, To: 3, Factor: 0, Announce: 1}}
-	want := append([]Fault(nil), cfg.Faults...)
-	if _, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}, cfg); err != nil {
+	cfg.HighPriActual = silentFault(n, 4, 0, 1, 2, 0.5)
+	cfg.Chaos = chaos.Plan{chaos.LinkCut{Edge: 0, From: 3, To: 3, Announce: 1}}
+	wantActual := silentFault(n, 4, 0, 1, 2, 0.5)
+	wantChaos := chaos.Plan{chaos.LinkCut{Edge: 0, From: 3, To: 3, Announce: 1}}
+	c, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cfg.Faults, want) {
-		t.Errorf("New rewrote the caller's faults: %+v, want %+v", cfg.Faults, want)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg.HighPriActual, wantActual) || !reflect.DeepEqual(cfg.Chaos, wantChaos) {
+		t.Errorf("the run rewrote the caller's faults: %v %+v, want %v %+v", cfg.HighPriActual, cfg.Chaos, wantActual, wantChaos)
 	}
 }
 
 // TestControllersShareConfig builds and runs two controllers from one
 // Config at once; under -race any write New or Run makes to the shared
-// fault slice is reported. Both runs must also agree.
+// high-pri matrix or chaos plan is reported. Both runs must also agree.
 func TestControllersShareConfig(t *testing.T) {
 	n, a, b := simpleNet()
 	cfg := smallConfig(4)
-	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0.5}}
+	cfg.HighPriActual = silentFault(n, 4, 0, 1, 1, 0.5)
+	cfg.Chaos = chaos.Plan{chaos.LinkCut{Edge: 0, From: 2, To: 2, Survive: 0.5}}
 	var wg sync.WaitGroup
 	outs := make([]*sim.Outcome, 2)
 	errs := make([]error, 2)

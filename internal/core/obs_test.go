@@ -97,20 +97,23 @@ func TestControllerObsNeutralAndCounted(t *testing.T) {
 	}
 }
 
-// TestWarmStartCounted forces the ladder's relax rung — an announced
-// mid-flight capacity fault makes committed guarantees jointly
-// unschedulable, so SAM relaxes in place and re-solves warm from the
-// infeasible solve's phase-1 terminal basis — and checks the warm start
-// lands in the published solver telemetry. (Cross-step SAM warm reuse
-// cannot structurally match — the variable set shrinks with StartStep —
-// so the relax re-solve is where warm starts actually fire in core.)
+// TestWarmStartCounted forces the ladder's relax rung — silent high-pri
+// use takes 8 of the link's 10 units at step 0, so the 30-byte guarantee
+// over [0,2] falls short by more than the later steps can carry; SAM
+// relaxes it in place and re-solves warm from the infeasible solve's
+// phase-1 terminal basis — and checks the warm start lands in the
+// published solver telemetry. (Cross-step SAM warm reuse cannot
+// structurally match — the variable set shrinks with StartStep — so the
+// relax re-solve is where warm starts actually fire in core. An announced
+// cut would go to the repair ladder first.)
 func TestWarmStartCounted(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 30, 50)}
 	rec := obs.NewRecorder(nil)
 	cfg := smallConfig(3)
 	cfg.Obs = rec
-	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0.2, Announce: 1}}
+	cfg.HighPriActual = uniformHighPri(n, 3, 0)
+	cfg.HighPriActual[0][0] = 8
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,17 +121,17 @@ func TestWarmStartCounted(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Health.Degraded() {
+	if !strings.Contains(c.Health.Summary(), "relaxed-guarantees") {
 		t.Fatalf("expected a relaxed-guarantees degradation, health: %s", c.Health.Summary())
 	}
-	if got := rec.Metrics().Counter("sam.lp.warm_starts").Value(); got < 1 {
-		t.Errorf("sam.lp.warm_starts = %d, want >= 1 via the relax rung", got)
+	if got := rec.Metrics().Counter("sam.lp.warm_starts").Value(); got != 2 {
+		t.Errorf("sam.lp.warm_starts = %d, want 2 via the relax rung", got)
 	}
 	// The guarantee rows are ≥ rows with a positive right-hand side: every
 	// cold solve starts them on artificials, and nothing here needed the
 	// singular-refactorization safety net.
-	if got := rec.Metrics().Counter("sam.lp.artificials").Value(); got < 1 {
-		t.Errorf("sam.lp.artificials = %d, want >= 1 from the cold solves' guarantee rows", got)
+	if got := rec.Metrics().Counter("sam.lp.artificials").Value(); got != 3 {
+		t.Errorf("sam.lp.artificials = %d, want 3 from the cold solves' guarantee rows", got)
 	}
 	if got := rec.Metrics().Counter("sam.lp.recoveries").Value(); got != 0 {
 		t.Errorf("sam.lp.recoveries = %d on a healthy run", got)

@@ -152,8 +152,10 @@ func TestUnannouncedFaultWithRateAndScavenger(t *testing.T) {
 	scav.Kind = traffic.ScavengerRequest
 	cfg := smallConfig(4)
 	// Half the link gone over [1,2]; the planner hears at t=2, so t=1 is
-	// an unannounced fault step.
-	cfg.Faults = []Fault{{Edge: 0, From: 1, To: 2, Factor: 0.5, Announce: 2}}
+	// an unannounced fault step (actual high-pri use) and t=2 a cut
+	// announced at onset.
+	cfg.HighPriActual = silentFault(n, 4, 0, 1, 1, 0.5)
+	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 2, To: 2, Survive: 0.5}
 	c, err := New(n, []*traffic.Request{rate, scav}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func TestOutageSourcesStackAndRestoreIndependently(t *testing.T) {
 // clobbering the other.
 func TestOutageComposesWithHighPriSetAside(t *testing.T) {
 	st, e := outageState(2)
-	st.AddHighPri(e, 0, 3) // announced fault reserves 3
+	st.SetHighPri(e, 0, 3) // high-pri sets aside 3
 	st.SetOutage("cut", e, 0, 4)
 	if got := st.Capacity(e, 0); got != 3 {
 		t.Errorf("capacity = %v, want 3 (10 - 3 set-aside - 4 outage)", got)

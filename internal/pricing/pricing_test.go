@@ -452,11 +452,9 @@ func TestEstimateHighPriSetAsidePricingLocal(t *testing.T) {
 func TestHighPriSetAsideClampedAtCapacity(t *testing.T) {
 	n, _ := twoPathNet() // edge 0: s->t, capacity 4
 	st := NewState(n, 2, 1)
-	// Two overlapping full-loss fault announcements each set aside the
-	// whole link: the set-aside must saturate at physical capacity, so
-	// planner capacity bottoms out at zero instead of going negative.
-	st.AddHighPri(0, 0, 4)
-	st.AddHighPri(0, 0, 4)
+	// A set-aside of twice the link must saturate at physical capacity,
+	// so planner capacity bottoms out at zero instead of going negative.
+	st.SetHighPri(0, 0, 8)
 	if got := st.HighPri[0][0]; got != 4 {
 		t.Errorf("set-aside %v, want clamp at capacity 4", got)
 	}

@@ -56,7 +56,6 @@ func TestPublishPoisonsPlanningMutators(t *testing.T) {
 	mustPanic(t, "Invalidate", func() { st.Invalidate() })
 	mustPanic(t, "SetBasePrice", func() { st.SetBasePrice(0, 0, 2) })
 	mustPanic(t, "SetHighPri", func() { st.SetHighPri(0, 0, 1) })
-	mustPanic(t, "AddHighPri", func() { st.AddHighPri(0, 0, 1) })
 	mustPanic(t, "SetHighPriMatrix", func() { _ = st.SetHighPriMatrix(st.HighPri) })
 	mustPanic(t, "SetOutage", func() { st.SetOutage("x", 0, 0, 1) })
 	mustPanic(t, "SetReserved", func() { _ = st.SetReserved(st.Reserved) })

@@ -44,7 +44,7 @@ func DefaultAdjust() AdjustConfig { return AdjustConfig{Threshold: 0.8, Factor: 
 // recomputing the premium rule per candidate. Every mutator below keeps
 // the cache coherent incrementally; code that writes the exported
 // matrices directly must call Invalidate afterwards (or use SetBasePrice
-// / AddHighPri), or quotes will see stale segments.
+// / SetHighPri), or quotes will see stale segments.
 type State struct {
 	Net     *graph.Network
 	Horizon int
@@ -233,19 +233,9 @@ func (s *State) refreshSeg(e graph.EdgeID, t int) {
 	s.segRoom[i] = s.Adjust.room(cap, used)
 }
 
-// AddHighPri grows the high-pri set-aside on (e, t) — e.g. to model an
-// announced capacity fault — keeping the segment cache coherent. The
-// set-aside is clamped to [0, physical capacity]: overlapping fault
-// announcements on one edge (each reserving the lost share independently)
-// must saturate at "the whole link is gone", not drive the planner's view
-// of capacity negative.
-func (s *State) AddHighPri(e graph.EdgeID, t int, amount float64) {
-	s.SetHighPri(e, t, s.HighPri[e][t]+amount)
-}
-
 // SetHighPri overwrites the set-aside on (e, t), clamped to [0, physical
-// capacity], keeping the segment cache coherent. Chaos/fault tooling uses
-// it to both impose and lift capacity reductions.
+// capacity], keeping the segment cache coherent. SetHighPriMatrix applies
+// a whole estimate through it.
 func (s *State) SetHighPri(e graph.EdgeID, t int, amount float64) {
 	s.guardPlan("SetHighPri")
 	if amount < 0 {
