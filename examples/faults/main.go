@@ -1,11 +1,11 @@
 // Command faults demonstrates §4.4 robustness: mid-run a link loses most
-// of its capacity. A fault announced at onset is a chaos.LinkCut: the
-// planner sees the hole, the schedule adjustment module respreads traffic
-// over other paths and later timesteps, and a guarantee it cannot carry
-// is refunded by the repair ladder. A silent fault is high-pri use the
-// planner never learns of (core.Config.HighPriActual): planned transfers
-// are physically shed and the broken promises are accounted as reneged
-// bytes.
+// of its capacity. A fault announced at onset is a chaos.Outage on that
+// one link (Survive is the share it keeps): the planner sees the hole,
+// the schedule adjustment module respreads traffic over other paths and
+// later timesteps, and a guarantee it cannot carry is refunded by the
+// repair ladder. A silent fault is high-pri use the planner never learns
+// of (core.Config.HighPriActual): planned transfers are physically shed
+// and the broken promises are accounted as reneged bytes.
 package main
 
 import (
@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("fault: link %d loses 80%% of capacity for half a day mid-run\n\n", faultEdge)
 	run("no fault", nil)
 	run("announced at onset", func(cfg *core.Config) {
-		cfg.Chaos = chaos.LinkCut{Edge: faultEdge, From: day / 2, To: day, Survive: 0.2}
+		cfg.Chaos = chaos.Outage{Edges: []pretium.EdgeID{faultEdge}, From: day / 2, To: day, Survive: 0.2}
 	})
 	run("silent (never known)", func(cfg *core.Config) {
 		lost := make([][]float64, s.Net.NumEdges())

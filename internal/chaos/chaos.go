@@ -3,7 +3,7 @@
 // at two points of every timestep: before each LP solve (to force
 // solver-level failures — outright errors or wall-clock timeouts — at
 // chosen steps) and at the top of the step (to corrupt planning state:
-// price corruption, capacity flapping).
+// price corruption, and outages that cut, drain or flap link capacity).
 //
 // Everything is a pure function of the step index: the same injection
 // schedule over the same request stream reproduces the same run bit for
@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"pretium/internal/graph"
 	"pretium/internal/pricing"
@@ -120,217 +121,76 @@ func (p PriceCorruption) BeforeStep(step int, st *pricing.State) {
 	}
 }
 
-// CapacityFlap alternately removes and restores a fraction of one edge's
-// capacity with a fixed period: steps in [From, To] whose phase
-// ((t-From)/Period) is even are "down". At each step it rewrites the
-// edge's outage cells for the whole remaining flap window, so the planner
-// keeps re-planning around a future that keeps changing — the
-// flapping-link nightmare §4.4 gestures at. The flap owns a private
-// overlay source, so up-phases restore the edge's capacity exactly and
-// flaps compose with drains, cuts, and the high-pri set-aside on the same
-// edge without clobbering them.
-type CapacityFlap struct {
-	Edge     graph.EdgeID
-	From, To int
-	Period   int
-	// Frac of the edge's physical capacity removed during down phases.
-	Frac float64
-}
-
-func (f CapacityFlap) source() string {
-	return fmt.Sprintf("flap:%d:%d-%d", f.Edge, f.From, f.To)
-}
-
-// SolveAction implements Injector (solves proceed).
-func (f CapacityFlap) SolveAction(string, int) Action { return Proceed }
-
-// BeforeStep implements Injector.
-func (f CapacityFlap) BeforeStep(step int, st *pricing.State) {
-	if step < f.From || step > f.To {
-		return
-	}
-	period := f.Period
-	if period <= 0 {
-		period = 1
-	}
-	cap := st.Net.Edge(f.Edge).Capacity
-	src := f.source()
-	for t := step; t <= f.To && t < st.Horizon; t++ {
-		down := ((t-f.From)/period)%2 == 0
-		if down {
-			st.SetOutage(src, f.Edge, t, cap*clamp01(f.Frac))
-		} else {
-			st.SetOutage(src, f.Edge, t, 0)
-		}
-	}
-}
-
-// LinkCut takes one edge (mostly) out of service for a window: physical
-// capacity drops to Capacity*Survive on every step in [From, To]. The
-// default is an unannounced cut — the planner learns about it at step
-// From, when traffic already committed to the edge strands. Setting
-// Announce < From models advance warning: the outage is written into the
-// overlay that early, so admission and SAM plan around the hole before it
-// opens (the difference between a fiber cut and a scheduled repair).
-type LinkCut struct {
-	Edge     graph.EdgeID
-	From, To int
-	// Survive is the fraction of capacity left during the cut; 0 (the
-	// zero value) is a full cut. Clamped to [0, 1].
-	Survive float64
-	// Announce is the step the cut becomes visible to the planner. The
-	// zero value and anything past From mean "at onset" (From); negative
-	// values mean "known from the start" (step 0). A fault announced only
-	// after it strikes is two inputs to the controller: the steps before
-	// the announcement are extra core.Config.HighPriActual (a loss the
-	// planner never hears of), the rest a LinkCut from the announcement on.
-	Announce int
-}
-
-func (c LinkCut) source() string {
-	return fmt.Sprintf("linkcut:%d:%d-%d", c.Edge, c.From, c.To)
-}
-
-// SolveAction implements Injector (solves proceed).
-func (c LinkCut) SolveAction(string, int) Action { return Proceed }
-
-// BeforeStep implements Injector.
-func (c LinkCut) BeforeStep(step int, st *pricing.State) {
-	ann := c.Announce
-	if ann == 0 || ann > c.From {
-		ann = c.From
-	}
-	if ann < 0 {
-		ann = 0
-	}
-	if step < ann || step > c.To {
-		return
-	}
-	down := st.Net.Edge(c.Edge).Capacity * (1 - clamp01(c.Survive))
-	src := c.source()
-	for t := c.From; t <= c.To && t < st.Horizon; t++ {
-		if t < 0 {
-			continue
-		}
-		st.SetOutage(src, c.Edge, t, down)
-	}
-}
-
-// MaintenanceDrain is an announced, ramped capacity reduction: the edge
-// ramps down over the Ramp steps before From, holds at Capacity*Survive
-// during [From, To], and ramps back up over the Ramp steps after To. The
-// whole future profile is written at the announcement step (default: the
-// start of the ramp-down), so SAM sees the drain coming and can route
-// long transfers around it — the cooperative counterpart to LinkCut.
-type MaintenanceDrain struct {
-	Edge     graph.EdgeID
-	From, To int
-	// Ramp is the number of steps spent ramping on each side; <= 0 means
-	// the drain starts and ends abruptly.
-	Ramp int
-	// Survive is the capacity fraction retained during the hold window.
-	Survive float64
-	// Announce is the step the drain is announced. The zero value and
-	// anything past the ramp start mean "at ramp start"; negative values
-	// mean "known from the start" (step 0).
-	Announce int
-}
-
-func (d MaintenanceDrain) source() string {
-	return fmt.Sprintf("drain:%d:%d-%d", d.Edge, d.From, d.To)
-}
-
-// SolveAction implements Injector (solves proceed).
-func (d MaintenanceDrain) SolveAction(string, int) Action { return Proceed }
-
-// frac returns the fraction of capacity removed at step t.
-func (d MaintenanceDrain) frac(t int) float64 {
-	depth := 1 - clamp01(d.Survive)
-	ramp := d.Ramp
-	if ramp < 0 {
-		ramp = 0
-	}
-	switch {
-	case t >= d.From && t <= d.To:
-		return depth
-	case t >= d.From-ramp && t < d.From:
-		// j steps into the ramp-down, j in [1, ramp].
-		j := t - (d.From - ramp) + 1
-		return depth * float64(j) / float64(ramp+1)
-	case t > d.To && t <= d.To+ramp:
-		j := t - d.To
-		return depth * float64(ramp+1-j) / float64(ramp+1)
-	}
-	return 0
-}
-
-// BeforeStep implements Injector.
-func (d MaintenanceDrain) BeforeStep(step int, st *pricing.State) {
-	ramp := d.Ramp
-	if ramp < 0 {
-		ramp = 0
-	}
-	start, end := d.From-ramp, d.To+ramp
-	ann := d.Announce
-	if ann == 0 || ann > start {
-		ann = start
-	}
-	if ann < 0 {
-		ann = 0
-	}
-	if step < ann || step > end {
-		return
-	}
-	cap := st.Net.Edge(d.Edge).Capacity
-	src := d.source()
-	for t := start; t <= end && t < st.Horizon; t++ {
-		if t < 0 {
-			continue
-		}
-		st.SetOutage(src, d.Edge, t, cap*d.frac(t))
-	}
-}
-
-// CorrelatedFailure cuts a group of edges atomically over one window — a
-// shared-risk link group: one fiber conduit carrying several logical
-// links, severed by a single backhoe. All member edges drop to
-// Capacity*Survive together at step From (unannounced, like LinkCut),
-// which is the scenario that strands guarantees no single-link planner
-// anticipates.
-type CorrelatedFailure struct {
+// Outage takes capacity out of a group of edges over one window — the one
+// shape of topology churn. Every member edge loses Capacity*(1-Survive)
+// on each step of the hold window [From, To]; a Ramp spreads the loss
+// linearly over Ramp steps on either side (a maintenance drain); a Period
+// makes the hold flap, down on even phases ((t-From)/Period) and whole on
+// odd ones. One edge with no ramp is a link cut; several edges cut
+// together are a shared-risk link group (one fiber conduit carrying
+// several logical links, severed by a single backhoe).
+//
+// Until its announcement step an outage is invisible; from then on its
+// whole profile is written into the overlay, so an unannounced cut
+// strands traffic already committed to the edge while an announced one
+// lets admission and SAM plan around the hole before it opens. Outages
+// compose in a Plan, which sums them per cell; a lone Outage is a Plan of
+// one.
+type Outage struct {
 	Edges    []graph.EdgeID
 	From, To int
-	// Survive is the capacity fraction left on every member edge.
+	// Survive is the capacity fraction left during the hold; 0 (the zero
+	// value) is a full cut. Clamped to [0, 1], NaN counting as 0.
 	Survive float64
-}
-
-func (c CorrelatedFailure) source() string {
-	key := fmt.Sprintf("srlg:%d-%d", c.From, c.To)
-	for _, e := range c.Edges {
-		key += fmt.Sprintf(":%d", e)
-	}
-	return key
+	// Ramp is the number of steps spent ramping on each side; <= 0 means
+	// the outage starts and ends abruptly.
+	Ramp int
+	// Period, when positive, is the length of one flap phase.
+	Period int
+	// Announce is the step the outage becomes visible to the planner. The
+	// zero value and anything past the profile's start (From-Ramp) mean
+	// "at the start"; negative values mean "known from step 0". A fault
+	// announced only after it strikes is two inputs to the controller: the
+	// steps before the announcement are extra core.Config.HighPriActual (a
+	// loss the planner never hears of), the rest an Outage from the
+	// announcement on.
+	Announce int
 }
 
 // SolveAction implements Injector (solves proceed).
-func (c CorrelatedFailure) SolveAction(string, int) Action { return Proceed }
+func (o Outage) SolveAction(string, int) Action { return Proceed }
 
 // BeforeStep implements Injector.
-func (c CorrelatedFailure) BeforeStep(step int, st *pricing.State) {
-	if step < c.From || step > c.To {
-		return
+func (o Outage) BeforeStep(step int, st *pricing.State) { Plan{o}.BeforeStep(step, st) }
+
+// span returns the profile's first and last steps and the step the
+// outage is announced at.
+func (o Outage) span() (start, end, announce int) {
+	ramp := max(o.Ramp, 0)
+	start, end, announce = o.From-ramp, o.To+ramp, o.Announce
+	if announce == 0 || announce > start {
+		announce = start
 	}
-	src := c.source()
-	surv := clamp01(c.Survive)
-	for _, e := range c.Edges {
-		down := st.Net.Edge(e).Capacity * (1 - surv)
-		for t := c.From; t <= c.To && t < st.Horizon; t++ {
-			if t < 0 {
-				continue
-			}
-			st.SetOutage(src, e, t, down)
-		}
+	return start, end, max(announce, 0)
+}
+
+// down returns the capacity the outage removes from edge e, of capacity
+// cap, at step t.
+func (o Outage) down(e graph.EdgeID, t int, cap float64) float64 {
+	start, end, _ := o.span()
+	if t < start || t > end || !slices.Contains(o.Edges, e) {
+		return 0
 	}
+	depth, ramp := 1-clamp01(o.Survive), o.From-start
+	switch {
+	case t < o.From: // j = t-start+1 steps into the ramp-down
+		return cap * (depth * float64(t-start+1) / float64(ramp+1))
+	case t > o.To: // the ramp-up mirrors it
+		return cap * (depth * float64(end-t+1) / float64(ramp+1))
+	case o.Period > 0 && (t-o.From)/o.Period%2 == 1:
+		return 0
+	}
+	return cap * depth
 }
 
 func clamp01(x float64) float64 {
@@ -344,7 +204,14 @@ func clamp01(x float64) float64 {
 }
 
 // Plan composes injectors: the strongest solve action wins (Fail >
-// Timeout > Proceed) and BeforeStep mutations apply in order.
+// Timeout > Proceed), and at each step every member runs in order —
+// except outages, at any depth, which the Plan composes itself. On every
+// cell an announced outage covers it writes the sum of all announced
+// outages' contributions, added in Plan order: a member's share is fixed
+// by its position, so an outage restores exactly what it removed whatever
+// else touches the edge, and two contributions on one cell commute
+// exactly. The overlay total may exceed the edge's capacity;
+// pricing.State.Capacity saturates at zero.
 type Plan []Injector
 
 // SolveAction implements Injector.
@@ -360,35 +227,65 @@ func (p Plan) SolveAction(module string, step int) Action {
 
 // BeforeStep implements Injector.
 func (p Plan) BeforeStep(step int, st *pricing.State) {
-	for _, in := range p {
-		in.BeforeStep(step, st)
+	var live []Outage
+	for _, in := range p.leaves(nil) {
+		if o, ok := in.(Outage); !ok {
+			in.BeforeStep(step, st)
+		} else if _, _, ann := o.span(); ann <= step {
+			live = append(live, o)
+		}
+	}
+	for _, o := range live {
+		start, end, _ := o.span()
+		for _, e := range o.Edges {
+			cap := st.Net.Edge(e).Capacity
+			for t := max(start, 0); t <= end && t < st.Horizon; t++ {
+				sum := 0.0
+				for _, c := range live {
+					sum += c.down(e, t, cap)
+				}
+				st.SetOutage(e, t, sum)
+			}
+		}
 	}
 }
 
+// leaves appends p's members to dst depth-first, nested Plans flattened.
+func (p Plan) leaves(dst []Injector) []Injector {
+	for _, in := range p {
+		if sub, ok := in.(Plan); ok {
+			dst = sub.leaves(dst)
+		} else {
+			dst = append(dst, in)
+		}
+	}
+	return dst
+}
+
 // CheckEdges reports an error when in, or any injector nested in a Plan,
-// names an edge outside a network of numEdges edges. Knobs stay clamped at
-// use; an edge cannot be, since the injector would index past the state.
-func CheckEdges(in Injector, numEdges int) error {
-	var edges []graph.EdgeID
+// is nil or names an edge outside a network of numEdges edges, naming the
+// offender's position. Knobs stay clamped at use; an edge cannot be, since
+// the outage would index past the state, and a nil member would panic at
+// the first step.
+func CheckEdges(in Injector, numEdges int) error { return checkAt(in, numEdges, "") }
+
+func checkAt(in Injector, numEdges int, at string) error {
 	switch v := in.(type) {
 	case Plan:
-		for _, sub := range v {
-			if err := CheckEdges(sub, numEdges); err != nil {
+		for i, sub := range v {
+			pos := fmt.Sprintf("%s[%d]", at, i)
+			if sub == nil {
+				return fmt.Errorf("chaos: Plan member %s is nil", pos)
+			}
+			if err := checkAt(sub, numEdges, pos); err != nil {
 				return err
 			}
 		}
-	case LinkCut:
-		edges = []graph.EdgeID{v.Edge}
-	case MaintenanceDrain:
-		edges = []graph.EdgeID{v.Edge}
-	case CapacityFlap:
-		edges = []graph.EdgeID{v.Edge}
-	case CorrelatedFailure:
-		edges = v.Edges
-	}
-	for _, e := range edges {
-		if e < 0 || int(e) >= numEdges {
-			return fmt.Errorf("chaos: %T names edge %d outside the network's %d edges", in, e, numEdges)
+	case Outage:
+		for _, e := range v.Edges {
+			if e < 0 || int(e) >= numEdges {
+				return fmt.Errorf("chaos: Outage%s names edge %d outside the network's %d edges", at, e, numEdges)
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 
 	"pretium/internal/graph"
@@ -59,9 +60,11 @@ func TestPriceCorruptionMutatesOnlyWindowStep(t *testing.T) {
 	}
 }
 
+// A capacity flap is an Outage with a Period: even phases down, odd ones
+// whole.
 func TestCapacityFlapAlternatesAndRestores(t *testing.T) {
 	st, e := testState(6)
-	f := CapacityFlap{Edge: e, From: 0, To: 5, Period: 1, Frac: 0.5}
+	f := Outage{Edges: []graph.EdgeID{e}, From: 0, To: 5, Survive: 0.5, Period: 1}
 	f.BeforeStep(0, st)
 	// Phase even = down: steps 0,2,4 lose half; 1,3,5 keep all.
 	for tt := 0; tt < 6; tt++ {
@@ -100,22 +103,31 @@ func TestPlanComposesWorstAction(t *testing.T) {
 }
 
 // TestCheckEdges: in-range plans (and no plan) pass; an off-network edge
-// fails even nested two Plans deep. core's TestFaultValidation rejects
-// each edge-bearing injector through core.New.
+// or a nil member fails even nested two Plans deep, and the error names
+// the member's position. core's TestFaultValidation and
+// TestNilChaosMemberRejected reject the same plans through core.New.
 func TestCheckEdges(t *testing.T) {
 	ok := Plan{
 		SolverOutage{},
-		LinkCut{Edge: 1},
-		MaintenanceDrain{Edge: 0},
-		CapacityFlap{Edge: 1},
-		Plan{CorrelatedFailure{Edges: []graph.EdgeID{0, 1}}},
+		Outage{Edges: []graph.EdgeID{1}},
+		Plan{Outage{Edges: []graph.EdgeID{0, 1}}},
 	}
 	for _, in := range []Injector{nil, ok} {
 		if err := CheckEdges(in, 2); err != nil {
 			t.Errorf("CheckEdges(%+v) = %v, want nil", in, err)
 		}
 	}
-	if err := CheckEdges(Plan{ok, Plan{CorrelatedFailure{Edges: []graph.EdgeID{0, 2}}}}, 2); err == nil {
-		t.Error("CheckEdges accepted a nested edge outside 2")
+	for _, c := range []struct {
+		in   Injector
+		want string
+	}{
+		{Outage{Edges: []graph.EdgeID{-1}}, "chaos: Outage names edge -1"},
+		{Plan{ok, Plan{Outage{Edges: []graph.EdgeID{0, 2}}}}, "chaos: Outage[1][0] names edge 2"},
+		{Plan{nil}, "chaos: Plan member [0] is nil"},
+		{Plan{ok, Plan{SolverOutage{}, nil}}, "chaos: Plan member [1][1] is nil"},
+	} {
+		if err := CheckEdges(c.in, 2); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("CheckEdges(%+v) = %v, want %q...", c.in, err, c.want)
+		}
 	}
 }

@@ -9,41 +9,43 @@ import (
 
 const fuzzHorizon = 16
 
-// decodeFuzzPlan decodes raw bytes into a deterministic injector plan
-// over a 3-edge network. Five bytes per injector: kind, edge, window
-// start, window length, and an intensity knob. Garbage decodes to
-// aggressive-but-legal injectors on purpose — the overlay must hold its
+// decodeFuzzPlan decodes raw bytes into a deterministic outage plan over
+// a 3-edge network. Five bytes per outage: kind, edge, window start,
+// window length, and an intensity knob. The four kinds are the four
+// shapes of churn — a link cut announced two steps early, a ramped drain,
+// a flap, and a shared-risk group cut. Garbage decodes to
+// aggressive-but-legal outages on purpose — the overlay must hold its
 // invariants for any plan, not just sensible ones.
 func decodeFuzzPlan(data []byte, edges []graph.EdgeID) Plan {
 	var p Plan
 	for i := 0; i+5 <= len(data); i += 5 {
 		kind := int(data[i]) % 4
-		e := edges[int(data[i+1])%len(edges)]
-		// Windows may start before 0 and run past the horizon; injectors
+		e := one(edges[int(data[i+1])%len(edges)])
+		// Windows may start before 0 and run past the horizon; outages
 		// must clip them.
 		from := int(data[i+2])%(fuzzHorizon+6) - 3
 		to := from + int(data[i+3])%(fuzzHorizon+3)
 		knob := float64(data[i+4]) / 100 // may exceed 1: clamping is part of the contract
 		switch kind {
 		case 0:
-			p = append(p, LinkCut{Edge: e, From: from, To: to, Survive: knob, Announce: from - 2})
+			p = append(p, Outage{Edges: e, From: from, To: to, Survive: knob, Announce: from - 2})
 		case 1:
-			p = append(p, MaintenanceDrain{Edge: e, From: from, To: to, Ramp: int(data[i+4]) % 4, Survive: knob})
+			p = append(p, Outage{Edges: e, From: from, To: to, Ramp: int(data[i+4]) % 4, Survive: knob})
 		case 2:
-			p = append(p, CapacityFlap{Edge: e, From: from, To: to, Period: 1 + int(data[i+4])%3, Frac: knob})
+			p = append(p, Outage{Edges: e, From: from, To: to, Period: 1 + int(data[i+4])%3, Survive: 1 - knob})
 		case 3:
-			p = append(p, CorrelatedFailure{Edges: edges[:1+int(data[i+4])%len(edges)], From: from, To: to, Survive: knob})
+			p = append(p, Outage{Edges: edges[:1+int(data[i+4])%len(edges)], From: from, To: to, Survive: knob})
 		}
 	}
 	return p
 }
 
-// FuzzChurnOverlay drives random injector plans through a full horizon
+// FuzzChurnOverlay drives random outage plans through a full horizon
 // and asserts the overlay's safety invariants: no (edge, step) capacity
 // ever goes negative, windows that have fully passed restore the exact
 // original capacity, and the high-pri set-aside survives untouched.
 func FuzzChurnOverlay(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 4, 0})                                 // one full LinkCut
+	f.Add([]byte{0, 0, 2, 4, 0})                                 // one full link cut
 	f.Add([]byte{1, 1, 3, 5, 120})                               // over-unity drain knob
 	f.Add([]byte{2, 0, 0, 15, 50, 1, 0, 0, 15, 40})              // flap + drain same edge
 	f.Add([]byte{3, 2, 1, 6, 10, 0, 0, 1, 6, 0, 2, 1, 2, 9, 90}) // srlg + cut + flap
@@ -60,32 +62,16 @@ func FuzzChurnOverlay(f *testing.F) {
 			n.AddEdge(a, c, 13),
 		}
 		st := pricing.NewState(n, fuzzHorizon, 1)
-		// A standing high-pri set-aside the injectors must not disturb.
+		// A standing high-pri set-aside the outages must not disturb.
 		st.SetHighPri(edges[0], 5, 2)
 
 		p := decodeFuzzPlan(data, edges)
-		// Latest step any injector may still be touching (drains extend
-		// Ramp steps past To; everything else ends at To).
+		// Latest step any outage may still be touching (drains extend
+		// Ramp steps past To).
 		lastTouched := -1
 		for _, in := range p {
-			switch v := in.(type) {
-			case LinkCut:
-				if v.To > lastTouched {
-					lastTouched = v.To
-				}
-			case MaintenanceDrain:
-				if end := v.To + v.Ramp; end > lastTouched {
-					lastTouched = end
-				}
-			case CapacityFlap:
-				if v.To > lastTouched {
-					lastTouched = v.To
-				}
-			case CorrelatedFailure:
-				if v.To > lastTouched {
-					lastTouched = v.To
-				}
-			}
+			_, end, _ := in.(Outage).span()
+			lastTouched = max(lastTouched, end)
 		}
 
 		for step := 0; step < fuzzHorizon; step++ {
@@ -122,7 +108,7 @@ func FuzzChurnOverlay(f *testing.F) {
 			}
 		}
 		if got := st.HighPri[edges[0]][5]; got != 2 {
-			t.Fatalf("injectors disturbed the high-pri set-aside: %v", got)
+			t.Fatalf("outages disturbed the high-pri set-aside: %v", got)
 		}
 	})
 }

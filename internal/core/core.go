@@ -43,16 +43,17 @@ type Config struct {
 	// non-negative.
 	MinPrice float64
 	// HighPriEstimate, when non-nil, is the capacity set aside for
-	// high-pri traffic, indexed [edge][step] over the horizon — typically
-	// pricing.EstimateHighPriSetAside of historical high-pri usage (§4.4).
-	// Every cell must be finite and non-negative; it clamps to capacity.
+	// high-pri traffic, one row of exactly Horizon steps per edge —
+	// typically pricing.EstimateHighPriSetAside of historical high-pri
+	// usage (§4.4). Every cell must be finite and non-negative; it clamps
+	// to capacity.
 	HighPriEstimate [][]float64
 	// HighPriActual, when non-nil, is the high-pri traffic that actually
 	// materializes: it physically consumes link capacity whether or not
 	// the estimate covered it, so an underestimate squeezes scheduled
 	// transfers exactly like an unannounced fault — which is how one is
 	// modelled: leaving fraction f of edge e adds Capacity*(1-f) to its
-	// cells. Every cell must be finite and non-negative.
+	// cells. Its shape and cells obey HighPriEstimate's rule.
 	HighPriActual [][]float64
 	// EnableSAM switches schedule adjustment, run every timestep as the
 	// paper recommends (off = Pretium-NoSAM).
@@ -75,7 +76,7 @@ type Config struct {
 	// outages, price corruption, and capacity flaps at exact steps and
 	// assert the controller's degradation ladder handles each one. With
 	// HighPriActual it is the only capacity-loss input: an announced fault
-	// is a chaos.LinkCut, planned around and repaired like any outage.
+	// is a chaos.Outage, planned around and repaired like any outage.
 	Chaos chaos.Injector
 	// Obs, when non-nil, receives the controller's metrics (admissions,
 	// ladder levels, solver telemetry, price duals) and its structured
@@ -252,9 +253,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		}
 	}
 	if cfg.HighPriEstimate != nil {
-		if err := st.SetHighPriMatrix(cfg.HighPriEstimate); err != nil {
-			return nil, err
-		}
+		_ = st.SetHighPriMatrix(cfg.HighPriEstimate) // vetted by checkHighPri above
 	}
 	c := &Controller{
 		cfg:            cfg,
@@ -299,15 +298,16 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // checkHighPri validates a per-(edge, step) high-pri matrix named name:
-// nil, or one row per edge covering the horizon with every cell finite
-// and non-negative.
+// nil, or one row per edge of exactly horizon steps with every cell
+// finite and non-negative. It is the one shape rule for both Config
+// matrices.
 func checkHighPri(name string, m [][]float64, edges, horizon int) error {
 	if m != nil && len(m) != edges {
 		return fmt.Errorf("core: %s has %d edges, want %d", name, len(m), edges)
 	}
 	for e, row := range m {
-		if len(row) < horizon {
-			return fmt.Errorf("core: %s row %d has %d steps, horizon is %d", name, e, len(row), horizon)
+		if len(row) != horizon {
+			return fmt.Errorf("core: %s row %d has %d steps, want the horizon's %d", name, e, len(row), horizon)
 		}
 		for t, v := range row {
 			if !finiteNonNeg(v) {

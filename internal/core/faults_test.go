@@ -101,7 +101,7 @@ func TestAnnouncedFaultRespreadsLoad(t *testing.T) {
 	n, a, b := simpleNet()
 	req := mkReq(n, 0, a, b, 0, 0, 3, 20, 5)
 	cfg := smallConfig(4)
-	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 1, To: 2}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 2}
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestAnnouncedFaultRespreadsLoad(t *testing.T) {
 func TestAnnouncedLinkCutStrandingGuaranteeIsRefunded(t *testing.T) {
 	n, a, b := simpleNet()
 	cfg := smallConfig(3)
-	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 1, To: 2}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 2}
 	c, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 20, 5)}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,19 +205,14 @@ func TestPartialFaultScalesProportionally(t *testing.T) {
 }
 
 // TestFaultValidation: New rejects a chaos plan naming an edge outside
-// the network, for every edge-bearing injector and inside a Plan, instead
-// of letting the first step index past the state.
+// the network, on its own and inside a Plan, instead of letting the first
+// step index past the state.
 func TestFaultValidation(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
 	for _, e := range []graph.EdgeID{-1, graph.EdgeID(n.NumEdges())} {
-		for _, in := range []chaos.Injector{
-			chaos.LinkCut{Edge: e, From: 0, To: 0},
-			chaos.MaintenanceDrain{Edge: e, From: 0, To: 0},
-			chaos.CapacityFlap{Edge: e, From: 0, To: 0, Period: 1, Frac: 0.5},
-			chaos.CorrelatedFailure{Edges: []graph.EdgeID{0, e}, From: 0, To: 0},
-			chaos.Plan{chaos.SolverOutage{}, chaos.LinkCut{Edge: e, From: 0, To: 0}},
-		} {
+		cut := chaos.Outage{Edges: []graph.EdgeID{0, e}, From: 0, To: 0}
+		for _, in := range []chaos.Injector{cut, chaos.Plan{chaos.SolverOutage{}, cut}} {
 			cfg := smallConfig(1)
 			cfg.Chaos = in
 			c, err := New(n, reqs, cfg)
@@ -225,6 +220,25 @@ func TestFaultValidation(t *testing.T) {
 				t.Errorf("%T on edge %d of %d accepted", in, e, n.NumEdges())
 				c.Run() // an unchecked plan panics at its first step
 			}
+		}
+	}
+}
+
+// TestNilChaosMemberRejected: a nil member of a chaos Plan, at any depth,
+// is refused by New rather than panicking at the first step of Run.
+func TestNilChaosMemberRejected(t *testing.T) {
+	n, a, b := simpleNet()
+	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
+	for _, in := range []chaos.Injector{
+		chaos.Plan{nil},
+		chaos.Plan{chaos.SolverOutage{}, chaos.Plan{chaos.PriceCorruption{}, nil}},
+	} {
+		cfg := smallConfig(1)
+		cfg.Chaos = in
+		c, err := New(n, reqs, cfg)
+		if err == nil {
+			t.Errorf("%+v accepted", in)
+			c.Run() // a nil member panics at the first step
 		}
 	}
 }
@@ -243,7 +257,7 @@ func TestFaultPreservesOtherEdges(t *testing.T) {
 	routes := net.KShortestPaths(s, d, 2)
 	req := &traffic.Request{ID: 0, Src: s, Dst: d, Routes: routes, Arrival: 0, Start: 0, End: 1, Demand: 16, Value: 5}
 	cfg := smallConfig(2)
-	cfg.Chaos = chaos.LinkCut{Edge: sx, From: 0, To: 1}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{sx}, From: 0, To: 1}
 	c, err := New(net, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -295,9 +309,9 @@ func TestNewLeavesFaultsUntouched(t *testing.T) {
 	n, a, b := simpleNet()
 	cfg := smallConfig(4)
 	cfg.HighPriActual = silentFault(n, 4, 0, 1, 2, 0.5)
-	cfg.Chaos = chaos.Plan{chaos.LinkCut{Edge: 0, From: 3, To: 3, Announce: 1}}
+	cfg.Chaos = chaos.Plan{chaos.Outage{Edges: []graph.EdgeID{0}, From: 3, To: 3, Announce: 1}}
 	wantActual := silentFault(n, 4, 0, 1, 2, 0.5)
-	wantChaos := chaos.Plan{chaos.LinkCut{Edge: 0, From: 3, To: 3, Announce: 1}}
+	wantChaos := chaos.Plan{chaos.Outage{Edges: []graph.EdgeID{0}, From: 3, To: 3, Announce: 1}}
 	c, err := New(n, []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +331,7 @@ func TestControllersShareConfig(t *testing.T) {
 	n, a, b := simpleNet()
 	cfg := smallConfig(4)
 	cfg.HighPriActual = silentFault(n, 4, 0, 1, 1, 0.5)
-	cfg.Chaos = chaos.Plan{chaos.LinkCut{Edge: 0, From: 2, To: 2, Survive: 0.5}}
+	cfg.Chaos = chaos.Plan{chaos.Outage{Edges: []graph.EdgeID{0}, From: 2, To: 2, Survive: 0.5}}
 	var wg sync.WaitGroup
 	outs := make([]*sim.Outcome, 2)
 	errs := make([]error, 2)

@@ -131,6 +131,28 @@ func TestHighPriEstimateValidation(t *testing.T) {
 	}
 }
 
+// TestHighPriMatricesShareShapeRule: the planner's set-aside and the
+// actual high-pri use obey one shape rule — exactly Horizon steps per
+// edge — so each row length gets the same verdict for both matrices.
+func TestHighPriMatricesShareShapeRule(t *testing.T) {
+	n, a, b := simpleNet()
+	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
+	const horizon = 3
+	for _, steps := range []int{horizon - 1, horizon, horizon + 1} {
+		m := make([][]float64, n.NumEdges())
+		for e := range m {
+			m[e] = make([]float64, steps)
+		}
+		estimate, actual := smallConfig(horizon), smallConfig(horizon)
+		estimate.HighPriEstimate, actual.HighPriActual = m, m
+		for name, cfg := range map[string]Config{"HighPriEstimate": estimate, "HighPriActual": actual} {
+			if _, err := New(n, reqs, cfg); (err == nil) != (steps == horizon) {
+				t.Errorf("%s rows of %d steps over horizon %d: err = %v", name, steps, horizon, err)
+			}
+		}
+	}
+}
+
 func TestEstimateHighPriSetAside(t *testing.T) {
 	// Two days, two steps per day; hour 0 loads {2, 4}, hour 1 loads
 	// {10, 10}.

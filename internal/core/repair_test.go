@@ -68,7 +68,7 @@ func TestRepairReroutesAroundLinkCut(t *testing.T) {
 	n, a, b, e1, _, _ := twoPathNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 2, 10, 5)}
 	cfg := smallConfig(4)
-	cfg.Chaos = chaos.LinkCut{Edge: e1, From: 1, To: 2}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{e1}, From: 1, To: 2}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRepairReplansJointly(t *testing.T) {
 		Arrival: 0, Start: 1, End: 1, Demand: 10, Value: 5,
 	}
 	cfg := smallConfig(4)
-	cfg.Chaos = chaos.LinkCut{Edge: e1, From: 1, To: 1}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{e1}, From: 1, To: 1}
 	c, err := New(n, []*traffic.Request{flexible, rigid}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestRepairPreemptsCheapestAndRefunds(t *testing.T) {
 		mkReq(n, 1, a, b, 0, 1, 1, 6, 5),
 	}
 	cfg := smallConfig(3)
-	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 1, To: 1, Survive: 0.5}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 1, Survive: 0.5}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestRepairAllPathsCutPreemptsEverything(t *testing.T) {
 		mkReq(n, 1, a, b, 0, 1, 2, 4, 5),
 	}
 	cfg := smallConfig(4)
-	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 1, To: 2}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 2}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestRepairSkippedWhenSolverDead(t *testing.T) {
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 2, 10, 5)}
 	cfg := smallConfig(4)
 	cfg.Chaos = chaos.Plan{
-		chaos.LinkCut{Edge: 0, From: 1, To: 2},
+		chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 2},
 		chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 3},
 	}
 	c, err := New(n, reqs, cfg)
@@ -259,7 +259,7 @@ func TestRepairIdleWhenPlanUnaffected(t *testing.T) {
 		Arrival: 0, Start: 1, End: 2, Demand: 10, Value: 5,
 	}
 	cfg := smallConfig(4)
-	cfg.Chaos = chaos.LinkCut{Edge: e1, From: 1, To: 2}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{e1}, From: 1, To: 2}
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestRepairAroundAnnouncedDrain(t *testing.T) {
 	n, a, b, e1, _, _ := twoPathNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 3, 10, 5)}
 	cfg := smallConfig(5)
-	cfg.Chaos = chaos.MaintenanceDrain{Edge: e1, From: 1, To: 3, Ramp: 0, Survive: 0}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{e1}, From: 1, To: 3}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)

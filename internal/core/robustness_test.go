@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pretium/internal/chaos"
+	"pretium/internal/graph"
 	"pretium/internal/sim"
 	"pretium/internal/traffic"
 )
@@ -155,7 +156,7 @@ func TestUnannouncedFaultWithRateAndScavenger(t *testing.T) {
 	// an unannounced fault step (actual high-pri use) and t=2 a cut
 	// announced at onset.
 	cfg.HighPriActual = silentFault(n, 4, 0, 1, 1, 0.5)
-	cfg.Chaos = chaos.LinkCut{Edge: 0, From: 2, To: 2, Survive: 0.5}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 2, To: 2, Survive: 0.5}
 	c, err := New(n, []*traffic.Request{rate, scav}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +231,7 @@ func TestCapacityFlapNeverViolatesCapacity(t *testing.T) {
 		mkReq(n, 1, a, b, 1, 1, 4, 10, 3),
 	}
 	cfg := smallConfig(6)
-	cfg.Chaos = chaos.CapacityFlap{Edge: 0, From: 0, To: 5, Period: 1, Frac: 0.6}
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 0, To: 5, Survive: 0.4, Period: 1}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -266,7 +266,7 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	}
 	const cutAt = 5
 	net, reqs, cfg := wideWAN()
-	cut := chaos.CorrelatedFailure{From: cutAt, To: cutAt + 3, Survive: 0.7}
+	cut := chaos.Outage{From: cutAt, To: cutAt + 3, Survive: 0.7}
 	for _, e := range net.Edges() {
 		cut.Edges = append(cut.Edges, e.ID)
 	}

@@ -189,8 +189,8 @@ func busiestEdge(s *Setup, from, to int) graph.EdgeID {
 func DefaultScenarios(s *Setup) []Scenario {
 	steps := s.Scale.Steps
 	mid := steps / 3
-	fattest := fattestEdge(s.Net)
-	busiest := busiestEdge(s, mid, 2*mid)
+	fattest := []graph.EdgeID{fattestEdge(s.Net)}
+	busiest := []graph.EdgeID{busiestEdge(s, mid, 2*mid)}
 	srlg := srlgGroup(s.Net)
 	ramp := max(s.Scale.StepsPerDay/4, 1)
 	return []Scenario{
@@ -202,24 +202,24 @@ func DefaultScenarios(s *Setup) []Scenario {
 		{"pc-outage-all", chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1, Mode: chaos.Fail}, 1.0},
 		{"price-spike-10x", chaos.PriceCorruption{From: mid, To: 2 * mid, Factor: 10}, 1.5},
 		{"price-zero", chaos.PriceCorruption{From: mid, To: 2 * mid, Factor: 0}, 3},
-		{"fat-link-flap", chaos.CapacityFlap{Edge: fattest, From: 0, To: steps - 1, Period: 1, Frac: 0.5}, 1.5},
+		{"fat-link-flap", chaos.Outage{Edges: fattest, From: 0, To: steps - 1, Survive: 0.5, Period: 1}, 1.5},
 		{"perfect-storm", chaos.Plan{
 			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: 2 * mid, Mode: chaos.Fail},
 			chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1, Mode: chaos.Fail},
-			chaos.CapacityFlap{Edge: fattest, From: mid, To: 2 * mid, Period: 2, Frac: 0.5},
+			chaos.Outage{Edges: fattest, From: mid, To: 2 * mid, Survive: 0.5, Period: 2},
 		}, 3},
-		{"fat-cut", chaos.LinkCut{Edge: busiest, From: mid, To: 2 * mid}, 1.0},
-		{"partial-cut-announced", chaos.LinkCut{Edge: busiest, From: mid, To: 2 * mid, Survive: 0.5, Announce: -1}, 1.0},
-		{"maintenance-drain", chaos.MaintenanceDrain{Edge: busiest, From: mid, To: 2 * mid, Ramp: ramp, Announce: -1}, 1.0},
-		{"srlg-site-cut", chaos.CorrelatedFailure{Edges: srlg, From: mid, To: 2 * mid}, 1.0},
+		{"fat-cut", chaos.Outage{Edges: busiest, From: mid, To: 2 * mid}, 1.0},
+		{"partial-cut-announced", chaos.Outage{Edges: busiest, From: mid, To: 2 * mid, Survive: 0.5, Announce: -1}, 1.0},
+		{"maintenance-drain", chaos.Outage{Edges: busiest, From: mid, To: 2 * mid, Ramp: ramp, Announce: -1}, 1.0},
+		{"srlg-site-cut", chaos.Outage{Edges: srlg, From: mid, To: 2 * mid}, 1.0},
 		{"flap-drain-compose", chaos.Plan{
-			chaos.CapacityFlap{Edge: busiest, From: mid, To: 2 * mid, Period: 2, Frac: 0.5},
-			chaos.MaintenanceDrain{Edge: busiest, From: mid, To: 2 * mid, Ramp: ramp, Survive: 0.5, Announce: -1},
+			chaos.Outage{Edges: busiest, From: mid, To: 2 * mid, Survive: 0.5, Period: 2},
+			chaos.Outage{Edges: busiest, From: mid, To: 2 * mid, Survive: 0.5, Ramp: ramp, Announce: -1},
 		}, 1.0},
 		{"churn-storm", chaos.Plan{
-			chaos.LinkCut{Edge: busiest, From: mid, To: 2 * mid},
-			chaos.CorrelatedFailure{Edges: srlg, From: mid + 1, To: 2 * mid},
-			chaos.MaintenanceDrain{Edge: busiest, From: 2*mid + 1, To: steps - 1, Ramp: ramp, Announce: -1},
+			chaos.Outage{Edges: busiest, From: mid, To: 2 * mid},
+			chaos.Outage{Edges: srlg, From: mid + 1, To: 2 * mid},
+			chaos.Outage{Edges: busiest, From: 2*mid + 1, To: steps - 1, Ramp: ramp, Announce: -1},
 		}, 1.0},
 		// The no-repair-possible worst case: the solver dies at the same
 		// instant the topology churns, so plans laid while it was healthy
@@ -227,7 +227,7 @@ func DefaultScenarios(s *Setup) []Scenario {
 		// record repair-skipped and renege *visibly* — conservation and
 		// capacity invariants still hold, silent violation never does.
 		{"cut-with-dead-solver", chaos.Plan{
-			chaos.CorrelatedFailure{Edges: srlg, From: mid, To: 2 * mid},
+			chaos.Outage{Edges: srlg, From: mid, To: 2 * mid},
 			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: steps - 1, Mode: chaos.Fail},
 		}, 1.0},
 	}

@@ -7,6 +7,7 @@ import (
 
 	"pretium/internal/chaos"
 	"pretium/internal/core"
+	"pretium/internal/graph"
 )
 
 // rowCols indexes a row's columns by name.
@@ -91,13 +92,13 @@ func TestStopsSAM(t *testing.T) {
 		want bool
 	}{
 		{"sam-outage", samOut, true},
-		{"sam-outage-in-plan", chaos.Plan{chaos.LinkCut{Edge: 0, From: 1, To: 3}, samOut}, true},
+		{"sam-outage-in-plan", chaos.Plan{chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 3}, samOut}, true},
 		{"sam-timeout", chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 0, Mode: chaos.Timeout}, true},
 		{"sam-outage-past-horizon", chaos.SolverOutage{Module: chaos.ModuleSAM, From: steps, To: 2 * steps}, false},
 		{"pc-outage", chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1, Mode: chaos.Fail}, false},
-		{"link-cut", chaos.LinkCut{Edge: 0, From: 0, To: steps - 1}, false},
+		{"link-cut", chaos.Outage{Edges: []graph.EdgeID{0}, From: 0, To: steps - 1}, false},
 		{"price-corruption", chaos.PriceCorruption{From: 0, To: steps - 1, Factor: 0}, false},
-		{"capacity-flap", chaos.CapacityFlap{Edge: 0, From: 0, To: steps - 1, Period: 1, Frac: 0.5}, false},
+		{"capacity-flap", chaos.Outage{Edges: []graph.EdgeID{0}, From: 0, To: steps - 1, Survive: 0.5, Period: 1}, false},
 	}
 	for _, c := range cases {
 		if got := stopsSAM(c.inj, steps); got != c.want {
@@ -174,7 +175,7 @@ func TestRunScenarioSRLGPreempts(t *testing.T) {
 			}
 			r, err := s.RunScenario(clean, Scenario{
 				Name:           "srlg-" + c.name,
-				Injector:       chaos.CorrelatedFailure{Edges: srlgGroup(s.Net), From: c.from, To: c.to},
+				Injector:       chaos.Outage{Edges: srlgGroup(s.Net), From: c.from, To: c.to},
 				MaxWelfareLoss: 1.0,
 			})
 			if err != nil {

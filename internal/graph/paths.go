@@ -30,11 +30,12 @@ func (n *Network) ShortestPath(src, dst NodeID) Path {
 // loop depends on k but termination — so one entry holding the longest
 // list asked for so far serves every smaller k.
 //
-// Only AddNode and AddEdge reset the memo. Link cuts, drains and SRLG
-// failures never invalidate it: they are capacity overlays on
-// pricing.State (SetOutage), the topology object does not change after
-// construction, and the controller's repair re-routes over a request's
-// own Routes rather than searching afresh.
+// Only AddNode and AddEdge reset the memo. Outages — link cuts, drains,
+// flaps and SRLG failures alike — never invalidate it: a chaos.Outage
+// only lowers capacity through pricing.State's overlay (SetOutage), the
+// topology object does not change after construction, and the
+// controller's repair re-routes over a request's own Routes rather than
+// searching afresh.
 func (n *Network) KShortestPaths(src, dst NodeID, k int) []Path {
 	nn := len(n.nodes)
 	if k <= 0 || src == dst || src < 0 || dst < 0 || int(src) >= nn || int(dst) >= nn {

@@ -137,7 +137,7 @@ func TestQuoteFastPathBoundary(t *testing.T) {
 			// A cut link prices at the premium, 0.3·2 + 0.3 = 0.9: still
 			// under the direct link's 1, and with no room at all.
 			st, req := twoRouteWorld([3]float64{1, 0.3, 0.3}, DefaultAdjust())
-			st.SetOutage("cut", req.Routes[1][0], 1, 100)
+			st.SetOutage(req.Routes[1][0], 1, 100)
 			return st, req, 50
 		}, []Segment{{Bytes: 50, Price: 0.6, RouteIdx: 1, Time: 2}}},
 		{"overlay needed: the quote outgrows the first minimum", func() (*State, *traffic.Request, float64) {
@@ -229,7 +229,7 @@ func applyQuoteShape(shape uint8, st *State, req *traffic.Request) float64 {
 	case 9: // cut one edge of the cheapest route
 		if ok {
 			e := req.Routes[route][len(req.Routes[route])-1]
-			st.SetOutage("cut", e, step, st.Net.Edge(e).Capacity)
+			st.SetOutage(e, step, st.Net.Edge(e).Capacity)
 		}
 	}
 	return req.Demand

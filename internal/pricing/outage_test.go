@@ -19,7 +19,7 @@ func TestSetOutageReducesCapacityAndRestoresExactly(t *testing.T) {
 	st, e := outageState(4)
 	orig := st.Capacity(e, 1)
 	room := st.segmentRoom(e, 1, 0)
-	st.SetOutage("cut", e, 1, 7)
+	st.SetOutage(e, 1, 7)
 	if got := st.Capacity(e, 1); got != 3 {
 		t.Errorf("capacity under outage = %v, want 3", got)
 	}
@@ -30,7 +30,7 @@ func TestSetOutageReducesCapacityAndRestoresExactly(t *testing.T) {
 	if got := st.segmentRoom(e, 1, 0); got >= room {
 		t.Errorf("cached room %v did not shrink (was %v)", got, room)
 	}
-	st.SetOutage("cut", e, 1, 0)
+	st.SetOutage(e, 1, 0)
 	if got := st.Capacity(e, 1); got != orig {
 		t.Errorf("capacity after restore = %v, want %v exactly", got, orig)
 	}
@@ -42,39 +42,16 @@ func TestSetOutageReducesCapacityAndRestoresExactly(t *testing.T) {
 	}
 }
 
-// Two sources stacking on one cell must saturate (never negative) and
-// each restore must subtract exactly its own contribution — the property
-// the old flap math (overwriting the shared set-aside) lost.
-func TestOutageSourcesStackAndRestoreIndependently(t *testing.T) {
-	st, e := outageState(3)
-	st.SetOutage("cut", e, 0, 8)
-	st.SetOutage("drain", e, 0, 6)
-	if got := st.Capacity(e, 0); got != 0 {
-		t.Errorf("stacked outage capacity = %v, want 0 (saturated)", got)
-	}
-	if got := st.OutageAt(e, 0); got != 14 {
-		t.Errorf("OutageAt = %v, want 14 (unclamped sum)", got)
-	}
-	st.SetOutage("cut", e, 0, 0)
-	if got := st.Capacity(e, 0); got != 4 {
-		t.Errorf("capacity after lifting the cut = %v, want 4 (drain persists)", got)
-	}
-	st.SetOutage("drain", e, 0, 0)
-	if got := st.Capacity(e, 0); got != 10 {
-		t.Errorf("capacity after lifting both = %v, want 10 exactly", got)
-	}
-}
-
 // The overlay must compose with the high-pri set-aside without either
 // clobbering the other.
 func TestOutageComposesWithHighPriSetAside(t *testing.T) {
 	st, e := outageState(2)
 	st.SetHighPri(e, 0, 3) // high-pri sets aside 3
-	st.SetOutage("cut", e, 0, 4)
+	st.SetOutage(e, 0, 4)
 	if got := st.Capacity(e, 0); got != 3 {
 		t.Errorf("capacity = %v, want 3 (10 - 3 set-aside - 4 outage)", got)
 	}
-	st.SetOutage("cut", e, 0, 0)
+	st.SetOutage(e, 0, 0)
 	if got := st.Capacity(e, 0); got != 7 {
 		t.Errorf("capacity after outage restore = %v, want 7 (set-aside intact)", got)
 	}
@@ -83,48 +60,51 @@ func TestOutageComposesWithHighPriSetAside(t *testing.T) {
 	}
 }
 
+// SetOutage stores a cell's total as given — composing outages, and
+// clamping each to its link, is chaos.Plan's job — so a total past the
+// capacity is kept for OutageAt while Capacity clamps at zero; negative
+// and NaN totals are stored as 0.
 func TestSetOutageClampsAndSanitizes(t *testing.T) {
 	st, e := outageState(2)
-	st.SetOutage("a", e, 0, 25) // beyond physical capacity
-	if got := st.OutageAt(e, 0); got != 10 {
-		t.Errorf("over-capacity outage stored as %v, want clamped 10", got)
-	}
-	st.SetOutage("a", e, 0, -5)
-	if got := st.OutageAt(e, 0); got != 0 {
-		t.Errorf("negative outage stored as %v, want 0", got)
-	}
-	st.SetOutage("a", e, 0, math.NaN())
-	if got := st.OutageAt(e, 0); got != 0 {
-		t.Errorf("NaN outage stored as %v, want 0", got)
-	}
-	st.SetOutage("a", e, 0, math.Inf(1))
-	if got := st.OutageAt(e, 0); got != 10 {
-		t.Errorf("+Inf outage stored as %v, want clamped 10", got)
+	st.SetOutage(e, 0, 25) // stacked past physical capacity
+	if got := st.OutageAt(e, 0); got != 25 {
+		t.Errorf("over-capacity outage stored as %v, want the unclamped 25", got)
 	}
 	if got := st.Capacity(e, 0); got != 0 {
 		t.Errorf("capacity = %v, want 0", got)
 	}
+	st.SetOutage(e, 0, -5)
+	if got := st.OutageAt(e, 0); got != 0 {
+		t.Errorf("negative outage stored as %v, want 0", got)
+	}
+	st.SetOutage(e, 0, math.NaN())
+	if got := st.OutageAt(e, 0); got != 0 {
+		t.Errorf("NaN outage stored as %v, want 0", got)
+	}
+	if got := st.Capacity(e, 0); got != 10 {
+		t.Errorf("capacity after sanitized writes = %v, want 10", got)
+	}
 	// Out-of-range steps are ignored, not panics.
-	st.SetOutage("a", e, -1, 5)
-	st.SetOutage("a", e, 99, 5)
+	st.SetOutage(e, -1, 5)
+	st.SetOutage(e, 99, 5)
 }
 
 func TestOutageVersionCountsEffectiveMutations(t *testing.T) {
 	st, e := outageState(3)
 	v0 := st.OutageVersion()
-	st.SetOutage("a", e, 0, 5)
+	st.SetOutage(e, 0, 5)
 	if st.OutageVersion() != v0+1 {
 		t.Error("version did not advance on a new outage")
 	}
-	st.SetOutage("a", e, 0, 5) // idempotent rewrite
+	st.SetOutage(e, 0, 5) // idempotent rewrite
 	if st.OutageVersion() != v0+1 {
 		t.Error("version advanced on a no-op rewrite")
 	}
-	st.SetOutage("a", e, 0, 0)
+	st.SetOutage(e, 0, 0)
 	if st.OutageVersion() != v0+2 {
 		t.Error("version did not advance on restore")
 	}
-	st.SetOutage("a", e, 0, 0) // restoring an absent entry: no-op
+	st.SetOutage(e, 0, 0) // restoring an absent entry: no-op
 	if st.OutageVersion() != v0+2 {
 		t.Error("version advanced on a no-op restore")
 	}
@@ -137,7 +117,7 @@ func TestOutageActiveScopesToWindow(t *testing.T) {
 	if st.OutageActive(0, 4) {
 		t.Error("pristine overlay reported active")
 	}
-	st.SetOutage("cut", e, 2, 5)
+	st.SetOutage(e, 2, 5)
 	if !st.OutageActive(0, 4) {
 		t.Error("active cut not reported over the full horizon")
 	}
@@ -154,7 +134,7 @@ func TestOutageActiveScopesToWindow(t *testing.T) {
 	if !st.OutageActive(-3, 99) {
 		t.Error("clamped window missed the cut")
 	}
-	st.SetOutage("cut", e, 2, 0)
+	st.SetOutage(e, 2, 0)
 	if st.OutageActive(0, 4) {
 		t.Error("restored overlay still reported active")
 	}

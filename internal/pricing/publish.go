@@ -95,7 +95,6 @@ func (s *State) Clone() *State {
 	c.segPrice = append([]float64(nil), s.segPrice...)
 	c.segRoom = append([]float64(nil), s.segRoom...)
 	c.outTotal = append([]float64(nil), s.outTotal...)
-	c.outBySrc = cloneOutages(s.outBySrc)
 	return c
 }
 
@@ -103,18 +102,6 @@ func cloneMatrix(m [][]float64) [][]float64 {
 	out := make([][]float64, len(m))
 	for i, row := range m {
 		out[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
-func cloneOutages(m map[string]map[int]float64) map[string]map[int]float64 {
-	out := make(map[string]map[int]float64, len(m))
-	for src, cells := range m {
-		cc := make(map[int]float64, len(cells))
-		for i, v := range cells {
-			cc[i] = v
-		}
-		out[src] = cc
 	}
 	return out
 }
@@ -145,7 +132,6 @@ func (s *State) Successor(plan *State) (live, view *State, err error) {
 		BasePrice: cloneMatrix(plan.BasePrice),
 		HighPri:   cloneMatrix(plan.HighPri),
 		outTotal:  append([]float64(nil), plan.outTotal...),
-		outBySrc:  cloneOutages(plan.outBySrc),
 		outVer:    plan.outVer,
 	}
 	view = new(State)

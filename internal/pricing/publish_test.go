@@ -12,7 +12,7 @@ func publishTestState(t *testing.T) *State {
 	net := lineNetwork(t, 3)
 	st := NewState(net, 4, 1.0)
 	setUniformHighPri(t, st, 0.1)
-	st.SetOutage("churn", 0, 1, 2.5)
+	st.SetOutage(0, 1, 2.5)
 	st.Reserve(graph.Path{0, 1}, 2, 3.0)
 	return st
 }
@@ -57,7 +57,7 @@ func TestPublishPoisonsPlanningMutators(t *testing.T) {
 	mustPanic(t, "SetBasePrice", func() { st.SetBasePrice(0, 0, 2) })
 	mustPanic(t, "SetHighPri", func() { st.SetHighPri(0, 0, 1) })
 	mustPanic(t, "SetHighPriMatrix", func() { _ = st.SetHighPriMatrix(st.HighPri) })
-	mustPanic(t, "SetOutage", func() { st.SetOutage("x", 0, 0, 1) })
+	mustPanic(t, "SetOutage", func() { st.SetOutage(0, 0, 1) })
 	mustPanic(t, "SetReserved", func() { _ = st.SetReserved(st.Reserved) })
 	mustPanic(t, "SetPricesWindow", func() { _ = st.SetPricesWindow(0, st.BasePrice) })
 
@@ -106,7 +106,7 @@ func TestCloneIndependence(t *testing.T) {
 	origRes := st.Reserved[0][2]
 
 	c.SetBasePrice(0, 0, 9.0)
-	c.SetOutage("churn", 0, 1, 0) // restore the outage in the clone only
+	c.SetOutage(0, 1, 0) // restore the outage in the clone only
 	c.Reserve(graph.Path{0}, 2, 7)
 
 	if got := st.MarginalPrice(0, 0, 0); got != origPrice {
@@ -205,20 +205,20 @@ func TestSuccessorCarriesPlanAndRoom(t *testing.T) {
 		}
 		// The plan stays the caller's: nothing in the pair aliases it.
 		plan.SetBasePrice(0, 0, 77)
-		plan.SetOutage("later", 1, 2, 1)
+		plan.SetOutage(1, 2, 1)
 		if live.BasePrice[0][0] == 77 || view.BasePrice[0][0] == 77 || live.OutageAt(1, 2) != 0 {
 			t.Fatalf("adopt=%v: the pair aliases the plan's arrays", adopt)
 		}
 		plan.SetBasePrice(0, 0, 1)
-		plan.SetOutage("later", 1, 2, 0)
+		plan.SetOutage(1, 2, 0)
 
 		// What the pair shares is poisoned on both and deep-copied by Clone.
 		mustPanic(t, "SetBasePrice", func() { live.SetBasePrice(0, 0, 2) })
-		mustPanic(t, "SetOutage", func() { view.SetOutage("x", 0, 0, 1) })
+		mustPanic(t, "SetOutage", func() { view.SetOutage(0, 0, 1) })
 		c := live.Clone()
 		c.SetBasePrice(0, 0, 9)
 		c.SetHighPri(1, 1, 50)
-		c.SetOutage("churn", 0, 1, 0)
+		c.SetOutage(0, 1, 0)
 		if live.BasePrice[0][0] == 9 || view.HighPri[1][1] == 50 || view.OutageAt(0, 1) != plan.OutageAt(0, 1) {
 			t.Fatalf("adopt=%v: mutating a clone reached the published pair", adopt)
 		}

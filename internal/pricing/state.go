@@ -8,8 +8,6 @@ package pricing
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"pretium/internal/graph"
 )
@@ -65,14 +63,12 @@ type State struct {
 	segRoom  []float64
 
 	// Edge-outage overlay: capacity removed from (edge, step) by topology
-	// churn — link cuts, maintenance drains, correlated failures. Unlike
-	// the HighPri set-aside (a planning reservation), the overlay is
-	// *physical*: realized transfers clamp to the surviving capacity too.
-	// Contributions are kept per source so each injector restores exactly
-	// what it removed, no matter what else touched the edge in between;
-	// outTotal is the dense per-cell sum read by Capacity.
-	outTotal []float64                  // flattened [e*Horizon+t]
-	outBySrc map[string]map[int]float64 // source -> cell -> removed capacity
+	// churn — link cuts, maintenance drains, correlated failures, flaps.
+	// Unlike the HighPri set-aside (a planning reservation), the overlay
+	// is *physical*: realized transfers clamp to the surviving capacity
+	// too. outTotal holds one total per cell, flattened [e*Horizon+t];
+	// outVer counts its effective writes.
+	outTotal []float64
 	outVer   uint64
 
 	// mut is the publication lifecycle stage (see publish.go). Once a
@@ -110,7 +106,6 @@ func NewState(net *graph.Network, horizon int, basePrice float64) *State {
 	s.segPrice = make([]float64, ne*horizon)
 	s.segRoom = make([]float64, ne*horizon)
 	s.outTotal = make([]float64, ne*horizon)
-	s.outBySrc = make(map[string]map[int]float64)
 	s.Invalidate()
 	return s
 }
@@ -125,62 +120,31 @@ func newMatrix(rows, cols int) [][]float64 {
 	return m
 }
 
-// SetOutage sets source src's churn contribution on (e, t): down units of
-// capacity are out of service. A down of 0 removes the contribution — the
-// exact-restore path, since the cell total is recomputed from the
-// surviving contributions rather than patched with inverse arithmetic.
-// Contributions from distinct sources stack; the effective capacity
-// saturates at zero on read, so overlapping outages compose safely and
-// each source still restores precisely its own share. down is clamped to
-// [0, physical capacity] per source (a source cannot remove more than the
-// whole link); non-finite values are rejected as 0.
-func (s *State) SetOutage(src string, e graph.EdgeID, t int, down float64) {
+// SetOutage sets the churn overlay on (e, t): down units of capacity are
+// out of service. The overlay is one total per cell; composing several
+// outages into it is the writer's job (chaos.Plan sums them), so down may
+// exceed the physical capacity — Capacity saturates at zero on read.
+// Negative and NaN values are stored as 0, out-of-range steps ignored, and
+// only a write that changes the cell counts as a mutation.
+func (s *State) SetOutage(e graph.EdgeID, t int, down float64) {
 	s.guardPlan("SetOutage")
 	if t < 0 || t >= s.Horizon {
 		return
 	}
-	if math.IsNaN(down) || down < 0 {
+	if !(down > 0) {
 		down = 0
 	}
-	if cap := s.Net.Edge(e).Capacity; down > cap {
-		down = cap
-	}
 	idx := int(e)*s.Horizon + t
-	cells := s.outBySrc[src]
-	if cells[idx] == down {
+	if s.outTotal[idx] == down {
 		return
 	}
-	if down == 0 {
-		delete(cells, idx)
-		if len(cells) == 0 {
-			delete(s.outBySrc, src)
-		}
-	} else {
-		if cells == nil {
-			cells = make(map[int]float64)
-			s.outBySrc[src] = cells
-		}
-		cells[idx] = down
-	}
-	// Recompute the cell total from scratch in sorted-source order: exact
-	// (a removed contribution leaves no float dust behind) and
-	// deterministic (the sum never depends on map iteration order).
-	srcs := make([]string, 0, len(s.outBySrc))
-	for k := range s.outBySrc {
-		srcs = append(srcs, k)
-	}
-	sort.Strings(srcs)
-	tot := 0.0
-	for _, k := range srcs {
-		tot += s.outBySrc[k][idx]
-	}
-	s.outTotal[idx] = tot
+	s.outTotal[idx] = down
 	s.outVer++
 	s.refreshSeg(e, t)
 }
 
-// OutageAt returns the total churn-removed capacity on (e, t). Stacked
-// outages can exceed the physical capacity; Capacity clamps at zero.
+// OutageAt returns the churn-removed capacity on (e, t). Stacked outages
+// can exceed the physical capacity; Capacity clamps at zero.
 func (s *State) OutageAt(e graph.EdgeID, t int) float64 {
 	return s.outTotal[int(e)*s.Horizon+t]
 }

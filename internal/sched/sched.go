@@ -225,20 +225,20 @@ func (ins *Instance) Solve(opts lp.Options) (*Result, error) {
 
 // Build constructs the scheduling LP without solving it, in the formulation
 // the instance's size selects. Below lp.LargeModelRows rows every demand
-// cap, guarantee and rate cap is a row and every variable is named: the
-// model the golden trace, the fig11 CSV and bench/reference.json pin pivot
-// for pivot, which is the only reason the branch still exists. At or above
-// it every flow variable carries its tightest implicit upper bound
-// (remaining demand, single-route rate cap, minimum capacity along its
-// route), single-variable demand caps and guarantees become bounds, and
-// naming is skipped. The bounds are redundant with the rows, so the
-// feasible region is unchanged — but they let lp's presolve, which
-// Built.Solve turns on for these builds, prove most (edge, time) capacity
-// rows non-binding and drop them, which is what makes the 106-node/
-// 226-edge/T=288 topology solvable inside the SAM budget. Only these
-// builds support Built.Rebind. The count compared is the explicit build's,
-// so the choice is a function of the instance alone, at the threshold
-// where lp switches kernel, pricing rule and cold start.
+// cap, guarantee and rate cap is a row: the model the golden trace, the
+// fig11 CSV and bench/reference.json pin pivot for pivot, which is the
+// only reason the branch still exists. At or above it every flow variable
+// carries its tightest implicit upper bound (remaining demand,
+// single-route rate cap, minimum capacity along its route), and
+// single-variable demand caps and guarantees become bounds. The bounds
+// are redundant with the rows, so the feasible region is unchanged — but
+// they let lp's presolve, which Built.Solve turns on for these builds,
+// prove most (edge, time) capacity rows non-binding and drop them, which
+// is what makes the 106-node/226-edge/T=288 topology solvable inside the
+// SAM budget. Only these builds support Built.Rebind. The count compared
+// is the explicit build's, so the choice is a function of the instance
+// alone, at the threshold where lp switches kernel, pricing rule and cold
+// start.
 func (ins *Instance) Build() (*Built, error) {
 	if err := ins.checkShape(); err != nil {
 		return nil, err

@@ -577,7 +577,7 @@ func TestPublishedPairSharesNothingMutable(t *testing.T) {
 	if err := dearer.SetHighPriMatrix(quarter); err != nil {
 		t.Fatal(err)
 	}
-	dearer.SetOutage("cut", 0, 2, 100)
+	dearer.SetOutage(0, 2, 100)
 	publishes := []struct {
 		name  string
 		plan  *pricing.State
@@ -606,7 +606,7 @@ func TestPublishedPairSharesNothingMutable(t *testing.T) {
 				id := graph.EdgeID(e)
 				dr.SetBasePrice(id, ts, 99)
 				dr.SetHighPri(id, ts, 7)
-				dr.SetOutage("drained", id, ts, 5)
+				dr.SetOutage(id, ts, 5)
 				dr.Reserve(graph.Path{id}, ts, 1)
 			}
 		}
