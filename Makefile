@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench loc
+.PHONY: build test check bench loc prodcover
 
 build:
 	$(GO) build ./...
@@ -53,3 +53,30 @@ loc:
 		printf 'internal/%-9s %6d\n' $$p $$n; \
 	done; \
 	printf '%-18s %6d\n' total $$total
+
+# prodcover answers "which statements does real traffic reach?" before a
+# simplification deletes a branch: it builds cmd/experiments and the
+# benchmark with coverage over every pretium package (-coverpkg=pretium/...;
+# with ./internal/... the binaries write no coverage data), runs the four
+# benchmark workloads briefly plus -exp all at small scale and -exp gauntlet
+# at medium scale, and prints, per scoreboard layer, the unreached
+# statement count and each unreached block. Binaries and coverage data stay
+# in a temporary directory. It is a survey, not a gate.
+prodcover:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/cov" && \
+	$(GO) build -cover -coverpkg=pretium/... -o "$$tmp/experiments" ./cmd/experiments && \
+	(cd bench && GOWORK=off $(GO) build -cover -coverpkg=pretium/... -o "$$tmp/bench" .) && \
+	export GOCOVERDIR="$$tmp/cov" && \
+	for w in loop-wan16 sam-paper admit-paper admit-http; do \
+		"$$tmp/bench" -workload $$w -seconds 2 -trace 0 -out "$$tmp/result.json" >/dev/null || exit 1; \
+	done && \
+	"$$tmp/experiments" -exp all -scale small >/dev/null && \
+	"$$tmp/experiments" -exp gauntlet -scale medium >/dev/null && \
+	$(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cover.txt" && \
+	awk 'NR > 1 { n[$$1] = $$2; hit[$$1] += $$3 } \
+	END { for (b in n) if (match(b, /internal\/(lp|core|sched|serve|exp|baselines|pricing)\//)) { \
+		l = substr(b, RSTART + 9, RLENGTH - 10); all[l] += n[b]; \
+		if (!hit[b]) { miss[l] += n[b]; print b, n[b] | "sort -V" } } \
+		close("sort -V"); \
+		for (l in all) printf "internal/%-9s %5d of %5d statements unreached\n", l, miss[l], all[l] | "sort" }' \
+		"$$tmp/cover.txt"

@@ -156,13 +156,14 @@ type Controller struct {
 	cfg   Config
 	net   *graph.Network
 	state *pricing.State
-	// admitter is the RA serving front-end: it owns the quoting scratch
-	// reused across every admission-path quote the controller makes.
-	admitter *pricing.Admitter
-	reqs     []*traffic.Request
-	active   []*admState
-	outcome  *sim.Outcome
-	history  []pricing.HistoryEntry
+	// quoter owns the scratch every admission-path quote against state
+	// reuses; commits go through pricing.Commit, as in serve.Service.
+	quoter pricing.Quoter
+	reqs   []*traffic.Request
+	// active holds one record per admitted (sub)request, in admission
+	// order: SAM's live set and the price computer's history.
+	active  []*admState
+	outcome *sim.Outcome
 	// PriceTrace[e][t] records the base price in effect at step t
 	// (Figure 7a plots this against utilization).
 	PriceTrace [][]float64
@@ -220,11 +221,13 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	if !finiteNonNeg(cfg.InitialPrice) || !finiteNonNeg(cfg.MinPrice) {
 		return nil, fmt.Errorf("core: InitialPrice %v and MinPrice %v must be finite and non-negative", cfg.InitialPrice, cfg.MinPrice)
 	}
-	if err := checkHighPri("HighPriEstimate", cfg.HighPriEstimate, net.NumEdges(), cfg.Horizon); err != nil {
-		return nil, err
+	if err := cfg.Cost.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := checkHighPri("HighPriActual", cfg.HighPriActual, net.NumEdges(), cfg.Horizon); err != nil {
-		return nil, err
+	if cfg.HighPriActual != nil {
+		if err := pricing.CheckHighPriMatrix(cfg.HighPriActual, net.NumEdges(), cfg.Horizon); err != nil {
+			return nil, fmt.Errorf("core: HighPriActual: %w", err)
+		}
 	}
 	if err := chaos.CheckEdges(cfg.Chaos, net.NumEdges()); err != nil {
 		return nil, err
@@ -239,10 +242,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	// *amortized* percentile charge C_e/W (the break-even rate under
 	// flat load) rather than NewState's conservative full C_e, so day
 	// one is neither free-riding nor prohibitive.
-	w := cfg.Cost.WindowLen
-	if w <= 0 {
-		w = cfg.Horizon
-	}
+	w := cfg.Cost.Window(cfg.Horizon)
 	for _, e := range net.Edges() {
 		if !e.UsagePriced {
 			continue
@@ -253,13 +253,14 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		}
 	}
 	if cfg.HighPriEstimate != nil {
-		_ = st.SetHighPriMatrix(cfg.HighPriEstimate) // vetted by checkHighPri above
+		if err := st.SetHighPriMatrix(cfg.HighPriEstimate); err != nil {
+			return nil, fmt.Errorf("core: HighPriEstimate: %w", err)
+		}
 	}
 	c := &Controller{
 		cfg:            cfg,
 		net:            net,
 		state:          st,
-		admitter:       pricing.NewAdmitter(st),
 		reqs:           reqs,
 		outcome:        sim.NewOutcome(len(reqs), net, cfg.Horizon),
 		Admitted:       make([]bool, len(reqs)),
@@ -271,7 +272,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		c.PriceTrace[e] = make([]float64, cfg.Horizon)
 	}
 	c.obs = newCoreObs(cfg.Obs)
-	c.admitter.SetObs(cfg.Obs.Metrics())
+	c.quoter.SetObs(cfg.Obs.Metrics())
 	// Physical capacity available to scheduled traffic (what `realize`
 	// clamps against, less the outage overlay). When actual high-pri usage
 	// is given it drains physical capacity directly, silent faults
@@ -282,11 +283,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		c.trueCap[e.ID] = make([]float64, cfg.Horizon)
 		for t := 0; t < cfg.Horizon; t++ {
 			if cfg.HighPriActual != nil {
-				phys := e.Capacity - cfg.HighPriActual[e.ID][t]
-				if phys < 0 {
-					phys = 0
-				}
-				c.trueCap[e.ID][t] = phys
+				c.trueCap[e.ID][t] = max(e.Capacity-cfg.HighPriActual[e.ID][t], 0)
 			} else {
 				c.trueCap[e.ID][t] = st.Capacity(e.ID, t)
 			}
@@ -296,27 +293,6 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 }
 
 func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
-
-// checkHighPri validates a per-(edge, step) high-pri matrix named name:
-// nil, or one row per edge of exactly horizon steps with every cell
-// finite and non-negative. It is the one shape rule for both Config
-// matrices.
-func checkHighPri(name string, m [][]float64, edges, horizon int) error {
-	if m != nil && len(m) != edges {
-		return fmt.Errorf("core: %s has %d edges, want %d", name, len(m), edges)
-	}
-	for e, row := range m {
-		if len(row) != horizon {
-			return fmt.Errorf("core: %s row %d has %d steps, want the horizon's %d", name, e, len(row), horizon)
-		}
-		for t, v := range row {
-			if !finiteNonNeg(v) {
-				return fmt.Errorf("core: %s[%d][%d] = %v, want finite and non-negative", name, e, t, v)
-			}
-		}
-	}
-	return nil
-}
 
 // State exposes the live network state (read-mostly; used by experiments
 // that inspect prices).
@@ -369,7 +345,7 @@ func (c *Controller) admit(r *traffic.Request) {
 		return
 	}
 	maxBuy := c.rateCapped(r.Demand, r.Window())
-	menu := c.admitter.Quote(r, maxBuy)
+	menu := c.quoter.Quote(c.state, r, maxBuy)
 	bought := menu.Purchase(r.Value, maxBuy)
 	if c.cfg.Purchase != nil {
 		bought = math.Min(c.cfg.Purchase(menu, r), maxBuy)
@@ -405,16 +381,12 @@ func (c *Controller) rateCapped(want float64, steps int) float64 {
 	return want
 }
 
-// enroll hands an admitted (sub)request over [start, end] to SAM and
-// records it as price-computer history.
+// enroll hands an admitted (sub)request over [start, end] to SAM; the
+// same record is its price-computer history (see runPC).
 func (c *Controller) enroll(adm *pricing.Admission, idx, start, end int) {
 	c.active = append(c.active, &admState{
 		adm: adm, reqIdx: idx, start: start, end: end,
 		plan: append([]pricing.ReservedAlloc(nil), adm.Allocs...),
-	})
-	c.history = append(c.history, pricing.HistoryEntry{
-		Routes: adm.Request.Routes, Start: start, End: end,
-		Bytes: adm.Bought, Lambda: adm.Lambda,
 	})
 }
 
@@ -455,7 +427,7 @@ func (c *Controller) admitRate(r *traffic.Request) {
 		stepReq := *r
 		stepReq.Start, stepReq.End = t, t
 		stepReq.Demand = rate
-		menu := c.admitter.Quote(&stepReq, rate)
+		menu := c.quoter.Quote(c.state, &stepReq, rate)
 		if menu.Cap() < feasibleRate {
 			feasibleRate = menu.Cap()
 		}
@@ -910,20 +882,15 @@ func (c *Controller) runPC(t int) {
 	w := c.cfg.PriceWindow
 	from := t - w
 	var entries []pricing.HistoryEntry
-	for _, h := range c.history {
-		if h.End < from || h.Start >= t {
+	for _, a := range c.active {
+		if a.end < from || a.start >= t {
 			continue
 		}
-		e := h
-		e.Start -= from
-		e.End -= from
-		if e.Start < 0 {
-			e.Start = 0
-		}
-		if e.End > w-1 {
-			e.End = w - 1
-		}
-		entries = append(entries, e)
+		entries = append(entries, pricing.HistoryEntry{
+			Routes: a.adm.Request.Routes,
+			Start:  max(a.start-from, 0), End: min(a.end-from, w-1),
+			Bytes: a.adm.Bought, Lambda: a.adm.Lambda,
+		})
 	}
 	if len(entries) == 0 {
 		return

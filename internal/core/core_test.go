@@ -344,6 +344,20 @@ func TestNewRejectsBadPrices(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadPercentile: a charged percentile outside [0,100] is a
+// configuration error, not a bill of zero.
+func TestNewRejectsBadPercentile(t *testing.T) {
+	n, a, b := simpleNet()
+	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
+	for _, p := range []float64{-1, 101, math.NaN()} {
+		cfg := smallConfig(1)
+		cfg.Cost.Percentile = p
+		if _, err := New(n, reqs, cfg); err == nil {
+			t.Errorf("Percentile %v accepted", p)
+		}
+	}
+}
+
 func TestEndToEndSyntheticWAN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end run")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pretium/internal/pricing"
@@ -133,7 +134,8 @@ func TestHighPriEstimateValidation(t *testing.T) {
 
 // TestHighPriMatricesShareShapeRule: the planner's set-aside and the
 // actual high-pri use obey one shape rule — exactly Horizon steps per
-// edge — so each row length gets the same verdict for both matrices.
+// edge — so each row length gets the same verdict for both matrices, and
+// each rejection names its matrix.
 func TestHighPriMatricesShareShapeRule(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 1, 1)}
@@ -146,7 +148,8 @@ func TestHighPriMatricesShareShapeRule(t *testing.T) {
 		estimate, actual := smallConfig(horizon), smallConfig(horizon)
 		estimate.HighPriEstimate, actual.HighPriActual = m, m
 		for name, cfg := range map[string]Config{"HighPriEstimate": estimate, "HighPriActual": actual} {
-			if _, err := New(n, reqs, cfg); (err == nil) != (steps == horizon) {
+			_, err := New(n, reqs, cfg)
+			if (err == nil) != (steps == horizon) || (err != nil && !strings.Contains(err.Error(), name)) {
 				t.Errorf("%s rows of %d steps over horizon %d: err = %v", name, steps, horizon, err)
 			}
 		}

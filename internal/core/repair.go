@@ -119,8 +119,7 @@ func (c *Controller) repairGuarantees(t int) {
 	var reasons []string
 	fail := func(rung string, err error) { reasons = append(reasons, rung+": "+err.Error()) }
 	level := LevelRepairSkipped
-	preempted := 0
-	refunded := 0.0
+	var victims []*admState
 
 	// Rung 1: minimal disruption — re-route only the affected transfers,
 	// with every unaffected allocation pinned in place.
@@ -146,15 +145,12 @@ func (c *Controller) repairGuarantees(t int) {
 	// guarantees cheapest-first — affected transfers before pinned ones,
 	// ascending value proxy — refunding each, until the rest fit.
 	if level == LevelRepairSkipped && errIsInfeasible(err) {
-		res, survivors, victims, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(affectedStates, pinnedStates))
+		res, survivors, dropped, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(affectedStates, pinnedStates))
 		switch {
 		case err == nil:
 			c.installPlan(t, ModuleRepair, t, survivors, res)
 			level = LevelRepairPreempt
-			preempted = len(victims)
-			for _, v := range victims {
-				refunded += v.refund
-			}
+			victims = dropped
 		case !errIsInfeasible(err):
 			fail("preempt", err) // solver trouble, not structural infeasibility
 		}
@@ -164,10 +160,22 @@ func (c *Controller) repairGuarantees(t int) {
 	for _, a := range affectedStates {
 		strandedBytes += a.guaranteeLeft()
 	}
-	c.degrade(t, ModuleRepair, level, strings.Join(reasons, "; "))
+	c.reportRepair(t, level, strings.Join(reasons, "; "), len(affectedStates), guarantees, strandedBytes, victims)
+}
+
+// reportRepair closes one repair at step t, from either site: it records
+// the settled level and reason in Health, then emits the one repair event
+// — the affected transfers, the stranded guarantees and their bytes, and
+// the preempted victims with their refund sum.
+func (c *Controller) reportRepair(t int, level Level, reason string, affected, stranded int, strandedBytes float64, victims []*admState) {
+	refunded := 0.0
+	for _, v := range victims {
+		refunded += v.refund
+	}
+	c.degrade(t, ModuleRepair, level, reason)
 	c.cfg.Obs.Emit(t, ModuleRepair, "repair",
-		obs.I("affected", len(affectedStates)), obs.I("stranded", guarantees),
-		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", preempted),
+		obs.I("affected", affected), obs.I("stranded", stranded),
+		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(victims)),
 		obs.S("level", level.String()), obs.F("refund", refunded))
 }
 
@@ -203,16 +211,8 @@ func (c *Controller) preemptRelaxed(t, horizon int, live []*admState, relaxed *s
 	if err != nil {
 		return nil, nil
 	}
-	refunded := 0.0
-	for _, v := range victims {
-		refunded += v.refund
-	}
-	c.degrade(t, ModuleRepair, LevelRepairPreempt,
-		fmt.Sprintf("guarantees relaxed under outage: preempted %d", len(victims)))
-	c.cfg.Obs.Emit(t, ModuleRepair, "repair",
-		obs.I("affected", len(shorted)), obs.I("stranded", len(shorted)),
-		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(victims)),
-		obs.S("level", LevelRepairPreempt.String()), obs.F("refund", refunded))
+	c.reportRepair(t, LevelRepairPreempt, fmt.Sprintf("guarantees relaxed under outage: preempted %d", len(victims)),
+		len(shorted), len(shorted), strandedBytes, victims)
 	return res, survivors
 }
 

@@ -12,6 +12,8 @@
 package cost
 
 import (
+	"fmt"
+
 	"pretium/internal/graph"
 	"pretium/internal/stats"
 )
@@ -24,9 +26,25 @@ type Config struct {
 	// TopFrac is the fraction of timesteps averaged by the z_e proxy
 	// (the paper uses the top 10%).
 	TopFrac float64
-	// WindowLen is the number of timesteps per charging window (the
-	// paper computes the percentile over 24 hours).
+	// WindowLen is the number of timesteps per charging window (the paper
+	// uses 24 hours); zero or negative means one window over the horizon.
 	WindowLen int
+}
+
+// Window returns the charging-window length over T steps (WindowLen's rule).
+func (c Config) Window(T int) int {
+	if c.WindowLen <= 0 {
+		return T
+	}
+	return c.WindowLen
+}
+
+// Validate rejects a percentile outside [0,100] (NaN too) before it bills 0.
+func (c Config) Validate() error {
+	if !(c.Percentile >= 0 && c.Percentile <= 100) {
+		return fmt.Errorf("cost: Percentile %v outside [0,100]", c.Percentile)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's charging rule: 95th percentile over a
@@ -78,18 +96,15 @@ func ProxyWindowCost(e graph.Edge, usage []float64, cfg Config) float64 {
 
 // ExactScheduleCost sums ExactWindowCost over all edges for a usage
 // matrix indexed usage[edge][t], splitting [0,T) into charging windows of
-// cfg.WindowLen (a trailing partial window is charged too).
+// cfg.Window(T) (a trailing partial window is charged too).
 func ExactScheduleCost(n *graph.Network, usage [][]float64, cfg Config) float64 {
 	total := 0.0
-	w := cfg.WindowLen
-	if w <= 0 {
-		w = 1
-	}
 	for _, e := range n.Edges() {
 		if !e.UsagePriced {
 			continue
 		}
 		series := usage[e.ID]
+		w := cfg.Window(len(series))
 		for start := 0; start < len(series); start += w {
 			end := start + w
 			if end > len(series) {

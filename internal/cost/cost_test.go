@@ -128,6 +128,37 @@ func TestScheduleCostPartialWindow(t *testing.T) {
 	}
 }
 
+// TestScheduleCostOneWindowWhenUnset: a non-positive WindowLen bills one
+// window over the whole horizon, the window SAM optimizes, not one per step.
+func TestScheduleCostOneWindowWhenUnset(t *testing.T) {
+	n := graph.New()
+	e := n.AddEdge(n.AddNode("a", "r"), n.AddNode("b", "r"), 10)
+	n.SetUsagePriced(e, 1)
+	usage := [][]float64{{0, 10}}
+	if got := ExactScheduleCost(n, usage, DefaultConfig(0)); got != 9.5 {
+		t.Errorf("cost = %v, want one window's p95 9.5", got)
+	}
+}
+
+func TestConfigWindow(t *testing.T) {
+	for _, c := range []struct{ windowLen, want int }{{24, 24}, {0, 7}, {-1, 7}} {
+		if got := DefaultConfig(c.windowLen).Window(7); got != c.want {
+			t.Errorf("WindowLen %d: Window(7) = %d, want %d", c.windowLen, got, c.want)
+		}
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		p  float64
+		ok bool
+	}{{0, true}, {95, true}, {100, true}, {-1, false}, {101, false}, {math.NaN(), false}} {
+		if err := (Config{Percentile: c.p}).Validate(); (err == nil) != c.ok {
+			t.Errorf("percentile %v: err = %v", c.p, err)
+		}
+	}
+}
+
 // solveTopK fixes the loads to the given constants, minimizes S under the
 // sorting-network constraints, and returns the optimal S.
 func solveTopK(t *testing.T, loads []float64, k int) float64 {

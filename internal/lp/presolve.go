@@ -49,8 +49,8 @@ type rowDrop struct {
 
 // presolveState holds the reduction recipe, the reduced model, and the
 // reusable scratch. It is cached on the Model and refreshed every
-// presolved solve; the reduced model is only rebuilt when the reduction
-// pattern changes.
+// presolved solve; the reduced model is rebuilt whenever the inputs change
+// (runPresolve).
 type presolveState struct {
 	status Status // Optimal = proceed to the simplex; Infeasible = decided here
 	red    *Model
@@ -70,10 +70,6 @@ type presolveState struct {
 	// walks it backwards so each absorption only perturbs duals of rows
 	// whose other variables are processed later.
 	removeOrder []int
-
-	// Pattern of the cached reduced model, for patch-vs-rebuild.
-	prevRemoved []bool
-	prevKept    []bool
 
 	// The last run's inputs (see runPresolve), valid while keyed; a
 	// structural edit clears it (Model.restructured).
@@ -108,9 +104,9 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// runPresolve computes the reduction for the model's current data,
-// reusing (and, when the pattern is stable, patching) the cached state, and
-// reports whether it reused the last run's reduction outright.
+// runPresolve computes the reduction for the model's current data into the
+// cached state, and reports whether it reused the last run's reduction
+// outright.
 //
 // The passes read the structure, the right-hand sides, the bounds, the
 // direction, and of the objective only each coefficient's sign class. So
@@ -411,48 +407,9 @@ func (m *Model) reduce(ps *presolveState) {
 	m.assembleReduced(ps)
 }
 
-// assembleReduced builds (or, when the reduction pattern matches the
-// cached one, patches) the reduced model and the row/column maps.
+// assembleReduced builds the reduced model and the row/column maps.
 func (m *Model) assembleReduced(ps *presolveState) {
 	nv, nr := m.NumVars(), m.NumRows()
-	same := ps.red != nil && len(ps.prevRemoved) == nv && len(ps.prevKept) == nr
-	if same {
-		for j := 0; j < nv && same; j++ {
-			same = ps.prevRemoved[j] == ps.removed[j]
-		}
-		for i := 0; i < nr && same; i++ {
-			same = ps.prevKept[i] == (ps.drops[i].kind == dropKeep)
-		}
-	}
-
-	if same {
-		red := ps.red
-		red.maximize = m.maximize
-		rv := 0
-		for j := 0; j < nv; j++ {
-			if ps.removed[j] {
-				ps.colMap[j] = -1
-				continue
-			}
-			red.obj[rv] = m.obj[j]
-			red.lo[rv] = ps.lo[j]
-			red.up[rv] = ps.up[j]
-			ps.colMap[j] = rv
-			rv++
-		}
-		rr := 0
-		for i := 0; i < nr; i++ {
-			if ps.drops[i].kind != dropKeep {
-				ps.rowMap[i] = -1
-				continue
-			}
-			red.rhs[rr] = ps.effRhs[i]
-			ps.rowMap[i] = rr
-			rr++
-		}
-		return
-	}
-
 	red := NewModel()
 	red.SetMaximize(m.maximize)
 	for j := 0; j < nv; j++ {
@@ -479,15 +436,9 @@ func (m *Model) assembleReduced(ps *presolveState) {
 		red.rows = append(red.rows, terms)
 		red.senses = append(red.senses, m.senses[i])
 		red.rhs = append(red.rhs, ps.effRhs[i])
-		red.std = nil
 		ps.rowMap[i] = len(red.rows) - 1
 	}
 	ps.red = red
-	ps.prevRemoved = append(ps.prevRemoved[:0], ps.removed...)
-	ps.prevKept = resize(ps.prevKept, nr)
-	for i := 0; i < nr; i++ {
-		ps.prevKept[i] = ps.drops[i].kind == dropKeep
-	}
 }
 
 // solvePresolved is the Options.Presolve solve pipeline: reduce, solve the

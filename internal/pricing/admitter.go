@@ -8,10 +8,8 @@ import (
 // Admitter is the batched request-admission front-end: it binds a shared
 // State to a private Quoter so a stream of arrivals is served with
 // reusable scratch — the steady state allocates only each returned menu
-// and admission record. This is the RA module's serving surface: the
-// controller holds one Admitter for the lifetime of a run, and batch
-// callers (experiments, replay tools) feed whole arrival slices through
-// AdmitAll.
+// and admission record. Batch callers (experiments, replay tools) feed
+// whole arrival slices through AdmitAll.
 //
 // An Admitter is not safe for concurrent use (admissions mutate the
 // shared State); shard one Admitter + State per goroutine for parallel
@@ -28,9 +26,6 @@ func NewAdmitter(st *State) *Admitter { return &Admitter{st: st} }
 // (nil disables it). Admission outcomes are the controller's to record;
 // the admitter only owns the quoter-level counters.
 func (a *Admitter) SetObs(m *obs.Metrics) { a.q.SetObs(m) }
-
-// State returns the network state this admitter serves from.
-func (a *Admitter) State() *State { return a.st }
 
 // Quote computes req's price menu without admitting it (the state is not
 // modified). Equivalent to QuoteMenu with this admitter's scratch.

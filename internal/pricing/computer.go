@@ -21,7 +21,8 @@ type ComputerConfig struct {
 	// admission tie-breaking well-behaved.
 	MinPrice float64
 	// CostFloorFrac floors a usage-priced edge's price at this fraction
-	// of its amortized percentile charge, C_e/WindowLen. The LP duals of
+	// of its amortized percentile charge: C_e over the charging window,
+	// Cost.Window(periodLen) — core.New's break-even rate. The LP duals of
 	// a percentile-cost optimum are degenerate — the cost gradient can
 	// concentrate on one arbitrary peak step, leaving the rest priced at
 	// zero — and selling "free" off-peak bytes on a link whose bill is
@@ -115,7 +116,7 @@ func ComputePricesBasis(net *graph.Network, history []HistoryEntry, capacity [][
 	for e := range window {
 		floor := cfg.MinPrice
 		if edge := net.Edge(graph.EdgeID(e)); edge.UsagePriced && cfg.CostFloorFrac > 0 {
-			if f := cfg.CostFloorFrac * edge.CostPerUnit / float64(cfg.WindowLen); f > floor {
+			if f := cfg.CostFloorFrac * edge.CostPerUnit / float64(cfg.Cost.Window(periodLen)); f > floor {
 				floor = f
 			}
 		}

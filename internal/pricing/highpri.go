@@ -56,24 +56,35 @@ func EstimateHighPriSetAside(observed [][]float64, stepsPerDay int, pct float64,
 	return out, nil
 }
 
-// SetHighPriMatrix replaces the high-pri set-aside with an explicit
-// per-(edge, step) matrix (e.g. from EstimateHighPriSetAside). A
-// non-finite or negative cell rejects the whole matrix; a cell above its
-// link's capacity clamps to it (SetHighPri's rule).
-func (s *State) SetHighPriMatrix(m [][]float64) error {
-	s.guardPlan("SetHighPriMatrix")
-	if len(m) != s.Net.NumEdges() {
-		return fmt.Errorf("pricing: high-pri matrix has %d edges, want %d", len(m), s.Net.NumEdges())
+// CheckHighPriMatrix is the one shape-and-cell rule for a high-pri
+// matrix over edges links and horizon steps: one row per edge of exactly
+// horizon steps, every cell finite and non-negative. SetHighPriMatrix
+// applies it; core applies it to the high-pri use it never installs.
+func CheckHighPriMatrix(m [][]float64, edges, horizon int) error {
+	if len(m) != edges {
+		return fmt.Errorf("pricing: high-pri matrix has %d edges, want %d", len(m), edges)
 	}
 	for e, row := range m {
-		if len(row) != s.Horizon {
-			return fmt.Errorf("pricing: high-pri row %d has %d steps, want %d", e, len(row), s.Horizon)
+		if len(row) != horizon {
+			return fmt.Errorf("pricing: high-pri row %d has %d steps, want %d", e, len(row), horizon)
 		}
 		for t, v := range row {
 			if !(v >= 0) || math.IsInf(v, 1) {
 				return fmt.Errorf("pricing: high-pri cell [%d][%d] = %v, want finite and non-negative", e, t, v)
 			}
 		}
+	}
+	return nil
+}
+
+// SetHighPriMatrix replaces the high-pri set-aside with an explicit
+// per-(edge, step) matrix (e.g. from EstimateHighPriSetAside). A matrix
+// failing CheckHighPriMatrix is rejected whole; a cell above its link's
+// capacity clamps to it (SetHighPri's rule).
+func (s *State) SetHighPriMatrix(m [][]float64) error {
+	s.guardPlan("SetHighPriMatrix")
+	if err := CheckHighPriMatrix(m, s.Net.NumEdges(), s.Horizon); err != nil {
+		return err
 	}
 	for e, row := range m {
 		for t, v := range row {

@@ -376,6 +376,29 @@ func TestComputePricesSkipsEmptyHistory(t *testing.T) {
 	}
 }
 
+// TestCostFloorAmortizesOverChargingWindow: the floor is C_e over the
+// charging window (24 steps), not the pricing window (12) — the same
+// break-even rate core seeds usage-priced links with.
+func TestCostFloorAmortizesOverChargingWindow(t *testing.T) {
+	n := graph.New()
+	e := n.AddEdge(n.AddNode("a", "r"), n.AddNode("b", "r"), 4)
+	n.SetUsagePriced(e, 24)
+	capacity := [][]float64{make([]float64, 24)}
+	for i := range capacity[0] {
+		capacity[0][i] = 4
+	}
+	cfg := ComputerConfig{WindowLen: 12, Cost: cost.DefaultConfig(24), CostFloorFrac: 1}
+	prices, err := ComputePrices(n, nil, capacity, 24, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range prices[e] {
+		if p != 1 {
+			t.Errorf("step %d: idle edge priced %v, want C_e/24 = 1", i, p)
+		}
+	}
+}
+
 // setUniformHighPri sets aside frac of every link at every step.
 func setUniformHighPri(t *testing.T, st *State, frac float64) {
 	t.Helper()

@@ -327,10 +327,7 @@ func (ins *Instance) clip(d *Demand) (lo, hi int) {
 // usage-priced edge that the scheduler can still influence. Windows
 // entirely in the past are sunk cost: nothing it does can change them.
 func (ins *Instance) eachWindow(visit func(e graph.Edge, ws, we int)) {
-	w := ins.Cost.WindowLen
-	if w <= 0 {
-		w = ins.Horizon
-	}
+	w := ins.Cost.Window(ins.Horizon)
 	for _, e := range ins.Net.Edges() {
 		if !e.UsagePriced {
 			continue

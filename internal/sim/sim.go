@@ -101,6 +101,9 @@ func Evaluate(net *graph.Network, reqs []*traffic.Request, o *Outcome, costCfg c
 	if len(o.Delivered) != len(reqs) {
 		return Report{}, fmt.Errorf("sim: outcome covers %d requests, stream has %d", len(o.Delivered), len(reqs))
 	}
+	if err := costCfg.Validate(); err != nil {
+		return Report{}, fmt.Errorf("sim: %w", err)
+	}
 	var r Report
 	for i, req := range reqs {
 		r.Value += req.Value * o.Delivered[i]

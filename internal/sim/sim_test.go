@@ -76,6 +76,16 @@ func TestEvaluateSizeMismatch(t *testing.T) {
 	}
 }
 
+func TestEvaluateRejectsBadPercentile(t *testing.T) {
+	n := net2()
+	o := NewOutcome(0, n, 2)
+	cfg := cost.DefaultConfig(2)
+	cfg.Percentile = math.NaN()
+	if _, err := Evaluate(n, nil, o, cfg); err == nil {
+		t.Error("NaN percentile accepted")
+	}
+}
+
 func TestUtilization90thCDF(t *testing.T) {
 	n := net2()
 	usage := [][]float64{{0, 5, 10, 5}}

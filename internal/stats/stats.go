@@ -16,12 +16,12 @@ import (
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks, the same convention used by the
 // paper's 95th-percentile link charges. It returns an error when xs is
-// empty or p is out of range.
+// empty or p is out of range (NaN included).
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, errors.New("stats: percentile of empty slice")
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		return 0, errors.New("stats: percentile out of [0,100]")
 	}
 	sorted := make([]float64, len(xs))

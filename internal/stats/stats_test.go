@@ -41,6 +41,9 @@ func TestPercentileErrors(t *testing.T) {
 	if _, err := Percentile([]float64{1}, 101); err == nil {
 		t.Error("expected error for p > 100")
 	}
+	if _, err := Percentile([]float64{1, 2}, math.NaN()); err == nil {
+		t.Error("expected error for NaN p")
+	}
 }
 
 func TestPercentileSingleValue(t *testing.T) {
