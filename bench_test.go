@@ -284,16 +284,6 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 }
 
-func BenchmarkOnlineTEBaseline(b *testing.B) {
-	s := exp.NewSetup(benchScale())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunScheme(exp.SchemeOnlineTE); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMenuQuoting(b *testing.B) {
 	s := exp.NewSetup(benchScale())
 	st := pretium.NewPriceState(s.Net, benchScale().Steps, 0.2)

@@ -17,7 +17,7 @@ import (
 // Flags of the run and export verbs. For run, -topology and -series name
 // files to read; for export, files to write.
 var (
-	scheme     = flag.String("scheme", exp.SchemePretium, "run: scheme, one of "+strings.Join(append(exp.AllSchemes(), exp.SchemeNoMenu, exp.SchemeNoSAM, exp.SchemeOnlineTE), ", "))
+	scheme     = flag.String("scheme", exp.SchemePretium, "run: scheme, one of "+strings.Join(append(exp.AllSchemes(), exp.SchemeNoMenu, exp.SchemeNoSAM), ", "))
 	load       = flag.Float64("load", 1, "run: traffic load factor")
 	rateFrac   = flag.Float64("ratefrac", 0, "run: fraction of requests issued as rate requests")
 	topoPath   = flag.String("topology", "", "run: load the WAN from this topology CSV instead of generating it; export: write the WAN here")

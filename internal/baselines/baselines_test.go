@@ -315,84 +315,3 @@ func TestPriceGrid(t *testing.T) {
 		t.Errorf("empty-request grid = %v", g)
 	}
 }
-
-func TestOnlineTEBalancedFractions(t *testing.T) {
-	// Two same-deadline requests on a shared link: max-min fairness
-	// forces equal completion fractions regardless of value.
-	n := twoRegionNet()
-	reqs := []*traffic.Request{
-		mkReq(n, 0, 0, 1, 0, 0, 10, 9),
-		mkReq(n, 1, 0, 1, 0, 0, 10, 1),
-	}
-	out, err := OnlineTE(n, reqs, cfg4(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out.Delivered[0]-5) > 1e-6 || math.Abs(out.Delivered[1]-5) > 1e-6 {
-		t.Errorf("delivered %v, want equal 5/5 split", out.Delivered)
-	}
-	if err := sim.CheckCapacities(n, out.Usage, 1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOnlineTEPlansToDeadlines(t *testing.T) {
-	// Unlike VCGLike's myopia, OnlineTE plans ahead: urgent request at
-	// step 0, lax request deferred to step 1 — both complete.
-	n := twoRegionNet()
-	reqs := []*traffic.Request{
-		mkReq(n, 0, 0, 1, 0, 0, 10, 3),
-		mkReq(n, 1, 0, 1, 0, 1, 10, 3),
-	}
-	out, err := OnlineTE(n, reqs, cfg4(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out.Delivered[0]-10) > 1e-6 || math.Abs(out.Delivered[1]-10) > 1e-6 {
-		t.Errorf("delivered %v, want both complete", out.Delivered)
-	}
-}
-
-func TestOnlineTEIgnoresCosts(t *testing.T) {
-	// A request whose value is far below the percentile cost still gets
-	// shipped — OnlineTE has no prices and no cost model, so its welfare
-	// goes negative where Pretium would decline.
-	n := graph.New()
-	a := n.AddNode("a", "r0")
-	b := n.AddNode("b", "r0")
-	e := n.AddEdge(a, b, 10)
-	n.SetUsagePriced(e, 5)
-	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 10, 0.1)}
-	c := cfg4(1)
-	out, err := OnlineTE(n, reqs, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Delivered[0] < 10-1e-6 {
-		t.Fatalf("OnlineTE should ship value-blind, got %v", out.Delivered[0])
-	}
-	rep, err := sim.Evaluate(n, reqs, out, c.Cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Welfare >= 0 {
-		t.Errorf("welfare %v, want negative (cost 50 vs value 1)", rep.Welfare)
-	}
-}
-
-func TestOnlineTELateArrivalsReplanned(t *testing.T) {
-	// A second request arrives mid-run; OnlineTE picks it up on its
-	// arrival step and still completes both.
-	n := twoRegionNet()
-	reqs := []*traffic.Request{
-		mkReq(n, 0, 0, 1, 0, 2, 8, 2),
-		mkReq(n, 1, 0, 1, 1, 2, 8, 2), // arrives at step 1
-	}
-	out, err := OnlineTE(n, reqs, cfg4(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out.Delivered[0]-8) > 1e-6 || math.Abs(out.Delivered[1]-8) > 1e-6 {
-		t.Errorf("delivered %v, want both 8", out.Delivered)
-	}
-}

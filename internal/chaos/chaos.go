@@ -40,8 +40,8 @@ const (
 	// under a ~zero wall-clock budget and comes back lp.TimeLimit.
 	Timeout
 	// Fail: the solver is down — every LP attempt at this (module, step)
-	// returns an error. LP-free rungs of the degradation ladder (greedy
-	// fallback, plan carry) still run.
+	// returns an error. The ladder's LP-free rung (carry the plan,
+	// re-place what an outage strands) still runs.
 	Fail
 )
 

@@ -197,9 +197,9 @@ type Controller struct {
 	// (instances of lp.LargeModelRows rows or more; smaller ones build
 	// explicit and are not kept). When the next instance matches it
 	// structurally, Rebind patches it in place and the solve reuses the
-	// model's cached standardization and presolve recipe. Dropped when the
-	// ladder bottoms out in the LP-free fallback (a model that degraded
-	// that far should not haunt later steps).
+	// model's cached standardization and presolve recipe. Dropped when
+	// every LP rung fails and the ladder settles at carry-plan (a model
+	// that degraded that far should not haunt later steps).
 	samBuilt *sched.Built
 	// obs holds pre-resolved metric handles (nil when Config.Obs is);
 	// samStats/pcStats accumulate per-module solver telemetry via the
@@ -500,10 +500,10 @@ func (c *Controller) reqIndex(r *traffic.Request) int {
 
 // runSAM re-optimizes the forward schedule from step t (Eq. 2). It never
 // fails: on solver trouble it walks the degradation ladder (warm LP →
-// relaxed-guarantee LP → cold-start retry → greedy fallback → carry the
-// previous plan), recording how far it had to descend in the Health
-// report. A dead solver degrades the schedule's optimality, never the
-// run.
+// relaxed-guarantee LP → carry the installed plan and re-place, LP-free,
+// only what an outage strands), recording how far it had to descend in
+// the Health report. A dead solver degrades the schedule's optimality,
+// never the run.
 func (c *Controller) runSAM(t int) {
 	started := time.Now()
 	defer func() { c.Timings.SAM = append(c.Timings.SAM, time.Since(started)) }()
@@ -515,23 +515,12 @@ func (c *Controller) runSAM(t int) {
 	ins := c.samInstance(t, horizon, live, nil)
 	res, lvl, reason := c.solveSAMLadder(ins, t)
 	if res == nil {
-		// Even the LP-free fallback could not run: carry the previous
-		// forward plan unchanged. Reservations in state still reflect it.
-		c.degrade(t, ModuleSAM, LevelCarry, reason)
+		c.degrade(t, ModuleSAM, LevelCarry, c.carryPlan(t, horizon, live, reason))
 		c.obs.samSolve(LevelCarry, 0)
 		return
 	}
 	if lvl > LevelOK {
 		c.degrade(t, ModuleSAM, lvl, reason)
-	}
-	// Relaxed guarantees while the topology is degraded are churn
-	// shortfalls in disguise: buy them back with refunds instead of
-	// letting them renege (no-op when no outage is active, so churn-free
-	// runs are untouched).
-	if lvl == LevelRelaxed && c.state.OutageActive(t, horizon) {
-		if strict, survivors := c.preemptRelaxed(t, horizon, live, res); strict != nil {
-			res, live = strict, survivors
-		}
 	}
 	if c.cfg.Obs != nil {
 		scheduled := 0.0
@@ -720,19 +709,17 @@ func solveBuilt(built *sched.Built, act chaos.Action, opts lp.Options) (*sched.R
 	return r, solveErr(r)
 }
 
-// solveSAMLadder runs the staged degradation ladder for one SAM solve:
+// solveSAMLadder runs the LP rungs of the degradation ladder for one SAM
+// solve:
 //
 //	rung 1: warm LP from the previous terminal basis;
 //	rung 2: on infeasible guarantees, relax them in place and re-solve
-//	        warm from the phase-1 terminal basis;
-//	rung 3: discard the (possibly suspect) basis and solve cold, with one
-//	        relax-and-retry if the cold solve exposes infeasibility;
-//	rung 4: LP-free greedy fallback (feasible by construction).
+//	        warm from the phase-1 terminal basis.
 //
 // It returns the settled result, its degradation level, and the chain of
-// rung failures that forced the descent. A nil result means even the
-// fallback failed (malformed instance); the caller then carries the
-// previous plan.
+// rung failures that forced the descent. A nil result, at LevelCarry,
+// means both failed; the caller then carries the installed plan
+// (carryPlan).
 func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, Level, string) {
 	act := c.chaosAction(chaos.ModuleSAM, t)
 	var reasons []string
@@ -746,14 +733,13 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 		fail("build", err)
 	} else {
 		// Rung 1: warm solve. (Under Config.ColdStart the previous terminal
-		// basis is not reused, but the within-ladder warm retries below —
-		// phase-1 terminal basis after a relaxation — are kept: they are part
+		// basis is not reused, but the within-ladder warm retry below —
+		// phase-1 terminal basis after a relaxation — is kept: it is part
 		// of the ladder's semantics, not a cross-solve optimization.)
 		opts := lp.Options{Stats: &c.samStats}
 		if !c.cfg.ColdStart {
 			opts.WarmBasis = c.samBasis
 		}
-		relaxed := false
 		res, err := solveBuilt(built, act, opts)
 		if err == nil {
 			c.samBasis = res.Basis
@@ -767,7 +753,6 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 		// basis is a valid warm start for the retry.
 		if res != nil && res.Status == lp.Infeasible {
 			built.RelaxGuarantees()
-			relaxed = true
 			opts.WarmBasis = res.Basis
 			if res, err = solveBuilt(built, act, opts); err == nil {
 				c.samBasis = res.Basis
@@ -775,37 +760,47 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 			}
 			fail("relaxed", err)
 		}
-		// Rung 3: the warm basis itself may be the problem (stale,
-		// numerically degenerate, or the cause of a suspect solution) —
-		// discard it and solve from scratch.
-		opts.WarmBasis = nil
-		res, err = solveBuilt(built, act, opts)
-		if err == nil {
-			c.samBasis = res.Basis
-			return res, LevelColdStart, chain()
-		}
-		fail("cold", err)
-		if !relaxed && res != nil && res.Status == lp.Infeasible {
-			built.RelaxGuarantees()
-			opts.WarmBasis = res.Basis
-			if res, err = solveBuilt(built, act, opts); err == nil {
-				c.samBasis = res.Basis
-				return res, LevelColdStart, chain()
-			}
-			fail("cold-relaxed", err)
-		}
 	}
-	// Rung 4: the LP-free fallback. Drop the basis chain and the retained
-	// model — whatever state produced this descent should not warm-start
-	// the next step.
+	// Drop the basis chain and the retained model — whatever state
+	// produced this descent should not warm-start the next step.
 	c.samBasis = nil
 	c.samBuilt = nil
-	res, gerr := ins.SolveGreedy()
-	if gerr == nil {
-		return res, LevelGreedy, chain()
-	}
-	fail("greedy", gerr)
 	return nil, LevelCarry, chain()
+}
+
+// carryPlan is the ladder's LP-free bottom rung. The installed plan — RA's
+// reservations plus the last solve — honours every guarantee sold, so it
+// is kept; only the transfers riding a cell the surviving capacity no
+// longer carries are re-placed, through placeStranded's walk with
+// SolveGreedy (guarantees earliest-deadline first). When not even the
+// whole live set fits every guarantee, that whole-set plan is installed
+// anyway and the shortfall reneges, accounted. It returns reason extended
+// by the placement rungs that failed.
+func (c *Controller) carryPlan(t, horizon int, live []*admState, reason string) string {
+	affected, pinned := c.strandedSplit(t, horizon, live)
+	if len(affected) == 0 {
+		return reason
+	}
+	reasons := []string{reason}
+	if res, states, _, _ := c.placeStranded(t, horizon, live, affected, pinned, greedyPlace, &reasons); res != nil {
+		c.installPlan(t, ModuleSAM, t+1, states, res)
+	}
+	return strings.Join(reasons, "; ")
+}
+
+// greedyPlace is the carry rung's solve: SolveGreedy, failing with
+// lp.ErrInfeasible when its plan shorts a guarantee.
+func greedyPlace(ins *sched.Instance) (*sched.Result, error) {
+	res, err := ins.SolveGreedy()
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range ins.Demands {
+		if res.Delivered[i] < d.MinBytes-repairTol {
+			return res, lp.ErrInfeasible
+		}
+	}
+	return res, nil
 }
 
 // realize executes every plan entry scheduled for step t, clamped to the

@@ -17,9 +17,6 @@ const (
 	// LP re-solved with guarantee rows relaxed (reneges accounted at the
 	// end). Pre-ladder behavior already included this rung.
 	LevelRelaxed
-	// LevelColdStart: the warm/suspect basis was discarded and the LP
-	// re-solved from scratch.
-	LevelColdStart
 	// LevelRetainedPrices: the Price Computer failed; the previous
 	// window's prices were carried forward.
 	LevelRetainedPrices
@@ -31,16 +28,14 @@ const (
 	// set was jointly re-planned with relaxed routes (minimal-disruption
 	// pinning abandoned, guarantees still met).
 	LevelRepairReplan
-	// LevelGreedy: every LP attempt failed; the LP-free greedy fallback
-	// produced the schedule (feasible by construction, not cost-optimal).
-	LevelGreedy
 	// LevelRepairPreempt: the surviving topology cannot carry every
 	// remaining guarantee; the cheapest stranded guarantees were
 	// preempted and explicitly refunded (price paid x undelivered
 	// fraction) until the rest fit.
 	LevelRepairPreempt
-	// LevelCarry: even the fallback could not run (malformed instance);
-	// the previous forward plan was carried unchanged.
+	// LevelCarry: every LP rung failed; the installed plan was carried and
+	// only the transfers an outage strands were re-placed LP-free
+	// (SolveGreedy, around the pinned rest). The one LP-free level.
 	LevelCarry
 	// LevelRepairSkipped: stranded guarantees were detected but no repair
 	// solve could run (solver outage); shortfalls will surface as reneges
@@ -54,16 +49,12 @@ func (l Level) String() string {
 		return "ok"
 	case LevelRelaxed:
 		return "relaxed-guarantees"
-	case LevelColdStart:
-		return "cold-start"
 	case LevelRetainedPrices:
 		return "retained-prices"
 	case LevelRepairReroute:
 		return "repair-reroute"
 	case LevelRepairReplan:
 		return "repair-replan"
-	case LevelGreedy:
-		return "greedy-fallback"
 	case LevelRepairPreempt:
 		return "repair-preempt"
 	case LevelCarry:
@@ -143,7 +134,7 @@ func (h *Health) EventsAt(module string) []Event {
 }
 
 // Summary renders a one-line digest, e.g.
-// "degraded 7/24 steps: relaxed-guarantees=1 greedy-fallback=6".
+// "degraded 7/24 steps: relaxed-guarantees=1 carry-plan=6".
 func (h *Health) Summary() string {
 	if !h.Degraded() {
 		return "healthy"

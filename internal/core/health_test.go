@@ -15,11 +15,9 @@ func TestLevelString(t *testing.T) {
 	}{
 		{LevelOK, "ok"},
 		{LevelRelaxed, "relaxed-guarantees"},
-		{LevelColdStart, "cold-start"},
 		{LevelRetainedPrices, "retained-prices"},
 		{LevelRepairReroute, "repair-reroute"},
 		{LevelRepairReplan, "repair-replan"},
-		{LevelGreedy, "greedy-fallback"},
 		{LevelRepairPreempt, "repair-preempt"},
 		{LevelCarry, "carry-plan"},
 		{LevelRepairSkipped, "repair-skipped"},
@@ -41,8 +39,8 @@ func TestLevelString(t *testing.T) {
 // and the per-event rendering.
 func TestHealthRecordEveryLevel(t *testing.T) {
 	levels := []Level{
-		LevelRelaxed, LevelColdStart, LevelRetainedPrices,
-		LevelRepairReroute, LevelRepairReplan, LevelGreedy,
+		LevelRelaxed, LevelRetainedPrices,
+		LevelRepairReroute, LevelRepairReplan,
 		LevelRepairPreempt, LevelCarry, LevelRepairSkipped,
 	}
 	h := newHealth(len(levels))
@@ -97,8 +95,8 @@ func TestHealthRecordEveryLevel(t *testing.T) {
 	if got := len(h.EventsAt("")); got != len(levels) {
 		t.Errorf(`EventsAt("") = %d events, want %d`, got, len(levels))
 	}
-	want := "degraded 9/9 steps: relaxed-guarantees=1 cold-start=1 retained-prices=1 " +
-		"repair-reroute=1 repair-replan=1 greedy-fallback=1 repair-preempt=1 carry-plan=1 repair-skipped=1"
+	want := "degraded 7/7 steps: relaxed-guarantees=1 retained-prices=1 " +
+		"repair-reroute=1 repair-replan=1 repair-preempt=1 carry-plan=1 repair-skipped=1"
 	if h.Summary() != want {
 		t.Errorf("Summary = %q, want %q", h.Summary(), want)
 	}
@@ -125,9 +123,9 @@ func TestHealthWorstKeepsMaximum(t *testing.T) {
 // touching Worst or panicking.
 func TestHealthRecordOutOfRangeStep(t *testing.T) {
 	h := newHealth(2)
-	h.record(-1, ModuleSAM, LevelGreedy, "before horizon")
+	h.record(-1, ModuleSAM, LevelRelaxed, "before horizon")
 	h.record(7, ModuleSAM, LevelCarry, "past horizon")
-	if len(h.Events) != 2 || h.Counts[LevelGreedy] != 1 || h.Counts[LevelCarry] != 1 {
+	if len(h.Events) != 2 || h.Counts[LevelRelaxed] != 1 || h.Counts[LevelCarry] != 1 {
 		t.Errorf("events/counts wrong: %d events, counts %v", len(h.Events), h.Counts)
 	}
 	for i, w := range h.Worst {
@@ -135,7 +133,7 @@ func TestHealthRecordOutOfRangeStep(t *testing.T) {
 			t.Errorf("Worst[%d] = %s, want ok", i, w)
 		}
 	}
-	if h.Summary() != "degraded 0/2 steps: greedy-fallback=1 carry-plan=1" {
+	if h.Summary() != "degraded 0/2 steps: relaxed-guarantees=1 carry-plan=1" {
 		t.Errorf("Summary = %q", h.Summary())
 	}
 }

@@ -172,7 +172,7 @@ func TestDegradeEventsMirrorHealth(t *testing.T) {
 	rec, buf := obs.NewTraceRecorder()
 	cfg := smallConfig(3)
 	cfg.Obs = rec
-	// Every LP attempt dies; the ladder lands on greedy.
+	// Every LP attempt dies; the ladder lands on carry.
 	cfg.Chaos = chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 2, Mode: chaos.Timeout}
 	c, err := New(n, reqs, cfg)
 	if err != nil {

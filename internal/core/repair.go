@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 
@@ -50,14 +49,63 @@ func (c *Controller) repairGuarantees(t int) {
 	c.churnSeen = v
 
 	live, horizon := c.liveSet(t)
-	if len(live) == 0 {
+	affected, pinned := c.strandedSplit(t, horizon, live)
+	if len(affected) == 0 {
 		return
 	}
+	guarantees, strandedBytes := 0, 0.0
+	for _, a := range affected {
+		strandedBytes += a.guaranteeLeft()
+		if a.guaranteeLeft() > repairTol {
+			guarantees++
+		}
+	}
+	c.obs.repairDetected(guarantees)
 
-	// Forward planned load per (edge, step). The current plan is a
-	// feasibility witness: if it still fits the surviving capacity, every
-	// remaining guarantee is still jointly schedulable and there is
-	// nothing to repair.
+	var reasons []string
+	var victims []*admState
+	solve := func(ins *sched.Instance) (*sched.Result, error) { return c.repairSolve(t, ins) }
+	res, states, level, err := c.placeStranded(t, horizon, live, affected, pinned, solve, &reasons)
+	if err == nil {
+		c.installPlan(t, ModuleRepair, t, states, res)
+	} else if errIsInfeasible(err) {
+		// Rung 3: the surviving topology cannot carry every guarantee (or
+		// pinned routing hid the capacity that could). Preempt stranded
+		// guarantees cheapest-first — affected transfers before pinned
+		// ones, ascending value proxy — refunding each, until the rest fit.
+		res, survivors, dropped, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(affected, pinned))
+		switch {
+		case err == nil:
+			c.installPlan(t, ModuleRepair, t, survivors, res)
+			level = LevelRepairPreempt
+			victims = dropped
+		case !errIsInfeasible(err):
+			reasons = append(reasons, "preempt: "+err.Error()) // solver trouble, not structural infeasibility
+		}
+	}
+
+	// Close the repair: the settled level and reason go to Health, then
+	// the one repair event — the affected transfers, the stranded
+	// guarantees and their bytes, and the preempted victims with their
+	// refund sum.
+	refunded := 0.0
+	for _, v := range victims {
+		refunded += v.refund
+	}
+	c.degrade(t, ModuleRepair, level, strings.Join(reasons, "; "))
+	c.cfg.Obs.Emit(t, ModuleRepair, "repair",
+		obs.I("affected", len(affected)), obs.I("stranded", guarantees),
+		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(victims)),
+		obs.S("level", level.String()), obs.F("refund", refunded))
+}
+
+// strandedSplit splits the live set at step t by the plan now installed.
+// That plan is a feasibility witness: where it still fits the surviving
+// capacity, every remaining guarantee is still jointly schedulable. The
+// affected transfers have a forward allocation riding a cell whose planned
+// load exceeds that capacity; every other plan provably still fits and is
+// pinned. affected is empty when nothing is stranded.
+func (c *Controller) strandedSplit(t, horizon int, live []*admState) (affected, pinned []*admState) {
 	ne := c.net.NumEdges()
 	planned := make([][]float64, ne)
 	for e := range planned {
@@ -74,146 +122,58 @@ func (c *Controller) repairGuarantees(t int) {
 		}
 	}
 	over := make([][]bool, ne)
-	stranded := false
 	for e := range over {
 		over[e] = make([]bool, horizon)
 		for tt := t; tt < horizon; tt++ {
-			if planned[e][tt] > c.state.Capacity(graph.EdgeID(e), tt)+repairTol {
-				over[e][tt] = true
-				stranded = true
-			}
+			over[e][tt] = planned[e][tt] > c.state.Capacity(graph.EdgeID(e), tt)+repairTol
 		}
 	}
-	if !stranded {
-		return
-	}
-
-	// Affected transfers: any forward allocation riding an overloaded
-	// cell. Everyone else's plan provably still fits and is pinned.
-	affected := make([]bool, len(live))
-	var affectedStates, pinnedStates []*admState
-	guarantees := 0
-	for i, a := range live {
-		for _, al := range a.plan {
-			if al.Time < t || al.Time >= horizon || affected[i] {
-				continue
-			}
-			for _, e := range a.adm.Request.Routes[al.RouteIdx] {
-				if over[e][al.Time] {
-					affected[i] = true
-					break
-				}
-			}
-		}
-		if affected[i] {
-			affectedStates = append(affectedStates, a)
-			if a.guaranteeLeft() > repairTol {
-				guarantees++
-			}
+	for _, a := range live {
+		if a.ridesAny(over, t, horizon) {
+			affected = append(affected, a)
 		} else {
-			pinnedStates = append(pinnedStates, a)
+			pinned = append(pinned, a)
 		}
 	}
-	c.obs.repairDetected(guarantees)
+	return affected, pinned
+}
 
-	var reasons []string
-	fail := func(rung string, err error) { reasons = append(reasons, rung+": "+err.Error()) }
-	level := LevelRepairSkipped
-	var victims []*admState
+// ridesAny reports whether a forward allocation of a's plan in [t,
+// horizon) crosses a marked (edge, step) cell.
+func (a *admState) ridesAny(cells [][]bool, t, horizon int) bool {
+	for _, al := range a.plan {
+		if al.Time < t || al.Time >= horizon {
+			continue
+		}
+		for _, e := range a.adm.Request.Routes[al.RouteIdx] {
+			if cells[e][al.Time] {
+				return true
+			}
+		}
+	}
+	return false
+}
 
-	// Rung 1: minimal disruption — re-route only the affected transfers,
-	// with every unaffected allocation pinned in place.
-	res, err := c.repairSolve(t, horizon, affectedStates, pinnedStates)
+// placeStranded walks the two placement rungs both repair sites share,
+// with solve posing each instance: (1) re-place only the affected
+// transfers, routing around every pinned plan without moving it; (2)
+// failing that, re-plan the whole live set jointly. Repair solves with the
+// LP, the SAM ladder's carry rung with SolveGreedy. It returns the first
+// plan that solves, the states it covers and its level; when both rungs
+// fail, the whole-set attempt, the live set and the error that stopped it,
+// at LevelRepairSkipped. Each failed rung appends its reason.
+func (c *Controller) placeStranded(t, horizon int, live, affected, pinned []*admState,
+	solve func(*sched.Instance) (*sched.Result, error), reasons *[]string) (*sched.Result, []*admState, Level, error) {
+	res, err := solve(c.samInstance(t, horizon, affected, pinned))
 	if err == nil {
-		c.installPlan(t, ModuleRepair, t, affectedStates, res)
-		level = LevelRepairReroute
-	} else {
-		fail("reroute", err)
-		// Rung 2: abandon pinning; re-plan the whole live set jointly
-		// with relaxed routes.
-		res, err = c.repairSolve(t, horizon, live, nil)
-		if err == nil {
-			c.installPlan(t, ModuleRepair, t, live, res)
-			level = LevelRepairReplan
-		} else {
-			fail("replan", err)
-		}
+		return res, affected, LevelRepairReroute, nil
 	}
-
-	// Rung 3: the surviving topology cannot carry every guarantee (or
-	// pinned routing hid the capacity that could). Preempt stranded
-	// guarantees cheapest-first — affected transfers before pinned ones,
-	// ascending value proxy — refunding each, until the rest fit.
-	if level == LevelRepairSkipped && errIsInfeasible(err) {
-		res, survivors, dropped, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(affectedStates, pinnedStates))
-		switch {
-		case err == nil:
-			c.installPlan(t, ModuleRepair, t, survivors, res)
-			level = LevelRepairPreempt
-			victims = dropped
-		case !errIsInfeasible(err):
-			fail("preempt", err) // solver trouble, not structural infeasibility
-		}
+	*reasons = append(*reasons, "reroute: "+err.Error())
+	if res, err = solve(c.samInstance(t, horizon, live, nil)); err == nil {
+		return res, live, LevelRepairReplan, nil
 	}
-
-	strandedBytes := 0.0
-	for _, a := range affectedStates {
-		strandedBytes += a.guaranteeLeft()
-	}
-	c.reportRepair(t, level, strings.Join(reasons, "; "), len(affectedStates), guarantees, strandedBytes, victims)
-}
-
-// reportRepair closes one repair at step t, from either site: it records
-// the settled level and reason in Health, then emits the one repair event
-// — the affected transfers, the stranded guarantees and their bytes, and
-// the preempted victims with their refund sum.
-func (c *Controller) reportRepair(t int, level Level, reason string, affected, stranded int, strandedBytes float64, victims []*admState) {
-	refunded := 0.0
-	for _, v := range victims {
-		refunded += v.refund
-	}
-	c.degrade(t, ModuleRepair, level, reason)
-	c.cfg.Obs.Emit(t, ModuleRepair, "repair",
-		obs.I("affected", affected), obs.I("stranded", stranded),
-		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(victims)),
-		obs.S("level", level.String()), obs.F("refund", refunded))
-}
-
-// preemptRelaxed handles guarantee shortfalls that surface inside the SAM
-// ladder while an injected outage is active. Admission quotes per-cell
-// room, not joint schedulability, so new transfers sold during an outage
-// can overcommit the surviving topology — SAM then settles at
-// relaxed-guarantees and would renege the shortfall with no refund. Under
-// churn that is a silent violation, so this pass extends the repair
-// ladder into the SAM site: find the guarantees the relaxed solution
-// shorted, preempt them cheapest-first, and re-solve strictly. On solver
-// trouble nothing is preempted and the caller keeps the relaxed plan
-// (honest, accounted reneges). Returns the strict result and surviving
-// live set, or (nil, nil) to keep the relaxed outcome.
-func (c *Controller) preemptRelaxed(t, horizon int, live []*admState, relaxed *sched.Result) (*sched.Result, []*admState) {
-	alloc := make([]float64, len(live))
-	for _, al := range relaxed.Allocs {
-		alloc[al.DemandIdx] += al.Bytes
-	}
-	var shorted []*admState
-	strandedBytes := 0.0
-	for i, a := range live {
-		if a.guaranteeLeft() > alloc[i]+repairTol {
-			shorted = append(shorted, a)
-			strandedBytes += a.guaranteeLeft() - alloc[i]
-		}
-	}
-	if len(shorted) == 0 {
-		return nil, nil
-	}
-	c.obs.repairDetected(len(shorted))
-	res, survivors, victims, err := c.preemptUntilFit(t, horizon, live, preemptionOrder(shorted, nil))
-	if err != nil {
-		return nil, nil
-	}
-	c.reportRepair(t, LevelRepairPreempt, fmt.Sprintf("guarantees relaxed under outage: preempted %d", len(victims)),
-		len(shorted), len(shorted), strandedBytes, victims)
-	return res, survivors
+	*reasons = append(*reasons, "replan: "+err.Error())
+	return res, live, LevelRepairSkipped, err
 }
 
 // preemptUntilFit drops candidates from the live set one at a time, in
@@ -235,7 +195,7 @@ func (c *Controller) preemptUntilFit(t, horizon int, live, candidates []*admStat
 		working = keep
 		res, err := &sched.Result{}, error(nil) // nothing left to schedule fits
 		if len(working) > 0 {
-			res, err = c.repairSolve(t, horizon, working, nil)
+			res, err = c.repairSolve(t, c.samInstance(t, horizon, working, nil))
 		}
 		if err == nil {
 			victims := candidates[:i+1]
@@ -280,19 +240,19 @@ func preemptionOrder(affected, pinned []*admState) []*admState {
 	return append(rank(affected), rank(pinned)...)
 }
 
-// repairSolve runs one repair LP over the given demand set, routing around
-// the pinned transfers' plans without moving them (see samInstance). It
-// rides the SAM site's model path — buildOrRebind, so the same size-selected
-// build and the same retained model — and the configured chaos injector is
-// consulted like any other SAM-site solve: a dead solver kills repair too,
-// which is exactly the worst case the ladder's skipped level records.
-func (c *Controller) repairSolve(t, horizon int, states, pinned []*admState) (*sched.Result, error) {
+// repairSolve runs one repair LP at step t over an instance samInstance
+// posed. It rides the SAM site's model path — buildOrRebind, so the same
+// size-selected build and the same retained model — and the configured
+// chaos injector is consulted like any other SAM-site solve: a dead solver
+// kills repair too, which is exactly the worst case the ladder's skipped
+// level records.
+func (c *Controller) repairSolve(t int, ins *sched.Instance) (*sched.Result, error) {
 	act := c.chaosAction(chaos.ModuleSAM, t)
 	if act == chaos.Fail {
 		return nil, errInjectedOutage
 	}
 	c.obs.repairSolve()
-	built, err := c.buildOrRebind(c.samInstance(t, horizon, states, pinned))
+	built, err := c.buildOrRebind(ins)
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,10 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"pretium/internal/chaos"
 	"pretium/internal/graph"
-	"pretium/internal/sched"
 	"pretium/internal/sim"
 	"pretium/internal/traffic"
 )
@@ -302,115 +300,5 @@ func TestRepairAroundAnnouncedDrain(t *testing.T) {
 		if u := out.Usage[e1][tt]; u > 1e-9 {
 			t.Errorf("drained edge carried %v at t=%d", u, tt)
 		}
-	}
-}
-
-// preemptRelaxed extends the repair ladder into the SAM site: if SAM
-// settles at relaxed-guarantees while an outage is active, the shorted
-// guarantees are bought back instead of reneged. With correct
-// reservation accounting the control loop should never manufacture that
-// shortfall on its own (repair keeps step t reserved, so same-step
-// admissions cannot double-book surviving plans), which makes this pass
-// defense-in-depth — so its contract is pinned directly: shorted
-// guarantees are preempted cheapest-first, refunded in full for
-// undelivered bytes, and the strict re-solve covers every survivor.
-func TestPreemptRelaxedBuysBackShortfall(t *testing.T) {
-	n, a, b := simpleNet()
-	reqs := []*traffic.Request{
-		mkReq(n, 0, a, b, 0, 1, 2, 8, 5),
-		mkReq(n, 1, a, b, 0, 1, 2, 8, 5),
-	}
-	c, err := New(n, reqs, smallConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.admit(reqs[0])
-	c.admit(reqs[1])
-	if len(c.active) != 2 {
-		t.Fatalf("admitted %d of 2 requests", len(c.active))
-	}
-	live := append([]*admState(nil), c.active...)
-
-	// A relaxed plan that covers everyone is not a shortfall: no-op.
-	full := &sched.Result{Allocs: []sched.Alloc{
-		{DemandIdx: 0, RouteIdx: 0, Time: 1, Bytes: live[0].guaranteeLeft()},
-		{DemandIdx: 1, RouteIdx: 0, Time: 1, Bytes: live[1].guaranteeLeft()},
-	}}
-	if res, surv := c.preemptRelaxed(1, 4, live, full); res != nil || surv != nil {
-		t.Fatalf("full-coverage relaxed plan triggered preemption: %v", res)
-	}
-	if len(c.Refunds) != 0 {
-		t.Fatalf("refunds after no-op pass: %+v", c.Refunds)
-	}
-
-	// Short demand 1: it must be preempted, refunded in full (nothing
-	// delivered), and the strict re-solve must cover the survivor.
-	relaxed := &sched.Result{Allocs: []sched.Alloc{
-		{DemandIdx: 0, RouteIdx: 0, Time: 1, Bytes: live[0].guaranteeLeft()},
-		{DemandIdx: 1, RouteIdx: 0, Time: 1, Bytes: 2},
-	}}
-	strict, survivors := c.preemptRelaxed(1, 4, live, relaxed)
-	if strict == nil {
-		t.Fatal("buy-back pass kept the relaxed plan despite a schedulable survivor set")
-	}
-	if len(survivors) != 1 || survivors[0] != live[0] {
-		t.Fatalf("survivors = %v, want exactly the unshorted demand", survivors)
-	}
-	if !live[1].preempted || live[0].preempted {
-		t.Fatalf("preempted flags = %v/%v, want shorted demand only", live[0].preempted, live[1].preempted)
-	}
-	if len(c.Refunds) != 1 {
-		t.Fatalf("refunds = %d, want 1: %+v", len(c.Refunds), c.Refunds)
-	}
-	r := c.Refunds[0]
-	if r.Req != 1 || r.Bytes != r.Bought || math.Abs(r.Amount-r.Paid) > 1e-9 {
-		t.Errorf("nothing was delivered, want full refund of request 1: %+v", r)
-	}
-	covered := 0.0
-	for _, al := range strict.Allocs {
-		if al.DemandIdx == 0 { // index into the survivor set
-			covered += al.Bytes
-		}
-	}
-	if covered < live[0].guaranteeLeft()-1e-6 {
-		t.Errorf("strict re-solve covers %v of the survivor's %v guarantee", covered, live[0].guaranteeLeft())
-	}
-	ev := requireRepairLevel(t, c, LevelRepairPreempt)
-	if want := "relaxed under outage"; !strings.Contains(ev.Reason, want) {
-		t.Errorf("repair reason %q does not mention %q", ev.Reason, want)
-	}
-}
-
-// On solver trouble the buy-back pass must defer every side effect:
-// nothing preempted, nothing refunded, the caller keeps the relaxed plan
-// and its honest, accounted reneges.
-func TestPreemptRelaxedDefersSideEffectsOnSolverOutage(t *testing.T) {
-	n, a, b := simpleNet()
-	reqs := []*traffic.Request{
-		mkReq(n, 0, a, b, 0, 1, 2, 8, 5),
-		mkReq(n, 1, a, b, 0, 1, 2, 8, 5),
-	}
-	cfg := smallConfig(4)
-	cfg.Chaos = chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 3}
-	c, err := New(n, reqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.admit(reqs[0])
-	c.admit(reqs[1])
-	live := append([]*admState(nil), c.active...)
-	relaxed := &sched.Result{Allocs: []sched.Alloc{
-		{DemandIdx: 0, RouteIdx: 0, Time: 1, Bytes: live[0].guaranteeLeft()},
-	}}
-	strict, survivors := c.preemptRelaxed(1, 4, live, relaxed)
-	if strict != nil || survivors != nil {
-		t.Fatalf("dead solver produced a strict plan: %v", strict)
-	}
-	if len(c.Refunds) != 0 || live[0].preempted || live[1].preempted {
-		t.Errorf("side effects leaked on solver trouble: refunds=%+v preempted=%v/%v",
-			c.Refunds, live[0].preempted, live[1].preempted)
-	}
-	if evs := c.Health.EventsAt(ModuleRepair); len(evs) != 0 {
-		t.Errorf("repair events on an aborted buy-back: %v", evs)
 	}
 }

@@ -14,12 +14,13 @@ import (
 // TestChaosSAMOutageCompletesViaFallback is the headline robustness
 // contract: with the solver forced down at *every* SAM step, the run
 // still completes the full horizon, stays capacity-feasible, delivers
-// the guaranteed bytes via the greedy fallback, and records exactly one
-// greedy-level degradation event per forced failure.
+// the guaranteed bytes on the carried plan, and records exactly one
+// carry-level degradation event per forced failure.
 func TestChaosSAMOutageCompletesViaFallback(t *testing.T) {
 	n, a, b := simpleNet()
 	// 15 guaranteed bytes over 3 steps on a 10-capacity link: physically
-	// feasible, but only if the fallback actually spreads load over time.
+	// feasible, but only if the carried plan actually spreads load over
+	// time.
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 15, 5)}
 	cfg := smallConfig(3)
 	cfg.Chaos = chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 2, Mode: chaos.Fail}
@@ -32,7 +33,7 @@ func TestChaosSAMOutageCompletesViaFallback(t *testing.T) {
 		t.Fatalf("Run aborted under chaos: %v", err)
 	}
 	if math.Abs(out.Delivered[0]-15) > 1e-6 {
-		t.Errorf("delivered %v, want 15 (guarantee must survive the fallback)", out.Delivered[0])
+		t.Errorf("delivered %v, want 15 (guarantee must survive the carry rung)", out.Delivered[0])
 	}
 	if out.Reneged[0] > 1e-9 {
 		t.Errorf("reneged %v under a physically feasible guarantee", out.Reneged[0])
@@ -46,8 +47,8 @@ func TestChaosSAMOutageCompletesViaFallback(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, e := range events {
-		if e.Level != LevelGreedy {
-			t.Errorf("event %v: level %v, want greedy-fallback", e, e.Level)
+		if e.Level != LevelCarry {
+			t.Errorf("event %v: level %v, want carry-plan", e, e.Level)
 		}
 		if seen[e.Step] {
 			t.Errorf("duplicate degradation event at step %d: want one per forced failure", e.Step)
@@ -61,7 +62,7 @@ func TestChaosSAMOutageCompletesViaFallback(t *testing.T) {
 
 // TestChaosTimeoutMidHorizon forces a wall-clock timeout (not an outright
 // error) at one mid-horizon SAM step: the genuine lp.TimeLimit path runs,
-// the ladder descends to greedy for that step only, and the run recovers.
+// the ladder descends to carry for that step only, and the run recovers.
 func TestChaosTimeoutMidHorizon(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}
@@ -86,8 +87,8 @@ func TestChaosTimeoutMidHorizon(t *testing.T) {
 		t.Fatalf("events = %v, want exactly one (at the timed-out step)", events)
 	}
 	e := events[0]
-	if e.Step != 1 || e.Level != LevelGreedy {
-		t.Errorf("event %v, want greedy-fallback at step 1", e)
+	if e.Step != 1 || e.Level != LevelCarry {
+		t.Errorf("event %v, want carry-plan at step 1", e)
 	}
 	if !strings.Contains(e.Reason, "time budget") {
 		t.Errorf("reason %q should surface the lp time-budget error", e.Reason)
@@ -255,16 +256,16 @@ func TestHealthSummaryShape(t *testing.T) {
 	if h.Summary() != "healthy" {
 		t.Errorf("empty report summary = %q", h.Summary())
 	}
-	h.record(1, ModuleSAM, LevelGreedy, "x")
+	h.record(1, ModuleSAM, LevelCarry, "x")
 	h.record(1, ModulePC, LevelRetainedPrices, "y")
 	h.record(3, ModuleSAM, LevelRelaxed, "z")
 	if !h.Degraded() {
 		t.Error("Degraded() = false after events")
 	}
-	if h.Worst[1] != LevelGreedy || h.Worst[3] != LevelRelaxed {
+	if h.Worst[1] != LevelCarry || h.Worst[3] != LevelRelaxed {
 		t.Errorf("Worst = %v", h.Worst)
 	}
-	want := "degraded 2/4 steps: relaxed-guarantees=1 retained-prices=1 greedy-fallback=1"
+	want := "degraded 2/4 steps: relaxed-guarantees=1 retained-prices=1 carry-plan=1"
 	if h.Summary() != want {
 		t.Errorf("Summary = %q, want %q", h.Summary(), want)
 	}

@@ -18,9 +18,6 @@ const (
 	SchemePretium      = "Pretium"
 	SchemeNoMenu       = "Pretium-NoMenu"
 	SchemeNoSAM        = "Pretium-NoSAM"
-	// SchemeOnlineTE is the Tempus-like online deadline-TE scheme the
-	// paper mentions and excludes; included here as an extension.
-	SchemeOnlineTE = "OnlineTE"
 )
 
 // SchemeResult bundles a scheme's outcome and report.
@@ -98,8 +95,6 @@ func (s *Setup) RunScheme(name string) (SchemeResult, error) {
 		out, err = baselines.PeakOracle(s.Net, s.Requests, bc, peak, s.Scale.GridLevels)
 	case SchemeVCGLike:
 		out, err = baselines.VCGLike(s.Net, s.Requests, bc)
-	case SchemeOnlineTE:
-		out, err = baselines.OnlineTE(s.Net, s.Requests, bc)
 	case SchemePretium, SchemeNoMenu, SchemeNoSAM:
 		r, err := s.RunPretium(ablations[name])
 		r.Name = name

@@ -7,14 +7,16 @@ import (
 	"pretium/internal/lp"
 )
 
-// SolveGreedy is the LP-free fallback scheduler: the bottom rung of the
+// SolveGreedy is the LP-free scheduler behind the bottom rung of the
 // control loop's degradation ladder, used when every simplex attempt has
 // failed (iteration/time limits, numerically suspect vertices, or an
-// injected chaos outage). It consumes the same Instance and emits the
-// same Result/Alloc shape as the LP path, always succeeds on a
-// well-formed instance, and is capacity-feasible by construction — every
-// byte it places is subtracted from a residual per-(edge, step) capacity
-// matrix before the next placement is considered.
+// injected chaos outage): that rung keeps the installed plan and hands
+// SolveGreedy only the transfers an outage strands, with every other plan
+// pinned. It consumes the same Instance and emits the same Result/Alloc
+// shape as the LP path, always succeeds on a well-formed instance, and is
+// capacity-feasible by construction — every byte it places is subtracted
+// from a residual per-(edge, step) capacity matrix before the next
+// placement is considered.
 //
 // The policy is guarantee-first earliest-deadline (the RCD insight:
 // close to deadlines, guaranteed traffic must preempt everything else),
@@ -54,21 +56,14 @@ func (ins *Instance) SolveGreedy() (*Result, error) {
 	}
 	ne := ins.Net.NumEdges()
 
-	// Residual schedulable capacity. FixedUsage normally lives only at
-	// steps before StartStep (where nothing is placed), but subtracting it
-	// everywhere keeps the invariant unconditional.
+	// Residual schedulable capacity. Capacity is already what scheduled
+	// traffic may use, as in the LP's capacity rows: FixedUsage is charged
+	// to cost windows, not subtracted again.
 	residual := make([][]float64, ne)
 	for e := 0; e < ne; e++ {
 		residual[e] = make([]float64, ins.Horizon)
 		for t := 0; t < ins.Horizon; t++ {
-			r := ins.Capacity[e][t]
-			if ins.FixedUsage != nil {
-				r -= ins.FixedUsage[e][t]
-			}
-			if r < 0 {
-				r = 0
-			}
-			residual[e][t] = r
+			residual[e][t] = max(ins.Capacity[e][t], 0)
 		}
 	}
 

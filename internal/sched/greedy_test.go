@@ -29,13 +29,9 @@ func checkGreedyFeasible(t *testing.T, ins *Instance, res *Result) {
 	t.Helper()
 	for e := range res.EdgeUsage {
 		for tt, u := range res.EdgeUsage[e] {
-			limit := ins.Capacity[e][tt]
-			if ins.FixedUsage != nil {
-				limit -= ins.FixedUsage[e][tt]
-			}
-			if limit < 0 {
-				limit = 0
-			}
+			// The LP's capacity row: scheduled flows <= Capacity, with
+			// FixedUsage charged to cost windows only.
+			limit := max(ins.Capacity[e][tt], 0)
 			if u > limit+1e-6 {
 				t.Fatalf("edge %d over capacity at t=%d: %v > %v", e, tt, u, limit)
 			}
@@ -126,6 +122,36 @@ func TestGreedyGuaranteeFirstBeatsValueOrder(t *testing.T) {
 	}
 	if res.Delivered[1] > 1e-6 {
 		t.Errorf("best-effort demand delivered %v on a full link", res.Delivered[1])
+	}
+	checkGreedyFeasible(t, ins, res)
+}
+
+// TestGreedyPinnedPlansCountOnce pins the LP's reading of Capacity on a
+// pinned instance, the shape the ladder's bottom rung builds: a pinned
+// plan of 6 bytes per step on a 10-unit link leaves Capacity 4 and is
+// charged as FixedUsage 6. The 8-byte guarantee fits the 4+4 that is
+// left; subtracting FixedUsage again would leave it no room at all.
+func TestGreedyPinnedPlansCountOnce(t *testing.T) {
+	net := graph.New()
+	a := net.AddNode("a", "r")
+	b := net.AddNode("b", "r")
+	net.AddEdge(a, b, 10)
+	ins := &Instance{
+		Net: net, Horizon: 2, StartStep: 0,
+		Capacity:   [][]float64{{4, 4}},
+		FixedUsage: [][]float64{{6, 6}},
+		Demands: []Demand{{
+			ID: 0, Routes: net.KShortestPaths(a, b, 1), Start: 0, End: 1,
+			MaxBytes: 8, MinBytes: 8, ValuePerByte: 1,
+		}},
+		Cost: cost.DefaultConfig(2),
+	}
+	res, err := ins.SolveGreedy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Delivered[0]-8) > 1e-6 {
+		t.Errorf("delivered %v, want the whole 8-byte guarantee", res.Delivered[0])
 	}
 	checkGreedyFeasible(t, ins, res)
 }
