@@ -17,7 +17,8 @@ check:
 
 # bench runs the root experiment benchmarks, then the admission-path
 # micro-benchmarks with a machine-readable report in BENCH_admission.json
-# (regression gate for the quote-engine fast path), then the SAM solver
+# (regression gate for the quote-engine fast path: a paper-sized quote
+# allocates its one-segment menu and nothing else), then the SAM solver
 # benchmarks into BENCH_solver.json (the perf trajectory of the simplex
 # core across PRs), then the route memo and admission-service
 # micro-benchmarks (in process and behind serve.Handler) into
@@ -31,7 +32,8 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	$(GO) test -run '^$$' -bench 'QuoteMenu|Admit' -benchmem ./internal/pricing | \
-		$(GO) run ./cmd/benchjson -out BENCH_admission.json
+		$(GO) run ./cmd/benchjson -out BENCH_admission.json \
+			-gate 'BenchmarkQuoteMenu/paper/heap:allocs/op<=1'
 	$(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm' -benchmem ./internal/sched | \
 		$(GO) run ./cmd/benchjson -out BENCH_solver.json
 	{ $(GO) test -run '^$$' -bench 'KShortestPaths' -benchmem ./internal/graph && \

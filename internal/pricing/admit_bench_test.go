@@ -39,20 +39,47 @@ func benchQuoteWorld(R, T int) (*State, *traffic.Request) {
 	return st, req
 }
 
+// paperQuoteWorld is the quote real traffic makes: the paper's WAN over
+// a 288-step day with uneven base prices, three shortest routes between
+// two distant nodes, a 36-step window, and a demand well inside the
+// cheapest candidate's room, so the menu is the one-segment fast path.
+func paperQuoteWorld() (*State, *traffic.Request) {
+	const T = 288
+	n := graph.PaperWAN(1)
+	st := NewState(n, T, 1)
+	for e := 0; e < n.NumEdges(); e++ {
+		for t := 0; t < T; t++ {
+			st.SetBasePrice(graph.EdgeID(e), t, 1+0.01*float64((e*7+t*3)%17))
+		}
+	}
+	src, dst := graph.NodeID(0), graph.NodeID(n.NumNodes()-1)
+	req := &traffic.Request{
+		Src: src, Dst: dst, Routes: n.KShortestPaths(src, dst, 3),
+		Start: 100, End: 135,
+		Demand: 10, Value: 100,
+	}
+	return st, req
+}
+
 // BenchmarkQuoteMenu compares the heap engine against the reference scan
 // at a small scale (2 routes x 6 steps, the Small experiment shape) and
-// the wide-window scale from the issue (8 routes x 48 steps), quoting
-// each time to network exhaustion.
+// the wide-window scale (8 routes x 48 steps), quoting each time to
+// network exhaustion, and at the paper's scale (3 routes x 36 steps on
+// PaperWAN), quoting a demand the one-segment fast path serves.
 func BenchmarkQuoteMenu(b *testing.B) {
 	for _, sc := range []struct {
-		name string
-		R, T int
+		name  string
+		world func() (*State, *traffic.Request)
 	}{
-		{"small", 2, 6},
-		{"wide", 8, 48},
+		{"small", func() (*State, *traffic.Request) { return benchQuoteWorld(2, 6) }},
+		{"wide", func() (*State, *traffic.Request) { return benchQuoteWorld(8, 48) }},
+		{"paper", paperQuoteWorld},
 	} {
-		st, req := benchQuoteWorld(sc.R, sc.T)
+		st, req := sc.world()
 		want := len(quoteMenuReference(st, req, req.Demand).Segments)
+		if sc.name == "paper" && (len(req.Routes) != 3 || want != 1) {
+			b.Fatalf("paper: %d routes, %d segments; want 3 routes and a one-segment menu", len(req.Routes), want)
+		}
 		b.Run(sc.name+"/heap", func(b *testing.B) {
 			var q Quoter
 			b.ReportAllocs()

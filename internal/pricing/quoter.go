@@ -98,7 +98,7 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 	if maxBytes <= 0 {
 		maxBytes = req.Demand
 	}
-	start := req.Start
+	start := max(req.Start, 0)
 	end := req.End
 	if end > st.Horizon-1 {
 		end = st.Horizon - 1
@@ -114,22 +114,25 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 
 	// Price every candidate once (the cost of a single reference-scan
 	// iteration), reading the state's cached segment arrays since the
-	// overlay is all-zero, and keep the strict first minimum: in index
-	// order, p < min is the heap's (price, index) rule.
+	// overlay is all-zero. The loop runs edge-major so each edge's window
+	// is read in storage order: a route's W prices start at 0 and each of
+	// its edges adds its window in route order — per candidate, the
+	// reference's additions in the reference's order.
 	nc := R * W
-	first, firstPrice := 0, math.Inf(1)
 	for ri, route := range req.Routes {
-		base := ri * W
-		for wt := 0; wt < W; wt++ {
-			t := start + wt
-			p := 0.0
-			for _, e := range route {
-				p += st.segPrice[int(e)*H+t]
-			}
-			q.price[base+wt] = p
-			if p < firstPrice {
-				first, firstPrice = base+wt, p
-			}
+		ps := q.price[ri*W : ri*W+W : ri*W+W]
+		clear(ps)
+		for _, e := range route {
+			row := int(e)*H + start
+			addWindow(ps, st.segPrice[row:row+W:row+W])
+		}
+	}
+	// Keep the strict first minimum: in index order, p < min is the
+	// heap's (price, index) rule.
+	first, firstPrice := 0, math.Inf(1)
+	for ci, p := range q.price {
+		if p < firstPrice {
+			first, firstPrice = ci, p
 		}
 	}
 
@@ -265,6 +268,22 @@ func (q *Quoter) Quote(st *State, req *traffic.Request, maxBytes float64) *Menu 
 	q.observe(nc, rekeys, menu)
 	q.reset()
 	return menu
+}
+
+// addWindow adds seg into ps element by element, four at a time;
+// len(seg) >= len(ps).
+func addWindow(ps, seg []float64) {
+	for len(ps) >= 4 && len(seg) >= 4 {
+		ps[0] += seg[0]
+		ps[1] += seg[1]
+		ps[2] += seg[2]
+		ps[3] += seg[3]
+		ps, seg = ps[4:], seg[4:]
+	}
+	seg = seg[:len(ps)]
+	for i := range ps {
+		ps[i] += seg[i]
+	}
 }
 
 // observe publishes one quote's telemetry behind the single nil check.

@@ -81,6 +81,9 @@ func (r *Request) Validate(n *graph.Network) error {
 	if r.Start > r.End {
 		return fmt.Errorf("traffic: request %d has start %d > end %d", r.ID, r.Start, r.End)
 	}
+	if r.Arrival < 0 {
+		return fmt.Errorf("traffic: request %d arrives at negative step %d", r.ID, r.Arrival)
+	}
 	if r.Arrival > r.Start {
 		return fmt.Errorf("traffic: request %d arrives at %d after start %d", r.ID, r.Arrival, r.Start)
 	}

@@ -79,6 +79,19 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// A window that starts before step 0 would index before its edge's row
+// in every per-(edge, step) array; with Arrival <= Start, rejecting a
+// negative arrival rejects it.
+func TestRequestValidateRejectsNegativeStart(t *testing.T) {
+	n := testNet()
+	src, dst := graph.NodeID(0), graph.NodeID(5)
+	r := &Request{ID: 1, Src: src, Dst: dst, Routes: n.KShortestPaths(src, dst, 2),
+		Arrival: -1, Start: -1, End: 2, Demand: 5, Value: 2}
+	if r.Validate(n) == nil {
+		t.Fatal("request arriving and starting at step -1 accepted")
+	}
+}
+
 func TestMatrixOps(t *testing.T) {
 	m := NewMatrix(3)
 	m.Demand[0][1] = 2
