@@ -56,29 +56,63 @@ loc:
 	done; \
 	printf '%-18s %6d\n' total $$total
 
-# prodcover answers "which statements does real traffic reach?" before a
-# simplification deletes a branch: it builds cmd/experiments and the
-# benchmark with coverage over every pretium package (-coverpkg=pretium/...;
-# with ./internal/... the binaries write no coverage data), runs the four
-# benchmark workloads briefly plus -exp all at small scale and -exp gauntlet
-# at medium scale, and prints, per scoreboard layer, the unreached
-# statement count and each unreached block. Binaries and coverage data stay
-# in a temporary directory. It is a survey, not a gate.
+# prodcover answers "which statements does shipped traffic reach?" before a
+# simplification deletes a branch. It builds cmd/experiments,
+# cmd/pretium-serve, the six examples and the benchmark with coverage over
+# every pretium package (-coverpkg=pretium/...; with ./internal/... the
+# binaries write no coverage data), then runs:
+#   - the four benchmark workloads briefly;
+#   - -exp all at small scale and -exp gauntlet at medium scale;
+#   - every example;
+#   - -exp export, then -exp run on the exported topology and series with
+#     -ratefrac, -load, -trace and -metrics;
+#   - pretium-serve on 127.0.0.1:18347 at small scale, sent one GET
+#     /v1/state, POST /v1/quote, a valid and an unknown-dst POST
+#     /v1/admit, POST /v1/publish {} and GET /metrics, then stopped with
+#     SIGTERM (its graceful shutdown writes the coverage data).
+# It prints, per scoreboard layer, the unreached statement count and each
+# unreached block, then every pretium function (outside bench/) no run
+# entered. Binaries,
+# outputs and coverage data stay in a temporary directory. It is a survey,
+# not a gate.
 prodcover:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/cov" && \
-	$(GO) build -cover -coverpkg=pretium/... -o "$$tmp/experiments" ./cmd/experiments && \
-	(cd bench && GOWORK=off $(GO) build -cover -coverpkg=pretium/... -o "$$tmp/bench" .) && \
-	export GOCOVERDIR="$$tmp/cov" && \
+	@set -e; tmp=$$(mktemp -d); srv=; \
+	trap 'if [ -n "$$srv" ]; then kill $$srv 2>/dev/null || true; fi; rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/cov"; \
+	$(GO) build -cover -coverpkg=pretium/... -o "$$tmp/experiments" ./cmd/experiments; \
+	$(GO) build -cover -coverpkg=pretium/... -o "$$tmp/serve" ./cmd/pretium-serve; \
+	for ex in examples/*/; do \
+		$(GO) build -cover -coverpkg=pretium/... -o "$$tmp/ex-$$(basename $$ex)" ./$$ex; \
+	done; \
+	(cd bench && GOWORK=off $(GO) build -cover -coverpkg=pretium/... -o "$$tmp/bench" .); \
+	export GOCOVERDIR="$$tmp/cov"; \
 	for w in loop-wan16 sam-paper admit-paper admit-http; do \
-		"$$tmp/bench" -workload $$w -seconds 2 -trace 0 -out "$$tmp/result.json" >/dev/null || exit 1; \
-	done && \
-	"$$tmp/experiments" -exp all -scale small >/dev/null && \
-	"$$tmp/experiments" -exp gauntlet -scale medium >/dev/null && \
-	$(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cover.txt" && \
+		"$$tmp/bench" -workload $$w -seconds 2 -trace 0 -out "$$tmp/result.json" >/dev/null; \
+	done; \
+	"$$tmp/experiments" -exp all -scale small >/dev/null; \
+	"$$tmp/experiments" -exp gauntlet -scale medium >/dev/null; \
+	for ex in "$$tmp"/ex-*; do "$$ex" >/dev/null; done; \
+	"$$tmp/experiments" -exp export -scale small -topology "$$tmp/t.csv" -series "$$tmp/s.csv" >/dev/null; \
+	"$$tmp/experiments" -exp run -scale small -topology "$$tmp/t.csv" -series "$$tmp/s.csv" \
+		-ratefrac 0.2 -load 1.5 -trace "$$tmp/trace.jsonl" -metrics "$$tmp/metrics.json" >/dev/null; \
+	"$$tmp/serve" -addr 127.0.0.1:18347 -scale small 2>/dev/null & srv=$$!; \
+	url=http://127.0.0.1:18347; \
+	for i in $$(seq 50); do curl -sf $$url/v1/state >/dev/null && break; sleep 0.1; done; \
+	req='{"src":"dc0-0","dst":"dc1-0","start":0,"end":2,"demand":5,"value":9}'; \
+	curl -s -XPOST $$url/v1/quote -d "$$req" >/dev/null; \
+	curl -s -XPOST $$url/v1/admit -d "$$req" >/dev/null; \
+	curl -s -XPOST $$url/v1/admit -d '{"src":"dc0-0","dst":"nowhere","start":0,"end":2,"demand":5,"value":9}' >/dev/null; \
+	curl -s -XPOST $$url/v1/publish -d '{}' >/dev/null; \
+	curl -s $$url/metrics >/dev/null; \
+	kill -TERM $$srv; wait $$srv; srv=; \
+	$(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/cover.txt"; \
 	awk 'NR > 1 { n[$$1] = $$2; hit[$$1] += $$3 } \
 	END { for (b in n) if (match(b, /internal\/(lp|core|sched|serve|exp|baselines|pricing)\//)) { \
 		l = substr(b, RSTART + 9, RLENGTH - 10); all[l] += n[b]; \
 		if (!hit[b]) { miss[l] += n[b]; print b, n[b] | "sort -V" } } \
 		close("sort -V"); \
 		for (l in all) printf "internal/%-9s %5d of %5d statements unreached\n", l, miss[l], all[l] | "sort" }' \
-		"$$tmp/cover.txt"
+		"$$tmp/cover.txt"; \
+	echo "functions no run entered:"; \
+	$(GO) tool covdata func -i="$$tmp/cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /^pretium\/bench\// { print "  " $$1, $$2 }'

@@ -1,7 +1,9 @@
-// Rateleases demonstrates rate requests (§4.4): a firm leasing VMs in one
-// region wants a guaranteed 250 Mbps-style bandwidth reservation to
-// another datacenter for a working day, alongside ordinary deadline byte
-// transfers competing for the same links.
+// Rateleases demonstrates the request classes of §4.4 beyond byte
+// transfers: a firm leasing VMs in one region wants a guaranteed
+// 250 Mbps-style bandwidth reservation to another datacenter for a
+// working day, alongside ordinary deadline byte transfers competing for
+// the same links and a best-effort scavenger transfer that names its own
+// per-byte price and rides whatever capacity is left.
 package main
 
 import (
@@ -41,6 +43,15 @@ func main() {
 		})
 	}
 
+	// The scavenger: 40 bytes over the whole horizon, no guarantee, paying
+	// 0.5 per byte it actually gets.
+	scavenger := &pretium.Request{
+		ID: len(reqs), Src: src, Dst: dst, Routes: routes,
+		Arrival: 0, Start: 0, End: horizon - 1,
+		Kind: pretium.ScavengerRequest, Demand: 40, Value: 0.5,
+	}
+	reqs = append(reqs, scavenger)
+
 	cfg := pretium.DefaultConfig(horizon)
 	cfg.Cost = pretium.DefaultCostConfig(horizon)
 	cfg.PriceWindow = horizon
@@ -62,8 +73,10 @@ func main() {
 		fmt.Printf("  t=%2d  %.2f\n", t, got)
 	}
 	fmt.Println("\nbackground transfers:")
-	for i := 1; i < len(reqs); i++ {
+	for i := 1; i < scavenger.ID; i++ {
 		fmt.Printf("  request %d: delivered %.1f / %.1f, paid %.2f\n",
 			i, out.Delivered[i], reqs[i].Demand, out.Payments[i])
 	}
+	fmt.Printf("\nscavenger: delivered %.1f / %.1f, paid %.2f\n",
+		out.Delivered[scavenger.ID], scavenger.Demand, out.Payments[scavenger.ID])
 }

@@ -43,7 +43,8 @@ func decodeFuzzPlan(data []byte, edges []graph.EdgeID) Plan {
 // FuzzChurnOverlay drives random outage plans through a full horizon
 // and asserts the overlay's safety invariants: no (edge, step) capacity
 // ever goes negative, windows that have fully passed restore the exact
-// original capacity, and the high-pri set-aside survives untouched.
+// original capacity, and an outage on a link the plan never names
+// survives untouched.
 func FuzzChurnOverlay(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 4, 0})                                 // one full link cut
 	f.Add([]byte{1, 1, 3, 5, 120})                               // over-unity drain knob
@@ -61,9 +62,11 @@ func FuzzChurnOverlay(f *testing.F) {
 			n.AddEdge(b, c, 7),
 			n.AddEdge(a, c, 13),
 		}
+		// A standing outage on a link the plan never names, which the
+		// plan's writes must not disturb.
+		standing := n.AddEdge(c, a, 5)
 		st := pricing.NewState(n, fuzzHorizon, 1)
-		// A standing high-pri set-aside the outages must not disturb.
-		st.SetHighPri(edges[0], 5, 2)
+		st.SetOutage(standing, 5, 2)
 
 		p := decodeFuzzPlan(data, edges)
 		// Latest step any outage may still be touching (drains extend
@@ -95,20 +98,16 @@ func FuzzChurnOverlay(f *testing.F) {
 				if tt < 0 {
 					continue
 				}
-				want := cap
-				if e == edges[0] && tt == 5 {
-					want -= 2 // the standing set-aside
-				}
-				if got := st.Capacity(e, tt); got != want {
-					t.Fatalf("no restore: capacity(e%d, %d) = %v, want exactly %v", e, tt, got, want)
+				if got := st.Capacity(e, tt); got != cap {
+					t.Fatalf("no restore: capacity(e%d, %d) = %v, want exactly %v", e, tt, got, cap)
 				}
 				if got := st.OutageAt(e, tt); got != 0 {
 					t.Fatalf("outage residue at (e%d, %d): %v", e, tt, got)
 				}
 			}
 		}
-		if got := st.HighPri[edges[0]][5]; got != 2 {
-			t.Fatalf("outages disturbed the high-pri set-aside: %v", got)
+		if got := st.OutageAt(standing, 5); got != 2 || st.Capacity(standing, 5) != 3 {
+			t.Fatalf("the plan disturbed a standing outage: %v", got)
 		}
 	})
 }

@@ -42,31 +42,20 @@ type Config struct {
 	// MinPrice floors recomputed prices. Both prices must be finite and
 	// non-negative.
 	MinPrice float64
-	// HighPriEstimate, when non-nil, is the capacity set aside for
-	// high-pri traffic, one row of exactly Horizon steps per edge —
-	// typically pricing.EstimateHighPriSetAside of historical high-pri
-	// usage (§4.4). Every cell must be finite and non-negative; it clamps
-	// to capacity.
-	HighPriEstimate [][]float64
 	// HighPriActual, when non-nil, is the high-pri traffic that actually
-	// materializes: it physically consumes link capacity whether or not
-	// the estimate covered it, so an underestimate squeezes scheduled
-	// transfers exactly like an unannounced fault — which is how one is
-	// modelled: leaving fraction f of edge e adds Capacity*(1-f) to its
-	// cells. Its shape and cells obey HighPriEstimate's rule.
+	// materializes (§4.4), one row of exactly Horizon steps per edge: it
+	// physically consumes link capacity the planner never sees, so it
+	// squeezes scheduled transfers exactly like an unannounced fault —
+	// which is how one is modelled: leaving fraction f of edge e adds
+	// Capacity*(1-f) to its cells. Every cell must be finite and
+	// non-negative (pricing.CheckHighPriMatrix).
 	HighPriActual [][]float64
 	// EnableSAM switches schedule adjustment, run every timestep as the
 	// paper recommends (off = Pretium-NoSAM).
 	EnableSAM bool
-	// CustomerRateCap bounds the bandwidth any single request may hold
-	// per timestep (0 = unlimited) — the §4.4 fairness lever against
-	// elephant transfers crowding out everyone else. Byte purchases are
-	// capped at CustomerRateCap x window, rate purchases at
-	// CustomerRateCap per step, and SAM enforces the per-step cap exactly.
-	CustomerRateCap float64
 	// Purchase overrides the customer decision rule for byte requests:
-	// given the menu quoted up to the rate-capped demand, it returns the
-	// bytes bought, clamped to that cap. Nil applies Theorem 5.2's
+	// given the menu quoted up to the demand, it returns the bytes
+	// bought, clamped to the demand. Nil applies Theorem 5.2's
 	// linear-utility rule; AllOrNothing is Pretium-NoMenu's. Other rules
 	// model §4.4's nonlinear utilities, e.g. concave value.
 	Purchase func(menu *pricing.Menu, req *traffic.Request) float64
@@ -252,11 +241,6 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 			st.SetBasePrice(e.ID, t, p)
 		}
 	}
-	if cfg.HighPriEstimate != nil {
-		if err := st.SetHighPriMatrix(cfg.HighPriEstimate); err != nil {
-			return nil, fmt.Errorf("core: HighPriEstimate: %w", err)
-		}
-	}
 	c := &Controller{
 		cfg:            cfg,
 		net:            net,
@@ -274,18 +258,15 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 	c.obs = newCoreObs(cfg.Obs)
 	c.quoter.SetObs(cfg.Obs.Metrics())
 	// Physical capacity available to scheduled traffic (what `realize`
-	// clamps against, less the outage overlay). When actual high-pri usage
-	// is given it drains physical capacity directly, silent faults
-	// included; otherwise the planner's set-aside is assumed exactly
-	// consumed.
+	// clamps against, less the outage overlay): actual high-pri usage,
+	// silent faults included, drains it directly.
 	c.trueCap = make([][]float64, net.NumEdges())
 	for _, e := range net.Edges() {
 		c.trueCap[e.ID] = make([]float64, cfg.Horizon)
 		for t := 0; t < cfg.Horizon; t++ {
+			c.trueCap[e.ID][t] = e.Capacity
 			if cfg.HighPriActual != nil {
 				c.trueCap[e.ID][t] = max(e.Capacity-cfg.HighPriActual[e.ID][t], 0)
-			} else {
-				c.trueCap[e.ID][t] = st.Capacity(e.ID, t)
 			}
 		}
 	}
@@ -344,11 +325,10 @@ func (c *Controller) admit(r *traffic.Request) {
 		c.admitScavenger(r)
 		return
 	}
-	maxBuy := c.rateCapped(r.Demand, r.Window())
-	menu := c.quoter.Quote(c.state, r, maxBuy)
-	bought := menu.Purchase(r.Value, maxBuy)
+	menu := c.quoter.Quote(c.state, r, r.Demand)
+	bought := menu.Purchase(r.Value, r.Demand)
 	if c.cfg.Purchase != nil {
-		bought = math.Min(c.cfg.Purchase(menu, r), maxBuy)
+		bought = math.Min(c.cfg.Purchase(menu, r), r.Demand)
 	}
 	adm := pricing.Commit(c.state, r, menu, bought)
 	bumps := 0
@@ -369,16 +349,6 @@ func (c *Controller) admit(r *traffic.Request) {
 	c.Admitted[idx] = true
 	c.AdmissionPrice[idx] = adm.Lambda
 	c.enroll(adm, idx, r.Start, r.End)
-}
-
-// rateCapped bounds a purchase of want bytes over steps timesteps by
-// CustomerRateCap per step, the cap SAM enforces: selling more would sell
-// guarantees SAM cannot schedule.
-func (c *Controller) rateCapped(want float64, steps int) float64 {
-	if c.cfg.CustomerRateCap > 0 {
-		return math.Min(want, c.cfg.CustomerRateCap*float64(steps))
-	}
-	return want
 }
 
 // enroll hands an admitted (sub)request over [start, end] to SAM; the
@@ -420,14 +390,13 @@ func (c *Controller) admitRate(r *traffic.Request) {
 		menu *pricing.Menu
 	}
 	var quotes []stepQuote
-	rate := c.rateCapped(r.Rate, 1)
 	total := 0.0
-	feasibleRate := rate
+	feasibleRate := r.Rate
 	for t := r.Start; t <= r.End && t < c.cfg.Horizon; t++ {
 		stepReq := *r
 		stepReq.Start, stepReq.End = t, t
-		stepReq.Demand = rate
-		menu := c.quoter.Quote(c.state, &stepReq, rate)
+		stepReq.Demand = r.Rate
+		menu := c.quoter.Quote(c.state, &stepReq, r.Rate)
 		if menu.Cap() < feasibleRate {
 			feasibleRate = menu.Cap()
 		}
@@ -599,7 +568,6 @@ func (c *Controller) samInstance(t, horizon int, states, pinned []*admState) *sc
 			MaxBytes:     a.remaining(),
 			MinBytes:     a.guaranteeLeft(),
 			ValuePerByte: a.adm.Lambda,
-			RateCap:      c.cfg.CustomerRateCap,
 		}
 	}
 	return &sched.Instance{

@@ -20,7 +20,7 @@ func smallConfig(horizon int) Config {
 	return cfg
 }
 
-// uniformHighPri sets aside frac of every link at every step.
+// uniformHighPri is high-pri use of frac of every link at every step.
 func uniformHighPri(n *graph.Network, horizon int, frac float64) [][]float64 {
 	m := make([][]float64, n.NumEdges())
 	for _, e := range n.Edges() {
@@ -292,7 +292,7 @@ func TestHighPriReducesDeliverableVolume(t *testing.T) {
 		return []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 0, 10, 5)}
 	}
 	cfg := smallConfig(1)
-	cfg.HighPriEstimate = uniformHighPri(n, 1, 0.5)
+	cfg.HighPriActual = uniformHighPri(n, 1, 0.5)
 	c, err := New(n, mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestHighPriReducesDeliverableVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Delivered[0] > 5+1e-6 {
-		t.Errorf("delivered %v with half the link set aside", out.Delivered[0])
+		t.Errorf("delivered %v with half the link taken by high-pri", out.Delivered[0])
 	}
 }
 

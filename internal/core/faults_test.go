@@ -276,16 +276,15 @@ func TestFaultPreservesOtherEdges(t *testing.T) {
 
 // TestSilentFaultChargesHighPriOnce: a fault the planner never hears of
 // removes its share of the nameplate capacity, and high-pri traffic still
-// takes its set-aside out of what is left. On a 10-unit link with 20%
+// takes its own share out of what is left. On a 10-unit link with 20%
 // high-pri and a silent halving, actual high-pri use is 2 + 5, so
 // scheduled traffic physically gets 10*0.5 - 2 = 3, not 0.5*(10-2) = 4.
 func TestSilentFaultChargesHighPriOnce(t *testing.T) {
 	n, a, b := simpleNet()
 	req := mkReq(n, 0, a, b, 0, 0, 0, 8, 5)
 	cfg := smallConfig(1)
-	cfg.HighPriEstimate = uniformHighPri(n, 1, 0.2)
 	cfg.HighPriActual = silentFault(n, 1, 0, 0, 0, 0.5)
-	cfg.HighPriActual[0][0] += cfg.HighPriEstimate[0][0]
+	cfg.HighPriActual[0][0] += uniformHighPri(n, 1, 0.2)[0][0]
 	c, err := New(n, []*traffic.Request{req}, cfg)
 	if err != nil {
 		t.Fatal(err)

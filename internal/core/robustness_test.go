@@ -207,7 +207,7 @@ func TestRateRequestNotAdmittedWithoutCommit(t *testing.T) {
 	}
 	// Kill all sellable capacity at step 2 before the request arrives:
 	// the per-step quote there is empty, so the bundle is infeasible.
-	c.state.SetHighPri(0, 2, 10)
+	c.state.SetOutage(0, 2, 10)
 	out, err := c.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -17,14 +17,15 @@ import (
 )
 
 // wideWAN is a controller input whose SAM instances cross lp.LargeModelRows
-// on their own within a few steps and stay cheap to solve: 20 nodes, many
-// small two-route requests with long windows, and a customer rate cap, so
-// that most rows are per-(transfer, step) rate caps rather than sorting
-// networks.
-func wideWAN() (*graph.Network, []*traffic.Request, Config) {
+// on their own within a few steps and stay cheap to solve: regions of four
+// nodes and many small two-route requests with long windows, so that most
+// rows are per-transfer demand and guarantee rows and per-(edge, step)
+// capacity rows rather than sorting networks. More regions add edges and
+// pairs; a smaller meanSize adds transfers on the same capacity.
+func wideWAN(regions int, meanSize float64) (*graph.Network, []*traffic.Request, Config) {
 	const steps, window = 16, 12
 	wc := graph.DefaultWANConfig()
-	wc.Regions, wc.NodesPerRegion = 5, 4
+	wc.Regions, wc.NodesPerRegion = regions, 4
 	wc.MeanUsageCost = 10
 	wc.UnpricedInterFactor = 0.35
 	wc.IntraCapacity = 40
@@ -35,7 +36,7 @@ func wideWAN() (*graph.Network, []*traffic.Request, Config) {
 	gc.BaseDemand = 6
 	dist := stats.Normal{Mu: 0.35, Sigma: 0.15, Floor: 0.02}
 	rc := traffic.DefaultRequestConfig()
-	rc.MeanSize = 5
+	rc.MeanSize = meanSize
 	rc.ValueDist = dist
 	rc.RoutesPerRequest = 2
 	rc.MaxSlack = 16
@@ -47,7 +48,6 @@ func wideWAN() (*graph.Network, []*traffic.Request, Config) {
 	cfg.PriceWindow = window
 	cfg.InitialPrice = 0.4 * dist.Mean()
 	cfg.MinPrice = 0.02 * dist.Mean()
-	cfg.CustomerRateCap = 25
 	return net, reqs, cfg
 }
 
@@ -73,7 +73,7 @@ func (w *samWatch) BeforeStep(t int, st *pricing.State) {
 }
 
 // explicitSAM is Eq. 2 for ins written against lp.Model here, without sched:
-// every demand cap, guarantee and per-step rate cap a row, no implicit
+// every demand cap and guarantee a row, no implicit
 // bounds, no presolve. It returns the optimum and a function scoring a
 // forward plan under the same objective (the percentile proxy z is tight at
 // any optimum, so a plan's cost term is the top-k sum itself).
@@ -93,9 +93,6 @@ func explicitSAM(t *testing.T, ins *sched.Instance) (optimum float64, score func
 				for _, e := range route {
 					flows[cell{int(e), tt}] = append(flows[cell{int(e), tt}], x)
 				}
-			}
-			if d.RateCap > 0 {
-				m.AddConstraint(lp.LE, d.RateCap, step...)
 			}
 			all = append(all, step...)
 		}
@@ -184,7 +181,7 @@ func TestSizeSelectedSAMMatchesExplicit(t *testing.T) {
 		// nothing to find here and makes it two and a half minutes.
 		t.Skip("end-to-end run past lp.LargeModelRows")
 	}
-	net, reqs, cfg := wideWAN()
+	net, reqs, cfg := wideWAN(8, 5)
 	w := &samWatch{}
 	cfg.Chaos = w
 	c, err := New(net, reqs, cfg)
@@ -265,7 +262,7 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 		t.Skip("end-to-end run past lp.LargeModelRows") // as above
 	}
 	const cutAt = 5
-	net, reqs, cfg := wideWAN()
+	net, reqs, cfg := wideWAN(5, 1.5)
 	cut := chaos.Outage{From: cutAt, To: cutAt + 3, Survive: 0.7}
 	for _, e := range net.Edges() {
 		cut.Edges = append(cut.Edges, e.ID)

@@ -5,8 +5,8 @@ package lp
 // The SAM LP at paper scale is dominated by rows that cannot bind — most
 // (edge, timestep) capacity rows bound flow variables whose own upper
 // bounds already cap the row's activity below capacity — and by rows that
-// are really just variable bounds in disguise (single-route rate caps,
-// single-variable demand caps). Presolve removes both classes before the
+// are really just variable bounds in disguise (single-variable demand caps
+// and guarantees). Presolve removes both classes before the
 // simplex sees the model, and postsolve reconstructs the full primal and
 // dual vectors so the Price Computer's duals survive the reduction: a row
 // proven redundant against the variable bounds always admits zero as an

@@ -1,15 +1,11 @@
 package pricing
 
-import (
-	"pretium/internal/obs"
-	"pretium/internal/traffic"
-)
+import "pretium/internal/traffic"
 
-// Admitter is the batched request-admission front-end: it binds a shared
-// State to a private Quoter so a stream of arrivals is served with
-// reusable scratch — the steady state allocates only each returned menu
-// and admission record. Batch callers (experiments, replay tools) feed
-// whole arrival slices through AdmitAll.
+// Admitter is the request-admission front-end: it binds a shared State
+// to a private Quoter so a stream of arrivals is served with reusable
+// scratch — the steady state allocates only each returned menu and
+// admission record.
 //
 // An Admitter is not safe for concurrent use (admissions mutate the
 // shared State); shard one Admitter + State per goroutine for parallel
@@ -21,11 +17,6 @@ type Admitter struct {
 
 // NewAdmitter creates an admitter serving quotes against st.
 func NewAdmitter(st *State) *Admitter { return &Admitter{st: st} }
-
-// SetObs enables quote-engine telemetry on this admitter's private quoter
-// (nil disables it). Admission outcomes are the controller's to record;
-// the admitter only owns the quoter-level counters.
-func (a *Admitter) SetObs(m *obs.Metrics) { a.q.SetObs(m) }
 
 // Quote computes req's price menu without admitting it (the state is not
 // modified). Equivalent to QuoteMenu with this admitter's scratch.
@@ -39,16 +30,4 @@ func (a *Admitter) Quote(req *traffic.Request, maxBytes float64) *Menu {
 func (a *Admitter) Admit(req *traffic.Request) *Admission {
 	menu := a.Quote(req, req.Demand)
 	return Commit(a.st, req, menu, menu.Purchase(req.Value, req.Demand))
-}
-
-// AdmitAll serves a batch of arrivals in order, returning one admission
-// record per request (nil where the customer declined). Each admission's
-// reservations shift the quotes that follow it, exactly as a live
-// arrival stream would see.
-func (a *Admitter) AdmitAll(reqs []*traffic.Request) []*Admission {
-	out := make([]*Admission, len(reqs))
-	for i, r := range reqs {
-		out[i] = a.Admit(r)
-	}
-	return out
 }

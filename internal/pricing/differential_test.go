@@ -19,7 +19,6 @@ func cloneState(st *State) *State {
 	for e := range st.BasePrice {
 		copy(c.BasePrice[e], st.BasePrice[e])
 		copy(c.Reserved[e], st.Reserved[e])
-		copy(c.HighPri[e], st.HighPri[e])
 	}
 	c.Invalidate()
 	return c
@@ -234,7 +233,10 @@ func TestConcurrentAdmissionShards(t *testing.T) {
 		wg.Add(1)
 		go func(s int, st *State) {
 			defer wg.Done()
-			adms[s] = NewAdmitter(st).AdmitAll(reqs)
+			ad := NewAdmitter(st)
+			for _, r := range reqs {
+				adms[s] = append(adms[s], ad.Admit(r))
+			}
 		}(s, st)
 	}
 	wg.Wait()

@@ -62,16 +62,3 @@ func TestQuoterObsCountsAndNeutrality(t *testing.T) {
 		t.Fatalf("quoter.quotes advanced after SetObs(nil): %d", n)
 	}
 }
-
-func TestAdmitterSetObs(t *testing.T) {
-	st, req := benchQuoteWorld(2, 6)
-	m := obs.NewMetrics()
-	ad := NewAdmitter(st)
-	ad.SetObs(m)
-	if adm := ad.Admit(req); adm == nil {
-		t.Fatalf("expected admission in the bench world")
-	}
-	if n := m.Counter("quoter.quotes").Value(); n != 1 {
-		t.Fatalf("quoter.quotes = %d, want 1", n)
-	}
-}

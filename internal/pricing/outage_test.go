@@ -42,24 +42,6 @@ func TestSetOutageReducesCapacityAndRestoresExactly(t *testing.T) {
 	}
 }
 
-// The overlay must compose with the high-pri set-aside without either
-// clobbering the other.
-func TestOutageComposesWithHighPriSetAside(t *testing.T) {
-	st, e := outageState(2)
-	st.SetHighPri(e, 0, 3) // high-pri sets aside 3
-	st.SetOutage(e, 0, 4)
-	if got := st.Capacity(e, 0); got != 3 {
-		t.Errorf("capacity = %v, want 3 (10 - 3 set-aside - 4 outage)", got)
-	}
-	st.SetOutage(e, 0, 0)
-	if got := st.Capacity(e, 0); got != 7 {
-		t.Errorf("capacity after outage restore = %v, want 7 (set-aside intact)", got)
-	}
-	if got := st.HighPri[e][0]; got != 3 {
-		t.Errorf("set-aside = %v, want 3 (outage must not touch it)", got)
-	}
-}
-
 // SetOutage stores a cell's total as given — composing outages, and
 // clamping each to its link, is chaos.Plan's job — so a total past the
 // capacity is kept for OutageAt while Capacity clamps at zero; negative

@@ -45,26 +45,6 @@ func TestNewStateInitialPrices(t *testing.T) {
 	}
 }
 
-func TestHighPriReducesCapacity(t *testing.T) {
-	n, _ := twoPathNet()
-	st := flatState(n, 2, 1)
-	setUniformHighPri(t, st, 0.25)
-	if got := st.Capacity(0, 0); math.Abs(got-3) > 1e-9 {
-		t.Errorf("Capacity = %v, want 3", got)
-	}
-	if got := st.Available(0, 0); math.Abs(got-3) > 1e-9 {
-		t.Errorf("Available = %v, want 3", got)
-	}
-	st.Reserve(graph.Path{0}, 0, 2)
-	if got := st.Available(0, 0); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Available after reserve = %v, want 1", got)
-	}
-	cm := st.CapacityMatrix()
-	if math.Abs(cm[0][0]-3) > 1e-9 {
-		t.Errorf("CapacityMatrix = %v", cm[0][0])
-	}
-}
-
 func TestMarginalPricePremium(t *testing.T) {
 	n, _ := twoPathNet()
 	st := NewState(n, 1, 1) // default adjust: threshold 0.8, factor 2
@@ -399,101 +379,11 @@ func TestCostFloorAmortizesOverChargingWindow(t *testing.T) {
 	}
 }
 
-// setUniformHighPri sets aside frac of every link at every step.
-func setUniformHighPri(t *testing.T, st *State, frac float64) {
-	t.Helper()
-	m := make([][]float64, st.Net.NumEdges())
+// setUniformOutage takes frac of every link out of service at every step.
+func setUniformOutage(st *State, frac float64) {
 	for _, e := range st.Net.Edges() {
-		m[e.ID] = make([]float64, st.Horizon)
-		for tt := range m[e.ID] {
-			m[e.ID][tt] = e.Capacity * frac
+		for t := 0; t < st.Horizon; t++ {
+			st.SetOutage(e.ID, t, e.Capacity*frac)
 		}
-	}
-	if err := st.SetHighPriMatrix(m); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSetHighPriMatrix(t *testing.T) {
-	n, _ := twoPathNet()
-	st := flatState(n, 2, 1)
-	m := make([][]float64, n.NumEdges())
-	for e := range m {
-		m[e] = []float64{1, 2}
-	}
-	if err := st.SetHighPriMatrix(m); err != nil {
-		t.Fatal(err)
-	}
-	if st.HighPri[1][1] != 2 {
-		t.Errorf("matrix not applied")
-	}
-	if err := st.SetHighPriMatrix(m[:1]); err == nil {
-		t.Error("wrong edge count accepted")
-	}
-	bad := make([][]float64, n.NumEdges())
-	for e := range bad {
-		bad[e] = []float64{1}
-	}
-	if err := st.SetHighPriMatrix(bad); err == nil {
-		t.Error("wrong horizon accepted")
-	}
-	// A bad cell rejects the whole matrix and leaves the set-aside alone;
-	// a cell above capacity clamps to it, as SetHighPri does.
-	for _, v := range []float64{math.NaN(), -1, math.Inf(1)} {
-		m[0][0] = v
-		if err := st.SetHighPriMatrix(m); err == nil {
-			t.Errorf("cell %v accepted", v)
-		}
-		if st.HighPri[0][0] != 1 {
-			t.Errorf("rejected matrix applied: HighPri[0][0] = %v", st.HighPri[0][0])
-		}
-	}
-	m[0][0] = 1e9
-	if err := st.SetHighPriMatrix(m); err != nil {
-		t.Fatal(err)
-	}
-	if cap := n.Edge(0).Capacity; st.HighPri[0][0] != cap || st.Capacity(0, 0) != 0 {
-		t.Errorf("over-capacity cell: HighPri %v, Capacity %v, want %v and 0", st.HighPri[0][0], st.Capacity(0, 0), cap)
-	}
-}
-
-func TestEstimateHighPriSetAsidePricingLocal(t *testing.T) {
-	observed := [][]float64{{1, 5, 3, 5}}
-	got, err := EstimateHighPriSetAside(observed, 2, 50, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hour 0 samples {1,3} median 2; hour 1 samples {5,5} median 5.
-	want := []float64{2, 5, 2, 5}
-	for i, w := range want {
-		if math.Abs(got[0][i]-w) > 1e-9 {
-			t.Errorf("step %d = %v, want %v", i, got[0][i], w)
-		}
-	}
-}
-
-func TestHighPriSetAsideClampedAtCapacity(t *testing.T) {
-	n, _ := twoPathNet() // edge 0: s->t, capacity 4
-	st := NewState(n, 2, 1)
-	// A set-aside of twice the link must saturate at physical capacity,
-	// so planner capacity bottoms out at zero instead of going negative.
-	st.SetHighPri(0, 0, 8)
-	if got := st.HighPri[0][0]; got != 4 {
-		t.Errorf("set-aside %v, want clamp at capacity 4", got)
-	}
-	if got := st.Capacity(0, 0); got != 0 {
-		t.Errorf("capacity %v, want 0", got)
-	}
-	// Lifting the set-aside restores capacity and never goes negative.
-	st.SetHighPri(0, 0, -3)
-	if got := st.HighPri[0][0]; got != 0 {
-		t.Errorf("set-aside %v after negative set, want 0", got)
-	}
-	if got := st.Capacity(0, 0); got != 4 {
-		t.Errorf("capacity %v after lift, want 4", got)
-	}
-	// The segment cache must track the mutations (quote path reads it).
-	if got, want := st.segmentRoom(0, 0, 0), st.roomAt(0, 0, 0); got != want {
-		t.Errorf("segment cache stale: %v != %v", got, want)
 	}
 }

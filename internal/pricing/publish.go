@@ -16,7 +16,7 @@ import "fmt"
 //
 //	mutable   — fresh from NewState/Clone; anything goes. This is the
 //	            snapshot-construction window, the ONLY point where
-//	            planning inputs (prices, plans, set-asides, outages)
+//	            planning inputs (prices, plans, outages)
 //	            may change.
 //	published — shared with the admission service. Planning mutators
 //	            panic; Reserve stays legal because the service
@@ -91,7 +91,6 @@ func (s *State) Clone() *State {
 	}
 	c.BasePrice = cloneMatrix(s.BasePrice)
 	c.Reserved = cloneMatrix(s.Reserved)
-	c.HighPri = cloneMatrix(s.HighPri)
 	c.segPrice = append([]float64(nil), s.segPrice...)
 	c.segRoom = append([]float64(nil), s.segRoom...)
 	c.outTotal = append([]float64(nil), s.outTotal...)
@@ -109,7 +108,7 @@ func cloneMatrix(m [][]float64) [][]float64 {
 // Successor prepares the pricing generation that follows s: live, the
 // copy room commits will land in, and view, the sealed snapshot
 // lock-free quoters read. Both take plan's planning inputs — prices,
-// high-pri set-aside, outage overlay, adjustment config — deep-copied
+// outage overlay, adjustment config — deep-copied
 // once and *shared* between the two: planning mutators are poisoned on a
 // published and on a sealed state alike, so nothing writes those arrays
 // again. Each owns what a room commit moves (Reserved, the segment
@@ -130,7 +129,6 @@ func (s *State) Successor(plan *State) (live, view *State, err error) {
 		Horizon:   h,
 		Adjust:    plan.Adjust,
 		BasePrice: cloneMatrix(plan.BasePrice),
-		HighPri:   cloneMatrix(plan.HighPri),
 		outTotal:  append([]float64(nil), plan.outTotal...),
 		outVer:    plan.outVer,
 	}

@@ -11,7 +11,7 @@ func publishTestState(t *testing.T) *State {
 	t.Helper()
 	net := lineNetwork(t, 3)
 	st := NewState(net, 4, 1.0)
-	setUniformHighPri(t, st, 0.1)
+	setUniformOutage(st, 0.1)
 	st.SetOutage(0, 1, 2.5)
 	st.Reserve(graph.Path{0, 1}, 2, 3.0)
 	return st
@@ -55,8 +55,6 @@ func TestPublishPoisonsPlanningMutators(t *testing.T) {
 
 	mustPanic(t, "Invalidate", func() { st.Invalidate() })
 	mustPanic(t, "SetBasePrice", func() { st.SetBasePrice(0, 0, 2) })
-	mustPanic(t, "SetHighPri", func() { st.SetHighPri(0, 0, 1) })
-	mustPanic(t, "SetHighPriMatrix", func() { _ = st.SetHighPriMatrix(st.HighPri) })
 	mustPanic(t, "SetOutage", func() { st.SetOutage(0, 0, 1) })
 	mustPanic(t, "SetReserved", func() { _ = st.SetReserved(st.Reserved) })
 	mustPanic(t, "SetPricesWindow", func() { _ = st.SetPricesWindow(0, st.BasePrice) })
@@ -172,7 +170,7 @@ func TestSuccessorCarriesPlanAndRoom(t *testing.T) {
 				adopt, live.Published(), live.Sealed(), view.Sealed())
 		}
 		if live.BasePrice[1][3] != 4.25 || live.Adjust != plan.Adjust || live.OutageAt(0, 1) != plan.OutageAt(0, 1) ||
-			live.HighPri[1][0] != plan.HighPri[1][0] || live.OutageVersion() != plan.OutageVersion() {
+			live.OutageAt(1, 0) != plan.OutageAt(1, 0) || live.OutageVersion() != plan.OutageVersion() {
 			t.Fatalf("adopt=%v: planning inputs not adopted", adopt)
 		}
 		ref := live.Clone()
@@ -204,22 +202,23 @@ func TestSuccessorCarriesPlanAndRoom(t *testing.T) {
 			t.Fatalf("adopt=%v: a commit into live moved the view", adopt)
 		}
 		// The plan stays the caller's: nothing in the pair aliases it.
+		down := plan.OutageAt(1, 2)
 		plan.SetBasePrice(0, 0, 77)
-		plan.SetOutage(1, 2, 1)
-		if live.BasePrice[0][0] == 77 || view.BasePrice[0][0] == 77 || live.OutageAt(1, 2) != 0 {
+		plan.SetOutage(1, 2, down+1)
+		if live.BasePrice[0][0] == 77 || view.BasePrice[0][0] == 77 || live.OutageAt(1, 2) != down {
 			t.Fatalf("adopt=%v: the pair aliases the plan's arrays", adopt)
 		}
 		plan.SetBasePrice(0, 0, 1)
-		plan.SetOutage(1, 2, 0)
+		plan.SetOutage(1, 2, down)
 
 		// What the pair shares is poisoned on both and deep-copied by Clone.
 		mustPanic(t, "SetBasePrice", func() { live.SetBasePrice(0, 0, 2) })
 		mustPanic(t, "SetOutage", func() { view.SetOutage(0, 0, 1) })
 		c := live.Clone()
 		c.SetBasePrice(0, 0, 9)
-		c.SetHighPri(1, 1, 50)
+		c.SetOutage(1, 1, 50)
 		c.SetOutage(0, 1, 0)
-		if live.BasePrice[0][0] == 9 || view.HighPri[1][1] == 50 || view.OutageAt(0, 1) != plan.OutageAt(0, 1) {
+		if live.BasePrice[0][0] == 9 || view.OutageAt(1, 1) == 50 || view.OutageAt(0, 1) != plan.OutageAt(0, 1) {
 			t.Fatalf("adopt=%v: mutating a clone reached the published pair", adopt)
 		}
 	}

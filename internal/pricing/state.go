@@ -33,7 +33,7 @@ func DefaultAdjust() AdjustConfig { return AdjustConfig{Threshold: 0.8, Factor: 
 
 // State is the network state shared by Pretium's three modules (Figure
 // 3): internal prices {P_{e,t}}, the forward plan of reserved bandwidth,
-// and the high-pri set-aside. Timesteps are absolute indices in
+// and the capacity churn removes. Timesteps are absolute indices in
 // [0, Horizon).
 //
 // The state additionally maintains a dense per-(edge, timestep) cache of
@@ -41,8 +41,8 @@ func DefaultAdjust() AdjustConfig { return AdjustConfig{Threshold: 0.8, Factor: 
 // overlay — so the admission fast path reads arrays instead of
 // recomputing the premium rule per candidate. Every mutator below keeps
 // the cache coherent incrementally; code that writes the exported
-// matrices directly must call Invalidate afterwards (or use SetBasePrice
-// / SetHighPri), or quotes will see stale segments.
+// matrices directly must call Invalidate afterwards (or use
+// SetBasePrice), or quotes will see stale segments.
 type State struct {
 	Net     *graph.Network
 	Horizon int
@@ -51,10 +51,7 @@ type State struct {
 	BasePrice [][]float64
 	// Reserved[e][t] is bandwidth committed to admitted requests.
 	Reserved [][]float64
-	// HighPri[e][t] is capacity set aside for ad hoc high-priority
-	// traffic (§4.4), unavailable to scheduled transfers.
-	HighPri [][]float64
-	Adjust  AdjustConfig
+	Adjust   AdjustConfig
 
 	// segPrice and segRoom cache MarginalPrice(e, t, 0) and
 	// segmentRoom(e, t, 0) flattened as [e*Horizon+t]. They are always
@@ -64,10 +61,9 @@ type State struct {
 
 	// Edge-outage overlay: capacity removed from (edge, step) by topology
 	// churn — link cuts, maintenance drains, correlated failures, flaps.
-	// Unlike the HighPri set-aside (a planning reservation), the overlay
-	// is *physical*: realized transfers clamp to the surviving capacity
-	// too. outTotal holds one total per cell, flattened [e*Horizon+t];
-	// outVer counts its effective writes.
+	// The overlay is *physical*: realized transfers clamp to the
+	// surviving capacity too. outTotal holds one total per cell,
+	// flattened [e*Horizon+t]; outVer counts its effective writes.
 	outTotal []float64
 	outVer   uint64
 
@@ -93,7 +89,6 @@ func NewState(net *graph.Network, horizon int, basePrice float64) *State {
 	ne := net.NumEdges()
 	s.BasePrice = newMatrix(ne, horizon)
 	s.Reserved = newMatrix(ne, horizon)
-	s.HighPri = newMatrix(ne, horizon)
 	for _, e := range net.Edges() {
 		p := basePrice
 		if e.UsagePriced {
@@ -177,7 +172,7 @@ func (s *State) OutageActive(from, to int) bool {
 }
 
 // Invalidate rebuilds the whole segment cache from the exported matrices.
-// Call it after writing BasePrice / Reserved / HighPri entries directly;
+// Call it after writing BasePrice / Reserved entries directly;
 // the mutator methods keep the cache coherent on their own.
 func (s *State) Invalidate() {
 	s.guardPlan("Invalidate")
@@ -197,21 +192,6 @@ func (s *State) refreshSeg(e graph.EdgeID, t int) {
 	s.segRoom[i] = s.Adjust.room(cap, used)
 }
 
-// SetHighPri overwrites the set-aside on (e, t), clamped to [0, physical
-// capacity], keeping the segment cache coherent. SetHighPriMatrix applies
-// a whole estimate through it.
-func (s *State) SetHighPri(e graph.EdgeID, t int, amount float64) {
-	s.guardPlan("SetHighPri")
-	if amount < 0 {
-		amount = 0
-	}
-	if cap := s.Net.Edge(e).Capacity; amount > cap {
-		amount = cap
-	}
-	s.HighPri[e][t] = amount
-	s.refreshSeg(e, t)
-}
-
 // SetBasePrice overwrites one internal price entry, keeping the segment
 // cache coherent (bulk updates come from SetPricesWindow).
 func (s *State) SetBasePrice(e graph.EdgeID, t int, price float64) {
@@ -221,10 +201,9 @@ func (s *State) SetBasePrice(e graph.EdgeID, t int, price float64) {
 }
 
 // Capacity returns the bandwidth available to scheduled traffic on edge e
-// at time t (raw capacity minus the high-pri set-aside and any churn
-// outage).
+// at time t (raw capacity minus any churn outage).
 func (s *State) Capacity(e graph.EdgeID, t int) float64 {
-	c := s.Net.Edge(e).Capacity - s.HighPri[e][t]
+	c := s.Net.Edge(e).Capacity
 	if out := s.outTotal[int(e)*s.Horizon+t]; out > 0 {
 		c -= out
 	}
@@ -232,28 +211,6 @@ func (s *State) Capacity(e graph.EdgeID, t int) float64 {
 		return 0
 	}
 	return c
-}
-
-// Available returns the unreserved schedulable bandwidth on (e, t).
-func (s *State) Available(e graph.EdgeID, t int) float64 {
-	a := s.Capacity(e, t) - s.Reserved[e][t]
-	if a < 0 {
-		return 0
-	}
-	return a
-}
-
-// CapacityMatrix materializes Capacity into [edge][t] form for the
-// scheduler.
-func (s *State) CapacityMatrix() [][]float64 {
-	out := make([][]float64, s.Net.NumEdges())
-	for e := range out {
-		out[e] = make([]float64, s.Horizon)
-		for t := 0; t < s.Horizon; t++ {
-			out[e][t] = s.Capacity(graph.EdgeID(e), t)
-		}
-	}
-	return out
 }
 
 // MarginalPrice returns the price of the next byte on (e, t) given

@@ -32,8 +32,7 @@ import (
 // schedule is the cheapest shape a percentile-blind scheduler can aim
 // for — then spills what did not fit earliest-first. Within a step it
 // drains the cheapest-burden route first and, among equal-burden routes,
-// repeatedly sends on the one with the largest bottleneck residual,
-// honoring the per-step RateCap across routes.
+// repeatedly sends on the one with the largest bottleneck residual.
 //
 // Cost-awareness: the fallback prices a usage-priced edge pessimistically
 // at its full charge rate C_e per byte of peak (it cannot shape
@@ -47,7 +46,7 @@ import (
 // What the fallback gives up relative to the LP: exact percentile-cost
 // shaping, trading one demand's bytes for another's higher value at a
 // shared bottleneck, and dual prices. What it preserves: capacity
-// feasibility, per-step rate caps, Allowed windows, guarantee delivery
+// feasibility, Allowed windows, guarantee delivery
 // whenever the EDF order admits it, and never knowingly carrying
 // best-effort bytes below cost.
 func (ins *Instance) SolveGreedy() (*Result, error) {
@@ -90,33 +89,21 @@ func (ins *Instance) SolveGreedy() (*Result, error) {
 		}
 	}
 
-	// rateUsed[d][t] tracks bandwidth consumed across routes for RateCap
-	// enforcement; allocated lazily only for capped demands.
-	rateUsed := make(map[int][]float64)
 	// allocAt[d] aggregates placements per (route, t) so the two passes
 	// emit one Alloc per slot.
 	allocAt := make([]map[[2]int]float64, len(ins.Demands))
 
 	// placeAt puts up to amt bytes of demand di on step t (honoring the
-	// RateCap budget and the burden cap) and returns what fit.
+	// burden cap) and returns what fit.
 	placeAt := func(di, t int, amt, maxBurden float64) float64 {
 		d := &ins.Demands[di]
-		budget := math.Inf(1)
-		if d.RateCap > 0 {
-			ru := rateUsed[di]
-			if ru == nil {
-				ru = make([]float64, ins.Horizon)
-				rateUsed[di] = ru
-			}
-			budget = d.RateCap - ru[t]
-		}
 		// Water-fill across routes: drain the cheapest-burden routes
 		// first (guarantees must ship, but not over a priced fat pipe
 		// while an unpriced path has room), and among equal-burden routes
 		// repeatedly take from the widest bottleneck so parallel paths
 		// drain evenly.
 		placed := 0.0
-		for budget > 1e-12 && amt > 1e-12 {
+		for amt > 1e-12 {
 			best, bestRoom, bestCost := -1, 1e-12, math.Inf(1)
 			for ri, route := range d.Routes {
 				room := math.Inf(1)
@@ -137,7 +124,7 @@ func (ins *Instance) SolveGreedy() (*Result, error) {
 			if best < 0 {
 				break
 			}
-			take := math.Min(amt, math.Min(bestRoom, budget))
+			take := math.Min(amt, bestRoom)
 			for _, e := range d.Routes[best] {
 				residual[e][t] -= take
 				res.EdgeUsage[e][t] += take
@@ -148,10 +135,6 @@ func (ins *Instance) SolveGreedy() (*Result, error) {
 			allocAt[di][[2]int{best, t}] += take
 			amt -= take
 			placed += take
-			budget -= take
-			if d.RateCap > 0 {
-				rateUsed[di][t] += take
-			}
 		}
 		return placed
 	}

@@ -156,7 +156,7 @@ func TestGreedyPinnedPlansCountOnce(t *testing.T) {
 	checkGreedyFeasible(t, ins, res)
 }
 
-func TestGreedyRespectsRateCapAndAllowed(t *testing.T) {
+func TestGreedyRespectsAllowed(t *testing.T) {
 	net, routes := greedyNet(t)
 	ins := &Instance{
 		Net: net, Horizon: 4, StartStep: 0,
@@ -164,7 +164,7 @@ func TestGreedyRespectsRateCapAndAllowed(t *testing.T) {
 		Demands: []Demand{{
 			ID: 0, Routes: routes, Start: 0, End: 3,
 			MaxBytes: 100, ValuePerByte: 1,
-			RateCap: 5, Allowed: []int{0, 2},
+			Allowed: []int{0, 2},
 		}},
 		Cost: cost.DefaultConfig(4),
 	}
@@ -172,30 +172,25 @@ func TestGreedyRespectsRateCapAndAllowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two allowed steps at 5 per step across ALL routes.
-	if math.Abs(res.Delivered[0]-10) > 1e-6 {
-		t.Errorf("delivered %v, want 10 (RateCap 5 x 2 allowed steps)", res.Delivered[0])
+	// Two allowed steps, each filling both 10-unit routes.
+	if math.Abs(res.Delivered[0]-40) > 1e-6 {
+		t.Errorf("delivered %v, want 40 (2 routes x 10 x 2 allowed steps)", res.Delivered[0])
 	}
 	perStep := make([]float64, 4)
 	for _, al := range res.Allocs {
 		perStep[al.Time] += al.Bytes
 	}
 	for tt, v := range perStep {
-		if tt == 1 || tt == 3 {
-			if v > 1e-9 {
-				t.Errorf("bytes at disallowed step %d: %v", tt, v)
-			}
-		}
-		if v > 5+1e-6 {
-			t.Errorf("step %d rate %v exceeds cap 5", tt, v)
+		if (tt == 1 || tt == 3) && v > 1e-9 {
+			t.Errorf("bytes at disallowed step %d: %v", tt, v)
 		}
 	}
 	checkGreedyFeasible(t, ins, res)
 }
 
 // TestGreedyRandomizedFeasibility is the fallback's core contract: on
-// randomized instances (random capacities, windows, guarantees, rate
-// caps, fixed usage) the schedule never exceeds residual capacity, never
+// randomized instances (random capacities, windows, guarantees, fixed
+// usage) the schedule never exceeds residual capacity, never
 // overdelivers, and its allocations are internally consistent.
 func TestGreedyRandomizedFeasibility(t *testing.T) {
 	wc := graph.DefaultWANConfig()
@@ -239,9 +234,6 @@ func TestGreedyRandomizedFeasibility(t *testing.T) {
 			}
 			if rng.Float64() < 0.5 {
 				d.MinBytes = maxB * rng.Float64()
-			}
-			if rng.Float64() < 0.3 {
-				d.RateCap = 1 + 10*rng.Float64()
 			}
 			demands = append(demands, d)
 		}

@@ -396,9 +396,9 @@ func TestBuildSelectsBySize(t *testing.T) {
 }
 
 // TestExplicitRowsMatchesBuild holds the count Build selects on equal to the
-// rows the explicit build emits, across every feature that adds rows: multi-
-// route rate caps, guarantees, Allowed masks, a late StartStep, cost windows
-// with and without load-definition rows.
+// rows the explicit build emits, across every feature that adds rows:
+// guarantees, Allowed masks, a late StartStep, cost windows with and without
+// load-definition rows.
 func TestExplicitRowsMatchesBuild(t *testing.T) {
 	check := func(name string, ins *Instance) {
 		t.Helper()
@@ -424,9 +424,6 @@ func TestExplicitRowsMatchesBuild(t *testing.T) {
 		for di := range ins.Demands {
 			d := &ins.Demands[di]
 			d.MinBytes = 0 // a guarantee with no steps left is a build error, not a count
-			if r.Intn(3) == 0 {
-				d.RateCap = 5
-			}
 			if r.Intn(3) == 0 {
 				d.Routes = d.Routes[:1]
 			}

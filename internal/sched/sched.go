@@ -19,7 +19,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"pretium/internal/cost"
 	"pretium/internal/graph"
@@ -45,22 +44,6 @@ type Demand struct {
 	// PeakOracle baseline uses it to forbid sending at peak hours whose
 	// price exceeds the request's value.
 	Allowed []int
-	// RateCap bounds the demand's total bandwidth per timestep across
-	// all its routes (0 = unlimited). This is the §4.4 fairness lever:
-	// capping what any one customer can hold keeps elephants from
-	// driving prices beyond everyone else's reach.
-	RateCap float64
-}
-
-// sortedKeys returns the keys of an int-keyed map in ascending order, so
-// model construction never depends on map iteration order.
-func sortedKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }
 
 // allowedMask materializes Allowed into a per-timestep bitmap over
@@ -102,7 +85,7 @@ type Instance struct {
 	// StartStep is τ: the first timestep the scheduler may place bytes.
 	StartStep int
 	// Capacity[e][t] is the bandwidth available to scheduled traffic
-	// (link capacity minus the high-pri set-aside, §4.4).
+	// (link capacity minus any announced outage).
 	Capacity [][]float64
 	// FixedUsage[e][t] is prior traffic charged to cost windows but not
 	// re-schedulable; nil means none.
@@ -163,12 +146,6 @@ type fixedLoadVar struct {
 	e, t int
 }
 
-// rateRow is a multi-route RateCap row, re-targeted by Rebind.
-type rateRow struct {
-	d   int
-	row lp.Row
-}
-
 // costWindow records one percentile-charging window's proxy variable so
 // Rebind can neutralize windows that slide entirely into the past (their
 // charge is sunk — a fresh build would not model them at all).
@@ -201,7 +178,6 @@ type Built struct {
 	demandRow   []lp.Row // per demand; -1 when folded into a bound or absent
 	guaranteeOf []lp.Row // per demand; -1 when folded into a bound or absent
 	guardBound  []lp.Var // per demand; bound-form guarantee variable, -1 if none
-	rateRows    []rateRow
 	fixedLoads  []fixedLoadVar
 	windows     []costWindow
 }
@@ -225,12 +201,12 @@ func (ins *Instance) Solve(opts lp.Options) (*Result, error) {
 
 // Build constructs the scheduling LP without solving it, in the formulation
 // the instance's size selects. Below lp.LargeModelRows rows every demand
-// cap, guarantee and rate cap is a row: the model the golden trace, the
+// cap and guarantee is a row: the model the golden trace, the
 // fig11 CSV and bench/reference.json pin pivot for pivot, which is the
 // only reason the branch still exists. At or above it every flow variable
-// carries its tightest implicit upper bound (remaining demand,
-// single-route rate cap, minimum capacity along its route), and
-// single-variable demand caps and guarantees become bounds. The bounds
+// carries its tightest implicit upper bound (remaining demand, minimum
+// capacity along its route), and single-variable demand caps and
+// guarantees become bounds. The bounds
 // are redundant with the rows, so the feasible region is unchanged — but
 // they let lp's presolve, which Built.Solve turns on for these builds,
 // prove most (edge, time) capacity rows non-binding and drop them, which
@@ -293,9 +269,6 @@ func (ins *Instance) explicitRows() int {
 		if d.MinBytes > 1e-9 {
 			rows++
 		}
-		if d.RateCap > 0 && len(d.Routes) > 1 {
-			rows += steps
-		}
 	}
 	if ins.UseCostProxy {
 		ins.eachWindow(func(e graph.Edge, ws, we int) {
@@ -357,13 +330,11 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 	demandRow := make([]lp.Row, nd)
 	guaranteeOf := make([]lp.Row, nd)
 	guardBound := make([]lp.Var, nd)
-	var rateRows []rateRow
 	for di := range ins.Demands {
 		demandRow[di], guaranteeOf[di], guardBound[di] = -1, -1, -1
 		d := &ins.Demands[di]
 		lo, hi := ins.clip(d)
 		var dTerms []lp.Term
-		perStep := make(map[int][]lp.Term) // for the RateCap rows
 		allowed := d.allowedMask(ins.Horizon)
 		for ri, route := range d.Routes {
 			for t := lo; t <= hi; t++ {
@@ -373,23 +344,15 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 				up := lp.Inf
 				if implicit {
 					up = implicitUpper(ins, d, route, t)
-				} else if d.RateCap > 0 && len(d.Routes) == 1 {
-					up = d.RateCap // single route: a bound beats a row
 				}
 				v := m.AddVar(0, up, d.ValuePerByte)
 				flows = append(flows, flowVar{v: v, d: di, r: ri, t: t})
 				dTerms = append(dTerms, lp.Term{Var: v, Coef: 1})
-				if d.RateCap > 0 && len(d.Routes) > 1 {
-					perStep[t] = append(perStep[t], lp.Term{Var: v, Coef: 1})
-				}
 				for _, eid := range route {
 					c := int(eid)*H + t
 					loadTerms[c] = append(loadTerms[c], lp.Term{Var: v, Coef: 1})
 				}
 			}
-		}
-		for _, t := range sortedKeys(perStep) {
-			rateRows = append(rateRows, rateRow{d: di, row: m.AddConstraint(lp.LE, d.RateCap, perStep[t]...)})
 		}
 		if len(dTerms) == 0 {
 			if d.MinBytes > 1e-9 {
@@ -513,7 +476,6 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 		demandRow:     demandRow,
 		guaranteeOf:   guaranteeOf,
 		guardBound:    guardBound,
-		rateRows:      rateRows,
 		fixedLoads:    fixedLoads,
 		windows:       windows,
 	}, nil
@@ -521,16 +483,12 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 
 // implicitUpper computes the tightest per-variable upper bound implied by
 // the instance data for a flow of demand d on route at timestep t: the
-// remaining demand, the single-route rate cap, and the narrowest capacity
-// along the route. Each is an existing constraint the variable alone can
-// never exceed, so the bound leaves the feasible region untouched while
-// giving presolve the activity ceilings it needs to drop slack capacity
-// rows.
+// remaining demand and the narrowest capacity along the route. Each is an
+// existing constraint the variable alone can never exceed, so the bound
+// leaves the feasible region untouched while giving presolve the activity
+// ceilings it needs to drop slack capacity rows.
 func implicitUpper(ins *Instance, d *Demand, route graph.Path, t int) float64 {
 	up := d.MaxBytes
-	if d.RateCap > 0 && len(d.Routes) == 1 && d.RateCap < up {
-		up = d.RateCap
-	}
 	for _, eid := range route {
 		if c := ins.Capacity[eid][t]; c < up {
 			up = c
@@ -580,8 +538,7 @@ func (b *Built) RelaxGuarantees() {
 // same network size, horizon, cost config, demand count, and per-demand
 // routes/interval/Allowed; StartStep may only advance. Data that may
 // change: StartStep, Capacity, FixedUsage, and per-demand MaxBytes /
-// MinBytes / ValuePerByte / RateCap (RateCap only where it does not change
-// the row structure). On any mismatch Rebind returns an error and leaves
+// MinBytes / ValuePerByte. On any mismatch Rebind returns an error and leaves
 // the model untouched in spirit — callers should fall back to a fresh
 // Build; partial patches are only a performance concern, never consulted
 // again after the fallback.
@@ -632,10 +589,6 @@ func (b *Built) rebind(ins *Instance) error {
 		if d2.MaxBytes < 0 {
 			return fmt.Errorf("sched: demand %d has negative MaxBytes", d2.ID)
 		}
-		if len(d1.Routes) > 1 && (d1.RateCap > 0) != (d2.RateCap > 0) {
-			// The per-timestep cap rows exist iff RateCap > 0 at build.
-			return fmt.Errorf("sched: Rebind demand %d rate cap appeared/vanished", d2.ID)
-		}
 		if b.demandRow[di] >= 0 {
 			m.SetRHS(b.demandRow[di], d2.MaxBytes)
 		}
@@ -646,9 +599,6 @@ func (b *Built) rebind(ins *Instance) error {
 			// no variables) at build time, so nothing can enforce one now.
 			return fmt.Errorf("sched: Rebind demand %d gained a guarantee", d2.ID)
 		}
-	}
-	for _, rr := range b.rateRows {
-		m.SetRHS(rr.row, ins.Demands[rr.d].RateCap)
 	}
 	for i := range b.flows {
 		f := &b.flows[i]

@@ -8,7 +8,6 @@ import (
 	"pretium/internal/exp"
 	"pretium/internal/graph"
 	"pretium/internal/pricing"
-	"pretium/internal/sim"
 	"pretium/internal/traffic"
 )
 
@@ -56,9 +55,9 @@ func serialReplay(net *graph.Network, steps int, p0 float64, reqs []*traffic.Req
 }
 
 // serviceReplay runs the same stream through the concurrent service:
-// AdmitAll chunks (or single Admits) between publish points, Publish
-// installing the same price planes.
-func serviceReplay(t *testing.T, net *graph.Network, steps int, p0 float64, reqs []*traffic.Request, pubs []pubPoint, oneByOne bool) ([]*pricing.Admission, *pricing.State) {
+// Admits between publish points, Publish installing the same price
+// planes.
+func serviceReplay(t *testing.T, net *graph.Network, steps int, p0 float64, reqs []*traffic.Request, pubs []pubPoint) ([]*pricing.Admission, *pricing.State) {
 	t.Helper()
 	svc, err := New(pricing.NewState(net, steps, p0), Config{})
 	if err != nil {
@@ -67,17 +66,9 @@ func serviceReplay(t *testing.T, net *graph.Network, steps int, p0 float64, reqs
 	adms := make([]*pricing.Admission, 0, len(reqs))
 	from := 0
 	flush := func(to int) {
-		if to <= from {
-			return
+		for ; from < to; from++ {
+			adms = append(adms, svc.Admit(reqs[from]))
 		}
-		if oneByOne {
-			for _, r := range reqs[from:to] {
-				adms = append(adms, svc.Admit(r))
-			}
-		} else {
-			adms = append(adms, svc.AdmitAll(reqs[from:to])...)
-		}
-		from = to
 	}
 	for _, p := range pubs {
 		flush(p.after)
@@ -160,34 +151,21 @@ func TestServiceEquivalentToSerial(t *testing.T) {
 		}
 		serialAdms, serialSt := serialReplay(setup.Net, setup.Scale.Steps, 1.0, reqs, pubs)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs, false)
+			adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs)
 			diffAdmissions(t, serialAdms, adms)
 			diffRoom(t, serialSt, st)
-
-			// Replayed outcomes must match byte for byte too.
-			wantOut, err := sim.ReplayAdmissions(setup.Net, reqs, serialAdms, setup.Scale.Steps)
-			if err != nil {
-				t.Fatalf("replay serial: %v", err)
-			}
-			gotOut, err := sim.ReplayAdmissions(setup.Net, reqs, adms, setup.Scale.Steps)
-			if err != nil {
-				t.Fatalf("replay service: %v", err)
-			}
-			if !reflect.DeepEqual(wantOut, gotOut) {
-				t.Fatal("ReplayAdmissions outcomes diverged between serial and service")
-			}
 		})
 	}
 }
 
-// The one-by-one Admit path (what the HTTP front-end drives) must be
-// serial-equivalent as well, not just the AdmitAll batch.
+// The one-by-one Admit path (what the HTTP front-end drives) is
+// serial-equivalent across a single price refresh too.
 func TestServiceAdmitOneByOneEquivalent(t *testing.T) {
 	setup := exp.NewSetup(exp.Small(), exp.WithSeed(3))
 	reqs := byteRequests(setup.Requests)
 	pubs := []pubPoint{{after: len(reqs) / 2, price: 2.2}}
 	serialAdms, serialSt := serialReplay(setup.Net, setup.Scale.Steps, 1.0, reqs, pubs)
-	adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs, true)
+	adms, st := serviceReplay(t, setup.Net, setup.Scale.Steps, 1.0, reqs, pubs)
 	diffAdmissions(t, serialAdms, adms)
 	diffRoom(t, serialSt, st)
 }
@@ -207,7 +185,9 @@ func TestServiceQuoteMatchesFrozenSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	svc.AdmitAll(half)
+	for _, r := range half {
+		svc.Admit(r)
+	}
 	// Publish with no plan: an epoch bump freezing the current room into
 	// the new view.
 	if err := svc.Publish(nil, false); err != nil {

@@ -102,7 +102,8 @@ func FuzzEpochSwap(f *testing.F) {
 				for j := range batch {
 					batch[j] = fuzzRequest(templates, arg+byte(j)*41, horizon)
 				}
-				for _, adm := range svc.AdmitAll(batch) {
+				for _, r := range batch {
+					adm := svc.Admit(r)
 					if adm == nil {
 						continue
 					}

@@ -287,7 +287,7 @@ func (h *httpServer) publish(w http.ResponseWriter, r *http.Request) {
 	adopt := false
 	if in.BasePrice != nil || in.Reserved != nil {
 		// Overlay the provided fields on the current live picture so a
-		// price-only publish keeps set-asides, outages, and room intact.
+		// price-only publish keeps outages and room intact.
 		plan = h.svc.DrainState()
 		if in.BasePrice != nil {
 			if err := plan.SetPricesWindow(0, in.BasePrice); err != nil {

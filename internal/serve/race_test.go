@@ -280,7 +280,9 @@ func TestRaceMixedEverything(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			svc.AdmitAll(reqs[(i*7)%len(reqs) : (i*7)%len(reqs)+8])
+			for _, r := range reqs[(i*7)%len(reqs) : (i*7)%len(reqs)+8] {
+				svc.Admit(r)
+			}
 		}
 	}()
 	wg.Add(1)
@@ -567,15 +569,10 @@ func TestPublishedPairSharesNothingMutable(t *testing.T) {
 		}
 	}
 	dearer := pricing.NewState(net, horizon, 1.5)
-	quarter := make([][]float64, net.NumEdges())
 	for _, e := range net.Edges() {
-		quarter[e.ID] = make([]float64, horizon)
-		for t := range quarter[e.ID] {
-			quarter[e.ID][t] = e.Capacity * 0.25
+		for t := 0; t < horizon; t++ {
+			dearer.SetOutage(e.ID, t, e.Capacity*0.25)
 		}
-	}
-	if err := dearer.SetHighPriMatrix(quarter); err != nil {
-		t.Fatal(err)
 	}
 	dearer.SetOutage(0, 2, 100)
 	publishes := []struct {
@@ -605,15 +602,14 @@ func TestPublishedPairSharesNothingMutable(t *testing.T) {
 			for ts := 0; ts < horizon; ts++ {
 				id := graph.EdgeID(e)
 				dr.SetBasePrice(id, ts, 99)
-				dr.SetHighPri(id, ts, 7)
 				dr.SetOutage(id, ts, 5)
 				dr.Reserve(graph.Path{id}, ts, 1)
 			}
 		}
 		dr.Adjust = pricing.AdjustConfig{Threshold: 0.1, Factor: 9}
 		for _, st := range []*pricing.State{ep.live, ep.view} {
-			if !reflect.DeepEqual(st.BasePrice, before.BasePrice) || !reflect.DeepEqual(st.HighPri, before.HighPri) ||
-				!reflect.DeepEqual(st.Reserved, before.Reserved) || st.Adjust != before.Adjust {
+			if !reflect.DeepEqual(st.BasePrice, before.BasePrice) || !reflect.DeepEqual(st.Reserved, before.Reserved) ||
+				st.Adjust != before.Adjust {
 				t.Fatalf("%s: mutating a DrainState copy reached the published pair", p.name)
 			}
 			for e := 0; e < net.NumEdges(); e++ {

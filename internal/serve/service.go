@@ -151,20 +151,9 @@ func (s *Service) admitEpoch(req *traffic.Request) (*pricing.Admission, uint64) 
 	return adm, ep.n
 }
 
-// AdmitAll replays a whole arrival stream through the service, in
-// order: positionally identical to pricing.Admitter.AdmitAll on the
-// same stream when nothing else admits meanwhile.
-func (s *Service) AdmitAll(reqs []*traffic.Request) []*pricing.Admission {
-	out := make([]*pricing.Admission, len(reqs))
-	for i, r := range reqs {
-		out[i] = s.Admit(r)
-	}
-	return out
-}
-
 // Publish installs the next pricing epoch. With a nil plan the current
 // planning inputs and room carry forward (an epoch bump that refreshes
-// the view). A non-nil plan's prices, set-asides, outage overlay, and
+// the view). A non-nil plan's prices, outage overlay, and
 // adjustment config are adopted, and with adoptRoom also its
 // reservation plan (SAM re-planned the schedule — the price-only PC
 // refresh passes false, and admissions committed since the plan was

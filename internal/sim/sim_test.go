@@ -90,12 +90,12 @@ func TestUtilization90thCDF(t *testing.T) {
 	n := net2()
 	usage := [][]float64{{0, 5, 10, 5}}
 	c := Utilization90thCDF(n, usage)
-	if c.Len() != 1 {
-		t.Fatalf("CDF over %d links", c.Len())
-	}
-	// p90 of [0,5,10,5] = 8.5; capacity 10 -> 0.85.
+	// p90 of [0,5,10,5] = 8.5; capacity 10 -> 0.85, the one link's sample.
 	if got := c.Quantile(1); math.Abs(got-0.85) > 1e-9 {
 		t.Errorf("p90 util = %v, want 0.85", got)
+	}
+	if c.At(0.84) != 0 || c.At(0.86) != 1 {
+		t.Errorf("CDF steps at %v and %v, want one sample at 0.85", c.At(0.84), c.At(0.86))
 	}
 }
 

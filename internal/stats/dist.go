@@ -102,34 +102,3 @@ func (e Exponential) Mean() float64 { return e.MeanVal }
 func (e Exponential) String() string {
 	return fmt.Sprintf("exponential(mean=%.3g)", e.MeanVal)
 }
-
-// Uniform is a uniform distribution over [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws a uniform value.
-func (u Uniform) Sample(r *rand.Rand) float64 {
-	return u.Lo + (u.Hi-u.Lo)*r.Float64()
-}
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-func (u Uniform) String() string {
-	return fmt.Sprintf("uniform[%.3g, %.3g)", u.Lo, u.Hi)
-}
-
-// Constant always returns V; handy for ablations that remove value
-// heterogeneity (it is also what the NoPrices baseline implicitly assumes).
-type Constant struct {
-	V float64
-}
-
-// Sample returns V.
-func (c Constant) Sample(*rand.Rand) float64 { return c.V }
-
-// Mean returns V.
-func (c Constant) Mean() float64 { return c.V }
-
-func (c Constant) String() string { return fmt.Sprintf("constant(%.3g)", c.V) }

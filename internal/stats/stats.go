@@ -79,9 +79,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: sorted}
 }
 
-// Len reports the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns the fraction of samples <= x.
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -200,34 +197,4 @@ func LinearRegression(x, y []float64) (LinReg, error) {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
 	return LinReg{Intercept: a, Slope: b, R2: r2}, nil
-}
-
-// Welford accumulates mean and variance online (Welford's algorithm); it
-// backs the runtime accounting in Table 4 without storing every sample.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean reports the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// StdDev reports the running population standard deviation.
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
 }

@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-
-	"pretium/internal/graph"
 )
 
 // Parsed-trace size bounds: a malformed (or hostile) trace must not be
@@ -126,82 +124,4 @@ func ReadSeriesCSV(r io.Reader) (Series, error) {
 		}
 	}
 	return s, nil
-}
-
-// WriteRequestsCSV serializes a request stream (route sets are not
-// persisted; ReadRequestsCSV rebuilds them against a network).
-func WriteRequestsCSV(w io.Writer, reqs []*Request) error {
-	bw := bufio.NewWriter(w)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write([]string{"id", "src", "dst", "arrival", "start", "end", "demand", "rate", "kind", "value"}); err != nil {
-		return err
-	}
-	for _, r := range reqs {
-		rec := []string{
-			strconv.Itoa(r.ID),
-			strconv.Itoa(int(r.Src)),
-			strconv.Itoa(int(r.Dst)),
-			strconv.Itoa(r.Arrival),
-			strconv.Itoa(r.Start),
-			strconv.Itoa(r.End),
-			strconv.FormatFloat(r.Demand, 'g', -1, 64),
-			strconv.FormatFloat(r.Rate, 'g', -1, 64),
-			strconv.Itoa(int(r.Kind)),
-			strconv.FormatFloat(r.Value, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadRequestsCSV parses requests written by WriteRequestsCSV and
-// rebuilds each route set as the k shortest paths on n.
-func ReadRequestsCSV(r io.Reader, n *graph.Network, routesPerRequest int) ([]*Request, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 10
-	if _, err := cr.Read(); err != nil {
-		return nil, fmt.Errorf("traffic: reading CSV header: %w", err)
-	}
-	var reqs []*Request
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("traffic: reading CSV: %w", err)
-		}
-		ints := make([]int, 6)
-		for i := 0; i < 6; i++ {
-			ints[i], err = strconv.Atoi(row[i])
-			if err != nil {
-				return nil, fmt.Errorf("traffic: malformed CSV row %v: %w", row, err)
-			}
-		}
-		demand, err1 := strconv.ParseFloat(row[6], 64)
-		rate, err2 := strconv.ParseFloat(row[7], 64)
-		kind, err3 := strconv.Atoi(row[8])
-		value, err4 := strconv.ParseFloat(row[9], 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return nil, fmt.Errorf("traffic: malformed CSV row %v", row)
-		}
-		req := &Request{
-			ID:  ints[0],
-			Src: graph.NodeID(ints[1]), Dst: graph.NodeID(ints[2]),
-			Arrival: ints[3], Start: ints[4], End: ints[5],
-			Demand: demand, Rate: rate, Kind: Kind(kind), Value: value,
-			Routes: n.KShortestPaths(graph.NodeID(ints[1]), graph.NodeID(ints[2]), routesPerRequest),
-		}
-		if err := req.Validate(n); err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, req)
-	}
-	return reqs, nil
 }

@@ -48,57 +48,3 @@ func TestReadSeriesCSVErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestRequestsCSVRoundTrip(t *testing.T) {
-	n := testNet()
-	s := Generate(n, DefaultGenConfig(6))
-	cfg := DefaultRequestConfig()
-	cfg.RateFraction = 0.3
-	orig := Synthesize(n, s, cfg)
-	if len(orig) == 0 {
-		t.Fatal("no requests")
-	}
-	var buf bytes.Buffer
-	if err := WriteRequestsCSV(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequestsCSV(&buf, n, cfg.RoutesPerRequest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("count = %d, want %d", len(got), len(orig))
-	}
-	for i := range orig {
-		a, b := orig[i], got[i]
-		if a.ID != b.ID || a.Src != b.Src || a.Dst != b.Dst ||
-			a.Arrival != b.Arrival || a.Start != b.Start || a.End != b.End ||
-			a.Demand != b.Demand || a.Rate != b.Rate || a.Kind != b.Kind || a.Value != b.Value {
-			t.Fatalf("request %d mismatch: %+v vs %+v", i, a, b)
-		}
-		if len(b.Routes) == 0 {
-			t.Fatalf("request %d has no rebuilt routes", i)
-		}
-	}
-}
-
-func TestReadRequestsCSVErrors(t *testing.T) {
-	n := testNet()
-	cases := []string{
-		"",
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\nx,0,1,0,0,1,5,0,0,2\n",
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,bad,0,0,2\n",
-		// arrival after start fails request validation
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,5,0,1,5,0,0,2\n",
-		// so do non-finite demands, rates and values
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,NaN,0,0,2\n",
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,+Inf,0,0,2\n",
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,5,Inf,1,2\n",
-		"id,src,dst,arrival,start,end,demand,rate,kind,value\n0,0,1,0,0,1,5,0,0,NaN\n",
-	}
-	for _, c := range cases {
-		if _, err := ReadRequestsCSV(strings.NewReader(c), n, 2); err == nil {
-			t.Errorf("accepted malformed input %q", c)
-		}
-	}
-}

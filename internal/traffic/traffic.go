@@ -19,7 +19,7 @@ import (
 	"pretium/internal/graph"
 )
 
-// Kind distinguishes the two request types Pretium serves.
+// Kind distinguishes the three request types Pretium serves.
 type Kind int8
 
 // Request kinds.

@@ -37,7 +37,6 @@
 package pretium
 
 import (
-	"io"
 	"net/http"
 
 	"pretium/internal/core"
@@ -65,13 +64,15 @@ type Path = graph.Path
 // WANConfig parameterizes the synthetic region-structured WAN generator.
 type WANConfig = graph.WANConfig
 
-// Request is one customer transfer request (byte or rate, §3.1).
+// Request is one customer transfer request (byte, rate or scavenger;
+// §3.1, §4.4).
 type Request = traffic.Request
 
 // Request kinds.
 const (
-	ByteRequest = traffic.ByteRequest
-	RateRequest = traffic.RateRequest
+	ByteRequest      = traffic.ByteRequest
+	RateRequest      = traffic.RateRequest
+	ScavengerRequest = traffic.ScavengerRequest
 )
 
 // TrafficConfig parameterizes the traffic-matrix generator; Series is its
@@ -202,26 +203,3 @@ func NewService(st *PriceState, cfg ServiceConfig) (*Service, error) { return se
 // (/v1/quote, /v1/admit, /v1/publish, /v1/state, /metrics) — what
 // cmd/pretium-serve listens with.
 func ServiceHandler(svc *Service, m *Metrics) http.Handler { return serve.Handler(svc, m) }
-
-// ReadTopologyCSV parses a network previously written with
-// (*Network).WriteCSV, letting the whole pipeline run on user-supplied
-// topologies.
-func ReadTopologyCSV(r io.Reader) (*Network, error) { return graph.ReadCSV(r) }
-
-// WriteTraceCSV and ReadTraceCSV persist traffic-matrix series — the
-// paper replays recorded traces, and so can this implementation.
-func WriteTraceCSV(w io.Writer, s Series) error { return traffic.WriteSeriesCSV(w, s) }
-
-// ReadTraceCSV parses a series written by WriteTraceCSV.
-func ReadTraceCSV(r io.Reader) (Series, error) { return traffic.ReadSeriesCSV(r) }
-
-// WriteRequestsCSV and ReadRequestsCSV persist request streams (routes
-// are rebuilt as k-shortest paths on load).
-func WriteRequestsCSV(w io.Writer, reqs []*Request) error {
-	return traffic.WriteRequestsCSV(w, reqs)
-}
-
-// ReadRequestsCSV parses requests written by WriteRequestsCSV.
-func ReadRequestsCSV(r io.Reader, n *Network, routesPerRequest int) ([]*Request, error) {
-	return traffic.ReadRequestsCSV(r, n, routesPerRequest)
-}
