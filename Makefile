@@ -72,9 +72,11 @@ loc:
 #     SIGTERM (its graceful shutdown writes the coverage data).
 # It prints, per scoreboard layer, the unreached statement count and each
 # unreached block, then every pretium function (outside bench/) no run
-# entered. Binaries,
-# outputs and coverage data stay in a temporary directory. It is a survey,
-# not a gate.
+# entered, then the -exp run step's sam.lp.solves, sam.lp.warm_starts,
+# sam.lp.presolved, sam.lp.presolve_reused, pc.lp.solves and
+# pc.lp.warm_starts counters: a cache whose branch is entered but never
+# hits shows there, not in the coverage. Binaries, outputs and coverage
+# data stay in a temporary directory. It is a survey, not a gate.
 prodcover:
 	@set -e; tmp=$$(mktemp -d); srv=; \
 	trap 'if [ -n "$$srv" ]; then kill $$srv 2>/dev/null || true; fi; rm -rf "$$tmp"' EXIT; \
@@ -115,4 +117,7 @@ prodcover:
 		"$$tmp/cover.txt"; \
 	echo "functions no run entered:"; \
 	$(GO) tool covdata func -i="$$tmp/cov" | \
-		awk '$$NF == "0.0%" && $$1 !~ /^pretium\/bench\// { print "  " $$1, $$2 }'
+		awk '$$NF == "0.0%" && $$1 !~ /^pretium\/bench\// { print "  " $$1, $$2 }'; \
+	echo "solver counters of the -exp run step:"; \
+	grep -E '"(sam\.lp\.(solves|warm_starts|presolved|presolve_reused)|pc\.lp\.(solves|warm_starts))"' \
+		"$$tmp/metrics.json" | tr -d '",' | sed 's/^ */  /'

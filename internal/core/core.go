@@ -73,12 +73,6 @@ type Config struct {
 	// must own its recorder exclusively for the event stream to be
 	// deterministic (see obs.Recorder).
 	Obs *obs.Recorder
-	// ColdStart disables cross-solve warm-basis reuse: every SAM and PC
-	// solve starts from scratch instead of the previous terminal basis.
-	// It exists for the golden-trace suite, which proves the event stream
-	// is byte-identical with and without warm starts; production runs
-	// leave it false.
-	ColdStart bool
 }
 
 // DefaultConfig returns the full Pretium configuration over the given
@@ -175,21 +169,6 @@ type Controller struct {
 	// trueCap is the physical per-(edge,step) capacity left to scheduled
 	// traffic by high-pri usage, before any chaos outage.
 	trueCap [][]float64
-	// samBasis and pcBasis hold the previous SAM / Price Computer terminal
-	// simplex bases. Successive solves of the same LP skeleton (same live
-	// demand set and horizon for SAM, same window shape for the PC) warm-
-	// start from them; structurally incompatible bases are ignored by the
-	// solver, so carrying them is always safe.
-	samBasis *lp.Basis
-	pcBasis  *lp.Basis
-	// samBuilt is the last SAM-site model sched built with implicit bounds
-	// (instances of lp.LargeModelRows rows or more; smaller ones build
-	// explicit and are not kept). When the next instance matches it
-	// structurally, Rebind patches it in place and the solve reuses the
-	// model's cached standardization and presolve recipe. Dropped when
-	// every LP rung fails and the ladder settles at carry-plan (a model
-	// that degraded that far should not haunt later steps).
-	samBuilt *sched.Built
 	// obs holds pre-resolved metric handles (nil when Config.Obs is);
 	// samStats/pcStats accumulate per-module solver telemetry via the
 	// lp.Options.Stats hook and publish to obs at finalize.
@@ -198,8 +177,11 @@ type Controller struct {
 	pcStats  lp.SolveStats
 }
 
-// New creates a controller for the request stream. Requests must be
-// sorted by arrival and validated against the network.
+// New creates a controller for the request stream, rejecting any request
+// that does not validate against the network. Run admits every request at
+// its Arrival step, so the stream need not be sorted by arrival: only the
+// order of requests that share an arrival step matters, and they are
+// admitted in stream order.
 func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("core: horizon must be positive")
@@ -468,7 +450,7 @@ func (c *Controller) reqIndex(r *traffic.Request) int {
 }
 
 // runSAM re-optimizes the forward schedule from step t (Eq. 2). It never
-// fails: on solver trouble it walks the degradation ladder (warm LP →
+// fails: on solver trouble it walks the degradation ladder (LP →
 // relaxed-guarantee LP → carry the installed plan and re-place, LP-free,
 // only what an outage strands), recording how far it had to descend in
 // the Health report. A dead solver degrades the schedule's optimality,
@@ -644,23 +626,6 @@ func solveErr(r *sched.Result) error {
 	return r.Status.Err()
 }
 
-// buildOrRebind produces the scheduling model for ins: the retained model
-// re-targeted in place (Built.Rebind) when it accepts ins — same live-demand
-// structure as the instance it was built or last rebound for, and ins still
-// large enough to build implicit — and a fresh build otherwise, retained in
-// turn if sched made it implicit.
-func (c *Controller) buildOrRebind(ins *sched.Instance) (*sched.Built, error) {
-	if c.samBuilt != nil && c.samBuilt.Rebind(ins) == nil {
-		return c.samBuilt, nil
-	}
-	c.samBuilt = nil
-	b, err := ins.Build()
-	if err == nil && b.Implicit() {
-		c.samBuilt = b
-	}
-	return b, err
-}
-
 // solveBuilt runs one solve of a SAM-site model under the step's chaos
 // action, returning a nil error only for a clean Optimal result.
 func solveBuilt(built *sched.Built, act chaos.Action, opts lp.Options) (*sched.Result, error) {
@@ -680,7 +645,7 @@ func solveBuilt(built *sched.Built, act chaos.Action, opts lp.Options) (*sched.R
 // solveSAMLadder runs the LP rungs of the degradation ladder for one SAM
 // solve:
 //
-//	rung 1: warm LP from the previous terminal basis;
+//	rung 1: LP on a fresh build of the step's instance;
 //	rung 2: on infeasible guarantees, relax them in place and re-solve
 //	        warm from the phase-1 terminal basis.
 //
@@ -696,43 +661,31 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 	}
 	chain := func() string { return strings.Join(reasons, "; ") }
 
-	built, err := c.buildOrRebind(ins)
+	built, err := ins.Build()
 	if err != nil {
 		fail("build", err)
-	} else {
-		// Rung 1: warm solve. (Under Config.ColdStart the previous terminal
-		// basis is not reused, but the within-ladder warm retry below —
-		// phase-1 terminal basis after a relaxation — is kept: it is part
-		// of the ladder's semantics, not a cross-solve optimization.)
-		opts := lp.Options{Stats: &c.samStats}
-		if !c.cfg.ColdStart {
-			opts.WarmBasis = c.samBasis
-		}
-		res, err := solveBuilt(built, act, opts)
-		if err == nil {
-			c.samBasis = res.Basis
-			return res, LevelOK, ""
-		}
-		fail("warm", err)
-		// Rung 2: guarantees no longer jointly schedulable (e.g. after
-		// capacity shocks); relax them in place and do best effort,
-		// counting reneges at the end. The relaxation only lowers GE
-		// right-hand sides, so the infeasible solve's terminal (phase-1)
-		// basis is a valid warm start for the retry.
-		if res != nil && res.Status == lp.Infeasible {
-			built.RelaxGuarantees()
-			opts.WarmBasis = res.Basis
-			if res, err = solveBuilt(built, act, opts); err == nil {
-				c.samBasis = res.Basis
-				return res, LevelRelaxed, chain()
-			}
-			fail("relaxed", err)
-		}
+		return nil, LevelCarry, chain()
 	}
-	// Drop the basis chain and the retained model — whatever state
-	// produced this descent should not warm-start the next step.
-	c.samBasis = nil
-	c.samBuilt = nil
+	opts := lp.Options{Stats: &c.samStats}
+	res, err := solveBuilt(built, act, opts)
+	if err == nil {
+		return res, LevelOK, ""
+	}
+	// The rung keeps its "warm" label: Health reasons and traces read it.
+	fail("warm", err)
+	// Rung 2: guarantees no longer jointly schedulable (e.g. after
+	// capacity shocks); relax them in place and do best effort,
+	// counting reneges at the end. The relaxation only lowers GE
+	// right-hand sides, so the infeasible solve's terminal (phase-1)
+	// basis is a valid warm start for the retry.
+	if res != nil && res.Status == lp.Infeasible {
+		built.RelaxGuarantees()
+		opts.WarmBasis = res.Basis
+		if res, err = solveBuilt(built, act, opts); err == nil {
+			return res, LevelRelaxed, chain()
+		}
+		fail("relaxed", err)
+	}
 	return nil, LevelCarry, chain()
 }
 
@@ -875,19 +828,12 @@ func (c *Controller) runPC(t int) {
 	case chaos.Timeout:
 		opts.TimeBudget = time.Nanosecond
 	}
-	warmBasis := c.pcBasis
-	if c.cfg.ColdStart {
-		warmBasis = nil
-	}
-	window, basis, err := pricing.ComputePricesBasis(c.net, entries, capacity, w, 0,
+	window, err := pricing.ComputePrices(c.net, entries, capacity, w, 0,
 		pricing.ComputerConfig{
 			WindowLen: w, Cost: c.cfg.Cost,
 			MinPrice: c.cfg.MinPrice, CostFloorFrac: 1,
 			Solver: opts,
-		}, warmBasis)
-	if basis != nil {
-		c.pcBasis = basis
-	}
+		})
 	if err != nil {
 		// Retaining the prior window's prices is a deliberate degradation:
 		// quotes stay well-defined but stop tracking current load. Record

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"pretium/internal/cost"
@@ -358,10 +359,11 @@ func TestNewRejectsBadPercentile(t *testing.T) {
 	}
 }
 
-func TestEndToEndSyntheticWAN(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end run")
-	}
+// syntheticWAN is a 6-node generated WAN over 12 steps with its
+// synthesized request stream (sorted by arrival) and a Pretium config
+// that runs the price computer twice.
+func syntheticWAN(t *testing.T) (*graph.Network, []*traffic.Request, Config) {
+	t.Helper()
 	wcfg := graph.DefaultWANConfig()
 	wcfg.Regions, wcfg.NodesPerRegion = 2, 3
 	n := graph.GenerateWAN(wcfg)
@@ -380,6 +382,14 @@ func TestEndToEndSyntheticWAN(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.Cost = cost.DefaultConfig(12)
 	cfg.PriceWindow = 6
+	return n, reqs, cfg
+}
+
+func TestEndToEndSyntheticWAN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end run")
+	}
+	n, reqs, cfg := syntheticWAN(t)
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -415,6 +425,55 @@ func TestEndToEndSyntheticWAN(t *testing.T) {
 	}
 	if rep.RenegedBytes > 1e-6 {
 		t.Errorf("reneged %v bytes in a fault-free run", rep.RenegedBytes)
+	}
+}
+
+// TestArrivalOrderAcrossArrivals holds New's stream contract: Run buckets
+// requests by arrival, so only the order within one arrival matters. The
+// stream with its arrivals reversed, each arrival's requests kept in
+// stream order, must decide, price, deliver and bill every request
+// bit-identically to the sorted stream.
+func TestArrivalOrderAcrossArrivals(t *testing.T) {
+	n, sorted, cfg := syntheticWAN(t)
+	// perm[j] is the sorted-stream index of the permuted stream's request j.
+	perm := make([]int, len(sorted))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, b int) bool { return sorted[perm[a]].Arrival > sorted[perm[b]].Arrival })
+	permuted := make([]*traffic.Request, len(perm))
+	for j, i := range perm {
+		permuted[j] = sorted[i]
+	}
+	if permuted[0].Arrival == sorted[0].Arrival {
+		t.Fatal("the stream has one arrival step; nothing to permute")
+	}
+	run := func(reqs []*traffic.Request) (*Controller, *sim.Outcome) {
+		c, err := New(n, cloneReqs(reqs), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, out
+	}
+	want, wantOut := run(sorted)
+	got, gotOut := run(permuted)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	prices := map[float64]bool{}
+	for j, i := range perm {
+		if got.Admitted[j] != want.Admitted[i] || !same(got.AdmissionPrice[j], want.AdmissionPrice[i]) ||
+			!same(gotOut.Delivered[j], wantOut.Delivered[i]) || !same(gotOut.Payments[j], wantOut.Payments[i]) {
+			t.Errorf("request %d (arrival %d): admitted %v price %v delivered %v paid %v; sorted stream %v %v %v %v",
+				i, sorted[i].Arrival, got.Admitted[j], got.AdmissionPrice[j], gotOut.Delivered[j], gotOut.Payments[j],
+				want.Admitted[i], want.AdmissionPrice[i], wantOut.Delivered[i], wantOut.Payments[i])
+		}
+		prices[want.AdmissionPrice[i]] = true
+	}
+	if len(prices) < 2 {
+		t.Errorf("every request was admitted at one price; the stream no longer moves prices between arrivals")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 type Level int
 
 const (
-	// LevelOK: the warm LP solved cleanly.
+	// LevelOK: the step's LP solved cleanly.
 	LevelOK Level = iota
 	// LevelRelaxed: guarantees were no longer jointly schedulable; the
 	// LP re-solved with guarantee rows relaxed (reneges accounted at the

@@ -102,10 +102,9 @@ func TestControllerObsNeutralAndCounted(t *testing.T) {
 // over [0,2] falls short by more than the later steps can carry; SAM
 // relaxes it in place and re-solves warm from the infeasible solve's
 // phase-1 terminal basis — and checks the warm start lands in the
-// published solver telemetry. (Cross-step SAM warm reuse cannot
-// structurally match — the variable set shrinks with StartStep — so the
-// relax re-solve is where warm starts actually fire in core. An announced
-// cut would go to the repair ladder first.)
+// published solver telemetry. (Every other SAM-site solve builds its
+// model fresh and solves it cold, so the relax re-solve is the only warm
+// start in core. An announced cut would go to the repair ladder first.)
 func TestWarmStartCounted(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 30, 50)}
@@ -135,31 +134,6 @@ func TestWarmStartCounted(t *testing.T) {
 	}
 	if got := rec.Metrics().Counter("sam.lp.recoveries").Value(); got != 0 {
 		t.Errorf("sam.lp.recoveries = %d on a healthy run", got)
-	}
-}
-
-// TestColdStartDisablesWarmStarts pins down the Config.ColdStart knob:
-// the run completes with identical outcomes and zero recorded warm
-// starts.
-func TestColdStartDisablesWarmStarts(t *testing.T) {
-	n, a, b := simpleNet()
-	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 3, 20, 5)}
-	rec := obs.NewRecorder(nil)
-	cfg := smallConfig(4)
-	cfg.Obs = rec
-	cfg.ColdStart = true
-	c, err := New(n, reqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Metrics().Counter("sam.lp.warm_starts").Value(); got != 0 {
-		t.Errorf("warm starts recorded under ColdStart: %d", got)
-	}
-	if got := rec.Metrics().Counter("sam.lp.solves").Value(); got < 2 {
-		t.Errorf("sam.lp.solves = %d, want >= 2", got)
 	}
 }
 

@@ -241,18 +241,17 @@ func preemptionOrder(affected, pinned []*admState) []*admState {
 }
 
 // repairSolve runs one repair LP at step t over an instance samInstance
-// posed. It rides the SAM site's model path — buildOrRebind, so the same
-// size-selected build and the same retained model — and the configured
-// chaos injector is consulted like any other SAM-site solve: a dead solver
-// kills repair too, which is exactly the worst case the ladder's skipped
-// level records.
+// posed. It rides the SAM site's model path — a fresh, size-selected
+// ins.Build() — and the configured chaos injector is consulted like any
+// other SAM-site solve: a dead solver kills repair too, which is exactly
+// the worst case the ladder's skipped level records.
 func (c *Controller) repairSolve(t int, ins *sched.Instance) (*sched.Result, error) {
 	act := c.chaosAction(chaos.ModuleSAM, t)
 	if act == chaos.Fail {
 		return nil, errInjectedOutage
 	}
 	c.obs.repairSolve()
-	built, err := c.buildOrRebind(ins)
+	built, err := ins.Build()
 	if err != nil {
 		return nil, err
 	}

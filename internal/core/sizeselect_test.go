@@ -204,9 +204,6 @@ func TestSizeSelectedSAMMatchesExplicit(t *testing.T) {
 		if got := score(pending); math.Abs(got-optimum) > 1e-9*math.Max(1, math.Abs(optimum)) {
 			t.Errorf("step %d: installed plan scores %.12g, explicit optimum %.12g", step, got, optimum)
 		}
-		if c.samBuilt == nil || !c.samBuilt.Implicit() {
-			t.Errorf("step %d: the implicit model was not retained", step)
-		}
 		pending = nil
 		checked++
 	}
@@ -232,9 +229,6 @@ func TestSizeSelectedSAMMatchesExplicit(t *testing.T) {
 	if c.samStats.Presolved != checked {
 		t.Errorf("%d SAM solves ran presolved, %d instances built implicit", c.samStats.Presolved, checked)
 	}
-	if c.samBuilt != nil {
-		t.Error("a model is still retained after the run's last, explicit, steps")
-	}
 	if c.Health.Degraded() {
 		t.Errorf("health: %s", c.Health.Summary())
 	}
@@ -255,8 +249,8 @@ func TestSizeSelectedSAMMatchesExplicit(t *testing.T) {
 // live set is far past lp.LargeModelRows. The re-route rung poses only the
 // affected transfers — a small instance, built explicit like any other — and
 // comes back infeasible; the joint re-plan poses the whole live set, and must
-// go where SAM's solves of that size go: through buildOrRebind into an
-// implicit build, solved presolved, counted in the same samStats, retained.
+// go where SAM's solves of that size go: into an implicit build, solved
+// presolved, counted in the same samStats.
 func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("end-to-end run past lp.LargeModelRows") // as above
@@ -273,16 +267,12 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// samStats, and whether a model is retained, as each SAM-site solve of
-	// the cut step begins: repair's two rungs, then the step's SAM ladder.
-	type mark struct {
-		stats    lp.SolveStats
-		retained bool
-	}
-	var marks []mark
+	// samStats as each SAM-site solve of the cut step begins: repair's two
+	// rungs, then the step's SAM ladder.
+	var marks []lp.SolveStats
 	w.onSolve = func(now int) {
 		if now == cutAt {
-			marks = append(marks, mark{c.samStats, c.samBuilt != nil})
+			marks = append(marks, c.samStats)
 		}
 	}
 	out, err := c.Run()
@@ -294,12 +284,12 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 		t.Fatalf("%d SAM-site solves began at the cut step, want reroute, replan, SAM", len(marks))
 	}
 	reroute, replan, sam := marks[0], marks[1], marks[2]
-	if d := replan.stats.Presolved - reroute.stats.Presolved; d != 0 || replan.retained {
-		t.Errorf("the affected-only reroute instance: %d presolved solves, retained=%v; want an explicit build", d, replan.retained)
+	if d := replan.Presolved - reroute.Presolved; d != 0 {
+		t.Errorf("the affected-only reroute instance: %d presolved solves; want an explicit build", d)
 	}
-	if sam.stats.Solves-replan.stats.Solves != 1 || sam.stats.Presolved-replan.stats.Presolved != 1 || !sam.retained {
-		t.Errorf("the whole-live-set replan: samStats moved %+v -> %+v, retained=%v; want one presolved solve on a retained implicit build",
-			replan.stats, sam.stats, sam.retained)
+	if sam.Solves-replan.Solves != 1 || sam.Presolved-replan.Presolved != 1 {
+		t.Errorf("the whole-live-set replan: samStats moved %+v -> %+v; want one presolved solve on an implicit build",
+			replan, sam)
 	}
 	rep, err := sim.Evaluate(net, reqs, out, cfg.Cost)
 	if err != nil {

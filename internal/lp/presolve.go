@@ -112,7 +112,7 @@ func resize[T any](s []T, n int) []T {
 // direction, and of the objective only each coefficient's sign class. So
 // when only the objective changed since the last run, and no coefficient
 // changed class, that run's reduction is this one's bit for bit and only the
-// reduced objective is patched: the SAM step that re-prices a retained model.
+// reduced objective is patched: a SAM step that re-prices a rebound model.
 func (m *Model) runPresolve() (ps *presolveState, reused bool) {
 	ps = m.pre
 	if ps == nil {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"pretium/internal/core"
 	"pretium/internal/exp"
 	"pretium/internal/obs"
 )
@@ -24,13 +23,12 @@ const (
 
 // goldenRecorder executes the golden scenario — the Small experiment setup
 // at a fixed seed, run end-to-end through the Pretium controller — with its
-// own recorder, and returns it with the trace it buffered. mutate lets
-// variants (cold start) tweak the controller config.
-func goldenRecorder(t *testing.T, mutate func(*core.Config)) (*obs.Recorder, *obs.TraceBuffer) {
+// own recorder, and returns it with the trace it buffered.
+func goldenRecorder(t *testing.T) (*obs.Recorder, *obs.TraceBuffer) {
 	t.Helper()
 	rec, buf := obs.NewTraceRecorder()
 	s := exp.NewSetup(exp.Small(), exp.WithSeed(7), exp.WithObs(rec))
-	if _, err := s.RunPretium(mutate); err != nil {
+	if _, err := s.RunPretium(nil); err != nil {
 		t.Fatalf("RunPretium: %v", err)
 	}
 	if rec.Events() == 0 {
@@ -40,9 +38,9 @@ func goldenRecorder(t *testing.T, mutate func(*core.Config)) (*obs.Recorder, *ob
 }
 
 // goldenRun is goldenRecorder's raw JSONL event stream.
-func goldenRun(t *testing.T, mutate func(*core.Config)) []byte {
+func goldenRun(t *testing.T) []byte {
 	t.Helper()
-	_, buf := goldenRecorder(t, mutate)
+	_, buf := goldenRecorder(t)
 	return buf.Bytes()
 }
 
@@ -75,15 +73,15 @@ func checkGolden(t *testing.T, file string, got []byte) {
 // loop's observable decisions shows up as a diff here; refresh
 // deliberately with -update and review the diff like code.
 func TestGoldenTrace(t *testing.T) {
-	checkGolden(t, goldenFile, goldenRun(t, nil))
+	checkGolden(t, goldenFile, goldenRun(t))
 }
 
 // TestGoldenLPCounters locks the golden scenario's simplex work as exact
-// integers. The trace's 9-digit floats absorb a change in the pivot path
-// (TestGoldenTraceColdStart relies on that); these counters do not, so a
-// change that claims to move no float has to leave every one of them alone.
+// integers. The trace's 9-digit floats absorb a change in the pivot path;
+// these counters do not, so a change that claims to move no float has to
+// leave every one of them alone.
 func TestGoldenLPCounters(t *testing.T) {
-	rec, _ := goldenRecorder(t, nil)
+	rec, _ := goldenRecorder(t)
 	var got bytes.Buffer
 	for _, name := range []string{
 		"sam.lp.iterations", "sam.lp.refactorizations", "sam.lp.warm_starts",
@@ -99,7 +97,7 @@ func TestGoldenLPCounters(t *testing.T) {
 // stream is byte-identical to a serial run: the trace depends only on the
 // scenario, never on goroutine scheduling.
 func TestGoldenTraceParallel(t *testing.T) {
-	want := goldenRun(t, nil)
+	want := goldenRun(t)
 	const runs = 4
 	traces := make([][]byte, runs)
 	err := exp.ParallelFor(runs, func(i int) error {
@@ -118,19 +116,6 @@ func TestGoldenTraceParallel(t *testing.T) {
 		if !bytes.Equal(tr, want) {
 			t.Errorf("parallel run %d diverges from serial:\n%s", i, traceDiff(want, tr))
 		}
-	}
-}
-
-// TestGoldenTraceColdStart runs the golden scenario with cross-solve
-// warm-basis reuse disabled and checks the stream is byte-identical to
-// the warm run: warm starts change the pivot path, never the observable
-// outcome, and the trace's 9-digit float precision absorbs last-ulp
-// roundoff between the two paths.
-func TestGoldenTraceColdStart(t *testing.T) {
-	warm := goldenRun(t, nil)
-	cold := goldenRun(t, func(c *core.Config) { c.ColdStart = true })
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("cold-start trace diverges from warm:\n%s", traceDiff(warm, cold))
 	}
 }
 

@@ -55,23 +55,11 @@ type HistoryEntry struct {
 // rises; an overpriced link sheds load and its dual falls.
 func ComputePrices(net *graph.Network, history []HistoryEntry, capacity [][]float64,
 	periodLen, refStart int, cfg ComputerConfig) ([][]float64, error) {
-	window, _, err := ComputePricesBasis(net, history, capacity, periodLen, refStart, cfg, nil)
-	return window, err
-}
-
-// ComputePricesBasis is ComputePrices with warm-start threading: warm is a
-// basis from a previous pricing solve (nil for cold), and the returned
-// basis is the terminal basis of this solve, to pass to the next call.
-// Successive pricing windows over a steady request mix build structurally
-// identical LPs, so the basis usually transplants; when it does not (the
-// admitted set changed shape) the solver falls back to a cold start.
-func ComputePricesBasis(net *graph.Network, history []HistoryEntry, capacity [][]float64,
-	periodLen, refStart int, cfg ComputerConfig, warm *lp.Basis) ([][]float64, *lp.Basis, error) {
 	if cfg.WindowLen <= 0 {
-		return nil, nil, fmt.Errorf("pricing: WindowLen must be positive")
+		return nil, fmt.Errorf("pricing: WindowLen must be positive")
 	}
 	if refStart < 0 || refStart+cfg.WindowLen > periodLen {
-		return nil, nil, fmt.Errorf("pricing: reference window [%d,%d) outside period [0,%d)",
+		return nil, fmt.Errorf("pricing: reference window [%d,%d) outside period [0,%d)",
 			refStart, refStart+cfg.WindowLen, periodLen)
 	}
 	demands := make([]sched.Demand, 0, len(history))
@@ -98,19 +86,17 @@ func ComputePricesBasis(net *graph.Network, history []HistoryEntry, capacity [][
 		UseCostProxy: true,
 		WantPrices:   true,
 	}
-	opts := cfg.Solver
-	opts.WarmBasis = warm
-	res, err := ins.Solve(opts)
+	res, err := ins.Solve(cfg.Solver)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if res.Status != lp.Optimal {
-		return nil, res.Basis, fmt.Errorf("pricing: offline LP %v", res.Status)
+		return nil, fmt.Errorf("pricing: offline LP %v", res.Status)
 	}
 	if res.Suspect {
 		// Duals from a numerically suspect solve would silently poison the
 		// whole next pricing window; better to keep the old prices.
-		return nil, res.Basis, fmt.Errorf("pricing: offline LP %w", lp.ErrSuspect)
+		return nil, fmt.Errorf("pricing: offline LP %w", lp.ErrSuspect)
 	}
 	window := make([][]float64, net.NumEdges())
 	for e := range window {
@@ -129,5 +115,5 @@ func ComputePricesBasis(net *graph.Network, history []HistoryEntry, capacity [][
 			window[e][i] = p
 		}
 	}
-	return window, res.Basis, nil
+	return window, nil
 }

@@ -201,14 +201,16 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 // TestRebindRelaxGuarantees drives a rebound model into infeasibility (a
 // capacity collapse the guarantees no longer fit under), relaxes in place,
 // and checks the relaxed re-solve matches a fresh build relaxed the same
-// way — covering both row-form and bound-form guarantees.
+// way — covering a one-variable guarantee, which presolve folds into a
+// bound, and a multi-variable one, which stays a row.
 func TestRebindRelaxGuarantees(t *testing.T) {
 	n, _, _ := lineNet(10)
 	path := n.ShortestPath(0, 2)
 	base := &Instance{
 		Net: n, Horizon: 4, Capacity: capMatrix(n, 4),
 		Demands: []Demand{
-			// Single-variable demand: guarantee folds into a lower bound.
+			// Single-variable demand: presolve folds its guarantee into a
+			// lower bound.
 			{ID: 0, Routes: []graph.Path{path}, Start: 1, End: 1, MaxBytes: 8, MinBytes: 4, ValuePerByte: 1},
 			// Multi-step demand: guarantee stays a GE row.
 			{ID: 1, Routes: []graph.Path{path}, Start: 1, End: 3, MaxBytes: 30, MinBytes: 12, ValuePerByte: 3},
@@ -220,10 +222,11 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 		t.Fatalf("initial solve: %v %v", err, res)
 	}
 
-	// Capacity collapses to 3 per step from step 1 on: demand 0's bound-form
-	// guarantee of 4 no longer fits its variable's upper bound, so Rebind
-	// must hand the instance back for a rebuild rather than silently pin an
-	// empty box.
+	// Capacity collapses to 3 per step from step 1 on: demand 0's guarantee
+	// of 4 no longer fits its one variable's implicit bound. Rebind patches
+	// the guarantee row like any other, the rebound model reports
+	// infeasibility, and relaxing in place must agree with a fresh build
+	// relaxed the same way.
 	shocked := cloneInstance(base)
 	shocked.StartStep = 1
 	for e := range shocked.Capacity {
@@ -231,22 +234,18 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 			shocked.Capacity[e][tt] = 3
 		}
 	}
-	if err := built.rebind(shocked); err == nil {
-		t.Fatal("rebind accepted a guarantee that exceeds its implicit bound")
+	if err := built.rebind(shocked); err != nil {
+		t.Fatalf("rebind: %v", err)
 	}
-
-	// The rebuilt model reports infeasibility; relaxing in place must agree
-	// with a fresh build relaxed the same way.
-	built2 := mustBuild(t, shocked, true)
-	res, err := built2.Solve(lp.Options{})
+	res, err := built.Solve(lp.Options{})
 	if err != nil {
 		t.Fatalf("shocked solve: %v", err)
 	}
 	if res.Status != lp.Infeasible {
 		t.Fatalf("shocked status %v, want infeasible", res.Status)
 	}
-	built2.RelaxGuarantees()
-	relaxed, err := built2.Solve(lp.Options{WarmBasis: res.Basis})
+	built.RelaxGuarantees()
+	relaxed, err := built.Solve(lp.Options{WarmBasis: res.Basis})
 	if err != nil || relaxed.Status != lp.Optimal {
 		t.Fatalf("relaxed solve: %v %v", err, relaxed)
 	}

@@ -167,23 +167,22 @@ type Built struct {
 	// load-definition row at e*Horizon+t, -1 where the build emitted none.
 	capRow []lp.Row
 	defRow []lp.Row
-	// guaranteeRows are the GE rows from demands with MinBytes > 0, in
-	// demand order, so infeasible instances can be relaxed in place.
-	guaranteeRows []lp.Row
+	// demandRow and guaranteeOf hold each demand's cap row and guarantee
+	// (GE) row, -1 where the build emitted none; RelaxGuarantees zeroes the
+	// guarantees in place.
+	demandRow   []lp.Row
+	guaranteeOf []lp.Row
 
 	// implicit records the build mode Build selected (see Instance.Build);
 	// the Rebind bookkeeping below is populated only for implicit builds.
-	implicit    bool
-	builtStart  int
-	demandRow   []lp.Row // per demand; -1 when folded into a bound or absent
-	guaranteeOf []lp.Row // per demand; -1 when folded into a bound or absent
-	guardBound  []lp.Var // per demand; bound-form guarantee variable, -1 if none
-	fixedLoads  []fixedLoadVar
-	windows     []costWindow
+	implicit   bool
+	builtStart int
+	fixedLoads []fixedLoadVar
+	windows    []costWindow
 }
 
-// Implicit reports whether Build chose the implicit-bound formulation —
-// the only one Rebind can patch, so the only one worth keeping past a solve.
+// Implicit reports whether Build chose the implicit-bound formulation, the
+// only one Rebind can patch.
 func (b *Built) Implicit() bool { return b.implicit }
 
 // Solve builds the LP and optimizes it. It returns an error for malformed
@@ -205,13 +204,13 @@ func (ins *Instance) Solve(opts lp.Options) (*Result, error) {
 // fig11 CSV and bench/reference.json pin pivot for pivot, which is the
 // only reason the branch still exists. At or above it every flow variable
 // carries its tightest implicit upper bound (remaining demand, minimum
-// capacity along its route), and single-variable demand caps and
-// guarantees become bounds. The bounds
-// are redundant with the rows, so the feasible region is unchanged — but
-// they let lp's presolve, which Built.Solve turns on for these builds,
-// prove most (edge, time) capacity rows non-binding and drop them, which
-// is what makes the 106-node/226-edge/T=288 topology solvable inside the
-// SAM budget. Only these builds support Built.Rebind. The count compared
+// capacity along its route). The bounds are redundant with the rows, so
+// the feasible region is unchanged — but they let lp's presolve, which
+// Built.Solve turns on for these builds, prove most (edge, time) capacity
+// rows non-binding and drop them, which is what makes the
+// 106-node/226-edge/T=288 topology solvable inside the SAM budget; its
+// singleton rule also folds every one-variable demand cap and guarantee
+// into a bound. Only these builds support Built.Rebind. The count compared
 // is the explicit build's, so the choice is a function of the instance
 // alone, at the threshold where lp switches kernel, pricing rule and cold
 // start.
@@ -322,16 +321,14 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 
 	// Flow variables, grouped per (edge, time) cell for capacity rows.
 	var flows []flowVar
-	var guaranteeRows []lp.Row
 	H := ins.Horizon
 	loadTerms := make([][]lp.Term, ins.Net.NumEdges()*H) // cell e*H+t -> terms
 
 	nd := len(ins.Demands)
 	demandRow := make([]lp.Row, nd)
 	guaranteeOf := make([]lp.Row, nd)
-	guardBound := make([]lp.Var, nd)
 	for di := range ins.Demands {
-		demandRow[di], guaranteeOf[di], guardBound[di] = -1, -1, -1
+		demandRow[di], guaranteeOf[di] = -1, -1
 		d := &ins.Demands[di]
 		lo, hi := ins.clip(d)
 		var dTerms []lp.Term
@@ -363,28 +360,9 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 		if d.MaxBytes < 0 {
 			return nil, fmt.Errorf("sched: demand %d has negative MaxBytes", d.ID)
 		}
-		if implicit && len(dTerms) == 1 {
-			// A one-variable demand cap is just an upper bound, already
-			// folded into the variable by implicitUpper. A one-variable
-			// guarantee is a lower bound — expressible as long as it fits
-			// under the upper bound (otherwise keep the row so
-			// infeasibility surfaces and can be relaxed).
-			v := dTerms[0].Var
-			guardBound[di] = v
-			if d.MinBytes > 1e-9 {
-				if _, up := m.Bounds(v); d.MinBytes <= up {
-					m.SetBounds(v, d.MinBytes, up)
-				} else {
-					guaranteeOf[di] = m.AddConstraint(lp.GE, d.MinBytes, dTerms...)
-					guaranteeRows = append(guaranteeRows, guaranteeOf[di])
-				}
-			}
-			continue
-		}
 		demandRow[di] = m.AddConstraint(lp.LE, d.MaxBytes, dTerms...)
 		if d.MinBytes > 1e-9 {
 			guaranteeOf[di] = m.AddConstraint(lp.GE, d.MinBytes, dTerms...)
-			guaranteeRows = append(guaranteeRows, guaranteeOf[di])
 		}
 	}
 
@@ -465,19 +443,17 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 	}
 
 	return &Built{
-		ins:           ins,
-		model:         m,
-		flows:         flows,
-		capRow:        capRow,
-		defRow:        defRow,
-		guaranteeRows: guaranteeRows,
-		implicit:      implicit,
-		builtStart:    ins.StartStep,
-		demandRow:     demandRow,
-		guaranteeOf:   guaranteeOf,
-		guardBound:    guardBound,
-		fixedLoads:    fixedLoads,
-		windows:       windows,
+		ins:         ins,
+		model:       m,
+		flows:       flows,
+		capRow:      capRow,
+		defRow:      defRow,
+		demandRow:   demandRow,
+		guaranteeOf: guaranteeOf,
+		implicit:    implicit,
+		builtStart:  ins.StartStep,
+		fixedLoads:  fixedLoads,
+		windows:     windows,
 	}, nil
 }
 
@@ -507,16 +483,9 @@ func implicitUpper(ins *Instance, d *Demand, route graph.Path, t int) float64 {
 // structure, so a basis captured from the infeasible solve warm-starts the
 // relaxed re-solve.
 func (b *Built) RelaxGuarantees() {
-	for _, r := range b.guaranteeRows {
-		b.model.SetRHS(r, 0)
-	}
-	// Bound-form guarantees (single-variable demands of an implicit build)
-	// live in the variable's lower bound instead of a row.
-	for _, v := range b.guardBound {
-		if v >= 0 {
-			if lo, up := b.model.Bounds(v); lo > 0 {
-				b.model.SetBounds(v, 0, up)
-			}
+	for _, r := range b.guaranteeOf {
+		if r >= 0 {
+			b.model.SetRHS(r, 0)
 		}
 	}
 }
@@ -594,32 +563,20 @@ func (b *Built) rebind(ins *Instance) error {
 		}
 		if b.guaranteeOf[di] >= 0 {
 			m.SetRHS(b.guaranteeOf[di], d2.MinBytes)
-		} else if d2.MinBytes > 1e-9 && b.guardBound[di] < 0 {
-			// No row and no bound carrier: the demand had no guarantee (or
-			// no variables) at build time, so nothing can enforce one now.
+		} else if d2.MinBytes > 1e-9 {
+			// No guarantee row: the demand had no guarantee (or no
+			// variables) at build time, so nothing can enforce one now.
 			return fmt.Errorf("sched: Rebind demand %d gained a guarantee", d2.ID)
 		}
 	}
 	for i := range b.flows {
 		f := &b.flows[i]
 		d2 := &ins.Demands[f.d]
-		lo := 0.0
-		var up float64
-		if f.t < ins.StartStep {
-			up = 0
-		} else {
+		up := 0.0
+		if f.t >= ins.StartStep {
 			up = implicitUpper(ins, d2, d2.Routes[f.r], f.t)
 		}
-		if b.guardBound[f.d] == f.v && b.guaranteeOf[f.d] < 0 && d2.MinBytes > 1e-9 {
-			if d2.MinBytes > up {
-				// A fresh build would fall back to a GE row here (or reject
-				// the instance outright when the step is past); this build
-				// has neither, so hand the instance back for a rebuild.
-				return fmt.Errorf("sched: Rebind demand %d guarantee no longer fits its bound", d2.ID)
-			}
-			lo = d2.MinBytes
-		}
-		m.SetBounds(f.v, lo, up)
+		m.SetBounds(f.v, 0, up)
 		m.SetObj(f.v, d2.ValuePerByte)
 	}
 	H := ins.Horizon
