@@ -47,14 +47,16 @@ bench:
 	$(GO) run ./cmd/experiments -exp table4 -scale small -metrics BENCH_metrics.json
 
 # loc prints the ROADMAP scoreboard: non-test Go lines per library layer,
-# then their total.
+# then their total. The docs' line counts follow; they are docs, not part
+# of the scoreboard total.
 loc:
 	@total=0; for p in lp core sched serve exp baselines pricing; do \
 		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l); \
 		total=$$((total + n)); \
 		printf 'internal/%-9s %6d\n' $$p $$n; \
 	done; \
-	printf '%-18s %6d\n' total $$total
+	printf '%-18s %6d\n' total $$total; \
+	for d in DESIGN.md README.md; do printf '%-18s %6d\n' $$d $$(wc -l < $$d); done
 
 # prodcover answers "which statements does shipped traffic reach?" before a
 # simplification deletes a branch. It builds cmd/experiments,

@@ -2,7 +2,7 @@
 // at the Small scale (benchmarks must iterate; the full-size runs live in
 // cmd/experiments). Every BenchmarkFigureN/BenchmarkTableN corresponds to
 // one artifact in EXPERIMENTS.md, plus ablation benches for the design
-// choices called out in DESIGN.md §5.
+// choices called out in DESIGN.md §9.
 package pretium_test
 
 import (

@@ -1,8 +1,7 @@
 // Command pretium-serve runs the concurrent admission service as a
 // long-lived HTTP front-end: the RA module of the paper turned into a
-// server (ROADMAP item 1). It builds a synthetic WAN at the chosen
-// experiment scale, wraps it in the internal/serve service, and
-// exposes the thin JSON API:
+// server. It builds a synthetic WAN at the chosen experiment scale,
+// wraps it in the internal/serve service, and exposes the thin JSON API:
 //
 //	POST /v1/quote   — price a transfer without admitting it
 //	POST /v1/admit   — binding admission (menu, Theorem 5.2 purchase, commit)

@@ -263,9 +263,9 @@ func (c *Controller) State() *pricing.State { return c.state }
 
 // Run executes the full simulation and returns the realized outcome.
 func (c *Controller) Run() (*sim.Outcome, error) {
-	byArrival := make(map[int][]*traffic.Request)
-	for _, r := range c.reqs {
-		byArrival[r.Arrival] = append(byArrival[r.Arrival], r)
+	byArrival := make(map[int][]int)
+	for i, r := range c.reqs {
+		byArrival[r.Arrival] = append(byArrival[r.Arrival], i)
 	}
 	for t := 0; t < c.cfg.Horizon; t++ {
 		if t > 0 && t%c.cfg.PriceWindow == 0 {
@@ -282,8 +282,8 @@ func (c *Controller) Run() (*sim.Outcome, error) {
 		for e := range c.PriceTrace {
 			c.PriceTrace[e][t] = c.state.BasePrice[e][t]
 		}
-		for _, r := range byArrival[t] {
-			c.admit(r)
+		for _, idx := range byArrival[t] {
+			c.admit(idx)
 		}
 		if c.cfg.EnableSAM {
 			c.runSAM(t)
@@ -294,17 +294,21 @@ func (c *Controller) Run() (*sim.Outcome, error) {
 	return c.outcome, nil
 }
 
-// admit runs the RA interface for one arriving request.
-func (c *Controller) admit(r *traffic.Request) {
+// admit runs the RA interface for the arriving request at stream
+// position idx. The position, not Request.ID, addresses every per-request
+// record, so a stream that holds one *Request twice admits and accounts
+// each position on its own.
+func (c *Controller) admit(idx int) {
 	started := time.Now()
 	defer func() { c.Timings.RA = append(c.Timings.RA, time.Since(started)) }()
 
+	r := c.reqs[idx]
 	if r.Kind == traffic.RateRequest {
-		c.admitRate(r)
+		c.admitRate(idx, r)
 		return
 	}
 	if r.Kind == traffic.ScavengerRequest {
-		c.admitScavenger(r)
+		c.admitScavenger(idx, r)
 		return
 	}
 	menu := c.quoter.Quote(c.state, r, r.Demand)
@@ -320,14 +324,13 @@ func (c *Controller) admit(r *traffic.Request) {
 	if adm == nil {
 		c.obs.admission(false, bumps)
 		c.cfg.Obs.Emit(r.Arrival, "RA", "decline",
-			obs.I("req", c.reqIndex(r)), obs.I("menu", len(menu.Segments)), obs.I("bumps", bumps))
+			obs.I("req", idx), obs.I("menu", len(menu.Segments)), obs.I("bumps", bumps))
 		return
 	}
 	c.obs.admission(true, bumps)
 	c.cfg.Obs.Emit(r.Arrival, "RA", "admit",
-		obs.I("req", c.reqIndex(r)), obs.I("menu", len(menu.Segments)), obs.I("bumps", bumps),
+		obs.I("req", idx), obs.I("menu", len(menu.Segments)), obs.I("bumps", bumps),
 		obs.F("bought", adm.Bought), obs.F("lambda", adm.Lambda))
-	idx := c.reqIndex(r)
 	c.Admitted[idx] = true
 	c.AdmissionPrice[idx] = adm.Lambda
 	c.enroll(adm, idx, r.Start, r.End)
@@ -366,7 +369,7 @@ func (c *Controller) priceBumps(r *traffic.Request, menu *pricing.Menu) int {
 // admitRate expands a rate request into per-timestep quotes (§4.4): each
 // step is priced separately, the bundle is bought if the total price is
 // within the customer's value, and each step becomes its own guarantee.
-func (c *Controller) admitRate(r *traffic.Request) {
+func (c *Controller) admitRate(idx int, r *traffic.Request) {
 	type stepQuote struct {
 		t    int
 		menu *pricing.Menu
@@ -391,10 +394,9 @@ func (c *Controller) admitRate(r *traffic.Request) {
 	if feasibleRate <= 1e-9 || len(quotes) == 0 || total > r.Value*bytes {
 		c.obs.admission(false, 0)
 		c.cfg.Obs.Emit(r.Arrival, "RA", "decline",
-			obs.I("req", c.reqIndex(r)), obs.S("kind", "rate"), obs.I("steps", len(quotes)))
+			obs.I("req", idx), obs.S("kind", "rate"), obs.I("steps", len(quotes)))
 		return // nothing schedulable, or the bundle is not worth it
 	}
-	idx := c.reqIndex(r)
 	committed := 0
 	for _, q := range quotes {
 		stepReq := *r
@@ -425,28 +427,13 @@ func (c *Controller) admitRate(r *traffic.Request) {
 // the value proxy λ, so SAM schedules scavenger bytes exactly when they
 // beat the marginal percentile-cost burden of residual capacity. Without
 // SAM enabled the scavenger class is inert, as there is no plan to ride.
-func (c *Controller) admitScavenger(r *traffic.Request) {
-	idx := c.reqIndex(r)
+func (c *Controller) admitScavenger(idx int, r *traffic.Request) {
 	c.Admitted[idx] = true
 	c.AdmissionPrice[idx] = r.Value
 	c.enroll(&pricing.Admission{Request: r, Bought: r.Demand, Lambda: r.Value}, idx, r.Start, r.End)
 	c.obs.admission(true, 0)
 	c.cfg.Obs.Emit(r.Arrival, "RA", "admit",
 		obs.I("req", idx), obs.S("kind", "scavenger"), obs.F("bought", r.Demand))
-}
-
-func (c *Controller) reqIndex(r *traffic.Request) int {
-	// Request IDs are stream indices by construction of the generators;
-	// fall back to a scan when they are not.
-	if r.ID >= 0 && r.ID < len(c.reqs) && c.reqs[r.ID] == r {
-		return r.ID
-	}
-	for i, q := range c.reqs {
-		if q == r {
-			return i
-		}
-	}
-	return -1
 }
 
 // runSAM re-optimizes the forward schedule from step t (Eq. 2). It never

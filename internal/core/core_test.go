@@ -448,19 +448,8 @@ func TestArrivalOrderAcrossArrivals(t *testing.T) {
 	if permuted[0].Arrival == sorted[0].Arrival {
 		t.Fatal("the stream has one arrival step; nothing to permute")
 	}
-	run := func(reqs []*traffic.Request) (*Controller, *sim.Outcome) {
-		c, err := New(n, cloneReqs(reqs), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, out
-	}
-	want, wantOut := run(sorted)
-	got, gotOut := run(permuted)
+	want, wantOut := runStream(t, n, cloneReqs(sorted), cfg)
+	got, gotOut := runStream(t, n, cloneReqs(permuted), cfg)
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	prices := map[float64]bool{}
 	for j, i := range perm {
@@ -474,6 +463,35 @@ func TestArrivalOrderAcrossArrivals(t *testing.T) {
 	}
 	if len(prices) < 2 {
 		t.Errorf("every request was admitted at one price; the stream no longer moves prices between arrivals")
+	}
+}
+
+// TestDuplicatePointerIsTwoPositions holds that the controller addresses
+// requests by stream position: a stream that holds reqs[0] twice, as one
+// pointer, must admit, deliver and bill both positions exactly as the
+// stream holding a copy of it does, and neither position may receive
+// more than its demand.
+func TestDuplicatePointerIsTwoPositions(t *testing.T) {
+	n, reqs, cfg := syntheticWAN(t)
+	twin := *reqs[0]
+	want, wantOut := runStream(t, n, append(cloneReqs(reqs), &twin), cfg)
+	shared := cloneReqs(reqs)
+	got, gotOut := runStream(t, n, append(shared, shared[0]), cfg)
+	last := len(reqs)
+	if !want.Admitted[0] || !want.Admitted[last] {
+		t.Fatalf("the copied stream admits position 0 %v and its twin %v; the test needs both", want.Admitted[0], want.Admitted[last])
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, i := range []int{0, last} {
+		if got.Admitted[i] != want.Admitted[i] || !same(got.AdmissionPrice[i], want.AdmissionPrice[i]) ||
+			!same(gotOut.Delivered[i], wantOut.Delivered[i]) || !same(gotOut.Payments[i], wantOut.Payments[i]) {
+			t.Errorf("position %d: admitted %v price %v delivered %v paid %v; with a copy %v %v %v %v",
+				i, got.Admitted[i], got.AdmissionPrice[i], gotOut.Delivered[i], gotOut.Payments[i],
+				want.Admitted[i], want.AdmissionPrice[i], wantOut.Delivered[i], wantOut.Payments[i])
+		}
+		if gotOut.Delivered[i] > reqs[0].Demand+1e-9 {
+			t.Errorf("position %d delivered %v of a %v demand", i, gotOut.Delivered[i], reqs[0].Demand)
+		}
 	}
 }
 
@@ -511,6 +529,20 @@ func TestAblationOrdering(t *testing.T) {
 	if full < noMenu-1e-6 {
 		t.Errorf("full Pretium welfare %v < NoMenu %v", full, noMenu)
 	}
+}
+
+// runStream runs a controller over reqs and returns it with its outcome.
+func runStream(t *testing.T, n *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, *sim.Outcome) {
+	t.Helper()
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, out
 }
 
 func cloneReqs(reqs []*traffic.Request) []*traffic.Request {

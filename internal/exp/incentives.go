@@ -91,9 +91,9 @@ func Incentives(sc Scale, sampleEvery int, seed int64) (IncentivesResult, error)
 			}
 		}
 		// Splitting deviation (Theorem 5.1 also covers breaking one
-		// request into several): replace the request with two
-		// half-demand twins submitted back to back; the deviator's
-		// utility sums over both halves.
+		// request into several): halve the request and append its twin
+		// to the stream, so it is admitted after every other request of
+		// its arrival step; the deviator's utility sums over both halves.
 		if req.Demand > 1 {
 			devReqs := cloneRequests(s.Requests)
 			devReqs[i].Demand = req.Demand / 2

@@ -36,8 +36,8 @@ import (
 //
 // Both stay because a bench row says so: Forrest–Tomlin forced at every
 // size costs loop-wan16 (m < LargeModelRows) 0.95% of its welfare and 39%
-// more wall clock (DESIGN.md §13), and at paper scale the eta file is what
-// Forrest–Tomlin replaced (DESIGN.md §15: 281 refactorizations → 27).
+// more wall clock, and at paper scale the eta file is what Forrest–Tomlin
+// replaced (281 refactorizations → 27); DESIGN.md §12 records both.
 //
 // Representation. Factorization of B (rows = constraint rows, columns =
 // basis positions) by right-looking Gaussian elimination choosing pivot

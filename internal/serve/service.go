@@ -3,7 +3,7 @@
 // lock-free; admissions quote and commit under one lock, in lock order,
 // so the service is *exactly* equivalent — bit-identical decisions,
 // prices, and room — to the serial pricing.Admitter replaying the
-// arrivals in that order (see DESIGN.md §16 and the differential
+// arrivals in that order (see DESIGN.md §8 and the differential
 // tests).
 package serve
 
@@ -40,8 +40,8 @@ type Config struct {
 	Obs *obs.Metrics
 }
 
-// Service is the concurrent admission front-end (ROADMAP item 1): RA as
-// a long-running server instead of a controller loop iteration.
+// Service is the concurrent admission front-end: RA as a long-running
+// server instead of a controller loop iteration.
 //
 //   - Quote is lock-free: one atomic epoch load plus a pooled quoter
 //     pass over the sealed view.

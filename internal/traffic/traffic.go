@@ -49,6 +49,9 @@ func (k Kind) String() string {
 
 // Request is one customer transfer request.
 type Request struct {
+	// ID labels the request in errors and wire messages. It is not an
+	// index: Synthesize numbers requests before it sorts them by arrival,
+	// and the controller addresses a request by its stream position.
 	ID  int
 	Src graph.NodeID
 	Dst graph.NodeID
