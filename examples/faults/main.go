@@ -2,8 +2,8 @@
 // of its capacity. A fault announced at onset is a chaos.Outage on that
 // one link (Survive is the share it keeps): the planner sees the hole,
 // the schedule adjustment module respreads traffic over other paths and
-// later timesteps, and a guarantee it cannot carry is refunded by the
-// repair ladder. A silent fault is high-pri use the planner never learns
+// later timesteps, and a guarantee it cannot carry is refunded by
+// guarantee repair. A silent fault is high-pri use the planner never learns
 // of (core.Config.HighPriActual): planned transfers are physically shed
 // and the broken promises are accounted as reneged bytes.
 package main

@@ -112,7 +112,7 @@ type admState struct {
 	end       int
 	delivered float64
 	plan      []pricing.ReservedAlloc // forward plan, absolute times
-	// preempted marks a guarantee bought back by the repair ladder: the
+	// preempted marks a guarantee bought back by guarantee repair: the
 	// transfer stops, the customer pays pro-rata for delivered bytes, and
 	// refund is returned at finalize (see repair.go).
 	preempted bool
@@ -160,7 +160,7 @@ type Controller struct {
 	// rung of the ladder each step settled at, and why. Run never aborts
 	// mid-horizon on solver trouble; Health is where the trouble shows.
 	Health *Health
-	// Refunds lists every guarantee the repair ladder bought back, in
+	// Refunds lists every guarantee repair bought back, in
 	// preemption order: the explicit money trail behind Outcome.Refunded.
 	Refunds []Refund
 	// churnSeen is the last outage-overlay version the repair loop
@@ -496,7 +496,7 @@ func (c *Controller) liveSet(t int) (live []*admState, horizon int) {
 // samInstance poses the scheduling LP (Eq. 2) for states from step t — the
 // one place the controller does. Realized usage before t is charged to the
 // cost windows as fixed usage. The forward plans of pinned transfers
-// (repair's minimal-disruption rung; nil elsewhere) are subtracted from
+// (the carry rung's re-placement; nil elsewhere) are subtracted from
 // schedulable capacity and charged the same way, so the solve routes around
 // them without moving them.
 func (c *Controller) samInstance(t, horizon int, states, pinned []*admState) *sched.Instance {
@@ -546,9 +546,10 @@ func (c *Controller) samInstance(t, horizon int, states, pinned []*admState) *sc
 	}
 }
 
-// installPlan replaces the forward plans of the solved demand set, then
-// rebuilds the reservation matrix from every live plan at steps >= from
-// (releasing whatever finished or preempted transfers held). SAM installs
+// installPlan replaces the forward plans of the solved demand set (a state
+// repair just preempted keeps none), then rebuilds the reservation matrix
+// from every live plan at steps >= from (releasing whatever finished or
+// preempted transfers held). SAM installs
 // after step t's admissions and frees the step being realized (from t+1);
 // repair runs *before* them, so step t stays reserved (from t) or new
 // admissions would be quoted into cells the surviving plans still occupy.
@@ -558,6 +559,9 @@ func (c *Controller) installPlan(t int, module string, from int, states []*admSt
 	}
 	for _, al := range res.Allocs {
 		a := states[al.DemandIdx]
+		if a.preempted {
+			continue
+		}
 		a.plan = append(a.plan, pricing.ReservedAlloc{RouteIdx: al.RouteIdx, Time: al.Time, Bytes: al.Bytes})
 	}
 	reserved := make([][]float64, c.net.NumEdges())
@@ -679,18 +683,27 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 // carryPlan is the ladder's LP-free bottom rung. The installed plan — RA's
 // reservations plus the last solve — honours every guarantee sold, so it
 // is kept; only the transfers riding a cell the surviving capacity no
-// longer carries are re-placed, through placeStranded's walk with
-// SolveGreedy (guarantees earliest-deadline first). When not even the
-// whole live set fits every guarantee, that whole-set plan is installed
-// anyway and the shortfall reneges, accounted. It returns reason extended
-// by the placement rungs that failed.
+// longer carries are re-placed with SolveGreedy (guarantees
+// earliest-deadline first): first around the pinned rest, failing that
+// the whole live set. When not even the whole set fits every guarantee,
+// its plan is installed anyway and the shortfall reneges, accounted. It
+// returns reason extended by the placements that failed.
 func (c *Controller) carryPlan(t, horizon int, live []*admState, reason string) string {
 	affected, pinned := c.strandedSplit(t, horizon, live)
 	if len(affected) == 0 {
 		return reason
 	}
 	reasons := []string{reason}
-	if res, states, _, _ := c.placeStranded(t, horizon, live, affected, pinned, greedyPlace, &reasons); res != nil {
+	states := affected
+	res, err := greedyPlace(c.samInstance(t, horizon, affected, pinned))
+	if err != nil {
+		reasons = append(reasons, "reroute: "+err.Error())
+		states = live
+		if res, err = greedyPlace(c.samInstance(t, horizon, live, nil)); err != nil {
+			reasons = append(reasons, "replan: "+err.Error())
+		}
+	}
+	if res != nil {
 		c.installPlan(t, ModuleSAM, t+1, states, res)
 	}
 	return strings.Join(reasons, "; ")

@@ -123,7 +123,7 @@ func TestAnnouncedFaultRespreadsLoad(t *testing.T) {
 
 // TestAnnouncedLinkCutStrandingGuaranteeIsRefunded: a full cut over
 // [1,2], announced at onset, strands part of a 20-byte guarantee over
-// [0,2] on a 10-unit link. The repair ladder buys it back, so the
+// [0,2] on a 10-unit link. The repair LP buys it back, so the
 // shortfall is a refund, not a renege.
 func TestAnnouncedLinkCutStrandingGuaranteeIsRefunded(t *testing.T) {
 	n, a, b := simpleNet()

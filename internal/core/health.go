@@ -20,18 +20,12 @@ const (
 	// LevelRetainedPrices: the Price Computer failed; the previous
 	// window's prices were carried forward.
 	LevelRetainedPrices
-	// LevelRepairReroute: topology churn stranded admitted guarantees; a
-	// repair solve re-routed the affected transfers around the outage
-	// while pinning every unaffected allocation in place.
-	LevelRepairReroute
-	// LevelRepairReplan: pinned re-routing was infeasible; the whole live
-	// set was jointly re-planned with relaxed routes (minimal-disruption
-	// pinning abandoned, guarantees still met).
+	// LevelRepairReplan: topology churn stranded admitted guarantees; the
+	// one repair LP re-planned the whole live set and kept every guarantee.
 	LevelRepairReplan
-	// LevelRepairPreempt: the surviving topology cannot carry every
-	// remaining guarantee; the cheapest stranded guarantees were
-	// preempted and explicitly refunded (price paid x undelivered
-	// fraction) until the rest fit.
+	// LevelRepairPreempt: the repair LP found some guarantees cheaper to
+	// refund than to keep (or impossible to keep); those were preempted
+	// and explicitly refunded (price paid x undelivered fraction).
 	LevelRepairPreempt
 	// LevelCarry: every LP rung failed; the installed plan was carried and
 	// only the transfers an outage strands were re-placed LP-free
@@ -51,8 +45,6 @@ func (l Level) String() string {
 		return "relaxed-guarantees"
 	case LevelRetainedPrices:
 		return "retained-prices"
-	case LevelRepairReroute:
-		return "repair-reroute"
 	case LevelRepairReplan:
 		return "repair-replan"
 	case LevelRepairPreempt:

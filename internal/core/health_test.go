@@ -16,7 +16,6 @@ func TestLevelString(t *testing.T) {
 		{LevelOK, "ok"},
 		{LevelRelaxed, "relaxed-guarantees"},
 		{LevelRetainedPrices, "retained-prices"},
-		{LevelRepairReroute, "repair-reroute"},
 		{LevelRepairReplan, "repair-replan"},
 		{LevelRepairPreempt, "repair-preempt"},
 		{LevelCarry, "carry-plan"},
@@ -40,16 +39,15 @@ func TestLevelString(t *testing.T) {
 func TestHealthRecordEveryLevel(t *testing.T) {
 	levels := []Level{
 		LevelRelaxed, LevelRetainedPrices,
-		LevelRepairReroute, LevelRepairReplan,
-		LevelRepairPreempt, LevelCarry, LevelRepairSkipped,
+		LevelRepairReplan, LevelRepairPreempt,
+		LevelCarry, LevelRepairSkipped,
 	}
 	h := newHealth(len(levels))
 	if h.Degraded() {
 		t.Fatal("fresh report already degraded")
 	}
 	repair := map[Level]bool{
-		LevelRepairReroute: true, LevelRepairReplan: true,
-		LevelRepairPreempt: true, LevelRepairSkipped: true,
+		LevelRepairReplan: true, LevelRepairPreempt: true, LevelRepairSkipped: true,
 	}
 	for i, lvl := range levels {
 		module := ModuleSAM
@@ -86,17 +84,17 @@ func TestHealthRecordEveryLevel(t *testing.T) {
 	if got := len(h.EventsAt(ModulePC)); got != 1 {
 		t.Errorf("PC events = %d, want 1", got)
 	}
-	if got := len(h.EventsAt(ModuleRepair)); got != 4 {
-		t.Errorf("repair events = %d, want 4", got)
+	if got := len(h.EventsAt(ModuleRepair)); got != 3 {
+		t.Errorf("repair events = %d, want 3", got)
 	}
-	if got := len(h.EventsAt(ModuleSAM)); got != len(levels)-5 {
-		t.Errorf("SAM events = %d, want %d", got, len(levels)-5)
+	if got := len(h.EventsAt(ModuleSAM)); got != len(levels)-4 {
+		t.Errorf("SAM events = %d, want %d", got, len(levels)-4)
 	}
 	if got := len(h.EventsAt("")); got != len(levels) {
 		t.Errorf(`EventsAt("") = %d events, want %d`, got, len(levels))
 	}
-	want := "degraded 7/7 steps: relaxed-guarantees=1 retained-prices=1 " +
-		"repair-reroute=1 repair-replan=1 repair-preempt=1 carry-plan=1 repair-skipped=1"
+	want := "degraded 6/6 steps: relaxed-guarantees=1 retained-prices=1 " +
+		"repair-replan=1 repair-preempt=1 carry-plan=1 repair-skipped=1"
 	if h.Summary() != want {
 		t.Errorf("Summary = %q, want %q", h.Summary(), want)
 	}

@@ -97,7 +97,7 @@ func (o *coreObs) repairDetected(n int) {
 	o.raStranded.Add(int64(n))
 }
 
-// repairSolve records one repair-ladder LP solve.
+// repairSolve records one repair LP solve.
 func (o *coreObs) repairSolve() {
 	if o == nil {
 		return

@@ -104,7 +104,7 @@ func TestControllerObsNeutralAndCounted(t *testing.T) {
 // phase-1 terminal basis — and checks the warm start lands in the
 // published solver telemetry. (Every other SAM-site solve builds its
 // model fresh and solves it cold, so the relax re-solve is the only warm
-// start in core. An announced cut would go to the repair ladder first.)
+// start in core. An announced cut would go to guarantee repair first.)
 func TestWarmStartCounted(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 30, 50)}

@@ -60,8 +60,8 @@ func checkRefundConservation(t *testing.T, c *Controller, out *sim.Outcome) {
 	}
 }
 
-// Rung 1: a cut link with a parallel path — the affected transfer is
-// re-routed, the guarantee survives, and nobody is refunded.
+// A cut link with a free parallel path: the repair LP re-routes the
+// affected transfer, the guarantee survives, and nobody is refunded.
 func TestRepairReroutesAroundLinkCut(t *testing.T) {
 	n, a, b, e1, _, _ := twoPathNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 2, 10, 5)}
@@ -75,7 +75,7 @@ func TestRepairReroutesAroundLinkCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRepairLevel(t, c, LevelRepairReroute)
+	requireRepairLevel(t, c, LevelRepairReplan)
 	if math.Abs(out.Delivered[0]-10) > 1e-6 {
 		t.Errorf("delivered %v, want 10 (re-routed)", out.Delivered[0])
 	}
@@ -92,9 +92,9 @@ func TestRepairReroutesAroundLinkCut(t *testing.T) {
 	}
 }
 
-// Rung 2: pinned re-routing is infeasible (the rigid transfer's only
-// slot is occupied by a flexible one), but a joint re-plan that moves
-// the flexible transfer repairs both guarantees.
+// Re-routing the stranded transfer alone is infeasible (the rigid
+// transfer's only slot is occupied by a flexible one), but the joint
+// re-plan moves the flexible transfer and repairs both guarantees.
 func TestRepairReplansJointly(t *testing.T) {
 	n, a, b, e1, e2a, e2b := twoPathNet()
 	viaC := graph.Path{e2a, e2b}
@@ -130,8 +130,46 @@ func TestRepairReplansJointly(t *testing.T) {
 	}
 }
 
-// Rung 3: a partial cut leaves room for only one guarantee — the
-// cheaper one is preempted and refunded in full, the survivor delivers.
+// A cut link whose only detour crosses a usage-priced edge billed far
+// above the guarantee's refund: keeping the promise costs more than
+// breaking it, so the repair LP buys it back. The transfer is preempted
+// and refunded, and the detour never carries a byte.
+func TestRepairRefundsWhenDetourBillExceedsRefund(t *testing.T) {
+	n, a, b, e1, e2a, e2b := twoPathNet()
+	n.SetUsagePriced(e2a, 1000)
+	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 2, 10, 5)}
+	cfg := smallConfig(4)
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{e1}, From: 1, To: 2}
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRepairLevel(t, c, LevelRepairPreempt)
+	if len(c.Refunds) != 1 || c.Refunds[0].Req != 0 {
+		t.Fatalf("refunds = %+v, want one for request 0", c.Refunds)
+	}
+	if r := c.Refunds[0]; r.Bytes != r.Bought || r.Amount <= 0 {
+		t.Errorf("refund %+v: nothing was delivered, want a full, positive refund", r)
+	}
+	for _, e := range []graph.EdgeID{e2a, e2b} {
+		for tt, u := range out.Usage[e] {
+			if u > 1e-9 {
+				t.Errorf("detour edge %d carried %v at t=%d", e, u, tt)
+			}
+		}
+	}
+	if out.Reneged[0] > 1e-9 {
+		t.Errorf("reneged %v, want refund not renege", out.Reneged[0])
+	}
+	checkRefundConservation(t, c, out)
+}
+
+// A partial cut leaves room for only one guarantee: the repair LP shorts
+// one, which is preempted and refunded in full; the survivor delivers.
 func TestRepairPreemptsCheapestAndRefunds(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{
@@ -173,6 +211,37 @@ func TestRepairPreemptsCheapestAndRefunds(t *testing.T) {
 	}
 	if u := out.Usage[0][1]; u > 5+1e-9 {
 		t.Errorf("usage %v exceeds surviving capacity 5", u)
+	}
+	checkRefundConservation(t, c, out)
+}
+
+// A guarantee sold at price zero refunds nothing, yet still cannot make
+// the repair LP infeasible: when a partial cut leaves room for one of two
+// free guarantees, one is preempted (for a zero refund) and the other
+// delivers, rather than the repair failing and both reneging.
+func TestRepairPreemptsFreeGuarantee(t *testing.T) {
+	n, a, b := simpleNet()
+	reqs := []*traffic.Request{
+		mkReq(n, 0, a, b, 0, 1, 1, 6, 5),
+		mkReq(n, 1, a, b, 0, 1, 1, 6, 5),
+	}
+	cfg := smallConfig(3)
+	cfg.InitialPrice, cfg.MinPrice = 0, 0
+	cfg.Chaos = chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 1, Survive: 0.5}
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRepairLevel(t, c, LevelRepairPreempt)
+	if len(c.Refunds) != 1 || c.Refunds[0].Paid != 0 || c.Refunds[0].Amount != 0 {
+		t.Fatalf("refunds = %+v, want one free guarantee bought back for nothing", c.Refunds)
+	}
+	if out.Reneged[0] > 1e-9 || out.Reneged[1] > 1e-9 {
+		t.Errorf("reneges %v/%v, want preemption not renege", out.Reneged[0], out.Reneged[1])
 	}
 	checkRefundConservation(t, c, out)
 }

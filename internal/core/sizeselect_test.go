@@ -246,11 +246,9 @@ func TestSizeSelectedSAMMatchesExplicit(t *testing.T) {
 }
 
 // TestRepairRidesSizeSelectedPath drains every link to 70% at a step whose
-// live set is far past lp.LargeModelRows. The re-route rung poses only the
-// affected transfers — a small instance, built explicit like any other — and
-// comes back infeasible; the joint re-plan poses the whole live set, and must
-// go where SAM's solves of that size go: into an implicit build, solved
-// presolved, counted in the same samStats.
+// live set is far past lp.LargeModelRows. The one repair LP poses the whole
+// live set, and must go where SAM's solves of that size go: into an
+// implicit build, solved presolved, counted in the same samStats.
 func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("end-to-end run past lp.LargeModelRows") // as above
@@ -267,8 +265,8 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// samStats as each SAM-site solve of the cut step begins: repair's two
-	// rungs, then the step's SAM ladder.
+	// samStats as each SAM-site solve of the cut step begins: the repair
+	// LP, then the step's SAM ladder.
 	var marks []lp.SolveStats
 	w.onSolve = func(now int) {
 		if now == cutAt {
@@ -279,17 +277,14 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRepairLevel(t, c, LevelRepairReplan)
-	if len(marks) != 3 {
-		t.Fatalf("%d SAM-site solves began at the cut step, want reroute, replan, SAM", len(marks))
+	requireRepairLevel(t, c, LevelRepairPreempt)
+	if len(marks) != 2 {
+		t.Fatalf("%d SAM-site solves began at the cut step, want repair, SAM", len(marks))
 	}
-	reroute, replan, sam := marks[0], marks[1], marks[2]
-	if d := replan.Presolved - reroute.Presolved; d != 0 {
-		t.Errorf("the affected-only reroute instance: %d presolved solves; want an explicit build", d)
-	}
-	if sam.Solves-replan.Solves != 1 || sam.Presolved-replan.Presolved != 1 {
-		t.Errorf("the whole-live-set replan: samStats moved %+v -> %+v; want one presolved solve on an implicit build",
-			replan, sam)
+	repair, sam := marks[0], marks[1]
+	if sam.Solves-repair.Solves != 1 || sam.Presolved-repair.Presolved != 1 {
+		t.Errorf("the repair LP: samStats moved %+v -> %+v; want one presolved solve on an implicit build",
+			repair, sam)
 	}
 	rep, err := sim.Evaluate(net, reqs, out, cfg.Cost)
 	if err != nil {
@@ -298,4 +293,5 @@ func TestRepairRidesSizeSelectedPath(t *testing.T) {
 	if rep.RenegedBytes > 1e-6 {
 		t.Errorf("reneged %v bytes with a healthy solver", rep.RenegedBytes)
 	}
+	t.Logf("%d refunds, welfare %.3f", len(c.Refunds), rep.Welfare)
 }

@@ -128,8 +128,8 @@ func (s *Setup) RunScenario(clean SchemeResult, scen Scenario) (ScenarioResult, 
 
 // renegeExempt reports whether scen may leave guarantees reneged: only
 // where no planner could have kept them. Either SAM is stopped while
-// capacity is lost — the repair ladder bottoms out at repair-skipped, and
-// the carried plan rides cells that are gone — or capacity is lost without
+// capacity is lost — repair can only record repair-skipped, and the
+// carried plan rides cells that are gone — or capacity is lost without
 // the planner being told. A stopped SAM alone is no excuse: the carried
 // plan honours every guarantee sold.
 func (s *Setup) renegeExempt(scen Scenario) bool {
@@ -219,7 +219,7 @@ func busiestEdge(s *Setup, from, to int) graph.EdgeID {
 // (the one row whose planner is never told part of its loss, reaching the
 // relaxed-guarantees rung), an announced partial cut, a ramped
 // maintenance drain, an SRLG failure severing every path out of a site
-// (forcing the preempt-and-refund rung), the flap/drain composition on
+// (forcing repair-preempt), the flap/drain composition on
 // one edge, a storm of all three, and churn while the repair solver
 // itself is dead.
 func DefaultScenarios(s *Setup) []Scenario {

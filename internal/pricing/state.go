@@ -150,9 +150,9 @@ func (s *State) OutageAt(e graph.EdgeID, t int) float64 {
 func (s *State) OutageVersion() uint64 { return s.outVer }
 
 // OutageActive reports whether any injected outage removes capacity from
-// any edge in steps [from, to). The control loop uses it to scope churn
-// handling (e.g. refund-backed preemption of relaxed guarantees) to
-// windows where the topology is actually degraded.
+// any edge in steps [from, to). The robustness gauntlet's renegeExempt
+// (internal/exp) uses it to excuse reneges only in a scenario that stops
+// SAM while it loses capacity.
 func (s *State) OutageActive(from, to int) bool {
 	if from < 0 {
 		from = 0

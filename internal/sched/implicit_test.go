@@ -412,6 +412,16 @@ func TestExplicitRowsMatchesBuild(t *testing.T) {
 		check(sc.name+"/prices", ins)
 	}
 	check("padded", paddedInstance(lp.LargeModelRows))
+	// A priced guarantee adds a shortfall column to its row, not a row.
+	shortfall := benchInstance(benchScales[0], 3)
+	for di := range shortfall.Demands {
+		d := &shortfall.Demands[di]
+		if di%2 == 0 {
+			d.MinBytes = 0.3 * d.MaxBytes
+		}
+		d.ShortfallCost = 1
+	}
+	check("shortfall", shortfall)
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ins := benchInstance(benchScales[seed%2], seed)
@@ -459,6 +469,7 @@ func TestRebindRejectsStructuralChange(t *testing.T) {
 		{"demand-count", func(ins *Instance) { ins.Demands = ins.Demands[:len(ins.Demands)-1] }, false},
 		{"interval", func(ins *Instance) { ins.Demands[0].End++ }, false},
 		{"cost-config", func(ins *Instance) { ins.Cost.WindowLen++ }, false},
+		{"shortfall-cost", func(ins *Instance) { ins.Demands[0].ShortfallCost = 1 }, false},
 		{"explicit-mode", func(ins *Instance) { ins.StartStep = 1 }, true},
 	}
 	for _, tc := range cases {

@@ -2,16 +2,17 @@
 //
 // One LP shape (Eq. 2 of the paper) underlies most of the system:
 //
-//	maximize   Σ_i Σ_{r,t} λ_i X_irt  −  Σ_e C_e z_e
-//	subject to Σ_{r,t} X_irt ≤ x_i − B_iτ      (remaining purchased demand)
-//	           Σ_{r,t} X_irt ≥ g_i − B_iτ      (remaining guarantee)
-//	           Σ_{i,r∋e}  X_irt ≤ c_{e,t}      (capacity, per edge-time)
-//	           z_e ≥ mean of top-k loads       (sorting network, §4.2)
+//	maximize   Σ_i Σ_{r,t} λ_i X_irt  −  Σ_e C_e z_e  −  Σ_i σ_i s_i
+//	subject to Σ_{r,t} X_irt ≤ x_i − B_iτ        (remaining purchased demand)
+//	           Σ_{r,t} X_irt + s_i ≥ g_i − B_iτ  (remaining guarantee)
+//	           Σ_{i,r∋e}  X_irt ≤ c_{e,t}        (capacity, per edge-time)
+//	           z_e ≥ mean of top-k loads         (sorting network, §4.2)
 //
 // The schedule adjustment module (SAM) solves it every timestep with
 // marginal prices λ_i as value proxies; the offline optimum (OPT) solves
 // it over the whole horizon with true values; the price computer solves it
-// over a reference window and reads the *duals* as link prices. This
+// over a reference window and reads the *duals* as link prices; guarantee
+// repair alone prices a shortfall s_i (σ_i = Demand.ShortfallCost). This
 // package provides the shared builder, the solver wrapper, and the
 // dual-price extraction.
 package sched
@@ -39,6 +40,9 @@ type Demand struct {
 	MinBytes float64
 	// ValuePerByte weights this demand's bytes in the objective.
 	ValuePerByte float64
+	// ShortfallCost, when positive, prices each byte the guarantee falls
+	// short (a column s ≥ 0 in its row); 0 keeps the guarantee hard.
+	ShortfallCost float64
 	// Allowed optionally restricts scheduling to these timesteps (still
 	// intersected with [Start, End]); nil means the whole interval. The
 	// PeakOracle baseline uses it to forbid sending at peak hours whose
@@ -362,6 +366,9 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 		}
 		demandRow[di] = m.AddConstraint(lp.LE, d.MaxBytes, dTerms...)
 		if d.MinBytes > 1e-9 {
+			if d.ShortfallCost > 0 {
+				dTerms = append(dTerms, lp.Term{Var: m.AddVar(0, lp.Inf, -d.ShortfallCost), Coef: 1})
+			}
 			guaranteeOf[di] = m.AddConstraint(lp.GE, d.MinBytes, dTerms...)
 		}
 	}
@@ -552,8 +559,9 @@ func (b *Built) rebind(ins *Instance) error {
 	m := b.model
 	for di := range ins.Demands {
 		d2, d1 := &ins.Demands[di], &old.Demands[di]
-		if d2.Start != d1.Start || d2.End != d1.End || !pathsEqual(d1.Routes, d2.Routes) || !intsEqual(d1.Allowed, d2.Allowed) {
-			return fmt.Errorf("sched: Rebind demand %d routes/interval changed", d2.ID)
+		if d2.Start != d1.Start || d2.End != d1.End || d2.ShortfallCost != d1.ShortfallCost ||
+			!pathsEqual(d1.Routes, d2.Routes) || !intsEqual(d1.Allowed, d2.Allowed) {
+			return fmt.Errorf("sched: Rebind demand %d routes/interval/shortfall cost changed", d2.ID)
 		}
 		if d2.MaxBytes < 0 {
 			return fmt.Errorf("sched: demand %d has negative MaxBytes", d2.ID)

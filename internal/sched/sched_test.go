@@ -128,6 +128,46 @@ func TestInfeasibleGuaranteeReported(t *testing.T) {
 	}
 }
 
+// TestShortfallCostPricesTheGuarantee checks the priced guarantee row in
+// both builds. A guarantee that cannot fit no longer makes the LP
+// infeasible: it falls short. One that fits is kept when its shortfall
+// costs more than carrying it (value 1 against a percentile bill of 2 per
+// byte), and shorted in full when it costs less.
+func TestShortfallCostPricesTheGuarantee(t *testing.T) {
+	cases := []struct {
+		name          string
+		capacity      float64
+		shortfallCost float64
+		want          float64
+	}{
+		{"cannot-fit", 2, 3, 2},
+		{"keep", 10, 100, 5},
+		{"refund", 10, 0.5, 0},
+	}
+	for _, tc := range cases {
+		n, e1, _ := lineNet(tc.capacity)
+		n.SetUsagePriced(e1, 2)
+		ins := &Instance{
+			Net: n, Horizon: 1, Capacity: capMatrix(n, 1),
+			Demands: []Demand{{
+				ID: 0, Routes: []graph.Path{n.ShortestPath(0, 2)}, Start: 0, End: 0,
+				MaxBytes: 10, MinBytes: 5, ValuePerByte: 1, ShortfallCost: tc.shortfallCost,
+			}},
+			Cost: cost.DefaultConfig(1), UseCostProxy: true,
+		}
+		for _, implicit := range []bool{false, true} {
+			res, err := mustBuild(t, ins, implicit).Solve(lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != lp.Optimal || !almostEq(res.Delivered[0], tc.want) {
+				t.Errorf("%s (implicit=%v): status %v, delivered %v, want Optimal and %v",
+					tc.name, implicit, res.Status, res.Delivered[0], tc.want)
+			}
+		}
+	}
+}
+
 func TestMultiPathSplitting(t *testing.T) {
 	// Diamond: two disjoint 2-hop paths of capacity 5 each; demand 10 in
 	// one timestep must split across both.
