@@ -112,9 +112,9 @@ type admState struct {
 	end       int
 	delivered float64
 	plan      []pricing.ReservedAlloc // forward plan, absolute times
-	// preempted marks a guarantee bought back by guarantee repair: the
-	// transfer stops, the customer pays pro-rata for delivered bytes, and
-	// refund is returned at finalize (see repair.go).
+	// preempted marks a guarantee bought back (keepOrRefund, or the carry
+	// rung): the transfer stops, the customer pays pro-rata for delivered
+	// bytes, and refund is returned at finalize (see repair.go).
 	preempted bool
 	refund    float64
 }
@@ -437,11 +437,17 @@ func (c *Controller) admitScavenger(idx int, r *traffic.Request) {
 }
 
 // runSAM re-optimizes the forward schedule from step t (Eq. 2). It never
-// fails: on solver trouble it walks the degradation ladder (LP →
-// relaxed-guarantee LP → carry the installed plan and re-place, LP-free,
-// only what an outage strands), recording how far it had to descend in
-// the Health report. A dead solver degrades the schedule's optimality,
-// never the run.
+// fails: on solver trouble it walks the degradation ladder, recording how
+// far it had to descend in the Health report:
+//
+//	rung 1: the LP on a fresh build of the step's instance;
+//	rung 2: when its guarantees no longer fit jointly, keepOrRefund — the
+//	        live set re-solved with every guarantee breakable at its
+//	        refund rate, each one shorted preempted and refunded;
+//	carry:  otherwise carry the installed plan and re-place, LP-free,
+//	        only what an outage strands (carryPlan).
+//
+// A dead solver degrades the schedule's optimality, never the run.
 func (c *Controller) runSAM(t int) {
 	started := time.Now()
 	defer func() { c.Timings.SAM = append(c.Timings.SAM, time.Since(started)) }()
@@ -450,9 +456,23 @@ func (c *Controller) runSAM(t int) {
 	if len(live) == 0 {
 		return
 	}
-	ins := c.samInstance(t, horizon, live, nil)
-	res, lvl, reason := c.solveSAMLadder(ins, t)
-	if res == nil {
+	lvl, reason := LevelOK, ""
+	res, err := c.solveSAM(t, c.samInstance(t, horizon, live, nil))
+	if err != nil {
+		// The rung keeps its "warm" label: Health reasons and traces read it.
+		reason = "warm: " + err.Error()
+		if res != nil && res.Status == lp.Infeasible {
+			var victims []*admState
+			if res, victims, err = c.keepOrRefund(t, horizon, live); err != nil {
+				reason += "; refund: " + err.Error()
+			}
+			lvl = LevelRepairReplan
+			if len(victims) > 0 {
+				lvl = LevelRepairPreempt
+			}
+		}
+	}
+	if err != nil {
 		c.degrade(t, ModuleSAM, LevelCarry, c.carryPlan(t, horizon, live, reason))
 		c.obs.samSolve(LevelCarry, 0)
 		return
@@ -617,67 +637,24 @@ func solveErr(r *sched.Result) error {
 	return r.Status.Err()
 }
 
-// solveBuilt runs one solve of a SAM-site model under the step's chaos
-// action, returning a nil error only for a clean Optimal result.
-func solveBuilt(built *sched.Built, act chaos.Action, opts lp.Options) (*sched.Result, error) {
-	switch act {
+// solveSAM runs one SAM-site solve at step t — the step's LP and every
+// priced one — on a fresh, size-selected build of ins, under the step's
+// chaos action, returning a nil error only for a clean Optimal result. A
+// dead solver fails every such solve, repair's too: the worst case
+// LevelRepairSkipped records.
+func (c *Controller) solveSAM(t int, ins *sched.Instance) (*sched.Result, error) {
+	opts := lp.Options{Stats: &c.samStats}
+	switch c.chaosAction(chaos.ModuleSAM, t) {
 	case chaos.Fail:
 		return nil, errInjectedOutage
 	case chaos.Timeout:
 		opts.TimeBudget = time.Nanosecond // every attempt comes back lp.TimeLimit
 	}
-	r, err := built.Solve(opts)
+	r, err := ins.Solve(opts)
 	if err != nil {
 		return nil, err
 	}
 	return r, solveErr(r)
-}
-
-// solveSAMLadder runs the LP rungs of the degradation ladder for one SAM
-// solve:
-//
-//	rung 1: LP on a fresh build of the step's instance;
-//	rung 2: on infeasible guarantees, relax them in place and re-solve
-//	        warm from the phase-1 terminal basis.
-//
-// It returns the settled result, its degradation level, and the chain of
-// rung failures that forced the descent. A nil result, at LevelCarry,
-// means both failed; the caller then carries the installed plan
-// (carryPlan).
-func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, Level, string) {
-	act := c.chaosAction(chaos.ModuleSAM, t)
-	var reasons []string
-	fail := func(rung string, err error) {
-		reasons = append(reasons, rung+": "+err.Error())
-	}
-	chain := func() string { return strings.Join(reasons, "; ") }
-
-	built, err := ins.Build()
-	if err != nil {
-		fail("build", err)
-		return nil, LevelCarry, chain()
-	}
-	opts := lp.Options{Stats: &c.samStats}
-	res, err := solveBuilt(built, act, opts)
-	if err == nil {
-		return res, LevelOK, ""
-	}
-	// The rung keeps its "warm" label: Health reasons and traces read it.
-	fail("warm", err)
-	// Rung 2: guarantees no longer jointly schedulable (e.g. after
-	// capacity shocks); relax them in place and do best effort,
-	// counting reneges at the end. The relaxation only lowers GE
-	// right-hand sides, so the infeasible solve's terminal (phase-1)
-	// basis is a valid warm start for the retry.
-	if res != nil && res.Status == lp.Infeasible {
-		built.RelaxGuarantees()
-		opts.WarmBasis = res.Basis
-		if res, err = solveBuilt(built, act, opts); err == nil {
-			return res, LevelRelaxed, chain()
-		}
-		fail("relaxed", err)
-	}
-	return nil, LevelCarry, chain()
 }
 
 // carryPlan is the ladder's LP-free bottom rung. The installed plan — RA's
@@ -685,25 +662,27 @@ func (c *Controller) solveSAMLadder(ins *sched.Instance, t int) (*sched.Result, 
 // is kept; only the transfers riding a cell the surviving capacity no
 // longer carries are re-placed with SolveGreedy (guarantees
 // earliest-deadline first): first around the pinned rest, failing that
-// the whole live set. When not even the whole set fits every guarantee,
-// its plan is installed anyway and the shortfall reneges, accounted. It
-// returns reason extended by the placements that failed.
+// the whole live set. Each guarantee not even the whole-set plan keeps is
+// preempted and refunded (refundShorted), as keepOrRefund would; the plan
+// is installed for the rest. It returns reason extended by the
+// placements that failed.
 func (c *Controller) carryPlan(t, horizon int, live []*admState, reason string) string {
 	affected, pinned := c.strandedSplit(t, horizon, live)
 	if len(affected) == 0 {
 		return reason
 	}
 	reasons := []string{reason}
-	states := affected
-	res, err := greedyPlace(c.samInstance(t, horizon, affected, pinned))
+	states, ins := affected, c.samInstance(t, horizon, affected, pinned)
+	res, err := greedyPlace(ins)
 	if err != nil {
 		reasons = append(reasons, "reroute: "+err.Error())
-		states = live
-		if res, err = greedyPlace(c.samInstance(t, horizon, live, nil)); err != nil {
+		states, ins = live, c.samInstance(t, horizon, live, nil)
+		if res, err = greedyPlace(ins); err != nil {
 			reasons = append(reasons, "replan: "+err.Error())
 		}
 	}
 	if res != nil {
+		c.refundShorted(t, ins, states, res)
 		c.installPlan(t, ModuleSAM, t+1, states, res)
 	}
 	return strings.Join(reasons, "; ")
@@ -716,8 +695,8 @@ func greedyPlace(ins *sched.Instance) (*sched.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, d := range ins.Demands {
-		if res.Delivered[i] < d.MinBytes-repairTol {
+	for i := range ins.Demands {
+		if shorts(ins, res, i) {
 			return res, lp.ErrInfeasible
 		}
 	}

@@ -13,27 +13,25 @@ type Level int
 const (
 	// LevelOK: the step's LP solved cleanly.
 	LevelOK Level = iota
-	// LevelRelaxed: guarantees were no longer jointly schedulable; the
-	// LP re-solved with guarantee rows relaxed (reneges accounted at the
-	// end). Pre-ladder behavior already included this rung.
-	LevelRelaxed
 	// LevelRetainedPrices: the Price Computer failed; the previous
 	// window's prices were carried forward.
 	LevelRetainedPrices
-	// LevelRepairReplan: topology churn stranded admitted guarantees; the
-	// one repair LP re-planned the whole live set and kept every guarantee.
+	// LevelRepairReplan: topology churn stranded admitted guarantees, or
+	// SAM found them no longer jointly schedulable; the one priced LP
+	// (keepOrRefund) re-planned the whole live set and kept every one.
 	LevelRepairReplan
-	// LevelRepairPreempt: the repair LP found some guarantees cheaper to
+	// LevelRepairPreempt: the priced LP found some guarantees cheaper to
 	// refund than to keep (or impossible to keep); those were preempted
 	// and explicitly refunded (price paid x undelivered fraction).
 	LevelRepairPreempt
 	// LevelCarry: every LP rung failed; the installed plan was carried and
 	// only the transfers an outage strands were re-placed LP-free
-	// (SolveGreedy, around the pinned rest). The one LP-free level.
+	// (SolveGreedy, around the pinned rest, failing that the whole live
+	// set, refunding each guarantee it shorts). The one LP-free level.
 	LevelCarry
 	// LevelRepairSkipped: stranded guarantees were detected but no repair
-	// solve could run (solver outage); shortfalls will surface as reneges
-	// instead of refunds — recorded, never silent.
+	// solve could run (solver outage); the carry rung re-places them and
+	// refunds each guarantee its plan shorts — recorded, never silent.
 	LevelRepairSkipped
 )
 
@@ -41,8 +39,6 @@ func (l Level) String() string {
 	switch l {
 	case LevelOK:
 		return "ok"
-	case LevelRelaxed:
-		return "relaxed-guarantees"
 	case LevelRetainedPrices:
 		return "retained-prices"
 	case LevelRepairReplan:
@@ -126,7 +122,7 @@ func (h *Health) EventsAt(module string) []Event {
 }
 
 // Summary renders a one-line digest, e.g.
-// "degraded 7/24 steps: relaxed-guarantees=1 carry-plan=6".
+// "degraded 8/12 steps: carry-plan=8 repair-skipped=1".
 func (h *Health) Summary() string {
 	if !h.Degraded() {
 		return "healthy"

@@ -14,7 +14,6 @@ func TestLevelString(t *testing.T) {
 		want string
 	}{
 		{LevelOK, "ok"},
-		{LevelRelaxed, "relaxed-guarantees"},
 		{LevelRetainedPrices, "retained-prices"},
 		{LevelRepairReplan, "repair-replan"},
 		{LevelRepairPreempt, "repair-preempt"},
@@ -33,12 +32,12 @@ func TestLevelString(t *testing.T) {
 }
 
 // TestHealthRecordEveryLevel walks one event of each degradation level
-// (LevelRelaxed through the LevelCarry terminal rung) through a report
+// (LevelRetainedPrices through LevelRepairSkipped) through a report
 // and checks every aggregate view: Counts, Worst, EventsAt, Degraded,
 // and the per-event rendering.
 func TestHealthRecordEveryLevel(t *testing.T) {
 	levels := []Level{
-		LevelRelaxed, LevelRetainedPrices,
+		LevelRetainedPrices,
 		LevelRepairReplan, LevelRepairPreempt,
 		LevelCarry, LevelRepairSkipped,
 	}
@@ -93,7 +92,7 @@ func TestHealthRecordEveryLevel(t *testing.T) {
 	if got := len(h.EventsAt("")); got != len(levels) {
 		t.Errorf(`EventsAt("") = %d events, want %d`, got, len(levels))
 	}
-	want := "degraded 6/6 steps: relaxed-guarantees=1 retained-prices=1 " +
+	want := "degraded 5/5 steps: retained-prices=1 " +
 		"repair-replan=1 repair-preempt=1 carry-plan=1 repair-skipped=1"
 	if h.Summary() != want {
 		t.Errorf("Summary = %q, want %q", h.Summary(), want)
@@ -121,9 +120,9 @@ func TestHealthWorstKeepsMaximum(t *testing.T) {
 // touching Worst or panicking.
 func TestHealthRecordOutOfRangeStep(t *testing.T) {
 	h := newHealth(2)
-	h.record(-1, ModuleSAM, LevelRelaxed, "before horizon")
+	h.record(-1, ModuleSAM, LevelRepairPreempt, "before horizon")
 	h.record(7, ModuleSAM, LevelCarry, "past horizon")
-	if len(h.Events) != 2 || h.Counts[LevelRelaxed] != 1 || h.Counts[LevelCarry] != 1 {
+	if len(h.Events) != 2 || h.Counts[LevelRepairPreempt] != 1 || h.Counts[LevelCarry] != 1 {
 		t.Errorf("events/counts wrong: %d events, counts %v", len(h.Events), h.Counts)
 	}
 	for i, w := range h.Worst {
@@ -131,7 +130,7 @@ func TestHealthRecordOutOfRangeStep(t *testing.T) {
 			t.Errorf("Worst[%d] = %s, want ok", i, w)
 		}
 	}
-	if h.Summary() != "degraded 0/2 steps: relaxed-guarantees=1 carry-plan=1" {
+	if h.Summary() != "degraded 0/2 steps: repair-preempt=1 carry-plan=1" {
 		t.Errorf("Summary = %q", h.Summary())
 	}
 }

@@ -97,7 +97,8 @@ func (o *coreObs) repairDetected(n int) {
 	o.raStranded.Add(int64(n))
 }
 
-// repairSolve records one repair LP solve.
+// repairSolve records one priced LP solve (keepOrRefund, at repair or
+// at SAM's second rung).
 func (o *coreObs) repairSolve() {
 	if o == nil {
 		return

@@ -97,15 +97,14 @@ func TestControllerObsNeutralAndCounted(t *testing.T) {
 	}
 }
 
-// TestWarmStartCounted forces the ladder's relax rung — silent high-pri
-// use takes 8 of the link's 10 units at step 0, so the 30-byte guarantee
-// over [0,2] falls short by more than the later steps can carry; SAM
-// relaxes it in place and re-solves warm from the infeasible solve's
-// phase-1 terminal basis — and checks the warm start lands in the
-// published solver telemetry. (Every other SAM-site solve builds its
-// model fresh and solves it cold, so the relax re-solve is the only warm
-// start in core. An announced cut would go to guarantee repair first.)
-func TestWarmStartCounted(t *testing.T) {
+// TestSAMRefundsInfeasibleGuarantee forces SAM's second rung — silent
+// high-pri use takes 8 of the link's 10 units at step 0, so the 30-byte
+// guarantee over [0,2] falls short by more than the later steps can
+// carry. The step's LP comes back infeasible, and the priced re-solve
+// (keepOrRefund) refunds the guarantee instead of reneging on it: one
+// refund of the 28 undelivered bytes, 16.8 of the 18 paid. Both solves
+// are cold: the controller never warm-starts.
+func TestSAMRefundsInfeasibleGuarantee(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 30, 50)}
 	rec := obs.NewRecorder(nil)
@@ -117,14 +116,29 @@ func TestWarmStartCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(); err != nil {
+	out, err := c.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.Health.Summary(), "relaxed-guarantees") {
-		t.Fatalf("expected a relaxed-guarantees degradation, health: %s", c.Health.Summary())
+	evs := c.Health.EventsAt(ModuleSAM)
+	if len(evs) != 1 || evs[0].Level != LevelRepairPreempt {
+		t.Fatalf("SAM events %v, want one at repair-preempt", evs)
 	}
-	if got := rec.Metrics().Counter("sam.lp.warm_starts").Value(); got != 2 {
-		t.Errorf("sam.lp.warm_starts = %d, want 2 via the relax rung", got)
+	if len(c.Refunds) != 1 {
+		t.Fatalf("refunds = %v, want one", c.Refunds)
+	}
+	if r := c.Refunds[0]; math.Abs(r.Bytes-28) > 1e-6 || math.Abs(r.Amount-16.8) > 1e-6 || r.Paid != 18 {
+		t.Errorf("refund %+v, want 28 bytes and 16.8 of 18 paid", r)
+	}
+	if out.Reneged[0] != 0 {
+		t.Errorf("reneged %v, want 0: the shortfall is refunded", out.Reneged[0])
+	}
+	checkRefundConservation(t, c, out)
+	if got := rec.Metrics().Counter("sam.lp.warm_starts").Value(); got != 0 {
+		t.Errorf("sam.lp.warm_starts = %d, want 0", got)
+	}
+	if got := rec.Metrics().Counter("sam.repair_solves").Value(); got != 1 {
+		t.Errorf("sam.repair_solves = %d, want 1 priced LP", got)
 	}
 	// The guarantee rows are ≥ rows with a positive right-hand side: every
 	// cold solve starts them on artificials, and nothing here needed the

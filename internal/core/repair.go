@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 
-	"pretium/internal/chaos"
 	"pretium/internal/graph"
-	"pretium/internal/lp"
 	"pretium/internal/obs"
 	"pretium/internal/sched"
 )
@@ -33,13 +31,9 @@ type Refund struct {
 
 // repairGuarantees runs after chaos mutates the planning state at step t:
 // if the surviving topology no longer carries the forward plans of
-// admitted transfers, it re-plans the whole live set in one LP in which
-// every guarantee may fall short at the rate preempt refunds
-// (Payment/Bought per byte). Keeping a promise thus competes with breaking
-// it: the LP shorts exactly the guarantees whose bill, or lack of room,
-// costs more than their refund, and each one shorted is preempted and
-// refunded. The outcome lands in Health and the event stream; a silent
-// guarantee violation is never an outcome.
+// admitted transfers, it re-plans the whole live set with keepOrRefund
+// and installs the plan. The outcome lands in Health and the event
+// stream; a silent guarantee violation is never an outcome.
 func (c *Controller) repairGuarantees(t int) {
 	v := c.state.OutageVersion()
 	if v == c.churnSeen {
@@ -61,26 +55,11 @@ func (c *Controller) repairGuarantees(t int) {
 	}
 	c.obs.repairDetected(guarantees)
 
-	ins := c.samInstance(t, horizon, live, nil)
-	for i, a := range live {
-		if a.adm.Bought > 0 {
-			// Floored so that a guarantee sold for nothing stays breakable:
-			// a hard row could make the whole LP infeasible.
-			ins.Demands[i].ShortfallCost = max(a.adm.Payment/a.adm.Bought, repairTol)
-		}
-	}
 	level, reason := LevelRepairReplan, ""
-	var victims []*admState
-	res, err := c.repairSolve(t, ins)
+	res, victims, err := c.keepOrRefund(t, horizon, live)
 	if err != nil {
 		level, reason = LevelRepairSkipped, err.Error()
 	} else {
-		for i, a := range live {
-			if ins.Demands[i].MinBytes-res.Delivered[i] > repairTol {
-				c.preempt(t, a)
-				victims = append(victims, a)
-			}
-		}
 		if len(victims) > 0 {
 			level = LevelRepairPreempt
 		}
@@ -100,6 +79,53 @@ func (c *Controller) repairGuarantees(t int) {
 		obs.I("affected", len(affected)), obs.I("stranded", guarantees),
 		obs.F("stranded_bytes", strandedBytes), obs.I("preempted", len(victims)),
 		obs.S("level", level.String()), obs.F("refund", refunded))
+}
+
+// keepOrRefund is the controller's one rule for guarantees it may not be
+// able to keep, run by repair and by SAM's second rung. It poses the live
+// set from step t with every guarantee free to fall short at the rate
+// preempt refunds (Payment/Bought per byte) and solves it once. Keeping a
+// promise thus competes with breaking it: the LP shorts exactly the
+// guarantees whose bill, or lack of room, costs more than their refund,
+// and each one shorted is preempted and refunded (refundShorted). It
+// returns the plan, for the caller to install, and the refunded states; a
+// failed solve refunds nothing.
+func (c *Controller) keepOrRefund(t, horizon int, live []*admState) (*sched.Result, []*admState, error) {
+	ins := c.samInstance(t, horizon, live, nil)
+	for i, a := range live {
+		if a.adm.Bought > 0 {
+			// Floored so that a guarantee sold for nothing stays breakable:
+			// a hard row could make the whole LP infeasible.
+			ins.Demands[i].ShortfallCost = max(a.adm.Payment/a.adm.Bought, repairTol)
+		}
+	}
+	res, err := c.solveSAM(t, ins)
+	if !errors.Is(err, errInjectedOutage) {
+		c.obs.repairSolve()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, c.refundShorted(t, ins, live, res), nil
+}
+
+// refundShorted preempts and refunds each state whose guarantee in ins
+// the plan res shorts, and returns them.
+func (c *Controller) refundShorted(t int, ins *sched.Instance, states []*admState, res *sched.Result) (victims []*admState) {
+	for i, a := range states {
+		if shorts(ins, res, i) {
+			c.preempt(t, a)
+			victims = append(victims, a)
+		}
+	}
+	return victims
+}
+
+// shorts reports whether res delivers demand i of ins more than repairTol
+// short of its guarantee: the one test by which every rung decides that a
+// guarantee is not kept.
+func shorts(ins *sched.Instance, res *sched.Result, i int) bool {
+	return ins.Demands[i].MinBytes-res.Delivered[i] > repairTol
 }
 
 // strandedSplit splits the live set at step t by the plan now installed.
@@ -155,24 +181,6 @@ func (a *admState) ridesAny(cells [][]bool, t, horizon int) bool {
 		}
 	}
 	return false
-}
-
-// repairSolve runs one repair LP at step t over an instance samInstance
-// posed. It rides the SAM site's model path — a fresh, size-selected
-// ins.Build() — and the configured chaos injector is consulted like any
-// other SAM-site solve: a dead solver kills repair too, which is exactly
-// the worst case LevelRepairSkipped records.
-func (c *Controller) repairSolve(t int, ins *sched.Instance) (*sched.Result, error) {
-	act := c.chaosAction(chaos.ModuleSAM, t)
-	if act == chaos.Fail {
-		return nil, errInjectedOutage
-	}
-	c.obs.repairSolve()
-	built, err := ins.Build()
-	if err != nil {
-		return nil, err
-	}
-	return solveBuilt(built, act, lp.Options{Stats: &c.samStats})
 }
 
 // preempt buys back one guarantee: the transfer stops here, and the

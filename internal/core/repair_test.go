@@ -287,8 +287,9 @@ func TestRepairAllPathsCutPreemptsEverything(t *testing.T) {
 }
 
 // The true worst case: guarantees stranded and the solver dead, so no
-// repair can run. The skip is recorded (never silent) and the shortfall
-// surfaces as reneges, not refunds.
+// repair can run. The skip is recorded (never silent), and the carry
+// rung, which cannot place the guarantee either, refunds it instead of
+// reneging: one refund of all 10 bytes, conserved.
 func TestRepairSkippedWhenSolverDead(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 2, 10, 5)}
@@ -306,15 +307,16 @@ func TestRepairSkippedWhenSolverDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRepairLevel(t, c, LevelRepairSkipped)
-	if len(c.Refunds) != 0 {
-		t.Errorf("refunds = %v, want none (repair never ran)", c.Refunds)
+	if len(c.Refunds) != 1 || c.Refunds[0].Bytes != 10 {
+		t.Errorf("refunds = %v, want one of all 10 bytes", c.Refunds)
 	}
-	if out.Reneged[0] < 10-1e-6 {
-		t.Errorf("reneged %v, want the full stranded guarantee", out.Reneged[0])
+	if out.Reneged[0] != 0 {
+		t.Errorf("reneged %v, want 0: the carry rung refunds what it cannot keep", out.Reneged[0])
 	}
 	if out.Delivered[0] > 1e-9 {
 		t.Errorf("delivered %v through a full cut", out.Delivered[0])
 	}
+	checkRefundConservation(t, c, out)
 }
 
 // A cut that strands nobody (the plan rides the other path) must not

@@ -258,14 +258,14 @@ func TestHealthSummaryShape(t *testing.T) {
 	}
 	h.record(1, ModuleSAM, LevelCarry, "x")
 	h.record(1, ModulePC, LevelRetainedPrices, "y")
-	h.record(3, ModuleSAM, LevelRelaxed, "z")
+	h.record(3, ModuleSAM, LevelRepairPreempt, "z")
 	if !h.Degraded() {
 		t.Error("Degraded() = false after events")
 	}
-	if h.Worst[1] != LevelCarry || h.Worst[3] != LevelRelaxed {
+	if h.Worst[1] != LevelCarry || h.Worst[3] != LevelRepairPreempt {
 		t.Errorf("Worst = %v", h.Worst)
 	}
-	want := "degraded 2/4 steps: relaxed-guarantees=1 retained-prices=1 carry-plan=1"
+	want := "degraded 2/4 steps: retained-prices=1 repair-preempt=1 carry-plan=1"
 	if h.Summary() != want {
 		t.Errorf("Summary = %q, want %q", h.Summary(), want)
 	}

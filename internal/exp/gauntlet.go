@@ -7,7 +7,6 @@ import (
 	"pretium/internal/chaos"
 	"pretium/internal/core"
 	"pretium/internal/graph"
-	"pretium/internal/pricing"
 	"pretium/internal/sim"
 )
 
@@ -119,7 +118,7 @@ func (s *Setup) RunScenario(clean SchemeResult, scen Scenario) (ScenarioResult, 
 		return r, fmt.Errorf("%s: welfare loss %.3f exceeds bound %.3f (health: %s)",
 			scen.Name, r.WelfareLoss, scen.MaxWelfareLoss, res.Controller.Health.Summary())
 	}
-	if !s.renegeExempt(scen) && res.Report.RenegedBytes > byteTol {
+	if !renegeExempt(scen) && res.Report.RenegedBytes > byteTol {
 		return r, fmt.Errorf("%s: %.4f bytes reneged without refund (health: %s)",
 			scen.Name, res.Report.RenegedBytes, res.Controller.Health.Summary())
 	}
@@ -127,36 +126,10 @@ func (s *Setup) RunScenario(clean SchemeResult, scen Scenario) (ScenarioResult, 
 }
 
 // renegeExempt reports whether scen may leave guarantees reneged: only
-// where no planner could have kept them. Either SAM is stopped while
-// capacity is lost — repair can only record repair-skipped, and the
-// carried plan rides cells that are gone — or capacity is lost without
-// the planner being told. A stopped SAM alone is no excuse: the carried
-// plan honours every guarantee sold.
-func (s *Setup) renegeExempt(scen Scenario) bool {
-	steps := s.Scale.Steps
-	if scen.HighPriActual != nil {
-		return true
-	}
-	if !stopsSAM(scen.Injector, steps) {
-		return false
-	}
-	st := pricing.NewState(s.Net, steps, 0)
-	for t := 0; t < steps; t++ {
-		scen.Injector.BeforeStep(t, st)
-	}
-	return st.OutageActive(0, steps)
-}
-
-// stopsSAM reports whether the injector fails or times out the SAM solve
-// at any step of the horizon.
-func stopsSAM(inj chaos.Injector, steps int) bool {
-	for t := 0; t < steps; t++ {
-		if inj.SolveAction(chaos.ModuleSAM, t) != chaos.Proceed {
-			return true
-		}
-	}
-	return false
-}
+// where capacity is lost without the planner being told, so no plan
+// could have routed around it. Every loss the planner sees is kept or
+// refunded, whatever else the scenario breaks.
+func renegeExempt(scen Scenario) bool { return scen.HighPriActual != nil }
 
 // fattestEdge picks the largest-capacity link — a fat inter-region pipe,
 // the most disruptive thing to flap.
@@ -216,8 +189,8 @@ func busiestEdge(s *Setup, from, to int) graph.EdgeID {
 // their largest reading at small and medium scale, seeds 1 and 7, plus a
 // 0.1 margin. The last eight churn the topology: an unannounced full cut
 // of the busiest link, the same cut announced only after two silent steps
-// (the one row whose planner is never told part of its loss, reaching the
-// relaxed-guarantees rung), an announced partial cut, a ramped
+// (the one row whose planner is never told part of its loss, and the one
+// that may renege), an announced partial cut, a ramped
 // maintenance drain, an SRLG failure severing every path out of a site
 // (forcing repair-preempt), the flap/drain composition on
 // one edge, a storm of all three, and churn while the repair solver
@@ -269,9 +242,9 @@ func DefaultScenarios(s *Setup) []Scenario {
 		// instant the topology churns, so plans laid while it was healthy
 		// are stranded and every repair solve fails too. The ladder must
 		// record repair-skipped, and the carry rung re-places the stranded
-		// transfers LP-free; whatever still reneges does so *visibly* —
-		// conservation and capacity invariants still hold, silent
-		// violation never does.
+		// transfers LP-free and refunds each guarantee it cannot place —
+		// conservation and capacity invariants still hold, and nothing
+		// reneges.
 		{Name: "cut-with-dead-solver", Injector: chaos.Plan{
 			chaos.Outage{Edges: srlg, From: mid, To: 2 * mid},
 			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: steps - 1, Mode: chaos.Fail},

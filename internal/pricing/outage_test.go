@@ -91,33 +91,3 @@ func TestOutageVersionCountsEffectiveMutations(t *testing.T) {
 		t.Error("version advanced on a no-op restore")
 	}
 }
-
-// OutageActive must report degradation only inside the queried window,
-// clamp out-of-range bounds, and go quiet after an exact restore.
-func TestOutageActiveScopesToWindow(t *testing.T) {
-	st, e := outageState(4)
-	if st.OutageActive(0, 4) {
-		t.Error("pristine overlay reported active")
-	}
-	st.SetOutage(e, 2, 5)
-	if !st.OutageActive(0, 4) {
-		t.Error("active cut not reported over the full horizon")
-	}
-	if !st.OutageActive(2, 3) {
-		t.Error("active cut not reported in its own step")
-	}
-	if st.OutageActive(0, 2) {
-		t.Error("cut at t=2 reported in [0,2)")
-	}
-	if st.OutageActive(3, 4) {
-		t.Error("cut at t=2 reported in [3,4)")
-	}
-	// Out-of-range bounds clamp instead of panicking.
-	if !st.OutageActive(-3, 99) {
-		t.Error("clamped window missed the cut")
-	}
-	st.SetOutage(e, 2, 0)
-	if st.OutageActive(0, 4) {
-		t.Error("restored overlay still reported active")
-	}
-}

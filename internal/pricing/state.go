@@ -149,28 +149,6 @@ func (s *State) OutageAt(e graph.EdgeID, t int) float64 {
 // guarantee repair only when the overlay actually moved.
 func (s *State) OutageVersion() uint64 { return s.outVer }
 
-// OutageActive reports whether any injected outage removes capacity from
-// any edge in steps [from, to). The robustness gauntlet's renegeExempt
-// (internal/exp) uses it to excuse reneges only in a scenario that stops
-// SAM while it loses capacity.
-func (s *State) OutageActive(from, to int) bool {
-	if from < 0 {
-		from = 0
-	}
-	if to > s.Horizon {
-		to = s.Horizon
-	}
-	for e := 0; e < len(s.outTotal)/s.Horizon; e++ {
-		row := s.outTotal[e*s.Horizon : (e+1)*s.Horizon]
-		for t := from; t < to; t++ {
-			if row[t] > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Invalidate rebuilds the whole segment cache from the exported matrices.
 // Call it after writing BasePrice / Reserved entries directly;
 // the mutator methods keep the cache coherent on their own.

@@ -31,7 +31,7 @@ func cloneInstance(ins *Instance) *Instance {
 }
 
 // checkFeasible verifies a result against the instance's hard constraints:
-// capacity, demand caps, and (unless relaxed) guarantees.
+// capacity, demand caps, and (when guarantees is set) guarantees.
 func checkFeasible(t *testing.T, ins *Instance, res *Result, guarantees bool) {
 	t.Helper()
 	const tol = 1e-6
@@ -199,10 +199,12 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 }
 
 // TestRebindRelaxGuarantees drives a rebound model into infeasibility (a
-// capacity collapse the guarantees no longer fit under), relaxes in place,
-// and checks the relaxed re-solve matches a fresh build relaxed the same
-// way — covering a one-variable guarantee, which presolve folds into a
-// bound, and a multi-variable one, which stays a row.
+// capacity collapse the guarantees no longer fit under) and checks a
+// fresh build agrees; then relaxes the guarantees the one way the
+// controller does, by re-posing them with a priced shortfall, which both
+// builds solve to the same optimum short of demand 0's guarantee. It
+// covers a one-variable guarantee, which presolve folds into a bound, and
+// a multi-variable one, which stays a row.
 func TestRebindRelaxGuarantees(t *testing.T) {
 	n, _, _ := lineNet(10)
 	path := n.ShortestPath(0, 2)
@@ -224,9 +226,8 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 
 	// Capacity collapses to 3 per step from step 1 on: demand 0's guarantee
 	// of 4 no longer fits its one variable's implicit bound. Rebind patches
-	// the guarantee row like any other, the rebound model reports
-	// infeasibility, and relaxing in place must agree with a fresh build
-	// relaxed the same way.
+	// the guarantee row like any other, and the rebound model must report
+	// infeasibility as a fresh build does.
 	shocked := cloneInstance(base)
 	shocked.StartStep = 1
 	for e := range shocked.Capacity {
@@ -237,33 +238,33 @@ func TestRebindRelaxGuarantees(t *testing.T) {
 	if err := built.rebind(shocked); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
-	res, err := built.Solve(lp.Options{})
-	if err != nil {
-		t.Fatalf("shocked solve: %v", err)
+	if res, err := built.Solve(lp.Options{}); err != nil || res.Status != lp.Infeasible {
+		t.Fatalf("rebound shocked solve: %v %v, want infeasible", err, res)
 	}
-	if res.Status != lp.Infeasible {
-		t.Fatalf("shocked status %v, want infeasible", res.Status)
-	}
-	built.RelaxGuarantees()
-	relaxed, err := built.Solve(lp.Options{WarmBasis: res.Basis})
-	if err != nil || relaxed.Status != lp.Optimal {
-		t.Fatalf("relaxed solve: %v %v", err, relaxed)
+	if res, err := mustBuild(t, shocked, false).Solve(lp.Options{}); err != nil || res.Status != lp.Infeasible {
+		t.Fatalf("fresh shocked solve: %v %v, want infeasible", err, res)
 	}
 
-	refBuilt := mustBuild(t, shocked, false)
-	refRes, err := refBuilt.Solve(lp.Options{})
-	if err != nil || refRes.Status != lp.Infeasible {
-		t.Fatalf("ref shocked solve: %v %v", err, refRes)
+	priced := cloneInstance(shocked)
+	for i := range priced.Demands {
+		priced.Demands[i].ShortfallCost = 0.5
 	}
-	refBuilt.RelaxGuarantees()
-	refRelaxed, err := refBuilt.Solve(lp.Options{})
-	if err != nil || refRelaxed.Status != lp.Optimal {
-		t.Fatalf("ref relaxed solve: %v %v", err, refRelaxed)
+	var objective [2]float64
+	for i, implicit := range []bool{true, false} {
+		res, err := mustBuild(t, priced, implicit).Solve(lp.Options{})
+		if err != nil || res.Status != lp.Optimal {
+			t.Fatalf("priced solve (implicit=%v): %v %v", implicit, err, res)
+		}
+		if got := res.Delivered[0]; got > priced.Demands[0].MinBytes-1e-6 {
+			t.Errorf("priced solve (implicit=%v) delivered %v to demand 0, want short of its guarantee %v",
+				implicit, got, priced.Demands[0].MinBytes)
+		}
+		checkFeasible(t, priced, res, false)
+		objective[i] = res.Objective
 	}
-	if relDiff(relaxed.Objective, refRelaxed.Objective) > 1e-6 {
-		t.Errorf("relaxed objective %v, ref %v", relaxed.Objective, refRelaxed.Objective)
+	if relDiff(objective[0], objective[1]) > 1e-6 {
+		t.Errorf("priced objective implicit %v, explicit %v", objective[0], objective[1])
 	}
-	checkFeasible(t, shocked, relaxed, false)
 }
 
 // TestRebindFixedUsage verifies FixedUsage re-pinning: realized traffic

@@ -11,8 +11,9 @@
 // The schedule adjustment module (SAM) solves it every timestep with
 // marginal prices λ_i as value proxies; the offline optimum (OPT) solves
 // it over the whole horizon with true values; the price computer solves it
-// over a reference window and reads the *duals* as link prices; guarantee
-// repair alone prices a shortfall s_i (σ_i = Demand.ShortfallCost). This
+// over a reference window and reads the *duals* as link prices; the
+// controller's keep-or-refund solve (guarantee repair, SAM's second rung)
+// alone prices a shortfall s_i (σ_i = Demand.ShortfallCost). This
 // package provides the shared builder, the solver wrapper, and the
 // dual-price extraction.
 package sched
@@ -161,8 +162,8 @@ type costWindow struct {
 
 // Built is a constructed-but-reusable scheduling LP. Building the model is
 // itself a nontrivial cost for SAM-sized instances, and keeping the model
-// around lets callers perturb it in place (RelaxGuarantees, Rebind) and
-// re-solve with a warm basis instead of rebuilding from scratch.
+// around lets a caller re-target it in place (Rebind) and re-solve with a
+// warm basis instead of rebuilding from scratch.
 type Built struct {
 	ins   *Instance
 	model *lp.Model
@@ -172,8 +173,8 @@ type Built struct {
 	capRow []lp.Row
 	defRow []lp.Row
 	// demandRow and guaranteeOf hold each demand's cap row and guarantee
-	// (GE) row, -1 where the build emitted none; RelaxGuarantees zeroes the
-	// guarantees in place.
+	// (GE) row, -1 where the build emitted none; Rebind patches their
+	// right-hand sides.
 	demandRow   []lp.Row
 	guaranteeOf []lp.Row
 
@@ -191,9 +192,10 @@ func (b *Built) Implicit() bool { return b.implicit }
 
 // Solve builds the LP and optimizes it. It returns an error for malformed
 // instances; infeasibility (e.g. guarantees that no longer fit) is
-// reported via Result.Status so callers can relax and retry. Callers that
-// may need to relax-and-retry or warm-start later solves should use Build
-// and Built.Solve instead, which keep the model.
+// reported via Result.Status, so a caller can re-pose the instance with
+// a priced shortfall (Demand.ShortfallCost) and solve again. Callers that
+// warm-start later solves should use Build and Built.Solve instead, which
+// keep the model.
 func (ins *Instance) Solve(opts lp.Options) (*Result, error) {
 	b, err := ins.Build()
 	if err != nil {
@@ -483,20 +485,6 @@ func implicitUpper(ins *Instance, d *Demand, route graph.Path, t int) float64 {
 	return up
 }
 
-// RelaxGuarantees zeroes the right-hand side of every guarantee row in
-// place — the SAM "shed guarantees" fallback for instances whose remaining
-// guarantees no longer fit after capacity loss. Because only rhs values
-// change (and GE rhs stays nonnegative), the model keeps its standardized
-// structure, so a basis captured from the infeasible solve warm-starts the
-// relaxed re-solve.
-func (b *Built) RelaxGuarantees() {
-	for _, r := range b.guaranteeOf {
-		if r >= 0 {
-			b.model.SetRHS(r, 0)
-		}
-	}
-}
-
 // Rebind re-targets a built model at a successor instance — the same
 // topology and demand structure, one or more timesteps later — by patching
 // objective coefficients, bounds, and right-hand sides in place. Compared
@@ -633,11 +621,11 @@ func intsEqual(a, b []int) bool {
 	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
-// Solve optimizes the built model. It can be called repeatedly after
-// in-place perturbations (RelaxGuarantees, Rebind), ideally passing the
-// previous Result.Basis via opts.WarmBasis. The build mode sets
-// opts.Presolve, whatever the caller passed: implicit builds carry their
-// bounds to feed it, explicit builds are pinned without it.
+// Solve optimizes the built model. It can be called repeatedly after an
+// in-place Rebind, ideally passing the previous Result.Basis via
+// opts.WarmBasis. The build mode sets opts.Presolve, whatever the caller
+// passed: implicit builds carry their bounds to feed it, explicit builds
+// are pinned without it.
 func (b *Built) Solve(opts lp.Options) (*Result, error) {
 	ins, m := b.ins, b.model
 	ne := ins.Net.NumEdges()
