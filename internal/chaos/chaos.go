@@ -1,9 +1,9 @@
 // Package chaos provides deterministic fault injectors for the control
 // loop's robustness harness. An Injector is consulted by core.Controller
-// at two points of every timestep: before each LP solve (to force
-// solver-level failures — outright errors or wall-clock timeouts — at
-// chosen steps) and at the top of the step (to corrupt planning state:
-// price corruption, and outages that cut, drain or flap link capacity).
+// at two points of every timestep: before each LP solve (to take the
+// solver down at chosen steps) and at the top of the step (to corrupt
+// planning state: price corruption, and outages that cut, drain or flap
+// link capacity).
 //
 // Everything is a pure function of the step index: the same injection
 // schedule over the same request stream reproduces the same run bit for
@@ -20,7 +20,7 @@ import (
 	"pretium/internal/pricing"
 )
 
-// Module names the control-loop solve sites an Action can target,
+// Module names the control-loop solve sites a SolverOutage can target,
 // matching the Module strings in the controller's Health report.
 const (
 	ModuleSAM = "SAM"
@@ -30,67 +30,31 @@ const (
 	ModuleAny = ""
 )
 
-// Action tells the control loop what to do with an impending LP solve.
-type Action int
-
-const (
-	// Proceed: solve normally.
-	Proceed Action = iota
-	// Timeout: the solver is pathologically slow — each LP attempt runs
-	// under a ~zero wall-clock budget and comes back lp.TimeLimit.
-	Timeout
-	// Fail: the solver is down — every LP attempt at this (module, step)
-	// returns an error. The ladder's LP-free rung (carry the plan,
-	// re-place what an outage strands) still runs.
-	Fail
-)
-
-func (a Action) String() string {
-	switch a {
-	case Proceed:
-		return "proceed"
-	case Fail:
-		return "fail"
-	case Timeout:
-		return "timeout"
-	}
-	return "unknown"
-}
-
 // Injector is the hook the controller consults. Implementations must be
 // deterministic functions of their arguments.
 type Injector interface {
-	// SolveAction is consulted immediately before module (ModuleSAM or
-	// ModulePC) would solve an LP at step t.
-	SolveAction(module string, step int) Action
+	// SolverDown is consulted immediately before module (ModuleSAM or
+	// ModulePC) would solve an LP at step t. True means the solver is
+	// down: every LP attempt at this (module, step) returns an error, and
+	// the ladder's LP-free rung (carry the plan, refund what it shorts)
+	// still runs.
+	SolverDown(module string, step int) bool
 	// BeforeStep runs at the top of step t, after any price recomputation
 	// and before admission, and may mutate the planning state through its
 	// cache-coherent mutators.
 	BeforeStep(step int, st *pricing.State)
 }
 
-// SolverOutage forces solver failures or timeouts for one module (or all,
-// with Module "") on every step in [From, To] (inclusive; To < From means
-// never). Mode Proceed is treated as Fail so the zero value of Mode still
-// injects something.
+// SolverOutage takes the solver down for one module (or all, with Module
+// "") on every step in [From, To] (inclusive; To < From means never).
 type SolverOutage struct {
 	Module   string
 	From, To int
-	Mode     Action
 }
 
-// SolveAction implements Injector.
-func (o SolverOutage) SolveAction(module string, step int) Action {
-	if o.Module != ModuleAny && o.Module != module {
-		return Proceed
-	}
-	if step < o.From || step > o.To {
-		return Proceed
-	}
-	if o.Mode == Proceed {
-		return Fail
-	}
-	return o.Mode
+// SolverDown implements Injector.
+func (o SolverOutage) SolverDown(module string, step int) bool {
+	return (o.Module == ModuleAny || o.Module == module) && step >= o.From && step <= o.To
 }
 
 // BeforeStep implements Injector (no state mutation).
@@ -108,8 +72,8 @@ type PriceCorruption struct {
 	Factor   float64
 }
 
-// SolveAction implements Injector (solves proceed).
-func (p PriceCorruption) SolveAction(string, int) Action { return Proceed }
+// SolverDown implements Injector (solves proceed).
+func (p PriceCorruption) SolverDown(string, int) bool { return false }
 
 // BeforeStep implements Injector.
 func (p PriceCorruption) BeforeStep(step int, st *pricing.State) {
@@ -157,8 +121,8 @@ type Outage struct {
 	Announce int
 }
 
-// SolveAction implements Injector (solves proceed).
-func (o Outage) SolveAction(string, int) Action { return Proceed }
+// SolverDown implements Injector (solves proceed).
+func (o Outage) SolverDown(string, int) bool { return false }
 
 // BeforeStep implements Injector.
 func (o Outage) BeforeStep(step int, st *pricing.State) { Plan{o}.BeforeStep(step, st) }
@@ -203,8 +167,8 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Plan composes injectors: the strongest solve action wins (Fail >
-// Timeout > Proceed), and at each step every member runs in order —
+// Plan composes injectors: the solver is down when any member says so,
+// and at each step every member runs in order —
 // except outages, at any depth, which the Plan composes itself. On every
 // cell an announced outage covers it writes the sum of all announced
 // outages' contributions, added in Plan order: a member's share is fixed
@@ -214,15 +178,9 @@ func clamp01(x float64) float64 {
 // pricing.State.Capacity saturates at zero.
 type Plan []Injector
 
-// SolveAction implements Injector.
-func (p Plan) SolveAction(module string, step int) Action {
-	worst := Proceed
-	for _, in := range p {
-		if a := in.SolveAction(module, step); a > worst {
-			worst = a
-		}
-	}
-	return worst
+// SolverDown implements Injector.
+func (p Plan) SolverDown(module string, step int) bool {
+	return slices.ContainsFunc(p, func(in Injector) bool { return in.SolverDown(module, step) })
 }
 
 // BeforeStep implements Injector.

@@ -21,22 +21,22 @@ func TestSolverOutageWindowAndModule(t *testing.T) {
 	cases := []struct {
 		module string
 		step   int
-		want   Action
+		want   bool
 	}{
-		{ModuleSAM, 1, Proceed},
-		{ModuleSAM, 2, Fail},
-		{ModuleSAM, 4, Fail},
-		{ModuleSAM, 5, Proceed},
-		{ModulePC, 3, Proceed},
+		{ModuleSAM, 1, false},
+		{ModuleSAM, 2, true},
+		{ModuleSAM, 4, true},
+		{ModuleSAM, 5, false},
+		{ModulePC, 3, false},
 	}
 	for _, c := range cases {
-		if got := o.SolveAction(c.module, c.step); got != c.want {
-			t.Errorf("SolveAction(%q, %d) = %v, want %v", c.module, c.step, got, c.want)
+		if got := o.SolverDown(c.module, c.step); got != c.want {
+			t.Errorf("SolverDown(%q, %d) = %v, want %v", c.module, c.step, got, c.want)
 		}
 	}
-	any := SolverOutage{From: 0, To: 10, Mode: Timeout}
-	if got := any.SolveAction(ModulePC, 3); got != Timeout {
-		t.Errorf("module-any outage = %v, want Timeout", got)
+	any := SolverOutage{From: 0, To: 10}
+	if !any.SolverDown(ModulePC, 3) {
+		t.Error("module-any outage left PC up")
 	}
 }
 
@@ -86,19 +86,30 @@ func TestCapacityFlapAlternatesAndRestores(t *testing.T) {
 	}
 }
 
-func TestPlanComposesWorstAction(t *testing.T) {
+// TestPlanDownWhenAnyMemberDown: a Plan's solver is down at a step when
+// any member, nested ones included, takes it down there.
+func TestPlanDownWhenAnyMemberDown(t *testing.T) {
 	p := Plan{
-		SolverOutage{Module: ModuleSAM, From: 0, To: 9, Mode: Timeout},
-		SolverOutage{Module: ModuleSAM, From: 5, To: 5, Mode: Fail},
+		PriceCorruption{From: 0, To: 9, Factor: 2},
+		SolverOutage{Module: ModuleSAM, From: 0, To: 2},
+		Plan{SolverOutage{Module: ModuleSAM, From: 5, To: 5}},
 	}
-	if got := p.SolveAction(ModuleSAM, 3); got != Timeout {
-		t.Errorf("step 3 = %v, want Timeout", got)
+	for _, c := range []struct {
+		module string
+		step   int
+		want   bool
+	}{
+		{ModuleSAM, 1, true},
+		{ModuleSAM, 3, false},
+		{ModuleSAM, 5, true},
+		{ModulePC, 5, false},
+	} {
+		if got := p.SolverDown(c.module, c.step); got != c.want {
+			t.Errorf("SolverDown(%q, %d) = %v, want %v", c.module, c.step, got, c.want)
+		}
 	}
-	if got := p.SolveAction(ModuleSAM, 5); got != Fail {
-		t.Errorf("step 5 = %v, want Fail (worst wins)", got)
-	}
-	if got := p.SolveAction(ModulePC, 5); got != Proceed {
-		t.Errorf("PC = %v, want Proceed", got)
+	if (Plan{}).SolverDown(ModuleSAM, 0) {
+		t.Error("an empty Plan took the solver down")
 	}
 }
 

@@ -617,12 +617,10 @@ func (c *Controller) degrade(t int, module string, lvl Level, reason string) {
 		obs.S("level", lvl.String()), obs.S("reason", reason))
 }
 
-// chaosAction consults the configured injector (Proceed when none).
-func (c *Controller) chaosAction(module string, t int) chaos.Action {
-	if c.cfg.Chaos == nil {
-		return chaos.Proceed
-	}
-	return c.cfg.Chaos.SolveAction(module, t)
+// solverDown reports whether the configured injector takes module's
+// solver down at step t (never, with no injector).
+func (c *Controller) solverDown(module string, t int) bool {
+	return c.cfg.Chaos != nil && c.cfg.Chaos.SolverDown(module, t)
 }
 
 // solveErr maps a scheduler result to the lp error taxonomy: nil only for
@@ -638,19 +636,14 @@ func solveErr(r *sched.Result) error {
 }
 
 // solveSAM runs one SAM-site solve at step t — the step's LP and every
-// priced one — on a fresh, size-selected build of ins, under the step's
-// chaos action, returning a nil error only for a clean Optimal result. A
-// dead solver fails every such solve, repair's too: the worst case
-// LevelRepairSkipped records.
+// priced one — on a fresh, size-selected build of ins, returning a nil
+// error only for a clean Optimal result. A dead solver fails every such
+// solve, repair's too: the worst case LevelRepairSkipped records.
 func (c *Controller) solveSAM(t int, ins *sched.Instance) (*sched.Result, error) {
-	opts := lp.Options{Stats: &c.samStats}
-	switch c.chaosAction(chaos.ModuleSAM, t) {
-	case chaos.Fail:
+	if c.solverDown(chaos.ModuleSAM, t) {
 		return nil, errInjectedOutage
-	case chaos.Timeout:
-		opts.TimeBudget = time.Nanosecond // every attempt comes back lp.TimeLimit
 	}
-	r, err := ins.Solve(opts)
+	r, err := ins.Solve(lp.Options{Stats: &c.samStats})
 	if err != nil {
 		return nil, err
 	}
@@ -797,21 +790,17 @@ func (c *Controller) runPC(t int) {
 			capacity[e][i] = c.state.Capacity(graph.EdgeID(e), from+i)
 		}
 	}
-	opts := lp.Options{Stats: &c.pcStats}
-	switch c.chaosAction(chaos.ModulePC, t) {
-	case chaos.Fail:
+	if c.solverDown(chaos.ModulePC, t) {
 		c.obs.pcRetain()
 		c.degrade(t, ModulePC, LevelRetainedPrices,
 			"injected solver outage; retaining prior window prices")
 		return
-	case chaos.Timeout:
-		opts.TimeBudget = time.Nanosecond
 	}
 	window, err := pricing.ComputePrices(c.net, entries, capacity, w, 0,
 		pricing.ComputerConfig{
 			WindowLen: w, Cost: c.cfg.Cost,
 			MinPrice: c.cfg.MinPrice, CostFloorFrac: 1,
-			Solver: opts,
+			Solver: lp.Options{Stats: &c.pcStats},
 		})
 	if err != nil {
 		// Retaining the prior window's prices is a deliberate degradation:

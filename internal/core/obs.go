@@ -166,7 +166,6 @@ func (o *coreObs) publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
 	m.Counter(prefix + ".solves").Add(int64(s.Solves))
 	m.Counter(prefix + ".iterations").Add(int64(s.Iterations))
 	m.Counter(prefix + ".refactorizations").Add(int64(s.Refactorizations))
-	m.Counter(prefix + ".time_budget_hits").Add(int64(s.TimeBudgetHits))
 	m.Counter(prefix + ".iter_limit_hits").Add(int64(s.IterLimitHits))
 	m.Counter(prefix + ".warm_starts").Add(int64(s.WarmStarts))
 	m.Counter(prefix + ".devex_solves").Add(int64(s.DevexSolves))

@@ -153,7 +153,7 @@ func TestSAMRefundsInfeasibleGuarantee(t *testing.T) {
 
 // TestDegradeEventsMirrorHealth checks the trace carries a degrade event
 // whenever Health records one (forced here by a SAM solver outage that
-// times out every LP attempt).
+// fails every LP attempt).
 func TestDegradeEventsMirrorHealth(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 0, 2, 15, 5)}
@@ -161,7 +161,7 @@ func TestDegradeEventsMirrorHealth(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.Obs = rec
 	// Every LP attempt dies; the ladder lands on carry.
-	cfg.Chaos = chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 2, Mode: chaos.Timeout}
+	cfg.Chaos = chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 2}
 	c, err := New(n, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,11 +59,11 @@ type samWatch struct {
 	onSolve func(t int)
 }
 
-func (w *samWatch) SolveAction(module string, t int) chaos.Action {
+func (w *samWatch) SolverDown(module string, t int) bool {
 	if module == chaos.ModuleSAM {
 		w.onSolve(t)
 	}
-	return chaos.Proceed
+	return false
 }
 
 func (w *samWatch) BeforeStep(t int, st *pricing.State) {

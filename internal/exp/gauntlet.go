@@ -11,8 +11,8 @@ import (
 )
 
 // Scenario is one named fault script replayed against a Pretium run:
-// solver outages and timeouts, poisoned prices, flapping links, link cuts,
-// maintenance drains and correlated (SRLG) failures, alone or composed.
+// solver outages, poisoned prices, flapping links, link cuts, maintenance
+// drains and correlated (SRLG) failures, alone or composed.
 // MaxWelfareLoss bounds the loss against the clean run as a fraction of
 // its welfare magnitude: 1.0 means "may lose everything but not go
 // meaningfully negative", lower is tighter, 0 disables the bound.
@@ -180,10 +180,11 @@ func busiestEdge(s *Setup, from, to int) graph.EdgeID {
 }
 
 // DefaultScenarios is the standing robustness gauntlet. The first seven
-// are faults in the control loop: solver outages and timeouts (the ladder
-// must reach carry-plan and come back), Price Computer outages (prices
-// must be retained, not corrupted), poisoned prices in both directions,
-// and a flapping fat link. Their welfare bounds are deliberately loose —
+// are faults in the control loop: SAM solver outages over the whole run
+// and over its middle third (the ladder must reach carry-plan and come
+// back), Price Computer outages (prices must be retained, not
+// corrupted), poisoned prices in both directions, and a flapping fat
+// link. Their welfare bounds are deliberately loose —
 // they catch collapse (capacity chaos or admission meltdown), not
 // optimality drift — except the three that stop SAM, bounded at 0.2:
 // their largest reading at small and medium scale, seeds 1 and 7, plus a
@@ -213,15 +214,15 @@ func DefaultScenarios(s *Setup) []Scenario {
 	return []Scenario{
 		// Total outage: every step carries the installed plan, which
 		// honours every guarantee sold.
-		{Name: "sam-outage-all", Injector: chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: steps - 1, Mode: chaos.Fail}, MaxWelfareLoss: 0.2},
-		{Name: "sam-timeout-mid", Injector: chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: 2 * mid, Mode: chaos.Timeout}, MaxWelfareLoss: 0.2},
-		{Name: "pc-outage-all", Injector: chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1, Mode: chaos.Fail}, MaxWelfareLoss: 1.0},
+		{Name: "sam-outage-all", Injector: chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: steps - 1}, MaxWelfareLoss: 0.2},
+		{Name: "sam-outage-mid", Injector: chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: 2 * mid}, MaxWelfareLoss: 0.2},
+		{Name: "pc-outage-all", Injector: chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1}, MaxWelfareLoss: 1.0},
 		{Name: "price-spike-10x", Injector: chaos.PriceCorruption{From: mid, To: 2 * mid, Factor: 10}, MaxWelfareLoss: 1.5},
 		{Name: "price-zero", Injector: chaos.PriceCorruption{From: mid, To: 2 * mid, Factor: 0}, MaxWelfareLoss: 3},
 		{Name: "fat-link-flap", Injector: chaos.Outage{Edges: fattest, From: 0, To: steps - 1, Survive: 0.5, Period: 1}, MaxWelfareLoss: 1.5},
 		{Name: "perfect-storm", Injector: chaos.Plan{
-			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: 2 * mid, Mode: chaos.Fail},
-			chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1, Mode: chaos.Fail},
+			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: 2 * mid},
+			chaos.SolverOutage{Module: chaos.ModulePC, From: 0, To: steps - 1},
 			chaos.Outage{Edges: fattest, From: mid, To: 2 * mid, Survive: 0.5, Period: 2},
 		}, MaxWelfareLoss: 0.2},
 		{Name: "fat-cut", Injector: chaos.Outage{Edges: busiest, From: mid, To: 2 * mid}, MaxWelfareLoss: 1.0},
@@ -247,7 +248,7 @@ func DefaultScenarios(s *Setup) []Scenario {
 		// reneges.
 		{Name: "cut-with-dead-solver", Injector: chaos.Plan{
 			chaos.Outage{Edges: srlg, From: mid, To: 2 * mid},
-			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: steps - 1, Mode: chaos.Fail},
+			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: steps - 1},
 		}, MaxWelfareLoss: 1.0},
 	}
 }

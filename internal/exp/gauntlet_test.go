@@ -144,7 +144,7 @@ func TestGauntletSweep(t *testing.T) {
 func TestRenegeExempt(t *testing.T) {
 	s := NewSetup(Small(), WithLoad(2), WithSeed(1))
 	steps := s.Scale.Steps
-	samOut := chaos.SolverOutage{Module: chaos.ModuleSAM, From: 4, To: 8, Mode: chaos.Fail}
+	samOut := chaos.SolverOutage{Module: chaos.ModuleSAM, From: 4, To: 8}
 	cut := chaos.Outage{Edges: []graph.EdgeID{0}, From: 1, To: 3}
 	silent := make([][]float64, s.Net.NumEdges())
 	for e := range silent {
@@ -210,7 +210,7 @@ func TestRunScenarioSAMOutageDegrades(t *testing.T) {
 	}
 	r, err := s.RunScenario(clean, Scenario{
 		Name:           "sam-outage-all",
-		Injector:       chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: s.Scale.Steps - 1, Mode: chaos.Fail},
+		Injector:       chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: s.Scale.Steps - 1},
 		MaxWelfareLoss: 1.5,
 	})
 	if err != nil {

@@ -176,7 +176,7 @@ func (st *state) installWarm(b *Basis) warmFit {
 		st.fac = b.fac.clone()
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {
-		return warmNo // singular basis matrix (or budget expired mid-rebuild)
+		return warmNo // singular basis matrix
 	}
 	fit := warmPrimal
 	for i, j := range st.basis {

@@ -1,13 +1,11 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 // solveBoth runs the model on the sparse (default) and dense (reference)
@@ -295,7 +293,7 @@ func captureSurvivesBorrowed(t *testing.T) {
 		}
 		f.updateNz(int(r), w, nz)
 	}
-	if f.refactorize(std, b.basic, time.Time{}) != refactorOK {
+	if f.refactorize(std, b.basic) != refactorOK {
 		t.Fatal("refactorize of the captured basis failed")
 	}
 	for k := 0; k < 2; k++ {
@@ -328,26 +326,6 @@ func captureSurvivesBorrowed(t *testing.T) {
 			}
 			requireIdentical(t, g, c.want, fmt.Sprintf("concurrent install %d", i))
 		}
-	}
-}
-
-// TestTimeBudgetStillBindsOnSparseKernel: the PR-3 wall-clock guardrail must
-// hold end-to-end on the new default kernel — an absurdly small budget
-// yields TimeLimit (with ErrTimeBudget) and no captured basis.
-func TestTimeBudgetStillBindsOnSparseKernel(t *testing.T) {
-	model := samShapedLP(rand.New(rand.NewSource(99)), 1.0)
-	sol, err := solveEvery(1, model, Options{TimeBudget: time.Nanosecond})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if sol.Status != TimeLimit {
-		t.Fatalf("status %v, want TimeLimit", sol.Status)
-	}
-	if !errors.Is(sol.Status.Err(), ErrTimeBudget) {
-		t.Fatalf("Err() = %v, want ErrTimeBudget", sol.Status.Err())
-	}
-	if sol.Basis() != nil {
-		t.Fatal("a timed-out solve must not capture a basis")
 	}
 }
 

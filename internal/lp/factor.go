@@ -1,7 +1,5 @@
 package lp
 
-import "time"
-
 // refactorOutcome classifies a basis refactorization attempt.
 type refactorOutcome int8
 
@@ -10,9 +8,6 @@ const (
 	refactorOK refactorOutcome = iota
 	// refactorSingular: the basis matrix is numerically singular.
 	refactorSingular
-	// refactorTimeout: Options.TimeBudget expired mid-factorization. The
-	// representation is unusable; the solve must surface TimeLimit.
-	refactorTimeout
 )
 
 // factor is the basis representation behind the revised simplex: everything
@@ -36,11 +31,8 @@ type factor interface {
 	// artificial basis is the identity matrix by construction), clearing
 	// any pivot history.
 	reset(m int)
-	// refactorize rebuilds the representation from the basis columns of
-	// std. deadline (zero value = none) is the wall-clock guardrail from
-	// Options.TimeBudget, checked periodically inside the factorization so
-	// a large refactorization cannot blow the control loop's budget.
-	refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome
+	// refactorize rebuilds the representation from the basis columns of std.
+	refactorize(std *standard, basis []int) refactorOutcome
 	// ftranDense computes out = B⁻¹·x for dense x (out must not alias x).
 	ftranDense(x, out []float64)
 	// btran computes out = B⁻ᵀ·x, i.e. outᵀ = xᵀB⁻¹ (out must not alias x).
@@ -84,10 +76,4 @@ var newFactor = func(large bool) factor {
 		return &ftFactor{}
 	}
 	return &etaFactor{}
-}
-
-// expired reports whether the wall-clock deadline (zero value = none) has
-// passed.
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && !time.Now().Before(deadline)
 }

@@ -4,11 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 )
 
-// randomDenseModel builds a feasible random LP big enough that a
-// nanosecond wall-clock budget cannot finish it.
+// randomDenseModel builds a feasible random LP big enough that a one-pivot
+// budget cannot finish it.
 func randomDenseModel(n, m int, seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	md := NewModel()
@@ -27,30 +26,32 @@ func randomDenseModel(n, m int, seed int64) *Model {
 	return md
 }
 
-func TestTimeBudgetReturnsTimeLimit(t *testing.T) {
+func TestPivotBudgetReturnsIterLimit(t *testing.T) {
 	m := randomDenseModel(60, 60, 7)
-	sol, err := m.Solve(Options{TimeBudget: time.Nanosecond})
+	var sol *Solution
+	var err error
+	withIterBudget(1, func() { sol, err = m.Solve(Options{}) })
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if sol.Status != TimeLimit {
-		t.Fatalf("status = %v, want TimeLimit", sol.Status)
+	if sol.Status != IterLimit {
+		t.Fatalf("status = %v, want IterLimit", sol.Status)
 	}
-	if !errors.Is(sol.Status.Err(), ErrTimeBudget) {
-		t.Errorf("Err() = %v, want ErrTimeBudget", sol.Status.Err())
+	if !errors.Is(sol.Status.Err(), ErrIterLimit) {
+		t.Errorf("Err() = %v, want ErrIterLimit", sol.Status.Err())
 	}
 	// No terminal basis should be captured from an aborted solve: warm
 	// starting the next solve from it would be starting from garbage.
 	if sol.Basis() != nil {
 		t.Error("aborted solve captured a basis")
 	}
-	// A generous budget solves the same model to optimality.
-	sol, err = m.Solve(Options{TimeBudget: time.Minute})
+	// The default budget solves the same model to optimality.
+	sol, err = m.Solve(Options{})
 	if err != nil {
-		t.Fatalf("Solve with budget: %v", err)
+		t.Fatalf("Solve with the default budget: %v", err)
 	}
 	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want Optimal under a generous budget", sol.Status)
+		t.Fatalf("status = %v, want Optimal under the default budget", sol.Status)
 	}
 }
 
@@ -61,7 +62,6 @@ func TestStatusErrTaxonomy(t *testing.T) {
 	}{
 		{Optimal, nil},
 		{IterLimit, ErrIterLimit},
-		{TimeLimit, ErrTimeBudget},
 		{Infeasible, ErrInfeasible},
 		{Unbounded, ErrUnbounded},
 		{Singular, ErrSingular},

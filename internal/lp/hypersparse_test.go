@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // These tests drive the m ≥ LargeModelRows machinery — hyper-sparse
@@ -77,7 +76,7 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 
 	lu := &ftFactor{}
 	lu.reset(m)
-	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
+	if out := lu.refactorize(std, basis); out != refactorOK {
 		t.Fatalf("refactorize outcome %v", out)
 	}
 
@@ -156,7 +155,7 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 
 	// Refactorize the mutated basis (peeling on a basis with real
 	// replaced columns) and re-verify against ground truth.
-	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
+	if out := lu.refactorize(std, basis); out != refactorOK {
 		t.Fatalf("refactorize of mutated basis: outcome %v", out)
 	}
 	probe("after refactorize of mutated basis")
@@ -235,7 +234,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 
 	lu := &ftFactor{}
 	lu.reset(m)
-	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
+	if out := lu.refactorize(std, basis); out != refactorOK {
 		t.Fatalf("refactorize outcome %v", out)
 	}
 
@@ -248,7 +247,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 	pivots, refactors := 0, 0
 	for piv := 0; pivots < 240 && piv < 2000; piv++ {
 		if lu.wantRefactor() {
-			if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
+			if out := lu.refactorize(std, basis); out != refactorOK {
 				t.Fatalf("growth-triggered refactorize at pivot %d: outcome %v", pivots, out)
 			}
 			refactors++
@@ -282,7 +281,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 			// structure (in-place U rewrites, permuted step order) must
 			// rebuild cleanly from the mutated basis, and the chain then
 			// keeps updating the rebuilt factor.
-			if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
+			if out := lu.refactorize(std, basis); out != refactorOK {
 				t.Fatalf("mid-chain refactorize of FT-mutated basis: outcome %v", out)
 			}
 			refactors++
@@ -303,7 +302,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 	// oracle; the basis matrix itself is the absolute one.
 	fresh := &ftFactor{}
 	fresh.reset(m)
-	if out := fresh.refactorize(std, basis, time.Time{}); out != refactorOK {
+	if out := fresh.refactorize(std, basis); out != refactorOK {
 		t.Fatalf("fresh refactorize of mutated basis: outcome %v", out)
 	}
 	dOut := make([]float64, m)

@@ -3,7 +3,6 @@ package lp
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // luFactor is the sparse LU factorization of the basis, with Markowitz-style
@@ -794,9 +793,8 @@ func rowGet(row []ment, pos int32) (float64, bool) {
 // factorization output slice in the arrays own readied; the working set
 // comes from the reusable Markowitz scratch. peel turns on staircase
 // singleton peeling: it changes the pivot order, so only the large-model
-// kernel asks for it. The deadline is checked every 64 elimination steps so
-// a large factorization respects Options.TimeBudget.
-func (f *luFactor) factorize(std *standard, basis []int, deadline time.Time, peel bool) refactorOutcome {
+// kernel asks for it.
+func (f *luFactor) factorize(std *standard, basis []int, peel bool) refactorOutcome {
 	m := f.m
 	f.ensureScratch()
 	if f.mkz == nil {
@@ -839,8 +837,8 @@ func (f *luFactor) factorize(std *standard, basis []int, deadline time.Time, pee
 	rowDone := s.rowDone
 	colDone := s.colDone
 	// Rewriting the outputs scribbles over the live representation as the
-	// elimination proceeds, which is fine: every failure exit (timeout/
-	// singular) leads the solver to reset() or abandon the factorization,
+	// elimination proceeds, which is fine: every failure exit (a singular
+	// basis) leads the solver to reset() or abandon the factorization,
 	// never to keep solving with it. The per-step L multipliers are carved
 	// out of one append-grown arena — slices carved before a growth keep the
 	// old backing array, which is never written again, so publishing stays
@@ -865,10 +863,6 @@ func (f *luFactor) factorize(std *standard, basis []int, deadline time.Time, pee
 	inWs := s.inWs
 
 	for k := 0; k < m; k++ {
-		if k&63 == 0 && expired(deadline) {
-			return refactorTimeout
-		}
-
 		// Staircase peeling: singleton pivots need no Markowitz search.
 		// A singleton column's pivot generates no multipliers at all (no
 		// other live row holds the column); a singleton row's pivot
@@ -1154,9 +1148,9 @@ func (f *luFactor) factorize(std *standard, basis []int, deadline time.Time, pee
 
 // refactorize rebuilds the factorization, the column transpose of U for the
 // sparsity-adaptive back-substitution, and clears the eta file.
-func (f *etaFactor) refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome {
+func (f *etaFactor) refactorize(std *standard, basis []int) refactorOutcome {
 	f.own(std.m)
-	if out := f.factorize(std, basis, deadline, false); out != refactorOK {
+	if out := f.factorize(std, basis, false); out != refactorOK {
 		return out
 	}
 	m := f.m
@@ -1194,9 +1188,9 @@ func (f *etaFactor) refactorize(std *standard, basis []int, deadline time.Time) 
 // refactorize rebuilds the factorization (peeled) and the Forrest–Tomlin
 // state on top of it; ucols, the exact dynamic transpose the updates
 // maintain, is rebuilt from U.
-func (f *ftFactor) refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome {
+func (f *ftFactor) refactorize(std *standard, basis []int) refactorOutcome {
 	f.own(std.m)
-	if out := f.factorize(std, basis, deadline, true); out != refactorOK {
+	if out := f.factorize(std, basis, true); out != refactorOK {
 		return out
 	}
 	f.ftReset(f.m)

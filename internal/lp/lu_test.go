@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 )
 
 // randSparseBasis builds a standardized skeleton whose columns 0..m-1 form a
@@ -91,10 +90,10 @@ func TestLUMatchesDenseOnRandomBases(t *testing.T) {
 			lu, dn := newKernel(false), newKernel(true)
 			lu.reset(m)
 			dn.reset(m)
-			if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
+			if out := lu.refactorize(std, basis); out != refactorOK {
 				t.Fatalf("m=%d trial=%d: lu refactorize outcome %v", m, trial, out)
 			}
-			if out := dn.refactorize(std, basis, time.Time{}); out != refactorOK {
+			if out := dn.refactorize(std, basis); out != refactorOK {
 				t.Fatalf("m=%d trial=%d: dense refactorize outcome %v", m, trial, out)
 			}
 			compareKernels(t, r, lu, dn, m, 1e-9, "fresh")
@@ -113,8 +112,8 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 		lu, dn := newKernel(false), newKernel(true)
 		lu.reset(m)
 		dn.reset(m)
-		if lu.refactorize(std, basis, time.Time{}) != refactorOK ||
-			dn.refactorize(std, basis, time.Time{}) != refactorOK {
+		if lu.refactorize(std, basis) != refactorOK ||
+			dn.refactorize(std, basis) != refactorOK {
 			t.Fatal("refactorize failed on a nonsingular basis")
 		}
 		w := make([]float64, m)
@@ -157,7 +156,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 		// Ground truth: refactorize fresh kernels on the mutated basis.
 		fresh := newKernel(false)
 		fresh.reset(m)
-		if fresh.refactorize(std, basis, time.Time{}) != refactorOK {
+		if fresh.refactorize(std, basis) != refactorOK {
 			t.Fatal("fresh refactorize of mutated basis failed")
 		}
 		compareKernels(t, r, lu, fresh, m, 1e-6, "etas vs fresh LU")
@@ -177,26 +176,8 @@ func TestFactorSingularDetection(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		f := newKernel(dense)
 		f.reset(m)
-		if out := f.refactorize(std, basis, time.Time{}); out != refactorSingular {
+		if out := f.refactorize(std, basis); out != refactorSingular {
 			t.Fatalf("dense=%v: singular basis gave outcome %v", dense, out)
-		}
-	}
-}
-
-// TestRefactorizeHonorsDeadline: an expired TimeBudget deadline must abort
-// the factorization itself with refactorTimeout — the PR-3 guardrail
-// extended inside the kernels, so one huge refactorization cannot blow a
-// control-loop step budget.
-func TestRefactorizeHonorsDeadline(t *testing.T) {
-	const m = 50
-	r := rand.New(rand.NewSource(11))
-	std, basis := randSparseBasis(r, m)
-	expired := time.Now().Add(-time.Second)
-	for _, dense := range []bool{false, true} {
-		f := newKernel(dense)
-		f.reset(m)
-		if out := f.refactorize(std, basis, expired); out != refactorTimeout {
-			t.Fatalf("dense=%v: expired deadline gave outcome %v", dense, out)
 		}
 	}
 }
@@ -210,7 +191,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	std, basis := randSparseBasis(r, m)
 	lu := newKernel(false)
 	lu.reset(m)
-	if lu.refactorize(std, basis, time.Time{}) != refactorOK {
+	if lu.refactorize(std, basis) != refactorOK {
 		t.Fatal("refactorize failed")
 	}
 	w := make([]float64, m)
@@ -242,7 +223,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	if !tripped {
 		t.Fatal("eta-file growth never tripped wantRefactor")
 	}
-	if lu.refactorize(std, basis, time.Time{}) != refactorOK {
+	if lu.refactorize(std, basis) != refactorOK {
 		t.Fatal("refactorize after growth failed")
 	}
 	if lu.wantRefactor() || lu.age() != 0 {
@@ -250,7 +231,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	}
 	dn := newKernel(true)
 	dn.reset(m)
-	if dn.refactorize(std, basis, time.Time{}) != refactorOK {
+	if dn.refactorize(std, basis) != refactorOK {
 		t.Fatal("dense refactorize failed")
 	}
 	compareKernels(t, r, lu, dn, m, 1e-8, "post-growth refactor")
@@ -285,7 +266,7 @@ func TestFTFillGrowthTrigger(t *testing.T) {
 	// both the fill counter and the update age.
 	r := rand.New(rand.NewSource(53))
 	std, basis := bigStaircaseBasis(r, m)
-	if f.refactorize(std, basis, time.Time{}) != refactorOK {
+	if f.refactorize(std, basis) != refactorOK {
 		t.Fatal("refactorize failed")
 	}
 	w := make([]float64, m)
@@ -304,7 +285,7 @@ func TestFTFillGrowthTrigger(t *testing.T) {
 	if f.ftNnz == 0 || f.nupd == 0 {
 		t.Fatalf("update chain accumulated no measured fill (ftNnz=%d nupd=%d)", f.ftNnz, f.nupd)
 	}
-	if f.refactorize(std, basis, time.Time{}) != refactorOK {
+	if f.refactorize(std, basis) != refactorOK {
 		t.Fatal("refactorize of updated basis failed")
 	}
 	if f.ftNnz != 0 || f.age() != 0 || f.wantRefactor() {
@@ -323,7 +304,7 @@ func TestFactorCloneIsolation(t *testing.T) {
 		std, basis := randSparseBasis(r, m)
 		f := newKernel(dense)
 		f.reset(m)
-		if f.refactorize(std, basis, time.Time{}) != refactorOK {
+		if f.refactorize(std, basis) != refactorOK {
 			t.Fatalf("dense=%v: refactorize failed", dense)
 		}
 		// Put one eta on the original so the clone must snapshot a
@@ -358,7 +339,7 @@ func TestFactorCloneIsolation(t *testing.T) {
 			}
 			f.updateNz(pr, w, nil)
 		}
-		f.refactorize(std, basis, time.Time{})
+		f.refactorize(std, basis)
 
 		after := make([]float64, m)
 		snap.ftranDense(probe, after)
@@ -435,7 +416,7 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 		for _, retryReset := range []bool{false, true} {
 			kept := &etaFactor{}
 			kept.reset(m)
-			if kept.refactorize(std, basis, time.Time{}) != refactorOK {
+			if kept.refactorize(std, basis) != refactorOK {
 				t.Fatal("refactorize failed")
 			}
 			for k := 0; k < 3; k++ {
@@ -447,12 +428,12 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 			}
 			want, wantIndex := answers(kept), index(kept)
 
-			if out := mut.refactorize(std, singular, time.Time{}); out != refactorSingular {
+			if out := mut.refactorize(std, singular); out != refactorSingular {
 				t.Fatalf("duplicated column refactorized with outcome %d", out)
 			}
 			if retryReset {
 				mut.reset(m)
-			} else if mut.refactorize(other, otherBasis, time.Time{}) != refactorOK {
+			} else if mut.refactorize(other, otherBasis) != refactorOK {
 				t.Fatal("refactorize after the singular one failed")
 			}
 			for k := 0; k < 5; k++ {
@@ -532,7 +513,7 @@ func TestEtaNzMatchesDense(t *testing.T) {
 		nzK, dnK := &etaFactor{}, &etaFactor{}
 		for _, f := range []*etaFactor{nzK, dnK} {
 			f.reset(m)
-			if f.refactorize(std, basis, time.Time{}) != refactorOK {
+			if f.refactorize(std, basis) != refactorOK {
 				t.Fatalf("m=%d: refactorize failed", m)
 			}
 		}
@@ -630,7 +611,7 @@ func TestFTNzMatchesDense(t *testing.T) {
 	std, basis := bigStaircaseBasis(r, m)
 	kernel := &ftFactor{}
 	kernel.reset(m)
-	if kernel.refactorize(std, basis, time.Time{}) != refactorOK {
+	if kernel.refactorize(std, basis) != refactorOK {
 		t.Fatal("refactorize failed")
 	}
 	randCol := func(width int) []entry {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Sense is the relational sense of a constraint row.
@@ -200,9 +199,6 @@ const (
 	Infeasible
 	Unbounded
 	IterLimit
-	// TimeLimit means Options.TimeBudget expired before optimality was
-	// proven. Like IterLimit it carries no usable solution or basis.
-	TimeLimit
 	// Singular means the basis matrix could not be refactorized mid-solve
 	// and neither rung behind that event helped: reinstalling the basis of
 	// the last good refactorization, then (after a warm start) one cold
@@ -220,8 +216,6 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
-	case TimeLimit:
-		return "time-budget"
 	case Singular:
 		return "singular-basis"
 	}
@@ -235,8 +229,6 @@ func (s Status) String() string {
 var (
 	// ErrIterLimit: the pivot budget ran out before optimality.
 	ErrIterLimit = errors.New("lp: iteration limit reached")
-	// ErrTimeBudget: the wall-clock budget ran out before optimality.
-	ErrTimeBudget = errors.New("lp: time budget exhausted")
 	// ErrInfeasible: phase 1 proved no feasible point exists.
 	ErrInfeasible = errors.New("lp: infeasible")
 	// ErrUnbounded: the objective is unbounded over the feasible region.
@@ -262,8 +254,6 @@ func (s Status) Err() error {
 		return ErrUnbounded
 	case IterLimit:
 		return ErrIterLimit
-	case TimeLimit:
-		return ErrTimeBudget
 	case Singular:
 		return ErrSingular
 	}
@@ -351,8 +341,6 @@ type SolveStats struct {
 	// Refactorizations counts basis refactorizations (periodic cadence,
 	// kernel growth/drift triggers, and warm-basis installs alike).
 	Refactorizations int
-	// TimeBudgetHits counts solves that ended with Status TimeLimit.
-	TimeBudgetHits int
 	// IterLimitHits counts solves that ended with Status IterLimit.
 	IterLimitHits int
 	// SingularHits counts solves that ended with Status Singular: the
@@ -389,8 +377,6 @@ func (s *SolveStats) record(res result) {
 	s.Iterations += res.iters
 	s.Refactorizations += res.refactors
 	switch res.status {
-	case TimeLimit:
-		s.TimeBudgetHits++
 	case IterLimit:
 		s.IterLimitHits++
 	case Singular:
@@ -438,7 +424,8 @@ var forceIterBudget int
 
 // iterBudget bounds the total pivots of a solve of a standardized problem
 // of n columns and m rows: generous for any well-posed LP, and what stops a
-// cycling one with IterLimit.
+// cycling one with IterLimit. It is the solver's one guard: a count, not a
+// clock, so every solve's outcome is a function of its inputs.
 func iterBudget(n, m int) int {
 	if forceIterBudget > 0 {
 		return forceIterBudget
@@ -452,13 +439,6 @@ var residualTol = 1e-6
 
 // Options tunes the solver.
 type Options struct {
-	// TimeBudget bounds the wall-clock time of the solve; when it expires
-	// the solve returns Status TimeLimit (checked between pivots, so the
-	// overrun is at most one pivot). 0 means unlimited. This is the
-	// guardrail that keeps a control loop's step time bounded even when an
-	// LP degenerates: the caller gets a clean TimeLimit instead of a
-	// stalled controller.
-	TimeBudget time.Duration
 	// WarmBasis, when non-nil, starts the solve from this previously
 	// captured basis (see Solution.Basis) instead of running phase 1 from
 	// scratch. A basis that does not structurally match the model, is
@@ -466,8 +446,8 @@ type Options struct {
 	// data is ignored and the solve falls back to a cold start.
 	WarmBasis *Basis
 	// Stats, when non-nil, accumulates solver telemetry (pivots,
-	// refactorizations, budget hits, warm-start uses) across Solve calls.
-	// The pointer is read once per solve; it adds no per-pivot cost.
+	// refactorizations, pivot-budget hits, warm-start uses) across Solve
+	// calls. The pointer is read once per solve; it adds no per-pivot cost.
 	Stats *SolveStats
 	// Presolve runs a model-reduction pass before the simplex (drop empty
 	// and redundant rows, fix equal-bound and dominated variables, turn

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"math"
-	"time"
 )
 
 // newKernel builds a bare kernel for the factor-level tests: the dense
@@ -109,7 +108,7 @@ func (f *denseFactor) reset(m int) {
 
 // refactorize rebuilds B⁻¹ from the basis columns by Gauss-Jordan
 // elimination with partial pivoting on [B | I].
-func (f *denseFactor) refactorize(std *standard, basis []int, deadline time.Time) refactorOutcome {
+func (f *denseFactor) refactorize(std *standard, basis []int) refactorOutcome {
 	m := std.m
 	a := make([][]float64, m)
 	for i := range a {
@@ -122,9 +121,6 @@ func (f *denseFactor) refactorize(std *standard, basis []int, deadline time.Time
 		}
 	}
 	for col := 0; col < m; col++ {
-		if col%32 == 0 && expired(deadline) {
-			return refactorTimeout
-		}
 		// Partial pivot.
 		p := col
 		best := math.Abs(a[col][col])

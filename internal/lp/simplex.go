@@ -281,10 +281,6 @@ type state struct {
 	lastEnter, barred int
 	retried           bool
 	recoveries        int
-	// deadline is the wall-clock cutoff from Options.TimeBudget (zero
-	// value = unlimited), checked between pivots and inside
-	// refactorizations.
-	deadline time.Time
 	// bOrig holds the standardization's pristine right-hand side while the
 	// staged start's perturbed copy is swapped into std.b (nil otherwise).
 	bOrig []float64
@@ -329,21 +325,6 @@ type state struct {
 	phase PhaseTimings
 }
 
-// timedOut reports whether the wall-clock budget has expired. The check
-// runs once per pivot, so the time.Now call is noise even on small models.
-func (st *state) timedOut() bool {
-	return expired(st.deadline)
-}
-
-// limitStatus names the budget a stage ran out of: the pivot budget when
-// it is spent, the wall clock otherwise.
-func (st *state) limitStatus() Status {
-	if st.iters >= st.maxIter {
-		return IterLimit
-	}
-	return TimeLimit
-}
-
 // solve runs phase 1 then phase 2 and extracts primal and dual values.
 // With a usable Options.WarmBasis, phase 1 is skipped entirely and phase 2
 // starts from the supplied basis.
@@ -361,9 +342,6 @@ func (std *standard) solve(opts Options) result {
 		cbBuf:         make([]float64, m),
 		maxIter:       iterBudget(std.n, std.m),
 		refactorEvery: forceRefactorEvery,
-	}
-	if opts.TimeBudget > 0 {
-		st.deadline = time.Now().Add(opts.TimeBudget)
 	}
 	// No reset: coldInit installs the identity, a warm install a clone.
 	st.fac = newFactor(std.large)
@@ -394,7 +372,7 @@ func (std *standard) solve(opts Options) result {
 	res := st.phases(warm)
 	if res.status == Singular && warm {
 		// The recovery rung could not repair a basis the warm start led to:
-		// retry cold, once, inside the same iteration and time budgets.
+		// retry cold, once, inside the same pivot budget.
 		res = st.phases(false)
 	}
 	if res.status != Optimal {
@@ -464,8 +442,8 @@ func (st *state) phases(warm bool) result {
 			switch st.stagedStart() {
 			case stagedDone:
 				staged = true
-			case stagedTimeout:
-				return outcome(st.limitStatus())
+			case stagedIterLimit:
+				return outcome(IterLimit)
 			case stagedFallback:
 				st.restoreB()
 				st.coldInit()
@@ -483,7 +461,7 @@ func (st *state) phases(warm bool) result {
 			}
 			if needPhase1 {
 				status := st.optimize(c1, false)
-				if status == IterLimit || status == TimeLimit || status == Singular {
+				if status == IterLimit || status == Singular {
 					return outcome(status)
 				}
 				infeas := 0.0
@@ -558,8 +536,8 @@ const (
 	// (numerics, unboundedness of the relaxation, or a failed dual
 	// cleanup). The state is dirty; re-init and run classic phase 1.
 	stagedFallback
-	// stagedTimeout: the time or iteration budget expired mid-stage.
-	stagedTimeout
+	// stagedIterLimit: the pivot budget ran out mid-stage.
+	stagedIterLimit
 )
 
 // stagedPerturb scales the staged start's deterministic right-hand-side
@@ -646,9 +624,9 @@ func (st *state) stagedStart() stagedOutcome {
 		// [0, start+headroom] by their temporary bounds.
 		switch st.optimize(std.c, true) {
 		case Optimal:
-		case TimeLimit, IterLimit:
+		case IterLimit:
 			restore()
-			return stagedTimeout
+			return stagedIterLimit
 		default:
 			restore()
 			return stagedFallback
@@ -669,8 +647,8 @@ func (st *state) stagedStart() stagedOutcome {
 		}
 		st.recomputeXB()
 		if !st.dualCleanup() {
-			if st.timedOut() || st.iters >= st.maxIter {
-				return stagedTimeout
+			if st.iters >= st.maxIter {
+				return stagedIterLimit
 			}
 			return stagedFallback
 		}
@@ -782,7 +760,7 @@ func (st *state) applyPivot(q, r int, w []float64) {
 func (st *state) refactor() refactorOutcome {
 	st.refactors++
 	t0 := time.Now()
-	out := st.fac.refactorize(st.std, st.basis, st.deadline)
+	out := st.fac.refactorize(st.std, st.basis)
 	if out == refactorOK {
 		st.recomputeXB()
 		st.snapshot()
@@ -1350,7 +1328,7 @@ func (st *state) dualCleanup() bool {
 	st.snapshot()
 	limit := 4*m + 100
 	for iter := 0; ; iter++ {
-		if iter >= limit || st.iters >= st.maxIter || st.timedOut() {
+		if iter >= limit || st.iters >= st.maxIter {
 			return false
 		}
 		if st.needsRefactor() {
@@ -1493,22 +1471,15 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		if st.iters >= st.maxIter {
 			return IterLimit
 		}
-		if st.timedOut() {
-			return TimeLimit
-		}
 		if st.needsRefactor() {
 			sweepAll = true
-			switch st.refactor() {
-			case refactorOK:
-				if devex {
-					st.dRedRefresh(costs)
-				} else {
-					y = st.duals(costs)
-				}
-			case refactorTimeout:
-				return TimeLimit
-			default:
+			if st.refactor() != refactorOK {
 				return Singular
+			}
+			if devex {
+				st.dRedRefresh(costs)
+			} else {
+				y = st.duals(costs)
 			}
 		}
 

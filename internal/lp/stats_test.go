@@ -27,7 +27,7 @@ func TestSolveStatsAccumulates(t *testing.T) {
 	if stats.Iterations != sol.Iterations {
 		t.Fatalf("Iterations = %d, want %d", stats.Iterations, sol.Iterations)
 	}
-	if stats.WarmStarts != 0 || stats.TimeBudgetHits != 0 || stats.IterLimitHits != 0 {
+	if stats.WarmStarts != 0 || stats.IterLimitHits != 0 {
 		t.Fatalf("unexpected nonzero failure counters: %+v", stats)
 	}
 

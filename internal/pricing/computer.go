@@ -30,7 +30,7 @@ type ComputerConfig struct {
 	// punishes. The amortized floor is the break-even price under flat
 	// load. Zero disables the floor.
 	CostFloorFrac float64
-	// Solver bounds the LP solve.
+	// Solver carries the LP solve's options; its callers set only Stats.
 	Solver lp.Options
 }
 
