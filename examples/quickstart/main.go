@@ -70,7 +70,7 @@ func main() {
 		e := edges[0]
 		fmt.Printf("\ninternal price on link %d over time:\n  ", e)
 		for t := 0; t < horizon; t++ {
-			fmt.Printf("%.2f ", ctl.PriceTrace[e][t])
+			fmt.Printf("%.2f ", ctl.State().BasePrice[e][t])
 		}
 		fmt.Println()
 	}

@@ -147,9 +147,6 @@ type Controller struct {
 	// order: SAM's live set and the price computer's history.
 	active  []*admState
 	outcome *sim.Outcome
-	// PriceTrace[e][t] records the base price in effect at step t
-	// (Figure 7a plots this against utilization).
-	PriceTrace [][]float64
 	// Admitted[i] reports whether request i was admitted, and
 	// AdmissionPrice[i] the per-byte marginal price it accepted
 	// (Figure 7c plots price vs value).
@@ -169,10 +166,10 @@ type Controller struct {
 	// trueCap is the physical per-(edge,step) capacity left to scheduled
 	// traffic by high-pri usage, before any chaos outage.
 	trueCap [][]float64
-	// obs holds pre-resolved metric handles (nil when Config.Obs is);
-	// samStats/pcStats accumulate per-module solver telemetry via the
+	// obs holds pre-resolved metric handles (each nil when Config.Obs
+	// is); samStats/pcStats accumulate per-module solver telemetry via the
 	// lp.Options.Stats hook and publish to obs at finalize.
-	obs      *coreObs
+	obs      coreObs
 	samStats lp.SolveStats
 	pcStats  lp.SolveStats
 }
@@ -231,11 +228,7 @@ func New(net *graph.Network, reqs []*traffic.Request, cfg Config) (*Controller, 
 		outcome:        sim.NewOutcome(len(reqs), net, cfg.Horizon),
 		Admitted:       make([]bool, len(reqs)),
 		AdmissionPrice: make([]float64, len(reqs)),
-		PriceTrace:     make([][]float64, net.NumEdges()),
 		Health:         newHealth(cfg.Horizon),
-	}
-	for e := range c.PriceTrace {
-		c.PriceTrace[e] = make([]float64, cfg.Horizon)
 	}
 	c.obs = newCoreObs(cfg.Obs)
 	c.quoter.SetObs(cfg.Obs.Metrics())
@@ -272,15 +265,13 @@ func (c *Controller) Run() (*sim.Outcome, error) {
 			c.runPC(t)
 		}
 		// Chaos state mutations land after the PC so a corrupted price at a
-		// window boundary is what quotes (and PriceTrace) actually see.
+		// window boundary is what quotes actually see, and what step t's
+		// base price stays: nothing later writes a past step's price.
 		// Guarantee repair runs immediately after: whatever topology the
 		// injectors just broke is what admissions and SAM must plan on.
 		if c.cfg.Chaos != nil {
 			c.cfg.Chaos.BeforeStep(t, c.state)
 			c.repairGuarantees(t)
-		}
-		for e := range c.PriceTrace {
-			c.PriceTrace[e][t] = c.state.BasePrice[e][t]
 		}
 		for _, idx := range byArrival[t] {
 			c.admit(idx)
@@ -473,7 +464,8 @@ func (c *Controller) runSAM(t int) {
 		}
 	}
 	if err != nil {
-		c.degrade(t, ModuleSAM, LevelCarry, c.carryPlan(t, horizon, live, reason))
+		reason, _ = c.carryPlan(t, horizon, live, ModuleSAM, t+1, reason)
+		c.degrade(t, ModuleSAM, LevelCarry, reason)
 		c.obs.samSolve(LevelCarry, 0)
 		return
 	}
@@ -638,7 +630,7 @@ func solveErr(r *sched.Result) error {
 // solveSAM runs one SAM-site solve at step t — the step's LP and every
 // priced one — on a fresh, size-selected build of ins, returning a nil
 // error only for a clean Optimal result. A dead solver fails every such
-// solve, repair's too: the worst case LevelRepairSkipped records.
+// solve, repair's too, and each caller falls to the carry rung.
 func (c *Controller) solveSAM(t int, ins *sched.Instance) (*sched.Result, error) {
 	if c.solverDown(chaos.ModuleSAM, t) {
 		return nil, errInjectedOutage
@@ -657,12 +649,13 @@ func (c *Controller) solveSAM(t int, ins *sched.Instance) (*sched.Result, error)
 // earliest-deadline first): first around the pinned rest, failing that
 // the whole live set. Each guarantee not even the whole-set plan keeps is
 // preempted and refunded (refundShorted), as keepOrRefund would; the plan
-// is installed for the rest. It returns reason extended by the
-// placements that failed.
-func (c *Controller) carryPlan(t, horizon int, live []*admState, reason string) string {
+// is installed for the rest, by module from step from (see installPlan).
+// It returns reason extended by the placements that failed, and the
+// refunded states.
+func (c *Controller) carryPlan(t, horizon int, live []*admState, module string, from int, reason string) (string, []*admState) {
 	affected, pinned := c.strandedSplit(t, horizon, live)
 	if len(affected) == 0 {
-		return reason
+		return reason, nil
 	}
 	reasons := []string{reason}
 	states, ins := affected, c.samInstance(t, horizon, affected, pinned)
@@ -674,11 +667,12 @@ func (c *Controller) carryPlan(t, horizon int, live []*admState, reason string) 
 			reasons = append(reasons, "replan: "+err.Error())
 		}
 	}
+	var victims []*admState
 	if res != nil {
-		c.refundShorted(t, ins, states, res)
-		c.installPlan(t, ModuleSAM, t+1, states, res)
+		victims = c.refundShorted(t, ins, states, res)
+		c.installPlan(t, module, from, states, res)
 	}
-	return strings.Join(reasons, "; ")
+	return strings.Join(reasons, "; "), victims
 }
 
 // greedyPlace is the carry rung's solve: SolveGreedy, failing with
@@ -851,8 +845,6 @@ func (c *Controller) finalize() {
 		}
 	}
 	c.obs.refundTotal(refundTotal)
-	if m := c.cfg.Obs.Metrics(); m != nil {
-		c.obs.publishLP(m, "sam.lp", c.samStats)
-		c.obs.publishLP(m, "pc.lp", c.pcStats)
-	}
+	publishLP(c.cfg.Obs.Metrics(), "sam.lp", c.samStats)
+	publishLP(c.cfg.Obs.Metrics(), "pc.lp", c.pcStats)
 }

@@ -278,7 +278,7 @@ func TestPriceComputerRaisesCongestedPrices(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	congested, idle := c.PriceTrace[0][2], c.PriceTrace[0][3]
+	congested, idle := c.State().BasePrice[0][2], c.State().BasePrice[0][3]
 	if congested <= cfg.InitialPrice {
 		t.Errorf("congested-slot price %v, want > initial %v", congested, cfg.InitialPrice)
 	}

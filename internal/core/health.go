@@ -27,12 +27,9 @@ const (
 	// LevelCarry: every LP rung failed; the installed plan was carried and
 	// only the transfers an outage strands were re-placed LP-free
 	// (SolveGreedy, around the pinned rest, failing that the whole live
-	// set, refunding each guarantee it shorts). The one LP-free level.
+	// set, refunding each guarantee it shorts). The one LP-free level,
+	// where every failed SAM-site solve settles, at repair or at SAM.
 	LevelCarry
-	// LevelRepairSkipped: stranded guarantees were detected but no repair
-	// solve could run (solver outage); the carry rung re-places them and
-	// refunds each guarantee its plan shorts — recorded, never silent.
-	LevelRepairSkipped
 )
 
 func (l Level) String() string {
@@ -47,14 +44,12 @@ func (l Level) String() string {
 		return "repair-preempt"
 	case LevelCarry:
 		return "carry-plan"
-	case LevelRepairSkipped:
-		return "repair-skipped"
 	}
 	return "unknown"
 }
 
 // numLevels sizes the per-level counters.
-const numLevels = int(LevelRepairSkipped) + 1
+const numLevels = int(LevelCarry) + 1
 
 // Module names used in degradation events.
 const (
@@ -122,7 +117,7 @@ func (h *Health) EventsAt(module string) []Event {
 }
 
 // Summary renders a one-line digest, e.g.
-// "degraded 8/12 steps: carry-plan=8 repair-skipped=1".
+// "degraded 8/12 steps: carry-plan=9".
 func (h *Health) Summary() string {
 	if !h.Degraded() {
 		return "healthy"

@@ -18,7 +18,6 @@ func TestLevelString(t *testing.T) {
 		{LevelRepairReplan, "repair-replan"},
 		{LevelRepairPreempt, "repair-preempt"},
 		{LevelCarry, "carry-plan"},
-		{LevelRepairSkipped, "repair-skipped"},
 		{Level(99), "unknown"},
 	}
 	if len(cases) != numLevels+1 {
@@ -32,21 +31,21 @@ func TestLevelString(t *testing.T) {
 }
 
 // TestHealthRecordEveryLevel walks one event of each degradation level
-// (LevelRetainedPrices through LevelRepairSkipped) through a report
+// (LevelRetainedPrices through LevelCarry) through a report
 // and checks every aggregate view: Counts, Worst, EventsAt, Degraded,
 // and the per-event rendering.
 func TestHealthRecordEveryLevel(t *testing.T) {
 	levels := []Level{
 		LevelRetainedPrices,
 		LevelRepairReplan, LevelRepairPreempt,
-		LevelCarry, LevelRepairSkipped,
+		LevelCarry,
 	}
 	h := newHealth(len(levels))
 	if h.Degraded() {
 		t.Fatal("fresh report already degraded")
 	}
 	repair := map[Level]bool{
-		LevelRepairReplan: true, LevelRepairPreempt: true, LevelRepairSkipped: true,
+		LevelRepairReplan: true, LevelRepairPreempt: true,
 	}
 	for i, lvl := range levels {
 		module := ModuleSAM
@@ -83,17 +82,17 @@ func TestHealthRecordEveryLevel(t *testing.T) {
 	if got := len(h.EventsAt(ModulePC)); got != 1 {
 		t.Errorf("PC events = %d, want 1", got)
 	}
-	if got := len(h.EventsAt(ModuleRepair)); got != 3 {
-		t.Errorf("repair events = %d, want 3", got)
+	if got := len(h.EventsAt(ModuleRepair)); got != 2 {
+		t.Errorf("repair events = %d, want 2", got)
 	}
-	if got := len(h.EventsAt(ModuleSAM)); got != len(levels)-4 {
-		t.Errorf("SAM events = %d, want %d", got, len(levels)-4)
+	if got := len(h.EventsAt(ModuleSAM)); got != len(levels)-3 {
+		t.Errorf("SAM events = %d, want %d", got, len(levels)-3)
 	}
 	if got := len(h.EventsAt("")); got != len(levels) {
 		t.Errorf(`EventsAt("") = %d events, want %d`, got, len(levels))
 	}
-	want := "degraded 5/5 steps: retained-prices=1 " +
-		"repair-replan=1 repair-preempt=1 carry-plan=1 repair-skipped=1"
+	want := "degraded 4/4 steps: retained-prices=1 " +
+		"repair-replan=1 repair-preempt=1 carry-plan=1"
 	if h.Summary() != want {
 		t.Errorf("Summary = %q, want %q", h.Summary(), want)
 	}

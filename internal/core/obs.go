@@ -13,8 +13,8 @@ var (
 )
 
 // coreObs holds the controller's pre-resolved metric handles so the
-// per-step paths never touch the registry lock. A nil *coreObs (the
-// default when Config.Obs is unset) makes every method a no-op; trace
+// per-step paths never touch the registry lock. With Config.Obs unset
+// every handle is nil, and a nil handle no-ops (see package obs); trace
 // events go through Config.Obs.Emit directly, which is itself nil-safe.
 type coreObs struct {
 	raRequests   *obs.Counter
@@ -37,12 +37,9 @@ type coreObs struct {
 	pcPrice    *obs.Histogram
 }
 
-func newCoreObs(rec *obs.Recorder) *coreObs {
+func newCoreObs(rec *obs.Recorder) coreObs {
 	m := rec.Metrics()
-	if m == nil {
-		return nil
-	}
-	return &coreObs{
+	return coreObs{
 		raRequests:    m.Counter("ra.requests"),
 		raAdmitted:    m.Counter("ra.admitted"),
 		raDeclined:    m.Counter("ra.declined"),
@@ -65,9 +62,6 @@ func newCoreObs(rec *obs.Recorder) *coreObs {
 // admission records one RA decision (admitted=false means the customer
 // declined or the commit did not hold).
 func (o *coreObs) admission(admitted bool, bumps int) {
-	if o == nil {
-		return
-	}
 	o.raRequests.Inc()
 	if admitted {
 		o.raAdmitted.Inc()
@@ -79,9 +73,6 @@ func (o *coreObs) admission(admitted bool, bumps int) {
 
 // samSolve records one SAM ladder outcome and the bytes it scheduled.
 func (o *coreObs) samSolve(lvl Level, scheduled float64) {
-	if o == nil {
-		return
-	}
 	o.samSolves.Inc()
 	if lvl > LevelOK {
 		o.samDegraded.Inc()
@@ -91,34 +82,22 @@ func (o *coreObs) samSolve(lvl Level, scheduled float64) {
 
 // repairDetected records guarantees found stranded by topology churn.
 func (o *coreObs) repairDetected(n int) {
-	if o == nil {
-		return
-	}
 	o.raStranded.Add(int64(n))
 }
 
 // repairSolve records one priced LP solve (keepOrRefund, at repair or
 // at SAM's second rung).
 func (o *coreObs) repairSolve() {
-	if o == nil {
-		return
-	}
 	o.samRepairSolves.Inc()
 }
 
 // refund records one guarantee buy-back.
 func (o *coreObs) refund() {
-	if o == nil {
-		return
-	}
 	o.raRefunds.Inc()
 }
 
 // refundTotal publishes the run's total refunded currency.
 func (o *coreObs) refundTotal(total float64) {
-	if o == nil {
-		return
-	}
 	o.raRefundTotal.Set(total)
 }
 
@@ -135,9 +114,6 @@ func (o *coreObs) pcUpdate(window [][]float64) float64 {
 			}
 		}
 	}
-	if o == nil {
-		return max
-	}
 	o.pcSolves.Inc()
 	for _, row := range window {
 		for _, p := range row {
@@ -150,19 +126,13 @@ func (o *coreObs) pcUpdate(window [][]float64) float64 {
 
 // pcRetain records a retained-prices degradation of the PC.
 func (o *coreObs) pcRetain() {
-	if o == nil {
-		return
-	}
 	o.pcRetained.Inc()
 }
 
 // publishLP copies accumulated solver telemetry into prefixed counters
 // (called once at finalize; the per-solve hot path only touches the
 // plain SolveStats ints).
-func (o *coreObs) publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
-	if o == nil || m == nil {
-		return
-	}
+func publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
 	m.Counter(prefix + ".solves").Add(int64(s.Solves))
 	m.Counter(prefix + ".iterations").Add(int64(s.Iterations))
 	m.Counter(prefix + ".refactorizations").Add(int64(s.Refactorizations))

@@ -29,11 +29,14 @@ type Refund struct {
 	Amount float64
 }
 
-// repairGuarantees runs after chaos mutates the planning state at step t:
-// if the surviving topology no longer carries the forward plans of
-// admitted transfers, it re-plans the whole live set with keepOrRefund
-// and installs the plan. The outcome lands in Health and the event
-// stream; a silent guarantee violation is never an outcome.
+// repairGuarantees runs after chaos mutates the planning state at step t,
+// before the step's admissions: if the surviving topology no longer
+// carries the forward plans of admitted transfers, it re-plans the whole
+// live set with keepOrRefund and installs the plan, or, when that solve
+// fails, re-places the stranded transfers on the LP-free carry rung
+// (carryPlan). Either way the step's arrivals are quoted against a plan
+// the surviving topology carries. The outcome lands in Health and the
+// event stream; a silent guarantee violation is never an outcome.
 func (c *Controller) repairGuarantees(t int) {
 	v := c.state.OutageVersion()
 	if v == c.churnSeen {
@@ -58,7 +61,8 @@ func (c *Controller) repairGuarantees(t int) {
 	level, reason := LevelRepairReplan, ""
 	res, victims, err := c.keepOrRefund(t, horizon, live)
 	if err != nil {
-		level, reason = LevelRepairSkipped, err.Error()
+		level = LevelCarry
+		reason, victims = c.carryPlan(t, horizon, live, ModuleRepair, t, err.Error())
 	} else {
 		if len(victims) > 0 {
 			level = LevelRepairPreempt

@@ -287,10 +287,10 @@ func TestRepairAllPathsCutPreemptsEverything(t *testing.T) {
 }
 
 // The true worst case: guarantees stranded and the solver dead, so no
-// repair can run. The skip is recorded (never silent), and the carry
-// rung, which cannot place the guarantee either, refunds it instead of
-// reneging: one refund of all 10 bytes, conserved.
-func TestRepairSkippedWhenSolverDead(t *testing.T) {
+// repair LP can run. Repair settles on the carry rung, which cannot place
+// the guarantee either and refunds it instead of reneging: one refund of
+// all 10 bytes, conserved.
+func TestRepairCarriesWhenSolverDead(t *testing.T) {
 	n, a, b := simpleNet()
 	reqs := []*traffic.Request{mkReq(n, 0, a, b, 0, 1, 2, 10, 5)}
 	cfg := smallConfig(4)
@@ -306,7 +306,7 @@ func TestRepairSkippedWhenSolverDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRepairLevel(t, c, LevelRepairSkipped)
+	requireRepairLevel(t, c, LevelCarry)
 	if len(c.Refunds) != 1 || c.Refunds[0].Bytes != 10 {
 		t.Errorf("refunds = %v, want one of all 10 bytes", c.Refunds)
 	}
@@ -317,6 +317,46 @@ func TestRepairSkippedWhenSolverDead(t *testing.T) {
 		t.Errorf("delivered %v through a full cut", out.Delivered[0])
 	}
 	checkRefundConservation(t, c, out)
+}
+
+// A dead solver's repair re-places the stranded guarantee before the
+// step's admissions, so an arrival at the cut step is quoted against the
+// re-placed plan: the detour the guarantee moved onto is full, the
+// arrival is declined, and the guarantee is kept without a refund. Quoted
+// against the stranded plan instead, the arrival would take the detour
+// and one of the two guarantees would be bought back.
+func TestRepairCarryPrecedesAdmissions(t *testing.T) {
+	n, a, b, e1, _, _ := twoPathNet()
+	reqs := []*traffic.Request{
+		mkReq(n, 0, a, b, 0, 1, 1, 10, 5),
+		mkReq(n, 1, a, b, 1, 1, 1, 10, 5),
+	}
+	cfg := smallConfig(3)
+	cfg.Chaos = chaos.Plan{
+		chaos.Outage{Edges: []graph.EdgeID{e1}, From: 1, To: 1},
+		chaos.SolverOutage{Module: chaos.ModuleSAM, From: 0, To: 2},
+	}
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := requireRepairLevel(t, c, LevelCarry)
+	if ev.Step != 1 {
+		t.Errorf("repair at t=%d, want 1", ev.Step)
+	}
+	if !c.Admitted[0] || c.Admitted[1] {
+		t.Errorf("admitted = %v, want only the guarantee sold before the cut", c.Admitted)
+	}
+	if len(c.Refunds) != 0 {
+		t.Errorf("refunds = %v, want none: the detour carries the re-placed guarantee", c.Refunds)
+	}
+	if math.Abs(out.Delivered[0]-10) > 1e-6 || out.Reneged[0] != 0 {
+		t.Errorf("delivered %v reneged %v, want 10 and 0", out.Delivered[0], out.Reneged[0])
+	}
 }
 
 // A cut that strands nobody (the plan rides the other path) must not

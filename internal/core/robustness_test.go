@@ -7,6 +7,7 @@ import (
 
 	"pretium/internal/chaos"
 	"pretium/internal/graph"
+	"pretium/internal/pricing"
 	"pretium/internal/sim"
 	"pretium/internal/traffic"
 )
@@ -131,9 +132,9 @@ func TestChaosPCOutageRetainsPrices(t *testing.T) {
 			t.Errorf("event %v: level %v, want retained-prices", e, e.Level)
 		}
 	}
-	// Prices never recomputed: the trace stays at the seed price.
+	// Prices never recomputed: every step keeps the seed price.
 	for tt := 1; tt < 4; tt++ {
-		if c.PriceTrace[0][tt] != c.PriceTrace[0][0] {
+		if p := c.State().BasePrice[0]; p[tt] != p[0] {
 			t.Errorf("price moved at t=%d despite a dead PC", tt)
 		}
 	}
@@ -271,5 +272,53 @@ func TestHealthSummaryShape(t *testing.T) {
 	}
 	if got := len(h.EventsAt(ModuleSAM)); got != 2 {
 		t.Errorf("SAM events = %d, want 2", got)
+	}
+}
+
+// priceRecorder records, at the top of each step and after every earlier
+// injector in its Plan, each edge's base price at that step: the price the
+// step's admissions are quoted at.
+type priceRecorder struct{ seen [][]float64 }
+
+func (p *priceRecorder) SolverDown(string, int) bool { return false }
+
+func (p *priceRecorder) BeforeStep(t int, st *pricing.State) {
+	for e := range p.seen {
+		p.seen[e][t] = st.BasePrice[e][t]
+	}
+}
+
+// TestPastPricesStayPut: no step's base price changes after that step
+// runs. The PC writes its window from the boundary on and PriceCorruption
+// writes only the current step, both before admissions, so the final
+// State().BasePrice is the price each step was quoted at.
+func TestPastPricesStayPut(t *testing.T) {
+	n, a, b := simpleNet()
+	var reqs []*traffic.Request
+	for i := 0; i < 6; i++ {
+		reqs = append(reqs, mkReq(n, i, a, b, 2*(i%3), 2*(i%3), 2*(i%3), 9, 8))
+	}
+	cfg := smallConfig(6)
+	cfg.PriceWindow = 2
+	cfg.Cost.WindowLen = 2
+	rec := &priceRecorder{seen: [][]float64{make([]float64, 6)}}
+	cfg.Chaos = chaos.Plan{chaos.PriceCorruption{From: 3, To: 3, Factor: 3}, rec}
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	final := c.State().BasePrice[0]
+	for tt, p := range rec.seen[0] {
+		if final[tt] != p {
+			t.Errorf("step %d: quoted at %v, final state holds %v", tt, p, final[tt])
+		}
+	}
+	// Both PC windows wrote, and the corruption tripled step 3's idle
+	// slot, which the t=2 window had floored at MinPrice.
+	if final[2] == final[0] || final[4] == final[2] || math.Abs(final[3]-3*cfg.MinPrice) > 1e-12 {
+		t.Errorf("prices %v: want PC writes at steps 2 and 4 and 3*MinPrice at step 3", final)
 	}
 }

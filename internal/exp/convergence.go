@@ -52,10 +52,9 @@ func Convergence(sc Scale, days int, seed int64) ([]Row, error) {
 	// Price vector of window w: the published prices over its steps.
 	dist := func(w1, w2 int) float64 {
 		num, den := 0.0, 0.0
-		for e := range res.Controller.PriceTrace {
+		for _, p := range res.Controller.State().BasePrice {
 			for i := 0; i < day; i++ {
-				a := res.Controller.PriceTrace[e][w1*day+i]
-				b := res.Controller.PriceTrace[e][w2*day+i]
+				a, b := p[w1*day+i], p[w2*day+i]
 				num += math.Abs(a - b)
 				den += math.Abs(a) + math.Abs(b)
 			}

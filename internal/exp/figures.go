@@ -399,7 +399,7 @@ func Figure7(sc Scale, seed int64) (a, b, c []Row, err error) {
 		capTotal := s.Net.Edge(graph.EdgeID(bestE)).Capacity
 		for t := 0; t < sc.Steps; t++ {
 			a = append(a, Row{Label: fmt.Sprintf("t=%d", t), Columns: []Col{
-				{Name: "price", Value: pret.Controller.PriceTrace[bestE][t]},
+				{Name: "price", Value: pret.Controller.State().BasePrice[bestE][t]},
 				{Name: "utilization", Value: pret.Outcome.Usage[bestE][t] / capTotal},
 			}})
 		}

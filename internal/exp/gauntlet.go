@@ -241,11 +241,11 @@ func DefaultScenarios(s *Setup) []Scenario {
 		}, MaxWelfareLoss: 1.0},
 		// The no-repair-possible worst case: the solver dies at the same
 		// instant the topology churns, so plans laid while it was healthy
-		// are stranded and every repair solve fails too. The ladder must
-		// record repair-skipped, and the carry rung re-places the stranded
-		// transfers LP-free and refunds each guarantee it cannot place —
-		// conservation and capacity invariants still hold, and nothing
-		// reneges.
+		// are stranded and every repair solve fails too. Repair settles on
+		// the carry rung, which re-places the stranded transfers LP-free
+		// before the step's admissions and refunds each guarantee it cannot
+		// place — conservation and capacity invariants still hold, and
+		// nothing reneges.
 		{Name: "cut-with-dead-solver", Injector: chaos.Plan{
 			chaos.Outage{Edges: srlg, From: mid, To: 2 * mid},
 			chaos.SolverOutage{Module: chaos.ModuleSAM, From: mid, To: steps - 1},

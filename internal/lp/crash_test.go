@@ -55,9 +55,16 @@ func crashStaircase(seed int64, n, pad int, asLE bool) *crashLP {
 	return lp
 }
 
+// mustOptimal solves m without presolve, whatever its size, and requires
+// a clean optimum.
 func mustOptimal(t *testing.T, m *Model, opts Options, ctx string) *Solution {
 	t.Helper()
-	sol, err := m.Solve(opts)
+	sol, err := m.solve(opts, false)
+	return requireOptimal(t, sol, err, ctx)
+}
+
+func requireOptimal(t *testing.T, sol *Solution, err error, ctx string) *Solution {
+	t.Helper()
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -84,9 +91,15 @@ func TestCrashSenseInvariance(t *testing.T) {
 	for _, presolve := range []bool{false, true} {
 		ge := crashStaircase(31, 2400, 0, false)
 		le := crashStaircase(31, 2400, 0, true)
+		solve := func(m *Model, o Options) (*Solution, error) { return m.solve(o, false) }
+		if presolve {
+			solve = (*Model).solvePresolved
+		}
 		var sa, sb SolveStats
-		a := mustOptimal(t, ge.m, Options{Presolve: presolve, Stats: &sa}, "GE form")
-		b := mustOptimal(t, le.m, Options{Presolve: presolve, Stats: &sb}, "LE form")
+		sol, err := solve(ge.m, Options{Stats: &sa})
+		a := requireOptimal(t, sol, err, "GE form")
+		sol, err = solve(le.m, Options{Stats: &sb})
+		b := requireOptimal(t, sol, err, "LE form")
 		if presolve && ge.m.pre.red.NumRows() < LargeModelRows {
 			t.Fatalf("presolve left %d rows: the reduced model is under the gate", ge.m.pre.red.NumRows())
 		}
@@ -252,7 +265,7 @@ func spiedSolve(t *testing.T, m *Model, opts Options) (spy *spyFactor, sol *Solu
 		return spy
 	}
 	defer func() { newFactor = old }()
-	sol, err := m.Solve(opts)
+	sol, err := m.solve(opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +274,7 @@ func spiedSolve(t *testing.T, m *Model, opts Options) (spy *spyFactor, sol *Solu
 
 // TestOneSizeDecision: the same staircase one row under LargeModelRows and
 // at it. Everything the solver switches on size switches between the two —
-// kernel, cold pricing rule, logical crash — and nothing is left on the
+// presolve, kernel, cold pricing rule, logical crash — and nothing is left on the
 // other side: the size decision is one, seen from outside. The pivot-vector
 // form is the one thing both sides share: nonzero lists.
 func TestOneSizeDecision(t *testing.T) {
@@ -290,6 +303,11 @@ func TestOneSizeDecision(t *testing.T) {
 		}
 		if stats.Artificials != wantArt {
 			t.Errorf("%d rows: %d artificials, want %d", rows, stats.Artificials, wantArt)
+		}
+		var pre SolveStats
+		withIterBudget(60, func() { lp.m.Solve(Options{Stats: &pre}) })
+		if presolved := pre.Presolved == 1; presolved != large {
+			t.Errorf("%d rows: Solve presolved: %v", rows, presolved)
 		}
 	}
 }

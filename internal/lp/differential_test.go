@@ -316,7 +316,7 @@ func captureSurvivesBorrowed(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], _ = m.Solve(Options{WarmBasis: c.b})
+				got[i], _ = m.solve(Options{WarmBasis: c.b}, false)
 			}()
 		}
 		wg.Wait()
@@ -424,11 +424,11 @@ func TestPricingDifferentialDevexVsDantzig(t *testing.T) {
 		}
 
 		pre := samShapedLP(rand.New(rand.NewSource(seed)), 1.0)
-		pz, err := solveWith(pricingDantzig, pre, Options{Presolve: true})
+		pz, err := solvePresolvedWith(pricingDantzig, pre)
 		if err != nil && pz == nil {
 			t.Fatalf("trial %d: presolve dantzig: %v", trial, err)
 		}
-		pv, err := solveWith(pricingDevex, pre, Options{Presolve: true})
+		pv, err := solvePresolvedWith(pricingDevex, pre)
 		if err != nil && pv == nil {
 			t.Fatalf("trial %d: presolve devex: %v", trial, err)
 		}

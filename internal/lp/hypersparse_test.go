@@ -391,7 +391,7 @@ func TestBigScaleSolveKKT(t *testing.T) {
 		m.AddConstraint(LE, float64(len(terms))/3, terms...)
 	}
 
-	sol, err := m.Solve(Options{})
+	sol, err := m.solve(Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestBigScaleSolveKKT(t *testing.T) {
 	// Warm re-solve after a bound nudge must use the nz warm path and
 	// stay optimal in few pivots.
 	m.SetBounds(vars[7], 0, 0.25)
-	warm, err := m.Solve(Options{WarmBasis: sol.Basis()})
+	warm, err := m.solve(Options{WarmBasis: sol.Basis()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ type Model struct {
 	// model resolve path allocation-free on the standardization side.
 	std *standard
 
-	// pre caches the presolve recipe and reduced model across Solve calls
-	// with Options.Presolve set (see presolve.go).
+	// pre caches the presolve recipe and reduced model across the Solve
+	// calls of a large model (see presolve.go).
 	pre *presolveState
 }
 
@@ -353,8 +353,8 @@ type SolveStats struct {
 	// DevexSolves counts solves whose final phase priced with devex.
 	DevexSolves int
 	// Presolved counts the recorded solves that ran on a presolve-reduced
-	// model (Options.Presolve) — for sched's LPs, the solves of models
-	// large enough to be built with implicit bounds.
+	// model: those of LargeModelRows rows or more, which for sched's LPs
+	// are the models built with implicit bounds.
 	Presolved int
 	// PresolveReused counts the presolved solves that reused the last
 	// reduction because only the objective had changed (see runPresolve).
@@ -449,28 +449,30 @@ type Options struct {
 	// refactorizations, pivot-budget hits, warm-start uses) across Solve
 	// calls. The pointer is read once per solve; it adds no per-pivot cost.
 	Stats *SolveStats
-	// Presolve runs a model-reduction pass before the simplex (drop empty
-	// and redundant rows, fix equal-bound and dominated variables, turn
-	// singleton rows into bounds) and maps the reduced solution back to the
-	// full model — primal and duals included, so PC prices survive the
-	// reduction. Warm bases captured under Presolve refer to
-	// the reduced model and keep working across re-solves as long as the
-	// reduction pattern is stable; a pattern change falls back to a cold
-	// start. Outside tests internal/sched is its only setter: Built.Solve
-	// turns it on for exactly the models it built with implicit bounds.
-	Presolve bool
-	// postsolved marks presolve's inner solve, which skips what
-	// solvePresolved recomputes: residual, Suspect.
-	postsolved bool
 }
 
 // Solve optimizes the model and returns the solution. The model's LP data
 // is not modified (Solve only refreshes internal caches), so it can be
 // re-solved after edits.
+//
+// A model of LargeModelRows rows or more is presolved (see presolve.go):
+// reduced — empty and redundant rows dropped, equal-bound and dominated
+// variables fixed, singleton rows turned into bounds — solved, and mapped
+// back to the full model, primal and duals included, so PC prices survive
+// the reduction. Warm bases captured there refer to the reduced model and
+// keep working across re-solves as long as the reduction pattern is
+// stable; a pattern change falls back to a cold start.
 func (m *Model) Solve(opts Options) (*Solution, error) {
-	if opts.Presolve {
+	if m.NumRows() >= LargeModelRows {
 		return m.solvePresolved(opts)
 	}
+	return m.solve(opts, false)
+}
+
+// solve runs the simplex on the model as it stands. inner marks
+// presolve's inner solve, which skips what solvePresolved recomputes:
+// residual, Suspect.
+func (m *Model) solve(opts Options, inner bool) (*Solution, error) {
 	std, err := m.standardized()
 	if err != nil {
 		return nil, err
@@ -504,7 +506,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		}
 		sol.Dual[i] = d
 	}
-	if !opts.postsolved {
+	if !inner {
 		sol.Residual = m.residual(sol.X)
 		sol.Suspect = sol.Residual > residualTol
 	}

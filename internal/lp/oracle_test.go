@@ -72,6 +72,12 @@ func solveWith(rule pricingRule, m *Model, opts Options) (sol *Solution, err err
 	return sol, err
 }
 
+// solvePresolvedWith is solveWith through presolve, whatever m's size.
+func solvePresolvedWith(rule pricingRule, m *Model) (sol *Solution, err error) {
+	withPricing(rule, func() { sol, err = m.solvePresolved(Options{}) })
+	return sol, err
+}
+
 // denseFactor is the original kernel: B⁻¹ held as a dense m×m matrix,
 // updated in product form row by row (O(m²) per pivot) and rebuilt by
 // Gauss-Jordan elimination with partial pivoting (O(m³)). It is retained as

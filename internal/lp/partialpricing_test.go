@@ -43,7 +43,7 @@ func TestPartialDevexEquivalence(t *testing.T) {
 			}
 			requireCrossOptimal(t, m2, part, full, "cold partial-vs-full")
 
-			p2, err := solveWith(pricingDevex, m2, Options{Presolve: true})
+			p2, err := solvePresolvedWith(pricingDevex, m2)
 			if err != nil && p2 == nil {
 				t.Fatalf("trial %d: partial devex presolve: %v", trial, err)
 			}

@@ -1,6 +1,6 @@
 package lp
 
-// Presolve is the model-reduction pass behind Options.Presolve.
+// Presolve is the model-reduction pass Solve runs on large models.
 //
 // The SAM LP at paper scale is dominated by rows that cannot bind — most
 // (edge, timestep) capacity rows bound flow variables whose own upper
@@ -441,7 +441,7 @@ func (m *Model) assembleReduced(ps *presolveState) {
 	ps.red = red
 }
 
-// solvePresolved is the Options.Presolve solve pipeline: reduce, solve the
+// solvePresolved is the large-model solve pipeline: reduce, solve the
 // reduced model (warm bases and telemetry pass straight through), then map
 // the solution back onto the original model.
 func (m *Model) solvePresolved(opts Options) (*Solution, error) {
@@ -454,9 +454,7 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 			Dual:   make([]float64, nr),
 		}, nil
 	}
-	inner := opts
-	inner.Presolve, inner.postsolved = false, true
-	redSol, err := ps.red.Solve(inner)
+	redSol, err := ps.red.solve(opts, true)
 	if err != nil {
 		return nil, err
 	}

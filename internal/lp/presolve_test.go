@@ -149,7 +149,7 @@ func TestPresolveDifferentialRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: plain solve: %v", seed, err)
 		}
-		pre, err := m.Solve(Options{Presolve: true})
+		pre, err := m.solvePresolved(Options{})
 		if err != nil {
 			t.Fatalf("seed %d: presolved solve: %v", seed, err)
 		}
@@ -261,11 +261,11 @@ func TestPresolveMutateAndResolve(t *testing.T) {
 // must not show.
 func solveLikeFresh(t *testing.T, m *Model, warm *Basis, ctx string, stats ...*SolveStats) *Solution {
 	t.Helper()
-	opts := Options{Presolve: true, WarmBasis: warm}
+	opts := Options{WarmBasis: warm}
 	if len(stats) > 0 {
 		opts.Stats = stats[0]
 	}
-	got, err := m.Solve(opts)
+	got, err := m.solvePresolved(opts)
 	if err != nil {
 		t.Fatalf("%s: retained: %v", ctx, err)
 	}
@@ -277,7 +277,7 @@ func solveLikeFresh(t *testing.T, m *Model, warm *Basis, ctx string, stats ...*S
 	for i, row := range m.rows {
 		fresh.AddConstraint(m.senses[i], m.rhs[i], row...)
 	}
-	want, err := fresh.Solve(Options{Presolve: true, WarmBasis: warm})
+	want, err := fresh.solvePresolved(Options{WarmBasis: warm})
 	if err != nil {
 		t.Fatalf("%s: fresh: %v", ctx, err)
 	}
@@ -320,7 +320,7 @@ func TestPresolveReductions(t *testing.T) {
 		y := m.AddVar(0, 4, 1)
 		rx := m.AddConstraint(LE, 3, Term{x, 1})
 		rsum := m.AddConstraint(LE, 10, Term{x, 1}, Term{y, 1})
-		sol, err := m.Solve(Options{Presolve: true})
+		sol, err := m.solvePresolved(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("solve: %v %v", err, sol.Status)
 		}
@@ -344,7 +344,7 @@ func TestPresolveReductions(t *testing.T) {
 		x := m.AddVar(0, 2, 1)
 		y := m.AddVar(0, 2, 1)
 		red := m.AddConstraint(LE, 100, Term{x, 1}, Term{y, 1})
-		sol, err := m.Solve(Options{Presolve: true})
+		sol, err := m.solvePresolved(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("solve: %v %v", err, sol.Status)
 		}
@@ -362,7 +362,7 @@ func TestPresolveReductions(t *testing.T) {
 		x := m.AddVar(2, 2, 5) // fixed at 2
 		y := m.AddVar(0, Inf, 1)
 		r := m.AddConstraint(LE, 7, Term{x, 1}, Term{y, 1})
-		sol, err := m.Solve(Options{Presolve: true})
+		sol, err := m.solvePresolved(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("solve: %v %v", err, sol.Status)
 		}
@@ -386,7 +386,7 @@ func TestPresolveReductions(t *testing.T) {
 		y := m.AddVar(0, 5, 1)
 		req := m.AddConstraint(EQ, 6, Term{x, 2})
 		m.AddConstraint(LE, 100, Term{x, 1}, Term{y, 1})
-		sol, err := m.Solve(Options{Presolve: true})
+		sol, err := m.solvePresolved(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("solve: %v %v", err, sol.Status)
 		}
@@ -406,7 +406,7 @@ func TestPresolveReductions(t *testing.T) {
 		m := NewModel()
 		x := m.AddVar(0, 1, 1)
 		m.AddConstraint(GE, 5, Term{x, 1}) // x >= 5 vs up = 1
-		sol, err := m.Solve(Options{Presolve: true})
+		sol, err := m.solvePresolved(Options{})
 		if err != nil {
 			t.Fatalf("solve: %v", err)
 		}
@@ -422,7 +422,7 @@ func TestPresolveReductions(t *testing.T) {
 		m.SetMaximize(true)
 		x := m.AddVar(1, 1, 3)
 		y := m.AddVar(0, 2, 1) // dominated upward: no rows resist
-		sol, err := m.Solve(Options{Presolve: true})
+		sol, err := m.solvePresolved(Options{})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("solve: %v %v", err, sol.Status)
 		}

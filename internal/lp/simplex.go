@@ -513,14 +513,14 @@ func (st *state) indexBasis() {
 // kernel with ascending nonzero lists, the Dantzig/partial hybrid with a
 // shallow candidate list, the absolute ratio-test pivot tolerance, the
 // per-pivot clamp over every row, the classic artificial-cost phase 1 — all
-// cheap at that size. From it on the solver switches together to
+// cheap at that size. From it on the solver switches together to presolve,
 // Forrest–Tomlin, devex on cold solves, a deep candidate list, the relative
 // pivot tolerance, the logical crash and the staged cold start: phase 1
 // degenerates badly on the equality-heavy staircase LPs this solver
-// targets. Both sizes take their pivot vectors as nonzero lists.
-// standardize makes the comparison, once, and the rest of the package reads
-// standard.large. Exported because sched.Instance.Build selects its build
-// mode on the same count: a model is large in both layers or neither.
+// targets. Both sizes take their pivot vectors as nonzero lists. Solve
+// makes the comparison for presolve and standardize for the rest, which
+// reads standard.large. Exported because sched.Instance.Build selects its
+// build mode on the same count: a model is large in both layers or neither.
 const LargeModelRows = 4096
 
 // optTol is the simplex's feasibility and optimality tolerance.

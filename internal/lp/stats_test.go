@@ -50,7 +50,7 @@ func TestSolveStatsAccumulates(t *testing.T) {
 	}
 
 	// Only a solve through the reduction pass counts as presolved.
-	if _, err := m.Solve(Options{Presolve: true, Stats: &stats}); err != nil {
+	if _, err := m.solvePresolved(Options{Stats: &stats}); err != nil {
 		t.Fatalf("presolved solve: %v", err)
 	}
 	if stats.Presolved != 1 {
@@ -105,7 +105,7 @@ func TestSolveStatsPresolveReused(t *testing.T) {
 	m, x, _ := statsModel()
 	solve := func() SolveStats {
 		var stats SolveStats
-		if sol, err := m.Solve(Options{Presolve: true, Stats: &stats}); err != nil || sol.Status != Optimal {
+		if sol, err := m.solvePresolved(Options{Stats: &stats}); err != nil || sol.Status != Optimal {
 			t.Fatalf("presolved solve: %v %v", err, sol.Status)
 		}
 		return stats

@@ -68,7 +68,7 @@ func TestPaperColdSeeds(t *testing.T) {
 			t.Fatalf("seed %d: Build made the paper recipe explicit", seed)
 		}
 		var stats lp.SolveStats
-		sol, err := built.model.Solve(lp.Options{Presolve: true, Stats: &stats})
+		sol, err := built.model.Solve(lp.Options{Stats: &stats})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

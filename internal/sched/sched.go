@@ -623,13 +623,11 @@ func intsEqual(a, b []int) bool {
 
 // Solve optimizes the built model. It can be called repeatedly after an
 // in-place Rebind, ideally passing the previous Result.Basis via
-// opts.WarmBasis. The build mode sets opts.Presolve, whatever the caller
-// passed: implicit builds carry their bounds to feed it, explicit builds
-// are pinned without it.
+// opts.WarmBasis. lp presolves exactly the implicit builds: both builds
+// are large at the same row count.
 func (b *Built) Solve(opts lp.Options) (*Result, error) {
 	ins, m := b.ins, b.model
 	ne := ins.Net.NumEdges()
-	opts.Presolve = b.implicit
 	sol, err := m.Solve(opts)
 	if err != nil {
 		return nil, err
