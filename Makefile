@@ -20,7 +20,8 @@ check:
 # (regression gate for the quote-engine fast path: a paper-sized quote
 # allocates its one-segment menu and nothing else), then the SAM solver
 # benchmarks into BENCH_solver.json (the perf trajectory of the simplex
-# core across PRs), then the route memo and admission-service
+# core across PRs; a Medium solve on a warm small-model kernel stays within
+# 10% of the 53,663 allocations and 7,083,560 bytes measured), then the route memo and admission-service
 # micro-benchmarks (in process and behind serve.Handler) into
 # BENCH_service.json — gated at the measured alloc footprints: a quote
 # allocates its menu and nothing else, a route-memo hit allocates nothing,
@@ -35,7 +36,9 @@ bench:
 		$(GO) run ./cmd/benchjson -out BENCH_admission.json \
 			-gate 'BenchmarkQuoteMenu/paper/heap:allocs/op<=1'
 	$(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm' -benchmem ./internal/sched | \
-		$(GO) run ./cmd/benchjson -out BENCH_solver.json
+		$(GO) run ./cmd/benchjson -out BENCH_solver.json \
+			-gate 'BenchmarkSAMSolve/Medium/sparse:allocs/op<=59000' \
+			-gate 'BenchmarkSAMSolve/Medium/sparse:bytes_per_op<=7790000'
 	{ $(GO) test -run '^$$' -bench 'KShortestPaths' -benchmem ./internal/graph && \
 	  $(GO) test -run '^$$' -bench 'Service' -benchmem ./internal/serve ; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_service.json \

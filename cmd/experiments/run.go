@@ -65,6 +65,7 @@ func runScheme(rc *runCtx, sc exp.Scale, seed int64) error {
 	if res.Controller != nil {
 		tm := res.Controller.Timings
 		fmt.Fprintf(rc.out, "  module runs: RA=%d SAM=%d PC=%d\n", len(tm.RA), len(tm.SAM), len(tm.PC))
+		fmt.Fprintf(rc.out, "  health:     %s\n", res.Controller.Health.Summary())
 	}
 	return nil
 }

@@ -42,11 +42,9 @@ func capacityMatrix(n *graph.Network, horizon int) [][]float64 {
 
 // solveOffline runs one offline scheduling LP for the given demands and
 // converts the result into an Outcome (payments left zero for the caller).
-// warm optionally seeds the solve from a previous cell's basis — the
-// oracle grid searches re-solve near-identical LPs (adjacent price points
-// often admit the same request subset), so chaining bases through the grid
-// skips most of phase 1; mismatched bases are ignored by the solver.
-func solveOffline(n *graph.Network, reqs []*traffic.Request, demands []sched.Demand, cfg Config, warm *lp.Basis) (*sim.Outcome, *sched.Result, error) {
+// Every solve is cold: adjacent grid cells admit different request subsets,
+// so few of them could reuse another cell's basis.
+func solveOffline(n *graph.Network, reqs []*traffic.Request, demands []sched.Demand, cfg Config) (*sim.Outcome, *sched.Result, error) {
 	ins := &sched.Instance{
 		Net:          n,
 		Horizon:      cfg.Horizon,
@@ -55,7 +53,7 @@ func solveOffline(n *graph.Network, reqs []*traffic.Request, demands []sched.Dem
 		Cost:         cfg.Cost,
 		UseCostProxy: true,
 	}
-	res, err := ins.Solve(lp.Options{WarmBasis: warm})
+	res, err := ins.Solve(lp.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -83,7 +81,7 @@ func OPT(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outcome, e
 			MaxBytes: r.Demand, ValuePerByte: r.Value,
 		}
 	}
-	out, _, err := solveOffline(n, reqs, demands, cfg, nil)
+	out, _, err := solveOffline(n, reqs, demands, cfg)
 	return out, err
 }
 
@@ -98,7 +96,7 @@ func NoPrices(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outco
 			MaxBytes: r.Demand, ValuePerByte: 1,
 		}
 	}
-	out, _, err := solveOffline(n, reqs, demands, cfg, nil)
+	out, _, err := solveOffline(n, reqs, demands, cfg)
 	return out, err
 }
 
@@ -140,10 +138,9 @@ func RegionOracle(n *graph.Network, reqs []*traffic.Request, cfg Config, gridLev
 	grid := priceGrid(reqs, gridLevels)
 	var best *sim.Outcome
 	bestWelfare := math.Inf(-1)
-	var warm *lp.Basis // chained across grid cells
 	for _, pIntra := range grid {
 		for _, pInter := range grid {
-			out, basis, err := runFlatPriced(n, reqs, cfg, warm, func(r *traffic.Request) float64 {
+			out, err := runFlatPriced(n, reqs, cfg, func(r *traffic.Request) float64 {
 				if n.SameRegion(r.Src, r.Dst) {
 					return pIntra
 				}
@@ -151,9 +148,6 @@ func RegionOracle(n *graph.Network, reqs []*traffic.Request, cfg Config, gridLev
 			})
 			if err != nil {
 				return nil, err
-			}
-			if basis != nil {
-				warm = basis
 			}
 			rep, err := sim.Evaluate(n, reqs, out, cfg.Cost)
 			if err != nil {
@@ -169,9 +163,8 @@ func RegionOracle(n *graph.Network, reqs []*traffic.Request, cfg Config, gridLev
 
 // runFlatPriced admits requests whose value covers their flat per-byte
 // price, schedules them for maximum throughput minus costs, and charges
-// the price on delivered bytes. It warm-starts from warm when possible and
-// returns the solve's terminal basis for the caller's next cell.
-func runFlatPriced(n *graph.Network, reqs []*traffic.Request, cfg Config, warm *lp.Basis, priceOf func(*traffic.Request) float64) (*sim.Outcome, *lp.Basis, error) {
+// the price on delivered bytes.
+func runFlatPriced(n *graph.Network, reqs []*traffic.Request, cfg Config, priceOf func(*traffic.Request) float64) (*sim.Outcome, error) {
 	var demands []sched.Demand
 	for i, r := range reqs {
 		if r.Value < priceOf(r) {
@@ -183,18 +176,18 @@ func runFlatPriced(n *graph.Network, reqs []*traffic.Request, cfg Config, warm *
 		})
 	}
 	if len(demands) == 0 {
-		return sim.NewOutcome(len(reqs), n, cfg.Horizon), nil, nil
+		return sim.NewOutcome(len(reqs), n, cfg.Horizon), nil
 	}
-	out, res, err := solveOffline(n, reqs, demands, cfg, warm)
+	out, _, err := solveOffline(n, reqs, demands, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, r := range reqs {
 		if out.Delivered[i] > 0 {
 			out.Payments[i] = out.Delivered[i] * priceOf(r)
 		}
 	}
-	return out, res.Basis, nil
+	return out, nil
 }
 
 // PeakPeriod computes the static peak interval from a traffic series: the
@@ -242,7 +235,6 @@ func PeakOracle(n *graph.Network, reqs []*traffic.Request, cfg Config, peak []bo
 	}
 	var best *sim.Outcome
 	bestWelfare := math.Inf(-1)
-	var warm *lp.Basis // chained across grid cells
 	for _, pOff := range grid {
 		for _, pPeak := range grid {
 			if pPeak < pOff {
@@ -266,12 +258,9 @@ func PeakOracle(n *graph.Network, reqs []*traffic.Request, cfg Config, peak []bo
 			}
 			out := sim.NewOutcome(len(reqs), n, cfg.Horizon)
 			if len(demands) > 0 {
-				o, res, err := solveOffline(n, reqs, demands, cfg, warm)
+				o, res, err := solveOffline(n, reqs, demands, cfg)
 				if err != nil {
 					return nil, err
-				}
-				if res.Basis != nil {
-					warm = res.Basis
 				}
 				out = o
 				for _, al := range res.Allocs {
@@ -323,22 +312,18 @@ func VCGLike(n *graph.Network, reqs []*traffic.Request, cfg Config) (*sim.Outcom
 		if len(demands) == 0 {
 			continue
 		}
-		var stepBasis *lp.Basis // chained across the per-bidder marginal solves
 		solveStep := func(ds []sched.Demand) (*sched.Result, error) {
 			ins := &sched.Instance{
 				Net: n, Horizon: t + 1, StartStep: t,
 				Capacity: capacityMatrix(n, t+1),
 				Demands:  ds, Cost: cfg.Cost, UseCostProxy: false,
 			}
-			res, err := ins.Solve(lp.Options{WarmBasis: stepBasis})
+			res, err := ins.Solve(lp.Options{})
 			if err != nil {
 				return nil, err
 			}
 			if res.Status != lp.Optimal {
 				return nil, fmt.Errorf("baselines: VCG step LP %v at t=%d", res.Status, t)
-			}
-			if res.Basis != nil {
-				stepBasis = res.Basis
 			}
 			return res, nil
 		}

@@ -1,5 +1,7 @@
 package lp
 
+import "sync/atomic"
+
 // refactorOutcome classifies a basis refactorization attempt.
 type refactorOutcome int8
 
@@ -68,12 +70,47 @@ type factor interface {
 	clone() factor
 }
 
-// newFactor builds the kernel for a solve of a large or a small model. A
-// var so tests can wrap the kernel (fault injection into refactorize) or
-// swap in the dense oracle.
+// newFactor builds the kernel for a solve of a large or a small model; a
+// small one comes off the free list when it holds one. A var so tests can
+// wrap the kernel (fault injection into refactorize) or swap in the dense
+// oracle — every kernel a solve runs on comes from here.
 var newFactor = func(large bool) factor {
 	if large {
 		return &ftFactor{}
 	}
+	if f := spareEta.Swap(nil); f != nil {
+		return f
+	}
 	return &etaFactor{}
+}
+
+// spareEta is the small-model kernel free list, one slot deep: a finished
+// solve hands its etaFactor back (release) and the next solve's newFactor
+// takes it, so a controller that re-solves every step factorizes into the
+// previous solve's arrays, resliced by capacity, instead of allocating them
+// all again. Concurrent solves share the slot; one that finds it empty
+// builds a kernel.
+var spareEta atomic.Pointer[etaFactor]
+
+// release hands a finished solve's kernel to the free list. Only the
+// production small-model kernel goes — a test's wrapper or oracle does
+// not, and a Forrest–Tomlin kernel may still back a captured view — and no
+// clone views it, since etaFactor.clone copies. It goes trimmed.
+func release(f factor) {
+	if e := trim(f); e != nil {
+		spareEta.Store(e)
+	}
+}
+
+// trim drops a small-model kernel's Markowitz scratch and eta reader index,
+// which nothing needs once a solve's pivots are over, and returns the
+// kernel (nil for any other). Kept, the two would sit on the heap through
+// every later solve's peak; a solve trims before capture copies the
+// factorization, so they are not live beside the copy either.
+func trim(f factor) *etaFactor {
+	e, ok := f.(*etaFactor)
+	if ok {
+		e.mkz, e.etaRows = nil, nil
+	}
+	return e
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // luFactor is the sparse LU factorization of the basis, with Markowitz-style
@@ -69,15 +70,17 @@ type luFactor struct {
 
 	// lrPtr/lrIdx maps each constraint row r to the L-op indices that read
 	// out[r] (BTRAN's transposed-pass dependents). Stable between
-	// refactorize/reset calls and shared by clones (the `shared` flag below
-	// keeps a clone's view immutable), like the factorization itself.
+	// refactorize/reset calls and shared by Forrest–Tomlin clones (the
+	// `shared` flag below keeps a clone's view immutable), like the
+	// factorization itself.
 	lrPtr, lrIdx []int32
 
 	// Permutation inverses and the row→op map: posStep is the inverse of
 	// permPos (basis position → elimination step), stepOfRow the inverse of
 	// permRow, and rowOp[r] the index of the elimination op whose pivot row
 	// is r (-1 when row r generated no multipliers). Stable between
-	// refactorize/reset calls, shared by clones under the `shared` flag.
+	// refactorize/reset calls, shared by Forrest–Tomlin clones under the
+	// `shared` flag.
 	posStep   []int32
 	stepOfRow []int32
 	rowOp     []int32
@@ -91,17 +94,19 @@ type luFactor struct {
 	// count buckets). It is reused across refactorizations — on paper-scale
 	// models the active-matrix slices are the bulk of a refactorization's
 	// allocations — and never shared with clones (the factorization output
-	// slices are the immutable product; the scratch is not).
+	// slices are the immutable product; the scratch is not). A small-model
+	// kernel drops it when its solve ends (trim).
 	mkz *markowitzScratch
 
 	// shared marks the factorization output slices (lops/ur/ud/perms/
-	// transposes and the arenas backing them) as visible to a clone. It is
-	// set on BOTH sides of every clone() call; while set, refactorize and
-	// reset allocate fresh outputs instead of recycling the previous ones,
-	// and the eta arena is abandoned rather than rewound. The first
-	// refactorize after a clone therefore pays one full allocation round and
-	// clears the flag; steady-state solve loops (hundreds of
-	// refactorizations per Paper-scale cold solve) recycle everything.
+	// transposes and the arenas backing them) as visible to a clone. Only a
+	// Forrest–Tomlin clone views them (an etaFactor clone copies); it is set
+	// on BOTH sides of every such clone() call, and while set, refactorize
+	// and reset allocate fresh outputs instead of recycling the previous
+	// ones. The first refactorize after a clone therefore pays one full
+	// allocation round and clears the flag; steady-state solve loops
+	// (hundreds of refactorizations per Paper-scale cold solve) recycle
+	// everything.
 	shared bool
 
 	// Arenas backing the per-step/per-pivot small slices, recycled across
@@ -137,9 +142,10 @@ type etaFactor struct {
 
 	// etaRows[p] lists, ascending, the etas that read or write basis
 	// position p: the hyper-sparse BTRAN's reader index, appended with the
-	// eta file. It is private to each kernel — no clone ever views it, so
-	// it recycles in place — and a kernel without one (a clone, or one own
-	// reallocated) builds it from its eta file on first use (indexEtas).
+	// eta file. It is private to each kernel — no clone copies it, so it
+	// recycles in place — and a kernel without one (a clone, one trimmed,
+	// or one own resized) builds it from its eta file on first use
+	// (indexEtas).
 	etaRows [][]int32
 
 	// Hyper-sparse solve scratch: mbits is an m-bit worklist (steps, then
@@ -149,7 +155,7 @@ type etaFactor struct {
 
 	// ucPtr/ucIdx is a CSR map from elimination step k to the earlier steps
 	// whose U rows reference z[k] (FTRAN's back-substitution dependents),
-	// stable and shared with clones like lrPtr/lrIdx.
+	// stable between refactorize/reset calls like lrPtr/lrIdx.
 	ucPtr, ucIdx []int32
 }
 
@@ -236,20 +242,22 @@ type markowitzScratch struct {
 	posList  []int32
 
 	// Count buckets for the Markowitz candidate search: bucket c is a
-	// binary min-heap (by column position) of the active columns with
-	// exactly c live entries. heapKey[j] names the bucket holding column
-	// j's single valid entry (-1 when done); entries left behind in other
-	// buckets by count changes are stale and discarded lazily on pop.
-	// valid[c] counts live entries so bucket scans skip empties, and
-	// minBucket lower-bounds the lowest non-empty bucket. Together they
-	// turn the per-step candidate search from a full O(m) column scan
-	// into a few heap operations — the difference between O(m²) and
-	// near-O(nnz) refactorizations on paper-scale staircase models.
-	heaps     [][]int32
-	heapKey   []int32
-	valid     []int
+	// bitset over basis positions of the active columns with exactly c live
+	// entries (allocated on its first member), bucketKey[j] the bucket
+	// holding column j (-1 when done), bucketN[c] its member count and
+	// bucketLo[c] a lower bound on its lowest nonzero word. minBucket
+	// lower-bounds the lowest non-empty bucket. A count change moves one
+	// bit, and the search reads the lowest set bits of the lowest buckets —
+	// a few word scans instead of a full O(m) column scan per step, the
+	// difference between O(m²) and near-O(nnz) refactorizations on
+	// paper-scale staircase models. Every bucket is all-zero between
+	// refactorizations (a successful one retires every column; ensure
+	// clears what a singular exit left).
+	buckets   [][]uint64
+	bucketKey []int32
+	bucketN   []int32
+	bucketLo  []int32
 	minBucket int
-	popped    []int32
 
 	// Singleton queues for the staircase peeling pass (large models only).
 	// colQ collects columns whose live count drops to 1 (setColCount feeds
@@ -268,9 +276,17 @@ type markowitzScratch struct {
 }
 
 // ensure sizes every scratch slice for an m-row factorization and resets
-// the per-refactorization state, retaining capacity wherever possible.
+// the per-refactorization state, retaining capacity wherever possible. The
+// bucket arrays hold m+1 counts (0 through m), so they decide the size
+// check: a zero-row basis still takes one bucket.
 func (s *markowitzScratch) ensure(m int) {
-	if cap(s.rowNz) < m {
+	for c, n := range s.bucketN {
+		if n != 0 {
+			clear(s.buckets[c])
+			s.bucketN[c] = 0
+		}
+	}
+	if cap(s.bucketN) < m+1 {
 		s.rowNz = make([][]ment, m)
 		s.colRows = make([][]int32, m)
 		s.colCount = make([]int, m)
@@ -279,9 +295,10 @@ func (s *markowitzScratch) ensure(m int) {
 		s.colDone = make([]bool, m)
 		s.seen = make([]int, m)
 		s.inWs = make([]bool, m)
-		s.heaps = make([][]int32, m+1)
-		s.heapKey = make([]int32, m)
-		s.valid = make([]int, m+1)
+		s.buckets = make([][]uint64, m+1)
+		s.bucketKey = make([]int32, m)
+		s.bucketN = make([]int32, m+1)
+		s.bucketLo = make([]int32, m+1)
 		s.urPos = make([][]ment, m)
 		s.fill = make([]int32, m)
 	}
@@ -293,9 +310,10 @@ func (s *markowitzScratch) ensure(m int) {
 	s.colDone = s.colDone[:m]
 	s.seen = s.seen[:m]
 	s.inWs = s.inWs[:m]
-	s.heaps = s.heaps[:m+1]
-	s.heapKey = s.heapKey[:m]
-	s.valid = s.valid[:m+1]
+	s.buckets = s.buckets[:m+1]
+	s.bucketKey = s.bucketKey[:m]
+	s.bucketN = s.bucketN[:m+1]
+	s.bucketLo = s.bucketLo[:m+1]
 	s.urPos = s.urPos[:m]
 	s.fill = s.fill[:m]
 	for i := 0; i < m; i++ {
@@ -305,11 +323,18 @@ func (s *markowitzScratch) ensure(m int) {
 		s.colDone[i] = false
 		s.seen[i] = 0
 		s.inWs[i] = false
-		s.heapKey[i] = -1
+		s.bucketKey[i] = -1
 	}
-	for c := 0; c <= m; c++ {
-		s.heaps[c] = s.heaps[c][:0]
-		s.valid[c] = 0
+	// A bucket sized for fewer positions than m is dropped (its first
+	// member reallocates it); one sized for more keeps its capacity, whose
+	// words past m stay zero.
+	nw := words(m)
+	for c, bs := range s.buckets {
+		if cap(bs) < nw {
+			s.buckets[c] = nil
+		} else {
+			s.buckets[c] = bs[:nw]
+		}
 	}
 	s.minBucket = 0
 	s.colQ = s.colQ[:0]
@@ -317,7 +342,7 @@ func (s *markowitzScratch) ensure(m int) {
 }
 
 // setColCount records column j's live-entry count changing to c, moving its
-// valid bucket entry. Calls on finished columns are ignored.
+// bucket bit. Calls on finished columns are ignored.
 func (s *markowitzScratch) setColCount(j int32, c int) {
 	s.colCount[j] = c
 	if s.colDone[j] {
@@ -326,24 +351,36 @@ func (s *markowitzScratch) setColCount(j int32, c int) {
 	if c == 1 {
 		s.colQ = append(s.colQ, j)
 	}
-	if old := s.heapKey[j]; old >= 0 {
-		s.valid[old]--
+	s.leaveBucket(j)
+	s.bucketKey[j] = int32(c)
+	bs := s.buckets[c]
+	if bs == nil {
+		bs = make([]uint64, words(len(s.bucketKey)))
+		s.buckets[c] = bs
 	}
-	s.heapKey[j] = int32(c)
-	s.valid[c]++
-	s.heaps[c] = heapPush(s.heaps[c], j)
+	setBit(bs, j)
+	if w := j >> 6; s.bucketN[c] == 0 || w < s.bucketLo[c] {
+		s.bucketLo[c] = w
+	}
+	s.bucketN[c]++
 	if c < s.minBucket {
 		s.minBucket = c
 	}
 }
 
-// retireCol marks column j finished, invalidating its bucket entry.
+// leaveBucket takes column j out of the bucket holding it, if any.
+func (s *markowitzScratch) leaveBucket(j int32) {
+	if old := s.bucketKey[j]; old >= 0 {
+		s.buckets[old][j>>6] &^= 1 << (uint32(j) & 63)
+		s.bucketN[old]--
+		s.bucketKey[j] = -1
+	}
+}
+
+// retireCol marks column j finished, taking it out of its bucket.
 func (s *markowitzScratch) retireCol(j int32) {
 	s.colDone[j] = true
-	if old := s.heapKey[j]; old >= 0 {
-		s.valid[old]--
-		s.heapKey[j] = -1
-	}
+	s.leaveBucket(j)
 }
 
 // candidates fills cand with the (up to) markowitzCandidates active columns
@@ -352,47 +389,29 @@ func (s *markowitzScratch) retireCol(j int32) {
 // second result means an active column has no live entries left (no fill
 // can ever reach it), i.e. the basis is structurally singular.
 func (s *markowitzScratch) candidates(cand *[markowitzCandidates]int32) (int, bool) {
-	if s.valid[0] > 0 {
+	if s.bucketN[0] > 0 {
 		return 0, false
 	}
 	nc := 0
-	for c := s.minBucket; c < len(s.valid) && nc < markowitzCandidates; c++ {
-		if s.valid[c] == 0 {
+	for c := s.minBucket; c < len(s.bucketN) && nc < markowitzCandidates; c++ {
+		if s.bucketN[c] == 0 {
 			if nc == 0 {
 				s.minBucket = c + 1
 			}
 			continue
 		}
-		s.popped = s.popped[:0]
-		h := s.heaps[c]
-		for len(h) > 0 && nc < markowitzCandidates {
-			var j int32
-			j, h = heapPop(h)
-			if s.heapKey[j] != int32(c) || s.colDone[j] {
-				continue // stale: dropped for good
-			}
-			// A count oscillation (c → c' → c) leaves a second, stale
-			// entry for j in this bucket that the heapKey test cannot
-			// tell from the live one; valid[c] counts it once, so drop
-			// repeats here (nc is at most 4, the scan is free).
-			dup := false
-			for _, p := range s.popped {
-				if p == j {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			cand[nc] = j
-			nc++
-			s.popped = append(s.popped, j)
+		bs := s.buckets[c]
+		w := s.bucketLo[c]
+		for bs[w] == 0 {
+			w++
 		}
-		for _, j := range s.popped {
-			h = heapPush(h, j)
+		s.bucketLo[c] = w
+		for ; int(w) < len(bs) && nc < markowitzCandidates; w++ {
+			for word := bs[w]; word != 0 && nc < markowitzCandidates; word &= word - 1 {
+				cand[nc] = w<<6 | int32(bits.TrailingZeros64(word))
+				nc++
+			}
 		}
-		s.heaps[c] = h
 	}
 	return nc, true
 }
@@ -480,47 +499,6 @@ const (
 	ftRefactorBackstop = 2048
 )
 
-// heapPush/heapPop are the binary min-heap behind the one integer worklist
-// a bitset cannot serve: a Markowitz count bucket, whose column positions
-// come and go (stale entries are popped and dropped) across the whole
-// refactorization.
-func heapPush(h []int32, v int32) []int32 {
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func heapPop(h []int32) (int32, []int32) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r] < h[l] {
-			l = r
-		}
-		if h[i] <= h[l] {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	return top, h
-}
-
 func (f *etaFactor) age() int           { return len(f.etas) }
 func (f *etaFactor) refactorEvery() int { return etaRefactorEvery }
 
@@ -542,14 +520,12 @@ func (f *ftFactor) wantRefactor() bool {
 }
 
 // ensureScratch sizes the dense solves' working set. Every dense solve
-// stages its input through it (load), so a view (share), which starts
-// without scratch, allocates its own on its first one.
+// stages its input through it (load), so a view (share) or a copy (clone),
+// which starts without scratch, allocates its own on its first one.
 func (f *luFactor) ensureScratch() {
-	if len(f.xwork) != f.m {
-		f.xwork = make([]float64, f.m)
-		f.zwork = make([]float64, f.m)
-		f.umark = make([]bool, f.m)
-	}
+	f.xwork = resize(f.xwork, f.m)
+	f.zwork = resize(f.zwork, f.m)
+	f.umark = resize(f.umark, f.m)
 	if len(f.lmark) < len(f.lops) {
 		f.lmark = make([]bool, len(f.lops))
 	}
@@ -557,13 +533,12 @@ func (f *luFactor) ensureScratch() {
 
 // ensureNzScratch sizes the hyper-sparse solve working set. Everything
 // comes back from make all-zero, which establishes the kept-clean
-// invariant.
+// invariant; every call keeps it over the whole capacity, so a kernel
+// resliced to another size finds its scratch clean too.
 func (f *luFactor) ensureNzScratch() {
-	if len(f.sxw) != f.m {
-		f.sxw = make([]float64, f.m)
-		f.szw = make([]float64, f.m)
-		f.rmark = make([]bool, f.m)
-	}
+	f.sxw = resize(f.sxw, f.m)
+	f.szw = resize(f.szw, f.m)
+	f.rmark = resize(f.rmark, f.m)
 	if n := words(len(f.lops)); len(f.opBits) < n {
 		f.opBits = make([]uint64, n)
 	}
@@ -571,9 +546,7 @@ func (f *luFactor) ensureNzScratch() {
 
 func (f *etaFactor) ensureNzScratch() {
 	f.luFactor.ensureNzScratch()
-	if n := words(f.m); len(f.mbits) != n {
-		f.mbits = make([]uint64, n)
-	}
+	f.mbits = resize(f.mbits, words(f.m))
 	if len(f.ebits) < words(len(f.etas)) {
 		f.ebits = make([]uint64, words(cap(f.etas)))
 	}
@@ -662,39 +635,39 @@ func (f *ftFactor) ftReset(m int) {
 	f.ensureFtScratch()
 }
 
-// own readies the factorization output arrays for an m-row rewrite and
-// reports whether it allocated them fresh: on first use, after a size
-// change, or while a clone still views the current ones (`shared`) — the
-// clone keeps those, so nothing is ever written through arrays a snapshot
-// can see. Otherwise the current arrays are recycled in place. Every reset
-// and refactorize starts here, before anything can fail, so a rebuild that
-// ends singular or out of time holds nothing a clone views either.
-func (f *luFactor) own(m int) (fresh bool) {
+// own readies the factorization output arrays for an m-row rewrite. While
+// a clone still views the current ones (`shared`, Forrest–Tomlin only) they
+// are dropped — the clone keeps them, so nothing is ever written through
+// arrays a snapshot can see — and allocated fresh. Otherwise they are
+// recycled in place, resliced to m by capacity, so a kernel the free list
+// hands from one solve to the next allocates only to grow. Every reset and
+// refactorize starts here, before anything can fail, so a rebuild that ends
+// singular holds nothing a clone views either.
+func (f *luFactor) own(m int) {
 	f.m = m
-	if !f.shared && len(f.ud) == m && f.ur != nil {
-		return false
+	if f.shared {
+		f.lops, f.opArena, f.lueArena = nil, nil, nil
+		f.ur, f.ud, f.permRow, f.permPos = nil, nil, nil, nil
+		f.posStep, f.stepOfRow, f.rowOp = nil, nil, nil
+		f.lrPtr, f.lrIdx, f.lmark = nil, nil, nil
+		f.shared = false
 	}
-	f.lops, f.opArena, f.lueArena = nil, nil, nil
-	f.ur = make([][]lue, m)
-	f.ud = make([]float64, m)
-	f.permRow = make([]int32, m)
-	f.permPos = make([]int32, m)
-	f.posStep = make([]int32, m)
-	f.stepOfRow = make([]int32, m)
-	f.rowOp = make([]int32, m)
-	f.lrPtr = make([]int32, m+1)
-	f.lrIdx = nil
-	f.lmark = nil
-	f.shared = false
-	return true
+	f.ur = resize(f.ur, m)
+	f.ud = resize(f.ud, m)
+	f.permRow = resize(f.permRow, m)
+	f.permPos = resize(f.permPos, m)
+	f.posStep = resize(f.posStep, m)
+	f.stepOfRow = resize(f.stepOfRow, m)
+	f.rowOp = resize(f.rowOp, m)
+	f.lrPtr = resize(f.lrPtr, m+1)
 }
 
-// own extends luFactor.own over the arrays an etaFactor clone views as well:
-// the U column transpose, the arena under the eta file and its reader index.
+// own extends luFactor.own over the U column transpose. The reader index
+// is per position, so a size change drops it (indexEtas rebuilds it).
 func (f *etaFactor) own(m int) {
-	if f.luFactor.own(m) {
-		f.ucPtr, f.ucIdx = make([]int32, m+1), nil
-		f.etas, f.etaArena = nil, nil
+	f.luFactor.own(m)
+	f.ucPtr = resize(f.ucPtr, m+1)
+	if len(f.etaRows) != m {
 		f.etaRows = nil
 	}
 }
@@ -2269,20 +2242,60 @@ func (f *luFactor) share() luFactor {
 	}
 }
 
-// clone snapshots the representation as a view. The eta file gets a fresh
-// header array because the live solver keeps appending to its own; the eta
-// nonzero lists stay on the parent's arena, which the shared flag protects
-// from rewinding (appends past the current length never touch a carved
-// slice — each is capped at its own end). The reader index stays behind: the
-// clone builds its own if it ever runs a hyper-sparse BTRAN or an update.
+// clone copies the representation compactly: the factorization, its
+// transposes and the eta file, the multiplier and eta lists each carved
+// from one exact-size arena (capped, so the copy's own appends never reach
+// a carved list). Nothing is shared either way, so the Basis that capture
+// takes after every solve pins none of the capturing kernel's arrays and
+// that kernel may go back to the free list (release). The scratch and the
+// reader index stay behind: the copy sizes its own on first use.
 func (f *etaFactor) clone() factor {
-	return &etaFactor{
-		luFactor: f.share(),
-		etas:     append([]eta(nil), f.etas...),
-		etaNnz:   f.etaNnz,
-		ucPtr:    f.ucPtr,
-		ucIdx:    f.ucIdx,
+	c := &etaFactor{
+		luFactor: luFactor{
+			m:         f.m,
+			ur:        flatten(f.ur),
+			ud:        slices.Clone(f.ud),
+			permRow:   slices.Clone(f.permRow),
+			permPos:   slices.Clone(f.permPos),
+			posStep:   slices.Clone(f.posStep),
+			stepOfRow: slices.Clone(f.stepOfRow),
+			rowOp:     slices.Clone(f.rowOp),
+			lrPtr:     slices.Clone(f.lrPtr),
+			lrIdx:     slices.Clone(f.lrIdx),
+			baseNnz:   f.baseNnz,
+			drift:     f.drift,
+		},
+		etaNnz: f.etaNnz,
+		ucPtr:  slices.Clone(f.ucPtr),
+		ucIdx:  slices.Clone(f.ucIdx),
 	}
+	n := 0
+	for _, op := range f.lops {
+		n += len(op.nz)
+	}
+	c.lops, c.opArena = make([]lop, len(f.lops)), make([]entry, 0, n)
+	for i, op := range f.lops {
+		c.lops[i].prow = op.prow
+		c.opArena, c.lops[i].nz = carve(c.opArena, op.nz)
+	}
+	n = 0
+	for _, e := range f.etas {
+		n += len(e.nz)
+	}
+	c.etas, c.etaArena = make([]eta, len(f.etas)), make([]entry, 0, n)
+	for i, e := range f.etas {
+		c.etas[i].r, c.etas[i].piv = e.r, e.piv
+		c.etaArena, c.etas[i].nz = carve(c.etaArena, e.nz)
+	}
+	return c
+}
+
+// carve appends nz to arena and returns the grown arena and the copy,
+// capped at its end.
+func carve(arena, nz []entry) ([]entry, []entry) {
+	start := len(arena)
+	arena = append(arena, nz...)
+	return arena, arena[start:len(arena):len(arena)]
 }
 
 // clone snapshots the representation as a copy-on-write view: Forrest–Tomlin

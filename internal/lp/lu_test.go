@@ -693,56 +693,101 @@ func TestFTNzMatchesDense(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesSort: the Markowitz bucket heap pops in sort's order —
-// ascending as is, descending through negated keys — on random keys with
-// duplicates, with a second batch pushed between pops as the buckets are
-// mid-refactorization.
-func TestHeapMatchesSort(t *testing.T) {
+// TestBucketsMatchScan: the Markowitz count buckets name the candidates a
+// brute-force (count, position) scan of the active columns names, in its
+// order, under random count changes and retirements — the moves
+// factorize makes — on one scratch reused across sizes, zero rows
+// included, and across rounds that leave columns behind as a singular exit
+// does.
+func TestBucketsMatchScan(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + r.Intn(300)
-		keys := make([]int32, n)
-		for i := range keys {
-			keys[i] = int32(r.Intn(n/2 + 1)) // about two copies of each key
+	s := &markowitzScratch{}
+	for trial := 0; trial < 300; trial++ {
+		m := r.Intn(200)
+		if trial%10 == 0 {
+			m = 0
 		}
-		for _, descending := range []bool{false, true} {
-			checkHeapOrder(t, keys, descending)
+		s.ensure(m)
+		maxCount := 1 + r.Intn(max(m, 1)) // a column holds at most m entries
+		for j := 0; j < m; j++ {
+			s.setColCount(int32(j), 1+r.Intn(maxCount))
 		}
+		active := m
+		for step := 0; active > 0 && step < 4*m; step++ {
+			ctx := fmt.Sprintf("trial %d (m=%d) step %d", trial, m, step)
+			checkBuckets(t, s, ctx)
+			j := int32(r.Intn(m))
+			if s.colDone[j] {
+				continue
+			}
+			switch op := r.Intn(8); {
+			case op < 2:
+				s.retireCol(j)
+				active--
+			case op < 3 && s.colCount[j] > 0:
+				s.setColCount(j, s.colCount[j]-1) // may reach 0: no fill can save it
+			default:
+				s.setColCount(j, min(m, 1+r.Intn(maxCount+2)))
+			}
+		}
+		checkBuckets(t, s, fmt.Sprintf("trial %d (m=%d) end", trial, m))
+		if trial%3 == 0 {
+			continue // leave the rest active, as a singular exit does
+		}
+		for j := 0; j < m; j++ {
+			if !s.colDone[j] {
+				s.retireCol(int32(j))
+			}
+		}
+		checkBuckets(t, s, fmt.Sprintf("trial %d (m=%d) all retired", trial, m))
 	}
 }
 
-func checkHeapOrder(t *testing.T, keys []int32, descending bool) {
+// checkBuckets holds candidates to the brute-force scan: the lowest
+// markowitzCandidates active columns in (count, position) order, or a false
+// second result when some active column has no live entries.
+func checkBuckets(t *testing.T, s *markowitzScratch, ctx string) {
 	t.Helper()
-	sign := int32(1)
-	if descending {
-		sign = -1
-	}
-	sorted := func(ks []int32) []int32 {
-		out := append([]int32(nil), ks...)
-		sort.Slice(out, func(a, b int) bool { return sign*out[a] < sign*out[b] })
-		return out
-	}
-	var h []int32
-	pop := func(want []int32, ctx string) {
-		t.Helper()
-		for i, w := range want {
-			var got int32
-			if got, h = heapPop(h); sign*got != w {
-				t.Fatalf("descending=%v, %s pop %d: got %d, want %d", descending, ctx, i, sign*got, w)
-			}
+	var want []int32
+	empty := false
+	for j := range s.colDone {
+		if !s.colDone[j] {
+			want = append(want, int32(j))
+			empty = empty || s.colCount[j] == 0
 		}
 	}
-	half := len(keys) / 2
-	for _, k := range keys[:half] {
-		h = heapPush(h, sign*k)
+	sort.SliceStable(want, func(a, b int) bool { return s.colCount[want[a]] < s.colCount[want[b]] })
+	var cand [markowitzCandidates]int32
+	nc, ok := s.candidates(&cand)
+	if ok == empty {
+		t.Fatalf("%s: candidates ok=%v with a zero-count active column: %v", ctx, ok, empty)
 	}
-	first := sorted(keys[:half])
-	pop(first[:half/2], "first-batch")
-	for _, k := range keys[half:] {
-		h = heapPush(h, sign*k)
+	if !ok {
+		return
 	}
-	pop(sorted(append(first[half/2:], keys[half:]...)), "merged")
-	if len(h) != 0 {
-		t.Fatalf("descending=%v: %d keys left after popping every one pushed", descending, len(h))
+	want = want[:min(len(want), markowitzCandidates)]
+	if got := cand[:nc]; !reflect.DeepEqual(append([]int32{}, got...), append([]int32{}, want...)) {
+		t.Fatalf("%s: candidates %v, scan %v", ctx, got, want)
+	}
+}
+
+// TestRefactorizeZeroRows: a basis with no rows refactorizes on both
+// kernels, from the identity and from a kernel sized for more rows.
+func TestRefactorizeZeroRows(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, f := range []factor{&etaFactor{}, &ftFactor{}} {
+		f.reset(0)
+		if out := f.refactorize(&standard{}, nil); out != refactorOK {
+			t.Fatalf("%T: zero-row refactorize: outcome %d", f, out)
+		}
+		std, basis := randSparseBasis(r, 12)
+		if f.refactorize(std, basis) != refactorOK {
+			t.Fatalf("%T: refactorize failed", f)
+		}
+		if out := f.refactorize(&standard{}, nil); out != refactorOK {
+			t.Fatalf("%T: zero-row refactorize after 12 rows: outcome %d", f, out)
+		}
+		f.ftranDense(nil, nil)
+		f.btran(nil, nil)
 	}
 }

@@ -345,6 +345,7 @@ func (std *standard) solve(opts Options) result {
 	}
 	// No reset: coldInit installs the identity, a warm install a clone.
 	st.fac = newFactor(std.large)
+	defer func() { release(st.fac) }()
 	if st.refactorEvery <= 0 {
 		st.refactorEvery = st.fac.refactorEvery()
 	}
@@ -375,6 +376,7 @@ func (std *standard) solve(opts Options) result {
 		// retry cold, once, inside the same pivot budget.
 		res = st.phases(false)
 	}
+	trim(st.fac)
 	if res.status != Optimal {
 		return res
 	}
