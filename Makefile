@@ -19,9 +19,12 @@ check:
 # micro-benchmarks with a machine-readable report in BENCH_admission.json
 # (regression gate for the quote-engine fast path: a paper-sized quote
 # allocates its one-segment menu and nothing else), then the SAM solver
-# benchmarks into BENCH_solver.json (the perf trajectory of the simplex
-# core across PRs; a Medium solve on a warm small-model kernel stays within
-# 10% of the 53,663 allocations and 7,083,560 bytes measured), then the route memo and admission-service
+# benchmarks and the Price Computer's window re-solve into
+# BENCH_solver.json (the perf trajectory of the simplex core across PRs; a
+# Medium solve on a warm small-model kernel stays within 10% of the 53,663
+# allocations and 7,083,560 bytes measured, and the PC solve takes exactly
+# its 2,787 pivots, its Bland picks pricing within 10% of the 41,637
+# columns measured), then the route memo and admission-service
 # micro-benchmarks (in process and behind serve.Handler) into
 # BENCH_service.json — gated at the measured alloc footprints: a quote
 # allocates its menu and nothing else, a route-memo hit allocates nothing,
@@ -35,10 +38,14 @@ bench:
 	$(GO) test -run '^$$' -bench 'QuoteMenu|Admit' -benchmem ./internal/pricing | \
 		$(GO) run ./cmd/benchjson -out BENCH_admission.json \
 			-gate 'BenchmarkQuoteMenu/paper/heap:allocs/op<=1'
-	$(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm' -benchmem ./internal/sched | \
+	{ $(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm' -benchmem ./internal/sched && \
+	  $(GO) test -run '^$$' -bench 'PriceComputer' -benchmem ./internal/exp ; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_solver.json \
 			-gate 'BenchmarkSAMSolve/Medium/sparse:allocs/op<=59000' \
-			-gate 'BenchmarkSAMSolve/Medium/sparse:bytes_per_op<=7790000'
+			-gate 'BenchmarkSAMSolve/Medium/sparse:bytes_per_op<=7790000' \
+			-gate 'BenchmarkPriceComputer:pivots<=2787' \
+			-gate 'BenchmarkPriceComputer:pivots>=2787' \
+			-gate 'BenchmarkPriceComputer:bland_priced<=45800'
 	{ $(GO) test -run '^$$' -bench 'KShortestPaths' -benchmem ./internal/graph && \
 	  $(GO) test -run '^$$' -bench 'Service' -benchmem ./internal/serve ; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_service.json \

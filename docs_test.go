@@ -18,7 +18,7 @@ import (
 // describes. Each rule below reports every dead citation with its place.
 
 // citedDocs are the documents whose Go names must resolve.
-var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "PAPER.md"}
 
 // deletedHeading titles the DESIGN section that records removed mechanisms;
 // the names it cites are gone on purpose, so it is exempt from resolution.

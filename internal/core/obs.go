@@ -146,6 +146,11 @@ func publishLP(m *obs.Metrics, prefix string, s lp.SolveStats) {
 	// it shows here before it shows as a slow step.
 	m.Counter(prefix + ".artificials").Add(int64(s.Artificials))
 	m.Counter(prefix + ".recoveries").Add(int64(s.Recoveries))
+	// Bland's rule: its picks, and the columns they priced (a pick that
+	// resumes from the last one prices a few dozen, a scan from zero
+	// thousands).
+	m.Counter(prefix + ".bland_picks").Add(int64(s.BlandPicks))
+	m.Counter(prefix + ".bland_priced").Add(int64(s.BlandPriced))
 	// Per-phase wall-clock breakdown (see lp.PhaseTimings): localizes a
 	// solver wall-clock regression to pricing, FTRAN, BTRAN,
 	// refactorization, or devex pivot-row assembly without a profiler

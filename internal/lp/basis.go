@@ -30,10 +30,11 @@ type Basis struct {
 	basic   []int  // basic standardized column per row
 	atUpper []bool // nonbasic-at-upper flag per standardized column
 
-	// fac is the basis representation as of capture: a clone, a view of the
-	// capturing solve's arrays with no scratch. installWarm clones it again,
-	// and a solve copies what it writes before writing it, so a warm solve
-	// that takes no pivot copies no factor (see ftFactor.clone). A signature
+	// fac is the basis representation as of capture: a clone, with no
+	// scratch. installWarm copies an eta snapshot into the solve's own
+	// kernel, and clones a Forrest–Tomlin one again, a view that copies what
+	// it writes before writing it, so a large warm solve that takes no pivot
+	// copies no factor (see ftFactor.clone). A signature
 	// match guarantees the same basis columns, so the factorization is
 	// reinstalled, skipping a refactorization. Its age rides along, so the
 	// periodic-refactorization policy spans chains of warm solves.
@@ -169,11 +170,17 @@ func (st *state) installWarm(b *Basis) warmFit {
 		// the basis columns are identical, so the snapshot still represents
 		// B⁻¹ for the new model and the refactorization can be skipped
 		// outright — the dominant cost of a warm install. The solve runs on
-		// a clone, a view that copies before it writes, so its pivots
-		// cannot corrupt the caller's Basis (which may warm-start further
-		// solves). Only the basic values need recomputing against the new
-		// right-hand side.
-		st.fac = b.fac.clone()
+		// a copy, so its pivots cannot corrupt the caller's Basis (which
+		// may warm-start further solves): an eta snapshot is copied into
+		// the kernel the solve already holds, which the free list gets
+		// back, and a Forrest–Tomlin one is cloned, a view that copies
+		// before it writes. Only the basic values need recomputing against
+		// the new right-hand side.
+		if e, ok := st.fac.(*etaFactor); ok {
+			b.fac.(*etaFactor).copyTo(e)
+		} else {
+			st.fac = b.fac.clone()
+		}
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {
 		return warmNo // singular basis matrix

@@ -3,7 +3,6 @@ package lp
 import (
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // luFactor is the sparse LU factorization of the basis, with Markowitz-style
@@ -2242,38 +2241,48 @@ func (f *luFactor) share() luFactor {
 	}
 }
 
-// clone copies the representation compactly: the factorization, its
-// transposes and the eta file, the multiplier and eta lists each carved
-// from one exact-size arena (capped, so the copy's own appends never reach
-// a carved list). Nothing is shared either way, so the Basis that capture
-// takes after every solve pins none of the capturing kernel's arrays and
-// that kernel may go back to the free list (release). The scratch and the
-// reader index stay behind: the copy sizes its own on first use.
+// clone copies the representation into a new kernel, compactly (copyTo).
 func (f *etaFactor) clone() factor {
-	c := &etaFactor{
-		luFactor: luFactor{
-			m:         f.m,
-			ur:        flatten(f.ur),
-			ud:        slices.Clone(f.ud),
-			permRow:   slices.Clone(f.permRow),
-			permPos:   slices.Clone(f.permPos),
-			posStep:   slices.Clone(f.posStep),
-			stepOfRow: slices.Clone(f.stepOfRow),
-			rowOp:     slices.Clone(f.rowOp),
-			lrPtr:     slices.Clone(f.lrPtr),
-			lrIdx:     slices.Clone(f.lrIdx),
-			baseNnz:   f.baseNnz,
-			drift:     f.drift,
-		},
-		etaNnz: f.etaNnz,
-		ucPtr:  slices.Clone(f.ucPtr),
-		ucIdx:  slices.Clone(f.ucIdx),
-	}
+	c := &etaFactor{}
+	f.copyTo(c)
+	return c
+}
+
+// copyTo copies the representation into c: the factorization, its
+// transposes and the eta file, the U rows and the multiplier and eta lists
+// each carved from one arena (capped, so c's own appends never reach a
+// carved list). c's arrays are reused by capacity, so a warm install into
+// the kernel a solve already holds allocates only to grow, and a copy into
+// a new kernel is exact-size. Nothing is shared either way, so the Basis
+// that capture takes after every solve pins none of the capturing kernel's
+// arrays and that kernel may go back to the free list (release). c keeps
+// its own scratch; its reader index is rebuilt on first use.
+func (f *etaFactor) copyTo(c *etaFactor) {
+	c.own(f.m)
+	copy(c.ud, f.ud)
+	copy(c.permRow, f.permRow)
+	copy(c.permPos, f.permPos)
+	copy(c.posStep, f.posStep)
+	copy(c.stepOfRow, f.stepOfRow)
+	copy(c.rowOp, f.rowOp)
+	copy(c.lrPtr, f.lrPtr)
+	copy(c.ucPtr, f.ucPtr)
+	c.lrIdx = append(resize(c.lrIdx, len(f.lrIdx))[:0], f.lrIdx...)
+	c.ucIdx = append(resize(c.ucIdx, len(f.ucIdx))[:0], f.ucIdx...)
+	c.baseNnz, c.drift, c.etaNnz, c.etaRows = f.baseNnz, f.drift, f.etaNnz, nil
 	n := 0
+	for _, row := range f.ur {
+		n += len(row)
+	}
+	c.lueArena = resize(c.lueArena, n)[:0]
+	for k, row := range f.ur {
+		c.lueArena, c.ur[k] = carve(c.lueArena, row)
+	}
+	n = 0
 	for _, op := range f.lops {
 		n += len(op.nz)
 	}
-	c.lops, c.opArena = make([]lop, len(f.lops)), make([]entry, 0, n)
+	c.lops, c.opArena = resize(c.lops, len(f.lops)), resize(c.opArena, n)[:0]
 	for i, op := range f.lops {
 		c.lops[i].prow = op.prow
 		c.opArena, c.lops[i].nz = carve(c.opArena, op.nz)
@@ -2282,17 +2291,16 @@ func (f *etaFactor) clone() factor {
 	for _, e := range f.etas {
 		n += len(e.nz)
 	}
-	c.etas, c.etaArena = make([]eta, len(f.etas)), make([]entry, 0, n)
+	c.etas, c.etaArena = resize(c.etas, len(f.etas)), resize(c.etaArena, n)[:0]
 	for i, e := range f.etas {
 		c.etas[i].r, c.etas[i].piv = e.r, e.piv
 		c.etaArena, c.etas[i].nz = carve(c.etaArena, e.nz)
 	}
-	return c
 }
 
 // carve appends nz to arena and returns the grown arena and the copy,
 // capped at its end.
-func carve(arena, nz []entry) ([]entry, []entry) {
+func carve[T any](arena, nz []T) ([]T, []T) {
 	start := len(arena)
 	arena = append(arena, nz...)
 	return arena, arena[start:len(arena):len(arena)]

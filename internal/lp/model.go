@@ -366,6 +366,10 @@ type SolveStats struct {
 	// were repaired by reinstalling the last good basis — a solver leaning
 	// on its safety net.
 	Recoveries int
+	// BlandPicks counts entering columns picked by Bland's rule, the
+	// anti-cycling fallback of a stalled simplex; BlandPriced counts the
+	// columns those picks priced. Their ratio is the length of Bland's scan.
+	BlandPicks, BlandPriced int
 	// Timings accumulates the per-phase wall-clock breakdown across the
 	// recorded solves.
 	Timings PhaseTimings
@@ -390,6 +394,8 @@ func (s *SolveStats) record(res result) {
 	}
 	s.Artificials += res.artificials
 	s.Recoveries += res.recoveries
+	s.BlandPicks += res.blandPicks
+	s.BlandPriced += res.blandPriced
 	s.Timings.add(res.phase)
 }
 

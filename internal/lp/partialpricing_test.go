@@ -135,26 +135,26 @@ func TestPartialDevexSweepFallback(t *testing.T) {
 }
 
 // TestPriceBlandMaintained pins the anti-cycling rule over the maintained
-// reduced costs (the devex stall path): lowest-index violating column wins
-// regardless of magnitude, artificials are skipped when locked out, and a
-// well-priced array reports optimality.
+// reduced costs (the devex stall path, priceBland with no duals):
+// lowest-index violating column wins regardless of magnitude, artificials
+// are skipped when locked out, and a well-priced array reports optimality.
 func TestPriceBlandMaintained(t *testing.T) {
 	st := partialPricingState([]float64{0, -1e-6, -5, 0, 2})
 	st.std.art[1] = true
 	st.atUpper[4] = true // d > 0 violates only from the upper bound
 
-	if q, fu, d := st.priceBlandMaintained(false); q != 1 || fu || d != -1e-6 {
+	if q, fu, d := st.priceBland(nil, nil, false); q != 1 || fu || d != -1e-6 {
 		t.Fatalf("pick = (%d, %v, %g), want the lowest violating index 1", q, fu, d)
 	}
-	if q, _, _ := st.priceBlandMaintained(true); q != 2 {
+	if q, _, _ := st.priceBland(nil, nil, true); q != 2 {
 		t.Fatalf("skipArt pick = %d, want 2 (artificial 1 locked out)", q)
 	}
 	st.basePos[2] = 3 // basic columns never price
-	if q, fu, d := st.priceBlandMaintained(true); q != 4 || !fu || d != 2 {
+	if q, fu, d := st.priceBland(nil, nil, true); q != 4 || !fu || d != 2 {
 		t.Fatalf("pick = (%d, %v, %g), want the at-upper violation 4", q, fu, d)
 	}
 	st.dRed[4] = 0
-	if q, _, _ := st.priceBlandMaintained(true); q != -1 {
+	if q, _, _ := st.priceBland(nil, nil, true); q != -1 {
 		t.Fatalf("well-priced pick = %d, want -1", q)
 	}
 }

@@ -244,6 +244,7 @@ type result struct {
 	// on a warm solve); recoveries counts singular refactorizations repaired
 	// from the snapshot (see state.recover).
 	artificials, recoveries int
+	blandPicks, blandPriced int // see priceBland
 }
 
 // state is the revised-simplex working state. The basis representation
@@ -306,10 +307,14 @@ type state struct {
 	dvxSweeps int
 
 	// Row-wise copy of the standardized matrix (CSR over constraint rows),
-	// built lazily for devex pricing and artificial expulsion: the pivot row
-	// alpha = rho·A is assembled by scattering each nonzero row of rho
-	// through its matrix row instead of n column dot products.
+	// built lazily for devex pricing, Bland's rule and artificial expulsion:
+	// the pivot row alpha = rho·A is assembled by scattering each nonzero row
+	// of rho through its matrix row instead of n column dot products. Each
+	// row keeps its nonbasic columns' entries first: [rowPtr[i], rowMid[i])
+	// are nonbasic (barred included), [rowMid[i], rowPtr[i+1]) basic, so the
+	// scatters read the nonbasic segment alone.
 	rowPtr []int32
+	rowMid []int32
 	rowCol []int32
 	rowVal []float64
 	// Pivot-row scratch: alphaBuf is dense over columns, alphaNz lists the
@@ -317,6 +322,15 @@ type state struct {
 	alphaBuf  []float64
 	alphaNz   []int32
 	alphaMark []bool
+
+	// Bland's rule resume state (see priceBland): the next pick scans from
+	// blandFrom (0: from zero) and re-prices below it only blandMarked,
+	// deduplicated by blandMark; blandPicks and blandPriced tally the picks
+	// and the columns they priced.
+	blandFrom               int
+	blandMarked             []int32
+	blandMark               []bool
+	blandPicks, blandPriced int
 
 	// phase accumulates the per-phase wall-clock breakdown. Each leaf
 	// operation (pricing scan, FTRAN, BTRAN, refactorization) stamps its
@@ -401,7 +415,8 @@ func (st *state) phases(warm bool) result {
 	std := st.std
 	outcome := func(status Status) result {
 		r := result{status: status, iters: st.iters, refactors: st.refactors,
-			phase: st.phase, warm: warm, pricing: st.pricing, recoveries: st.recoveries}
+			phase: st.phase, warm: warm, pricing: st.pricing, recoveries: st.recoveries,
+			blandPicks: st.blandPicks, blandPriced: st.blandPriced}
 		if !warm {
 			r.artificials = std.nArt
 		}
@@ -500,13 +515,33 @@ func (st *state) coldInit() {
 	copy(st.xB, std.b)
 }
 
-// indexBasis rebuilds basePos from basis.
+// indexBasis rebuilds basePos from basis, and the row copy's segments with
+// it (installWarm, which writes basePos itself, runs before any row copy).
 func (st *state) indexBasis() {
 	for j := range st.basePos {
 		st.basePos[j] = 0
 	}
 	for i, j := range st.basis {
 		st.basePos[j] = i + 1
+	}
+	st.layRows()
+}
+
+// layRows partitions each row of the row copy, if there is one, into its
+// nonbasic and basic segments under the current basePos.
+func (st *state) layRows() {
+	if st.rowPtr == nil {
+		return
+	}
+	for i := range st.rowMid {
+		mid := st.rowPtr[i]
+		for p := mid; p < st.rowPtr[i+1]; p++ {
+			if st.basePos[st.rowCol[p]] <= 0 {
+				st.swapRow(p, mid)
+				mid++
+			}
+		}
+		st.rowMid[i] = mid
 	}
 }
 
@@ -664,7 +699,9 @@ func (st *state) stagedStart() stagedOutcome {
 }
 
 // duals computes y = c_B·B⁻¹ via BTRAN into the reusable scratch buffer.
+// Fresh duals void what Bland's rule knew, so its next pick scans from zero.
 func (st *state) duals(costs []float64) []float64 {
+	st.blandFrom = 0
 	t0 := time.Now()
 	for i, j := range st.basis {
 		st.cbBuf[i] = costs[j]
@@ -741,7 +778,9 @@ func (st *state) ftranCol(q int) []float64 {
 }
 
 // applyPivot performs the product-form basis update for entering column q
-// at row r with tableau column w, and fixes the bookkeeping arrays.
+// at row r with tableau column w, and fixes the bookkeeping arrays: q's
+// entries move to their rows' basic segments and the leaving column's to the
+// nonbasic ones.
 func (st *state) applyPivot(q, r int, w []float64) {
 	st.fac.updateNz(r, w, st.wNz)
 	leaving := st.basis[r]
@@ -750,6 +789,31 @@ func (st *state) applyPivot(q, r int, w []float64) {
 	st.basePos[q] = r + 1
 	st.atUpper[q] = false
 	st.lastEnter = q + 1
+	if st.rowPtr == nil {
+		return
+	}
+	for _, e := range st.std.cols[q] {
+		p := st.rowPtr[e.row]
+		for st.rowCol[p] != int32(q) {
+			p++
+		}
+		st.rowMid[e.row]--
+		st.swapRow(p, st.rowMid[e.row])
+	}
+	for _, e := range st.std.cols[leaving] {
+		p := st.rowMid[e.row]
+		for st.rowCol[p] != int32(leaving) {
+			p++
+		}
+		st.swapRow(p, st.rowMid[e.row])
+		st.rowMid[e.row]++
+	}
+}
+
+// swapRow swaps two entries of the row copy.
+func (st *state) swapRow(a, b int32) {
+	st.rowCol[a], st.rowCol[b] = st.rowCol[b], st.rowCol[a]
+	st.rowVal[a], st.rowVal[b] = st.rowVal[b], st.rowVal[a]
 }
 
 // refactor rebuilds the basis representation from the basis columns, then
@@ -963,27 +1027,87 @@ func (st *state) priceDantzig(costs, y []float64, skipArt bool) (q int, fromUppe
 }
 
 // priceBland is the anti-cycling fallback: the lowest-index violated
-// column enters (Bland's rule), scanning every column.
+// column enters (Bland's rule), priced from the duals y, or from the
+// maintained reduced costs when y is nil (devex keeps no duals). It does
+// not rescan from column 0: every nonbasic column below blandFrom is known
+// not to violate, except the ones marked since (blandTouch). The step after
+// a pick marks what it can have changed (see optimize): the nonbasic
+// columns with an entry on a row the dual update wrote, and the leaving
+// column. A bound flip needs no mark: it moves only the pick, to the bound
+// where its unchanged reduced cost cannot violate. So a pick prices the
+// marks first, and the lowest violating one enters while the others stay
+// marked; with none, the scan resumes at blandFrom and moves it past its
+// pick. Fresh duals or reduced costs and a stall episode's first pick
+// restart from zero (blandFrom = 0), and a resumed scan that finds nothing
+// scans the columns below blandFrom too, so optimality is always claimed by
+// a scan of every column.
 func (st *state) priceBland(costs, y []float64, skipArt bool) (q int, fromUpper bool, qD float64) {
 	t0 := time.Now()
 	defer func() { st.phase.PricingNs += int64(time.Since(t0)) }()
 	std := st.std
-	for j := 0; j < std.n; j++ {
+	st.blandPicks++
+	price := func(j int) (ok, fu bool, d float64) {
 		if st.basePos[j] != 0 || (skipArt && std.art[j]) {
+			return false, false, 0
+		}
+		st.blandPriced++
+		if y == nil {
+			d = st.dRed[j]
+		} else {
+			d = st.reducedCost(costs, y, j)
+		}
+		viol, fu := st.violation(j, d)
+		return viol != 0, fu, d
+	}
+	from := st.blandFrom
+	q = -1
+	kept := st.blandMarked[:0]
+	for _, j := range st.blandMarked {
+		c := int(j)
+		ok, fu, d := false, false, 0.0
+		if c < from {
+			ok, fu, d = price(c)
+		}
+		if !ok {
+			st.blandMark[j] = false
 			continue
 		}
-		d := st.reducedCost(costs, y, j)
-		if viol, fu := st.violation(j, d); viol != 0 {
-			return j, fu, d
+		kept = append(kept, j)
+		if q < 0 || c < q {
+			q, fromUpper, qD = c, fu, d
 		}
 	}
-	return -1, false, 0
+	st.blandMarked = kept
+	if q >= 0 {
+		return q, fromUpper, qD
+	}
+	for j := from; q < 0 && j < std.n; j++ {
+		if ok, fu, d := price(j); ok {
+			q, fromUpper, qD = j, fu, d
+		}
+	}
+	for j := 0; q < 0 && j < from; j++ {
+		if ok, fu, d := price(j); ok {
+			q, fromUpper, qD = j, fu, d
+		}
+	}
+	st.blandFrom = q + 1
+	return q, fromUpper, qD
+}
+
+// blandTouch marks column j for re-pricing at the next Bland pick if it
+// lies below the resume point.
+func (st *state) blandTouch(j int32) {
+	if int(j) < st.blandFrom && !st.blandMark[j] {
+		st.blandMark[j] = true
+		st.blandMarked = append(st.blandMarked, j)
+	}
 }
 
 // ensureRowA builds the row-wise (CSR) copy of the standardized matrix
-// pivotRow scatters through, plus the pivot-row scratch. Built once per
-// solve; the standardization's structure is immutable while a solve runs,
-// so no invalidation is needed.
+// pivotRow scatters through, laid out for the current basis, plus the
+// pivot-row and Bland scratch. Built once per solve; the standardization's
+// structure is immutable while a solve runs, so no invalidation is needed.
 func (st *state) ensureRowA() {
 	if st.rowPtr != nil {
 		return
@@ -1006,8 +1130,6 @@ func (st *state) ensureRowA() {
 	vals := make([]float64, nnz)
 	fill := make([]int32, std.m)
 	copy(fill, ptr[:std.m])
-	// Columns are walked in ascending order, so each row's entries come out
-	// sorted by column — the deterministic order every consumer relies on.
 	for j, col := range std.cols {
 		for _, e := range col {
 			cols[fill[e.row]] = int32(j)
@@ -1015,32 +1137,36 @@ func (st *state) ensureRowA() {
 			fill[e.row]++
 		}
 	}
-	st.rowPtr, st.rowCol, st.rowVal = ptr, cols, vals
+	st.rowPtr, st.rowMid, st.rowCol, st.rowVal = ptr, fill, cols, vals
+	st.layRows()
 	st.alphaBuf = make([]float64, std.n)
 	st.alphaMark = make([]bool, std.n)
 	st.alphaNz = make([]int32, 0, 256)
+	st.blandMark = make([]bool, std.n)
 }
 
-// pivotRow assembles the tableau pivot row alpha = rho·A into alphaBuf,
-// recording the touched columns in alphaNz. rho is the output of the last
-// rowOfInverse call; only its nonzero rows are scattered, so the cost
-// tracks the rows' fill instead of n dot products. The previous call's
-// entries are cleared first, so alphaBuf stays exactly zero off the current
-// list.
+// pivotRow assembles the tableau pivot row alpha = rho·A over the nonbasic
+// columns into alphaBuf, recording the touched columns in alphaNz. rho is
+// the output of the last rowOfInverse call; only its nonzero rows are
+// scattered, through their nonbasic segments, so the cost tracks the rows'
+// nonbasic fill instead of n dot products. Each column's alpha sums over
+// rhoNz in order whatever the layout, and no caller reads a basic column's
+// alpha or relies on alphaNz's order. The previous call's entries are
+// cleared first, so alphaBuf stays exactly zero off the current list.
 func (st *state) pivotRow(rho []float64) {
 	for _, j := range st.alphaNz {
 		st.alphaBuf[j] = 0
 		st.alphaMark[j] = false
 	}
 	nz := st.alphaNz[:0]
-	rowPtr, rowCol, rowVal := st.rowPtr, st.rowCol, st.rowVal
+	rowPtr, rowMid, rowCol, rowVal := st.rowPtr, st.rowMid, st.rowCol, st.rowVal
 	alphaBuf, alphaMark := st.alphaBuf, st.alphaMark
 	for _, i := range st.rhoNz {
 		v := rho[i]
 		if v == 0 {
 			continue
 		}
-		for idx := rowPtr[i]; idx < rowPtr[i+1]; idx++ {
+		for idx := rowPtr[i]; idx < rowMid[i]; idx++ {
 			j := rowCol[idx]
 			if !alphaMark[j] {
 				alphaMark[j] = true
@@ -1075,7 +1201,7 @@ func (st *state) dRedRefresh(costs []float64) {
 			st.dvxW[j] = 1
 		}
 	}
-	y := st.duals(costs)
+	y := st.duals(costs) // which also restarts Bland's scan
 	t0 := time.Now()
 	for j := 0; j < std.n; j++ {
 		if st.basePos[j] != 0 {
@@ -1267,22 +1393,10 @@ func (st *state) priceDevexSweep(skipArt bool) (q int, fromUpper bool, qD float6
 	return q, fromUpper, qD
 }
 
-// priceBlandMaintained is Bland's rule over the maintained reduced costs
-// (devex mode has no incrementally maintained duals to recompute from).
-func (st *state) priceBlandMaintained(skipArt bool) (q int, fromUpper bool, qD float64) {
-	t0 := time.Now()
-	defer func() { st.phase.PricingNs += int64(time.Since(t0)) }()
-	std := st.std
-	for j := 0; j < std.n; j++ {
-		if st.basePos[j] != 0 || (skipArt && std.art[j]) {
-			continue
-		}
-		if viol, fu := st.violation(j, st.dRed[j]); viol != 0 {
-			return j, fu, st.dRed[j]
-		}
-	}
-	return -1, false, 0
-}
+// pickHook, when set, sees every entering-column pick optimize makes, with
+// what it was priced from (y is nil under devex). Tests check the picks and
+// the row copy's layout through it.
+var pickHook func(st *state, bland bool, q int, costs, y []float64, skipArt bool)
 
 // needsRefactor reports that the periodic cadence or the kernel's own
 // growth/drift policy asks for a refactorization before the next pivot.
@@ -1493,18 +1607,21 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		var qD float64
 		var qFromUpper bool
 		switch {
-		case bland && devex:
-			// Bland's anti-cycling guarantee needs exact reduced-cost signs,
-			// so refresh the maintained array once at the start of each stall
-			// episode (it stays maintained through the episode's pivots —
-			// refreshing every pick would cost a BTRAN + matrix pass per
-			// degenerate pivot, and long degenerate plateaus are exactly when
-			// this path runs).
-			if stall == 65 {
-				st.dRedRefresh(costs)
-			}
-			q, qFromUpper, qD = st.priceBlandMaintained(skipArt)
 		case bland:
+			if stall == 65 {
+				// A stall episode starts: the picks before it left no marks,
+				// so its first pick scans from zero. Bland's anti-cycling
+				// guarantee needs exact reduced-cost signs, so devex refreshes
+				// the maintained array here, once (it stays maintained through
+				// the episode's pivots — refreshing every pick would cost a
+				// BTRAN + matrix pass per degenerate pivot, and long
+				// degenerate plateaus are exactly when this path runs).
+				st.ensureRowA()
+				st.blandFrom = 0
+				if devex {
+					st.dRedRefresh(costs)
+				}
+			}
 			q, qFromUpper, qD = st.priceBland(costs, y, skipArt)
 		case devex:
 			q, qFromUpper, qD = st.priceDevex(skipArt)
@@ -1512,6 +1629,9 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			q, qFromUpper, qD = st.pricePartial(costs, y, skipArt)
 		default:
 			q, qFromUpper, qD = st.priceDantzig(costs, y, skipArt)
+		}
+		if pickHook != nil {
+			pickHook(st, bland, q, costs, y, skipArt)
 		}
 		if q < 0 && devex && !bland {
 			// The maintained reduced costs drift with the pivot count; an
@@ -1661,6 +1781,22 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			for _, k := range st.rhoNz {
 				y[k] += theta * rho[k]
 			}
+		}
+		if bland {
+			// Mark what the next Bland pick must re-price: the nonbasic
+			// columns of the rows whose duals (or, under devex, whose
+			// columns' reduced costs) this pivot moves, and the leaving
+			// column, which turns nonbasic with a reduced cost of its own
+			// (one the ratio test's signs keep from violating, but for
+			// drift in the maintained values).
+			t0 := time.Now()
+			for _, k := range st.rhoNz {
+				for p := st.rowPtr[k]; p < st.rowMid[k]; p++ {
+					st.blandTouch(st.rowCol[p])
+				}
+			}
+			st.blandTouch(int32(leavingCol))
+			st.phase.PricingNs += int64(time.Since(t0))
 		}
 		st.applyPivot(q, leave, w)
 		st.xB[leave] = enterVal

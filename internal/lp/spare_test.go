@@ -77,7 +77,7 @@ func (j spareJob) run() ([]uint64, error) {
 
 // TestSpareKernelMatchesFresh: a solve on the kernel the free list hands
 // over — sized for another model, resliced by capacity, a warm install
-// copied into a fresh one — answers to the bit what the same solve answers
+// copied into it — answers to the bit what the same solve answers
 // on a kernel built for it. The jobs run interleaved one after another,
 // where the test also sees the kernel go round the slot, then from four
 // goroutines at once, which under the race detector proves the slot hands
@@ -118,9 +118,11 @@ func TestSpareKernelMatchesFresh(t *testing.T) {
 	if spare == nil {
 		t.Fatal("no kernel on the free list after a sequence of small solves")
 	}
-	check(1, "sequential again") // a cold job: a warm one ends on its install's copy
-	if spareEta.Load() != spare {
-		t.Error("the next solve did not run on the spare kernel and hand it back")
+	for _, i := range []int{0, 1} { // a warm job, then a cold one
+		check(i, "sequential again")
+		if spareEta.Load() != spare {
+			t.Errorf("%s did not run on the spare kernel and hand it back", jobs[i].name)
+		}
 	}
 	if spare.mkz != nil || spare.etaRows != nil {
 		t.Error("the spare kernel kept its Markowitz scratch or eta reader index")
