@@ -221,29 +221,27 @@ func BenchmarkLPSolver(b *testing.B) {
 }
 
 // BenchmarkSimplexWarmVsCold measures re-solving a SAM-shaped scheduling
-// LP after a small capacity perturbation (the Pretium control loop's hot
-// path: same structure, slightly different RHS), cold versus warm-started
-// from the unperturbed optimum's basis. Shrinking capacity (a fault)
-// knocks the old vertex primal infeasible — as essentially any RHS change
-// does — so this exercises the full warm path: signature match, inverse
-// reuse, dual-simplex cleanup, then phase 2. The "iters" metric is the
-// simplex pivot count — the warm path should need a small fraction of the
-// cold one's.
+// LP after a re-pricing (every demand's value per byte moved by up to
+// ±10%: same structure, bounds and right-hand sides, the one change after
+// which the solver keeps a basis), cold versus warm-started from the
+// unperturbed optimum's basis: signature match, inverse reuse, then phase
+// 2. The "iters" metric is the simplex pivot count — the warm path should
+// need a small fraction of the cold one's.
 func BenchmarkSimplexWarmVsCold(b *testing.B) {
 	s := exp.NewSetup(benchScale())
-	build := func(capScale float64) *sched.Instance {
+	build := func(swing float64) *sched.Instance {
 		demands := make([]sched.Demand, len(s.Requests))
 		for i, r := range s.Requests {
 			demands[i] = sched.Demand{
 				ID: i, Routes: r.Routes, Start: r.Start, End: r.End,
-				MaxBytes: r.Demand, ValuePerByte: r.Value,
+				MaxBytes: r.Demand, ValuePerByte: r.Value * (1 + swing*float64(i%5-2)/2),
 			}
 		}
 		capacity := make([][]float64, s.Net.NumEdges())
 		for _, e := range s.Net.Edges() {
 			capacity[e.ID] = make([]float64, s.Scale.Steps)
 			for t := range capacity[e.ID] {
-				capacity[e.ID][t] = e.Capacity * capScale
+				capacity[e.ID][t] = e.Capacity
 			}
 		}
 		return &sched.Instance{
@@ -251,7 +249,7 @@ func BenchmarkSimplexWarmVsCold(b *testing.B) {
 			Demands: demands, Cost: s.Cost, UseCostProxy: true,
 		}
 	}
-	base, err := build(1).Solve(lp.Options{})
+	base, err := build(0).Solve(lp.Options{})
 	if err != nil || base.Status != lp.Optimal {
 		b.Fatalf("base solve: %v %v", err, base.Status)
 	}
@@ -260,7 +258,7 @@ func BenchmarkSimplexWarmVsCold(b *testing.B) {
 	run := func(b *testing.B, opts lp.Options) {
 		iters := 0
 		for i := 0; i < b.N; i++ {
-			res, err := build(0.98).Solve(opts)
+			res, err := build(0.1).Solve(opts)
 			if err != nil || res.Status != lp.Optimal {
 				b.Fatalf("solve: %v %v", err, res.Status)
 			}

@@ -4,23 +4,15 @@ import "math"
 
 // Basis is an opaque snapshot of a simplex basis, taken at the end of a
 // Solve and usable to warm-start a later solve of a structurally identical
-// model (same variables, bounds pattern, and constraint senses — only
-// objective coefficients and right-hand sides may differ). Warm starts are
-// always safe: a basis that does not match the new model's structure, is
-// numerically singular at refactorization, or cannot be repaired for the
-// new data is silently discarded and the solve falls back to a cold start.
+// model. Warm starts are always safe: a basis that does not match the new
+// model's structure, is numerically singular at refactorization, or is
+// primal infeasible for the new model's data is silently discarded and the
+// solve falls back to a cold start.
 //
-// A basis that is structurally valid but primal infeasible for the new
-// right-hand side (the common case after any RHS change: xB = B⁻¹b picks
-// up every perturbation through the inverse) is not discarded immediately:
-// if it is still dual feasible — which RHS-only changes preserve, since
-// reduced costs do not depend on b — a short dual-simplex cleanup restores
-// primal feasibility in a few pivots before phase 2 runs.
-//
-// The intended use is the SAM/PC control loop: successive re-solves of the
-// same LP skeleton after an RHS or objective perturbation typically need a
-// handful of pivots from the previous optimal basis instead of a full
-// two-phase solve from scratch.
+// The intended use is a retained model re-solved after SetObj, its one
+// data edit: the previous optimal basis stays primal feasible (xB = B⁻¹b
+// does not see the objective), so phase 1 is skipped and phase 2 typically
+// needs a handful of pivots instead of a full two-phase solve.
 //
 // A Basis is read-only once captured: installing it never writes it, so one
 // Basis may warm-start any number of solves, concurrently included.
@@ -94,22 +86,6 @@ func (st *state) capture() *Basis {
 	}
 }
 
-// warmFit classifies how a warm basis fits the new model data.
-type warmFit int
-
-const (
-	// warmNo: the basis is structurally unusable (bad indices, atUpper on
-	// an unbounded column, or a singular basis matrix). Cold start.
-	warmNo warmFit = iota
-	// warmPrimal: the basis is primal feasible for the new data; phase 2
-	// can start immediately.
-	warmPrimal
-	// warmRepair: the basis is valid and nonsingular but primal infeasible
-	// for the new right-hand side. If it is still dual feasible, a
-	// dual-simplex cleanup can repair it; otherwise cold start.
-	warmRepair
-)
-
 // warmFeasTol is the primal feasibility tolerance shared by the warm-start
 // install check and the dual-simplex cleanup.
 const warmFeasTol = 1e-7
@@ -141,13 +117,12 @@ func sameKernel(captured, running factor) bool {
 	return false
 }
 
-// installWarm loads a structurally matching basis into st and classifies
-// the result: warmPrimal when the implied basic values are primal feasible
-// (with basic artificials at numerical zero), warmRepair when the basis is
-// valid but the new right-hand side pushed some basic value out of bounds,
-// warmNo when the basis is unusable. On warmNo the caller must fall back
-// to a cold start and fully re-initialize st.
-func (st *state) installWarm(b *Basis) warmFit {
+// installWarm loads a structurally matching basis into st and reports
+// whether phase 2 can start from it: the basis is valid, nonsingular, and
+// its implied basic values are primal feasible (with basic artificials at
+// numerical zero). On false the caller must fall back to a cold start and
+// fully re-initialize st.
+func (st *state) installWarm(b *Basis) bool {
 	std := st.std
 	copy(st.basis, b.basic)
 	for j := range st.basePos {
@@ -155,14 +130,14 @@ func (st *state) installWarm(b *Basis) warmFit {
 	}
 	for i, j := range st.basis {
 		if j < 0 || j >= std.n || st.basePos[j] != 0 {
-			return warmNo // out of range or duplicate basic column
+			return false // out of range or duplicate basic column
 		}
 		st.basePos[j] = i + 1
 	}
 	copy(st.atUpper, b.atUpper)
 	for j, up := range st.atUpper {
 		if up && math.IsInf(std.up[j], 1) {
-			return warmNo // cannot rest at an infinite upper bound
+			return false // cannot rest at an infinite upper bound
 		}
 	}
 	if sameKernel(b.fac, st.fac) && b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
@@ -175,7 +150,7 @@ func (st *state) installWarm(b *Basis) warmFit {
 		// the kernel the solve already holds, which the free list gets
 		// back, and a Forrest–Tomlin one is cloned, a view that copies
 		// before it writes. Only the basic values need recomputing against
-		// the new right-hand side.
+		// this model's right-hand side.
 		if e, ok := st.fac.(*etaFactor); ok {
 			b.fac.(*etaFactor).copyTo(e)
 		} else {
@@ -183,18 +158,16 @@ func (st *state) installWarm(b *Basis) warmFit {
 		}
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {
-		return warmNo // singular basis matrix
+		return false // singular basis matrix
 	}
-	fit := warmPrimal
 	for i, j := range st.basis {
 		x := st.xB[i]
 		if x < -warmFeasTol || x > st.effUpper(j)+warmFeasTol {
-			fit = warmRepair // out of bounds: candidate for dual repair
-			continue
+			return false // out of bounds: captured for other data
 		}
 		if x < 0 {
 			st.xB[i] = 0
 		}
 	}
-	return fit
+	return true
 }

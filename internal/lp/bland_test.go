@@ -23,7 +23,8 @@ type pickTally struct {
 func checkPicks(t testing.TB, layout bool) func() pickTally {
 	var picks, scanned, layouts atomic.Int64
 	old := pickHook
-	pickHook = func(st *state, bland bool, q int, costs, y []float64, skipArt bool) {
+	pickHook = func(v state, bland bool, q int, costs, y []float64, skipArt bool) {
+		st := &v
 		if layout && st.rowPtr != nil {
 			layouts.Add(1)
 			if err := checkLayout(st); err != nil {

@@ -139,10 +139,11 @@ func TestCrashSenseInvariance(t *testing.T) {
 }
 
 // TestCrashStandardFormAndRefresh: above the gate no zero-rhs ≥ row carries
-// an artificial; data edits that keep every right-hand side on its side of
-// zero patch the cached form in place and keep the warm basis; an edit that
-// moves one between zero and positive changes the artificial pattern, so it
-// is a structure change — rebuild, cold solve, right optimum.
+// an artificial; an objective edit patches the cached form in place and
+// keeps the warm basis; a model whose ≥ row has a positive right-hand side
+// where the first's was zero keeps that row's artificial, so its pattern
+// differs and the first model's basis does not match it — cold solve; a
+// structural edit rebuilds the form.
 func TestCrashStandardFormAndRefresh(t *testing.T) {
 	lp := crashStaircase(32, 2400, 0, false)
 	m := lp.m
@@ -165,22 +166,15 @@ func TestCrashStandardFormAndRefresh(t *testing.T) {
 	}
 	cold := mustOptimal(t, m, Options{}, "cold")
 
-	// Objective-only and rhs-magnitude edits, mirrored on a fresh model.
-	edit := func(l *crashLP) {
-		l.m.SetObj(l.flows[5], 1.75)
-		g := l.guards[3]
-		l.m.SetRHS(g, 1.5*l.m.rhs[g])
-		l.m.SetRHS(l.caps[40], 0.9*l.m.rhs[l.caps[40]])
-	}
+	// An objective edit, mirrored on a fresh model.
+	edit := func(l *crashLP) { l.m.SetObj(l.flows[5], 1.75) }
 	edit(lp)
-	if !m.refreshStandard(m.std) {
-		t.Fatal("refreshStandard rebuilt on an objective + rhs-magnitude edit")
-	}
-	if !cold.Basis().matches(m.std) {
-		t.Fatal("warm basis no longer matches after a data-only edit")
-	}
+	cached := m.std
 	var stats SolveStats
 	warm := mustOptimal(t, m, Options{WarmBasis: cold.Basis(), Stats: &stats}, "warm")
+	if m.std != cached {
+		t.Fatal("an objective edit rebuilt the cached standardization")
+	}
 	if stats.WarmStarts != 1 || stats.Artificials != 0 {
 		t.Fatalf("warm starts %d, artificials %d: the edit cost the solve its basis", stats.WarmStarts, stats.Artificials)
 	}
@@ -190,30 +184,27 @@ func TestCrashStandardFormAndRefresh(t *testing.T) {
 		t.Fatalf("warm objective %v, fresh model %v", warm.Objective, want)
 	}
 
-	// Zero → positive on a cost row, and back, each time from the basis of
-	// the structure just left.
-	prev := warm
-	for _, rhs := range []float64{0.25, 0} {
-		k := lp.costs[17]
-		m.SetRHS(k, rhs)
-		fresh.m.SetRHS(fresh.costs[17], rhs)
-		if m.refreshStandard(m.std) {
-			t.Fatalf("rhs → %v on a ≥ row crossed zero but refreshStandard kept the structure", rhs)
-		}
-		stats = SolveStats{}
-		got := mustOptimal(t, m, Options{WarmBasis: prev.Basis(), Stats: &stats}, "after structure change")
-		prev = got
-		wantArt := len(lp.guards)
-		if rhs > 0 {
-			wantArt++
-		}
-		if stats.WarmStarts != 0 || stats.Artificials != wantArt {
-			t.Fatalf("rhs → %v: warm starts %d, artificials %d (want cold, %d)", rhs, stats.WarmStarts, stats.Artificials, wantArt)
-		}
-		fresh.m.std = nil
-		if want := mustOptimal(t, fresh.m, Options{}, "fresh").Objective; !relClose(got.Objective, want, objTol) {
-			t.Fatalf("rhs → %v: objective %v, fresh model %v", rhs, got.Objective, want)
-		}
+	// The same model with one cost row's right-hand side positive.
+	pos := crashStaircase(32, 2400, 0, false)
+	edit(pos)
+	pos.m.rhs[pos.costs[17]] = 0.25
+	stats = SolveStats{}
+	mustOptimal(t, pos.m, Options{WarmBasis: warm.Basis(), Stats: &stats}, "positive rhs")
+	if want := len(lp.guards) + 1; stats.WarmStarts != 0 || stats.Artificials != want {
+		t.Fatalf("positive rhs: warm starts %d, artificials %d (want cold, %d)", stats.WarmStarts, stats.Artificials, want)
+	}
+
+	// A structural edit drops the cached form: the grown model is
+	// standardized afresh and solves as a fresh copy of it does.
+	grow := func(l *crashLP) { l.m.AddConstraint(LE, 0.5, Term{l.flows[5], 1}, Term{l.flows[9], 1}) }
+	grow(lp)
+	grown := mustOptimal(t, m, Options{}, "after a structural edit")
+	if m.std == cached {
+		t.Fatal("a structural edit kept the cached standardization")
+	}
+	grow(fresh)
+	if want := mustOptimal(t, fresh.m, Options{}, "fresh grown").Objective; !relClose(grown.Objective, want, objTol) {
+		t.Fatalf("grown objective %v, fresh model %v", grown.Objective, want)
 	}
 }
 

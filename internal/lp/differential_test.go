@@ -215,8 +215,8 @@ func TestCaptureSurvivesLaterMutation(t *testing.T) {
 			t.Fatalf("dense=%v: no basis captured", dense)
 		}
 
-		// Warm solve #1 against a strongly perturbed sibling: plenty of
-		// dual-cleanup and phase-2 pivots mutate the installed factorization.
+		// Warm solve #1 against a strongly perturbed sibling: phase-2 pivots
+		// mutate the installed factorization.
 		p1 := samShapedLP(rand.New(rand.NewSource(seed)), 1.9)
 		if _, err := solve(p1, Options{WarmBasis: b}); err != nil {
 			t.Fatalf("dense=%v: warm solve 1: %v", dense, err)

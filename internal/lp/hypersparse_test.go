@@ -467,9 +467,9 @@ func TestBigScaleSolveKKT(t *testing.T) {
 		t.Fatalf("duality gap: primal %g vs dual %g", sol.Objective, dualObj)
 	}
 
-	// Warm re-solve after a bound nudge must use the nz warm path and
+	// Warm re-solve after an objective nudge must use the nz warm path and
 	// stay optimal in few pivots.
-	m.SetBounds(vars[7], 0, 0.25)
+	m.SetObj(vars[7], 0.5*m.Obj(vars[7]))
 	warm, err := m.solve(Options{WarmBasis: sol.Basis()}, false)
 	if err != nil {
 		t.Fatal(err)

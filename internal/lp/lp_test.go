@@ -281,28 +281,21 @@ func TestVarAccessors(t *testing.T) {
 	}
 }
 
-// TestAddVarPanicsOnBadBounds: AddVar and SetBounds take only a finite
-// lower bound no greater than the upper one.
+// TestAddVarPanicsOnBadBounds: AddVar takes only a finite lower bound no
+// greater than the upper one.
 func TestAddVarPanicsOnBadBounds(t *testing.T) {
 	nan := math.NaN()
 	for _, c := range []struct{ lo, up float64 }{
 		{2, 1}, {math.Inf(-1), 1}, {math.Inf(-1), Inf}, {Inf, Inf}, {nan, 1}, {0, nan},
 	} {
-		for _, set := range []bool{false, true} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("bounds [%v, %v] (SetBounds %v): no panic", c.lo, c.up, set)
-					}
-				}()
-				m := NewModel()
-				if set {
-					m.SetBounds(m.AddVar(0, 1, 0), c.lo, c.up)
-				} else {
-					m.AddVar(c.lo, c.up, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bounds [%v, %v]: no panic", c.lo, c.up)
 				}
 			}()
-		}
+			NewModel().AddVar(c.lo, c.up, 0)
+		}()
 	}
 }
 

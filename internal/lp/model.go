@@ -67,10 +67,11 @@ type Model struct {
 	rhs    []float64
 
 	// std caches the standardized form across Solve calls. Structural
-	// edits (AddVar, AddConstraint) clear it; data edits (SetObj, SetRHS,
-	// SetBounds) keep it and Solve re-derives the data-dependent parts in
-	// place — see refreshStandard. The cache is what makes the retained-
-	// model resolve path allocation-free on the standardization side.
+	// edits (AddVar, AddConstraint) clear it; SetObj, the one data edit
+	// (bounds and right-hand sides are fixed once added), keeps it and
+	// Solve re-derives the costs in place — see refreshCosts. The cache is
+	// what makes the retained-model resolve path allocation-free on the
+	// standardization side.
 	std *standard
 
 	// pre caches the presolve recipe and reduced model across the Solve
@@ -90,7 +91,9 @@ func (m *Model) SetMaximize(max bool) { m.maximize = max }
 // upper side. It panics otherwise, or if lo > up, since either is always a
 // programming error in the caller.
 func (m *Model) AddVar(lo, up, obj float64) Var {
-	checkBounds(len(m.obj), lo, up)
+	if math.IsInf(lo, 0) || !(lo <= up) { // !(lo <= up) also catches NaN
+		panic(fmt.Sprintf("lp: variable %d has bounds [%v, %v]", len(m.obj), lo, up))
+	}
 	m.obj = append(m.obj, obj)
 	m.lo = append(m.lo, lo)
 	m.up = append(m.up, up)
@@ -112,31 +115,11 @@ func (m *Model) NumVars() int { return len(m.obj) }
 // NumRows reports the number of constraints added so far.
 func (m *Model) NumRows() int { return len(m.rows) }
 
-// SetObj overwrites the objective coefficient of v. This lets callers
-// reuse one model skeleton across price updates.
+// SetObj overwrites the objective coefficient of v: the one edit a model
+// takes after it is built, so one model skeleton serves a run of price
+// updates. The previous solve's basis stays primal feasible under it, which
+// is the case warm starts (Options.WarmBasis) accelerate.
 func (m *Model) SetObj(v Var, obj float64) { m.obj[v] = obj }
-
-// SetRHS overwrites the right-hand side of row r. Together with SetObj it
-// lets callers perturb and re-solve one model skeleton — e.g. relaxing
-// guarantee rows in place instead of rebuilding the whole LP — which is
-// exactly the case warm starts (Options.WarmBasis) accelerate.
-func (m *Model) SetRHS(r Row, rhs float64) { m.rhs[r] = rhs }
-
-// SetBounds overwrites the bounds of v. Like SetRHS/SetObj it is a data
-// edit: the cached standardization is patched, not rebuilt. It panics on
-// the bounds AddVar rejects.
-func (m *Model) SetBounds(v Var, lo, up float64) {
-	checkBounds(int(v), lo, up)
-	m.lo[v] = lo
-	m.up[v] = up
-}
-
-// checkBounds panics unless lo is finite and lo <= up (so neither is NaN).
-func checkBounds(j int, lo, up float64) {
-	if math.IsInf(lo, 0) || !(lo <= up) {
-		panic(fmt.Sprintf("lp: variable %d has bounds [%v, %v]", j, lo, up))
-	}
-}
 
 // Bounds returns the bounds of v.
 func (m *Model) Bounds(v Var) (lo, up float64) { return m.lo[v], m.up[v] }
@@ -335,8 +318,8 @@ type SolveStats struct {
 	// Solves counts Solve calls that reached the simplex (standardization
 	// errors are not counted; they never reach a pivot).
 	Solves int
-	// Iterations is the total pivot count across both phases and the
-	// dual-simplex warm-start cleanup.
+	// Iterations is the total pivot count across both phases, the staged
+	// cold start's dual-simplex repair included.
 	Iterations int
 	// Refactorizations counts basis refactorizations (periodic cadence,
 	// kernel growth/drift triggers, and warm-basis installs alike).
@@ -347,8 +330,8 @@ type SolveStats struct {
 	// recovery ladder behind a singular refactorization ran out.
 	SingularHits int
 	// WarmStarts counts solves where a supplied WarmBasis was actually
-	// used (installed primal feasible, or repaired by dual cleanup) —
-	// attempts that fell back cold are not counted.
+	// used (installed primal feasible) — attempts that fell back cold are
+	// not counted.
 	WarmStarts int
 	// DevexSolves counts solves whose final phase priced with devex.
 	DevexSolves int

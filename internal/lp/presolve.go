@@ -13,16 +13,14 @@ package lp
 // optimal dual, and a singleton row that became the binding bound of its
 // variable takes that variable's reduced cost back as its dual.
 //
-// The reduction recipe is retained on the Model. When a data-only edit
-// (rhs, bounds, objective) leaves the reduction pattern unchanged — the
-// same rows dropped, the same variables removed — the cached reduced model
-// is patched in place instead of rebuilt, which keeps its own standardized
-// form and warm-basis signature stable across re-solves.
+// The reduction recipe is retained on the Model. When an objective edit
+// leaves the reduction unchanged (see runPresolve), the cached reduced
+// model's objective is patched in place instead of rebuilt, which keeps its
+// own standardized form and warm-basis signature stable across re-solves.
 
 import (
 	"cmp"
 	"math"
-	"slices"
 )
 
 // dropKind records how a row left the model during presolve, which
@@ -73,11 +71,9 @@ type presolveState struct {
 
 	// The last run's inputs (see runPresolve), valid while keyed; a
 	// structural edit clears it (Model.restructured).
-	keyed        bool
-	keyMax       bool
-	keyRhs       []float64
-	keyLo, keyUp []float64
-	keyObj       []int8
+	keyed  bool
+	keyMax bool
+	keyObj []int8
 
 	// CSR index of rows per variable, for postsolve dual recovery; built
 	// once per structure (varRowsOK).
@@ -109,10 +105,11 @@ func resize[T any](s []T, n int) []T {
 // outright.
 //
 // The passes read the structure, the right-hand sides, the bounds, the
-// direction, and of the objective only each coefficient's sign class. So
-// when only the objective changed since the last run, and no coefficient
-// changed class, that run's reduction is this one's bit for bit and only the
-// reduced objective is patched: a SAM step that re-prices a rebound model.
+// direction, and of the objective only each coefficient's sign class. The
+// first three are fixed from AddVar and AddConstraint on, so when no
+// coefficient changed class and the direction stayed, the last run's
+// reduction is this one's bit for bit and only the reduced objective is
+// patched: a SAM step that re-prices a rebound model.
 func (m *Model) runPresolve() (ps *presolveState, reused bool) {
 	ps = m.pre
 	if ps == nil {
@@ -145,18 +142,16 @@ func signClass(c float64) int8 {
 // saveInputs records what the run just made read (see runPresolve).
 func (ps *presolveState) saveInputs(m *Model) {
 	ps.keyed, ps.keyMax = true, m.maximize
-	ps.keyRhs = append(ps.keyRhs[:0], m.rhs...)
-	ps.keyLo = append(ps.keyLo[:0], m.lo...)
-	ps.keyUp = append(ps.keyUp[:0], m.up...)
 	ps.keyObj = ps.keyObj[:0]
 	for _, c := range m.obj {
 		ps.keyObj = append(ps.keyObj, signClass(c))
 	}
 }
 
-// sameInputs reports whether the model holds the saved inputs to the bit.
+// sameInputs reports whether the model's direction and objective sign
+// classes are the saved ones.
 func (ps *presolveState) sameInputs(m *Model) bool {
-	if !ps.keyed || ps.keyMax != m.maximize || len(ps.keyObj) != len(m.obj) {
+	if !ps.keyed || ps.keyMax != m.maximize {
 		return false
 	}
 	for j, c := range m.obj {
@@ -164,10 +159,7 @@ func (ps *presolveState) sameInputs(m *Model) bool {
 			return false
 		}
 	}
-	same := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
-	return same(ps.keyRhs, m.rhs) && same(ps.keyLo, m.lo) && same(ps.keyUp, m.up)
+	return true
 }
 
 // reduce runs the presolve passes into ps and assembles the reduced model.

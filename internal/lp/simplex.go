@@ -38,13 +38,14 @@ type standard struct {
 }
 
 // standardized returns the model's standardized form, reusing the cached
-// one when only data (objective, rhs, bounds) changed since it was built.
-// The refresh recomputes every data-dependent float with the exact same
-// expressions standardize uses, so a patched form is bit-identical to a
-// freshly built one — re-solves through the cache reproduce the uncached
+// one when no structural edit came since it was built: then only the
+// objective can have changed. The refresh recomputes the costs with the
+// exact expression standardize uses, so a patched form is bit-identical to
+// a freshly built one — re-solves through the cache reproduce the uncached
 // pivot sequence byte for byte.
 func (m *Model) standardized() (*standard, error) {
-	if m.std != nil && m.refreshStandard(m.std) {
+	if m.std != nil {
+		m.refreshCosts(m.std)
 		return m.std, nil
 	}
 	std, err := m.standardize()
@@ -55,38 +56,19 @@ func (m *Model) standardized() (*standard, error) {
 	return std, nil
 }
 
-// refreshStandard re-derives the data-dependent parts (costs, upper
-// bounds, rhs) of a cached standardization in place, without
-// allocating. It reports false when an edit invalidated the cached
-// structure — a row's rhs normalization sign flipped — in which case the
-// caller must rebuild from scratch.
-// Matrix entries, column layout, and the artificial pattern are untouched,
-// so the stored signature stays valid and warm bases keep matching across
-// refreshes.
-func (m *Model) refreshStandard(s *standard) bool {
+// refreshCosts re-derives the costs of a cached standardization in place,
+// without allocating. Everything else a standardization holds follows from
+// the structure, the bounds and the right-hand sides, which no edit after
+// AddVar and AddConstraint changes, so the stored signature stays valid and
+// warm bases keep matching across refreshes.
+func (m *Model) refreshCosts(s *standard) {
 	objSign := 1.0
 	if m.maximize {
 		objSign = -1
 	}
 	for j, c := range m.obj {
-		s.up[j] = m.up[j] - m.lo[j]
 		s.c[j] = objSign * c
 	}
-	for i := range m.rows {
-		rhs := m.rhs[i]
-		for _, t := range m.rows[i] {
-			rhs -= t.Coef * m.lo[t.Var]
-		}
-		want := 1.0
-		if rhs < 0 || crashRow(s.large, m.senses[i], rhs) {
-			want = -1
-		}
-		if want != s.rowSign[i] {
-			return false
-		}
-		s.b[i] = want * rhs
-	}
-	return true
 }
 
 // crashRow is the logical crash of the paper-scale path: a ≥ row whose
@@ -94,10 +76,7 @@ func (m *Model) refreshStandard(s *standard) bool {
 // start, so it is standardized as the ≤ row its negation is (rowSign -1,
 // exactly like a negative right-hand side) and starts on its own slack —
 // no surplus/artificial pair, no degenerate pivot to swap the artificial
-// out. Large models only, so small ones keep their pinned standard form;
-// refreshStandard applies the same rule, so an edit that moves such a
-// right-hand side between zero and positive is a structure change (the
-// artificial pattern differs) and rebuilds.
+// out. Large models only, so small ones keep their pinned standard form.
 func crashRow(large bool, sense Sense, rhs float64) bool {
 	return large && sense == GE && rhs == 0
 }
@@ -368,22 +347,7 @@ func (std *standard) solve(opts Options) result {
 	// slice goes back so later solves start from unperturbed data.
 	defer st.restoreB()
 
-	warm := false
-	if opts.WarmBasis.matches(std) {
-		switch st.installWarm(opts.WarmBasis) {
-		case warmPrimal:
-			warm = true
-		case warmRepair:
-			// Any RHS change typically knocks the old basis primal
-			// infeasible (xB = B⁻¹b sees every perturbation through the
-			// inverse) while leaving it dual feasible (reduced costs do
-			// not depend on b). A short dual-simplex cleanup restores
-			// primal feasibility in a few pivots; if it cannot, the solve
-			// falls back cold below.
-			warm = st.dualCleanup()
-		}
-	}
-
+	warm := opts.WarmBasis.matches(std) && st.installWarm(opts.WarmBasis)
 	res := st.phases(warm)
 	if res.status == Singular && warm {
 		// The recovery rung could not repair a basis the warm start led to:
@@ -631,8 +595,9 @@ func (st *state) restoreB() {
 // pivots through the row are nondegenerate — and optimizes the *real*
 // objective, so no work is wasted on a throwaway phase-1 cost. Stage B
 // restores the caps (artificials must return to zero, up to tolerance) and
-// lets the bounded-variable dual simplex repair primal feasibility,
-// exactly as a warm start repairs an RHS change. The artificial upper
+// lets the bounded-variable dual simplex (dualCleanup) repair primal
+// feasibility: stage A's optimum is dual feasible, and pulling the caps
+// moves only bounds, which reduced costs do not see. The artificial upper
 // bounds live in std.up only between the two stages and are always
 // restored to +Inf before returning, so the cached standardization stays
 // clean.
@@ -1395,8 +1360,9 @@ func (st *state) priceDevexSweep(skipArt bool) (q int, fromUpper bool, qD float6
 
 // pickHook, when set, sees every entering-column pick optimize makes, with
 // what it was priced from (y is nil under devex). Tests check the picks and
-// the row copy's layout through it.
-var pickHook func(st *state, bland bool, q int, costs, y []float64, skipArt bool)
+// the row copy's layout through it. It gets a copy of the state: a pointer
+// handed to a function variable would move every solve's state to the heap.
+var pickHook func(st state, bland bool, q int, costs, y []float64, skipArt bool)
 
 // needsRefactor reports that the periodic cadence or the kernel's own
 // growth/drift policy asks for a refactorization before the next pivot.
@@ -1404,10 +1370,10 @@ func (st *state) needsRefactor() bool {
 	return st.fac.age() >= st.refactorEvery || st.fac.wantRefactor()
 }
 
-// dualCleanup restores primal feasibility of a warm-installed basis with
+// dualCleanup restores primal feasibility of the staged start's basis with
 // the bounded-variable dual simplex. It requires the basis to be dual
-// feasible under the phase-2 costs (which RHS-only perturbations preserve);
-// each pivot expels the most primally infeasible basic variable, entering
+// feasible under the phase-2 costs (which stage A's optimum is); each
+// pivot expels the most primally infeasible basic variable, entering
 // the column that wins the dual ratio test, until every basic value is back
 // within bounds. Artificial columns are held to an effective upper bound of
 // zero and never enter. It reports success; on false the state is dirty and
@@ -1631,7 +1597,7 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			q, qFromUpper, qD = st.priceDantzig(costs, y, skipArt)
 		}
 		if pickHook != nil {
-			pickHook(st, bland, q, costs, y, skipArt)
+			pickHook(*st, bland, q, costs, y, skipArt)
 		}
 		if q < 0 && devex && !bland {
 			// The maintained reduced costs drift with the pivot count; an

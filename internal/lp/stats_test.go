@@ -98,9 +98,9 @@ func TestSolveStatsPhaseTimings(t *testing.T) {
 	}
 }
 
-// TestSolveStatsPresolveReused: a presolved re-solve after an objective-only
-// edit reuses the last reduction and counts it; one after a right-hand-side
-// edit presolves again and does not.
+// TestSolveStatsPresolveReused: a presolved re-solve after an objective edit
+// that keeps every coefficient's sign reuses the last reduction and counts
+// it; one after a sign flip presolves again and does not.
 func TestSolveStatsPresolveReused(t *testing.T) {
 	m, x, _ := statsModel()
 	solve := func() SolveStats {
@@ -117,19 +117,19 @@ func TestSolveStatsPresolveReused(t *testing.T) {
 	if s := solve(); s.PresolveReused != 1 {
 		t.Fatalf("objective-only re-solve: reused %d, want 1", s.PresolveReused)
 	}
-	m.SetRHS(0, 5)
+	m.SetObj(x, -1.5)
 	if s := solve(); s.Presolved != 1 || s.PresolveReused != 0 {
-		t.Fatalf("re-solve after SetRHS: presolved %d, reused %d; want 1, 0", s.Presolved, s.PresolveReused)
+		t.Fatalf("re-solve after a sign flip: presolved %d, reused %d; want 1, 0", s.Presolved, s.PresolveReused)
 	}
 }
 
 func TestSolveStatsWarmStart(t *testing.T) {
-	m, _, _ := statsModel()
+	m, x, _ := statsModel()
 	sol, err := m.Solve(Options{})
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: %v %v", sol.Status, err)
 	}
-	m.SetRHS(0, 5) // RHS perturbation: classic warm-start case
+	m.SetObj(x, 1.5) // re-pricing: the warm-start case
 	var stats SolveStats
 	sol2, err := m.Solve(Options{WarmBasis: sol.Basis(), Stats: &stats})
 	if err != nil || sol2.Status != Optimal {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,173 +137,68 @@ func TestImplicitPricesMatch(t *testing.T) {
 	}
 }
 
-// advance derives the step-τ successor of a bench instance the way the SAM
-// loop does: the start step moves forward, remaining demand shrinks, values
-// drift, and capacity wobbles. FixedUsage stays zero so a window with no
-// remaining flexibility charges nothing under both build paths (see the
-// Rebind doc for the divergence nonzero sunk usage would introduce there).
-func advance(base *Instance, step int) *Instance {
+// reprice derives the step-τ successor of a bench instance the way a SAM
+// step that keeps its model sees it: every demand's value per byte moves by
+// a factor that depends on the step alone, and nothing else changes.
+func reprice(base *Instance, step int) *Instance {
 	ins := cloneInstance(base)
-	ins.StartStep = step
+	r := rand.New(rand.NewSource(int64(step)))
 	for di := range ins.Demands {
-		d := &ins.Demands[di]
-		d.MaxBytes *= 0.9
-		d.MinBytes *= 0.8
-		d.ValuePerByte *= 1.03
-	}
-	for e := range ins.Capacity {
-		for tt := range ins.Capacity[e] {
-			ins.Capacity[e][tt] *= 0.97
-		}
+		ins.Demands[di].ValuePerByte *= 0.5 + r.Float64()
 	}
 	return ins
 }
 
 // TestRebindMatchesFreshBuild walks a bench instance through successive
-// SAM-style steps, patching one retained model with Rebind while building a
-// fresh model for the same successor, and requires both to agree on status
-// and objective — cold and warm-started.
+// re-pricings in both build modes, re-pricing one retained model with
+// Rebind while building a fresh model for the same successor. Solved cold,
+// the two must agree bit for bit, allocations and prices included; solved
+// from the previous step's basis, the retained model must start warm and
+// reach the same optimum.
 func TestRebindMatchesFreshBuild(t *testing.T) {
 	base := benchInstance(benchScales[1], 11) // Medium
-	built := mustBuild(t, base, true)
-	res, err := built.Solve(lp.Options{})
-	if err != nil || res.Status != lp.Optimal {
-		t.Fatalf("initial solve: %v %v", err, res)
-	}
-	basis := res.Basis
-	for step := 1; step <= 4; step++ {
-		ins := advance(base, step)
-		if err := built.rebind(ins); err != nil {
-			t.Fatalf("step %d rebind: %v", step, err)
-		}
-		warm, err := built.Solve(lp.Options{WarmBasis: basis})
-		if err != nil {
-			t.Fatalf("step %d rebind solve: %v", step, err)
-		}
-		basis = warm.Basis
-
-		fresh, err := ins.Solve(lp.Options{})
-		if err != nil {
-			t.Fatalf("step %d fresh solve: %v", step, err)
-		}
-		if warm.Status != fresh.Status {
-			t.Fatalf("step %d status rebind=%v fresh=%v", step, warm.Status, fresh.Status)
-		}
-		if relDiff(warm.Objective, fresh.Objective) > 1e-6 {
-			t.Errorf("step %d objective rebind=%v fresh=%v", step, warm.Objective, fresh.Objective)
-		}
-		checkFeasible(t, ins, warm, true)
-	}
-}
-
-// TestRebindRelaxGuarantees drives a rebound model into infeasibility (a
-// capacity collapse the guarantees no longer fit under) and checks a
-// fresh build agrees; then relaxes the guarantees the one way the
-// controller does, by re-posing them with a priced shortfall, which both
-// builds solve to the same optimum short of demand 0's guarantee. It
-// covers a one-variable guarantee, which presolve folds into a bound, and
-// a multi-variable one, which stays a row.
-func TestRebindRelaxGuarantees(t *testing.T) {
-	n, _, _ := lineNet(10)
-	path := n.ShortestPath(0, 2)
-	base := &Instance{
-		Net: n, Horizon: 4, Capacity: capMatrix(n, 4),
-		Demands: []Demand{
-			// Single-variable demand: presolve folds its guarantee into a
-			// lower bound.
-			{ID: 0, Routes: []graph.Path{path}, Start: 1, End: 1, MaxBytes: 8, MinBytes: 4, ValuePerByte: 1},
-			// Multi-step demand: guarantee stays a GE row.
-			{ID: 1, Routes: []graph.Path{path}, Start: 1, End: 3, MaxBytes: 30, MinBytes: 12, ValuePerByte: 3},
-		},
-		Cost: cost.DefaultConfig(4),
-	}
-	built := mustBuild(t, base, true)
-	if res, err := built.Solve(lp.Options{}); err != nil || res.Status != lp.Optimal {
-		t.Fatalf("initial solve: %v %v", err, res)
-	}
-
-	// Capacity collapses to 3 per step from step 1 on: demand 0's guarantee
-	// of 4 no longer fits its one variable's implicit bound. Rebind patches
-	// the guarantee row like any other, and the rebound model must report
-	// infeasibility as a fresh build does.
-	shocked := cloneInstance(base)
-	shocked.StartStep = 1
-	for e := range shocked.Capacity {
-		for tt := 1; tt < 4; tt++ {
-			shocked.Capacity[e][tt] = 3
-		}
-	}
-	if err := built.rebind(shocked); err != nil {
-		t.Fatalf("rebind: %v", err)
-	}
-	if res, err := built.Solve(lp.Options{}); err != nil || res.Status != lp.Infeasible {
-		t.Fatalf("rebound shocked solve: %v %v, want infeasible", err, res)
-	}
-	if res, err := mustBuild(t, shocked, false).Solve(lp.Options{}); err != nil || res.Status != lp.Infeasible {
-		t.Fatalf("fresh shocked solve: %v %v, want infeasible", err, res)
-	}
-
-	priced := cloneInstance(shocked)
-	for i := range priced.Demands {
-		priced.Demands[i].ShortfallCost = 0.5
-	}
-	var objective [2]float64
-	for i, implicit := range []bool{true, false} {
-		res, err := mustBuild(t, priced, implicit).Solve(lp.Options{})
+	base.WantPrices = true
+	for _, implicit := range []bool{false, true} {
+		built := mustBuild(t, base, implicit)
+		res, err := built.Solve(lp.Options{})
 		if err != nil || res.Status != lp.Optimal {
-			t.Fatalf("priced solve (implicit=%v): %v %v", implicit, err, res)
+			t.Fatalf("implicit=%v: initial solve: %v %v", implicit, err, res)
 		}
-		if got := res.Delivered[0]; got > priced.Demands[0].MinBytes-1e-6 {
-			t.Errorf("priced solve (implicit=%v) delivered %v to demand 0, want short of its guarantee %v",
-				implicit, got, priced.Demands[0].MinBytes)
+		basis := res.Basis
+		for step := 1; step <= 2; step++ {
+			ctx := fmt.Sprintf("implicit=%v step %d", implicit, step)
+			ins := reprice(base, step)
+			if err := built.Rebind(ins); err != nil {
+				t.Fatalf("%s: Rebind: %v", ctx, err)
+			}
+			cold, err := built.Solve(lp.Options{})
+			if err != nil {
+				t.Fatalf("%s: rebound solve: %v", ctx, err)
+			}
+			fresh, err := mustBuild(t, ins, implicit).Solve(lp.Options{})
+			if err != nil {
+				t.Fatalf("%s: fresh solve: %v", ctx, err)
+			}
+			if cold.Status != lp.Optimal || fresh.Status != lp.Optimal ||
+				math.Float64bits(cold.Objective) != math.Float64bits(fresh.Objective) ||
+				!reflect.DeepEqual(cold.Allocs, fresh.Allocs) || !reflect.DeepEqual(cold.Price, fresh.Price) {
+				t.Fatalf("%s: rebound %v objective %v, fresh %v objective %v, or their allocations or prices differ",
+					ctx, cold.Status, cold.Objective, fresh.Status, fresh.Objective)
+			}
+			var stats lp.SolveStats
+			warm, err := built.Solve(lp.Options{WarmBasis: basis, Stats: &stats})
+			if err != nil || warm.Status != lp.Optimal {
+				t.Fatalf("%s: warm solve: %v %v", ctx, err, warm)
+			}
+			if stats.WarmStarts != 1 {
+				t.Errorf("%s: the previous basis did not warm-start the re-priced model", ctx)
+			}
+			if relDiff(warm.Objective, fresh.Objective) > 1e-6 {
+				t.Errorf("%s: objective warm=%v fresh=%v", ctx, warm.Objective, fresh.Objective)
+			}
+			checkFeasible(t, ins, warm, true)
+			basis = warm.Basis
 		}
-		checkFeasible(t, priced, res, false)
-		objective[i] = res.Objective
-	}
-	if relDiff(objective[0], objective[1]) > 1e-6 {
-		t.Errorf("priced objective implicit %v, explicit %v", objective[0], objective[1])
-	}
-}
-
-// TestRebindFixedUsage verifies FixedUsage re-pinning: realized traffic
-// moved into FixedUsage after a step advance must count toward the window
-// percentile exactly as a fresh build counts it.
-func TestRebindFixedUsage(t *testing.T) {
-	n, e1, _ := lineNet(10)
-	path := n.ShortestPath(0, 2)
-	mk := func() *Instance {
-		return &Instance{
-			Net: n, Horizon: 4, Capacity: capMatrix(n, 4),
-			FixedUsage: make2d(n.NumEdges(), 4),
-			Demands: []Demand{
-				{ID: 0, Routes: []graph.Path{path}, Start: 0, End: 3, MaxBytes: 25, ValuePerByte: 2},
-			},
-			Cost:         cost.Config{WindowLen: 4, Percentile: 0.75},
-			UseCostProxy: true,
-		}
-	}
-	built := mustBuild(t, mk(), true)
-	if res, err := built.Solve(lp.Options{}); err != nil || res.Status != lp.Optimal {
-		t.Fatalf("initial solve: %v %v", err, res)
-	}
-
-	next := mk()
-	next.StartStep = 1
-	next.Demands[0].MaxBytes = 17 // 8 realized at t=0
-	next.FixedUsage[e1][0] = 8
-	if err := built.rebind(next); err != nil {
-		t.Fatalf("rebind: %v", err)
-	}
-	got, err := built.Solve(lp.Options{})
-	if err != nil || got.Status != lp.Optimal {
-		t.Fatalf("rebind solve: %v %v", err, got)
-	}
-	want, err := next.Solve(lp.Options{})
-	if err != nil || want.Status != lp.Optimal {
-		t.Fatalf("fresh solve: %v %v", err, want)
-	}
-	if relDiff(got.Objective, want.Objective) > 1e-6 {
-		t.Errorf("objective rebind=%v fresh=%v", got.Objective, want.Objective)
 	}
 }
 
@@ -442,12 +338,10 @@ func TestExplicitRowsMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestRebindRejectsStructuralChange enumerates the structural drifts Rebind
-// must refuse: they would silently desynchronize the model from the
-// instance if patched as data. The last case is not a drift at all — the
-// unexported rebind patches it happily — but a successor small enough that
-// Build would make it explicit: accepting it would let the path a step runs
-// on depend on what the previous step retained.
+// TestRebindRejectsStructuralChange enumerates the changes Rebind must
+// refuse, one per field of the instance that is not a value per byte:
+// patched as an objective edit they would silently desynchronize the model
+// from the instance.
 func TestRebindRejectsStructuralChange(t *testing.T) {
 	base := paddedInstance(lp.LargeModelRows + 8)
 	fresh := func() *Built {
@@ -458,34 +352,72 @@ func TestRebindRejectsStructuralChange(t *testing.T) {
 		return b
 	}
 	cases := []struct {
-		name     string
-		mut      func(*Instance)
-		rebindOK bool
+		name string
+		mut  func(*Instance)
 	}{
-		{"horizon", func(ins *Instance) { ins.Horizon++ }, false},
-		{"start-regresses", func(ins *Instance) { ins.StartStep = -1 }, false},
-		{"demand-count", func(ins *Instance) { ins.Demands = ins.Demands[:len(ins.Demands)-1] }, false},
-		{"interval", func(ins *Instance) { ins.Demands[0].End++ }, false},
-		{"cost-config", func(ins *Instance) { ins.Cost.WindowLen++ }, false},
-		{"shortfall-cost", func(ins *Instance) { ins.Demands[0].ShortfallCost = 1 }, false},
-		{"explicit-mode", func(ins *Instance) { ins.StartStep = 1 }, true},
+		{"network", func(ins *Instance) { ins.Net, _, _ = lineNet(1e6) }},
+		{"horizon", func(ins *Instance) { ins.Horizon++ }},
+		{"start-regresses", func(ins *Instance) { ins.StartStep = -1 }},
+		{"start-step", func(ins *Instance) { ins.StartStep = 1 }},
+		{"capacity", func(ins *Instance) { ins.Capacity[1][3] *= 0.5 }},
+		{"fixed-usage", func(ins *Instance) {
+			ins.FixedUsage = make2d(ins.Net.NumEdges(), ins.Horizon)
+			ins.FixedUsage[1][3] = 1
+		}},
+		{"demand-count", func(ins *Instance) { ins.Demands = ins.Demands[:len(ins.Demands)-1] }},
+		{"interval", func(ins *Instance) { ins.Demands[0].End++ }},
+		{"max-bytes", func(ins *Instance) { ins.Demands[0].MaxBytes *= 0.5 }},
+		{"min-bytes", func(ins *Instance) { ins.Demands[0].MinBytes = 0.5 }},
+		{"cost-config", func(ins *Instance) { ins.Cost.WindowLen++ }},
+		{"shortfall-cost", func(ins *Instance) { ins.Demands[0].ShortfallCost = 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ins := cloneInstance(base)
 			tc.mut(ins)
 			if err := fresh().Rebind(ins); err == nil {
-				t.Fatalf("Rebind accepted %s change", tc.name)
-			}
-			if err := fresh().rebind(ins); (err == nil) != tc.rebindOK {
-				t.Fatalf("rebind: %v, want accepted=%v", err, tc.rebindOK)
+				t.Fatalf("Rebind accepted a %s change", tc.name)
 			}
 		})
 	}
-	// A pure data change is accepted.
+	// A value change is accepted.
 	ins := cloneInstance(base)
-	ins.Demands[0].MaxBytes *= 0.5
+	ins.Demands[0].ValuePerByte *= 0.5
 	if err := fresh().Rebind(ins); err != nil {
-		t.Fatalf("Rebind rejected a data-only change: %v", err)
+		t.Fatalf("Rebind rejected a value-only change: %v", err)
+	}
+}
+
+// TestRebindRefusalLeavesModelUntouched: a successor that lowers demand 0's
+// cap and gives demand 1 a guarantee is refused, and the refusal writes
+// nothing — re-solving the built model reproduces its first solve bit for
+// bit, objective and every variable.
+func TestRebindRefusalLeavesModelUntouched(t *testing.T) {
+	base := paddedInstance(lp.LargeModelRows + 8)
+	built, err := base.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := built.model.Solve(lp.Options{})
+	if err != nil || before.Status != lp.Optimal {
+		t.Fatalf("first solve: %v %v", err, before)
+	}
+	next := cloneInstance(base)
+	next.Demands[0].MaxBytes *= 0.5
+	next.Demands[1].MinBytes = 0.5
+	if err := built.Rebind(next); err == nil {
+		t.Fatal("Rebind accepted a cap and a new guarantee")
+	}
+	after, err := built.model.Solve(lp.Options{})
+	if err != nil || after.Status != lp.Optimal {
+		t.Fatalf("re-solve: %v %v", err, after)
+	}
+	if math.Float64bits(after.Objective) != math.Float64bits(before.Objective) {
+		t.Fatalf("objective %v after the refusal, %v before", after.Objective, before.Objective)
+	}
+	for j := range before.X {
+		if math.Float64bits(after.X[j]) != math.Float64bits(before.X[j]) {
+			t.Fatalf("x%d = %v after the refusal, %v before", j, after.X[j], before.X[j])
+		}
 	}
 }

@@ -144,25 +144,9 @@ type flowVar struct {
 	d, r, t int
 }
 
-// fixedLoadVar is an equal-bound load variable (constant window load or
-// fixed-usage carrier) that Rebind re-pins when FixedUsage changes.
-type fixedLoadVar struct {
-	v    lp.Var
-	e, t int
-}
-
-// costWindow records one percentile-charging window's proxy variable so
-// Rebind can neutralize windows that slide entirely into the past (their
-// charge is sunk — a fresh build would not model them at all).
-type costWindow struct {
-	z       lp.Var
-	we      int // window end (exclusive)
-	objCoef float64
-}
-
 // Built is a constructed-but-reusable scheduling LP. Building the model is
 // itself a nontrivial cost for SAM-sized instances, and keeping the model
-// around lets a caller re-target it in place (Rebind) and re-solve with a
+// around lets a caller re-price it in place (Rebind) and re-solve with a
 // warm basis instead of rebuilding from scratch.
 type Built struct {
 	ins   *Instance
@@ -172,22 +156,11 @@ type Built struct {
 	// load-definition row at e*Horizon+t, -1 where the build emitted none.
 	capRow []lp.Row
 	defRow []lp.Row
-	// demandRow and guaranteeOf hold each demand's cap row and guarantee
-	// (GE) row, -1 where the build emitted none; Rebind patches their
-	// right-hand sides.
-	demandRow   []lp.Row
-	guaranteeOf []lp.Row
-
-	// implicit records the build mode Build selected (see Instance.Build);
-	// the Rebind bookkeeping below is populated only for implicit builds.
-	implicit   bool
-	builtStart int
-	fixedLoads []fixedLoadVar
-	windows    []costWindow
+	// implicit records the build mode Build selected (see Instance.Build).
+	implicit bool
 }
 
-// Implicit reports whether Build chose the implicit-bound formulation, the
-// only one Rebind can patch.
+// Implicit reports whether Build chose the implicit-bound formulation.
 func (b *Built) Implicit() bool { return b.implicit }
 
 // Solve builds the LP and optimizes it. It returns an error for malformed
@@ -216,10 +189,9 @@ func (ins *Instance) Solve(opts lp.Options) (*Result, error) {
 // rows non-binding and drop them, which is what makes the
 // 106-node/226-edge/T=288 topology solvable inside the SAM budget; its
 // singleton rule also folds every one-variable demand cap and guarantee
-// into a bound. Only these builds support Built.Rebind. The count compared
-// is the explicit build's, so the choice is a function of the instance
-// alone, at the threshold where lp switches kernel, pricing rule and cold
-// start.
+// into a bound. The count compared is the explicit build's, so the choice
+// is a function of the instance alone, at the threshold where lp switches
+// kernel, pricing rule and cold start.
 func (ins *Instance) Build() (*Built, error) {
 	if err := ins.checkShape(); err != nil {
 		return nil, err
@@ -330,11 +302,7 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 	H := ins.Horizon
 	loadTerms := make([][]lp.Term, ins.Net.NumEdges()*H) // cell e*H+t -> terms
 
-	nd := len(ins.Demands)
-	demandRow := make([]lp.Row, nd)
-	guaranteeOf := make([]lp.Row, nd)
 	for di := range ins.Demands {
-		demandRow[di], guaranteeOf[di] = -1, -1
 		d := &ins.Demands[di]
 		lo, hi := ins.clip(d)
 		var dTerms []lp.Term
@@ -366,12 +334,12 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 		if d.MaxBytes < 0 {
 			return nil, fmt.Errorf("sched: demand %d has negative MaxBytes", d.ID)
 		}
-		demandRow[di] = m.AddConstraint(lp.LE, d.MaxBytes, dTerms...)
+		m.AddConstraint(lp.LE, d.MaxBytes, dTerms...)
 		if d.MinBytes > 1e-9 {
 			if d.ShortfallCost > 0 {
 				dTerms = append(dTerms, lp.Term{Var: m.AddVar(0, lp.Inf, -d.ShortfallCost), Coef: 1})
 			}
-			guaranteeOf[di] = m.AddConstraint(lp.GE, d.MinBytes, dTerms...)
+			m.AddConstraint(lp.GE, d.MinBytes, dTerms...)
 		}
 	}
 
@@ -388,8 +356,6 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 	}
 
 	// Percentile-cost proxy per usage-priced edge per charging window.
-	var fixedLoads []fixedLoadVar
-	var windows []costWindow
 	if ins.UseCostProxy {
 		ins.eachWindow(func(e graph.Edge, ws, we int) {
 			eid := int(e.ID)
@@ -410,24 +376,14 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 					// Constant load: a fixed variable keeps the
 					// sorting network purely linear.
 					lv := m.AddVar(fixed, fixed, 0)
-					if implicit {
-						fixedLoads = append(fixedLoads, fixedLoadVar{v: lv, e: eid, t: t})
-					}
 					loads = append(loads, cost.LoadExpr{{Var: lv, Coef: 1}})
 					continue
 				}
 				anyFlow = true
 				if !ins.WantPrices {
 					expr := append(cost.LoadExpr(nil), terms...)
-					// The implicit build always carries a fixed-usage
-					// variable, even at zero, so Rebind can re-pin it
-					// when earlier steps' traffic becomes FixedUsage.
-					if implicit || fixed > 0 {
-						fv := m.AddVar(fixed, fixed, 0)
-						if implicit {
-							fixedLoads = append(fixedLoads, fixedLoadVar{v: fv, e: eid, t: t})
-						}
-						expr = append(expr, lp.Term{Var: fv, Coef: 1})
+					if fixed > 0 {
+						expr = append(expr, lp.Term{Var: m.AddVar(fixed, fixed, 0), Coef: 1})
 					}
 					loads = append(loads, expr)
 					continue
@@ -443,27 +399,11 @@ func (ins *Instance) build(implicit bool) (*Built, error) {
 			}
 			k := ins.Cost.K(we - ws)
 			s := cost.AddTopKBound(m, loads, k)
-			coef := -e.CostPerUnit / float64(k)
-			m.SetObj(s, coef)
-			if implicit {
-				windows = append(windows, costWindow{z: s, we: we, objCoef: coef})
-			}
+			m.SetObj(s, -e.CostPerUnit/float64(k))
 		})
 	}
 
-	return &Built{
-		ins:         ins,
-		model:       m,
-		flows:       flows,
-		capRow:      capRow,
-		defRow:      defRow,
-		demandRow:   demandRow,
-		guaranteeOf: guaranteeOf,
-		implicit:    implicit,
-		builtStart:  ins.StartStep,
-		fixedLoads:  fixedLoads,
-		windows:     windows,
-	}, nil
+	return &Built{ins: ins, model: m, flows: flows, capRow: capRow, defRow: defRow, implicit: implicit}, nil
 }
 
 // implicitUpper computes the tightest per-variable upper bound implied by
@@ -485,58 +425,26 @@ func implicitUpper(ins *Instance, d *Demand, route graph.Path, t int) float64 {
 	return up
 }
 
-// Rebind re-targets a built model at a successor instance — the same
-// topology and demand structure, one or more timesteps later — by patching
-// objective coefficients, bounds, and right-hand sides in place. Compared
-// to rebuilding, the model keeps its identity (variable/row numbering,
-// cached standardization, presolve recipe), so the previous solve's warm
-// basis remains valid and consecutive SAM steps avoid the ~10⁶ allocations
-// a from-scratch Build costs at paper scale.
-//
-// Only implicit-bound builds support Rebind (the explicit build bakes
-// instance data into its row layout in ways that are not worth
-// patching), and only for a successor that Build would itself make
-// implicit — otherwise the path a step runs on would depend on what the
-// previous step retained, not on the step's own instance. Beyond that the
-// successor must match the built instance structurally:
-// same network size, horizon, cost config, demand count, and per-demand
-// routes/interval/Allowed; StartStep may only advance. Data that may
-// change: StartStep, Capacity, FixedUsage, and per-demand MaxBytes /
-// MinBytes / ValuePerByte. On any mismatch Rebind returns an error and leaves
-// the model untouched in spirit — callers should fall back to a fresh
-// Build; partial patches are only a performance concern, never consulted
-// again after the fallback.
-//
-// Flow variables at timesteps before the new StartStep are pinned to zero
-// (their traffic is sunk; the caller moves realized bytes into FixedUsage),
-// and percentile windows that slid entirely into the past have their proxy
-// cost neutralized, matching what a fresh build would omit.
+// Rebind re-prices the built model for a successor instance: the same
+// problem after the Price Computer moved the value proxies λ_i. The
+// successor must equal the built instance in everything but each demand's
+// ValuePerByte — the same network, horizon, StartStep, Capacity,
+// FixedUsage and cost configuration, and per demand the same ID, routes,
+// interval, Allowed, MaxBytes, MinBytes and ShortfallCost. Rebind checks
+// all of it before it writes anything; on any other change it returns an
+// error and leaves the model as it was, and the caller builds the
+// successor afresh. An objective edit keeps the model's identity (variable
+// and row numbering, cached standardization, presolve reduction) and its
+// feasible region, so the previous solve's basis stays primal feasible and
+// warm-starts the next. It works on both builds: the build mode is a
+// function of the instance's rows, which the objective does not touch.
 func (b *Built) Rebind(ins *Instance) error {
-	if err := ins.checkShape(); err != nil {
-		return err
-	}
-	if ins.explicitRows() < lp.LargeModelRows {
-		return fmt.Errorf("sched: Rebind successor is below %d rows and builds explicit", lp.LargeModelRows)
-	}
-	return b.rebind(ins)
-}
-
-// rebind is Rebind without the build-mode test on the successor, so tests
-// can patch implicit builds of small instances.
-func (b *Built) rebind(ins *Instance) error {
 	old := b.ins
-	if !b.implicit {
-		return fmt.Errorf("sched: Rebind requires an implicit-bound build")
+	if ins.Net != old.Net || ins.Horizon != old.Horizon || ins.StartStep != old.StartStep {
+		return fmt.Errorf("sched: Rebind network or time axis changed")
 	}
-	if ins.Horizon != old.Horizon {
-		return fmt.Errorf("sched: Rebind horizon changed %d -> %d", old.Horizon, ins.Horizon)
-	}
-	if ins.StartStep < b.builtStart || ins.StartStep > ins.Horizon {
-		return fmt.Errorf("sched: Rebind start step %d outside [%d, %d]", ins.StartStep, b.builtStart, ins.Horizon)
-	}
-	ne := ins.Net.NumEdges()
-	if ne != old.Net.NumEdges() || len(ins.Capacity) != ne {
-		return fmt.Errorf("sched: Rebind network/capacity size changed")
+	if !matricesEqual(ins.Capacity, old.Capacity) || !matricesEqual(ins.FixedUsage, old.FixedUsage) {
+		return fmt.Errorf("sched: Rebind capacity or fixed usage changed")
 	}
 	if ins.UseCostProxy != old.UseCostProxy || ins.WantPrices != old.WantPrices || ins.Cost != old.Cost {
 		return fmt.Errorf("sched: Rebind cost configuration changed")
@@ -544,70 +452,25 @@ func (b *Built) rebind(ins *Instance) error {
 	if len(ins.Demands) != len(old.Demands) {
 		return fmt.Errorf("sched: Rebind demand count changed %d -> %d", len(old.Demands), len(ins.Demands))
 	}
-	m := b.model
 	for di := range ins.Demands {
 		d2, d1 := &ins.Demands[di], &old.Demands[di]
-		if d2.Start != d1.Start || d2.End != d1.End || d2.ShortfallCost != d1.ShortfallCost ||
+		if d2.ID != d1.ID || d2.Start != d1.Start || d2.End != d1.End ||
+			d2.MaxBytes != d1.MaxBytes || d2.MinBytes != d1.MinBytes || d2.ShortfallCost != d1.ShortfallCost ||
 			!pathsEqual(d1.Routes, d2.Routes) || !intsEqual(d1.Allowed, d2.Allowed) {
-			return fmt.Errorf("sched: Rebind demand %d routes/interval/shortfall cost changed", d2.ID)
-		}
-		if d2.MaxBytes < 0 {
-			return fmt.Errorf("sched: demand %d has negative MaxBytes", d2.ID)
-		}
-		if b.demandRow[di] >= 0 {
-			m.SetRHS(b.demandRow[di], d2.MaxBytes)
-		}
-		if b.guaranteeOf[di] >= 0 {
-			m.SetRHS(b.guaranteeOf[di], d2.MinBytes)
-		} else if d2.MinBytes > 1e-9 {
-			// No guarantee row: the demand had no guarantee (or no
-			// variables) at build time, so nothing can enforce one now.
-			return fmt.Errorf("sched: Rebind demand %d gained a guarantee", d2.ID)
+			return fmt.Errorf("sched: Rebind demand %d changed beyond its value per byte", d2.ID)
 		}
 	}
-	for i := range b.flows {
-		f := &b.flows[i]
-		d2 := &ins.Demands[f.d]
-		up := 0.0
-		if f.t >= ins.StartStep {
-			up = implicitUpper(ins, d2, d2.Routes[f.r], f.t)
-		}
-		m.SetBounds(f.v, 0, up)
-		m.SetObj(f.v, d2.ValuePerByte)
-	}
-	H := ins.Horizon
-	for c, row := range b.capRow {
-		if row < 0 {
-			continue // no flow crosses the cell, so no definition row either
-		}
-		m.SetRHS(row, ins.Capacity[c/H][c%H])
-		if row := b.defRow[c]; row >= 0 {
-			fixed := 0.0
-			if ins.FixedUsage != nil {
-				fixed = ins.FixedUsage[c/H][c%H]
-			}
-			m.SetRHS(row, -fixed)
-		}
-	}
-	for _, fl := range b.fixedLoads {
-		fixed := 0.0
-		if ins.FixedUsage != nil {
-			fixed = ins.FixedUsage[fl.e][fl.t]
-		}
-		m.SetBounds(fl.v, fixed, fixed)
-	}
-	for _, wd := range b.windows {
-		if wd.we <= ins.StartStep {
-			// The window's charge is sunk: a fresh build would not model it.
-			// Zeroing the proxy's objective coefficient neutralizes it (the
-			// sorting-network rows stay, but cost nothing and bind nothing).
-			m.SetObj(wd.z, 0)
-		} else {
-			m.SetObj(wd.z, wd.objCoef)
-		}
+	for _, f := range b.flows {
+		b.model.SetObj(f.v, ins.Demands[f.d].ValuePerByte)
 	}
 	b.ins = ins
 	return nil
+}
+
+// matricesEqual reports whether two per-(edge, step) matrices hold the same
+// values; nil equals only nil (a nil FixedUsage means none).
+func matricesEqual(a, b [][]float64) bool {
+	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, slices.Equal[[]float64])
 }
 
 // pathsEqual reports whether two route sets are element-wise identical.

@@ -130,30 +130,33 @@ func TestInfeasibleGuaranteeReported(t *testing.T) {
 
 // TestShortfallCostPricesTheGuarantee checks the priced guarantee row in
 // both builds. A guarantee that cannot fit no longer makes the LP
-// infeasible: it falls short. One that fits is kept when its shortfall
-// costs more than carrying it (value 1 against a percentile bill of 2 per
-// byte), and shorted in full when it costs less.
+// infeasible: it falls short, whether it spans one step (presolve folds
+// its row into a bound) or two (its row stays). One that fits is kept when
+// its shortfall costs more than carrying it (value 1 against a percentile
+// bill of 2 per byte), and shorted in full when it costs less.
 func TestShortfallCostPricesTheGuarantee(t *testing.T) {
 	cases := []struct {
 		name          string
+		steps         int
 		capacity      float64
 		shortfallCost float64
 		want          float64
 	}{
-		{"cannot-fit", 2, 3, 2},
-		{"keep", 10, 100, 5},
-		{"refund", 10, 0.5, 0},
+		{"cannot-fit", 1, 2, 3, 2},
+		{"cannot-fit-two-steps", 2, 2, 3, 4},
+		{"keep", 1, 10, 100, 5},
+		{"refund", 1, 10, 0.5, 0},
 	}
 	for _, tc := range cases {
 		n, e1, _ := lineNet(tc.capacity)
 		n.SetUsagePriced(e1, 2)
 		ins := &Instance{
-			Net: n, Horizon: 1, Capacity: capMatrix(n, 1),
+			Net: n, Horizon: tc.steps, Capacity: capMatrix(n, tc.steps),
 			Demands: []Demand{{
-				ID: 0, Routes: []graph.Path{n.ShortestPath(0, 2)}, Start: 0, End: 0,
+				ID: 0, Routes: []graph.Path{n.ShortestPath(0, 2)}, Start: 0, End: tc.steps - 1,
 				MaxBytes: 10, MinBytes: 5, ValuePerByte: 1, ShortfallCost: tc.shortfallCost,
 			}},
-			Cost: cost.DefaultConfig(1), UseCostProxy: true,
+			Cost: cost.DefaultConfig(tc.steps), UseCostProxy: true,
 		}
 		for _, implicit := range []bool{false, true} {
 			res, err := mustBuild(t, ins, implicit).Solve(lp.Options{})
@@ -280,7 +283,7 @@ func TestStartStepExcludesPast(t *testing.T) {
 func TestFixedUsageCountsTowardWindowPeak(t *testing.T) {
 	// Past usage of 6 on step 0; scheduling on step 1 beyond 6 raises
 	// the window peak (k=1), costing 2/unit against value 1 — so the
-	// optimizer fills exactly up to the historical peak.
+	// optimizer fills exactly up to the historical peak, in both builds.
 	n := graph.New()
 	a := n.AddNode("a", "r")
 	b := n.AddNode("b", "r")
@@ -298,9 +301,14 @@ func TestFixedUsageCountsTowardWindowPeak(t *testing.T) {
 		Cost:         cost.Config{Percentile: 95, TopFrac: 0.5, WindowLen: 2},
 		UseCostProxy: true,
 	}
-	res := solveOK(t, ins)
-	if !almostEq(res.Delivered[0], 6) {
-		t.Errorf("delivered %v, want 6 (fill to historical peak)", res.Delivered[0])
+	for _, implicit := range []bool{false, true} {
+		res, err := mustBuild(t, ins, implicit).Solve(lp.Options{})
+		if err != nil || res.Status != lp.Optimal {
+			t.Fatalf("implicit=%v: %v %v", implicit, err, res)
+		}
+		if !almostEq(res.Delivered[0], 6) {
+			t.Errorf("implicit=%v: delivered %v, want 6 (fill to historical peak)", implicit, res.Delivered[0])
+		}
 	}
 }
 
