@@ -22,15 +22,16 @@ type Basis struct {
 	basic   []int  // basic standardized column per row
 	atUpper []bool // nonbasic-at-upper flag per standardized column
 
-	// fac is the basis representation as of capture: a clone, with no
-	// scratch. installWarm copies an eta snapshot into the solve's own
-	// kernel, and clones a Forrest–Tomlin one again, a view that copies what
-	// it writes before writing it, so a large warm solve that takes no pivot
-	// copies no factor (see ftFactor.clone). A signature
+	// fac is the Forrest–Tomlin factorization as of capture, nil on a small
+	// model: a clone, with no scratch, a view that copies what it writes
+	// before writing it. installWarm clones it again, so a large warm solve
+	// that takes no pivot copies no factor (see ftFactor.clone). A signature
 	// match guarantees the same basis columns, so the factorization is
 	// reinstalled, skipping a refactorization. Its age rides along, so the
-	// periodic-refactorization policy spans chains of warm solves.
-	fac factor
+	// periodic-refactorization policy spans chains of warm solves. A small
+	// model's basis is refactorized at install instead: its factorization is
+	// cheap to rebuild and costly to copy at every capture.
+	fac *ftFactor
 }
 
 // fingerprint hashes the standardization: column count, row count, the
@@ -72,18 +73,22 @@ func (b *Basis) matches(std *standard) bool {
 	return b != nil && b.m == std.m && b.n == std.n && b.sig == std.sig
 }
 
-// capture snapshots the current basis of st. The factorization is cloned,
-// so later pivots on st can never corrupt the captured snapshot
-// (TestCaptureSurvivesLaterMutation).
+// capture snapshots the current basis of st. A Forrest–Tomlin
+// factorization is cloned, so later pivots on st can never corrupt the
+// captured snapshot (TestCaptureSurvivesLaterMutation); any other kernel's
+// is left behind.
 func (st *state) capture() *Basis {
-	return &Basis{
+	b := &Basis{
 		m:       st.std.m,
 		n:       st.std.n,
 		sig:     st.std.sig,
 		basic:   append([]int(nil), st.basis...),
 		atUpper: append([]bool(nil), st.atUpper...),
-		fac:     st.fac.clone(),
 	}
+	if f, ok := st.fac.(*ftFactor); ok {
+		b.fac = f.clone()
+	}
+	return b
 }
 
 // warmFeasTol is the primal feasibility tolerance shared by the warm-start
@@ -98,23 +103,6 @@ func (st *state) effUpper(j int) float64 {
 		return 0
 	}
 	return st.std.up[j]
-}
-
-// sameKernel reports whether a captured factorization is of the production
-// kernel this solve runs. The signature fixes the model's size, so the two
-// production kernels never meet; what this turns away is a test's oracle or
-// wrapper, which refactorizes rather than take over another kernel's
-// snapshot.
-func sameKernel(captured, running factor) bool {
-	switch captured.(type) {
-	case *etaFactor:
-		_, ok := running.(*etaFactor)
-		return ok
-	case *ftFactor:
-		_, ok := running.(*ftFactor)
-		return ok
-	}
-	return false
 }
 
 // installWarm loads a structurally matching basis into st and reports
@@ -140,22 +128,18 @@ func (st *state) installWarm(b *Basis) bool {
 			return false // cannot rest at an infinite upper bound
 		}
 	}
-	if sameKernel(b.fac, st.fac) && b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
+	if _, ok := st.fac.(*ftFactor); ok && b.fac != nil && b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
 		// Reuse the captured factorization: the signature match guarantees
 		// the basis columns are identical, so the snapshot still represents
 		// B⁻¹ for the new model and the refactorization can be skipped
-		// outright — the dominant cost of a warm install. The solve runs on
-		// a copy, so its pivots cannot corrupt the caller's Basis (which
-		// may warm-start further solves): an eta snapshot is copied into
-		// the kernel the solve already holds, which the free list gets
-		// back, and a Forrest–Tomlin one is cloned, a view that copies
-		// before it writes. Only the basic values need recomputing against
-		// this model's right-hand side.
-		if e, ok := st.fac.(*etaFactor); ok {
-			b.fac.(*etaFactor).copyTo(e)
-		} else {
-			st.fac = b.fac.clone()
-		}
+		// outright — the dominant cost of a large warm install. The solve
+		// runs on a clone, a view that copies before it writes, so its
+		// pivots cannot corrupt the caller's Basis (which may warm-start
+		// further solves). Only the basic values need recomputing against
+		// this model's right-hand side. A small basis, or one a test's
+		// oracle or wrapper runs, is refactorized like a snapshot that no
+		// longer qualifies.
+		st.fac = b.fac.clone()
 		st.recomputeXB()
 	} else if st.refactor() != refactorOK {
 		return false // singular basis matrix

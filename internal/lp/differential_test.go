@@ -263,9 +263,8 @@ func captureSurvivesBorrowed(t *testing.T) {
 	src := crashStaircase(37, 2400, 0, false).m
 	b := mustOptimal(t, src, Options{}, "cold").Basis()
 	newFactor = old
-	snap, ok := b.fac.(*ftFactor)
-	if !ok || !snap.borrowed || snap.mkz != nil || snap.xwork != nil || snap.sxw != nil || snap.ftb != nil {
-		t.Fatalf("captured %T is not a scratch-free borrowed view", b.fac)
+	if snap := b.fac; snap == nil || !snap.borrowed || snap.mkz != nil || snap.xwork != nil || snap.sxw != nil || snap.ftw != nil {
+		t.Fatal("the captured factorization is not a scratch-free borrowed view")
 	}
 	edited := func() *Model {
 		lp := crashStaircase(37, 2400, 0, false)
@@ -302,6 +301,9 @@ func captureSurvivesBorrowed(t *testing.T) {
 
 	small := samShapedLP(rand.New(rand.NewSource(4243)), 1.0)
 	smallB := mustOptimal(t, small, Options{}, "small cold").Basis()
+	if smallB.fac != nil {
+		t.Fatal("a small model's basis kept its factorization")
+	}
 	perturbed := func() *Model { return samShapedLP(rand.New(rand.NewSource(4243)), 1.3) }
 	smallWant := mustOptimal(t, perturbed(), Options{WarmBasis: smallB}, "small install")
 	for _, c := range []struct {

@@ -26,8 +26,8 @@ const (
 // The pivot loops take their tableau columns and rows through the
 // hyper-sparse (nonzero-list) forms, ftranColNz/btranUnitNz/updateNz, and
 // whole vectors through ftranDense/btran. The tests check the list forms
-// against ftranDense/btran of a scattered column or unit vector, against
-// updateNz with a nil list, and against the dense oracle.
+// against ftranDense/btran of a scattered column or unit vector and against
+// the dense oracle.
 type factor interface {
 	// reset installs the exact identity basis (the cold-start slack/
 	// artificial basis is the identity matrix by construction), clearing
@@ -52,8 +52,10 @@ type factor interface {
 	btranUnitNz(r int, out []float64, prev []int32) []int32
 	// updateNz applies the product-form pivot replacing the basis column at
 	// position r with the entering column whose tableau form is w = B⁻¹a_q,
-	// wnz its nonzero list (nil: the kernel scans w). w is consumed (the
-	// caller's scratch; the kernel must copy what it keeps).
+	// wnz its nonzero list. Both are what the kernel's last ftranColNz
+	// filled, with no update or refactorization since: Forrest–Tomlin takes
+	// its spike from that FTRAN and panics on any other w. w is consumed
+	// (the caller's scratch; the kernel must copy what it keeps).
 	updateNz(r int, w []float64, wnz []int32)
 	// age counts product-form pivots applied since the last reset or
 	// refactorization — the periodic-refactorization hygiene counter.
@@ -65,9 +67,6 @@ type factor interface {
 	// early refactorization (update-fill growth or a drift-suspect pivot),
 	// independent of the refactorEvery cadence.
 	wantRefactor() bool
-	// clone returns a deep snapshot: no later update or refactorize on
-	// either copy may affect the other. Basis capture depends on this.
-	clone() factor
 }
 
 // newFactor builds the kernel for a solve of a large or a small model; a
@@ -92,25 +91,16 @@ var newFactor = func(large bool) factor {
 // builds a kernel.
 var spareEta atomic.Pointer[etaFactor]
 
-// release hands a finished solve's kernel to the free list. Only the
-// production small-model kernel goes — a test's wrapper or oracle does
-// not, and a Forrest–Tomlin kernel may still back a captured view — and no
-// clone views it, since etaFactor.clone copies. It goes trimmed.
+// release hands a finished solve's kernel to the free list, without its
+// Markowitz scratch and eta reader index: nothing needs them once the
+// solve's pivots are over, and kept, they would sit on the heap through
+// every later solve's peak. Only the production small-model kernel goes — a
+// test's wrapper or oracle does not, and a Forrest–Tomlin kernel may still
+// back a captured view — and nothing else holds it, since a small model's
+// Basis keeps no factorization.
 func release(f factor) {
-	if e := trim(f); e != nil {
+	if e, ok := f.(*etaFactor); ok {
+		e.mkz, e.etaRows = nil, nil
 		spareEta.Store(e)
 	}
-}
-
-// trim drops a small-model kernel's Markowitz scratch and eta reader index,
-// which nothing needs once a solve's pivots are over, and returns the
-// kernel (nil for any other). Kept, the two would sit on the heap through
-// every later solve's peak; a solve trims before capture copies the
-// factorization, so they are not live beside the copy either.
-func trim(f factor) *etaFactor {
-	e, ok := f.(*etaFactor)
-	if ok {
-		e.mkz, e.etaRows = nil, nil
-	}
-	return e
 }

@@ -66,9 +66,9 @@ func checkNzAgainstDense(t *testing.T, dense, sparse []float64, nz []int32, tol 
 // TestHyperSparseSolvesMatchDense: on a staircase basis big enough for
 // the peeled refactorization path, ftranColNz/btranUnitNz must agree with
 // ftranDense/btran of the scattered column or unit vector (independent loop
-// structures over the same LU), and list-fed updateNz chains must agree with
-// scan-fed (nil-list) ones, across updates and a mid-chain refactorization
-// of the mutated basis.
+// structures over the same LU), and a clone taking the same pivots through
+// its own FTRANs must keep agreeing with the original, across updates and a
+// mid-chain refactorization of the mutated basis.
 func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	m := LargeModelRows + 404
 	r := rand.New(rand.NewSource(71))
@@ -114,12 +114,12 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 
 	probe("fresh factorization")
 
-	// Update chain: mirror pivots through list-fed updateNz on lu and
-	// scan-fed updateNz on a clone, then require the two factors to answer
-	// identically.
+	// Update chain: mirror every pivot of lu on a clone, which FTRANs the
+	// entering column into its own buffer and updates from that, then
+	// require the two factors to answer identically.
 	mirror := lu.clone()
-	w := make([]float64, m)
-	var wPrev []int32
+	w, wm := make([]float64, m), make([]float64, m)
+	var wPrev, wmPrev []int32
 	for piv := 0; piv < 30; piv++ {
 		q := r.Intn(m)
 		wPrev = lu.ftranColNz(std.cols[q], w, wPrev)
@@ -134,9 +134,9 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 		if leave < 0 {
 			continue
 		}
-		wc := append([]float64(nil), w...)
 		lu.updateNz(leave, w, wPrev)
-		mirror.updateNz(leave, wc, nil)
+		wmPrev = mirror.ftranColNz(std.cols[q], wm, wmPrev)
+		mirror.updateNz(leave, wm, wmPrev)
 		basis[leave] = q
 	}
 	if lu.age() == 0 {
@@ -273,7 +273,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 		basis[leave] = q
 		pivots++
 		if pivots == 120 {
-			snapshot = lu.clone().(*ftFactor)
+			snapshot = lu.clone()
 			basisSnap = append([]int(nil), basis...)
 		}
 		if pivots == 180 {

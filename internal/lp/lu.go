@@ -94,13 +94,13 @@ type luFactor struct {
 	// models the active-matrix slices are the bulk of a refactorization's
 	// allocations — and never shared with clones (the factorization output
 	// slices are the immutable product; the scratch is not). A small-model
-	// kernel drops it when its solve ends (trim).
+	// kernel drops it when its solve ends (release).
 	mkz *markowitzScratch
 
 	// shared marks the factorization output slices (lops/ur/ud/perms/
 	// transposes and the arenas backing them) as visible to a clone. Only a
-	// Forrest–Tomlin clone views them (an etaFactor clone copies); it is set
-	// on BOTH sides of every such clone() call, and while set, refactorize
+	// Forrest–Tomlin kernel is cloned; the flag is set on BOTH sides of
+	// every clone() call, and while set, refactorize
 	// and reset allocate fresh outputs instead of recycling the previous
 	// ones. The first refactorize after a clone therefore pays one full
 	// allocation round and clears the flag; steady-state solve loops
@@ -141,10 +141,8 @@ type etaFactor struct {
 
 	// etaRows[p] lists, ascending, the etas that read or write basis
 	// position p: the hyper-sparse BTRAN's reader index, appended with the
-	// eta file. It is private to each kernel — no clone copies it, so it
-	// recycles in place — and a kernel without one (a clone, one trimmed,
-	// or one own resized) builds it from its eta file on first use
-	// (indexEtas).
+	// eta file, recycled in place; a kernel without one (one released, or one
+	// own resized) builds it from its eta file on first use (indexEtas).
 	etaRows [][]int32
 
 	// Hyper-sparse solve scratch: mbits is an m-bit worklist (steps, then
@@ -195,22 +193,19 @@ type ftFactor struct {
 
 	// The FTRAN's step → runs reader index: rdHead[j] heads a newest-first
 	// list through rdLink of the runs whose ops read step j. rdN runs are
-	// indexed so far; the FTRAN catches up on the rest. Like etaFactor's
-	// etaRows it is private to each kernel — a clone starts without one and
-	// builds its own on first use.
+	// indexed so far; the FTRAN catches up on the rest. It is private to
+	// each kernel: a clone starts without one and builds its own on first
+	// use.
 	rdHead []int32
 	rdLink []rdLink
 	rdN    int
 
-	// Update scratch. ftb holds the scattered step-space image of the
-	// tableau column while the spike is computed, ftw the row-spike working
-	// values during elimination; both are kept all-zero between calls.
-	// ftmark tags spike-candidate membership and ftlist / ftvals are the
-	// candidates and their spike values.
-	ftb, ftw []float64
-	ftmark   []bool
-	ftlist   []int32
-	ftvals   []float64
+	// Update scratch. ftw holds the row-spike working values during
+	// elimination, kept all-zero between calls; ftlist / ftvals are the
+	// spike's steps and values.
+	ftw    []float64
+	ftlist []int32
+	ftvals []float64
 
 	// Worklist bitsets, all-zero between calls: kbits over logical-order
 	// keys (the U passes and the row-spike elimination), rbits over runs
@@ -220,8 +215,8 @@ type ftFactor struct {
 	// Spike stash: the step-space image F(a) captured by the last hyper-
 	// sparse FTRAN, which is exactly the spike column the next update
 	// needs. stashPtr identifies the output buffer the FTRAN filled; an
-	// update whose w is that same buffer reuses the stash and skips the
-	// U·w̃ recomputation. Any update or refactorization invalidates it.
+	// update takes its spike from the stash and accepts only that buffer
+	// as its w. Any update or refactorization spends it.
 	stashK   []int32
 	stashV   []float64
 	stashPtr *float64
@@ -519,8 +514,8 @@ func (f *ftFactor) wantRefactor() bool {
 }
 
 // ensureScratch sizes the dense solves' working set. Every dense solve
-// stages its input through it (load), so a view (share) or a copy (clone),
-// which starts without scratch, allocates its own on its first one.
+// stages its input through it (load), so a clone, which starts without
+// scratch, allocates its own on its first one.
 func (f *luFactor) ensureScratch() {
 	f.xwork = resize(f.xwork, f.m)
 	f.zwork = resize(f.zwork, f.m)
@@ -589,13 +584,11 @@ func drain(bs []uint64, nz []int32) []int32 {
 	return nz
 }
 
-// ensureFtScratch sizes the Forrest–Tomlin update working set. ftb/ftw
-// come back from make all-zero, establishing the kept-clean invariant.
+// ensureFtScratch sizes the Forrest–Tomlin update working set. ftw comes
+// back from make all-zero, establishing the kept-clean invariant.
 func (f *ftFactor) ensureFtScratch() {
-	if len(f.ftb) != f.m {
-		f.ftb = make([]float64, f.m)
+	if len(f.ftw) != f.m {
 		f.ftw = make([]float64, f.m)
-		f.ftmark = make([]bool, f.m)
 	}
 }
 
@@ -1339,21 +1332,14 @@ func (f *etaFactor) ftranDense(x, out []float64) { f.solveForward(f.load(x), out
 func (f *etaFactor) btran(x, out []float64)      { f.solveBackward(f.load(x), out) }
 
 // updateNz appends the pivot's eta vector: w's off-pivot entries above
-// etaDropTol in wnz's order (nil: scan w; the simplex's lists are ascending,
-// so both store the same eta), and indexes it.
+// etaDropTol in wnz's order (the simplex's lists are ascending), and
+// indexes it.
 func (f *etaFactor) updateNz(r int, w []float64, wnz []int32) {
 	piv := w[r]
 	maxAbs := math.Abs(piv)
 	start := len(f.etaArena)
-	n := len(wnz)
-	if wnz == nil {
-		n = len(w)
-	}
-	for k := 0; k < n; k++ {
-		i := k
-		if wnz != nil {
-			i = int(wnz[k])
-		}
+	for _, p := range wnz {
+		i := int(p)
 		if i == r {
 			continue
 		}
@@ -1695,121 +1681,49 @@ func (f *ftFactor) ucolDrop(j, k int32) {
 
 // updateNz absorbs one pivot into the factorization in place (Forrest–
 // Tomlin): the basis column at position r has been replaced by a column
-// with tableau form w = B⁻¹a (nonzero positions wnz; nil means scan w).
+// with tableau form w = B⁻¹a, and w must be the buffer the kernel's last
+// ftranColNz filled, with no update or refactorization since (it panics
+// otherwise; wnz is not read).
 //
 // With the representation B⁻¹ = P ∘ U⁻¹ ∘ F (F = the appended ftOps after
 // the row gather and L⁻¹ pass), replacing column r of B turns U's column
-// at step s = posStep[r] into the spike v = F(a) = U·w̃, where w̃ is w
-// gathered to step space — computed from w directly so a clone can absorb
-// a pivot without having run the FTRAN itself. Step s then moves to the
-// end of the logical order: every spike entry (k,s) becomes upper
-// triangular for free, while the old row-s entries fall below the
-// diagonal and are eliminated against the rows owning their columns in
-// ascending logical order. Each elimination emits one ftOp (F_new = E∘F);
-// fill lands either at a later column of the working row (handled when
-// swept) or at column s, where it accumulates into the new diagonal.
-// Row s ends a singleton; no other row or column of U moves. The update's
-// ops form one run (ftRuns): they all write step s and none reads it.
-func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
+// at step s = posStep[r] into the spike v = F(a): the FTRAN that produced
+// w computed it on the way to the U back-substitution and stashed it.
+// Step s then moves to the end of the logical order: every spike entry
+// (k,s) becomes upper triangular for free, while the old row-s entries
+// fall below the diagonal and are eliminated against the rows owning their
+// columns in ascending logical order. Each elimination emits one ftOp
+// (F_new = E∘F); fill lands either at a later column of the working row
+// (handled when swept) or at column s, where it accumulates into the new
+// diagonal. Row s ends a singleton; no other row or column of U moves. The
+// update's ops form one run (ftRuns): they all write step s and none reads
+// it.
+func (f *ftFactor) updateNz(r int, w []float64, _ []int32) {
+	if f.stashPtr == nil || len(w) == 0 || &w[0] != f.stashPtr {
+		panic("lp: Forrest–Tomlin update of a column its last FTRAN did not compute")
+	}
 	f.detach()
 	f.ensureFtScratch()
 	f.ensureNzScratch()
 	s := f.posStep[r]
 
-	mark := f.ftmark
-	cand := f.ftlist[:0]
-	vals := f.ftvals[:0]
-	ns := 0
+	spikeK, vals := f.ftlist[:0], f.ftvals[:0]
 	vdiag, maxAbs := 0.0, 0.0
-	if f.stashPtr != nil && len(w) > 0 && &w[0] == f.stashPtr {
-		// The FTRAN that produced w already computed F(a) on the way to
-		// the U back-substitution and stashed it — that IS the spike.
-		spikeK := cand
-		for i, k := range f.stashK {
-			v := f.stashV[i]
-			if k == s {
-				vdiag = v
-				continue
-			}
-			if a := math.Abs(v); a > etaDropTol {
-				if a > maxAbs {
-					maxAbs = a
-				}
-				spikeK = append(spikeK, k)
-				vals = append(vals, v)
-			}
+	for i, k := range f.stashK {
+		v := f.stashV[i]
+		if k == s {
+			vdiag = v
+			continue
 		}
-		cand = spikeK
-		ns = len(cand)
-	} else {
-		// Spike v = U·w̃: gather w, then evaluate the rows that can see a
-		// nonzero — those whose own rhs entry is set or that hold a U entry
-		// in a nonzero column (ucols is exact, so this set is complete).
-		ftb := f.ftb
-		addCand := func(p int) {
-			v := w[p]
-			if v == 0 {
-				return
+		if a := math.Abs(v); a > etaDropTol {
+			if a > maxAbs {
+				maxAbs = a
 			}
-			k := f.posStep[p]
-			ftb[k] = v
-			if !mark[k] {
-				mark[k] = true
-				cand = append(cand, k)
-			}
-			for _, kk := range f.ucols[k] {
-				if !mark[kk] {
-					mark[kk] = true
-					cand = append(cand, kk)
-				}
-			}
-		}
-		if wnz != nil {
-			for _, p := range wnz {
-				addCand(int(p))
-			}
-		} else {
-			for p := 0; p < f.m; p++ {
-				addCand(p)
-			}
-		}
-		spikeK := cand
-		for _, k := range cand {
-			mark[k] = false
-			v := f.ud[k] * ftb[k]
-			for _, e := range f.ur[k] {
-				v += e.val * ftb[e.k]
-			}
-			xr := f.overflow(k)
-			for i := len(xr) - 1; i >= 0; i-- {
-				v += xr[i].val * ftb[xr[i].k]
-			}
-			if k == s {
-				vdiag = v
-				continue
-			}
-			if a := math.Abs(v); a > etaDropTol {
-				if a > maxAbs {
-					maxAbs = a
-				}
-				spikeK[ns] = k
-				vals = append(vals, v)
-				ns++
-			}
-		}
-		if wnz != nil {
-			for _, p := range wnz {
-				ftb[f.posStep[p]] = 0
-			}
-		} else {
-			for p := 0; p < f.m; p++ {
-				if w[p] != 0 {
-					ftb[f.posStep[p]] = 0
-				}
-			}
+			spikeK = append(spikeK, k)
+			vals = append(vals, v)
 		}
 	}
-	spikeK := cand[:ns]
+	ns := len(spikeK)
 	if a := math.Abs(vdiag); a > maxAbs {
 		maxAbs = a
 	}
@@ -1897,7 +1811,7 @@ func (f *ftFactor) updateNz(r int, w []float64, wnz []int32) {
 	f.ud[s] = d
 	f.nupd++
 	f.ftNnz += ns + (len(f.ftOps) - opStart)
-	f.ftlist = cand[:0]
+	f.ftlist = spikeK[:0]
 	f.ftvals = vals[:0]
 }
 
@@ -2241,77 +2155,12 @@ func (f *luFactor) share() luFactor {
 	}
 }
 
-// clone copies the representation into a new kernel, compactly (copyTo).
-func (f *etaFactor) clone() factor {
-	c := &etaFactor{}
-	f.copyTo(c)
-	return c
-}
-
-// copyTo copies the representation into c: the factorization, its
-// transposes and the eta file, the U rows and the multiplier and eta lists
-// each carved from one arena (capped, so c's own appends never reach a
-// carved list). c's arrays are reused by capacity, so a warm install into
-// the kernel a solve already holds allocates only to grow, and a copy into
-// a new kernel is exact-size. Nothing is shared either way, so the Basis
-// that capture takes after every solve pins none of the capturing kernel's
-// arrays and that kernel may go back to the free list (release). c keeps
-// its own scratch; its reader index is rebuilt on first use.
-func (f *etaFactor) copyTo(c *etaFactor) {
-	c.own(f.m)
-	copy(c.ud, f.ud)
-	copy(c.permRow, f.permRow)
-	copy(c.permPos, f.permPos)
-	copy(c.posStep, f.posStep)
-	copy(c.stepOfRow, f.stepOfRow)
-	copy(c.rowOp, f.rowOp)
-	copy(c.lrPtr, f.lrPtr)
-	copy(c.ucPtr, f.ucPtr)
-	c.lrIdx = append(resize(c.lrIdx, len(f.lrIdx))[:0], f.lrIdx...)
-	c.ucIdx = append(resize(c.ucIdx, len(f.ucIdx))[:0], f.ucIdx...)
-	c.baseNnz, c.drift, c.etaNnz, c.etaRows = f.baseNnz, f.drift, f.etaNnz, nil
-	n := 0
-	for _, row := range f.ur {
-		n += len(row)
-	}
-	c.lueArena = resize(c.lueArena, n)[:0]
-	for k, row := range f.ur {
-		c.lueArena, c.ur[k] = carve(c.lueArena, row)
-	}
-	n = 0
-	for _, op := range f.lops {
-		n += len(op.nz)
-	}
-	c.lops, c.opArena = resize(c.lops, len(f.lops)), resize(c.opArena, n)[:0]
-	for i, op := range f.lops {
-		c.lops[i].prow = op.prow
-		c.opArena, c.lops[i].nz = carve(c.opArena, op.nz)
-	}
-	n = 0
-	for _, e := range f.etas {
-		n += len(e.nz)
-	}
-	c.etas, c.etaArena = resize(c.etas, len(f.etas)), resize(c.etaArena, n)[:0]
-	for i, e := range f.etas {
-		c.etas[i].r, c.etas[i].piv = e.r, e.piv
-		c.etaArena, c.etas[i].nz = carve(c.etaArena, e.nz)
-	}
-}
-
-// carve appends nz to arena and returns the grown arena and the copy,
-// capped at its end.
-func carve[T any](arena, nz []T) ([]T, []T) {
-	start := len(arena)
-	arena = append(arena, nz...)
-	return arena, arena[start:len(arena):len(arena)]
-}
-
 // clone snapshots the representation as a copy-on-write view: Forrest–Tomlin
 // mutates U in place, so both sides share the mutable set too and are marked
 // borrowed. The first update on either side copies it (detach); a refactorize
 // or reset leaves it; a side that only solves never copies. The reader index,
 // the spike stash and all scratch stay behind.
-func (f *ftFactor) clone() factor {
+func (f *ftFactor) clone() *ftFactor {
 	if !f.borrowed {
 		f.borrowed = true
 	}

@@ -138,7 +138,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 				continue
 			}
 			copy(wCopy, w)
-			lu.updateNz(pr, w, nil)
+			lu.updateNz(pr, w, scanNz(w, nil))
 			dn.updateNz(pr, wCopy, nil)
 			std.cols = append(std.cols, col)
 			basis[pr] = std.n
@@ -211,7 +211,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 		if pr < 0 {
 			continue
 		}
-		lu.updateNz(pr, w, nil)
+		lu.updateNz(pr, w, scanNz(w, nil))
 		std.cols = append(std.cols, col)
 		basis[pr] = std.n
 		std.n++
@@ -293,91 +293,23 @@ func TestFTFillGrowthTrigger(t *testing.T) {
 	}
 }
 
-// TestFactorCloneIsolation: clone() must be a deep snapshot for both
-// kernels — updates on the original after cloning (the exact aliasing
-// hazard the old dense capture had) must not leak into the clone, and vice
-// versa.
+// TestFactorCloneIsolation: a Forrest–Tomlin clone, the one factor
+// snapshot (a large model's Basis keeps one), must act as a deep snapshot:
+// updates and a refactorization on the original after cloning (the exact
+// aliasing hazard the old dense capture had) must not leak into the clone,
+// and the clone's own pivots must not leak into the original.
 func TestFactorCloneIsolation(t *testing.T) {
-	const m = 15
-	for _, dense := range []bool{false, true} {
-		r := rand.New(rand.NewSource(31))
-		std, basis := randSparseBasis(r, m)
-		f := newKernel(dense)
-		f.reset(m)
-		if f.refactorize(std, basis) != refactorOK {
-			t.Fatalf("dense=%v: refactorize failed", dense)
-		}
-		// Put one eta on the original so the clone must snapshot a
-		// non-trivial pivot history too.
-		w := make([]float64, m)
-		col := []entry{{row: 2, val: 1.5}, {row: 7, val: -0.4}}
-		ftranColRef(f, col, w)
-		f.updateNz(2, w, nil)
-
-		probe := make([]float64, m)
-		for i := range probe {
-			probe[i] = r.Float64() - 0.5
-		}
-		before := make([]float64, m)
-		f.ftranDense(probe, before)
-
-		snap := f.clone()
-		if snap.age() != f.age() || reflect.TypeOf(snap) != reflect.TypeOf(f) {
-			t.Fatalf("dense=%v: clone metadata mismatch", dense)
-		}
-
-		// Mutate the original: several more pivots and then a full
-		// refactorization (both mutation classes the snapshot must survive).
-		for k := 0; k < 5; k++ {
-			col := []entry{{row: (3*k + 1) % m, val: 2 + float64(k)}, {row: (k + 5) % m, val: 0.3}}
-			ftranColRef(f, col, w)
-			pr := 0
-			for i := range w {
-				if math.Abs(w[i]) > math.Abs(w[pr]) {
-					pr = i
-				}
-			}
-			f.updateNz(pr, w, nil)
-		}
-		f.refactorize(std, basis)
-
-		after := make([]float64, m)
-		snap.ftranDense(probe, after)
-		if d := maxAbsDiff(before, after); d != 0 {
-			t.Fatalf("dense=%v: mutating the original changed the clone by %g", dense, d)
-		}
-
-		// And the other direction: pivoting on the clone must not disturb
-		// the (freshly refactorized) original.
-		f.ftranDense(probe, before)
-		ftranColRef(snap, col, w)
-		snap.updateNz(1, w, nil)
-		f.ftranDense(probe, after)
-		if d := maxAbsDiff(before, after); d != 0 {
-			t.Fatalf("dense=%v: mutating the clone changed the original by %g", dense, d)
-		}
-	}
-}
-
-// TestEtaCloneSurvivesFailedRefactorize: a refactorization that ends
-// singular must leave the kernel no more able to write through arrays a
-// clone views than one that succeeded. Either side of a clone fails its
-// first refactorize, then rebuilds (refactorize of another basis, or reset)
-// and pivots; the other side's answers, dense and nonzero-list, and its eta
-// reader index must not move by a bit. This is the warm-install path when a
-// transplanted factor meets a singular basis and the solve recovers or
-// retries cold while the caller keeps its *Basis.
-func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 	const m = 15
 	r := rand.New(rand.NewSource(31))
 	std, basis := randSparseBasis(r, m)
-	other, otherBasis := randSparseBasis(r, m)
-	singular := append([]int(nil), basis...)
-	singular[1] = singular[0]
-
+	f := &ftFactor{}
+	f.reset(m)
+	if f.refactorize(std, basis) != refactorOK {
+		t.Fatal("refactorize failed")
+	}
 	w := make([]float64, m)
 	var wl []int32
-	pivot := func(f *etaFactor, col []entry) {
+	pivot := func(f *ftFactor, col []entry) {
 		wl = f.ftranColNz(col, w, wl)
 		pr := wl[0]
 		for _, i := range wl {
@@ -387,7 +319,75 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 		}
 		f.updateNz(int(pr), w, wl)
 	}
-	answers := func(f *etaFactor) []float64 {
+	// Put one update on the original so the clone must snapshot a
+	// non-trivial pivot history too.
+	col := []entry{{row: 2, val: 1.5}, {row: 7, val: -0.4}}
+	pivot(f, col)
+
+	probe := make([]float64, m)
+	for i := range probe {
+		probe[i] = r.Float64() - 0.5
+	}
+	before := make([]float64, m)
+	f.ftranDense(probe, before)
+
+	snap := f.clone()
+	if snap.age() != f.age() {
+		t.Fatalf("clone age %d, original %d", snap.age(), f.age())
+	}
+
+	// Mutate the original: several more pivots and then a full
+	// refactorization (both mutation classes the snapshot must survive).
+	for k := 0; k < 5; k++ {
+		pivot(f, []entry{{row: (3*k + 1) % m, val: 2 + float64(k)}, {row: (k + 5) % m, val: 0.3}})
+	}
+	f.refactorize(std, basis)
+
+	after := make([]float64, m)
+	snap.ftranDense(probe, after)
+	if d := maxAbsDiff(before, after); d != 0 {
+		t.Fatalf("mutating the original changed the clone by %g", d)
+	}
+
+	// And the other direction: pivoting on the clone must not disturb the
+	// (freshly refactorized) original.
+	f.ftranDense(probe, before)
+	pivot(snap, col)
+	f.ftranDense(probe, after)
+	if d := maxAbsDiff(before, after); d != 0 {
+		t.Fatalf("mutating the clone changed the original by %g", d)
+	}
+}
+
+// TestCloneSurvivesFailedRefactorize: a refactorization that ends singular
+// must leave a Forrest–Tomlin kernel no more able to write through arrays a
+// clone views than one that succeeded. Either side of a clone fails its
+// first refactorize, then rebuilds (refactorize of another basis, or reset)
+// and pivots; the other side's answers, dense and nonzero-list, must not
+// move by a bit. This is the warm-install path when a transplanted factor
+// meets a singular basis and the solve recovers or retries cold while the
+// caller keeps its *Basis.
+func TestCloneSurvivesFailedRefactorize(t *testing.T) {
+	const m = 15
+	r := rand.New(rand.NewSource(31))
+	std, basis := randSparseBasis(r, m)
+	other, otherBasis := randSparseBasis(r, m)
+	singular := append([]int(nil), basis...)
+	singular[1] = singular[0]
+
+	w := make([]float64, m)
+	var wl []int32
+	pivot := func(f *ftFactor, col []entry) {
+		wl = f.ftranColNz(col, w, wl)
+		pr := wl[0]
+		for _, i := range wl {
+			if math.Abs(w[i]) > math.Abs(w[pr]) {
+				pr = i
+			}
+		}
+		f.updateNz(int(pr), w, wl)
+	}
+	answers := func(f *ftFactor) []float64 {
 		var all []float64
 		out, fo, bo := make([]float64, m), make([]float64, m), make([]float64, m)
 		var fl, bl []int32
@@ -404,17 +404,10 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 		}
 		return all
 	}
-	index := func(f *etaFactor) [][]int32 {
-		rows := make([][]int32, len(f.etaRows))
-		for p, l := range f.etaRows {
-			rows[p] = append([]int32{}, l...)
-		}
-		return rows
-	}
 
 	for _, failOnClone := range []bool{true, false} {
 		for _, retryReset := range []bool{false, true} {
-			kept := &etaFactor{}
+			kept := &ftFactor{}
 			kept.reset(m)
 			if kept.refactorize(std, basis) != refactorOK {
 				t.Fatal("refactorize failed")
@@ -422,11 +415,11 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 			for k := 0; k < 3; k++ {
 				pivot(kept, []entry{{row: 2 + k, val: 1.5}, {row: 7 + k, val: -0.4}})
 			}
-			mut := kept.clone().(*etaFactor)
+			mut := kept.clone()
 			if !failOnClone {
 				kept, mut = mut, kept
 			}
-			want, wantIndex := answers(kept), index(kept)
+			want := answers(kept)
 
 			if out := mut.refactorize(std, singular); out != refactorSingular {
 				t.Fatalf("duplicated column refactorized with outcome %d", out)
@@ -443,9 +436,6 @@ func TestEtaCloneSurvivesFailedRefactorize(t *testing.T) {
 			if got := answers(kept); !reflect.DeepEqual(got, want) {
 				t.Errorf("failOnClone=%v retryReset=%v: rebuilding one side after a singular refactorize changed the other by %g",
 					failOnClone, retryReset, maxAbsDiff(got, want))
-			}
-			if got := index(kept); !reflect.DeepEqual(got, wantIndex) {
-				t.Errorf("failOnClone=%v retryReset=%v: rebuilding one side changed the other's eta reader index", failOnClone, retryReset)
 			}
 		}
 	}
@@ -485,13 +475,14 @@ func ascending(i int32) int { return int(i) }
 
 // TestEtaNzMatchesDense: the eta kernel's three nonzero-list calls against
 // its own dense ones, bit for bit. Two kernels over one random basis take
-// the same pivots — one through ftranColNz and list-fed updateNz, the other
-// through ftranDense of the scattered column and scan-fed updateNz — along
-// eta chains from 0 up to etaRefactorEvery long,
-// and at checkpoints every FTRAN and BTRAN form must agree. Half-way the
-// pair is cloned and both pairs pivot on separately, so a clone that
-// disturbed its parent's reader index (or the other way round) shows up as
-// a mismatch within a pair: the dense BTRAN never reads the index.
+// the same pivots — one through ftranColNz and updateNz fed its list, the
+// other through ftranDense of the scattered column and updateNz fed a scan
+// of it — along eta chains from 0 up to etaRefactorEvery long, and at
+// checkpoints every FTRAN and BTRAN form must agree. Half-way a second pair
+// is built by refactorizing the same basis and replaying the pivots so far,
+// and both pairs pivot on separately, so a pair whose eta file or reader
+// index depended on more than its own pivots shows up as a mismatch within
+// it: the dense BTRAN never reads the index.
 func TestEtaNzMatchesDense(t *testing.T) {
 	// band > 0 keeps every nonzero of the basis and of the entering columns
 	// within band rows of the diagonal, so B⁻¹ and the etas stay sparse and
@@ -510,15 +501,19 @@ func TestEtaNzMatchesDense(t *testing.T) {
 			std.cols[j] = coalesce([]entry{{row: j, val: 2 + r.Float64()}, {row: near(j), val: r.Float64() - 0.5}})
 		}
 		basis := r.Perm(m)
-		nzK, dnK := &etaFactor{}, &etaFactor{}
-		for _, f := range []*etaFactor{nzK, dnK} {
-			f.reset(m)
-			if f.refactorize(std, basis) != refactorOK {
-				t.Fatalf("m=%d: refactorize failed", m)
-			}
-		}
 		type pair struct{ nz, dn *etaFactor }
-		pairs := []pair{{nzK, dnK}}
+		fresh := func() pair {
+			p := pair{&etaFactor{}, &etaFactor{}}
+			for _, f := range []*etaFactor{p.nz, p.dn} {
+				f.reset(m)
+				if f.refactorize(std, basis) != refactorOK {
+					t.Fatalf("m=%d: refactorize failed", m)
+				}
+			}
+			return p
+		}
+		pairs := []pair{fresh()}
+		nzK := pairs[0].nz
 		randCol := func() []entry {
 			i := r.Intn(m)
 			col := []entry{{row: i, val: 1 + r.Float64()}}
@@ -530,7 +525,7 @@ func TestEtaNzMatchesDense(t *testing.T) {
 		// One output buffer per list, as the nonzero-list contract asks.
 		wNz, wDn := make([]float64, m), make([]float64, m)
 		fOut, bOut, dOut := make([]float64, m), make([]float64, m), make([]float64, m)
-		var wList, fList, bList []int32
+		var wList, dList, fList, bList []int32
 		check := func(p pair, ctx string) {
 			t.Helper()
 			for k := 0; k < 3; k++ {
@@ -545,10 +540,23 @@ func TestEtaNzMatchesDense(t *testing.T) {
 				checkNzBits(t, dOut, bOut, bList, ascending, ctx+": btran")
 			}
 		}
+		// The pivots the first pair took, for the replay.
+		type step struct {
+			col []entry
+			pr  int
+		}
+		var taken []step
+		// update takes the pivot whose entering column p.nz has just
+		// FTRANed into wNz.
+		update := func(p pair, col []entry, pr int) {
+			ftranColRef(p.dn, col, wDn)
+			dList = scanNz(wDn, dList)
+			p.nz.updateNz(pr, wNz, wList)
+			p.dn.updateNz(pr, wDn, dList)
+		}
 		pivot := func(p pair) bool {
 			col := randCol()
 			wList = p.nz.ftranColNz(col, wNz, wList)
-			ftranColRef(p.dn, col, wDn)
 			pr := -1
 			for _, i := range wList {
 				if math.Abs(wNz[i]) > 0.3 && (pr < 0 || math.Abs(wNz[i]) > math.Abs(wNz[pr])) {
@@ -558,8 +566,10 @@ func TestEtaNzMatchesDense(t *testing.T) {
 			if pr < 0 {
 				return false
 			}
-			p.nz.updateNz(pr, wNz, wList)
-			p.dn.updateNz(pr, wDn, nil)
+			update(p, col, pr)
+			if p.nz == nzK {
+				taken = append(taken, step{col, pr})
+			}
 			return true
 		}
 		next := 1
@@ -571,9 +581,13 @@ func TestEtaNzMatchesDense(t *testing.T) {
 				next = 2*age + 1
 			}
 			if nzK.age() == etaRefactorEvery/2 && len(pairs) == 1 {
-				// The clones run a few etas ahead, so the two sides' eta
-				// files differ from here on at every index.
-				c := pair{nzK.clone().(*etaFactor), dnK.clone().(*etaFactor)}
+				// The replayed pair runs a few etas ahead, so the two sides'
+				// eta files differ from here on at every index.
+				c := fresh()
+				for _, st := range taken {
+					wList = c.nz.ftranColNz(st.col, wNz, wList)
+					update(c, st.col, st.pr)
+				}
 				for c.nz.age() < nzK.age()+3 {
 					pivot(c)
 				}
@@ -599,12 +613,12 @@ func TestEtaNzMatchesDense(t *testing.T) {
 // kernel: along update chains from 0 up to 300 pivots on a staircase basis,
 // each kernel's ftranColNz/btranUnitNz must equal its own dense
 // solveForward/solveBackward bit for bit, and the FTRAN list must come back
-// in strictly descending logical order. Pivots alternate between the stash-
-// fed updateNz and the scan-fed one (nil list), and probe columns of 3 and of m/8
+// in strictly descending logical order. Probe columns of 3 and of m/8
 // entries reach a handful of steps and a large share of them. Half-way the
-// kernel is cloned and both copies pivot on separately, so a clone that
-// shared its parent's reader index shows up as a mismatch on one side: the
-// dense solves never read it.
+// kernel is cloned and both copies pivot on separately, each FTRANing its
+// entering columns and updating from them, so a clone that shared its
+// parent's reader index shows up as a mismatch on one side: the dense
+// solves never read it.
 func TestFTNzMatchesDense(t *testing.T) {
 	const m, chain = 2048, 300
 	r := rand.New(rand.NewSource(29))
@@ -625,7 +639,7 @@ func TestFTNzMatchesDense(t *testing.T) {
 		}
 		return coalesce(col)
 	}
-	w, wCopy := make([]float64, m), make([]float64, m)
+	w := make([]float64, m)
 	fOut, bOut, dOut := make([]float64, m), make([]float64, m), make([]float64, m)
 	var wList, fList, bList []int32
 	check := func(f *ftFactor, ctx string) {
@@ -656,12 +670,7 @@ func TestFTNzMatchesDense(t *testing.T) {
 			if pr < 0 {
 				continue
 			}
-			if f.age()%2 == 0 {
-				f.updateNz(pr, w, wList)
-			} else {
-				copy(wCopy, w) // not the stashed buffer: the spike is rebuilt from w
-				f.updateNz(pr, wCopy, nil)
-			}
+			f.updateNz(pr, w, wList)
 			return
 		}
 	}
@@ -675,7 +684,7 @@ func TestFTNzMatchesDense(t *testing.T) {
 			next = 2*age + 1
 		}
 		if kernel.age() == chain/2 && len(sides) == 1 {
-			c := kernel.clone().(*ftFactor)
+			c := kernel.clone()
 			for c.age() < kernel.age()+3 {
 				pivot(c)
 			}
@@ -691,6 +700,52 @@ func TestFTNzMatchesDense(t *testing.T) {
 	for i, f := range sides {
 		check(f, fmt.Sprintf("side %d end", i))
 	}
+}
+
+// TestFTUpdateNeedsItsFTRAN: a Forrest–Tomlin update takes its spike from
+// the stash its kernel's last ftranColNz left, so it accepts only that
+// FTRAN's output buffer and panics on any other w: a copy of it, an earlier
+// FTRAN's buffer, the right buffer once an update has spent the stash, or
+// the parent's buffer fed to a clone, whose stash stays behind.
+func TestFTUpdateNeedsItsFTRAN(t *testing.T) {
+	const m = 15
+	std, basis := randSparseBasis(rand.New(rand.NewSource(31)), m)
+	f := &ftFactor{}
+	f.reset(m)
+	if f.refactorize(std, basis) != refactorOK {
+		t.Fatal("refactorize failed")
+	}
+	col := []entry{{row: 2, val: 1.5}, {row: 7, val: -0.4}}
+	w, other := make([]float64, m), make([]float64, m)
+	var wl, ol []int32
+	// pivotRow picks the row on which w is largest in magnitude.
+	pivotRow := func() int {
+		pr := wl[0]
+		for _, i := range wl {
+			if math.Abs(w[i]) > math.Abs(w[pr]) {
+				pr = i
+			}
+		}
+		return int(pr)
+	}
+	mustPanic := func(ctx string, f *ftFactor, w []float64) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", ctx)
+			}
+		}()
+		f.updateNz(pivotRow(), w, wl)
+	}
+
+	wl = f.ftranColNz(col, w, wl)
+	mustPanic("a copy of the FTRAN's output", f, append([]float64(nil), w...))
+	ol = f.ftranColNz(col, other, ol)
+	mustPanic("an earlier FTRAN's buffer", f, w)
+	wl = f.ftranColNz(col, w, wl)
+	mustPanic("a clone fed its parent's FTRAN", f.clone(), w)
+	f.updateNz(pivotRow(), w, wl)
+	mustPanic("a buffer whose stash an update spent", f, w)
 }
 
 // TestBucketsMatchScan: the Markowitz count buckets name the candidates a

@@ -277,12 +277,3 @@ func scanNz(v []float64, nz []int32) []int32 {
 	}
 	return nz
 }
-
-func (f *denseFactor) clone() factor {
-	c := &denseFactor{m: f.m, nPiv: f.nPiv}
-	c.binv = make([][]float64, f.m)
-	for i, row := range f.binv {
-		c.binv[i] = append([]float64(nil), row...)
-	}
-	return c
-}

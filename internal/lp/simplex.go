@@ -336,7 +336,8 @@ func (std *standard) solve(opts Options) result {
 		maxIter:       iterBudget(std.n, std.m),
 		refactorEvery: forceRefactorEvery,
 	}
-	// No reset: coldInit installs the identity, a warm install a clone.
+	// No reset: coldInit installs the identity, a warm install a clone or a
+	// refactorization.
 	st.fac = newFactor(std.large)
 	defer func() { release(st.fac) }()
 	if st.refactorEvery <= 0 {
@@ -354,7 +355,6 @@ func (std *standard) solve(opts Options) result {
 		// retry cold, once, inside the same pivot budget.
 		res = st.phases(false)
 	}
-	trim(st.fac)
 	if res.status != Optimal {
 		return res
 	}
